@@ -1796,50 +1796,13 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
             W.PE.StrengthReductions, W.PE.ProfiledUnrolls};
     }
     if (DoVerify) {
-      // Audit the finished bytes while the region is still readable through
-      // its write mapping, before anything can execute them.
-      std::uint64_t Cyc = 0;
-      verify::Result R;
-      {
-        PhaseScope T(Cyc);
-        verify::MachineAuditInputs MA;
-        MA.Code = F.Region->base();
-        MA.Size = F.Stats.CodeBytes;
-        MA.ProfileCounter =
-            F.Prof ? static_cast<const void *>(&F.Prof->Invocations) : nullptr;
-        MA.ExpectProfile = Opts.Profile && F.Prof != nullptr;
-        // The usage cross-check and spill dataflow assume ICODE's emission
-        // discipline; VCODE's one-pass output gets the structural checks.
-        MA.CrossCheckEmitterUsage = Opts.Backend == BackendKind::ICode;
-        MA.CheckSpillDiscipline = Opts.Backend == BackendKind::ICode;
-        if (Opts.Backend == BackendKind::PCode) {
-          // Patched output must stay inside the instruction vocabulary the
-          // stencil library rendered (plus the escape-hatch ops that call
-          // the encoder directly). A class outside the mask means a patch
-          // corrupted an opcode byte or the library drifted from the
-          // emitter. Byte-level patch correctness itself is proven at
-          // library build time (dual-render re-patch equivalence) and by
-          // the differential suite.
-          MA.CheckStencilClasses = true;
-          MA.StencilClassMask = pcode::StencilLibrary::get().ClassMask |
-                                pcode::StencilAssembler::glueClassMask();
-        }
-        R = verify::auditMachineCode(MA);
-      }
-      VerifyCyc += Cyc;
-      verify::recordOutcome(verify::Layer::Machine, !R.ok(), Cyc);
-      if (!R.ok())
-        verify::failCompile(R);
-    }
-    if (DoVerify) {
-      // The flow-sensitive admission pass over the same bytes: CFG
-      // recovery plus the worklist abstract interpretation proving
-      // stack/callee-saved discipline on all paths. Fresh compiles get it
-      // under the verify gate for all three backends — the same analysis
-      // every snapshot load faces unconditionally, so a shape the verifier
-      // would reject at load time can never be saved unnoticed. When this
-      // compile recorded a portable reloc table, it is handed over and the
-      // call-target confinement proof runs exactly as it will on reload.
+      // Admit the finished bytes while the region is still readable through
+      // its write mapping, before anything can execute them: the same
+      // analysis every snapshot load faces unconditionally, so a shape the
+      // verifier would reject at load time can never be saved unnoticed.
+      // When this compile recorded a portable reloc table, it is handed
+      // over and the call-target confinement proof runs exactly as it will
+      // on reload. Fresh compiles also switch on their backend's own facts.
       std::uint64_t Cyc = 0;
       verify::Result R;
       {
@@ -1850,14 +1813,24 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
         AI.ProfileCounter =
             F.Prof ? static_cast<const void *>(&F.Prof->Invocations) : nullptr;
         AI.ExpectProfile = Opts.Profile && F.Prof != nullptr;
-        std::vector<verify::AdmissionReloc> ARelocs;
         if (Opts.Relocs && !Opts.Relocs->Unportable) {
-          ARelocs.reserve(Opts.Relocs->Entries.size());
-          for (const support::RelocEntry &E : Opts.Relocs->Entries)
-            ARelocs.push_back({E.Offset, static_cast<std::uint8_t>(E.Kind)});
-          AI.Relocs = ARelocs.data();
-          AI.NumRelocs = ARelocs.size();
+          AI.Relocs = Opts.Relocs->Entries.data();
+          AI.NumRelocs = Opts.Relocs->Entries.size();
           AI.HaveRelocs = true;
+        }
+        // The usage cross-check and spill dataflow assume ICODE's emission
+        // discipline; VCODE's one-pass output gets the structural checks.
+        AI.ICodeFacts = Opts.Backend == BackendKind::ICode;
+        if (Opts.Backend == BackendKind::PCode) {
+          // Patched output must stay inside the instruction vocabulary the
+          // stencil library rendered (plus the escape-hatch ops that call
+          // the encoder directly). A class outside the mask means a patch
+          // corrupted an opcode byte or the library drifted from the
+          // emitter. Byte-level patch correctness itself is proven at
+          // library build time (dual-render re-patch equivalence) and by
+          // the differential suite.
+          AI.StencilClassMask = pcode::StencilLibrary::get().ClassMask |
+                                pcode::StencilAssembler::glueClassMask();
         }
         R = verify::verifyAdmission(AI);
       }

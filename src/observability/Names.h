@@ -164,13 +164,12 @@ inline constexpr char VerifyIrChecked[] = "verify.ir.checked";
 inline constexpr char VerifyIrFailed[] = "verify.ir.failed";
 inline constexpr char VerifyAllocChecked[] = "verify.alloc.checked";
 inline constexpr char VerifyAllocFailed[] = "verify.alloc.failed";
-inline constexpr char VerifyCodeChecked[] = "verify.code.checked";
-inline constexpr char VerifyCodeFailed[] = "verify.code.failed";
 inline constexpr char VerifyCycles[] = "verify.cycles";
 
-// Flow-sensitive machine-code admission (src/verify/AdmissionVerify.cpp):
-// every snapshot load runs it unconditionally before the bytes can execute;
-// fresh compiles run it under TICKC_VERIFY. Blocks/calls count the CFG
+// Flow-sensitive machine-code admission (src/verify/AdmissionVerify.cpp),
+// the one machine-code analyzer: every snapshot load runs it
+// unconditionally before the bytes can execute; fresh compiles run it under
+// TICKC_VERIFY, and their findings count here too. Blocks/calls count the CFG
 // blocks analyzed and the indirect-call sites whose targets were proven
 // confined to the key's declared callees.
 inline constexpr char VerifyAdmitChecked[] = "verify.admit.checked";

@@ -351,7 +351,6 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
       {"spec lint", names::VerifySpecChecked, names::VerifySpecFailed},
       {"ir verifier", names::VerifyIrChecked, names::VerifyIrFailed},
       {"alloc audit", names::VerifyAllocChecked, names::VerifyAllocFailed},
-      {"code audit", names::VerifyCodeChecked, names::VerifyCodeFailed},
       {"admission", names::VerifyAdmitChecked, names::VerifyAdmitFailed},
   };
   std::uint64_t VChecked = 0;

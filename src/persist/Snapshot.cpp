@@ -547,6 +547,11 @@ core::CompiledFn SnapshotCache::tryLoad(const cache::PersistKey &K,
   // Re-point every recorded imm64 at this process's addresses. The stored
   // ordinals index K.Refs — the fresh walk's captures in the same canonical
   // order — so old address i maps to current address i by construction.
+  // The patched table is what admission trusts below, so a kind outside
+  // the three the emitters record is rejected here, before its slot is
+  // patched or the field narrowed to a RelocKind.
+  std::vector<support::RelocEntry> Relocs;
+  Relocs.reserve(NumRelocs);
   const std::uint8_t *RL = recRelocs(R);
   for (std::size_t I = 0; I < NumRelocs; ++I, RL += RelocLen) {
     std::size_t Offset = rd32(RL);
@@ -559,12 +564,17 @@ core::CompiledFn SnapshotCache::tryLoad(const cache::PersistKey &K,
       if (!Prof)
         return Reject(); // Record/options profile mismatch: stale record.
       Target = reinterpret_cast<std::uint64_t>(&Prof->Invocations);
-    } else {
+    } else if (Kind == static_cast<std::uint32_t>(support::RelocKind::Ptr) ||
+               Kind == static_cast<std::uint32_t>(support::RelocKind::Callee)) {
       if (Ordinal >= K.Refs.size())
         return Reject();
       Target = K.Refs[Ordinal].Addr;
+    } else {
+      return Reject();
     }
     std::memcpy(Base + Offset, &Target, 8);
+    Relocs.push_back({static_cast<std::uint32_t>(Offset),
+                      static_cast<support::RelocKind>(Kind), Target});
   }
 
   // The gate: the flow-sensitive admission verifier runs unconditionally on
@@ -575,20 +585,14 @@ core::CompiledFn SnapshotCache::tryLoad(const cache::PersistKey &K,
   // declared. A hostile record with a stray call target, a mid-instruction
   // branch, an unbalanced path, or a reloc aimed at an opcode byte is a
   // counted reject that falls back to a fresh compile.
-  std::vector<verify::AdmissionReloc> ARelocs;
-  ARelocs.reserve(NumRelocs);
-  const std::uint8_t *RL2 = recRelocs(R);
-  for (std::size_t I = 0; I < NumRelocs; ++I, RL2 += RelocLen)
-    ARelocs.push_back(
-        {rd32(RL2), static_cast<std::uint8_t>(rd32(RL2 + 4))});
   std::uint64_t A0 = readCycleCounterBegin();
   verify::AdmissionInputs AI;
   AI.Code = Base;
   AI.Size = CodeLen;
   AI.ProfileCounter = Prof ? &Prof->Invocations : nullptr;
   AI.ExpectProfile = Prof != nullptr;
-  AI.Relocs = ARelocs.data();
-  AI.NumRelocs = ARelocs.size();
+  AI.Relocs = Relocs.data();
+  AI.NumRelocs = Relocs.size();
   AI.HaveRelocs = true;
   verify::Result VR = verify::verifyAdmission(AI);
   verify::recordOutcome(verify::Layer::Admit, !VR.ok(),

@@ -34,11 +34,12 @@
 /// Load safety. A record is executed only after (1) the file fingerprint
 /// matched this build, (2) its checksum and section bounds verified, (3)
 /// its key bytes compared equal (not just hash-equal), (4) every recorded
-/// imm64 slot was re-pointed at this process's addresses, and (5) the
-/// patched bytes passed the flow-sensitive admission verifier
-/// (verify::verifyAdmission): full CFG recovery over the strict decode,
-/// worklist abstract interpretation proving stack-depth balance and
-/// callee-saved save/restore on all paths to every ret, frame-pointer
+/// imm64 slot had a known kind (Ptr, Callee or Profile) and was re-pointed
+/// at this process's addresses, and (5) the patched bytes passed the
+/// flow-sensitive admission verifier (verify::verifyAdmission): full CFG
+/// recovery over the strict decode, worklist abstract interpretation
+/// proving stack-depth balance and callee-saved save/restore on all paths
+/// to every ret, frame-pointer
 /// integrity, and — against the record's own reloc table — confinement of
 /// every indirect call to addresses the loader's key walk declared. Any
 /// failure is a counted reject and falls back to compiling. With

@@ -15,7 +15,7 @@
 ///     rebuild with a different toolchain invalidates old snapshots;
 ///   * the build-flag hash CMake passes as TICKC_BUILD_FLAGS (optimization
 ///     level and sanitizers change emitted-code expectations such as the
-///     machine auditor's strictness posture);
+///     admission verifier's strictness posture);
 ///   * the CPUID feature bits the emitters rely on, so a snapshot written
 ///     on a wider machine never reaches a narrower one;
 ///   * a format version, bumped whenever the snapshot record layout or the

@@ -174,7 +174,7 @@ public:
   static constexpr int NumFloatPool = 12;
   /// Bytes of callee-saved registers stored below the frame pointer
   /// (rbx, r12..r15; the rbp push is accounted separately). Spill slots
-  /// start below this area; the machine-code auditor keys off it.
+  /// start below this area; admission's spill fact keys off it.
   static constexpr std::int32_t CalleeSaveBytes = 40;
 
   /// True when ops may take the pre-rendered stencil fast paths.

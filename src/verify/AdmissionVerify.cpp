@@ -5,11 +5,19 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Layer 5: proof-before-execute admission of finalized machine code, in the
-// spirit of SFI/NaCl-style static validators. Where MachineAudit checks the
-// *linear* shape of the stream, this pass recovers the control-flow graph
-// and proves path-sensitive properties by worklist abstract interpretation:
+// Layer 3: proof-before-execute admission of finalized machine code, in the
+// spirit of SFI/NaCl-style static validators, and the only analyzer of
+// emitted bytes. One strict decode feeds a few linear facts and a recovered
+// control-flow graph, over which path-sensitive properties are proven by
+// worklist abstract interpretation:
 //
+//  * linear facts — the profiling hook increments exactly the registered
+//    counter (or is absent when profiling is off), every `pop rbp` pairs
+//    with a ret, and, on fresh compiles, the backend's own vocabulary: PCODE
+//    output stays inside the stencil class mask, and every instruction of
+//    ICODE output is explainable by an opcode the link-time-pruning usage
+//    table recorded, so the assembler and the pruning table cannot drift
+//    apart silently;
 //  * CFG recovery — every relative branch lands on an instruction boundary
 //    inside the region, the region ends in a terminator (no fallthrough off
 //    the end), and indirect jumps are never admitted. Unreachable ranges
@@ -50,7 +58,11 @@
 //    through the xmm file (movq/cvt round-trips preserve values), and
 //    byte-accurately through rbp-relative frame cells of every access
 //    width (two dword stores cannot assemble a stray target inside a
-//    qword spill slot).
+//    qword spill slot);
+//  * spill discipline (ICODE fresh compiles only) — a must-initialized bit
+//    per tracked frame cell, intersected where paths join, proves every
+//    load from a spill slot is preceded on all paths by a store to it: the
+//    machine-level proof that spilled uses reload initialized memory.
 //
 // The abstract state lattice is documented in DESIGN.md ("Machine-code
 // admission"); rejection diagnostics carry a hex window plus a CFG +
@@ -75,12 +87,18 @@
 namespace tcc {
 namespace verify {
 
+using icode::Op;
 using x86::Decoded;
 using x86::InstrClass;
 
 namespace {
 
-constexpr std::uint8_t RegRBX = 3, RegRSP = 4, RegRBP = 5, RegR10 = 10;
+constexpr std::uint8_t RegRAX = 0, RegRBX = 3, RegRSP = 4, RegRBP = 5,
+                       RegR10 = 10;
+
+/// Byte offset of the first spill slot below the frame pointer: the 40-byte
+/// callee-save area comes first, slots follow (VCode::slotOffset).
+constexpr std::int32_t FirstSlotOff = -48;
 
 /// Callee-saved pool registers and their canonical save slots below rbp
 /// (vcode::detail::IntPoolPhys order: rbx, r12..r15 at [rbp-8(i+1)]).
@@ -99,6 +117,239 @@ std::uint8_t calleeRegForSlot(std::int32_t Disp) {
     if (Disp == -8 * static_cast<std::int32_t>(I + 1))
       return CalleeSavedRegs[I];
   return 0xff;
+}
+
+bool isIntArgReg(std::uint8_t R) {
+  // rdi, rsi, rdx, rcx, r8, r9
+  return R == 7 || R == 6 || R == 2 || R == 1 || R == 8 || R == 9;
+}
+
+/// Which ICODE opcodes can account for one decoded instruction. Scaffold
+/// instructions (frame setup, register shuffling, nop fill) are emitted for
+/// bookkeeping regardless of the IR content.
+struct Just {
+  bool Scaffold = false;
+  Op Ops[8];
+  unsigned N = 0;
+
+  void add(Op O) { Ops[N++] = O; }
+};
+
+Just justify(const Decoded &D) {
+  Just J;
+  switch (D.Cls) {
+  case InstrClass::Push:
+  case InstrClass::Pop:
+  case InstrClass::Ret:
+  case InstrClass::Nop:
+  case InstrClass::MovRR:
+  case InstrClass::SseMov:
+    J.Scaffold = true;
+    break;
+  case InstrClass::MovImm32:
+    J.add(Op::SetI);
+    if (D.Rm == RegRAX) { // `mov eax, nfp` before a vararg-ABI call
+      J.add(Op::Call);
+      J.add(Op::CallIndirect);
+    }
+    break;
+  case InstrClass::MovImm64:
+    if (D.Rm == 10 || D.Rm == 11) // scratch: call targets, wide constants
+      J.Scaffold = true;
+    else if (isIntArgReg(D.Rm)) {
+      J.add(Op::CallArgP);
+      J.add(Op::CallArgII);
+    } else {
+      J.add(Op::SetL);
+      J.add(Op::SetP);
+    }
+    break;
+  case InstrClass::MovImmSExt:
+    J.add(Op::SetL);
+    J.add(Op::SetP);
+    J.add(Op::DivII);
+    J.add(Op::ModII);
+    break;
+  case InstrClass::Load:
+    if (D.Rm == RegRBP)
+      J.Scaffold = true; // spill reload / stack-arg bind / save-area restore
+    else
+      J.add(D.RexW ? Op::LdL : Op::LdI);
+    break;
+  case InstrClass::LoadSExt8: J.add(Op::LdI8s); break;
+  case InstrClass::LoadZExt8: J.add(Op::LdI8u); break;
+  case InstrClass::LoadSExt16: J.add(Op::LdI16s); break;
+  case InstrClass::LoadZExt16: J.add(Op::LdI16u); break;
+  case InstrClass::Store8: J.add(Op::StI8); break;
+  case InstrClass::Store16: J.add(Op::StI16); break;
+  case InstrClass::Store32: J.add(Op::StI); break;
+  case InstrClass::Store64:
+    if (D.Rm == RegRBP)
+      J.Scaffold = true; // spill store / callee-save
+    else
+      J.add(Op::StL);
+    break;
+  case InstrClass::LockInc:
+    J.add(Op::ProfileInc);
+    break;
+  case InstrClass::AluRR:
+    switch (D.Op8) {
+    case 0x03:
+      J.add(Op::AddI); J.add(Op::AddL);
+      J.add(Op::MulII); J.add(Op::DivII); J.add(Op::ModII);
+      break;
+    case 0x2B:
+      J.add(Op::SubI); J.add(Op::SubL);
+      J.add(Op::MulII); J.add(Op::DivII); J.add(Op::ModII);
+      break;
+    case 0x23: J.add(Op::AndI); break;
+    case 0x0B: J.add(Op::OrI); break;
+    case 0x33:
+      J.add(Op::XorI); J.add(Op::SetI); J.add(Op::SetL); J.add(Op::SetP);
+      J.add(Op::DivUI); J.add(Op::ModUI);
+      J.add(Op::Call); J.add(Op::CallIndirect); // xor eax,eax for nfp=0
+      break;
+    default: // 0x3B cmp
+      J.add(Op::CmpSetI); J.add(Op::CmpSetL);
+      J.add(Op::BrCmpI); J.add(Op::BrCmpL);
+      break;
+    }
+    break;
+  case InstrClass::TestRR:
+    J.add(Op::BrTrue);
+    J.add(Op::BrFalse);
+    break;
+  case InstrClass::AluRI:
+    switch (D.Reg & 7) {
+    case 0: J.add(Op::AddII); J.add(Op::AddLI); break;
+    case 1: J.add(Op::OrII); break;
+    case 4: J.add(Op::AndII); break;
+    case 5:
+      if (D.RexW && D.Rm == RegRSP)
+        J.Scaffold = true; // the patchable frame reserve
+      else
+        J.add(Op::SubII);
+      break;
+    case 6: J.add(Op::XorII); break;
+    default: J.add(Op::CmpSetII); J.add(Op::BrCmpII); break; // 7 cmp
+    }
+    break;
+  case InstrClass::ImulRR:
+    J.add(Op::MulI);
+    J.add(Op::MulL);
+    break;
+  case InstrClass::ImulRRI:
+    if (D.RexW) {
+      J.add(Op::MulLI); J.add(Op::DivII); J.add(Op::ModII);
+    } else
+      J.add(Op::MulII);
+    break;
+  case InstrClass::UnaryGrp:
+    switch (D.Reg & 7) {
+    case 2: J.add(Op::NotI); break;
+    case 3:
+      J.add(Op::NegI); J.add(Op::MulII);
+      J.add(Op::DivII); J.add(Op::ModII);
+      break;
+    case 6: J.add(Op::DivUI); J.add(Op::ModUI); break;
+    default: // 7 idiv
+      J.add(Op::DivI); J.add(Op::ModI);
+      J.add(Op::DivII); J.add(Op::ModII);
+      break;
+    }
+    break;
+  case InstrClass::Cdq:
+    if (!D.RexW) {
+      J.add(Op::DivI); J.add(Op::ModI);
+      J.add(Op::DivII); J.add(Op::ModII);
+    }
+    break;
+  case InstrClass::ShiftCl:
+    switch (D.Reg & 7) {
+    case 4: J.add(Op::ShlI); break;
+    case 5: J.add(Op::UShrI); break;
+    default: J.add(Op::ShrI); break;
+    }
+    break;
+  case InstrClass::ShiftImm:
+    J.add(Op::ShlII); J.add(Op::ShrII); J.add(Op::UShrII); J.add(Op::ShlLI);
+    J.add(Op::MulII); J.add(Op::MulLI); J.add(Op::DivII); J.add(Op::ModII);
+    break;
+  case InstrClass::Movsxd:
+    J.add(Op::SextIToL);
+    J.add(Op::DivII);
+    J.add(Op::ModII);
+    break;
+  case InstrClass::Movzx8RR:
+    J.add(Op::CmpSetI); J.add(Op::CmpSetII);
+    J.add(Op::CmpSetL); J.add(Op::CmpSetD);
+    break;
+  case InstrClass::Setcc:
+    J.add(Op::CmpSetI); J.add(Op::CmpSetII);
+    J.add(Op::CmpSetL); J.add(Op::CmpSetD);
+    break;
+  case InstrClass::Jcc:
+    J.add(Op::BrCmpI); J.add(Op::BrCmpII); J.add(Op::BrCmpL);
+    J.add(Op::BrCmpD); J.add(Op::BrTrue); J.add(Op::BrFalse);
+    break;
+  case InstrClass::Jmp:
+    J.add(Op::Jump);
+    break;
+  case InstrClass::CallInd:
+    J.add(Op::Call);
+    J.add(Op::CallIndirect);
+    break;
+  case InstrClass::SseLoad:
+    if (D.Rm == RegRBP)
+      J.Scaffold = true;
+    else
+      J.add(Op::LdD);
+    break;
+  case InstrClass::SseStore:
+    if (D.Rm == RegRBP)
+      J.Scaffold = true;
+    else
+      J.add(Op::StD);
+    break;
+  case InstrClass::SseArith:
+    switch (D.Op8) {
+    case 0x58: J.add(Op::AddD); break;
+    case 0x5C: J.add(Op::SubD); J.add(Op::NegD); break;
+    case 0x59: J.add(Op::MulD); break;
+    case 0x5E: J.add(Op::DivD); break;
+    default: break; // sqrtsd: never generated from ICODE
+    }
+    break;
+  case InstrClass::SseUcomi:
+    J.add(Op::CmpSetD);
+    J.add(Op::BrCmpD);
+    break;
+  case InstrClass::SseXorpd:
+    J.add(Op::SetD);
+    J.add(Op::NegD);
+    break;
+  case InstrClass::SseCvtSI2SD:
+    J.add(D.RexW ? Op::CvtLToD : Op::CvtIToD);
+    break;
+  case InstrClass::SseCvtSD2SI:
+    if (!D.RexW)
+      J.add(Op::CvtDToI);
+    break;
+  case InstrClass::MovqXR:
+    J.add(Op::SetD);
+    break;
+  // Assembler surface the back ends never reach: no justification, so an
+  // occurrence under the cross-check is itself the finding.
+  case InstrClass::Ud2:
+  case InstrClass::Lea:
+  case InstrClass::Movsx8RR:
+  case InstrClass::Movzx16RR:
+  case InstrClass::Movsx16RR:
+  case InstrClass::JmpInd:
+  case InstrClass::MovqRX:
+    break;
+  }
+  return J;
 }
 
 /// Provenance of a 64-bit value, for the call-target confinement proof.
@@ -129,6 +380,9 @@ struct AbsState {
                                ///< 48-bit pointers exactly, so the xmm
                                ///< file is a laundering channel too).
   std::vector<Prov> Slot;      ///< Per tracked rbp frame-cell provenance.
+  std::vector<std::uint8_t> Init; ///< Per tracked cell: stored on all paths
+                                  ///< (∩ at joins; spill fact only, else
+                                  ///< empty).
 
   bool sameShape(const AbsState &O) const {
     return Depth == O.Depth && RbpDepth == O.RbpDepth;
@@ -146,8 +400,10 @@ struct Admission {
   std::vector<std::size_t> StartToIdx;
 
   // Per decoded movabs: the reloc kind of the slot its payload sits on, or
-  // 0xff when the immediate is outside the table.
-  std::vector<std::uint8_t> ImmSlotKind;
+  // None when the immediate is outside the table.
+  std::vector<support::RelocKind> ImmSlotKind;
+
+  std::uint64_t Calls = 0; ///< Indirect-call sites (verify.admit.calls).
 
   std::int64_t Reserve = 0; ///< Prologue frame reserve (sub rsp, imm).
 
@@ -159,6 +415,9 @@ struct Admission {
     std::int32_t Width = 0; ///< Bytes, widest access seen at Disp.
   };
   std::vector<Cell> Cells;
+  // Per instruction: the cell of its spill-slot qword access, or -1 (filled
+  // only when the spill fact is on).
+  std::vector<std::int32_t> SpillCell;
 
   struct Blk {
     std::size_t Begin = 0, End = 0; // [Begin, End) instruction indices
@@ -223,7 +482,89 @@ struct Admission {
   }
 
   //===--------------------------------------------------------------------===
-  // Phase 2: prologue shape + reloc-shape.
+  // Phase 2: linear facts over the decoded stream.
+  //===--------------------------------------------------------------------===
+
+  /// The facts that need no CFG. None of them stops the analysis: the
+  /// structural phases below still run and report their own findings.
+  void checkLinearFacts() {
+    const icode::EmitterUsage *Usage =
+        In.ICodeFacts ? &icode::ICode::emitterUsage() : nullptr;
+    unsigned Hooks = 0, Pops = 0, Rets = 0;
+    for (std::size_t I = 0; I < Ins.size(); ++I) {
+      const Decoded &D = Ins[I];
+      if (In.StencilClassMask &&
+          !(In.StencilClassMask &
+            (std::uint64_t(1) << static_cast<unsigned>(D.Cls))))
+        fail(Starts[I], "stencil-class",
+             std::string("decoded `") + x86::instrClassName(D.Cls) +
+                 "` is outside the stencil library's rendered vocabulary "
+                 "and the encoder-fallback glue set (patch corrupted an "
+                 "opcode byte, or the library drifted from the emitter)");
+      if (Usage) {
+        Just J = justify(D);
+        bool Ok = J.Scaffold;
+        for (unsigned K = 0; K < J.N && !Ok; ++K)
+          Ok = Usage->isUsed(J.Ops[K]);
+        if (!Ok)
+          fail(Starts[I], "emitter-usage",
+               std::string("decoded `") + x86::instrClassName(D.Cls) +
+                   "` has no recorded ICODE opcode that could have emitted "
+                   "it (assembler/pruning-table drift)");
+      }
+      switch (D.Cls) {
+      case InstrClass::Pop:
+        ++Pops;
+        break;
+      case InstrClass::Ret:
+        ++Rets;
+        break;
+      case InstrClass::CallInd:
+        ++Calls;
+        break;
+      case InstrClass::LockInc:
+        ++Hooks;
+        checkProfileHook(I);
+        break;
+      default:
+        break;
+      }
+    }
+    // Every epilogue is `mov rsp, rbp; pop rbp; ret`, so a ret that lost
+    // its pairing (smashed to a nop, say) shows up here even when the CFG
+    // phase would only see a fallthrough or a dead tail.
+    if (Pops != Rets)
+      fail(0, "stack-balance",
+           "pop/ret imbalance: " + std::to_string(Pops) + " pop, " +
+               std::to_string(Rets) + " ret");
+    if (In.ExpectProfile && Hooks == 0)
+      fail(0, "profile", "profiling requested but no hook was planted");
+  }
+
+  void checkProfileHook(std::size_t I) {
+    if (!In.ExpectProfile) {
+      fail(Starts[I], "profile", "profiling hook present but profiling is off");
+      return;
+    }
+    if (Ins[I].Rm != RegR10 || Ins[I].Disp != 0) {
+      fail(Starts[I], "profile",
+           "counter increment does not use the planted [r10] form");
+      return;
+    }
+    if (I == 0 || Ins[I - 1].Cls != InstrClass::MovImm64 ||
+        Ins[I - 1].Rm != RegR10) {
+      fail(Starts[I], "profile",
+           "counter increment not preceded by `movabs r10, counter`");
+      return;
+    }
+    auto Want = reinterpret_cast<std::uint64_t>(In.ProfileCounter);
+    if (Ins[I - 1].Imm64 != Want)
+      fail(Starts[I - 1], "profile",
+           "profiling hook targets a counter that was never registered");
+  }
+
+  //===--------------------------------------------------------------------===
+  // Phase 3: prologue shape + reloc-shape.
   //===--------------------------------------------------------------------===
 
   bool checkPrologue() {
@@ -267,7 +608,7 @@ struct Admission {
       return true;
     // Map imm64 payload offset -> movabs instruction index.
     std::vector<std::size_t> PayloadIdx(In.Size, SIZE_MAX);
-    ImmSlotKind.assign(Ins.size(), 0xff);
+    ImmSlotKind.assign(Ins.size(), support::RelocKind::None);
     for (std::size_t I = 0; I < Ins.size(); ++I)
       if (Ins[I].Cls == InstrClass::MovImm64)
         PayloadIdx[Starts[I] + Ins[I].Len - 8] = I;
@@ -286,7 +627,7 @@ struct Admission {
   }
 
   //===--------------------------------------------------------------------===
-  // Phase 3: CFG recovery.
+  // Phase 4: CFG recovery.
   //===--------------------------------------------------------------------===
 
   bool isTerm(const Decoded &D) const {
@@ -398,7 +739,7 @@ struct Admission {
   }
 
   //===--------------------------------------------------------------------===
-  // Phase 4: worklist abstract interpretation.
+  // Phase 5: worklist abstract interpretation.
   //===--------------------------------------------------------------------===
 
   /// Bytes the memory operand of \p D touches; 0 for classes that carry a
@@ -439,8 +780,21 @@ struct Admission {
            C == InstrClass::LoadZExt16 || C == InstrClass::SseLoad;
   }
 
+  /// A qword spill-slot store or reload: the accesses the spill fact
+  /// tracks (the callee-save area above FirstSlotOff is not a spill slot).
+  static bool isSpillAccess(const Decoded &D) {
+    bool Qword = D.Cls == InstrClass::Store64 ||
+                 D.Cls == InstrClass::SseStore ||
+                 (D.Cls == InstrClass::Load && D.RexW) ||
+                 D.Cls == InstrClass::SseLoad;
+    return Qword && D.IsMem && D.Rm == RegRBP && D.Disp <= FirstSlotOff;
+  }
+
   void collectCells() {
-    for (const Decoded &D : Ins) {
+    if (In.ICodeFacts)
+      SpillCell.assign(Ins.size(), -1);
+    for (std::size_t I = 0; I < Ins.size(); ++I) {
+      const Decoded &D = Ins[I];
       if (!D.IsMem || D.Rm != RegRBP || D.Disp >= 0)
         continue;
       std::int32_t W = memWidth(D);
@@ -449,9 +803,11 @@ struct Admission {
       auto It = std::find_if(Cells.begin(), Cells.end(),
                              [&](const Cell &C) { return C.Disp == D.Disp; });
       if (It == Cells.end())
-        Cells.push_back({D.Disp, W});
+        It = Cells.insert(Cells.end(), Cell{D.Disp, W});
       else
         It->Width = std::max(It->Width, W);
+      if (In.ICodeFacts && isSpillAccess(D))
+        SpillCell[I] = static_cast<std::int32_t>(It - Cells.begin());
     }
   }
 
@@ -484,9 +840,8 @@ struct Admission {
   Prov immProv(std::size_t I) const {
     if (!In.HaveRelocs)
       return Prov::Trusted; // Fresh compile, no table: the emitter's own.
-    std::uint8_t Kind = ImmSlotKind[I];
-    if (Kind == static_cast<std::uint8_t>(support::RelocKind::Callee) ||
-        Kind == static_cast<std::uint8_t>(support::RelocKind::Ptr))
+    support::RelocKind Kind = ImmSlotKind[I];
+    if (Kind == support::RelocKind::Callee || Kind == support::RelocKind::Ptr)
       return Prov::Trusted;
     // Outside the table, or a profile slot (whose target is a counter, not
     // code): never admissible as a call target.
@@ -534,6 +889,20 @@ struct Admission {
     // value into an admissible call target — nor assemble one from imm32
     // pieces.
     const Prov ImmP = In.HaveRelocs ? Prov::Plain : Prov::Trusted;
+
+    // Spill discipline: a store initializes its slot on this path; a reload
+    // must find the slot initialized on every path reaching it. A finding,
+    // not a broken state — interpretation continues.
+    if (!SpillCell.empty() && SpillCell[I] >= 0) {
+      std::uint8_t &Init = S.Init[static_cast<std::size_t>(SpillCell[I])];
+      if (isStoreCls(D.Cls))
+        Init = 1;
+      else if (!Init && Report)
+        fail(Starts[I], "spill-reload",
+             "load from spill slot [rbp" + dispStr(D.Disp) +
+                 "] that is not initialized on all paths",
+             /*WithCfg=*/true);
+    }
 
     // Frame-integrity gates on the memory operand, checked as byte ranges
     // [Disp, Disp+width): a qword store at [rbp-1] reaches the saved rbp
@@ -944,6 +1313,11 @@ struct Admission {
         Changed = true;
       }
     }
+    for (std::size_t SI = 0; SI < T.Init.size(); ++SI)
+      if (T.Init[SI] && !Out.Init[SI]) {
+        T.Init[SI] = 0;
+        Changed = true;
+      }
     return Changed;
   }
 
@@ -958,6 +1332,8 @@ struct Admission {
     std::fill(std::begin(Entry.Reg), std::end(Entry.Reg), Prov::Computed);
     std::fill(std::begin(Entry.Xmm), std::end(Entry.Xmm), Prov::Computed);
     Entry.Slot.assign(Cells.size(), Prov::Computed);
+    if (In.ICodeFacts)
+      Entry.Init.assign(Cells.size(), 0);
     InState[0] = Entry;
 
     std::vector<std::size_t> Work{0};
@@ -998,41 +1374,6 @@ struct Admission {
   }
 
   //===--------------------------------------------------------------------===
-  // Phase 5: profile hook (same linear pairing MachineAudit proves).
-  //===--------------------------------------------------------------------===
-
-  void checkProfile() {
-    unsigned Hooks = 0;
-    for (std::size_t I = 0; I < Ins.size(); ++I) {
-      if (Ins[I].Cls != InstrClass::LockInc)
-        continue;
-      ++Hooks;
-      if (!In.ExpectProfile) {
-        fail(Starts[I], "profile",
-             "profiling hook present but profiling is off");
-        continue;
-      }
-      if (Ins[I].Rm != RegR10 || Ins[I].Disp != 0) {
-        fail(Starts[I], "profile",
-             "counter increment does not use the planted [r10] form");
-        continue;
-      }
-      if (I == 0 || Ins[I - 1].Cls != InstrClass::MovImm64 ||
-          Ins[I - 1].Rm != RegR10) {
-        fail(Starts[I], "profile",
-             "counter increment not preceded by `movabs r10, counter`");
-        continue;
-      }
-      auto Want = reinterpret_cast<std::uint64_t>(In.ProfileCounter);
-      if (Ins[I - 1].Imm64 != Want)
-        fail(Starts[I - 1], "profile",
-             "profiling hook targets a counter that was never registered");
-    }
-    if (In.ExpectProfile && Hooks == 0)
-      fail(0, "profile", "profiling requested but no hook was planted");
-  }
-
-  //===--------------------------------------------------------------------===
   // Diagnostics: CFG + abstract-state dump.
   //===--------------------------------------------------------------------===
 
@@ -1070,20 +1411,17 @@ struct Admission {
   void run() {
     if (!decodeAll())
       return;
-    bool PrologueOk = checkPrologue();
-    checkRelocShape();
+    checkLinearFacts();
+    // Both run, so a record with several defects reports each of them.
+    bool ShapeOk = checkPrologue();
+    ShapeOk = checkRelocShape() && ShapeOk;
     if (!buildCfg())
       return;
-    if (PrologueOk && R.ok())
+    if (ShapeOk)
       interpret();
-    checkProfile();
 
     auto &Reg = obs::MetricsRegistry::global();
     Reg.counter(obs::names::VerifyAdmitBlocks).inc(Blocks.size());
-    std::uint64_t Calls = 0;
-    for (const Decoded &D : Ins)
-      if (D.Cls == InstrClass::CallInd)
-        ++Calls;
     Reg.counter(obs::names::VerifyAdmitCalls).inc(Calls);
   }
 };

@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Four independent static-analysis layers that re-check a dynamic compile
-/// after the fact, gated by CompileOptions::Verify or TICKC_VERIFY=1:
+/// Four independent static-analysis layers that check a dynamic compile
+/// after the fact. The first three are gated by CompileOptions::Verify or
+/// TICKC_VERIFY=1; the last also runs on every snapshot load:
 ///
 ///   Spec     — lints the cspec tree before lowering (dangling cross-context
 ///              references after a closure-arena reset, unbound free
@@ -20,10 +21,12 @@
 ///              allocator's assignment is conflict-free, correctly shaped,
 ///              and keeps no float in a (caller-saved) register across a
 ///              call.
-///   Machine  — decodes the finalized region with the strict x86 decoder
-///              and checks boundaries, branch targets, frame discipline,
-///              the planted profile counter, spill-slot initialization, and
-///              the EmitterUsage cross-check.
+///   Admit    — decodes the finalized region with the strict x86 decoder,
+///              recovers its CFG, and proves by abstract interpretation the
+///              frame, stack, callee-saved, call-target and profile-hook
+///              properties; fresh compiles add the backend's own facts
+///              (EmitterUsage cross-check and spill store-before-load for
+///              ICODE, the stencil class mask for PCODE).
 ///
 /// Every checker is deliberately *independent* of the code it audits: it
 /// has its own operand-signature table, its own CFG construction, and its
@@ -49,10 +52,13 @@ namespace core {
 class Context;
 struct StmtNode;
 } // namespace core
+namespace support {
+struct RelocEntry;
+} // namespace support
 
 namespace verify {
 
-enum class Layer : std::uint8_t { Spec, IR, RegAlloc, Machine, Admit };
+enum class Layer : std::uint8_t { Spec, IR, RegAlloc, Admit };
 
 const char *layerName(Layer L);
 
@@ -90,7 +96,7 @@ bool envEnabled();
 /// Effective gate: explicit option or ambient environment.
 inline bool enabled(bool OptFlag) { return OptFlag || envEnabled(); }
 
-/// Layer 4 (runs first): cspec tree lint before lowering.
+/// Layer 0 (runs first): cspec tree lint before lowering.
 Result lintSpec(const core::Context &Ctx, const core::StmtNode *Body);
 
 /// Layer 1: ICODE verification over the builder's own stream.
@@ -106,48 +112,7 @@ Result verifyInstrs(const icode::ICode &IC, const icode::Instr *Instrs,
 /// recomputed exact liveness.
 Result auditAllocation(const icode::ICode &IC, const icode::Allocation &Alloc);
 
-/// Inputs for the emitted-code audit. Code must be a *readable* view of the
-/// finalized region (the region's writable base, before or after
-/// makeExecutable).
-struct MachineAuditInputs {
-  const std::uint8_t *Code = nullptr;
-  std::size_t Size = 0;
-  /// Address the ProfileInc counter must target; null when profiling is off.
-  const void *ProfileCounter = nullptr;
-  /// When set, the function must contain exactly the planted counter
-  /// increments; when clear, any `lock inc` is an error.
-  bool ExpectProfile = false;
-  /// ICODE-backend compiles only: assert every decoded instruction is
-  /// justified by an opcode EmitterUsage recorded (link-time-pruning drift
-  /// check).
-  bool CrossCheckEmitterUsage = false;
-  /// ICODE-backend compiles only: spill slots obey store-before-load on all
-  /// paths. (VCODE output has no such guarantee — an uninitialized C local
-  /// may legitimately be read.)
-  bool CheckSpillDiscipline = false;
-  /// PCODE-backend compiles only: every decoded instruction's x86::InstrClass
-  /// bit must be set in StencilClassMask (the stencil library's rendered
-  /// vocabulary ∪ the encoder-fallback glue classes). A class outside the
-  /// mask means a stencil patch landed on an opcode byte or the library
-  /// drifted from the emitter it was rendered from.
-  bool CheckStencilClasses = false;
-  std::uint64_t StencilClassMask = 0;
-};
-
-/// Layer 3: strict decode + structural audit of the emitted bytes.
-Result auditMachineCode(const MachineAuditInputs &In);
-
-/// One relocation slot the admission verifier may trust: \p Offset is the
-/// byte offset of a movabs imm64 *payload* inside the region, \p Kind a
-/// support::RelocKind. Slots are the only immediates whose values came from
-/// the loader's own PersistKey::Refs walk (or a freshly created profile
-/// counter) — everything else embedded in the bytes is untrusted input.
-struct AdmissionReloc {
-  std::uint32_t Offset = 0;
-  std::uint8_t Kind = 0;
-};
-
-/// Inputs for the flow-sensitive admission verifier (AdmissionVerify.cpp).
+/// Inputs for the machine-code admission verifier (AdmissionVerify.cpp).
 /// Code must be a readable view of the finalized region *after* relocation
 /// patching — the analysis proves properties of the bytes that will run.
 struct AdmissionInputs {
@@ -155,28 +120,48 @@ struct AdmissionInputs {
   std::size_t Size = 0;
   /// Address the ProfileInc counter must target; null when profiling is off.
   const void *ProfileCounter = nullptr;
+  /// When set, the function must contain exactly the planted counter
+  /// increments; when clear, any `lock inc` is an error.
   bool ExpectProfile = false;
-  /// The relocation side table (snapshot record or fresh RelocTable). When
-  /// HaveRelocs is set, every slot must land exactly on a decoded movabs
-  /// payload, and an indirect call may only target a value materialized by
-  /// a reloc-slot movabs or computed at run time — a stray embedded imm64
-  /// used as a call target is rejected. When clear (fresh compile with no
-  /// recorded table), immediates are the emitter's own and are trusted.
-  const AdmissionReloc *Relocs = nullptr;
+  /// The relocation side table (snapshot record or fresh RelocTable); only
+  /// Offset and Kind are read. Slots are the only immediates whose values
+  /// came from the loader's own PersistKey::Refs walk (or a freshly created
+  /// profile counter) — everything else embedded in the bytes is untrusted
+  /// input. When HaveRelocs is set, every slot must land exactly on a
+  /// decoded movabs payload, and an indirect call may only target a value
+  /// materialized by a Callee/Ptr slot or computed at run time — a stray
+  /// embedded imm64 used as a call target is rejected. When clear (fresh
+  /// compile with no recorded table), immediates are the emitter's own and
+  /// are trusted.
+  const support::RelocEntry *Relocs = nullptr;
   std::size_t NumRelocs = 0;
   bool HaveRelocs = false;
+  /// ICODE-backend compiles only: every decoded instruction is justified by
+  /// an opcode EmitterUsage recorded (link-time-pruning drift check), and
+  /// every spill-slot load is preceded by a store to that slot on all paths.
+  /// (VCODE output has no such guarantee — an uninitialized C local may
+  /// legitimately be read.)
+  bool ICodeFacts = false;
+  /// PCODE-backend compiles only (0 = off): every decoded instruction's
+  /// x86::InstrClass bit must be set in the mask (the stencil library's
+  /// rendered vocabulary ∪ the encoder-fallback glue classes). A class
+  /// outside the mask means a stencil patch landed on an opcode byte or the
+  /// library drifted from the emitter it was rendered from.
+  std::uint64_t StencilClassMask = 0;
 };
 
-/// Layer 5: flow-sensitive machine-code admission. Recovers the full CFG
-/// from the decoded stream (branch targets on boundaries, well-formed
-/// terminator structure; unreachable ranges are admitted but proven inert —
-/// no reachable transfer can enter them), then runs a worklist
-/// abstract interpretation proving stack-depth balance and callee-saved
+/// Layer 3: machine-code admission, the one analyzer of emitted bytes.
+/// Strict whole-region decode, canonical prologue and reloc shape, then
+/// full CFG recovery (branch targets on boundaries, well-formed terminator
+/// structure; unreachable ranges are admitted but proven inert — no
+/// reachable transfer can enter them) and a worklist abstract
+/// interpretation proving stack-depth balance and callee-saved
 /// save/restore obligations on *all* paths to every ret, frame-pointer
 /// integrity (no rsp/rbp escape, no store above the frame), and the
-/// reloc-shape/call-target confinement properties. Every snapshot load must
-/// pass this before its bytes can execute; under TICKC_VERIFY it also runs
-/// on fresh compiles from all three backends.
+/// call-target confinement properties. Every snapshot load must pass this
+/// before its bytes can execute; under TICKC_VERIFY it also runs on fresh
+/// compiles from all three backends, with the backend's optional facts
+/// (ICodeFacts, StencilClassMask) switched on.
 Result verifyAdmission(const AdmissionInputs &In);
 
 /// Feeds verify.<layer>.{checked,failed} and verify.cycles into the

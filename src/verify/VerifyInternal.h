@@ -14,9 +14,10 @@
 /// from the code being checked, so a shared misunderstanding cannot
 /// self-certify.
 ///
-/// The verify path is cold by construction (it only runs when the user has
-/// opted in), so it uses plain std::vector/std::string rather than the
-/// compile path's arena machinery.
+/// The verify path stays off the compile hot path: the IR and allocation
+/// checks run only when the user has opted in, and admission runs once per
+/// snapshot load (or per opted-in compile), so it uses plain
+/// std::vector/std::string rather than the compile path's arena machinery.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// A deliberately narrow x86-64 decoder covering exactly the encodings
-/// x86::Assembler can produce — the read half of the emitted-code auditor
+/// x86::Assembler can produce — the read half of machine-code admission
 /// (src/verify). It is strict on purpose: any byte sequence the Assembler
 /// would not emit, including architecturally valid but non-canonical
 /// variants (a longer-than-needed displacement, a redundant REX prefix, a

@@ -265,8 +265,8 @@ TEST(PCode, CompileFnMatchesVCodeSizeAndCounts) {
 }
 
 TEST(PCode, VerifiedCompileIsAcceptClean) {
-  // TICKC_VERIFY-equivalent: the machine audit (strict decode + stencil
-  // class mask) must accept PCODE output.
+  // TICKC_VERIFY-equivalent: machine-code admission (strict decode, CFG
+  // and frame proofs, plus the stencil class mask) must accept PCODE output.
   Context C;
   CompileOptions O;
   O.Backend = BackendKind::PCode;

@@ -31,6 +31,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -604,26 +605,40 @@ void writeFileBytes(const std::string &File,
   ::close(Fd);
 }
 
-/// Rewrites every record's save timestamp to \p SavedAt and fixes the
-/// checksum up to match (the timestamp is checksum-covered — the sweep test
-/// proves a stale checksum is fatal; the TTL tests need a record that is
-/// *valid* but old).
-void backdateRecords(const std::string &File, std::uint32_t SavedAt) {
+std::uint32_t rd32At(const std::uint8_t *P) {
+  std::uint32_t V;
+  std::memcpy(&V, P, 4);
+  return V;
+}
+
+/// Applies \p Edit to every record (handed the record's first byte) and
+/// fixes the checksum up to match. Everything after the first 24 header
+/// bytes is checksum-covered — the sweep test proves a stale checksum is
+/// fatal; these rewrites forge records that are *valid* but altered.
+void rewriteRecords(const std::string &File,
+                    const std::function<void(std::uint8_t *)> &Edit) {
   std::vector<std::uint8_t> Buf = readFileBytes(File);
   ASSERT_GT(Buf.size(), 16u);
   std::size_t Off = 16; // File header: magic + build fingerprint.
   while (Off + 48 <= Buf.size()) {
-    std::uint32_t Total;
-    std::memcpy(&Total, Buf.data() + Off + 4, 4);
+    std::uint32_t Total = rd32At(Buf.data() + Off + 4);
     if (Total < 48 || Off + Total > Buf.size())
       break;
-    std::memcpy(Buf.data() + Off + 44, &SavedAt, 4); // SavedAt
+    Edit(Buf.data() + Off);
     std::uint64_t Sum =
         support::hashBytes(Buf.data() + Off + 24, Total - 24);
     std::memcpy(Buf.data() + Off + 16, &Sum, 8); // Checksum
     Off += Total;
   }
   writeFileBytes(File, Buf);
+}
+
+/// Rewrites every record's save timestamp to \p SavedAt (the TTL tests
+/// need a record that is valid but old).
+void backdateRecords(const std::string &File, std::uint32_t SavedAt) {
+  rewriteRecords(File, [SavedAt](std::uint8_t *Rec) {
+    std::memcpy(Rec + 44, &SavedAt, 4); // SavedAt
+  });
 }
 
 } // namespace
@@ -659,6 +674,36 @@ TEST(Snapshot, EveryByteFlipRejectsOrRecompilesNeverAdopts) {
       ++Adopted;
   }
   EXPECT_EQ(Adopted, 0u) << "a flipped record was adopted";
+}
+
+TEST(Snapshot, OutOfRangeRelocKindRejected) {
+  // A checksum-valid record whose first reloc kind is 0x102. Its low byte
+  // reads as Callee, so narrowing the field would have trusted the slot as
+  // a call target; the loader must refuse the kind before patching, count
+  // a reject, and fall back to a fresh compile.
+  static int Cell = 61;
+  TempDir Dir;
+  {
+    CompileService Seed(snapConfig(Dir));
+    EXPECT_EQ(compileCell(Seed, &Cell)->as<int(int)>()(1), 62);
+    EXPECT_EQ(Seed.snapshot()->stats().Saves, 1u);
+  }
+  rewriteRecords(Dir.file(), [](std::uint8_t *Rec) {
+    ASSERT_GE(rd32At(Rec + 32), 1u); // NumRelocs: the free var's address.
+    // Header, key bytes, then 12-byte refs; the reloc's Kind follows its
+    // Offset.
+    std::uint8_t *Reloc = Rec + 48 + rd32At(Rec + 24) + 12 * rd32At(Rec + 36);
+    const std::uint32_t Forged = 0x102;
+    std::memcpy(Reloc + 4, &Forged, 4);
+  });
+
+  CompileService S(snapConfig(Dir));
+  ASSERT_EQ(S.snapshot()->recordCount(), 1u); // The forgery is well formed.
+  FnHandle H = compileCell(S, &Cell);
+  EXPECT_FALSE(H->fromSnapshot());
+  EXPECT_EQ(H->as<int(int)>()(5), 66);
+  EXPECT_EQ(S.snapshot()->stats().Rejects, 1u);
+  EXPECT_EQ(S.snapshot()->stats().Hits, 0u);
 }
 
 // --- Per-entry TTL ----------------------------------------------------------

@@ -22,6 +22,8 @@
 #include "icode/ICode.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
+#include "pcode/PCode.h"
+#include "pcode/StencilLibrary.h"
 #include "support/Reloc.h"
 #include "verify/Verify.h"
 #include "vcode/VCode.h"
@@ -239,63 +241,122 @@ void runAllocCase(
 
 // --- Machine-code mutation harness ------------------------------------------
 
-struct CompiledBytes {
+/// One unit for the machine-code mutation harness: finalized bytes plus the
+/// reloc side table, profile expectation and fresh-compile facts — exactly
+/// what a snapshot record or a verified compile presents to
+/// verify::verifyAdmission.
+struct AdmitProgram {
   std::vector<std::uint8_t> Bytes;
   std::vector<x86::Decoded> Ins;
   std::vector<std::size_t> Starts;
+  std::vector<support::RelocEntry> Relocs;
+  bool HaveRelocs = false;
   const void *Counter = nullptr;
   bool Profiled = false;
+  bool ICodeFacts = false;
+  std::uint64_t StencilMask = 0;
 
-  static CompiledBytes of(const CompiledFn &F) {
-    CompiledBytes B;
-    B.Bytes.resize(F.stats().CodeBytes);
-    std::memcpy(B.Bytes.data(), F.entry(), B.Bytes.size());
-    B.Profiled = F.profile() != nullptr;
-    B.Counter = F.profile() ? &F.profile()->Invocations : nullptr;
+  void decode() {
+    Ins.clear();
+    Starts.clear();
     std::size_t Off = 0;
-    while (Off < B.Bytes.size()) {
+    while (Off < Bytes.size()) {
       x86::Decoded D;
       const char *Err = nullptr;
-      if (!x86::decodeOne(B.Bytes.data(), B.Bytes.size(), Off, D, &Err)) {
-        ADD_FAILURE() << "clean code does not decode at +" << Off << ": "
-                      << (Err ? Err : "?");
-        break;
-      }
-      B.Starts.push_back(Off);
-      B.Ins.push_back(D);
+      if (!x86::decodeOne(Bytes.data(), Bytes.size(), Off, D, &Err))
+        break; // Hostile streams may stop decoding; the verifier says why.
+      Starts.push_back(Off);
+      Ins.push_back(D);
       Off += D.Len;
     }
-    return B;
   }
 
-  verify::MachineAuditInputs inputs() const {
-    verify::MachineAuditInputs MA;
-    MA.Code = Bytes.data();
-    MA.Size = Bytes.size();
-    MA.ProfileCounter = Counter;
-    MA.ExpectProfile = Profiled;
-    return MA;
+  static AdmitProgram of(const CompiledFn &F, const support::RelocTable *RT) {
+    AdmitProgram P;
+    P.Bytes.resize(F.stats().CodeBytes);
+    std::memcpy(P.Bytes.data(), F.entry(), P.Bytes.size());
+    P.Profiled = F.profile() != nullptr;
+    P.Counter = F.profile() ? &F.profile()->Invocations : nullptr;
+    if (RT && !RT->Unportable) {
+      P.HaveRelocs = true;
+      P.Relocs = RT->Entries;
+    }
+    P.decode();
+    return P;
+  }
+
+  static AdmitProgram hand(std::vector<std::uint8_t> B) {
+    AdmitProgram P;
+    P.Bytes = std::move(B);
+    P.decode();
+    return P;
+  }
+
+  verify::AdmissionInputs inputs() const {
+    verify::AdmissionInputs AI;
+    AI.Code = Bytes.data();
+    AI.Size = Bytes.size();
+    AI.ProfileCounter = Counter;
+    AI.ExpectProfile = Profiled;
+    AI.Relocs = Relocs.empty() ? nullptr : Relocs.data();
+    AI.NumRelocs = Relocs.size();
+    AI.HaveRelocs = HaveRelocs;
+    AI.ICodeFacts = ICodeFacts;
+    AI.StencilClassMask = StencilMask;
+    return AI;
   }
 };
 
-void runByteCase(MutationTally &T, const CompiledBytes &Clean,
-                 const char *Category,
-                 const std::function<void(std::vector<std::uint8_t> &,
-                                          verify::MachineAuditInputs &)>
-                     &Mutate,
-                 const std::string &What) {
-  std::vector<std::uint8_t> Buf = Clean.Bytes;
-  verify::MachineAuditInputs MA = Clean.inputs();
-  Mutate(Buf, MA);
-  MA.Code = Buf.data();
-  verify::Result R = verify::auditMachineCode(MA);
+/// Canonical frame around \p Body: push rbp / mov rbp, rsp / sub rsp, 48 /
+/// <body> / mov rsp, rbp / pop rbp / ret. Body instructions start at +11.
+std::vector<std::uint8_t> handFrame(const std::vector<std::uint8_t> &Body) {
+  std::vector<std::uint8_t> B = {0x55, 0x48, 0x8B, 0xEC, 0x48, 0x81,
+                                 0xEC, 0x30, 0x00, 0x00, 0x00};
+  B.insert(B.end(), Body.begin(), Body.end());
+  const std::uint8_t Epi[] = {0x48, 0x8B, 0xE5, 0x5D, 0xC3};
+  B.insert(B.end(), std::begin(Epi), std::end(Epi));
+  return B;
+}
+
+void appendU64(std::vector<std::uint8_t> &B, std::uint64_t V) {
+  for (int I = 0; I < 8; ++I)
+    B.push_back(static_cast<std::uint8_t>(V >> (8 * I)));
+}
+
+/// movabs r10, &dummyCallee / call r10 — the backends' only call shape.
+/// The movabs imm64 payload sits at body offset +2 (frame offset +13).
+std::vector<std::uint8_t> callBody() {
+  std::vector<std::uint8_t> B = {0x49, 0xBA};
+  appendU64(B, reinterpret_cast<std::uint64_t>(
+                   reinterpret_cast<const void *>(&dummyCallee)));
+  B.insert(B.end(), {0x41, 0xFF, 0xD2});
+  return B;
+}
+
+void runAdmitCase(MutationTally &T, AdmitProgram P, const char *Category,
+                  const std::function<void(AdmitProgram &)> &Mutate,
+                  const std::string &What) {
+  Mutate(P);
+  verify::Result R = verify::verifyAdmission(P.inputs());
   ++T.Cases;
-  EXPECT_FALSE(R.ok()) << What << ": corruption was accepted";
+  EXPECT_FALSE(R.ok()) << What << ": corruption was admitted";
   EXPECT_TRUE(R.has(Category))
       << What << ": expected category '" << Category << "', got:\n"
       << R.render();
   if (!R.ok() && R.has(Category))
     ++T.Rejected;
+}
+
+void admitNoop(AdmitProgram &) {}
+
+/// f(x) = dummyCallee(x) + x — a body with a C call under every backend.
+CompiledFn compileCallFn(const CompileOptions &Opts) {
+  Context C;
+  VSpec X = C.paramInt(0);
+  Expr Call = C.callC(reinterpret_cast<const void *>(&dummyCallee),
+                      EvalType::Int, {Expr(X)});
+  Stmt Body = C.ret(Call + Expr(X));
+  return compileFn(C, Body, EvalType::Int, Opts);
 }
 
 /// sum of n*n for n in [1, N] — a loop with a branch, a multiply, and an
@@ -353,12 +414,12 @@ TEST(VerifyAcceptClean, AllWorkloadsBothAllocatorsAndVCode) {
   EXPECT_EQ(After.counter(N::VerifyIrFailed), Before.counter(N::VerifyIrFailed));
   EXPECT_EQ(After.counter(N::VerifyAllocFailed),
             Before.counter(N::VerifyAllocFailed));
-  EXPECT_EQ(After.counter(N::VerifyCodeFailed),
-            Before.counter(N::VerifyCodeFailed));
+  EXPECT_EQ(After.counter(N::VerifyAdmitFailed),
+            Before.counter(N::VerifyAdmitFailed));
   EXPECT_GE(After.counter(N::VerifySpecChecked),
             Before.counter(N::VerifySpecChecked) + Compiled);
-  EXPECT_GE(After.counter(N::VerifyCodeChecked),
-            Before.counter(N::VerifyCodeChecked) + Compiled);
+  EXPECT_GE(After.counter(N::VerifyAdmitChecked),
+            Before.counter(N::VerifyAdmitChecked) + Compiled);
   // ICODE compiles verify the IR twice (post-walk + post-peephole) and audit
   // the allocation once.
   EXPECT_GT(After.counter(N::VerifyIrChecked),
@@ -674,126 +735,146 @@ TEST(VerifyMutation, CorruptedAllocationIsRejected) {
 
 TEST(VerifyMutation, CorruptedBytesAreRejected) {
   MutationTally T;
-  std::vector<CompiledBytes> Bodies;
+  std::vector<AdmitProgram> Bodies;
 
   for (BackendKind BK : {BackendKind::VCode, BackendKind::ICode}) {
     CompileOptions Opts;
     Opts.Backend = BK;
-    Bodies.push_back(CompiledBytes::of(compileLoopFn(Opts)));
-    Bodies.push_back(CompiledBytes::of(compileDoubleFn(Opts)));
+    Bodies.push_back(AdmitProgram::of(compileLoopFn(Opts), nullptr));
+    Bodies.push_back(AdmitProgram::of(compileDoubleFn(Opts), nullptr));
   }
   CompileOptions ProfOpts;
   ProfOpts.Backend = BackendKind::ICode;
   ProfOpts.Profile = true;
   ProfOpts.ProfileName = "verify-mutation";
   CompiledFn ProfFn = compileLoopFn(ProfOpts); // Outlives its counter uses.
-  Bodies.push_back(CompiledBytes::of(ProfFn));
+  Bodies.push_back(AdmitProgram::of(ProfFn, nullptr));
 
-  for (const CompiledBytes &CB : Bodies) {
+  for (const AdmitProgram &CB : Bodies) {
     ASSERT_FALSE(CB.Bytes.empty());
     ASSERT_GE(CB.Ins.size(), 5u);
     // Clean bytes pass.
     {
-      verify::Result R = verify::auditMachineCode(CB.inputs());
+      verify::Result R = verify::verifyAdmission(CB.inputs());
       EXPECT_TRUE(R.ok()) << R.render();
     }
 
     // Bulk: an undecodable opcode byte at instruction starts.
     for (std::size_t I = 0; I < CB.Starts.size(); I += 3)
-      runByteCase(T, CB, "decode",
-                  [&CB, I](std::vector<std::uint8_t> &Buf,
-                           verify::MachineAuditInputs &) {
-                    Buf[CB.Starts[I]] = 0x06; // push es: invalid in 64-bit.
-                  },
-                  "invalid opcode at instr " + std::to_string(I));
+      runAdmitCase(T, CB, "decode",
+                   [&CB, I](AdmitProgram &M) {
+                     // push es: invalid in 64-bit mode.
+                     M.Bytes[CB.Starts[I]] = 0x06;
+                   },
+                   "invalid opcode at instr " + std::to_string(I));
 
     // REX.X can never appear (neither emitter uses scaled indexing).
     for (std::size_t I = 0; I < CB.Starts.size(); ++I)
       if ((CB.Bytes[CB.Starts[I]] & 0xF0) == 0x40) {
-        runByteCase(T, CB, "decode",
-                    [&CB, I](std::vector<std::uint8_t> &Buf,
-                             verify::MachineAuditInputs &) {
-                      Buf[CB.Starts[I]] |= 0x02;
-                    },
-                    "REX.X planted at instr " + std::to_string(I));
+        runAdmitCase(T, CB, "decode",
+                     [&CB, I](AdmitProgram &M) {
+                       M.Bytes[CB.Starts[I]] |= 0x02;
+                     },
+                     "REX.X planted at instr " + std::to_string(I));
         break;
       }
 
     // Every ret turned into a nop unbalances the frame.
     for (std::size_t I = 0; I < CB.Ins.size(); ++I)
       if (CB.Ins[I].Cls == x86::InstrClass::Ret)
-        runByteCase(T, CB, "stack-balance",
-                    [&CB, I](std::vector<std::uint8_t> &Buf,
-                             verify::MachineAuditInputs &) {
-                      Buf[CB.Starts[I]] = 0x90;
-                    },
-                    "ret replaced with nop");
+        runAdmitCase(T, CB, "stack-balance",
+                     [&CB, I](AdmitProgram &M) {
+                       M.Bytes[CB.Starts[I]] = 0x90;
+                     },
+                     "ret replaced with nop");
 
     // Every relative branch redirected out of the region.
     for (std::size_t I = 0; I < CB.Ins.size(); ++I)
       if (CB.Ins[I].Cls == x86::InstrClass::Jcc ||
           CB.Ins[I].Cls == x86::InstrClass::Jmp)
-        runByteCase(T, CB, "branch-target",
-                    [&CB, I](std::vector<std::uint8_t> &Buf,
-                             verify::MachineAuditInputs &) {
-                      std::int32_t Wild = 1 << 20;
-                      std::memcpy(&Buf[CB.Starts[I] + CB.Ins[I].Len - 4],
-                                  &Wild, 4);
-                    },
-                    "branch redirected out of region");
+        runAdmitCase(T, CB, "branch-target",
+                     [&CB, I](AdmitProgram &M) {
+                       std::int32_t Wild = 1 << 20;
+                       std::memcpy(&M.Bytes[CB.Starts[I] + CB.Ins[I].Len - 4],
+                                   &Wild, 4);
+                     },
+                     "branch redirected out of region");
 
     // Prologue vandalism: push rax instead of push rbp.
-    runByteCase(T, CB, "prologue",
-                [](std::vector<std::uint8_t> &Buf,
-                   verify::MachineAuditInputs &) { Buf[0] = 0x50; },
-                "push rbp replaced");
+    runAdmitCase(T, CB, "prologue",
+                 [](AdmitProgram &M) { M.Bytes[0] = 0x50; },
+                 "push rbp replaced");
 
     // Truncation into the frame-reserve imm32 (instruction 2, 7 bytes).
-    runByteCase(T, CB, "boundary",
-                [&CB](std::vector<std::uint8_t> &Buf,
-                      verify::MachineAuditInputs &MA) {
-                  std::size_t Cut = CB.Starts[2] + 2;
-                  Buf.resize(Cut);
-                  MA.Size = Cut;
-                },
-                "region truncated mid-instruction");
+    runAdmitCase(T, CB, "boundary",
+                 [&CB](AdmitProgram &M) {
+                   std::size_t Cut = CB.Starts[2] + 2;
+                   M.Bytes.resize(Cut);
+                 },
+                 "region truncated mid-instruction");
   }
 
   // Profiling-hook integrity (on the profiled body).
-  const CompiledBytes &PB = Bodies.back();
+  const AdmitProgram &PB = Bodies.back();
   ASSERT_TRUE(PB.Profiled);
-  runByteCase(T, PB, "profile",
-              [](std::vector<std::uint8_t> &,
-                 verify::MachineAuditInputs &MA) { MA.ExpectProfile = false; },
-              "hook present but profiling off");
-  runByteCase(T, PB, "profile",
-              [](std::vector<std::uint8_t> &, verify::MachineAuditInputs &MA) {
-                static std::uint64_t NotTheCounter;
-                MA.ProfileCounter = &NotTheCounter;
-              },
-              "hook targets an unregistered counter");
+  runAdmitCase(T, PB, "profile",
+               [](AdmitProgram &M) { M.Profiled = false; },
+               "hook present but profiling off");
+  runAdmitCase(T, PB, "profile",
+               [](AdmitProgram &M) {
+                 static std::uint64_t NotTheCounter;
+                 M.Counter = &NotTheCounter;
+               },
+               "hook targets an unregistered counter");
   bool FoundHook = false;
   for (std::size_t I = 0; I + 1 < PB.Ins.size(); ++I)
     if (PB.Ins[I].Cls == x86::InstrClass::MovImm64 && PB.Ins[I].Rm == 10 &&
         PB.Ins[I + 1].Cls == x86::InstrClass::LockInc) {
       FoundHook = true;
-      runByteCase(T, PB, "profile",
-                  [&PB, I](std::vector<std::uint8_t> &Buf,
-                           verify::MachineAuditInputs &) {
-                    Buf[PB.Starts[I] + 5] ^= 0x40; // Flip an imm64 byte.
-                  },
-                  "counter address corrupted");
+      runAdmitCase(T, PB, "profile",
+                   [&PB, I](AdmitProgram &M) {
+                     M.Bytes[PB.Starts[I] + 5] ^= 0x40; // Flip an imm64 byte.
+                   },
+                   "counter address corrupted");
       break;
     }
   EXPECT_TRUE(FoundHook) << "no movabs-r10 + lock-inc pair in profiled code";
   // A non-profiled body cannot satisfy an expected hook.
-  runByteCase(T, Bodies.front(), "profile",
-              [](std::vector<std::uint8_t> &, verify::MachineAuditInputs &MA) {
-                static std::uint64_t Counter;
-                MA.ExpectProfile = true;
-                MA.ProfileCounter = &Counter;
-              },
-              "profiling expected but no hook planted");
+  runAdmitCase(T, Bodies.front(), "profile",
+               [](AdmitProgram &M) {
+                 static std::uint64_t Counter;
+                 M.Profiled = true;
+                 M.Counter = &Counter;
+               },
+               "profiling expected but no hook planted");
+
+  // A PCODE body checked against the stencil class mask: one instruction
+  // overwritten by `lea rax, [rax]` (nop-padded to its length) still
+  // decodes, but lea is outside both the rendered stencils and the glue.
+  {
+    CompileOptions Opts;
+    Opts.Backend = BackendKind::PCode;
+    AdmitProgram PC = AdmitProgram::of(compileLoopFn(Opts), nullptr);
+    PC.StencilMask = pcode::StencilLibrary::get().ClassMask |
+                     pcode::StencilAssembler::glueClassMask();
+    ASSERT_EQ(PC.StencilMask &
+                  (std::uint64_t(1) << static_cast<unsigned>(
+                       x86::InstrClass::Lea)),
+              0u);
+    verify::Result R = verify::verifyAdmission(PC.inputs());
+    EXPECT_TRUE(R.ok()) << R.render();
+    std::size_t I = 3; // First instruction past the prologue.
+    while (I < PC.Ins.size() && PC.Ins[I].Len < 3)
+      ++I;
+    ASSERT_LT(I, PC.Ins.size());
+    runAdmitCase(T, PC, "stencil-class",
+                 [&PC, I](AdmitProgram &M) {
+                   const std::uint8_t Lea[] = {0x48, 0x8D, 0x00};
+                   std::memset(&M.Bytes[PC.Starts[I]], 0x90, PC.Ins[I].Len);
+                   std::memcpy(&M.Bytes[PC.Starts[I]], Lea, sizeof(Lea));
+                 },
+                 "pcode instruction patched to lea");
+  }
 
   EXPECT_GE(T.Cases, 50u);
   EXPECT_EQ(T.Rejected, T.Cases) << "some byte corruptions slipped through";
@@ -817,142 +898,19 @@ TEST(VerifyMutation, EmitterUsageCrossCheckCatchesForeignInstructions) {
       0x5D,                                     // pop rbp
       0xC3,                                     // ret
   };
-  verify::MachineAuditInputs MA;
-  MA.Code = Code.data();
-  MA.Size = Code.size();
-  MA.CrossCheckEmitterUsage = true;
-  verify::Result R = verify::auditMachineCode(MA);
+  AdmitProgram P = AdmitProgram::hand(Code);
+  P.ICodeFacts = true;
+  verify::Result R = verify::verifyAdmission(P.inputs());
   EXPECT_FALSE(R.ok());
   EXPECT_TRUE(R.has("emitter-usage")) << R.render();
 
   // The same frame without the foreign instruction is fine.
-  std::vector<std::uint8_t> Clean = Code;
-  Clean.erase(Clean.begin() + 11, Clean.begin() + 14);
-  MA.Code = Clean.data();
-  MA.Size = Clean.size();
-  R = verify::auditMachineCode(MA);
+  P.Bytes.erase(P.Bytes.begin() + 11, P.Bytes.begin() + 14);
+  R = verify::verifyAdmission(P.inputs());
   EXPECT_TRUE(R.ok()) << R.render();
 }
 
-// --- Admission (layer 5) ----------------------------------------------------
-
-namespace {
-
-/// One unit for the admission mutation harness: finalized bytes plus the
-/// reloc side table and profile expectation — exactly what a snapshot
-/// record presents to verify::verifyAdmission after patching.
-struct AdmitProgram {
-  std::vector<std::uint8_t> Bytes;
-  std::vector<x86::Decoded> Ins;
-  std::vector<std::size_t> Starts;
-  std::vector<verify::AdmissionReloc> Relocs;
-  bool HaveRelocs = false;
-  const void *Counter = nullptr;
-  bool Profiled = false;
-
-  void decode() {
-    Ins.clear();
-    Starts.clear();
-    std::size_t Off = 0;
-    while (Off < Bytes.size()) {
-      x86::Decoded D;
-      const char *Err = nullptr;
-      if (!x86::decodeOne(Bytes.data(), Bytes.size(), Off, D, &Err))
-        break; // Hostile streams may stop decoding; the verifier says why.
-      Starts.push_back(Off);
-      Ins.push_back(D);
-      Off += D.Len;
-    }
-  }
-
-  static AdmitProgram of(const CompiledFn &F, const support::RelocTable *RT) {
-    AdmitProgram P;
-    P.Bytes.resize(F.stats().CodeBytes);
-    std::memcpy(P.Bytes.data(), F.entry(), P.Bytes.size());
-    P.Profiled = F.profile() != nullptr;
-    P.Counter = F.profile() ? &F.profile()->Invocations : nullptr;
-    if (RT && !RT->Unportable) {
-      P.HaveRelocs = true;
-      for (const support::RelocEntry &E : RT->Entries)
-        P.Relocs.push_back({E.Offset, static_cast<std::uint8_t>(E.Kind)});
-    }
-    P.decode();
-    return P;
-  }
-
-  static AdmitProgram hand(std::vector<std::uint8_t> B) {
-    AdmitProgram P;
-    P.Bytes = std::move(B);
-    P.decode();
-    return P;
-  }
-
-  verify::AdmissionInputs inputs() const {
-    verify::AdmissionInputs AI;
-    AI.Code = Bytes.data();
-    AI.Size = Bytes.size();
-    AI.ProfileCounter = Counter;
-    AI.ExpectProfile = Profiled;
-    AI.Relocs = Relocs.empty() ? nullptr : Relocs.data();
-    AI.NumRelocs = Relocs.size();
-    AI.HaveRelocs = HaveRelocs;
-    return AI;
-  }
-};
-
-/// Canonical frame around \p Body: push rbp / mov rbp, rsp / sub rsp, 48 /
-/// <body> / mov rsp, rbp / pop rbp / ret. Body instructions start at +11.
-std::vector<std::uint8_t> handFrame(const std::vector<std::uint8_t> &Body) {
-  std::vector<std::uint8_t> B = {0x55, 0x48, 0x8B, 0xEC, 0x48, 0x81,
-                                 0xEC, 0x30, 0x00, 0x00, 0x00};
-  B.insert(B.end(), Body.begin(), Body.end());
-  const std::uint8_t Epi[] = {0x48, 0x8B, 0xE5, 0x5D, 0xC3};
-  B.insert(B.end(), std::begin(Epi), std::end(Epi));
-  return B;
-}
-
-void appendU64(std::vector<std::uint8_t> &B, std::uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    B.push_back(static_cast<std::uint8_t>(V >> (8 * I)));
-}
-
-/// movabs r10, &dummyCallee / call r10 — the backends' only call shape.
-/// The movabs imm64 payload sits at body offset +2 (frame offset +13).
-std::vector<std::uint8_t> callBody() {
-  std::vector<std::uint8_t> B = {0x49, 0xBA};
-  appendU64(B, reinterpret_cast<std::uint64_t>(
-                   reinterpret_cast<const void *>(&dummyCallee)));
-  B.insert(B.end(), {0x41, 0xFF, 0xD2});
-  return B;
-}
-
-void runAdmitCase(MutationTally &T, AdmitProgram P, const char *Category,
-                  const std::function<void(AdmitProgram &)> &Mutate,
-                  const std::string &What) {
-  Mutate(P);
-  verify::Result R = verify::verifyAdmission(P.inputs());
-  ++T.Cases;
-  EXPECT_FALSE(R.ok()) << What << ": hostile record was admitted";
-  EXPECT_TRUE(R.has(Category))
-      << What << ": expected category '" << Category << "', got:\n"
-      << R.render();
-  if (!R.ok() && R.has(Category))
-    ++T.Rejected;
-}
-
-void admitNoop(AdmitProgram &) {}
-
-/// f(x) = dummyCallee(x) + x — a body with a C call under every backend.
-CompiledFn compileCallFn(const CompileOptions &Opts) {
-  Context C;
-  VSpec X = C.paramInt(0);
-  Expr Call = C.callC(reinterpret_cast<const void *>(&dummyCallee),
-                      EvalType::Int, {Expr(X)});
-  Stmt Body = C.ret(Call + Expr(X));
-  return compileFn(C, Body, EvalType::Int, Opts);
-}
-
-} // namespace
+// --- Admission -------------------------------------------------------------
 
 TEST(VerifyAdmission, AcceptsCleanHandFrames) {
   // The canonical empty frame.
@@ -971,6 +929,16 @@ TEST(VerifyAdmission, AcceptsCleanHandFrames) {
   R = verify::verifyAdmission(
       AdmitProgram::hand(handFrame({0x48, 0x8B, 0x45, 0x10})).inputs());
   EXPECT_TRUE(R.ok()) << R.render();
+
+  // Under the ICODE spill fact, a reload after the store is fine.
+  {
+    AdmitProgram P = AdmitProgram::hand(
+        handFrame({0x48, 0x89, 0x45, 0xD0,    // mov [rbp-48], rax
+                   0x48, 0x8B, 0x45, 0xD0})); // mov rax, [rbp-48]
+    P.ICodeFacts = true;
+    R = verify::verifyAdmission(P.inputs());
+    EXPECT_TRUE(R.ok()) << R.render();
+  }
 
   // Arithmetic on run-time values stays an admissible call target: an
   // indirect call through a register computed from a loaded value (via a
@@ -998,8 +966,7 @@ TEST(VerifyAdmission, AcceptsCleanHandFrames) {
                            0x41, 0xFF, 0xD2});       // call r10
   AdmitProgram P = AdmitProgram::hand(handFrame(Body));
   P.HaveRelocs = true;
-  P.Relocs.push_back(
-      {13, static_cast<std::uint8_t>(support::RelocKind::Callee)});
+  P.Relocs.push_back({13, support::RelocKind::Callee});
   R = verify::verifyAdmission(P.inputs());
   EXPECT_TRUE(R.ok()) << R.render();
 }
@@ -1187,6 +1154,30 @@ TEST(VerifyAdmission, HostileRecordsRejected) {
                  "partial store into a live save slot");
   }
 
+  // --- Spill discipline (ICODE fresh-compile fact) -------------------------
+  {
+    // A reload of [rbp-48] before any store to it.
+    AdmitProgram P =
+        AdmitProgram::hand(handFrame({0x48, 0x8B, 0x45, 0xD0}));
+    P.ICodeFacts = true;
+    runAdmitCase(T, P, "spill-reload", admitNoop,
+                 "spill slot reloaded before any store");
+  }
+  {
+    // Stored on the taken path only; the fallthrough path jumps straight
+    // to the join, where the slot must be intersected to uninitialized.
+    AdmitProgram P = AdmitProgram::hand(
+        handFrame({0x33, 0xC0,                         // xor eax, eax
+                   0x85, 0xC0,                         // test eax, eax
+                   0x0F, 0x84, 0x05, 0x00, 0x00, 0x00, // jz +5 (store)
+                   0xE9, 0x04, 0x00, 0x00, 0x00,       // jmp +4 (join)
+                   0x48, 0x89, 0x45, 0xD0,             // mov [rbp-48], rax
+                   0x48, 0x8B, 0x45, 0xD0}));          // mov rax, [rbp-48]
+    P.ICodeFacts = true;
+    runAdmitCase(T, P, "spill-reload", admitNoop,
+                 "spill slot stored on one path, reloaded after the join");
+  }
+
   // --- Call-target confinement ----------------------------------------------
   {
     // An imm64 call target that is not a declared relocation slot.
@@ -1288,8 +1279,7 @@ TEST(VerifyAdmission, HostileRecordsRejected) {
     // loader planted is data, not code.
     AdmitProgram P = AdmitProgram::hand(handFrame(callBody()));
     P.HaveRelocs = true;
-    P.Relocs.push_back(
-        {13, static_cast<std::uint8_t>(support::RelocKind::Profile)});
+    P.Relocs.push_back({13, support::RelocKind::Profile});
     runAdmitCase(T, P, "call-target", admitNoop,
                  "profile-counter slot used as a call target");
   }
@@ -1297,8 +1287,7 @@ TEST(VerifyAdmission, HostileRecordsRejected) {
     // Reloc offset pointing at the prologue, not a movabs payload.
     AdmitProgram P = AdmitProgram::hand(handFrame(callBody()));
     P.HaveRelocs = true;
-    P.Relocs.push_back(
-        {0, static_cast<std::uint8_t>(support::RelocKind::Callee)});
+    P.Relocs.push_back({0, support::RelocKind::Callee});
     runAdmitCase(T, P, "reloc-shape", admitNoop,
                  "reloc offset lands on the prologue");
   }
@@ -1307,8 +1296,7 @@ TEST(VerifyAdmission, HostileRecordsRejected) {
     // call's ModRM byte.
     AdmitProgram P = AdmitProgram::hand(handFrame(callBody()));
     P.HaveRelocs = true;
-    P.Relocs.push_back(
-        {14, static_cast<std::uint8_t>(support::RelocKind::Callee)});
+    P.Relocs.push_back({14, support::RelocKind::Callee});
     runAdmitCase(T, P, "reloc-shape", admitNoop,
                  "reloc offset off by one from the movabs payload");
   }
