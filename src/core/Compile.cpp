@@ -12,6 +12,7 @@
 #include "core/Compile.h"
 
 #include "core/CompileContext.h"
+#include "core/Semantics.h"
 #include "core/SpecInterp.h"
 #include "observability/Flight.h"
 #include "observability/Metrics.h"
@@ -31,6 +32,7 @@
 #include <cstring>
 #include <mutex>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 using namespace tcc;
@@ -40,33 +42,26 @@ namespace {
 
 // --- Run-time-constant interpretation ---------------------------------------
 
-/// A value computed at instantiation time.
-struct RcVal {
+/// A value computed at instantiation time, tagged with its evaluation type.
+struct RcVal : sem::Value {
   EvalType T = EvalType::Int;
-  std::int64_t I = 0;
-  double D = 0;
 
-  static RcVal ofInt(std::int64_t V, EvalType T = EvalType::Int) {
+  static RcVal of(EvalType T, sem::Value V) {
     RcVal R;
+    static_cast<sem::Value &>(R) = V;
     R.T = T;
-    R.I = T == EvalType::Int ? static_cast<std::int32_t>(V) : V;
-    return R;
-  }
-  static RcVal ofDouble(double V) {
-    RcVal R;
-    R.T = EvalType::Double;
-    R.D = V;
     return R;
   }
   bool isFp() const { return T == EvalType::Double; }
-  double asDouble() const { return isFp() ? D : static_cast<double>(I); }
-  bool truthy() const { return isFp() ? D != 0 : I != 0; }
+  bool truthy() const { return sem::truthy(T, *this); }
 };
 
 /// Evaluates expressions whose value is known at instantiation time. The
 /// environment carries derived run-time constants (unrolled induction
 /// variables). With AllowLoads (inside an explicit `$`/rtEval), memory is
-/// read immediately — this is how `$row[k]` becomes an immediate.
+/// read immediately — this is how `$row[k]` becomes an immediate. Operator
+/// values come from core/Semantics.h, the definitions tier 0 executes; an
+/// operation that would trap is left to the emitted code.
 class RcEvaluator {
 public:
   RcEvaluator(unsigned NumLocals, Arena &A) : Env(A) {
@@ -104,11 +99,9 @@ public:
       return std::nullopt;
     switch (N->Kind) {
     case ExprKind::ConstInt:
-      return RcVal::ofInt(N->IntVal, EvalType::Int);
     case ExprKind::ConstLong:
-      return RcVal::ofInt(N->IntVal, N->Type);
     case ExprKind::ConstDouble:
-      return RcVal::ofDouble(N->FpVal);
+      return RcVal::of(N->Type, sem::constant(N));
     case ExprKind::Local:
       return Env[static_cast<std::size_t>(N->LocalId)];
     case ExprKind::RtEval:
@@ -116,23 +109,55 @@ public:
     case ExprKind::FreeVar:
       if (!AllowLoads)
         return std::nullopt;
-      return loadFrom(N->PtrVal, static_cast<MemType>(N->OpByte));
+      return RcVal::of(N->Type,
+                       sem::load(N->PtrVal, static_cast<MemType>(N->OpByte)));
     case ExprKind::Load: {
       if (!AllowLoads)
         return std::nullopt;
       auto Addr = eval(N->A, AllowLoads);
       if (!Addr)
         return std::nullopt;
-      return loadFrom(reinterpret_cast<const void *>(
-                          static_cast<std::uintptr_t>(Addr->I)),
-                      static_cast<MemType>(N->OpByte));
+      return RcVal::of(N->Type,
+                       sem::load(reinterpret_cast<const void *>(
+                                     static_cast<std::uintptr_t>(Addr->I)),
+                                 static_cast<MemType>(N->OpByte)));
     }
-    case ExprKind::Unary:
-      return evalUnary(N, AllowLoads);
-    case ExprKind::Binary:
-      return evalBinary(N, AllowLoads);
-    case ExprKind::Cmp:
-      return evalCmp(N, AllowLoads);
+    case ExprKind::Unary: {
+      auto V = eval(N->A, AllowLoads);
+      if (!V)
+        return std::nullopt;
+      return RcVal::of(N->Type, sem::unary(static_cast<UnOp>(N->OpByte),
+                                           N->Type, N->A->Type, *V));
+    }
+    case ExprKind::Binary: {
+      auto O = static_cast<BinOp>(N->OpByte);
+      auto A = eval(N->A, AllowLoads);
+      if (!A)
+        return std::nullopt;
+      // Short-circuit forms may decide on the left operand alone.
+      if (O == BinOp::LogAnd && !A->truthy())
+        return RcVal::of(EvalType::Int, {0});
+      if (O == BinOp::LogOr && A->truthy())
+        return RcVal::of(EvalType::Int, {1});
+      auto B = eval(N->B, AllowLoads);
+      if (!B)
+        return std::nullopt;
+      if (O == BinOp::LogAnd || O == BinOp::LogOr)
+        return RcVal::of(EvalType::Int, {B->truthy()});
+      sem::Value R;
+      if (!sem::binary(O, N->Type, *A, *B, R))
+        return std::nullopt; // Leave the trap to runtime.
+      return RcVal::of(N->Type, R);
+    }
+    case ExprKind::Cmp: {
+      auto A = eval(N->A, AllowLoads);
+      auto B = eval(N->B, AllowLoads);
+      if (!A || !B)
+        return std::nullopt;
+      return RcVal::of(EvalType::Int,
+                       {sem::compare(static_cast<CmpKind>(N->OpByte),
+                                     N->A->Type, *A, *B)});
+    }
     case ExprKind::Cond: {
       auto C = eval(N->A, AllowLoads);
       if (!C)
@@ -147,205 +172,6 @@ public:
 
 private:
   unsigned NumBound = 0; ///< Bound Env entries; gates the HasLocal check.
-
-  static RcVal loadFrom(const void *P, MemType M) {
-    switch (M) {
-    case MemType::I8:
-      return RcVal::ofInt(*static_cast<const std::int8_t *>(P));
-    case MemType::U8:
-      return RcVal::ofInt(*static_cast<const std::uint8_t *>(P));
-    case MemType::I16:
-      return RcVal::ofInt(*static_cast<const std::int16_t *>(P));
-    case MemType::U16:
-      return RcVal::ofInt(*static_cast<const std::uint16_t *>(P));
-    case MemType::I32:
-      return RcVal::ofInt(*static_cast<const std::int32_t *>(P));
-    case MemType::I64:
-      return RcVal::ofInt(*static_cast<const std::int64_t *>(P),
-                          EvalType::Long);
-    case MemType::P64:
-      return RcVal::ofInt(static_cast<std::int64_t>(
-                              *static_cast<const std::uintptr_t *>(P)),
-                          EvalType::Ptr);
-    case MemType::F64:
-      return RcVal::ofDouble(*static_cast<const double *>(P));
-    }
-    return RcVal::ofInt(0);
-  }
-
-  std::optional<RcVal> evalUnary(const ExprNode *N, bool AllowLoads) const {
-    auto V = eval(N->A, AllowLoads);
-    if (!V)
-      return std::nullopt;
-    switch (static_cast<UnOp>(N->OpByte)) {
-    case UnOp::Neg:
-      if (V->isFp())
-        return RcVal::ofDouble(-V->D);
-      return RcVal::ofInt(-V->I, N->Type);
-    case UnOp::Not:
-      return RcVal::ofInt(~V->I, N->Type);
-    case UnOp::LogNot:
-      return RcVal::ofInt(!V->truthy());
-    case UnOp::IntToDouble:
-    case UnOp::LongToDouble:
-      return RcVal::ofDouble(static_cast<double>(V->I));
-    case UnOp::DoubleToInt:
-      return RcVal::ofInt(static_cast<std::int32_t>(V->D));
-    case UnOp::IntToLong:
-      return RcVal::ofInt(V->I, EvalType::Long);
-    case UnOp::LongToInt:
-      return RcVal::ofInt(static_cast<std::int32_t>(V->I));
-    case UnOp::Bitcast:
-      return RcVal::ofInt(V->I, N->Type);
-    }
-    return std::nullopt;
-  }
-
-  std::optional<RcVal> evalBinary(const ExprNode *N, bool AllowLoads) const {
-    auto O = static_cast<BinOp>(N->OpByte);
-    auto A = eval(N->A, AllowLoads);
-    if (!A)
-      return std::nullopt;
-    // Short-circuit forms may decide on the left operand alone.
-    if (O == BinOp::LogAnd && !A->truthy())
-      return RcVal::ofInt(0);
-    if (O == BinOp::LogOr && A->truthy())
-      return RcVal::ofInt(1);
-    auto B = eval(N->B, AllowLoads);
-    if (!B)
-      return std::nullopt;
-    if (O == BinOp::LogAnd || O == BinOp::LogOr)
-      return RcVal::ofInt(B->truthy());
-    if (N->Type == EvalType::Double) {
-      double X = A->asDouble(), Y = B->asDouble();
-      switch (O) {
-      case BinOp::Add:
-        return RcVal::ofDouble(X + Y);
-      case BinOp::Sub:
-        return RcVal::ofDouble(X - Y);
-      case BinOp::Mul:
-        return RcVal::ofDouble(X * Y);
-      case BinOp::Div:
-        return RcVal::ofDouble(X / Y);
-      default:
-        return std::nullopt;
-      }
-    }
-    std::int64_t X = A->I, Y = B->I;
-    std::int64_t R;
-    switch (O) {
-    case BinOp::Add:
-      R = X + Y;
-      break;
-    case BinOp::Sub:
-      R = X - Y;
-      break;
-    case BinOp::Mul:
-      R = X * Y;
-      break;
-    case BinOp::Div:
-      if (Y == 0 || (Y == -1 && X == INT64_MIN))
-        return std::nullopt; // Leave the trap to runtime.
-      R = X / Y;
-      break;
-    case BinOp::Mod:
-      if (Y == 0 || (Y == -1 && X == INT64_MIN))
-        return std::nullopt;
-      R = X % Y;
-      break;
-    case BinOp::And:
-      R = X & Y;
-      break;
-    case BinOp::Or:
-      R = X | Y;
-      break;
-    case BinOp::Xor:
-      R = X ^ Y;
-      break;
-    case BinOp::Shl:
-      R = static_cast<std::int64_t>(static_cast<std::int32_t>(X)
-                                    << (Y & 31));
-      break;
-    case BinOp::Shr:
-      R = static_cast<std::int32_t>(X) >> (Y & 31);
-      break;
-    default:
-      return std::nullopt;
-    }
-    return RcVal::ofInt(R, N->Type);
-  }
-
-  std::optional<RcVal> evalCmp(const ExprNode *N, bool AllowLoads) const {
-    auto A = eval(N->A, AllowLoads);
-    auto B = eval(N->B, AllowLoads);
-    if (!A || !B)
-      return std::nullopt;
-    auto K = static_cast<CmpKind>(N->OpByte);
-    bool R = false;
-    if (A->isFp() || B->isFp()) {
-      double X = A->asDouble(), Y = B->asDouble();
-      switch (K) {
-      case CmpKind::Eq:
-        R = X == Y;
-        break;
-      case CmpKind::Ne:
-        R = X != Y;
-        break;
-      case CmpKind::LtS:
-      case CmpKind::LtU:
-        R = X < Y;
-        break;
-      case CmpKind::LeS:
-      case CmpKind::LeU:
-        R = X <= Y;
-        break;
-      case CmpKind::GtS:
-      case CmpKind::GtU:
-        R = X > Y;
-        break;
-      case CmpKind::GeS:
-      case CmpKind::GeU:
-        R = X >= Y;
-        break;
-      }
-    } else {
-      std::int64_t X = A->I, Y = B->I;
-      auto UX = static_cast<std::uint64_t>(X), UY = static_cast<std::uint64_t>(Y);
-      switch (K) {
-      case CmpKind::Eq:
-        R = X == Y;
-        break;
-      case CmpKind::Ne:
-        R = X != Y;
-        break;
-      case CmpKind::LtS:
-        R = X < Y;
-        break;
-      case CmpKind::LeS:
-        R = X <= Y;
-        break;
-      case CmpKind::GtS:
-        R = X > Y;
-        break;
-      case CmpKind::GeS:
-        R = X >= Y;
-        break;
-      case CmpKind::LtU:
-        R = UX < UY;
-        break;
-      case CmpKind::LeU:
-        R = UX <= UY;
-        break;
-      case CmpKind::GtU:
-        R = UX > UY;
-        break;
-      case CmpKind::GeU:
-        R = UX >= UY;
-        break;
-      }
-    }
-    return RcVal::ofInt(R);
-  }
 };
 
 // --- Backend traits -----------------------------------------------------------
@@ -379,24 +205,13 @@ template <> struct BackendTraits<icode::ICode> {
 
 // --- Tree predicates -------------------------------------------------------------
 
-bool exprHasCall(const ExprNode *N) {
-  if (!N)
-    return false;
-  if (N->Kind == ExprKind::Call)
-    return true;
-  if (exprHasCall(N->A) || exprHasCall(N->B) || exprHasCall(N->C))
-    return true;
-  for (std::uint32_t I = 0; I < N->ArgC; ++I)
-    if (exprHasCall(N->ArgV[I]))
-      return true;
-  return false;
-}
-
 bool stmtHasCall(const StmtNode *S) {
   if (!S)
     return false;
-  if (exprHasCall(S->E) || exprHasCall(S->E2) || exprHasCall(S->E3))
-    return true;
+  // Every Context constructor propagates EF_HasCall up its subtree.
+  for (const ExprNode *E : {S->E, S->E2, S->E3})
+    if (E && (E->Flags & EF_HasCall))
+      return true;
   if (stmtHasCall(S->S1) || stmtHasCall(S->S2))
     return true;
   for (std::uint32_t I = 0; I < S->BodyC; ++I)
@@ -507,6 +322,16 @@ bool forOrdinalRec(const StmtNode *S, const StmtNode *Target,
 
 // --- The walker ---------------------------------------------------------------------
 
+/// §4.4 partial-evaluation decisions, tallied during the walk (plain ints:
+/// one flush to the shared metrics registry per compile, not one atomic add
+/// per folded node).
+struct Decisions {
+  unsigned LoopsUnrolled = 0;
+  unsigned BranchesEliminated = 0;
+  unsigned StrengthReductions = 0;
+  unsigned ProfiledUnrolls = 0;
+};
+
 template <class BE> class Walker {
   using TR = BackendTraits<BE>;
   using LabelT = typename TR::LabelT;
@@ -529,15 +354,6 @@ public:
     UserLabels.resize(Ctx.numDynLabels(), std::nullopt);
   }
 
-  /// §4.4 partial-evaluation decisions, tallied during the walk (plain
-  /// ints: one flush to the shared metrics registry per compile, not one
-  /// atomic add per folded node).
-  struct Decisions {
-    unsigned LoopsUnrolled = 0;
-    unsigned BranchesEliminated = 0;
-    unsigned StrengthReductions = 0;
-    unsigned ProfiledUnrolls = 0;
-  };
   Decisions PE;
 
   /// When set, the generated prologue atomically increments this 64-bit
@@ -1335,46 +1151,20 @@ private:
       Back.hint(Delta);
   }
 
-  /// Trip-count values of an unrollable loop, or nullopt.
+  /// Trip-count values of an unrollable loop, or nullopt. The test and
+  /// the wrapping step at the induction variable's type \p VarT are the
+  /// ones the emitted runtime loop (and tier 0) perform.
   std::optional<ArenaVector<std::int64_t>>
-  unrollValues(std::int64_t Init, CmpKind K, std::int64_t Bound,
-               std::int64_t Step, std::uint64_t Limit) {
+  unrollValues(EvalType VarT, std::int64_t Init, CmpKind K,
+               std::int64_t Bound, std::int64_t Step, std::uint64_t Limit) {
     if (Step == 0)
       return std::nullopt;
     ArenaVector<std::int64_t> Values(ScratchArena);
-    std::int64_t V = Init;
-    auto Holds = [&](std::int64_t X) {
-      auto UX = static_cast<std::uint64_t>(X),
-           UB = static_cast<std::uint64_t>(Bound);
-      switch (K) {
-      case CmpKind::LtS:
-        return X < Bound;
-      case CmpKind::LeS:
-        return X <= Bound;
-      case CmpKind::GtS:
-        return X > Bound;
-      case CmpKind::GeS:
-        return X >= Bound;
-      case CmpKind::Ne:
-        return X != Bound;
-      case CmpKind::Eq:
-        return X == Bound;
-      case CmpKind::LtU:
-        return UX < UB;
-      case CmpKind::LeU:
-        return UX <= UB;
-      case CmpKind::GtU:
-        return UX > UB;
-      case CmpKind::GeU:
-        return UX >= UB;
-      }
-      return false;
-    };
-    while (Holds(V)) {
+    for (std::int64_t V = sem::canon(VarT, Init); sem::compareInt(K, V, Bound);
+         V = sem::add(VarT, V, Step)) {
       if (Values.size() > Limit)
         return std::nullopt;
       Values.push_back(V);
-      V += Step;
     }
     return Values;
   }
@@ -1414,19 +1204,20 @@ private:
     if (!SkipUnroll && IV && BV && SV && !IV->isFp() && !BV->isFp() &&
         !SV->isFp() && !assignsLocal(S->S1, S->LocalId) &&
         !hasEscapingControl(S->S1)) {
-      if (auto Values = unrollValues(IV->I, K, BV->I, SV->I, EffLimit)) {
+      EvalType VarT = Ctx.locals()[static_cast<std::size_t>(S->LocalId)].Type;
+      if (auto Values =
+              unrollValues(VarT, IV->I, K, BV->I, SV->I, EffLimit)) {
         ++PE.LoopsUnrolled;
-        EvalType VarT =
-            Ctx.locals()[static_cast<std::size_t>(S->LocalId)].Type;
         for (std::int64_t V : *Values) {
-          Rc.bind(S->LocalId, RcVal::ofInt(V, VarT)); // Derived rt const.
+          Rc.bind(S->LocalId, RcVal::of(VarT, {V})); // Derived rt const.
           genStmt(S->S1);
         }
         Rc.unbind(S->LocalId);
         // The induction variable's final value is observable after the
         // loop; materialize it.
-        std::int64_t Final =
-            Values->empty() ? IV->I : Values->back() + SV->I;
+        std::int64_t Final = Values->empty()
+                                 ? sem::canon(VarT, IV->I)
+                                 : sem::add(VarT, Values->back(), SV->I);
         int Loc = localLoc(S->LocalId);
         if (VarT == EvalType::Int)
           Back.setI(Loc, static_cast<std::int32_t>(Final));
@@ -1547,9 +1338,8 @@ struct CompileMetrics {
   }
 };
 
-template <class BE>
 void publishCompileMetrics(const CompiledFn &F, const CompileOptions &Opts,
-                           const typename Walker<BE>::Decisions &PE) {
+                           const Decisions &PE) {
   CompileMetrics &M = CompileMetrics::get();
   const DynStats &S = F.stats();
   M.CyclesTotal.inc(S.CyclesTotal);
@@ -1566,19 +1356,15 @@ void publishCompileMetrics(const CompiledFn &F, const CompileOptions &Opts,
     M.Strength.inc(PE.StrengthReductions);
   if (PE.ProfiledUnrolls)
     M.Profiled.inc(PE.ProfiledUnrolls);
-  if (S.MachineInstrs > 0) {
-    std::uint64_t Cpi = S.CyclesTotal / S.MachineInstrs;
-    (Opts.Backend == BackendKind::VCode   ? M.CpiVCode
-     : Opts.Backend == BackendKind::PCode ? M.CpiPCode
-                                          : M.CpiICode)
-        .record(Cpi);
-  }
+  obs::Histogram *Cpi;
   if (Opts.Backend == BackendKind::VCode) {
     M.CountVCode.inc();
     M.HistVCode.record(S.CyclesTotal);
+    Cpi = &M.CpiVCode;
   } else if (Opts.Backend == BackendKind::PCode) {
     M.CountPCode.inc();
     M.HistPCode.record(S.CyclesTotal);
+    Cpi = &M.CpiPCode;
   } else {
     M.CountICode.inc();
     M.FlowGraph.inc(S.ICode.CyclesFlowGraph);
@@ -1591,7 +1377,10 @@ void publishCompileMetrics(const CompiledFn &F, const CompileOptions &Opts,
     (Opts.RegAlloc == icode::RegAllocKind::LinearScan ? M.HistLinear
                                                       : M.HistColor)
         .record(S.CyclesTotal);
+    Cpi = &M.CpiICode;
   }
+  if (S.MachineInstrs > 0)
+    Cpi->record(S.CyclesTotal / S.MachineInstrs);
 }
 
 /// Bridges the ICODE pipeline's CompileAudit hooks to the verify layers.
@@ -1631,7 +1420,106 @@ struct VerifyHooks {
   }
 };
 
+/// Default symbol of an unnamed compile, in BackendKind order;
+/// backendName() is the part after "spec.".
+constexpr const char *DefaultSymbols[] = {"spec.vcode", "spec.icode",
+                                          "spec.pcode"};
+
 } // namespace
+
+namespace tcc {
+namespace core {
+
+/// One instantiation (paper §4.4) of \c Body into \c F. Backend and walker
+/// construction is charged to the setup phase and the CGF walk to the walk
+/// phase, so the stacked breakdown keeps summing to the total (tickc-report's
+/// drift guard asserts >= 95% coverage).
+struct Instantiation {
+  CompiledFn &F;
+  Context &Ctx;
+  const StmtNode *Body;
+  EvalType RetType;
+  const CompileOptions &Opts;
+  Arena &A;
+  bool DoVerify;
+  std::uint64_t &VerifyCyc; ///< Checker time, deducted from the total.
+
+  /// The VCODE machines (VCODE and PCODE's copy-and-patch) emit during the
+  /// walk; ICODE lays down IR that its own pipeline then allocates and
+  /// emits through a VCODE encoder.
+  template <class BE> Decisions run() {
+    std::uint64_t SetupStart = readCycleCounterBegin();
+    if constexpr (BackendTraits<BE>::OnePass) {
+      BE V(F.Region->base(), F.Region->capacity(), &A);
+      if (Opts.Relocs)
+        V.assembler().setRelocTable(Opts.Relocs);
+      Decisions PE = walk(V, SetupStart);
+      recordCode(V);
+      if constexpr (std::is_same_v<BE, pcode::PCode>)
+        CompileMetrics::get().StencilPatches.inc(
+            V.assembler().patchesApplied());
+      return PE;
+    } else {
+      BE IC(A);
+      Decisions PE = walk(IC, SetupStart);
+      if (DoVerify) {
+        // Post-lowering IR check; the peephole and regalloc re-checks run
+        // from inside the pipeline via the audit hooks below.
+        std::uint64_t Cyc = 0;
+        verify::Result R;
+        {
+          PhaseScope T(Cyc);
+          R = verify::verifyICode(IC);
+        }
+        VerifyCyc += Cyc;
+        verify::recordOutcome(verify::Layer::IR, !R.ok(), Cyc);
+        if (!R.ok())
+          verify::failCompile(R);
+      }
+      icode::CompileAudit Audit;
+      Audit.Ctx = &VerifyCyc;
+      Audit.PostPeephole = &VerifyHooks::postPeephole;
+      Audit.PostRegAlloc = &VerifyHooks::postRegAlloc;
+      SetupStart = readCycleCounterBegin();
+      vcode::VCode V(F.Region->base(), F.Region->capacity(), &A);
+      if (Opts.Relocs)
+        V.assembler().setRelocTable(Opts.Relocs);
+      F.Stats.CyclesSetup += readCycleCounterEnd() - SetupStart;
+      F.Entry = IC.compileTo(V, Opts.RegAlloc, &F.Stats.ICode, Opts.Spill,
+                             DoVerify ? &Audit : nullptr);
+      recordCode(V);
+      return PE;
+    }
+  }
+
+private:
+  /// Builds the walker (setup, timed from \p SetupStart) and runs the CGF
+  /// walk over \p Back (walk).
+  template <class BE> Decisions walk(BE &Back, std::uint64_t SetupStart) {
+    Walker<BE> W(Ctx, Back, RetType, Opts, A);
+    if (F.Prof)
+      W.ProfileCounter = &F.Prof->Invocations;
+    F.Stats.CyclesSetup += readCycleCounterEnd() - SetupStart;
+    PhaseScope Walk(F.Stats.CyclesWalk);
+    obs::TraceSpan Span(obs::SpanKind::CGFWalk);
+    W.run(Body);
+    if constexpr (BackendTraits<BE>::OnePass)
+      F.Entry = Back.finish();
+    return W.PE;
+  }
+
+  template <class VM> void recordCode(const VM &V) {
+    F.Stats.MachineInstrs = V.instructionsEmitted();
+    F.Stats.CodeBytes = V.codeBytes();
+  }
+};
+
+} // namespace core
+} // namespace tcc
+
+const char *core::backendName(BackendKind K) {
+  return DefaultSymbols[static_cast<std::size_t>(K)] + sizeof("spec.") - 1;
+}
 
 BackendKind core::baselineBackendFromEnv() {
   static const BackendKind K = [] {
@@ -1659,9 +1547,7 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
       Opts.SymbolName && *Opts.SymbolName ? Opts.SymbolName
       : Opts.ProfileName && *Opts.ProfileName
           ? Opts.ProfileName
-          : (Opts.Backend == BackendKind::VCode   ? "spec.vcode"
-             : Opts.Backend == BackendKind::PCode ? "spec.pcode"
-                                                  : "spec.icode");
+          : DefaultSymbols[static_cast<std::size_t>(Opts.Backend)];
   obs::flightRecord(obs::FlightEvent::CompileBegin, 0, 0, SymName);
   const bool DoVerify = verify::enabled(Opts.Verify);
   if (DoVerify) {
@@ -1697,7 +1583,7 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
   }
   CompileContext::Scope CtxScope(*CC);
   Arena &A = CC->arena();
-  typename Walker<vcode::VCode>::Decisions PE;
+  Decisions PE;
   // Checker time spent inside the Total scope; deducted below so CyclesTotal
   // keeps meaning "what the compile itself cost" with or without -verify.
   std::uint64_t VerifyCyc = 0;
@@ -1708,93 +1594,10 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
     (void)pcode::StencilLibrary::get();
   {
     PhaseScope Total(F.Stats.CyclesTotal);
-    if (Opts.Backend == BackendKind::VCode) {
-      // Backend/walker construction is charged to the setup phase so the
-      // stacked breakdown keeps summing to the total (tickc-report's drift
-      // guard asserts >= 95% coverage).
-      std::uint64_t SetupStart = readCycleCounterBegin();
-      vcode::VCode V(F.Region->base(), F.Region->capacity(), &A);
-      if (Opts.Relocs)
-        V.assembler().setRelocTable(Opts.Relocs);
-      Walker<vcode::VCode> W(Ctx, V, RetType, Opts, A);
-      if (F.Prof)
-        W.ProfileCounter = &F.Prof->Invocations;
-      F.Stats.CyclesSetup += readCycleCounterEnd() - SetupStart;
-      {
-        PhaseScope Walk(F.Stats.CyclesWalk);
-        obs::TraceSpan Span(obs::SpanKind::CGFWalk);
-        W.run(Body.node());
-        F.Entry = V.finish();
-      }
-      F.Stats.MachineInstrs = V.instructionsEmitted();
-      F.Stats.CodeBytes = V.codeBytes();
-      PE = W.PE;
-    } else if (Opts.Backend == BackendKind::PCode) {
-      // Copy-and-patch: same abstract machine as VCODE, but emission is a
-      // stencil memcpy + hole patch instead of per-op x86 encoding. The
-      // stencil library is built (and self-validated) once per process; its
-      // cost never lands on an individual compile.
-      std::uint64_t SetupStart = readCycleCounterBegin();
-      pcode::PCode P(F.Region->base(), F.Region->capacity(), &A);
-      if (Opts.Relocs)
-        P.assembler().setRelocTable(Opts.Relocs);
-      Walker<pcode::PCode> W(Ctx, P, RetType, Opts, A);
-      if (F.Prof)
-        W.ProfileCounter = &F.Prof->Invocations;
-      F.Stats.CyclesSetup += readCycleCounterEnd() - SetupStart;
-      {
-        PhaseScope Walk(F.Stats.CyclesWalk);
-        obs::TraceSpan Span(obs::SpanKind::CGFWalk);
-        W.run(Body.node());
-        F.Entry = P.finish();
-      }
-      F.Stats.MachineInstrs = P.instructionsEmitted();
-      F.Stats.CodeBytes = P.codeBytes();
-      CompileMetrics::get().StencilPatches.inc(P.assembler().patchesApplied());
-      PE = {W.PE.LoopsUnrolled, W.PE.BranchesEliminated,
-            W.PE.StrengthReductions, W.PE.ProfiledUnrolls};
-    } else {
-      std::uint64_t SetupStart = readCycleCounterBegin();
-      icode::ICode IC(A);
-      Walker<icode::ICode> W(Ctx, IC, RetType, Opts, A);
-      if (F.Prof)
-        W.ProfileCounter = &F.Prof->Invocations;
-      F.Stats.CyclesSetup += readCycleCounterEnd() - SetupStart;
-      {
-        PhaseScope Walk(F.Stats.CyclesWalk);
-        obs::TraceSpan Span(obs::SpanKind::CGFWalk);
-        W.run(Body.node());
-      }
-      if (DoVerify) {
-        // Post-lowering IR check; the peephole and regalloc re-checks run
-        // from inside the pipeline via the audit hooks below.
-        std::uint64_t Cyc = 0;
-        verify::Result R;
-        {
-          PhaseScope T(Cyc);
-          R = verify::verifyICode(IC);
-        }
-        VerifyCyc += Cyc;
-        verify::recordOutcome(verify::Layer::IR, !R.ok(), Cyc);
-        if (!R.ok())
-          verify::failCompile(R);
-      }
-      icode::CompileAudit Audit;
-      Audit.Ctx = &VerifyCyc;
-      Audit.PostPeephole = &VerifyHooks::postPeephole;
-      Audit.PostRegAlloc = &VerifyHooks::postRegAlloc;
-      SetupStart = readCycleCounterBegin();
-      vcode::VCode V(F.Region->base(), F.Region->capacity(), &A);
-      if (Opts.Relocs)
-        V.assembler().setRelocTable(Opts.Relocs);
-      F.Stats.CyclesSetup += readCycleCounterEnd() - SetupStart;
-      F.Entry = IC.compileTo(V, Opts.RegAlloc, &F.Stats.ICode, Opts.Spill,
-                             DoVerify ? &Audit : nullptr);
-      F.Stats.MachineInstrs = V.instructionsEmitted();
-      F.Stats.CodeBytes = V.codeBytes();
-      PE = {W.PE.LoopsUnrolled, W.PE.BranchesEliminated,
-            W.PE.StrengthReductions, W.PE.ProfiledUnrolls};
-    }
+    Instantiation I{F, Ctx, Body.node(), RetType, Opts, A, DoVerify, VerifyCyc};
+    PE = Opts.Backend == BackendKind::VCode   ? I.run<vcode::VCode>()
+         : Opts.Backend == BackendKind::PCode ? I.run<pcode::PCode>()
+                                              : I.run<icode::ICode>();
     if (DoVerify) {
       // Admit the finished bytes while the region is still readable through
       // its write mapping, before anything can execute them: the same
@@ -1858,9 +1661,7 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
     F.Prof->CodeBytes.store(F.Stats.CodeBytes, std::memory_order_relaxed);
     F.Prof->MachineInstrs.store(F.Stats.MachineInstrs,
                                 std::memory_order_relaxed);
-    F.Prof->Backend.store(Opts.Backend == BackendKind::VCode   ? "vcode"
-                          : Opts.Backend == BackendKind::PCode ? "pcode"
-                                                               : "icode",
+    F.Prof->Backend.store(backendName(Opts.Backend),
                           std::memory_order_relaxed);
   }
   {
@@ -1880,7 +1681,7 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
         F.Prof ? &F.Prof->Samples : nullptr);
   obs::flightRecord(obs::FlightEvent::CompileEnd, F.Stats.CodeBytes,
                     F.Stats.CyclesTotal, SymName);
-  publishCompileMetrics<vcode::VCode>(F, Opts, PE);
+  publishCompileMetrics(F, Opts, PE);
   return F;
 }
 

@@ -59,6 +59,10 @@ enum class BackendKind {
 /// read once, unknown values fall back to PCode).
 BackendKind baselineBackendFromEnv();
 
+/// Lower-case name of a back end ("vcode", "icode" or "pcode"), as profiles
+/// and TICKC_BACKEND spell it.
+const char *backendName(BackendKind K);
+
 /// Knobs for one instantiation.
 struct CompileOptions {
   BackendKind Backend = BackendKind::VCode;
@@ -163,6 +167,7 @@ private:
   friend CompiledFn compileFn(Context &, Stmt, EvalType,
                               const CompileOptions &);
   friend CompiledFn adoptLoadedCode(struct LoadedCode &&);
+  friend struct Instantiation; ///< compileFn's per-backend step.
   PooledRegion Region;
   void *Entry = nullptr;
   DynStats Stats;

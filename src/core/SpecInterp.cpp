@@ -1,12 +1,11 @@
 //===- core/SpecInterp.cpp - Spec-tree interpreter (tier 0) ---------------==//
 //
-// Executes specification trees directly, mirroring the semantics the
-// compiled back ends implement: canonical Int values are sign-extended
-// 32-bit, division follows x86 idiv (SIGFPE on the trap cases), shifts mask
-// their count, and the For statement re-tests its bound and applies its
-// step exactly like the emitted runtime loop. Where the instantiation-time
-// RcEvaluator and the generated code agree, this interpreter agrees with
-// both — that is the tier-0 contract the differential test pins.
+// Executes specification trees directly. Every operator value, load and
+// store comes from core/Semantics.h, the definitions the instantiation-time
+// constant folder also uses and that follow the emitted x86 (idiv traps
+// raise SIGFPE here). What remains is the tree walk: control flow, calls,
+// and the profile hooks. The For statement re-tests its bound and applies
+// its step exactly like the emitted runtime loop.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,16 +14,11 @@
 #include <cassert>
 #include <csignal>
 #include <cstring>
-#include <limits>
 
 using namespace tcc;
 using namespace tcc::core;
 
 namespace {
-
-inline std::int64_t sext32(std::int64_t V) {
-  return static_cast<std::int32_t>(V);
-}
 
 /// Dispatch ladder for live calls: the supported (int-class, double)
 /// argument-count grid, called through an all-ints-then-doubles prototype —
@@ -66,7 +60,7 @@ R callSig(const void *FnP, const std::int64_t *A, unsigned NI,
   case 6 * 4 + 0:
     return ((R (*)(I, I, I, I, I, I))FnP)(A[0], A[1], A[2], A[3], A[4], A[5]);
   default:
-    // Unreachable: specInterpretable() rejected this signature.
+    // Unreachable: indexExpr() rejected this signature.
     return R();
   }
 }
@@ -80,75 +74,10 @@ bool callSigSupported(unsigned NI, unsigned ND) {
   return NI <= 6 && ND == 0;
 }
 
-bool exprInterpretable(const ExprNode *N) {
-  if (!N)
-    return true;
-  if (N->Kind == ExprKind::Call) {
-    unsigned NI = 0, ND = 0;
-    for (std::uint32_t I = 0; I < N->ArgC; ++I) {
-      if (!exprInterpretable(N->ArgV[I]))
-        return false;
-      if (N->ArgV[I]->Type == EvalType::Double)
-        ++ND;
-      else
-        ++NI;
-    }
-    if (!callSigSupported(NI, ND))
-      return false;
-    return N->PtrVal != nullptr || exprInterpretable(N->A);
-  }
-  if (!exprInterpretable(N->A) || !exprInterpretable(N->B) ||
-      !exprInterpretable(N->C))
-    return false;
-  for (std::uint32_t I = 0; I < N->ArgC; ++I)
-    if (!exprInterpretable(N->ArgV[I]))
-      return false;
-  return true;
-}
-
-bool stmtInterpretable(const StmtNode *S, const Context &Ctx) {
-  if (!S)
-    return true;
-  switch (S->Kind) {
-  case StmtKind::LabelDef:
-  case StmtKind::Goto:
-    // Dynamic labels need a flattened control-flow representation the
-    // tree walk does not have; such specs take the synchronous baseline.
-    return false;
-  case StmtKind::For:
-    if (Ctx.locals()[static_cast<std::size_t>(S->LocalId)].Type ==
-        EvalType::Double)
-      return false;
-    break;
-  default:
-    break;
-  }
-  if (!exprInterpretable(S->E) || !exprInterpretable(S->E2) ||
-      !exprInterpretable(S->E3))
-    return false;
-  if (!stmtInterpretable(S->S1, Ctx) || !stmtInterpretable(S->S2, Ctx))
-    return false;
-  for (std::uint32_t I = 0; I < S->BodyC; ++I)
-    if (!stmtInterpretable(S->BodyV[I], Ctx))
-      return false;
-  return true;
-}
-
 } // namespace
 
-bool core::specInterpretable(const Context &Ctx, Stmt Body, EvalType) {
-  if (!Body.valid())
-    return false;
-  if (Ctx.locals().size() > SpecInterp::MaxLocals)
-    return false;
-  for (const LocalInfo &L : Ctx.locals())
-    if (L.ArgIndex >= 0) {
-      // Marshalling range: the SysV integer-class registers (6) and the
-      // tier wrapper's double buffer (8).
-      if (L.Type == EvalType::Double ? L.ArgIndex >= 8 : L.ArgIndex >= 6)
-        return false;
-    }
-  return stmtInterpretable(Body.node(), Ctx);
+bool core::specInterpretable(const Context &Ctx, Stmt Body, EvalType RT) {
+  return SpecInterp(Ctx, Body, RT).ok();
 }
 
 Tier0ProfileSnapshot core::snapshotTier0(const Tier0Profile &P) {
@@ -177,11 +106,6 @@ Tier0ProfileSnapshot core::snapshotTier0(const Tier0Profile &P) {
 // SpecInterp
 //===----------------------------------------------------------------------===//
 
-struct SpecInterp::Val {
-  std::int64_t I = 0;
-  double D = 0;
-};
-
 struct SpecInterp::Frame {
   std::int64_t *L;
   double *F;
@@ -204,7 +128,7 @@ SpecInterp::SpecInterp(std::unique_ptr<Context> OC, Stmt Body, EvalType RT,
 
 void SpecInterp::indexTree() {
   // The construction walk doubles as the interpretability check (the
-  // verdict specInterpretable() computes standalone): creation sits on the
+  // verdict specInterpretable() reports): creation sits on the
   // tier manager's latency path, so eligibility and ordinal assignment
   // share one traversal. Any violation clears Ok and short-circuits the
   // rest of the walk.
@@ -319,14 +243,6 @@ void SpecInterp::indexExpr(const ExprNode *N,
     indexExpr(N->ArgV[I], ForStack);
 }
 
-namespace {
-
-inline bool valTruthy(std::int64_t I, double D, EvalType T) {
-  return T == EvalType::Double ? D != 0 : I != 0;
-}
-
-} // namespace
-
 SpecInterp::Val SpecInterp::evalCall(const ExprNode *N, Frame &F) const {
   std::int64_t IA[8];
   double FA[8];
@@ -350,7 +266,7 @@ SpecInterp::Val SpecInterp::evalCall(const ExprNode *N, Frame &F) const {
     callSig<void>(Fn, IA, NI, FA, ND);
     break;
   case EvalType::Int:
-    R.I = sext32(callSig<std::int32_t>(Fn, IA, NI, FA, ND));
+    R.I = callSig<std::int32_t>(Fn, IA, NI, FA, ND);
     break;
   case EvalType::Double:
     R.D = callSig<double>(Fn, IA, NI, FA, ND);
@@ -363,50 +279,16 @@ SpecInterp::Val SpecInterp::evalCall(const ExprNode *N, Frame &F) const {
 }
 
 SpecInterp::Val SpecInterp::evalExpr(const ExprNode *N, Frame &F) const {
-  Val R;
   switch (N->Kind) {
   case ExprKind::ConstInt:
-    R.I = sext32(N->IntVal);
-    return R;
   case ExprKind::ConstLong:
-    R.I = N->IntVal;
-    return R;
   case ExprKind::ConstDouble:
-    R.D = N->FpVal;
-    return R;
-  case ExprKind::FreeVar: {
-    const void *P = N->PtrVal;
-    switch (static_cast<MemType>(N->OpByte)) {
-    case MemType::I8:
-      R.I = *static_cast<const std::int8_t *>(P);
-      break;
-    case MemType::U8:
-      R.I = *static_cast<const std::uint8_t *>(P);
-      break;
-    case MemType::I16:
-      R.I = *static_cast<const std::int16_t *>(P);
-      break;
-    case MemType::U16:
-      R.I = *static_cast<const std::uint16_t *>(P);
-      break;
-    case MemType::I32:
-      R.I = *static_cast<const std::int32_t *>(P);
-      break;
-    case MemType::I64:
-      R.I = *static_cast<const std::int64_t *>(P);
-      break;
-    case MemType::P64:
-      R.I = static_cast<std::int64_t>(
-          *static_cast<const std::uintptr_t *>(P));
-      break;
-    case MemType::F64:
-      R.D = *static_cast<const double *>(P);
-      break;
-    }
-    return R;
-  }
+    return sem::constant(N);
+  case ExprKind::FreeVar:
+    return sem::load(N->PtrVal, static_cast<MemType>(N->OpByte));
   case ExprKind::Local: {
     std::size_t Id = static_cast<std::size_t>(N->LocalId);
+    Val R;
     if (LocalTypes[Id] == EvalType::Double)
       R.D = F.F[Id];
     else
@@ -415,36 +297,9 @@ SpecInterp::Val SpecInterp::evalExpr(const ExprNode *N, Frame &F) const {
   }
   case ExprKind::Load: {
     Val A = evalExpr(N->A, F);
-    const void *P =
-        reinterpret_cast<const void *>(static_cast<std::uintptr_t>(A.I));
-    switch (static_cast<MemType>(N->OpByte)) {
-    case MemType::I8:
-      R.I = *static_cast<const std::int8_t *>(P);
-      break;
-    case MemType::U8:
-      R.I = *static_cast<const std::uint8_t *>(P);
-      break;
-    case MemType::I16:
-      R.I = *static_cast<const std::int16_t *>(P);
-      break;
-    case MemType::U16:
-      R.I = *static_cast<const std::uint16_t *>(P);
-      break;
-    case MemType::I32:
-      R.I = *static_cast<const std::int32_t *>(P);
-      break;
-    case MemType::I64:
-      R.I = *static_cast<const std::int64_t *>(P);
-      break;
-    case MemType::P64:
-      R.I = static_cast<std::int64_t>(
-          *static_cast<const std::uintptr_t *>(P));
-      break;
-    case MemType::F64:
-      R.D = *static_cast<const double *>(P);
-      break;
-    }
-    return R;
+    return sem::load(
+        reinterpret_cast<const void *>(static_cast<std::uintptr_t>(A.I)),
+        static_cast<MemType>(N->OpByte));
   }
   case ExprKind::RtEval: {
     Val V = evalExpr(N->A, F);
@@ -469,217 +324,42 @@ SpecInterp::Val SpecInterp::evalExpr(const ExprNode *N, Frame &F) const {
     }
     return V;
   }
-  case ExprKind::Unary: {
-    Val V = evalExpr(N->A, F);
-    switch (static_cast<UnOp>(N->OpByte)) {
-    case UnOp::Neg:
-      if (N->Type == EvalType::Double)
-        R.D = -V.D;
-      else if (N->Type == EvalType::Int)
-        R.I = sext32(-V.I);
-      else
-        R.I = -V.I;
-      return R;
-    case UnOp::Not:
-      R.I = N->Type == EvalType::Int ? sext32(~V.I) : ~V.I;
-      return R;
-    case UnOp::LogNot:
-      R.I = valTruthy(V.I, V.D, N->A->Type) ? 0 : 1;
-      return R;
-    case UnOp::IntToDouble:
-    case UnOp::LongToDouble:
-      R.D = static_cast<double>(V.I);
-      return R;
-    case UnOp::DoubleToInt:
-      // cvttsd2si semantics: out-of-range and NaN produce the integer
-      // indefinite value.
-      if (V.D >= -2147483648.0 && V.D < 2147483648.0)
-        R.I = static_cast<std::int32_t>(V.D);
-      else
-        R.I = std::numeric_limits<std::int32_t>::min();
-      return R;
-    case UnOp::IntToLong:
-      R.I = V.I; // Already canonically sign-extended.
-      return R;
-    case UnOp::LongToInt:
-      R.I = sext32(V.I);
-      return R;
-    case UnOp::Bitcast:
-      R.I = V.I;
-      return R;
-    }
-    return R;
-  }
+  case ExprKind::Unary:
+    return sem::unary(static_cast<UnOp>(N->OpByte), N->Type, N->A->Type,
+                      evalExpr(N->A, F));
   case ExprKind::Binary: {
     auto O = static_cast<BinOp>(N->OpByte);
-    if (O == BinOp::LogAnd || O == BinOp::LogOr) {
-      Val A = evalExpr(N->A, F);
-      bool AT = valTruthy(A.I, A.D, N->A->Type);
-      if (O == BinOp::LogAnd && !AT) {
-        R.I = 0;
-        return R;
-      }
-      if (O == BinOp::LogOr && AT) {
-        R.I = 1;
-        return R;
-      }
-      Val B = evalExpr(N->B, F);
-      R.I = valTruthy(B.I, B.D, N->B->Type) ? 1 : 0;
-      return R;
-    }
     Val A = evalExpr(N->A, F);
-    Val B = evalExpr(N->B, F);
-    if (N->Type == EvalType::Double) {
-      switch (O) {
-      case BinOp::Add:
-        R.D = A.D + B.D;
-        break;
-      case BinOp::Sub:
-        R.D = A.D - B.D;
-        break;
-      case BinOp::Mul:
-        R.D = A.D * B.D;
-        break;
-      case BinOp::Div:
-        R.D = A.D / B.D;
-        break;
-      default:
-        break;
-      }
+    Val R;
+    if (O == BinOp::LogAnd || O == BinOp::LogOr) {
+      // The left operand decides unless it is the identity (true for &&,
+      // false for ||); only then is the right one evaluated.
+      bool AT = sem::truthy(N->A->Type, A);
+      if (O == BinOp::LogAnd ? AT : !AT)
+        R.I = sem::truthy(N->B->Type, evalExpr(N->B, F));
+      else
+        R.I = AT;
       return R;
     }
-    std::int64_t X = A.I, Y = B.I, Res = 0;
-    bool Wide = N->Type != EvalType::Int;
-    std::int64_t TrapMin = Wide ? std::numeric_limits<std::int64_t>::min()
-                                : std::numeric_limits<std::int32_t>::min();
-    switch (O) {
-    case BinOp::Add:
-      Res = static_cast<std::int64_t>(static_cast<std::uint64_t>(X) +
-                                      static_cast<std::uint64_t>(Y));
-      break;
-    case BinOp::Sub:
-      Res = static_cast<std::int64_t>(static_cast<std::uint64_t>(X) -
-                                      static_cast<std::uint64_t>(Y));
-      break;
-    case BinOp::Mul:
-      Res = static_cast<std::int64_t>(static_cast<std::uint64_t>(X) *
-                                      static_cast<std::uint64_t>(Y));
-      break;
-    case BinOp::Div:
-      if (Y == 0 || (Y == -1 && X == TrapMin))
-        std::raise(SIGFPE); // Same trap the emitted idiv takes.
-      Res = X / Y;
-      break;
-    case BinOp::Mod:
-      if (Y == 0 || (Y == -1 && X == TrapMin))
-        std::raise(SIGFPE);
-      Res = X % Y;
-      break;
-    case BinOp::And:
-      Res = X & Y;
-      break;
-    case BinOp::Or:
-      Res = X | Y;
-      break;
-    case BinOp::Xor:
-      Res = X ^ Y;
-      break;
-    case BinOp::Shl:
-      Res = static_cast<std::int32_t>(static_cast<std::uint32_t>(X)
-                                      << (Y & 31));
-      break;
-    case BinOp::Shr:
-      Res = static_cast<std::int32_t>(X) >> (Y & 31);
-      break;
-    default:
-      break;
-    }
-    R.I = N->Type == EvalType::Int ? sext32(Res) : Res;
+    if (!sem::binary(O, N->Type, A, evalExpr(N->B, F), R))
+      std::raise(SIGFPE); // Same trap the emitted idiv takes.
     return R;
   }
   case ExprKind::Cmp: {
     Val A = evalExpr(N->A, F);
-    Val B = evalExpr(N->B, F);
-    auto K = static_cast<CmpKind>(N->OpByte);
-    EvalType OpT = N->A->Type;
-    bool T = false;
-    if (OpT == EvalType::Double) {
-      double X = A.D, Y = B.D;
-      switch (K) {
-      case CmpKind::Eq:
-        T = X == Y;
-        break;
-      case CmpKind::Ne:
-        T = X != Y;
-        break;
-      case CmpKind::LtS:
-      case CmpKind::LtU:
-        T = X < Y;
-        break;
-      case CmpKind::LeS:
-      case CmpKind::LeU:
-        T = X <= Y;
-        break;
-      case CmpKind::GtS:
-      case CmpKind::GtU:
-        T = X > Y;
-        break;
-      case CmpKind::GeS:
-      case CmpKind::GeU:
-        T = X >= Y;
-        break;
-      }
-    } else {
-      // Canonical Int values are sign-extended, so 64-bit signed compare
-      // equals 32-bit signed compare, and 64-bit unsigned compare of two
-      // sign-extended values preserves 32-bit unsigned order.
-      std::int64_t X = A.I, Y = B.I;
-      auto UX = static_cast<std::uint64_t>(X);
-      auto UY = static_cast<std::uint64_t>(Y);
-      switch (K) {
-      case CmpKind::Eq:
-        T = X == Y;
-        break;
-      case CmpKind::Ne:
-        T = X != Y;
-        break;
-      case CmpKind::LtS:
-        T = X < Y;
-        break;
-      case CmpKind::LeS:
-        T = X <= Y;
-        break;
-      case CmpKind::GtS:
-        T = X > Y;
-        break;
-      case CmpKind::GeS:
-        T = X >= Y;
-        break;
-      case CmpKind::LtU:
-        T = UX < UY;
-        break;
-      case CmpKind::LeU:
-        T = UX <= UY;
-        break;
-      case CmpKind::GtU:
-        T = UX > UY;
-        break;
-      case CmpKind::GeU:
-        T = UX >= UY;
-        break;
-      }
-    }
-    R.I = T ? 1 : 0;
+    Val R;
+    R.I = sem::compare(static_cast<CmpKind>(N->OpByte), N->A->Type, A,
+                       evalExpr(N->B, F));
     return R;
   }
   case ExprKind::Cond: {
     Val C = evalExpr(N->A, F);
-    return evalExpr(valTruthy(C.I, C.D, N->A->Type) ? N->B : N->C, F);
+    return evalExpr(sem::truthy(N->A->Type, C) ? N->B : N->C, F);
   }
   case ExprKind::Call:
     return evalCall(N, F);
   }
-  return R;
+  return Val();
 }
 
 SpecInterp::Flow SpecInterp::execStmt(const StmtNode *S, Frame &F,
@@ -701,38 +381,19 @@ SpecInterp::Flow SpecInterp::execStmt(const StmtNode *S, Frame &F,
     if (LocalTypes[Id] == EvalType::Double)
       F.F[Id] = V.D;
     else
-      F.L[Id] = LocalTypes[Id] == EvalType::Int ? sext32(V.I) : V.I;
+      F.L[Id] = sem::canon(LocalTypes[Id], V.I);
     return Flow::Next;
   }
   case StmtKind::Store: {
     Val A = evalExpr(S->E, F);
     Val V = evalExpr(S->E2, F);
-    void *P = reinterpret_cast<void *>(static_cast<std::uintptr_t>(A.I));
-    switch (static_cast<MemType>(S->OpByte)) {
-    case MemType::I8:
-    case MemType::U8:
-      *static_cast<std::int8_t *>(P) = static_cast<std::int8_t>(V.I);
-      break;
-    case MemType::I16:
-    case MemType::U16:
-      *static_cast<std::int16_t *>(P) = static_cast<std::int16_t>(V.I);
-      break;
-    case MemType::I32:
-      *static_cast<std::int32_t *>(P) = static_cast<std::int32_t>(V.I);
-      break;
-    case MemType::I64:
-    case MemType::P64:
-      *static_cast<std::int64_t *>(P) = V.I;
-      break;
-    case MemType::F64:
-      *static_cast<double *>(P) = V.D;
-      break;
-    }
+    sem::store(reinterpret_cast<void *>(static_cast<std::uintptr_t>(A.I)),
+               static_cast<MemType>(S->OpByte), V);
     return Flow::Next;
   }
   case StmtKind::If: {
     Val C = evalExpr(S->E, F);
-    bool Taken = valTruthy(C.I, C.D, S->E->Type);
+    bool Taken = sem::truthy(S->E->Type, C);
     if (Prof) {
       auto It = BranchOrd.find(S);
       if (It != BranchOrd.end() && It->second < Tier0Profile::MaxBranches) {
@@ -748,7 +409,7 @@ SpecInterp::Flow SpecInterp::execStmt(const StmtNode *S, Frame &F,
   case StmtKind::While:
     for (;;) {
       Val C = evalExpr(S->E, F);
-      if (!valTruthy(C.I, C.D, S->E->Type))
+      if (!sem::truthy(S->E->Type, C))
         return Flow::Next;
       Flow Fl = execStmt(S->S1, F, Ret);
       if (Fl == Flow::Break)
@@ -760,52 +421,12 @@ SpecInterp::Flow SpecInterp::execStmt(const StmtNode *S, Frame &F,
     }
   case StmtKind::For: {
     std::size_t Id = static_cast<std::size_t>(S->LocalId);
-    bool WideIV = LocalTypes[Id] != EvalType::Int;
-    Val Init = evalExpr(S->E, F);
-    F.L[Id] = WideIV ? Init.I : sext32(Init.I);
+    EvalType IVT = LocalTypes[Id];
+    F.L[Id] = sem::canon(IVT, evalExpr(S->E, F).I);
     auto K = static_cast<CmpKind>(S->OpByte);
     std::uint64_t Trips = 0;
     Flow Out = Flow::Next;
-    for (;;) {
-      Val Bound = evalExpr(S->E2, F);
-      std::int64_t V = F.L[Id], BV = Bound.I;
-      bool Stay;
-      auto UV = static_cast<std::uint64_t>(V);
-      auto UB = static_cast<std::uint64_t>(BV);
-      switch (K) {
-      case CmpKind::Eq:
-        Stay = V == BV;
-        break;
-      case CmpKind::Ne:
-        Stay = V != BV;
-        break;
-      case CmpKind::LtS:
-        Stay = V < BV;
-        break;
-      case CmpKind::LeS:
-        Stay = V <= BV;
-        break;
-      case CmpKind::GtS:
-        Stay = V > BV;
-        break;
-      case CmpKind::GeS:
-        Stay = V >= BV;
-        break;
-      case CmpKind::LtU:
-        Stay = UV < UB;
-        break;
-      case CmpKind::LeU:
-        Stay = UV <= UB;
-        break;
-      case CmpKind::GtU:
-        Stay = UV > UB;
-        break;
-      case CmpKind::GeU:
-        Stay = UV >= UB;
-        break;
-      }
-      if (!Stay)
-        break;
+    while (sem::compareInt(K, F.L[Id], evalExpr(S->E2, F).I)) {
       ++Trips;
       Flow Fl = execStmt(S->S1, F, Ret);
       if (Fl == Flow::Break)
@@ -815,11 +436,7 @@ SpecInterp::Flow SpecInterp::execStmt(const StmtNode *S, Frame &F,
         break;
       }
       // Continue lands on the step, exactly like the emitted Cont label.
-      Val Step = evalExpr(S->E3, F);
-      std::int64_t NV = static_cast<std::int64_t>(
-          static_cast<std::uint64_t>(F.L[Id]) +
-          static_cast<std::uint64_t>(Step.I));
-      F.L[Id] = WideIV ? NV : sext32(NV);
+      F.L[Id] = sem::add(IVT, F.L[Id], evalExpr(S->E3, F).I);
     }
     if (Prof) {
       auto It = LoopOrd.find(S);
@@ -846,7 +463,7 @@ SpecInterp::Flow SpecInterp::execStmt(const StmtNode *S, Frame &F,
     return Flow::Continue;
   case StmtKind::LabelDef:
   case StmtKind::Goto:
-    // Rejected by specInterpretable(); never reached.
+    // Rejected by indexStmt() at construction; never reached.
     return Flow::Next;
   }
   return Flow::Next;
@@ -864,7 +481,7 @@ InterpResult SpecInterp::run(const std::int64_t *IntArgs, unsigned NumInt,
     } else {
       std::int64_t V =
           static_cast<unsigned>(P.ArgIndex) < NumInt ? IntArgs[P.ArgIndex] : 0;
-      L[P.LocalId] = P.Type == EvalType::Int ? sext32(V) : V;
+      L[P.LocalId] = sem::canon(P.Type, V);
     }
   }
   if (Prof)
@@ -874,9 +491,7 @@ InterpResult SpecInterp::run(const std::int64_t *IntArgs, unsigned NumInt,
   InterpResult R;
   if (RetType == EvalType::Double)
     R.D = Ret.D;
-  else if (RetType == EvalType::Int)
-    R.I = sext32(Ret.I);
   else
-    R.I = Ret.I;
+    R.I = sem::canon(RetType, Ret.I);
   return R;
 }

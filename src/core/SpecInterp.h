@@ -27,6 +27,7 @@
 #define TICKC_CORE_SPECINTERP_H
 
 #include "core/Context.h"
+#include "core/Semantics.h"
 
 #include <atomic>
 #include <cstdint>
@@ -144,8 +145,8 @@ public:
                    const double *FpArgs, unsigned NumFp) const;
 
   /// True when the construction walk found the spec within the
-  /// interpreter's envelope — the same verdict specInterpretable() reaches,
-  /// but computed during the ordinal-assignment walk so latency-sensitive
+  /// interpreter's envelope (specInterpretable() is this verdict). It is
+  /// computed during the ordinal-assignment walk so latency-sensitive
   /// creators (the tier manager) pay for one tree traversal, not two.
   /// run() must not be called when this is false.
   bool ok() const { return Ok; }
@@ -189,7 +190,7 @@ private:
   std::vector<ParamBind> Params;
 
   struct Frame;
-  struct Val;
+  using Val = sem::Value;
   enum class Flow : std::uint8_t;
   Val evalExpr(const ExprNode *N, Frame &F) const;
   Val evalCall(const ExprNode *N, Frame &F) const;

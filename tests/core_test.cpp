@@ -8,10 +8,14 @@
 
 #include "core/Compile.h"
 #include "core/Context.h"
+#include "core/SpecInterp.h"
 
 #include <gtest/gtest.h>
 
+#include <csignal>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 
@@ -369,7 +373,9 @@ TEST_P(CoreBothBackends, StrengthReductionCorrectness) {
     auto *Fn = F.as<int(int)>();
     for (int T = 0; T < 40; ++T) {
       int V = static_cast<int>(Rng()) % 100000;
-      EXPECT_EQ(Fn(V), V * M + V / M) << V << " with const " << M;
+      // The generated code wraps; compute the reference without overflow.
+      auto Want = static_cast<int>(static_cast<long long>(V) * M + V / M);
+      EXPECT_EQ(Fn(V), Want) << V << " with const " << M;
     }
   }
 }
@@ -578,6 +584,163 @@ TEST(CoreOptions, GraphColorBackendWorks) {
   CompiledFn F =
       compileFn(C, C.ret(Expr(A) * C.intConst(3)), EvalType::Int, O);
   EXPECT_EQ(F.as<int(int)>()(14), 42);
+}
+
+// --- One semantics: every form, every tier -----------------------------------
+
+/// One operator applied to two operands of type T (unary cases ignore B).
+struct SemCase {
+  const char *Name;
+  EvalType T;
+  std::int64_t X, Y; ///< Integer operands (T Int or Long).
+  double DX;         ///< Double operand (T Double).
+  Expr (*Op)(Context &, Expr, Expr);
+  std::int64_t Want; ///< Canonical result; ignored when Traps.
+  bool Traps;
+};
+
+/// The four shapes of each case: all constants (folded at instantiation),
+/// `$`-captured operands (read at instantiation), two parameters, and a
+/// parameter against a constant (the strength-reduced immediate forms).
+enum class SemForm { Folded, Dollar, Params, ParamConst };
+/// Tier 0 and the three compiling back ends.
+enum class SemTier { Interp, VCode, PCode, ICode };
+
+/// Builds \p K in form \p Fm and runs it on \p Tr. Returns the result in
+/// canonical form (Int sign-extended).
+std::int64_t runSemCase(const SemCase &K, SemForm Fm, SemTier Tr) {
+  Context C;
+  // `$` operands are read at instantiation (compiled tiers) or at the call
+  // (tier 0); both happen while these slots are live.
+  std::int32_t I32[2] = {static_cast<std::int32_t>(K.X),
+                         static_cast<std::int32_t>(K.Y)};
+  std::int64_t I64[2] = {K.X, K.Y};
+  double F64[2] = {K.DX, K.DX};
+  auto Operand = [&](unsigned Idx) -> Expr {
+    bool Param = Fm == SemForm::Params || (Fm == SemForm::ParamConst && !Idx);
+    if (Param)
+      return K.T == EvalType::Int    ? C.paramInt(Idx)
+             : K.T == EvalType::Long ? C.paramLong(Idx)
+                                     : C.paramDouble(Idx);
+    std::int64_t V = Idx ? K.Y : K.X;
+    if (Fm == SemForm::Dollar) {
+      if (K.T == EvalType::Int)
+        return C.rtEval(C.freeVar(&I32[Idx], MemType::I32));
+      if (K.T == EvalType::Long)
+        return C.rtEval(C.freeVar(&I64[Idx], MemType::I64));
+      return C.rtEval(C.freeVar(&F64[Idx], MemType::F64));
+    }
+    if (K.T == EvalType::Int)
+      return C.intConst(static_cast<std::int32_t>(V));
+    if (K.T == EvalType::Long)
+      return C.longConst(V);
+    return C.doubleConst(K.DX);
+  };
+  Expr A = Operand(0);
+  Expr B = Operand(1);
+  Expr E = K.Op(C, A, B);
+  EvalType RT = E.type();
+  Stmt Body = C.ret(E);
+  if (Tr == SemTier::Interp) {
+    SpecInterp Interp(C, Body, RT);
+    EXPECT_TRUE(Interp.ok());
+    InterpResult R = Interp.run(I64, 2, F64, 2);
+    return R.I;
+  }
+  CompileOptions O;
+  O.Backend = Tr == SemTier::VCode   ? BackendKind::VCode
+              : Tr == SemTier::PCode ? BackendKind::PCode
+                                     : BackendKind::ICode;
+  CompiledFn F = compileFn(C, Body, RT, O);
+  if (K.T == EvalType::Double)
+    return F.as<std::int32_t(double, double)>()(K.DX, K.DX);
+  if (RT == EvalType::Int)
+    return F.as<std::int32_t(std::int64_t, std::int64_t)>()(K.X, K.Y);
+  return F.as<std::int64_t(std::int64_t, std::int64_t)>()(K.X, K.Y);
+}
+
+Expr semAdd(Context &, Expr A, Expr B) { return A + B; }
+Expr semSub(Context &, Expr A, Expr B) { return A - B; }
+Expr semMul(Context &, Expr A, Expr B) { return A * B; }
+Expr semDiv(Context &, Expr A, Expr B) { return A / B; }
+Expr semMod(Context &, Expr A, Expr B) { return A % B; }
+Expr semShl(Context &, Expr A, Expr B) { return A << B; }
+Expr semShr(Context &, Expr A, Expr B) { return A >> B; }
+Expr semNeg(Context &C, Expr A, Expr) { return C.neg(A); }
+Expr semToInt(Context &C, Expr A, Expr) {
+  return C.unary(UnOp::DoubleToInt, A);
+}
+Expr semLtU(Context &C, Expr A, Expr B) { return C.cmp(CmpKind::LtU, A, B); }
+Expr semLeU(Context &C, Expr A, Expr B) { return C.cmp(CmpKind::LeU, A, B); }
+Expr semGtU(Context &C, Expr A, Expr B) { return C.cmp(CmpKind::GtU, A, B); }
+Expr semGeU(Context &C, Expr A, Expr B) { return C.cmp(CmpKind::GeU, A, B); }
+
+TEST(OneSemantics, EveryFormAndTierAgrees) {
+  // The folder (instantiation-time partial evaluation), the emitted code
+  // and tier 0 must compute one value for every operator, including where
+  // C++ leaves it undefined and x86 does not: wrapping, masked shift
+  // counts, cvttsd2si's integer indefinite, and idiv's #DE trap.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  constexpr std::int64_t I32Max = INT32_MAX, I32Min = INT32_MIN;
+  constexpr std::int64_t I64Max = INT64_MAX, I64Min = INT64_MIN;
+  constexpr double NaN = std::numeric_limits<double>::quiet_NaN();
+  const EvalType Int = EvalType::Int, Long = EvalType::Long,
+                 Dbl = EvalType::Double;
+  const SemCase Cases[] = {
+      {"int max+1", Int, I32Max, 1, 0, semAdd, I32Min, false},
+      {"int min-1", Int, I32Min, 1, 0, semSub, I32Max, false},
+      {"int max*2", Int, I32Max, 2, 0, semMul, -2, false},
+      {"int min*-1", Int, I32Min, -1, 0, semMul, I32Min, false},
+      {"long max+1", Long, I64Max, 1, 0, semAdd, I64Min, false},
+      {"long min-1", Long, I64Min, 1, 0, semSub, I64Max, false},
+      {"long max*2", Long, I64Max, 2, 0, semMul, -2, false},
+      {"long min*-1", Long, I64Min, -1, 0, semMul, I64Min, false},
+      {"long -min", Long, I64Min, 0, 0, semNeg, I64Min, false},
+      {"1<<31", Int, 1, 31, 0, semShl, I32Min, false},
+      {"1<<32", Int, 1, 32, 0, semShl, 1, false},
+      {"1<<33", Int, 1, 33, 0, semShl, 2, false},
+      {"1<<-1", Int, 1, -1, 0, semShl, I32Min, false},
+      {"min>>31", Int, I32Min, 31, 0, semShr, -1, false},
+      {"min>>32", Int, I32Min, 32, 0, semShr, I32Min, false},
+      {"min>>33", Int, I32Min, 33, 0, semShr, I32Min / 2, false},
+      {"min>>-1", Int, I32Min, -1, 0, semShr, -1, false},
+      {"-1 <u 1", Int, -1, 1, 0, semLtU, 0, false},
+      {"1 <=u -1", Int, 1, -1, 0, semLeU, 1, false},
+      {"-1 >u max", Int, -1, I32Max, 0, semGtU, 1, false},
+      {"-2 >=u -1", Int, -2, -1, 0, semGeU, 0, false},
+      {"(int)1e10", Dbl, 0, 0, 1e10, semToInt, I32Min, false},
+      {"(int)-1e10", Dbl, 0, 0, -1e10, semToInt, I32Min, false},
+      {"(int)NaN", Dbl, 0, 0, NaN, semToInt, I32Min, false},
+      {"(int)2147483647.9", Dbl, 0, 0, 2147483647.9, semToInt, I32Max, false},
+      {"(int)-2147483648.5", Dbl, 0, 0, -2147483648.5, semToInt, I32Min,
+       false},
+      {"min/-1", Int, I32Min, -1, 0, semDiv, 0, true},
+      {"min%-1", Int, I32Min, -1, 0, semMod, 0, true},
+      {"7/0", Int, 7, 0, 0, semDiv, 0, true},
+      {"7%0", Int, 7, 0, 0, semMod, 0, true},
+  };
+  const SemForm Forms[] = {SemForm::Folded, SemForm::Dollar, SemForm::Params,
+                           SemForm::ParamConst};
+  const char *FormNames[] = {"folded", "$", "params", "param-op-const"};
+  const SemTier Tiers[] = {SemTier::Interp, SemTier::VCode, SemTier::PCode,
+                           SemTier::ICode};
+  const char *TierNames[] = {"tier0", "vcode", "pcode", "icode"};
+  for (const SemCase &K : Cases)
+    for (unsigned Fi = 0; Fi < 4; ++Fi)
+      for (unsigned Ti = 0; Ti < 4; ++Ti) {
+        SCOPED_TRACE(std::string(K.Name) + " " + FormNames[Fi] + " " +
+                     TierNames[Ti]);
+        if (K.Traps)
+          EXPECT_EXIT(
+              {
+                // Die of the trap itself, not of a sanitizer's report.
+                std::signal(SIGFPE, SIG_DFL);
+                runSemCase(K, Forms[Fi], Tiers[Ti]);
+              },
+              ::testing::KilledBySignal(SIGFPE), "");
+        else
+          EXPECT_EQ(runSemCase(K, Forms[Fi], Tiers[Ti]), K.Want);
+      }
 }
 
 } // namespace
