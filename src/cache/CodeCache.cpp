@@ -2,10 +2,9 @@
 
 #include "cache/CodeCache.h"
 
+#include "observability/Events.h"
 #include "observability/Metrics.h"
-#include "observability/Flight.h"
 #include "observability/Names.h"
-#include "observability/Trace.h"
 
 #include <bit>
 #include <cstdint>
@@ -49,7 +48,7 @@ CodeCache::CodeCache(unsigned NumShards, std::size_t MaxBytes) {
 }
 
 FnHandle CodeCache::lookup(const SpecKey &K) {
-  obs::TraceSpan Span(obs::SpanKind::CacheProbe);
+  obs::Phase Span(obs::EventKind::CacheProbe);
   Shard &S = shardFor(K);
   support::MutexLock G(S.M);
   auto It = S.Map.find(K);
@@ -66,7 +65,7 @@ FnHandle CodeCache::lookup(const SpecKey &K) {
 }
 
 FnHandle CodeCache::insert(const SpecKey &K, core::CompiledFn &&Fn) {
-  obs::TraceSpan Span(obs::SpanKind::CacheInsert);
+  obs::Phase Span(obs::EventKind::CacheInsert);
   CacheMetrics &GM = CacheMetrics::get();
   Entry E;
   E.Key = K;
@@ -98,8 +97,8 @@ FnHandle CodeCache::insert(const SpecKey &K, core::CompiledFn &&Fn) {
     Entry &Victim = S.Lru.back();
     S.Bytes -= Victim.Bytes;
     GM.BytesEvicted.inc(Victim.Bytes);
-    obs::flightRecord(
-        obs::FlightEvent::CacheEvict,
+    obs::recordEvent(
+        obs::EventKind::CacheEvict,
         Victim.Fn ? reinterpret_cast<std::uintptr_t>(Victim.Fn->entry()) : 0,
         Victim.Bytes);
     S.Map.erase(Victim.Key);

@@ -2,9 +2,9 @@
 
 #include "cache/CompileService.h"
 
+#include "observability/Events.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
-#include "observability/Trace.h"
 #include "persist/Snapshot.h"
 #include "support/Env.h"
 #include "support/Reloc.h"
@@ -66,7 +66,7 @@ FnHandle CompileService::getOrCompile(Context &Ctx, Stmt Body,
 
   SpecKey K;
   {
-    obs::TraceSpan Span(obs::SpanKind::SpecFingerprint);
+    obs::Phase Span(obs::EventKind::SpecFingerprint);
     K = buildSpecKey(Ctx, Body, RetType, Opts);
   }
   return getOrCompileKeyed(Ctx, Body, RetType, Opts, K);

@@ -14,10 +14,9 @@
 #include "core/CompileContext.h"
 #include "core/Semantics.h"
 #include "core/SpecInterp.h"
-#include "observability/Flight.h"
+#include "observability/Events.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
-#include "observability/Trace.h"
 #include "pcode/PCode.h"
 #include "pcode/StencilLibrary.h"
 #include "support/Error.h"
@@ -1397,7 +1396,7 @@ struct VerifyHooks {
     std::uint64_t Cyc = 0;
     verify::Result R;
     {
-      PhaseScope T(Cyc);
+      obs::Phase T(obs::EventKind::Verify, Cyc);
       R = verify::verifyICode(IC);
     }
     *static_cast<std::uint64_t *>(Ctx) += Cyc;
@@ -1410,7 +1409,7 @@ struct VerifyHooks {
     std::uint64_t Cyc = 0;
     verify::Result R;
     {
-      PhaseScope T(Cyc);
+      obs::Phase T(obs::EventKind::Verify, Cyc);
       R = verify::auditAllocation(IC, Alloc);
     }
     *static_cast<std::uint64_t *>(Ctx) += Cyc;
@@ -1468,7 +1467,7 @@ struct Instantiation {
         std::uint64_t Cyc = 0;
         verify::Result R;
         {
-          PhaseScope T(Cyc);
+          obs::Phase T(obs::EventKind::Verify, Cyc);
           R = verify::verifyICode(IC);
         }
         VerifyCyc += Cyc;
@@ -1500,8 +1499,7 @@ private:
     if (F.Prof)
       W.ProfileCounter = &F.Prof->Invocations;
     F.Stats.CyclesSetup += readCycleCounterEnd() - SetupStart;
-    PhaseScope Walk(F.Stats.CyclesWalk);
-    obs::TraceSpan Span(obs::SpanKind::CGFWalk);
+    obs::Phase Walk(obs::EventKind::CGFWalk, F.Stats.CyclesWalk);
     W.run(Body);
     if constexpr (BackendTraits<BE>::OnePass)
       F.Entry = Back.finish();
@@ -1548,20 +1546,19 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
       : Opts.ProfileName && *Opts.ProfileName
           ? Opts.ProfileName
           : DefaultSymbols[static_cast<std::size_t>(Opts.Backend)];
-  obs::flightRecord(obs::FlightEvent::CompileBegin, 0, 0, SymName);
+  obs::recordEvent(obs::EventKind::CompileBegin, 0, 0, SymName);
   const bool DoVerify = verify::enabled(Opts.Verify);
   if (DoVerify) {
     std::uint64_t Cyc = 0;
     verify::Result R;
     {
-      PhaseScope T(Cyc);
+      obs::Phase T(obs::EventKind::Verify, Cyc);
       R = verify::lintSpec(Ctx, Body.node());
     }
     verify::recordOutcome(verify::Layer::Spec, !R.ok(), Cyc);
     if (!R.ok())
       verify::failCompile(R);
   }
-  obs::TraceSpan TotalSpan(obs::SpanKind::CompileTotal);
   CompiledFn F;
   if (Opts.Profile)
     F.Prof = obs::ProfileRegistry::global().create(
@@ -1593,7 +1590,7 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
   if (Opts.Backend == BackendKind::PCode)
     (void)pcode::StencilLibrary::get();
   {
-    PhaseScope Total(F.Stats.CyclesTotal);
+    obs::Phase Total(obs::EventKind::CompileTotal, F.Stats.CyclesTotal);
     Instantiation I{F, Ctx, Body.node(), RetType, Opts, A, DoVerify, VerifyCyc};
     PE = Opts.Backend == BackendKind::VCode   ? I.run<vcode::VCode>()
          : Opts.Backend == BackendKind::PCode ? I.run<pcode::PCode>()
@@ -1609,7 +1606,7 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
       std::uint64_t Cyc = 0;
       verify::Result R;
       {
-        PhaseScope T(Cyc);
+        obs::Phase T(obs::EventKind::Verify, Cyc);
         verify::AdmissionInputs AI;
         AI.Code = F.Region->base();
         AI.Size = F.Stats.CodeBytes;
@@ -1648,7 +1645,7 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
       // (pooled) regions this is a flag flip plus the entry-pointer
       // translation into the exec alias; single mappings pay the classic
       // mprotect + icache sync here.
-      PhaseScope Fin(F.Stats.CyclesFinalize);
+      obs::Phase Fin(obs::EventKind::Finalize, F.Stats.CyclesFinalize);
       F.Region->makeExecutable();
       if (F.Entry)
         F.Entry = F.Region->execPtr(F.Entry);
@@ -1679,8 +1676,8 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
     F.Sym = obs::RuntimeSymbolTable::global().registerRegion(
         F.Entry, F.Stats.CodeBytes, SymName,
         F.Prof ? &F.Prof->Samples : nullptr);
-  obs::flightRecord(obs::FlightEvent::CompileEnd, F.Stats.CodeBytes,
-                    F.Stats.CyclesTotal, SymName);
+  obs::recordEvent(obs::EventKind::CompileEnd, F.Stats.CodeBytes,
+                   F.Stats.CyclesTotal, SymName);
   publishCompileMetrics(F, Opts, PE);
   return F;
 }
@@ -1698,7 +1695,7 @@ CompiledFn core::adoptLoadedCode(LoadedCode &&L) {
   // tables. The snapshot layer accounts load latency separately
   // (cache.snapshot.load.cycles).
   {
-    PhaseScope Fin(F.Stats.CyclesFinalize);
+    obs::Phase Fin(obs::EventKind::Finalize, F.Stats.CyclesFinalize);
     F.Region->makeExecutable();
     F.Entry = F.Region->execPtr(F.Region->base());
   }
@@ -1713,7 +1710,6 @@ CompiledFn core::adoptLoadedCode(LoadedCode &&L) {
   F.Sym = obs::RuntimeSymbolTable::global().registerRegion(
       F.Entry, F.Stats.CodeBytes, SymName,
       F.Prof ? &F.Prof->Samples : nullptr);
-  obs::flightRecord(obs::FlightEvent::CompileEnd, F.Stats.CodeBytes, 0,
-                    SymName);
+  obs::recordEvent(obs::EventKind::CompileEnd, F.Stats.CodeBytes, 0, SymName);
   return F;
 }

@@ -16,7 +16,7 @@
 #include "icode/Analysis.h"
 #include "icode/ICode.h"
 
-#include "observability/Trace.h"
+#include "observability/Events.h"
 #include "support/Error.h"
 #include "support/Timing.h"
 
@@ -378,8 +378,7 @@ void *ICode::compileTo(VCode &V, RegAllocKind Kind, CompileStats *Stats,
   CompileStats &S = Stats ? *Stats : Local;
 
   {
-    PhaseScope T(S.CyclesPeephole);
-    obs::TraceSpan Span(obs::SpanKind::Peephole);
+    obs::Phase T(obs::EventKind::Peephole, S.CyclesPeephole);
     eliminateDeadCode(Instrs.data(), Instrs.size(), numRegs(), *A);
   }
   if (Audit && Audit->PostPeephole)
@@ -390,14 +389,12 @@ void *ICode::compileTo(VCode &V, RegAllocKind Kind, CompileStats *Stats,
   // the whole pipeline below is heap-allocation-free in the steady state.
   FlowGraph FG(*A);
   {
-    PhaseScope T(S.CyclesFlowGraph);
-    obs::TraceSpan Span(obs::SpanKind::FlowGraph);
+    obs::Phase T(obs::EventKind::FlowGraph, S.CyclesFlowGraph);
     FG.build(*this);
   }
 
   {
-    PhaseScope T(S.CyclesLiveness);
-    obs::TraceSpan Span(obs::SpanKind::Liveness);
+    obs::Phase T(obs::EventKind::Liveness, S.CyclesLiveness);
     S.NumLivenessIterations = FG.solveLiveness(*this);
   }
 
@@ -406,18 +403,16 @@ void *ICode::compileTo(VCode &V, RegAllocKind Kind, CompileStats *Stats,
   ArenaVector<Interval> Intervals;
   const std::uint8_t *MustSpill = nullptr;
   {
-    PhaseScope T(S.CyclesIntervals);
-    obs::TraceSpan Span(obs::SpanKind::LiveIntervals);
+    obs::Phase T(obs::EventKind::LiveIntervals, S.CyclesIntervals);
     Intervals = buildLiveIntervals(*this, FG);
     MustSpill = computeMustSpill(*this, Intervals.data(), Intervals.size());
   }
 
   Allocation Alloc;
   {
-    PhaseScope T(S.CyclesRegAlloc);
-    obs::TraceSpan Span(Kind == RegAllocKind::LinearScan
-                            ? obs::SpanKind::LinearScan
-                            : obs::SpanKind::GraphColor);
+    obs::Phase T(Kind == RegAllocKind::LinearScan ? obs::EventKind::LinearScan
+                                                  : obs::EventKind::GraphColor,
+                 S.CyclesRegAlloc);
     Alloc =
         Kind == RegAllocKind::LinearScan
             ? allocateLinearScan(*this, Intervals, vcode::VCode::NumIntPool,
@@ -432,8 +427,7 @@ void *ICode::compileTo(VCode &V, RegAllocKind Kind, CompileStats *Stats,
   {
     // The final stat tally stays inside the emit scope so the per-phase
     // cycles keep covering the whole pipeline (tickc-report drift guard).
-    PhaseScope T(S.CyclesEmit);
-    obs::TraceSpan Span(obs::SpanKind::Emit);
+    obs::Phase T(obs::EventKind::Emit, S.CyclesEmit);
     Emitter E(*this, V, Alloc);
     E.run();
     Entry = V.finish();

@@ -2,7 +2,7 @@
 
 #include "observability/Report.h"
 
-#include "observability/Flight.h"
+#include "observability/Events.h"
 #include "observability/Names.h"
 #include "observability/Profile.h"
 #include "observability/RuntimeSymbols.h"
@@ -112,7 +112,7 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
   if (!phaseCoverageOk(S))
     appendf(Out,
             "  WARNING: phases cover only %.1f%% of compile.cycles.total "
-            "(< 95%%) — a timed region lost its PhaseScope; the percentages "
+            "(< 95%%) — a timed region lost its obs::Phase; the percentages "
             "above are understated\n",
             Total ? 100.0 * static_cast<double>(PhaseSum) /
                         static_cast<double>(Total)
@@ -456,21 +456,25 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
     }
   }
 
-  // Flight recorder: the trailing event window a fatal-signal dump would
+  // Flight recorder: the tail of the event ring a fatal-signal dump would
   // print, summarized.
-  FlightRecorder &FR = FlightRecorder::global();
-  if (std::uint64_t Events = FR.eventCount()) {
-    auto Ring = FR.snapshot();
+  EventRing &ER = EventRing::global();
+  if (std::uint64_t Events = ER.eventCount()) {
+    auto Ring = ER.snapshot();
     appendf(Out, "flight recorder: %llu events (%zu in ring%s); last:\n",
             static_cast<unsigned long long>(Events), Ring.size(),
-            FR.fatalHandlerInstalled() ? ", fatal-signal dump armed" : "");
+            ER.fatalHandlerInstalled() ? ", fatal-signal dump armed" : "");
     std::size_t First = Ring.size() > 6 ? Ring.size() - 6 : 0;
-    for (std::size_t I = First; I < Ring.size(); ++I)
-      appendf(Out, "  %-14s %-32s a=%llx b=%llx\n",
-              flightEventName(Ring[I].Kind),
-              Ring[I].Name[0] ? Ring[I].Name : "-",
-              static_cast<unsigned long long>(Ring[I].A),
-              static_cast<unsigned long long>(Ring[I].B));
+    for (std::size_t I = First; I < Ring.size(); ++I) {
+      const EventRing::Record &R = Ring[I];
+      if (isSpan(R.Kind))
+        appendf(Out, "  %-14s tid %-28u %llu cycles\n", eventName(R.Kind),
+                R.Tid, static_cast<unsigned long long>(R.A - R.Tsc));
+      else
+        appendf(Out, "  %-14s %-32s a=%llx b=%llx\n", eventName(R.Kind),
+                R.Name[0] ? R.Name : "-", static_cast<unsigned long long>(R.A),
+                static_cast<unsigned long long>(R.B));
+    }
   }
   return Out;
 }

@@ -37,7 +37,7 @@ std::uint64_t phaseCycleSum(const MetricsSnapshot &S);
 
 /// Drift guard for the phase accounting: true when the per-phase cycle sum
 /// covers at least 95% of names::CompileCyclesTotal (or nothing was
-/// compiled). A false return means a timed region lost its PhaseScope —
+/// compiled). A false return means a timed region lost its obs::Phase —
 /// renderReport() prints a WARNING instead of silently showing stale
 /// percentages, and tests assert this stays true.
 bool phaseCoverageOk(const MetricsSnapshot &S);

@@ -2,7 +2,7 @@
 
 #include "observability/RuntimeSymbols.h"
 
-#include "observability/Flight.h"
+#include "observability/Events.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
 #include "observability/Sampler.h"
@@ -154,8 +154,8 @@ void RuntimeSymbolTable::retire(int Idx) {
   if (!Start)
     return; // Already retired (resetForTesting raced a handle).
 
-  flightRecord(FlightEvent::RegionRetire, Start,
-               S.Size.load(std::memory_order_relaxed), S.Name);
+  recordEvent(EventKind::RegionRetire, Start,
+              S.Size.load(std::memory_order_relaxed), S.Name);
 
   S.Seq.fetch_add(1, std::memory_order_acq_rel);
   S.Start.store(0, std::memory_order_relaxed);
@@ -510,5 +510,5 @@ void tcc::obs::initRuntimeObservabilityFromEnv() {
   if (std::uint64_t Hz = envUInt64("TICKC_SAMPLE_HZ", 0))
     Sampler::global().start(static_cast<unsigned>(Hz));
   if (envUInt64("TICKC_FLIGHT", 0))
-    FlightRecorder::global().installFatalHandler();
+    EventRing::global().installFatalHandler();
 }

@@ -13,7 +13,7 @@
 ///
 ///   * the in-process sampling profiler (Sampler.h), which resolves
 ///     interrupted PCs from a SIGPROF handler;
-///   * the crash-time flight recorder (Flight.h), which names the
+///   * the crash-time flight recorder (Events.h), which names the
 ///     specialization a fatal signal landed in;
 ///   * external `perf`: registrations are exported as the classic
 ///     `/tmp/perf-<pid>.map` text format and/or the binary jitdump format

@@ -2,9 +2,9 @@
 
 #include "support/CodeBuffer.h"
 
+#include "observability/Events.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
-#include "observability/Trace.h"
 #include "support/Error.h"
 
 #include <algorithm>
@@ -112,7 +112,7 @@ void CodeRegion::makeExecutable() {
     Executable = true;
     return;
   }
-  obs::TraceSpan Span(obs::SpanKind::ICacheFlush);
+  obs::Phase Span(obs::EventKind::ICacheFlush);
   if (::mprotect(Mapping, MappingSize, PROT_READ | PROT_EXEC) != 0)
     reportFatalError("mprotect(PROT_EXEC) on code region failed");
   Executable = true;
@@ -160,7 +160,7 @@ struct PoolMetrics {
 
 PooledRegion RegionPool::acquire(std::size_t Capacity,
                                  CodePlacement Placement) {
-  obs::TraceSpan Span(obs::SpanKind::RegionAcquire);
+  obs::Phase Span(obs::EventKind::RegionAcquire);
   {
     std::lock_guard<std::mutex> G(M);
     // First fit: freelist order is release order, so a hot compile loop
@@ -195,7 +195,7 @@ PooledRegion RegionPool::acquireLoaded(const std::uint8_t *Bytes,
 }
 
 void RegionPool::release(CodeRegion *R) {
-  obs::TraceSpan Span(obs::SpanKind::RegionRelease);
+  obs::Phase Span(obs::EventKind::RegionRelease);
   // Flip writable outside the lock: it is an mprotect syscall, and the
   // region is exclusively owned here.
   R->makeWritable();

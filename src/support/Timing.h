@@ -15,7 +15,6 @@
 #ifndef TICKC_SUPPORT_TIMING_H
 #define TICKC_SUPPORT_TIMING_H
 
-#include <cassert>
 #include <cstdint>
 #include <x86intrin.h>
 
@@ -53,63 +52,6 @@ std::uint64_t readMonotonicNanos();
 /// Estimated TSC ticks per nanosecond, measured once at first use. Used to
 /// convert between the two reporting units in the benchmark harnesses.
 double cyclesPerNano();
-
-/// Accumulates time spent in one named phase of dynamic compilation
-/// (e.g. "closure", "IR build", "register allocation", "emit") across many
-/// runs, in TSC ticks. Figures 6 and 7 of the paper are stacked-phase plots
-/// built from exactly this kind of accumulator.
-///
-/// start()/stop() pairs may nest (recursive phases): only the outermost
-/// pair is charged, so re-entry can no longer silently overwrite the start
-/// stamp and corrupt the total. Unbalanced stop() asserts.
-class PhaseTimer {
-public:
-  void start() {
-    if (Depth++ == 0)
-      StartedAt = readCycleCounterBegin();
-  }
-  void stop() {
-    assert(Depth > 0 && "PhaseTimer::stop without matching start");
-    if (--Depth == 0)
-      Total += readCycleCounterEnd() - StartedAt;
-  }
-  std::uint64_t totalCycles() const { return Total; }
-  bool running() const { return Depth > 0; }
-  void reset() {
-    assert(Depth == 0 && "resetting a running PhaseTimer");
-    Total = 0;
-  }
-
-private:
-  std::uint64_t StartedAt = 0;
-  std::uint64_t Total = 0;
-  unsigned Depth = 0;
-};
-
-/// RAII phase measurement: charges the cycles between construction and
-/// destruction to an accumulator (either a raw tick counter or a
-/// PhaseTimer), so early returns and error paths cannot leak a started
-/// phase the way hand-paired start()/stop() calls can.
-class PhaseScope {
-public:
-  explicit PhaseScope(std::uint64_t &Acc)
-      : Acc(&Acc), StartedAt(readCycleCounterBegin()) {}
-  explicit PhaseScope(PhaseTimer &T) : Timer(&T) { T.start(); }
-  ~PhaseScope() {
-    if (Acc)
-      *Acc += readCycleCounterEnd() - StartedAt;
-    else
-      Timer->stop();
-  }
-
-  PhaseScope(const PhaseScope &) = delete;
-  PhaseScope &operator=(const PhaseScope &) = delete;
-
-private:
-  std::uint64_t *Acc = nullptr;
-  PhaseTimer *Timer = nullptr;
-  std::uint64_t StartedAt = 0;
-};
 
 } // namespace tcc
 

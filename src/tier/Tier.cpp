@@ -2,10 +2,9 @@
 
 #include "tier/Tier.h"
 
-#include "observability/Flight.h"
+#include "observability/Events.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
-#include "observability/Trace.h"
 #include "support/Env.h"
 #include "support/Error.h"
 #include "support/Timing.h"
@@ -84,7 +83,7 @@ void TieredFn::requestPromotion() {
   if (!State.compare_exchange_strong(Expected, TierState::Queued))
     return; // Another caller just won the race to enqueue.
 
-  obs::TraceSpan Span(obs::SpanKind::TierEnqueue);
+  obs::Phase Span(obs::EventKind::TierEnqueue);
   {
     support::MutexLock G(M);
     EnqueuedNs = readMonotonicNanos();
@@ -106,17 +105,17 @@ void TieredFn::requestPromotion() {
 void TieredFn::installPromoted(cache::FnHandle NewFn) {
   std::uint64_t StartNs, StartTsc;
   {
-    obs::TraceSpan Swap(obs::SpanKind::TierSwap);
+    obs::Phase Swap(obs::EventKind::TierSwap);
     support::MutexLock G(M);
     StartNs = EnqueuedNs;
     StartTsc = EnqueuedTsc;
     void *OldEntry = Entry.load();
     Promoted = std::move(NewFn);
     Entry.store(Promoted->entry());
-    obs::flightRecord(obs::FlightEvent::TierSwap,
-                      reinterpret_cast<std::uintptr_t>(OldEntry),
-                      reinterpret_cast<std::uintptr_t>(Promoted->entry()),
-                      Prof ? Prof->Name.c_str() : nullptr);
+    obs::recordEvent(obs::EventKind::TierSwapped,
+                     reinterpret_cast<std::uintptr_t>(OldEntry),
+                     reinterpret_cast<std::uintptr_t>(Promoted->entry()),
+                     Prof ? Prof->Name.c_str() : nullptr);
     // From here every new call dispatches to the ICODE body; only callers
     // already past their Entry.load() can still be running the baseline.
   }
@@ -128,7 +127,7 @@ void TieredFn::installPromoted(cache::FnHandle NewFn) {
     // entry (both operations are seq_cst), so waiting on the old parity
     // over-approximates — never under-approximates — the set of threads
     // that can still touch the baseline code.
-    obs::TraceSpan Retire(obs::SpanKind::TierRetire);
+    obs::Phase Retire(obs::EventKind::TierRetire);
     unsigned OldParity = static_cast<unsigned>(Epoch.fetch_add(1)) & 1u;
     while (Pins[OldParity].load() != 0)
       std::this_thread::yield();
@@ -171,13 +170,13 @@ void TieredFn::installBaseline(cache::FnHandle NewFn) {
       .histogram(obs::names::HistTier0SwapLatency)
       .record(readCycleCounter() - CreatedTsc);
   {
-    obs::TraceSpan Swap(obs::SpanKind::TierSwap);
+    obs::Phase Swap(obs::EventKind::TierSwap);
     support::MutexLock G(M);
     Baseline = std::move(NewFn);
     Entry.store(Baseline->entry());
-    obs::flightRecord(obs::FlightEvent::TierSwap, 0,
-                      reinterpret_cast<std::uintptr_t>(Baseline->entry()),
-                      Prof ? Prof->Name.c_str() : nullptr);
+    obs::recordEvent(obs::EventKind::TierSwapped, 0,
+                     reinterpret_cast<std::uintptr_t>(Baseline->entry()),
+                     Prof ? Prof->Name.c_str() : nullptr);
     // From here every new call runs machine code; callers already past
     // their Entry.load() finish on the interpreter, which stays alive for
     // the slot's whole lifetime — nothing retires at this swap.
@@ -338,7 +337,7 @@ void TierManager::promote(const std::shared_ptr<TieredFn> &Fn) {
 
   cache::FnHandle Optimized;
   {
-    obs::TraceSpan Span(obs::SpanKind::TierCompile);
+    obs::Phase Span(obs::EventKind::TierCompile);
     Context Ctx;
     Stmt Body = Fn->Build(Ctx);
     // PromoteOpts inherits Verify from the caller's options, so under
@@ -384,7 +383,7 @@ void TierManager::compileBaseline(const std::shared_ptr<TieredFn> &Fn) {
   publishSlotProfile(*Fn);
   cache::FnHandle B;
   {
-    obs::TraceSpan Span(obs::SpanKind::TierCompile);
+    obs::Phase Span(obs::EventKind::TierCompile);
     Context Ctx;
     Stmt Body = Fn->Build(Ctx);
     B = Fn->Service->getOrCompileKeyed(Ctx, Body, Fn->RetType,

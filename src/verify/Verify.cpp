@@ -8,7 +8,7 @@
 #include "verify/Verify.h"
 #include "verify/VerifyInternal.h"
 
-#include "observability/Flight.h"
+#include "observability/Events.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
 #include "support/Error.h"
@@ -129,9 +129,9 @@ void recordOutcome(Layer L, bool Failed, std::uint64_t Cycles) {
 
 void failCompile(const Result &R) {
   std::string Report = R.render();
-  obs::flightRecord(obs::FlightEvent::VerifyFail, 0, 0,
-                    R.diags().empty() ? "verify"
-                                      : R.diags().front().Category.c_str());
+  obs::recordEvent(obs::EventKind::VerifyFail, 0, 0,
+                   R.diags().empty() ? "verify"
+                                     : R.diags().front().Category.c_str());
   std::fwrite(Report.data(), 1, Report.size(), stderr);
   reportFatalError("verification failed: the compile pipeline produced "
                    "output that violates its own invariants (see report "

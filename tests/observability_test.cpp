@@ -1,10 +1,11 @@
 //===- tests/observability_test.cpp - Tracing/metrics/profiling tests -----===//
 //
 // Covers the observability subsystem end to end: the trace exporter (valid
-// JSON, balanced begin/end pairs, multi-thread interleaving), histogram
-// bucketing edges, PhaseTimer re-entrancy, the phase-sum-vs-total report
-// invariant, cache metric mirroring, and generated-code invocation
-// profiling under concurrent load on both back ends.
+// JSON, balanced begin/end pairs, multi-thread interleaving, span durations
+// equal to the phase stats they were charged to), histogram bucketing
+// edges, the phase-sum-vs-total report invariant, cache metric mirroring,
+// and generated-code invocation profiling under concurrent load on both
+// back ends.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,7 +13,7 @@
 #include "observability/Names.h"
 #include "observability/Profile.h"
 #include "observability/Report.h"
-#include "observability/Trace.h"
+#include "observability/Events.h"
 
 #include "apps/Power.h"
 #include "cache/CompileService.h"
@@ -285,12 +286,12 @@ JValue loadAndValidateTrace(const std::string &Path) {
 TEST(Trace, ExportsValidBalancedJson) {
   obs::traceStart(nullptr);
   {
-    obs::TraceSpan Outer(obs::SpanKind::CompileTotal);
+    obs::Phase Outer(obs::EventKind::CompileTotal);
     {
-      obs::TraceSpan Walk(obs::SpanKind::CGFWalk);
+      obs::Phase Walk(obs::EventKind::CGFWalk);
     }
     {
-      obs::TraceSpan EmitS(obs::SpanKind::Emit);
+      obs::Phase EmitS(obs::EventKind::Emit);
     }
   }
   std::string Path = tracePath("obs_trace_basic.json");
@@ -345,8 +346,8 @@ TEST(Trace, MultiThreadInterleaving) {
   for (unsigned T = 0; T < Threads; ++T)
     Pool.emplace_back([] {
       for (unsigned I = 0; I < PerThread; ++I) {
-        obs::TraceSpan Outer(obs::SpanKind::CacheProbe);
-        obs::TraceSpan Inner(obs::SpanKind::Emit);
+        obs::Phase Outer(obs::EventKind::CacheProbe);
+        obs::Phase Inner(obs::EventKind::Emit);
       }
     });
   for (std::thread &T : Pool)
@@ -379,7 +380,7 @@ TEST(Trace, MultiThreadInterleaving) {
 TEST(Trace, DisabledRecordsNothing) {
   ASSERT_FALSE(obs::traceEnabled());
   {
-    obs::TraceSpan S(obs::SpanKind::CompileTotal); // Must not arm.
+    obs::Phase S(obs::EventKind::CompileTotal); // Must not arm.
   }
   obs::traceStart(nullptr);
   std::string Path = tracePath("obs_trace_empty.json");
@@ -387,6 +388,43 @@ TEST(Trace, DisabledRecordsNothing) {
   JValue Events = loadAndValidateTrace(Path);
   EXPECT_TRUE(Events.A.empty());
   std::remove(Path.c_str());
+}
+
+TEST(Trace, SpanDurationsEqualPhaseStats) {
+  // One clock pair per phase: the span a traced compile leaves in the ring
+  // and the stat the compile reports are the same measurement.
+  obs::EventRing &Ring = obs::EventRing::global();
+  std::uint64_t From = Ring.eventCount();
+  obs::traceStart(nullptr);
+  Context C;
+  VSpec X = C.paramInt(0);
+  CompileOptions O;
+  O.Backend = BackendKind::ICode;
+  O.RegAlloc = icode::RegAllocKind::LinearScan;
+  CompiledFn F = compileFn(C, C.ret(C.read(X) * C.intConst(3) + C.intConst(1)),
+                           EvalType::Int, O);
+  ASSERT_TRUE(obs::traceStopTo(nullptr));
+  ASSERT_EQ(F.as<int(int)>()(5), 16);
+
+  std::map<obs::EventKind, std::vector<std::uint64_t>> Spans;
+  for (const obs::EventRing::Record &R : Ring.snapshot(From))
+    if (obs::isSpan(R.Kind))
+      Spans[R.Kind].push_back(R.A - R.Tsc);
+  const DynStats &S = F.stats();
+  const std::pair<obs::EventKind, std::uint64_t> Expected[] = {
+      {obs::EventKind::CGFWalk, S.CyclesWalk},
+      {obs::EventKind::Peephole, S.ICode.CyclesPeephole},
+      {obs::EventKind::FlowGraph, S.ICode.CyclesFlowGraph},
+      {obs::EventKind::Liveness, S.ICode.CyclesLiveness},
+      {obs::EventKind::LiveIntervals, S.ICode.CyclesIntervals},
+      {obs::EventKind::LinearScan, S.ICode.CyclesRegAlloc},
+      {obs::EventKind::Emit, S.ICode.CyclesEmit},
+  };
+  for (const auto &[Kind, Cycles] : Expected) {
+    ASSERT_EQ(Spans[Kind].size(), 1u) << obs::eventName(Kind);
+    EXPECT_GT(Cycles, 0u) << obs::eventName(Kind);
+    EXPECT_EQ(Spans[Kind][0], Cycles) << obs::eventName(Kind);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -442,30 +480,6 @@ TEST(Metrics, SnapshotLookupAndEmptyHistogramMin) {
   ASSERT_NE(S.histogram("test.empty"), nullptr);
   EXPECT_EQ(S.histogram("test.empty")->Min, 0u) << "empty min reads as 0";
   EXPECT_EQ(S.histogram("nope"), nullptr);
-}
-
-//===----------------------------------------------------------------------===//
-// PhaseTimer re-entrancy
-//===----------------------------------------------------------------------===//
-
-TEST(PhaseTimer, NestedStartsChargeOutermostSpanOnce) {
-  PhaseTimer T;
-  T.start();
-  EXPECT_TRUE(T.running());
-  std::uint64_t Spin = readCycleCounter();
-  while (readCycleCounter() - Spin < 10000)
-    ;
-  T.start(); // Re-entrant: must not reset StartedAt.
-  T.stop();
-  EXPECT_TRUE(T.running()) << "inner stop must not end the outer span";
-  EXPECT_EQ(T.totalCycles(), 0u) << "nothing charged until the outer stop";
-  T.stop();
-  EXPECT_FALSE(T.running());
-  // The outer span covered the spin wait; a corrupted StartedAt (the old
-  // re-entrancy bug) would charge only the tail after the inner start.
-  EXPECT_GE(T.totalCycles(), 10000u);
-  T.reset();
-  EXPECT_EQ(T.totalCycles(), 0u);
 }
 
 //===----------------------------------------------------------------------===//

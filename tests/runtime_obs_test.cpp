@@ -5,7 +5,8 @@
 // profiler (attribution of samples to a known-hot specialization, folded
 // stacks), sample-driven tier promotion, the crash-time flight recorder
 // (ring semantics and the fatal-signal dump, via a death test faulting
-// inside a deliberately corrupted registered region), the shared metrics
+// inside a deliberately corrupted registered region, with and without
+// trace spans in the shared event ring), the shared metrics
 // JSON writer, and symbol-table churn under multi-threaded tier promotion
 // and cache eviction (run under -fsanitize=thread in CI).
 //
@@ -16,7 +17,7 @@
 #include "cache/CompileService.h"
 #include "core/Compile.h"
 #include "core/Context.h"
-#include "observability/Flight.h"
+#include "observability/Events.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
 #include "observability/Report.h"
@@ -230,7 +231,7 @@ TEST(Sampler, AttributesHotLoopSamplesToItsSymbol) {
   auto Until = std::chrono::steady_clock::now() + std::chrono::seconds(4);
   volatile int Sink = 0;
   while (S.totalSamples() < 200 && std::chrono::steady_clock::now() < Until)
-    Sink = Sink + Fn(1 << 16);
+    Sink = int(unsigned(Sink) + unsigned(Fn(1 << 16))); // Wraps, no UB.
   S.stop();
   EXPECT_FALSE(S.running());
 
@@ -331,48 +332,48 @@ TEST(Tier, SampleSignalPromotesWhenInvocationCounterCannotFire) {
 // --- Flight recorder ---------------------------------------------------------
 
 TEST(Flight, RecordSnapshotAndWrap) {
-  FlightRecorder &FR = FlightRecorder::global();
+  EventRing &FR = EventRing::global();
   FR.resetForTesting();
 
-  flightRecord(FlightEvent::CompileBegin, 1, 0, "flt_first");
-  flightRecord(FlightEvent::CompileEnd, 2, 3, "flt_first");
-  flightRecord(FlightEvent::TierSwap, 4, 5, "flt_swap");
+  recordEvent(EventKind::CompileBegin, 1, 0, "flt_first");
+  recordEvent(EventKind::CompileEnd, 2, 3, "flt_first");
+  recordEvent(EventKind::TierSwapped, 4, 5, "flt_swap");
   EXPECT_EQ(FR.eventCount(), 3u);
 
-  std::vector<FlightRecorder::Record> Snap = FR.snapshot();
+  std::vector<EventRing::Record> Snap = FR.snapshot();
   ASSERT_EQ(Snap.size(), 3u);
-  EXPECT_EQ(Snap[0].Kind, FlightEvent::CompileBegin);
+  EXPECT_EQ(Snap[0].Kind, EventKind::CompileBegin);
   EXPECT_STREQ(Snap[0].Name, "flt_first");
   EXPECT_EQ(Snap[1].A, 2u);
   EXPECT_EQ(Snap[1].B, 3u);
-  EXPECT_EQ(Snap[2].Kind, FlightEvent::TierSwap);
+  EXPECT_EQ(Snap[2].Kind, EventKind::TierSwapped);
   EXPECT_STREQ(Snap[2].Name, "flt_swap");
 
   // Overfill the ring: only the newest Capacity records survive, in order.
-  for (unsigned I = 0; I < FlightRecorder::Capacity + 40; ++I)
-    flightRecord(FlightEvent::CacheEvict, I, 0, "flt_wrap");
+  for (unsigned I = 0; I < EventRing::Capacity + 40; ++I)
+    recordEvent(EventKind::CacheEvict, I, 0, "flt_wrap");
   Snap = FR.snapshot();
-  ASSERT_EQ(Snap.size(), (std::size_t)FlightRecorder::Capacity);
-  EXPECT_EQ(Snap.back().A, FlightRecorder::Capacity + 39u);
-  EXPECT_EQ(Snap.front().A + FlightRecorder::Capacity - 1, Snap.back().A);
+  ASSERT_EQ(Snap.size(), (std::size_t)EventRing::Capacity);
+  EXPECT_EQ(Snap.back().A, EventRing::Capacity + 39u);
+  EXPECT_EQ(Snap.front().A + EventRing::Capacity - 1, Snap.back().A);
 
-  EXPECT_STREQ(flightEventName(FlightEvent::VerifyFail), "verify.fail");
-  EXPECT_STREQ(flightEventName(FlightEvent::RegionRetire), "region.retire");
+  EXPECT_STREQ(eventName(EventKind::VerifyFail), "verify.fail");
+  EXPECT_STREQ(eventName(EventKind::RegionRetire), "region.retire");
 }
 
 TEST(Flight, CompilePipelineFeedsTheRing) {
-  FlightRecorder &FR = FlightRecorder::global();
+  EventRing &FR = EventRing::global();
   FR.resetForTesting();
   Context C;
   CompiledFn F = compileHotLoop(C, "flt_compiled");
   ASSERT_NE(F.entry(), nullptr);
 
   bool SawBegin = false, SawEnd = false;
-  for (const FlightRecorder::Record &R : FR.snapshot()) {
-    if (R.Kind == FlightEvent::CompileBegin &&
+  for (const EventRing::Record &R : FR.snapshot()) {
+    if (R.Kind == EventKind::CompileBegin &&
         !std::strcmp(R.Name, "flt_compiled"))
       SawBegin = true;
-    if (R.Kind == FlightEvent::CompileEnd &&
+    if (R.Kind == EventKind::CompileEnd &&
         !std::strcmp(R.Name, "flt_compiled")) {
       SawEnd = true;
       EXPECT_EQ(R.A, F.stats().CodeBytes);
@@ -384,17 +385,24 @@ TEST(Flight, CompilePipelineFeedsTheRing) {
   // Destroying the function retires its region into the ring.
   F = CompiledFn();
   bool SawRetire = false;
-  for (const FlightRecorder::Record &R : FR.snapshot())
-    SawRetire |= R.Kind == FlightEvent::RegionRetire &&
+  for (const EventRing::Record &R : FR.snapshot())
+    SawRetire |= R.Kind == EventKind::RegionRetire &&
                  !std::strcmp(R.Name, "flt_compiled");
   EXPECT_TRUE(SawRetire);
 }
 
 /// Maps a page, fills it with ud2, registers it as a symbol, and jumps in —
 /// the fatal-signal handler must dump the ring and name the faulting
-/// specialization on stderr before the process dies of SIGILL.
-[[noreturn]] void crashInsideCorruptedRegion() {
-  FlightRecorder::global().installFatalHandler();
+/// specialization on stderr before the process dies of SIGILL. \p Traced
+/// first records a traced compile, whose spans share the ring with the
+/// instants and so must show up in the dump too.
+[[noreturn]] void crashInsideCorruptedRegion(bool Traced) {
+  EventRing::global().installFatalHandler();
+  if (Traced) {
+    traceStart(nullptr);
+    Context C;
+    CompiledFn F = compileHotLoop(C, "traced_before_crash");
+  }
   void *P = mmap(nullptr, 4096, PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (P == MAP_FAILED)
@@ -406,14 +414,17 @@ TEST(Flight, CompilePipelineFeedsTheRing) {
     _exit(98);
   SymbolHandle H = RuntimeSymbolTable::global().registerRegion(
       P, 4096, "corrupted_region", nullptr);
-  flightRecord(FlightEvent::CompileEnd, 4096, 0, "corrupted_region");
+  recordEvent(EventKind::CompileEnd, 4096, 0, "corrupted_region");
   reinterpret_cast<void (*)()>(P)();
   _exit(99); // Unreachable.
 }
 
 TEST(Flight, FatalSignalDumpNamesTheFaultingRegion) {
-  EXPECT_DEATH(crashInsideCorruptedRegion(),
+  EXPECT_DEATH(crashInsideCorruptedRegion(false),
                "flight recorder(.|\n)*corrupted_region");
+  EXPECT_DEATH(crashInsideCorruptedRegion(true),
+               "flight recorder(.|\n)* span cgf-walk tid=(.|\n)*"
+               "corrupted_region");
 }
 
 // --- Metrics JSON ------------------------------------------------------------
@@ -457,10 +468,10 @@ TEST(Metrics, SnapshotJsonShape) {
 
 TEST(Report, PhaseCoverageHoldsAfterRealCompiles) {
   // Serial compiles on a clean registry: every timed region runs under its
-  // PhaseScope, so the drift guard must hold (concurrent suites can land
+  // obs::Phase, so the drift guard must hold (concurrent suites can land
   // sampler ticks between scopes and legitimately dip below the bar). The
   // bodies are deliberately large — the guard exists to catch a lost
-  // PhaseScope, not the fixed rdtsc epsilon of the scopes themselves,
+  // obs::Phase, not the fixed rdtsc epsilon of the scopes themselves,
   // which only shows above 5% on near-empty compiles. One warm-up compile
   // first: cold-start page faults land between scopes and skew the ratio.
   {
@@ -491,7 +502,7 @@ TEST(Report, PhaseCoverageHoldsAfterRealCompiles) {
 
 TEST(Report, PhaseCoverageDriftTriggersWarning) {
   // A snapshot claiming compiles happened but carrying no phase counters
-  // models a timed region that lost its PhaseScope.
+  // models a timed region that lost its obs::Phase.
   MetricsSnapshot S;
   S.Counters.push_back({std::string(names::CompileCyclesTotal), 1000000});
   EXPECT_FALSE(phaseCoverageOk(S));

@@ -57,10 +57,15 @@ struct BinCase {
   int (*Ref)(int, int);
 };
 
+// add/sub/mul references wrap mod 2^32 like the machine ops; signed
+// overflow in the reference itself would be undefined behaviour.
 const BinCase BinCases[] = {
-    {"add", &VCode::addI, [](int A, int B) { return A + B; }},
-    {"sub", &VCode::subI, [](int A, int B) { return A - B; }},
-    {"mul", &VCode::mulI, [](int A, int B) { return A * B; }},
+    {"add", &VCode::addI,
+     [](int A, int B) { return int(unsigned(A) + unsigned(B)); }},
+    {"sub", &VCode::subI,
+     [](int A, int B) { return int(unsigned(A) - unsigned(B)); }},
+    {"mul", &VCode::mulI,
+     [](int A, int B) { return int(unsigned(A) * unsigned(B)); }},
     {"and", &VCode::andI, [](int A, int B) { return A & B; }},
     {"or", &VCode::orI, [](int A, int B) { return A | B; }},
     {"xor", &VCode::xorI, [](int A, int B) { return A ^ B; }},
