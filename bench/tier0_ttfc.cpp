@@ -439,10 +439,10 @@ ProfiledUnrollResult profiledUnroll() {
   CompileService S(serviceConfig(true));
   TierManager TM(tierConfig(64));
 
-  // The static heuristic's answer: same spec, ICODE, no trip profile.
+  // The static heuristic's answer: same spec, ICODE without the prologue
+  // (as the promoted tier compiles), no trip profile.
   CompileOptions Static;
   Static.Backend = BackendKind::ICode;
-  Static.Profile = true;
   Context SC;
   FnHandle FStatic = S.getOrCompile(SC, buildBigLoopSpec(SC, 1), EvalType::Int,
                                     Static);

@@ -8,12 +8,13 @@
 //   promote — enqueue -> slot-swap latency of a background promotion: how
 //             long a hot function stays on the baseline tier once noticed.
 //   steady  — post-promotion per-call cost against pure-VCODE and
-//             pure-ICODE handles. Tiered must converge to ICODE.
+//             pure-ICODE handles. Tiered must converge to ICODE, both
+//             through handle() and through call<>() on the slot.
 //
-// All three tiers compile with CompileOptions::Profile so the prologue
-// counter cost is identical across configurations; an unprofiled ICODE
-// column is reported as the no-instrumentation reference. Writes
-// BENCH_tier.json.
+// The single-tier columns compile with CompileOptions::Profile, as the
+// baseline tier does. The promoted tier drops the prologue (no tier sits
+// above it), so the steady-state gates divide by the unprofiled ICODE
+// column. Writes BENCH_tier.json.
 //
 //===----------------------------------------------------------------------===//
 
@@ -257,24 +258,31 @@ Dist promotionLatency(Workload &W, unsigned Base, unsigned N) {
   return distribution(Samples);
 }
 
-/// Per-call ns through \p Fn, measured in batches of \p K calls.
-Dist perCall(const std::function<int()> &Fn, unsigned Batches = 60,
-             unsigned K = 4000) {
-  for (unsigned I = 0; I < K; ++I)
-    Sink = Sink + Fn(); // Warm.
-  std::vector<double> Samples;
-  Samples.reserve(Batches);
-  for (unsigned B = 0; B < Batches; ++B) {
-    std::uint64_t T0 = readMonotonicNanos();
-    int Acc = 0;
+/// Per-call ns through each of \p Fns, measured in batches of \p K calls.
+/// The batches rotate across the functions, so a change in host speed
+/// during the measurement lands on all of them alike and the ratios the
+/// gates take stay within one stretch of time.
+std::vector<Dist> perCall(const std::vector<std::function<int()>> &Fns,
+                          unsigned Batches = 60, unsigned K = 4000) {
+  for (const std::function<int()> &Fn : Fns)
     for (unsigned I = 0; I < K; ++I)
-      Acc += Fn();
-    std::uint64_t T1 = readMonotonicNanos();
-    Sink = Sink + Acc;
-    Samples.push_back(static_cast<double>(T1 - T0) /
-                      static_cast<double>(K));
-  }
-  return distribution(Samples);
+      Sink = Sink + Fn(); // Warm.
+  std::vector<std::vector<double>> Samples(Fns.size());
+  for (unsigned B = 0; B < Batches; ++B)
+    for (std::size_t J = 0; J < Fns.size(); ++J) {
+      std::uint64_t T0 = readMonotonicNanos();
+      int Acc = 0;
+      for (unsigned I = 0; I < K; ++I)
+        Acc += Fns[J]();
+      std::uint64_t T1 = readMonotonicNanos();
+      Sink = Sink + Acc;
+      Samples[J].push_back(static_cast<double>(T1 - T0) /
+                           static_cast<double>(K));
+    }
+  std::vector<Dist> Out;
+  for (std::vector<double> &S : Samples)
+    Out.push_back(distribution(S));
+  return Out;
 }
 
 struct SteadyResult {
@@ -297,8 +305,8 @@ SteadyResult steadyState(Workload &W, unsigned I) {
   Unprofiled.Backend = BackendKind::ICode;
   FnHandle FIU = W.Cached(I, S, Unprofiled);
 
-  // The tiered slot shares FV's cache entry (same spec, same options);
-  // drive it across the threshold and wait for the background swap.
+  // The slot promotes to ICODE without the prologue, like FIU; drive it
+  // across the threshold and wait for the background swap.
   TieredFnHandle TF = W.Tiered(I, S, TM);
   while (!TF->promoted()) {
     for (unsigned C = 0; C < 64; ++C)
@@ -310,15 +318,14 @@ SteadyResult steadyState(Workload &W, unsigned I) {
     }
   }
 
-  SteadyResult R;
-  R.VCode = perCall([&] { return W.Call(FV->entry()); });
-  R.ICode = perCall([&] { return W.Call(FI->entry()); });
-  R.ICodeUnprofiled = perCall([&] { return W.Call(FIU->entry()); });
   // Batch path: take the promoted handle once, amortized over the loop.
   FnHandle TH = TF->handle();
-  R.Tiered = perCall([&] { return W.Call(TH->entry()); });
-  R.TieredSlot = perCall([&] { return W.CallSlot(*TF); });
-  return R;
+  std::vector<Dist> D = perCall({[&] { return W.Call(FV->entry()); },
+                                 [&] { return W.Call(FI->entry()); },
+                                 [&] { return W.Call(FIU->entry()); },
+                                 [&] { return W.Call(TH->entry()); },
+                                 [&] { return W.CallSlot(*TF); }});
+  return {D[0], D[1], D[2], D[3], D[4]};
 }
 
 //===----------------------------------------------------------------------===//
@@ -331,8 +338,24 @@ struct WorkloadResult {
   Dist Promote;
   SteadyResult Steady;
   double TtfcRatio = 0;   ///< tiered / vcode, p50.
-  double SteadyRatio = 0; ///< tiered / icode, p50.
+  double SteadyRatio = 0; ///< tiered / unprofiled icode, p50.
+  double SlotRatio = 0;   ///< via-slot / unprofiled icode, p50.
 };
+
+/// Gate limits; the slot gate also passes within SlotSlackNs of the body.
+constexpr double SteadyLimit = 1.05;
+constexpr double SlotLimit = 1.25;
+constexpr double SlotSlackNs = 2.0;
+
+bool slotOk(const SteadyResult &S) {
+  return S.TieredSlot.P50 <= SlotLimit * S.ICodeUnprofiled.P50 ||
+         S.TieredSlot.P50 <= S.ICodeUnprofiled.P50 + SlotSlackNs;
+}
+
+/// Gates an attempt fails, for the best-of-3 retry.
+unsigned steadyFailures(const SteadyResult &S, double Ratio) {
+  return (Ratio > SteadyLimit) + !slotOk(S);
+}
 
 void report(const WorkloadResult &R) {
   std::printf("%-6s ttfc p50: vcode %.0f ns, icode %.0f ns, tiered %.0f ns "
@@ -343,10 +366,10 @@ void report(const WorkloadResult &R) {
               R.Name.c_str(), R.Promote.P50, R.Promote.P99);
   std::printf("%-6s steady p50/call: vcode %.2f ns, icode %.2f ns "
               "(unprofiled %.2f ns), tiered %.2f ns, via-slot %.2f ns "
-              "(tiered/icode = %.3fx)\n\n",
+              "(over unprofiled icode: tiered %.3fx, via-slot %.3fx)\n\n",
               R.Name.c_str(), R.Steady.VCode.P50, R.Steady.ICode.P50,
               R.Steady.ICodeUnprofiled.P50, R.Steady.Tiered.P50,
-              R.Steady.TieredSlot.P50, R.SteadyRatio);
+              R.Steady.TieredSlot.P50, R.SteadyRatio, R.SlotRatio);
 }
 
 void emitDist(std::FILE *F, const char *Key, const Dist &D, const char *Tail) {
@@ -369,8 +392,9 @@ void emitJson(std::FILE *F, const WorkloadResult &R, bool Last) {
   emitDist(F, "steady_tiered_slot_ns_per_call", R.Steady.TieredSlot, ",");
   std::fprintf(F,
                "     \"ttfc_tiered_over_vcode_p50\": %.3f,\n"
-               "     \"steady_tiered_over_icode_p50\": %.3f}%s\n",
-               R.TtfcRatio, R.SteadyRatio, Last ? "" : ",");
+               "     \"steady_tiered_over_icode_p50\": %.3f,\n"
+               "     \"steady_slot_over_icode_unprofiled_p50\": %.3f}%s\n",
+               R.TtfcRatio, R.SteadyRatio, R.SlotRatio, Last ? "" : ",");
 }
 
 WorkloadResult runWorkload(Workload W) {
@@ -401,12 +425,17 @@ WorkloadResult runWorkload(Workload W) {
 
   for (unsigned Attempt = 0; Attempt < 3; ++Attempt) {
     SteadyResult SR = steadyState(W, 700 + Attempt);
-    double Ratio = SR.ICode.P50 > 0 ? SR.Tiered.P50 / SR.ICode.P50 : 0;
-    if (Attempt == 0 || Ratio < R.SteadyRatio) {
+    double Base = SR.ICodeUnprofiled.P50;
+    double Ratio = Base > 0 ? SR.Tiered.P50 / Base : 0;
+    unsigned Fails = steadyFailures(SR, Ratio);
+    unsigned BestFails = steadyFailures(R.Steady, R.SteadyRatio);
+    if (Attempt == 0 || Fails < BestFails ||
+        (Fails == BestFails && Ratio < R.SteadyRatio)) {
       R.Steady = SR;
       R.SteadyRatio = Ratio;
+      R.SlotRatio = Base > 0 ? SR.TieredSlot.P50 / Base : 0;
     }
-    if (R.SteadyRatio <= 1.05)
+    if (!steadyFailures(R.Steady, R.SteadyRatio))
       break;
   }
   return R;
@@ -450,11 +479,19 @@ int main() {
                    R.Name.c_str(), R.TtfcRatio);
       Ok = false;
     }
-    if (R.SteadyRatio > 1.05) {
+    if (R.SteadyRatio > SteadyLimit) {
       std::fprintf(stderr,
-                   "FAIL: %s tiered steady state %.3fx pure icode "
-                   "(limit 1.05x)\n",
-                   R.Name.c_str(), R.SteadyRatio);
+                   "FAIL: %s tiered steady state %.3fx unprofiled icode "
+                   "(limit %.2fx)\n",
+                   R.Name.c_str(), R.SteadyRatio, SteadyLimit);
+      Ok = false;
+    }
+    if (!slotOk(R.Steady)) {
+      std::fprintf(stderr,
+                   "FAIL: %s via-slot call %.2f ns = %.3fx unprofiled icode "
+                   "%.2f ns (limit %.2fx or +%.0f ns)\n",
+                   R.Name.c_str(), R.Steady.TieredSlot.P50, R.SlotRatio,
+                   R.Steady.ICodeUnprofiled.P50, SlotLimit, SlotSlackNs);
       Ok = false;
     }
   }

@@ -1560,6 +1560,7 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
       verify::failCompile(R);
   }
   CompiledFn F;
+  F.Backend = Opts.Backend;
   if (Opts.Profile)
     F.Prof = obs::ProfileRegistry::global().create(
         Opts.ProfileName ? Opts.ProfileName : "");
@@ -1670,8 +1671,8 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
   }
   // Register the finalized region so the sampler, the flight recorder, and
   // external perf can symbolize its PCs. The handle retires in ~CompiledFn
-  // (declared after Region/Prof), which the tier manager only runs after
-  // the dispatch epoch drains — retirement is epoch-consistent for free.
+  // (declared after Region/Prof), which a tier slot only runs once the
+  // slot itself dies — no caller can still be executing the region.
   if (F.Entry && F.Stats.CodeBytes)
     F.Sym = obs::RuntimeSymbolTable::global().registerRegion(
         F.Entry, F.Stats.CodeBytes, SymName,
@@ -1687,6 +1688,7 @@ CompiledFn core::adoptLoadedCode(LoadedCode &&L) {
   CompiledFn F;
   F.Region = std::move(L.Region);
   F.Prof = std::move(L.Prof);
+  F.Backend = L.Backend;
   F.FromSnapshot = true;
   F.Stats.CodeBytes = L.CodeBytes;
   F.Stats.MachineInstrs = L.MachineInstrs;

@@ -158,6 +158,9 @@ public:
   /// manager's dispatch slots) that must keep reading the counter after
   /// they drop the function handle itself.
   std::shared_ptr<obs::ProfileEntry> profileShared() const { return Prof; }
+  /// The back end that generated this code (CompileOptions::Backend; for a
+  /// snapshot load, the back end the request's key named).
+  BackendKind backend() const { return Backend; }
   /// True when this function was revived from a persistent snapshot
   /// (src/persist) rather than compiled in this process. Lets the cache
   /// and tier layers classify warm-start loads separately from compiles.
@@ -171,6 +174,7 @@ private:
   PooledRegion Region;
   void *Entry = nullptr;
   DynStats Stats;
+  BackendKind Backend = BackendKind::VCode;
   bool FromSnapshot = false;
   std::shared_ptr<obs::ProfileEntry> Prof;
   /// Runtime symbol registration. Declared last on purpose: destruction
@@ -198,6 +202,8 @@ struct LoadedCode {
   std::shared_ptr<obs::ProfileEntry> Prof;
   /// Runtime symbol name (copied; may be null for a generic label).
   const char *SymbolName = nullptr;
+  /// The back end the request's options named (part of the record's key).
+  BackendKind Backend = BackendKind::VCode;
 };
 
 /// Finalizes a loaded region (W^X flip + icache discipline) and wraps it in

@@ -29,7 +29,7 @@ constexpr const char *EventNames[] = {
     "flow-graph", "liveness", "live-intervals", "linear-scan", "graph-color",
     "peephole", "emit", "finalize", "verify", "icache-flush",
     "region-acquire", "region-release", "tier-enqueue", "tier-compile",
-    "tier-swap", "tier-retire",
+    "tier-swap",
     // Instants.
     "compile.begin", "compile.end", "tier.swap", "cache.evict", "verify.fail",
     "region.retire"};

@@ -65,7 +65,6 @@ enum class EventKind : std::uint8_t {
   TierEnqueue,     ///< Promotion request pushed onto the tier queue.
   TierCompile,     ///< Background recompile of a spec.
   TierSwap,        ///< Dispatch-slot swap to the new entry.
-  TierRetire,      ///< Epoch drain + release of the retired VCODE region.
   // Instants.
   CompileBegin, ///< A = SpecKey hash (0 if uncacheable), Name = symbol.
   CompileEnd,   ///< A = code bytes, B = total compile cycles.

@@ -122,6 +122,7 @@ inline constexpr char TierCompiled[] = "tier.promote.compiled";
 inline constexpr char TierStale[] = "tier.promote.stale";
 inline constexpr char TierAbandoned[] = "tier.promote.abandoned";
 inline constexpr char TierPromotions[] = "tier.promotions";
+/// Superseded baselines, counted when their dispatch slot dies.
 inline constexpr char TierRetiredFns[] = "tier.retired.fns";
 inline constexpr char TierRetiredBytes[] = "tier.retired.bytes";
 /// Enqueue -> dispatch-slot swap, TSC ticks per promotion.

@@ -49,7 +49,8 @@ struct ProfileEntry {
   std::atomic<std::uint64_t> Samples{0};
   /// Invocation count at which the tier manager promotes the function to
   /// the optimizing back end; 0 when the function is not tier-managed
-  /// (src/tier reads Invocations against this after every dispatched call).
+  /// (src/tier reads Invocations against this after each dispatched call
+  /// until the slot is queued for promotion).
   std::atomic<std::uint64_t> PromoteThreshold{0};
 };
 

@@ -285,7 +285,7 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
             static_cast<unsigned long long>(S.counter(names::TierQueueFull)),
             static_cast<unsigned long long>(S.counter(names::TierStale)),
             static_cast<unsigned long long>(S.counter(names::TierAbandoned)));
-    appendf(Out, "  retired: %llu vcode fns, %llu code bytes; "
+    appendf(Out, "  retired: %llu baseline fns, %llu code bytes; "
                  "%llu single-flight waits\n",
             static_cast<unsigned long long>(S.counter(names::TierRetiredFns)),
             static_cast<unsigned long long>(

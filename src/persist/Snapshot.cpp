@@ -617,6 +617,7 @@ core::CompiledFn SnapshotCache::tryLoad(const cache::PersistKey &K,
   L.MachineInstrs = rd32(R + OffMachineInstrs);
   L.Prof = std::move(Prof);
   L.SymbolName = Opts.SymbolName ? Opts.SymbolName : Opts.ProfileName;
+  L.Backend = Opts.Backend;
   core::CompiledFn F = core::adoptLoadedCode(std::move(L));
 
   GM.Hits.inc();

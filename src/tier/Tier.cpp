@@ -102,6 +102,16 @@ void TieredFn::requestPromotion() {
   State.store(TierState::Baseline);
 }
 
+TieredFn::~TieredFn() {
+  // Retirement: the baseline a promotion superseded is released only here,
+  // once no caller can hold the slot.
+  support::MutexLock G(M);
+  if (Promoted && Baseline) {
+    counter(obs::names::TierRetiredFns).inc();
+    counter(obs::names::TierRetiredBytes).inc(Baseline->stats().CodeBytes);
+  }
+}
+
 void TieredFn::installPromoted(cache::FnHandle NewFn) {
   std::uint64_t StartNs, StartTsc;
   {
@@ -116,35 +126,9 @@ void TieredFn::installPromoted(cache::FnHandle NewFn) {
                      reinterpret_cast<std::uintptr_t>(OldEntry),
                      reinterpret_cast<std::uintptr_t>(Promoted->entry()),
                      Prof ? Prof->Name.c_str() : nullptr);
-    // From here every new call dispatches to the ICODE body; only callers
-    // already past their Entry.load() can still be running the baseline.
-  }
-
-  {
-    // Retire the VCODE region: flip the epoch parity, then wait out the
-    // stragglers pinned on the old side. A reader that pinned the old
-    // parity *after* our Entry.store above necessarily loaded the new
-    // entry (both operations are seq_cst), so waiting on the old parity
-    // over-approximates — never under-approximates — the set of threads
-    // that can still touch the baseline code.
-    obs::Phase Retire(obs::EventKind::TierRetire);
-    unsigned OldParity = static_cast<unsigned>(Epoch.fetch_add(1)) & 1u;
-    while (Pins[OldParity].load() != 0)
-      std::this_thread::yield();
-
-    cache::FnHandle Old;
-    {
-      support::MutexLock G(M);
-      Old = std::move(Baseline);
-      Baseline.reset();
-    }
-    if (Old) {
-      counter(obs::names::TierRetiredFns).inc();
-      counter(obs::names::TierRetiredBytes).inc(Old->stats().CodeBytes);
-    }
-    // `Old` drops here: if the cache has since evicted the baseline, this
-    // releases the region back to the pool; if not, the cache's reference
-    // keeps it alive harmlessly.
+    // From here every new call dispatches to the ICODE body; callers
+    // already past their Entry.load() finish on the baseline, which the
+    // slot keeps until it dies.
   }
 
   std::uint64_t LatNs = readMonotonicNanos() - StartNs;
@@ -208,6 +192,7 @@ TierManager::~TierManager() {
     Queue.clear(); // Never-reached requests are failed via AllSlots below.
   }
   QueueCV.notify_all();
+  WatchCV.notify_all();
   for (std::thread &W : Workers)
     W.join();
   if (SampleWatcher.joinable())
@@ -284,7 +269,7 @@ void TierManager::sampleWatchLoop() {
                       std::chrono::milliseconds(Config.SampleWatchMs);
       support::MutexLock L(QueueM);
       while (!Stopping)
-        if (QueueCV.wait_until(QueueM, Deadline) == std::cv_status::timeout)
+        if (WatchCV.wait_until(QueueM, Deadline) == std::cv_status::timeout)
           break;
       if (Stopping)
         return;
@@ -409,16 +394,15 @@ TieredFnHandle TierManager::getOrCreate(cache::CompileService &Service,
                                         EvalType RetType,
                                         CompileOptions BaseOpts) {
   // Baseline tier: PCODE (copy-and-patch, overridable via TICKC_BACKEND)
-  // with the profiling prologue — the counter is the promotion sensor. The
-  // optimizing tier keeps the prologue too, so the two bodies differ only
-  // by back end (and promoted code keeps counting, which the report
-  // surfaces as per-fn invocation totals).
+  // with the profiling prologue — the counter is the promotion sensor. No
+  // tier sits above ICODE, so the promoted body drops the prologue (and
+  // can share a cache entry with a plain ICODE compile of the same spec).
   CompileOptions BaselineOpts = BaseOpts;
   BaselineOpts.Backend = baselineBackendFromEnv();
   BaselineOpts.Profile = true;
   CompileOptions PromoteOpts = BaseOpts;
   PromoteOpts.Backend = BackendKind::ICode;
-  PromoteOpts.Profile = true;
+  PromoteOpts.Profile = false;
 
   // Built into an owned context: the tier-0 path hands the tree to the
   // interpreter, which keeps it alive for the slot's lifetime; the legacy

@@ -15,23 +15,25 @@
 /// The moving parts:
 ///
 ///   * TieredFn — a dispatch slot: an atomic function-pointer indirection
-///     the caller invokes through. It starts at VCODE-compiled code whose
+///     the caller invokes through. It starts at baseline code whose
 ///     prologue counts invocations (CompileOptions::Profile); the dispatch
 ///     wrapper checks that counter against the promotion threshold after
 ///     each call and enqueues a promotion request the first time it is
-///     crossed.
+///     crossed. Once the slot is queued, promoted or failed the wrapper
+///     stops counting: a call is one acquire load of the entry plus an
+///     indirect call.
 ///   * TierManager — a small pool of background compile threads draining a
 ///     bounded MPMC queue of promotion requests. A worker re-runs the
-///     spec-building closure, compiles it with BackendKind::ICode through
-///     the same CompileService (so the optimized body lands in the code
-///     cache), verifies the baseline spec is still cache-resident, and
-///     atomically swaps the slot.
-///   * Retirement — in-flight callers pin a per-slot epoch around each
-///     dispatched call; after the swap the worker advances the epoch and
-///     waits for the old parity's pin count to drain before dropping the
-///     VCODE handle, so no thread can ever execute freed code. Batch
-///     callers that hold handle() instead are protected by the FnHandle
-///     refcount itself.
+///     spec-building closure, compiles it with BackendKind::ICode (without
+///     the profiling prologue: no tier sits above it) through the same
+///     CompileService, so the optimized body lands in the code cache,
+///     verifies the baseline spec is still cache-resident, and atomically
+///     swaps the slot.
+///   * Retirement — the slot keeps every body it ever dispatched to (the
+///     tier-0 interpreter and the superseded baseline) until it dies. A
+///     caller inside call<>() holds a TieredFnHandle, so no thread can ever
+///     execute freed code. A slot swaps at most twice, so it holds at most
+///     one superseded body.
 ///
 /// Lifetime rules: a TieredFnHandle (and anything its SpecBuild closure
 /// captures) must not outlive the CompileService it was created against or
@@ -47,7 +49,6 @@
 #include "observability/Profile.h"
 #include "support/ThreadSafety.h"
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -107,59 +108,53 @@ template <typename FnT> struct InterpMarshal;
 } // namespace detail
 
 /// A per-function dispatch slot. Callers invoke through call<>(), which
-/// pins the retirement epoch, loads the entry pointer, runs the generated
-/// code, and (on the baseline tier) checks the invocation counter against
-/// the promotion threshold. For batch loops, handle() returns a refcounted
-/// FnHandle of the current tier that stays valid across (and after) a
-/// promotion swap.
+/// loads the entry pointer, runs the generated code, and (while the slot can
+/// still be promoted) checks the invocation counter against the promotion
+/// threshold. For batch loops, handle() returns a refcounted FnHandle of the
+/// current tier that stays valid across (and after) a promotion swap.
 class TieredFn : public std::enable_shared_from_this<TieredFn> {
 public:
   TieredFn(const TieredFn &) = delete;
   TieredFn &operator=(const TieredFn &) = delete;
+  /// Retires the superseded baseline, if the slot was promoted: the last
+  /// caller is gone, so nothing can still be executing it.
+  ~TieredFn();
 
   /// Invokes the current tier: `TF->call<int(const Record *)>(&R)`.
   template <typename FnT, typename... ArgTs> auto call(ArgTs... Args) {
+    // Only an Interpreted or Baseline slot can still be promoted, so only
+    // those count; above them a call is the entry load plus the call.
+    TierState S = State.load(std::memory_order_relaxed);
+    bool Counting = S == TierState::Interpreted || S == TierState::Baseline;
     // Tier-0 slots count invocations here: the interpreter has no profiling
     // prologue, and after the swap the compiled prologue bumps the
     // *compile's own* (cache-shared) entry, not this slot's — the wrapper
     // keeps one continuous count so the promotion trigger never stalls.
-    if (IsTier0)
+    if (IsTier0 && Counting)
       Prof->Invocations.fetch_add(1, std::memory_order_relaxed);
-    // Pin before loading the entry: any caller the retirement drain can
-    // miss on the old parity is then guaranteed (seq_cst) to observe the
-    // already-swapped entry, so it never runs retired code.
-    unsigned P = Epoch.load() & 1u;
-    Pins[P].fetch_add(1);
-    auto *Fn = reinterpret_cast<FnT *>(Entry.load());
+    // Every body the slot installed lives as long as the slot, which the
+    // caller's handle keeps alive. Null is tier 0 before the baseline swap.
+    auto *Fn = reinterpret_cast<FnT *>(Entry.load(std::memory_order_acquire));
     using RetT = decltype(Fn(Args...));
-    if (!Fn) {
-      // Tier 0 before the baseline swap: no machine code yet. The
-      // interpreter lives for the slot's whole lifetime, so it needs no
-      // pin; the epoch/pin machinery only guards retirable compiled code.
-      Pins[P].fetch_sub(1);
-      if constexpr (std::is_void_v<RetT>) {
+    if constexpr (std::is_void_v<RetT>) {
+      if (Fn)
+        Fn(Args...);
+      else
         detail::InterpMarshal<FnT>::invoke(*this, Args...);
+      if (Counting)
         maybeRequestPromotion();
-      } else {
-        RetT R = detail::InterpMarshal<FnT>::invoke(*this, Args...);
-        maybeRequestPromotion();
-        return R;
-      }
-    } else if constexpr (std::is_void_v<RetT>) {
-      Fn(Args...);
-      Pins[P].fetch_sub(1);
-      maybeRequestPromotion();
     } else {
-      RetT R = Fn(Args...);
-      Pins[P].fetch_sub(1);
-      maybeRequestPromotion();
+      RetT R = Fn ? Fn(Args...)
+                  : detail::InterpMarshal<FnT>::invoke(*this, Args...);
+      if (Counting)
+        maybeRequestPromotion();
       return R;
     }
   }
 
   /// The current tier as a refcounted handle — the steady-state batch
-  /// path: one refcount bump amortized over many direct calls, immune to
-  /// retirement by construction. Does not advance the promotion trigger.
+  /// path: one refcount bump amortized over many direct calls, valid after
+  /// the slot dies. Does not advance the promotion trigger.
   /// Null while the slot is still interpreted (tier 0): there is no
   /// compiled body yet — dispatch through call<>() or waitCompiled()
   /// first.
@@ -185,7 +180,8 @@ public:
   bool waitCompiled(std::chrono::milliseconds Timeout =
                         std::chrono::milliseconds(10000)) const;
 
-  /// The baseline profile entry carrying the invocation counter.
+  /// The baseline profile entry carrying the invocation counter. The count
+  /// stops once the slot is queued for (or reaches) the top tier.
   const obs::ProfileEntry &profile() const { return *Prof; }
   std::uint64_t invocations() const {
     return Prof->Invocations.load(std::memory_order_relaxed);
@@ -226,21 +222,18 @@ private:
   /// needs TierManager's definition).
   void requestPromotion();
 
-  /// Worker side: swap the slot to \p NewFn, drain the epoch, retire the
-  /// baseline region, publish Promoted state.
+  /// Worker side: swap the slot to \p NewFn and publish Promoted state.
+  /// The baseline stays with the slot until ~TieredFn.
   void installPromoted(cache::FnHandle NewFn);
 
   /// Worker side of the tier-0 swap: install the freshly compiled baseline
-  /// into a still-interpreted slot. No retirement — the interpreter is not
-  /// freed (it lives as long as the slot) — so this is just the entry
-  /// store, the latency record, and the chained promotion check for slots
-  /// that crossed the trigger while interpreted.
+  /// into a still-interpreted slot: the entry store, the latency record,
+  /// and the chained promotion check for slots that crossed the trigger
+  /// while interpreted.
   void installBaseline(cache::FnHandle NewFn);
 
   // --- Dispatch fast path ---------------------------------------------------
   std::atomic<void *> Entry{nullptr};
-  std::atomic<std::uint64_t> Epoch{0};
-  std::array<std::atomic<std::uint64_t>, 2> Pins{};
   std::atomic<TierState> State{TierState::Baseline};
   /// Promotion trigger in absolute invocations; doubled for backoff when a
   /// promotion is dropped as stale.
@@ -272,7 +265,8 @@ private:
   // the predicate themselves so the analysis sees every guarded read.
   mutable support::Mutex M;
   mutable std::condition_variable_any CV;
-  /// Dropped once the retirement epoch drains.
+  /// Kept after promotion until the slot dies: a caller may still be
+  /// running it.
   cache::FnHandle Baseline TICKC_GUARDED_BY(M);
   cache::FnHandle Promoted TICKC_GUARDED_BY(M);
   std::uint64_t EnqueuedNs TICKC_GUARDED_BY(M) = 0;
@@ -281,7 +275,10 @@ private:
 
 namespace detail {
 template <typename R, typename... Ps> struct InterpMarshal<R(Ps...)> {
-  static R invoke(const TieredFn &TF, Ps... Args) {
+  // Out of line and cold: a slot leaves tier 0 as soon as its baseline
+  // lands, so call<>() sites inline only the compiled-code dispatch.
+  [[gnu::noinline, gnu::cold]] static R invoke(const TieredFn &TF,
+                                               Ps... Args) {
     // SysV split, mirroring both the compiled calling convention and
     // SpecInterp's parameter binding: doubles in FpArgs, everything else
     // (sign-extended ints, longs, pointers) in IntArgs, each in
@@ -371,7 +368,11 @@ private:
   TierConfig Config;
 
   support::Mutex QueueM;
+  /// Wakes workers only: enqueue() notifies one waiter, which must never be
+  /// the sample watcher.
   std::condition_variable_any QueueCV;
+  /// The sample watcher's own sleep, signalled only on shutdown.
+  std::condition_variable_any WatchCV;
   std::deque<std::weak_ptr<TieredFn>> Queue TICKC_GUARDED_BY(QueueM);
   bool Stopping TICKC_GUARDED_BY(QueueM) = false;
   std::vector<std::thread> Workers;

@@ -149,7 +149,8 @@ TEST(Tier0, PromotesThroughAllThreeTiers) {
     EXPECT_EQ(TF->call<int(int)>(2), 48);
   ASSERT_TRUE(TF->waitPromoted());
   EXPECT_EQ(TF->state(), TierState::Promoted);
-  EXPECT_STREQ(TF->handle()->profile()->Backend.load(), "icode");
+  EXPECT_EQ(TF->handle()->backend(), BackendKind::ICode);
+  EXPECT_EQ(TF->handle()->profile(), nullptr);
   EXPECT_EQ(TF->call<int(int)>(2), 48);
 }
 
@@ -340,7 +341,8 @@ TEST(Tier0, ConcurrentCallersAcrossBothSwaps) {
     T.join();
   EXPECT_TRUE(Promoted);
   EXPECT_EQ(Failures.load(), 0u);
-  EXPECT_STREQ(TF->handle()->profile()->Backend.load(), "icode");
+  EXPECT_EQ(TF->handle()->backend(), BackendKind::ICode);
+  EXPECT_EQ(TF->handle()->profile(), nullptr);
 }
 
 TEST(Tier0, ManyFreshSlotsUnderConcurrentLoad) {

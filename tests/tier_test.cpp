@@ -3,8 +3,10 @@
 // Covers the VCODE-first / background-ICODE promotion path (src/tier):
 // dispatch-slot correctness across the swap for every app adapter, slot
 // memoization, uncacheable-spec tiering, queue-full backoff, shutdown with
-// pending requests, and multi-threaded stress during promotion and under
-// cache-eviction churn (run under -fsanitize=thread in CI).
+// pending requests, worker wakeups beside the sample watcher, retirement of
+// the superseded baseline at slot death, and multi-threaded stress during
+// promotion and under cache-eviction churn (run under -fsanitize=thread in
+// CI).
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,11 +16,14 @@
 #include "apps/Power.h"
 #include "apps/Query.h"
 #include "cache/CompileService.h"
+#include "observability/Metrics.h"
+#include "observability/Names.h"
 #include "tier/Tier.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -85,8 +90,8 @@ TEST(Tier, QueryPromotesToICodeAndAgrees) {
   // The promoted tier is the ICODE body and still agrees.
   FnHandle H = TF->handle();
   ASSERT_TRUE(H);
-  ASSERT_NE(H->profile(), nullptr);
-  EXPECT_STREQ(H->profile()->Backend.load(), "icode");
+  EXPECT_EQ(H->backend(), BackendKind::ICode);
+  EXPECT_EQ(H->profile(), nullptr);
   EXPECT_EQ(CountViaSlot(), Expected);
   EXPECT_EQ(App.countCompiled(H->as<int(const apps::Record *)>()), Expected);
 }
@@ -222,6 +227,80 @@ TEST(Tier, ShutdownWithPendingRequestsFailsThemCleanly) {
   }
 }
 
+// --- Manager wakeups ---------------------------------------------------------
+
+TEST(Tier, SampleWatcherNeverSwallowsAWorkerWakeup) {
+  // A sample watcher that sleeps for a minute and never promotes, beside a
+  // single worker. Each fresh tier-0 slot enqueues its baseline compile with
+  // one notify; if the watcher could take that wakeup, the worker would
+  // sleep on and the slot would stay interpreted until an unrelated
+  // enqueue.
+  TierConfig TC = config(1000);
+  TC.SamplePromoteThreshold = 1ull << 60;
+  TC.SampleWatchMs = 60000;
+  CompileService S;
+  TierManager TM(TC);
+  for (unsigned E = 2; E < 18; ++E) {
+    apps::PowerApp P(E);
+    TieredFnHandle TF = P.specializeTiered(S, &TM);
+    ASSERT_TRUE(TF);
+    EXPECT_TRUE(TF->waitCompiled(std::chrono::milliseconds(500)))
+        << "exponent " << E << " never left the interpreter";
+  }
+}
+
+// --- Retirement --------------------------------------------------------------
+
+TEST(Tier, SupersededBaselineLivesUntilSlotDies) {
+  ServiceConfig Cfg;
+  Cfg.Shards = 1;
+  Cfg.MaxCodeBytes = 512; // The churn below evicts the baseline.
+  CompileService S(Cfg);
+  TierManager TM(config(16));
+  apps::PowerApp P(13);
+  CompileOptions BaselineOpts;
+  BaselineOpts.Backend = baselineBackendFromEnv();
+  BaselineOpts.Profile = true;
+
+  TieredFnHandle TF = P.specializeTiered(S, &TM);
+  TieredFnHandle Again = P.specializeTiered(S, &TM);
+  ASSERT_EQ(TF.get(), Again.get());
+  ASSERT_TRUE(TF->waitCompiled());
+  // The raw baseline entry, as a caller that loaded it just before the
+  // swap would still be running it.
+  auto *Old = TF->handle()->as<int(int)>();
+  ASSERT_TRUE(driveToPromotion(*TF, [&] { (void)TF->call<int(int)>(2); }));
+  ASSERT_NE(TF->handle()->as<int(int)>(), Old);
+
+  for (unsigned E = 20; E < 60; ++E) {
+    apps::PowerApp C(E);
+    FnHandle F = C.specializeCached(S);
+    EXPECT_EQ(F->as<int(int)>()(1), 1);
+  }
+  ASSERT_FALSE(S.lookup(P.cacheKey(BaselineOpts)))
+      << "the churn should have evicted the baseline";
+  for (int X = -3; X <= 3; ++X)
+    EXPECT_EQ(Old(X), P.powStaticO2(X)) << "x = " << X;
+
+  // The worker drops its own reference right after publishing Promoted.
+  std::weak_ptr<TieredFn> W = TF;
+  for (unsigned I = 0; I < 2000 && W.use_count() > 2; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(W.use_count(), 2);
+
+  auto Counter = [](const char *Name) {
+    return obs::MetricsRegistry::global().snapshot().counter(Name);
+  };
+  std::uint64_t Fns = Counter(obs::names::TierRetiredFns);
+  std::uint64_t Bytes = Counter(obs::names::TierRetiredBytes);
+  Again.reset();
+  EXPECT_EQ(Counter(obs::names::TierRetiredFns), Fns);
+  EXPECT_EQ(Old(3), P.powStaticO2(3));
+  TF.reset(); // The last handle: the slot and its baseline die here.
+  EXPECT_EQ(Counter(obs::names::TierRetiredFns), Fns + 1);
+  EXPECT_GT(Counter(obs::names::TierRetiredBytes), Bytes);
+}
+
 // --- Concurrency -------------------------------------------------------------
 
 TEST(Tier, ConcurrentCallersAcrossTheSwap) {
@@ -256,7 +335,8 @@ TEST(Tier, ConcurrentCallersAcrossTheSwap) {
   EXPECT_EQ(Failures.load(), 0u);
   // Every caller kept agreeing through the swap; and post-join the slot is
   // on the optimized tier.
-  EXPECT_STREQ(TF->handle()->profile()->Backend.load(), "icode");
+  EXPECT_EQ(TF->handle()->backend(), BackendKind::ICode);
+  EXPECT_EQ(TF->handle()->profile(), nullptr);
 }
 
 TEST(Tier, CallersSurviveEvictionChurnAroundPromotion) {
