@@ -52,7 +52,7 @@ ICode makePressure(unsigned NumVars, unsigned Steps) {
 double allocNs(ICode &IC, RegAllocKind Kind, unsigned &Spills) {
   icode::CompileStats Stats;
   double Ns = nsPerOp([&] {
-    CodeRegion Region(1 << 20, CodePlacement::Sequential);
+    CodeRegion Region(1 << 20);
     vcode::VCode V(Region.base(), Region.capacity());
     ICode Copy = IC.clone(); // compileTo mutates (DCE) — keep the original
     Stats = icode::CompileStats();
@@ -140,7 +140,7 @@ int main() {
 
     for (SpillHeuristic H : {SpillHeuristic::LongestInterval,
                              SpillHeuristic::LowestWeight}) {
-      CodeRegion Region(1 << 20, CodePlacement::Sequential);
+      CodeRegion Region(1 << 20);
       vcode::VCode V(Region.base(), Region.capacity());
       ICode Copy = IC.clone();
       icode::CompileStats Stats;

@@ -30,7 +30,7 @@ namespace {
 /// static registers (Managed=false).
 double emitStream(bool Managed, bool Spilling, unsigned Ops,
                   unsigned &InstrsOut) {
-  CodeRegion Region(1 << 20, CodePlacement::Sequential);
+  CodeRegion Region(1 << 20);
   double Ns = nsPerOp([&] {
     Region.makeWritable();
     VCode V(Region.base(), Region.capacity());

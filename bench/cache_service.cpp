@@ -1,10 +1,9 @@
-//===- bench/cache_service.cpp - Cold vs pooled vs cached instantiation ---===//
+//===- bench/cache_service.cpp - Cold vs cached instantiation -------------===//
 //
-// Measures what the memoizing cache + region pool buy on the instantiation
-// path for the Query and Power specializers:
+// Measures what the memoizing cache buys on the instantiation path for the
+// Query and Power specializers:
 //
-//   cold   — compileFn(), fresh mmap/mprotect/munmap per instantiation;
-//   pooled — compileFn() with a RegionPool (no mmap on the steady state);
+//   cold   — compileFn(): a full instantiation into a code-heap block;
 //   respec — CompileService::getOrCompile() after warmup: rebuilds the spec
 //            and its fingerprint per call, then hits the cache (the lazy
 //            caller's end-to-end number);
@@ -100,40 +99,34 @@ Dist sampleNsThreaded(const std::function<void()> &Op, unsigned Threads,
 
 struct WorkloadResult {
   std::string Name;
-  Dist Cold, Pooled, Respec, Hit, HitMT;
-  double ColdOverHit = 0, ColdOverPooled = 0, ColdOverRespec = 0;
+  Dist Cold, Respec, Hit, HitMT;
+  double ColdOverHit = 0, ColdOverRespec = 0;
 };
 
 void report(const WorkloadResult &R) {
-  std::printf("%-8s %12s %12s %12s %12s %12s\n", R.Name.c_str(), "cold",
-              "pooled", "respec", "hit", "hit(8thr)");
-  std::printf("%-8s %9.0f ns %9.0f ns %9.0f ns %9.0f ns %9.0f ns   (p50)\n",
-              "", R.Cold.P50, R.Pooled.P50, R.Respec.P50, R.Hit.P50,
-              R.HitMT.P50);
-  std::printf("%-8s %9.0f ns %9.0f ns %9.0f ns %9.0f ns %9.0f ns   (p99)\n",
-              "", R.Cold.P99, R.Pooled.P99, R.Respec.P99, R.Hit.P99,
-              R.HitMT.P99);
-  std::printf("%-8s cold/hit = %.1fx   cold/respec = %.1fx   "
-              "cold/pooled = %.2fx\n\n",
-              "", R.ColdOverHit, R.ColdOverRespec, R.ColdOverPooled);
+  std::printf("%-8s %12s %12s %12s %12s\n", R.Name.c_str(), "cold", "respec",
+              "hit", "hit(8thr)");
+  std::printf("%-8s %9.0f ns %9.0f ns %9.0f ns %9.0f ns   (p50)\n", "",
+              R.Cold.P50, R.Respec.P50, R.Hit.P50, R.HitMT.P50);
+  std::printf("%-8s %9.0f ns %9.0f ns %9.0f ns %9.0f ns   (p99)\n", "",
+              R.Cold.P99, R.Respec.P99, R.Hit.P99, R.HitMT.P99);
+  std::printf("%-8s cold/hit = %.1fx   cold/respec = %.1fx\n\n", "",
+              R.ColdOverHit, R.ColdOverRespec);
 }
 
 void emitJson(std::FILE *F, const WorkloadResult &R, bool Last) {
   std::fprintf(F,
                "    {\"workload\": \"%s\",\n"
                "     \"cold_ns\": {\"p50\": %.1f, \"p99\": %.1f, \"mean\": %.1f},\n"
-               "     \"pooled_ns\": {\"p50\": %.1f, \"p99\": %.1f, \"mean\": %.1f},\n"
                "     \"respecialize_ns\": {\"p50\": %.1f, \"p99\": %.1f, \"mean\": %.1f},\n"
                "     \"hit_ns\": {\"p50\": %.1f, \"p99\": %.1f, \"mean\": %.1f},\n"
                "     \"hit_8thread_ns\": {\"p50\": %.1f, \"p99\": %.1f, \"mean\": %.1f},\n"
                "     \"cold_over_hit_p50\": %.2f,\n"
-               "     \"cold_over_respecialize_p50\": %.2f,\n"
-               "     \"cold_over_pooled_p50\": %.2f}%s\n",
+               "     \"cold_over_respecialize_p50\": %.2f}%s\n",
                R.Name.c_str(), R.Cold.P50, R.Cold.P99, R.Cold.Mean,
-               R.Pooled.P50, R.Pooled.P99, R.Pooled.Mean, R.Respec.P50,
-               R.Respec.P99, R.Respec.Mean, R.Hit.P50, R.Hit.P99, R.Hit.Mean,
-               R.HitMT.P50, R.HitMT.P99, R.HitMT.Mean, R.ColdOverHit,
-               R.ColdOverRespec, R.ColdOverPooled, Last ? "" : ",");
+               R.Respec.P50, R.Respec.P99, R.Respec.Mean, R.Hit.P50, R.Hit.P99,
+               R.Hit.Mean, R.HitMT.P50, R.HitMT.P99, R.HitMT.Mean,
+               R.ColdOverHit, R.ColdOverRespec, Last ? "" : ",");
 }
 
 WorkloadResult
@@ -146,11 +139,6 @@ runWorkload(const std::string &Name,
 
   CompileOptions Plain;
   R.Cold = sampleNs([&] { (void)Cold(Plain); });
-
-  RegionPool Pool;
-  CompileOptions WithPool;
-  WithPool.Pool = &Pool;
-  R.Pooled = sampleNs([&] { (void)Cold(WithPool); });
 
   CompileService Service;
   (void)Cached(Service); // Warm: the one real compile.
@@ -169,15 +157,14 @@ runWorkload(const std::string &Name,
 
   R.ColdOverHit = R.Hit.P50 > 0 ? R.Cold.P50 / R.Hit.P50 : 0;
   R.ColdOverRespec = R.Respec.P50 > 0 ? R.Cold.P50 / R.Respec.P50 : 0;
-  R.ColdOverPooled = R.Pooled.P50 > 0 ? R.Cold.P50 / R.Pooled.P50 : 0;
   return R;
 }
 
 } // namespace
 
 int main() {
-  std::printf("cache_service: instantiation latency, cold vs pooled vs "
-              "memoized (ns)\n");
+  std::printf("cache_service: instantiation latency, cold vs memoized "
+              "(ns)\n");
   bench::printRule();
 
   apps::QueryApp Query(2000);

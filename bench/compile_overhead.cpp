@@ -2,8 +2,8 @@
 //
 // The CI gate for compile-path overhead: measures steady-state ICODE
 // (linear scan) instantiation cost in cycles per generated instruction for
-// the paper's fig7 workloads, compiling through a warmed CompileContext and
-// region pool. Writes BENCH_overhead.json and fails when
+// the paper's fig7 workloads, compiling through a warmed CompileContext
+// into the code heap. Writes BENCH_overhead.json and fails when
 //
 //   * any steady-state compile grows the context arena (compile.allocs
 //     must stay zero once the context is warm), or
@@ -103,15 +103,13 @@ bool loadBaseline(const char *Path, std::vector<Row> &Rows) {
 int main() {
   std::printf("Compile overhead: steady-state cycles per generated "
               "instruction, per backend\n");
-  std::printf("(pooled CompileContext + region pool; median of 100 reps "
-              "after warmup; icode column gated)\n");
+  std::printf("(pooled CompileContext; median of 100 reps after warmup; "
+              "icode column gated)\n");
   printRule();
 
-  RegionPool Pool;
   CompileContext CC;
   CompileOptions Opts;
   Opts.Backend = BackendKind::ICode;
-  Opts.Pool = &Pool;
   Opts.Ctx = &CC;
 
   obs::Counter &AllocsCtr =
@@ -136,8 +134,8 @@ int main() {
       CompiledFn F = App.Specialize(O);
       PerRep.push_back(F.stats().CyclesTotal);
       InstrsOut = F.stats().MachineInstrs;
-    } // Each F dies before the next compile: the region pool stays at one
-      // region and the steady state allocates nothing.
+    } // Each F dies before the next compile: its heap block is reused and
+      // the steady state allocates nothing.
     // Median, not mean: a single descheduling or TLB stall mid-run inflates
     // one rep by three orders of magnitude and would dominate an average.
     std::sort(PerRep.begin(), PerRep.end());
@@ -217,7 +215,7 @@ int main() {
     // purpose: the TSC is constant-rate, so CPU frequency scaling on a
     // shared runner swings measured cycles ~25-30% run to run, while the
     // regressions this gate exists for (losing the arena fast path or the
-    // dual-mapped pool regions) are 2-3x effects.
+    // syscall-free code install) are 2-3x effects.
     if (HadBaseline && R.Cpi > R.BaselineCpi * 1.50) {
       std::fprintf(stderr,
                    "FAIL: %s cycles/insn %.1f regressed past baseline %.1f\n",

@@ -27,7 +27,7 @@ static void BM_ArenaAllocate(benchmark::State &State) {
 BENCHMARK(BM_ArenaAllocate);
 
 static void BM_VCodeEmitAdd(benchmark::State &State) {
-  CodeRegion Region(1 << 20, CodePlacement::Sequential);
+  CodeRegion Region(1 << 20);
   for (auto _ : State) {
     vcode::VCode V(Region.base(), Region.capacity());
     V.enter();
@@ -44,7 +44,7 @@ static void BM_VCodeEmitAdd(benchmark::State &State) {
 BENCHMARK(BM_VCodeEmitAdd);
 
 static void BM_ICodeFullPipeline(benchmark::State &State) {
-  CodeRegion Region(1 << 20, CodePlacement::Sequential);
+  CodeRegion Region(1 << 20);
   for (auto _ : State) {
     icode::ICode IC;
     icode::VReg A = IC.newIntReg(), B = IC.newIntReg();
@@ -84,7 +84,6 @@ static void BM_CompileVCode(benchmark::State &State) {
       E = E * C.intConst(I % 7 + 1) + C.intConst(I);
     core::CompileOptions O;
     O.Backend = core::BackendKind::VCode;
-    O.CodeCapacity = 1 << 16; // small region: measure compilation, not mmap
     core::CompiledFn F = core::compileFn(C, C.ret(E), core::EvalType::Int, O);
     benchmark::DoNotOptimize(F.entry());
   }
@@ -100,7 +99,6 @@ static void BM_CompileICode(benchmark::State &State) {
       E = E * C.intConst(I % 7 + 1) + C.intConst(I);
     core::CompileOptions O;
     O.Backend = core::BackendKind::ICode;
-    O.CodeCapacity = 1 << 16;
     core::CompiledFn F = core::compileFn(C, C.ret(E), core::EvalType::Int, O);
     benchmark::DoNotOptimize(F.entry());
   }

@@ -375,11 +375,9 @@ int main() {
               ReplayReps, RequiredRatio, RequiredPasses);
   printRule();
 
-  RegionPool Pool;
   CompileContext CC;
   CompileOptions VOpts;
   VOpts.Backend = BackendKind::VCode;
-  VOpts.Pool = &Pool;
   VOpts.Ctx = &CC;
   CompileOptions POpts = VOpts;
   POpts.Backend = BackendKind::PCode;

@@ -77,7 +77,7 @@ FnHandle CodeCache::insert(const SpecKey &K, core::CompiledFn &&Fn) {
   auto It = S.Map.find(K);
   if (It != S.Map.end()) {
     // Lost an insert race: the first compile wins so every caller shares
-    // one entry; our duplicate dies (returning its region to the pool).
+    // one entry; our duplicate dies (freeing its heap block).
     S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
     return It->second->Fn;
   }

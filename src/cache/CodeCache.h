@@ -16,9 +16,9 @@
 /// hash to the same shard. Eviction: each shard is bounded by
 /// MaxBytes/NumShards of *emitted code bytes*; inserting past the bound
 /// evicts least-recently-used entries. Entries are shared_ptrs, so an
-/// evicted function stays alive (and its pooled region unreturned) until
-/// the last caller drops its handle — eviction can never unmap code that
-/// is still executing.
+/// evicted function stays alive (and its heap block unfreed) until the
+/// last caller drops its handle — eviction can never free code that is
+/// still executing.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -34,8 +34,7 @@ ServiceConfig ServiceConfig::fromEnv() {
 }
 
 CompileService::CompileService(ServiceConfig Config)
-    : Config(Config), Pool(Config.MaxPooledBytes),
-      Cache(Config.Shards, Config.MaxCodeBytes) {
+    : Config(Config), Cache(Config.Shards, Config.MaxCodeBytes) {
   if (!this->Config.SnapshotDir.empty() && this->Config.EnableCache)
     Snap = persist::SnapshotCache::open(this->Config.SnapshotDir,
                                         this->Config.SnapshotCompactBytes,
@@ -57,12 +56,9 @@ CompiledFn CompileService::compilePooled(Context &Ctx, Stmt Body,
 
 FnHandle CompileService::getOrCompile(Context &Ctx, Stmt Body,
                                       EvalType RetType, CompileOptions Opts) {
-  if (!Config.EnableCache) {
-    if (Config.EnablePool && !Opts.Pool)
-      Opts.Pool = &Pool;
+  if (!Config.EnableCache)
     return std::make_shared<CompiledFn>(
         compilePooled(Ctx, Body, RetType, Opts));
-  }
 
   SpecKey K;
   {
@@ -76,9 +72,6 @@ FnHandle CompileService::getOrCompileKeyed(Context &Ctx, Stmt Body,
                                            EvalType RetType,
                                            CompileOptions Opts,
                                            const SpecKey &K) {
-  if (Config.EnablePool && !Opts.Pool)
-    Opts.Pool = &Pool;
-
   // Runtime symbol name derived from the spec key: perf/flamegraph frames
   // then distinguish specializations of the same source function by their
   // structural hash. Lives on the stack for the duration of the compile;

@@ -7,12 +7,12 @@
 ///
 /// \file
 /// The front door for server-shaped workloads: getOrCompile() memoizes
-/// compileFn() behind a structural cache key and allocates code regions
-/// from a pool. A cache hit costs one fingerprint walk and one sharded map
-/// lookup — no mmap, no mprotect, no code generation; a cold compile still
-/// skips the mmap whenever the pool holds a reusable region. Concurrent
-/// misses on one key are single-flighted: one thread compiles, the rest
-/// block on it and share the result.
+/// compileFn() behind a structural cache key. A cache hit costs one
+/// fingerprint walk and one sharded map lookup — no code generation; a
+/// cold compile installs its code into the process-wide CodeHeap without a
+/// syscall once the heap is warm. Concurrent misses on one key are
+/// single-flighted: one thread compiles, the rest block on it and share the
+/// result.
 ///
 ///   cache::CompileService &S = cache::CompileService::instance();
 ///   cache::FnHandle F = S.getOrCompile(Ctx, Body, EvalType::Int);
@@ -31,7 +31,6 @@
 #include "cache/SpecKey.h"
 #include "core/Compile.h"
 #include "core/CompileContext.h"
-#include "support/CodeBuffer.h"
 #include "support/ThreadSafety.h"
 
 #include <condition_variable>
@@ -63,10 +62,7 @@ struct ServiceConfig {
   unsigned Shards = 8;
   /// Bound on emitted code bytes held by the cache (LRU beyond it).
   std::size_t MaxCodeBytes = 32u << 20;
-  /// Bound on mapping bytes parked in the region pool.
-  std::size_t MaxPooledBytes = 64u << 20;
   bool EnableCache = true;
-  bool EnablePool = true;
   /// When non-empty, the service opens (creating on demand) the persistent
   /// snapshot file in this directory: in-memory cache misses probe it
   /// before compiling, and fresh compiles of portable specs append to it —
@@ -105,7 +101,7 @@ struct ServiceConfig {
   static ServiceConfig fromEnv();
 };
 
-/// A code cache plus a region pool behind one memoizing entry point.
+/// A code cache behind one memoizing entry point.
 /// All methods are safe to call from concurrent threads.
 class CompileService {
 public:
@@ -116,8 +112,7 @@ public:
   /// options) identity, compiling at most once per identity. Concurrent
   /// misses on one key block on a single in-flight compile
   /// (cache.singleflight_wait counts the waiters). Uncacheable specs
-  /// (rtEval over memory) always compile. \p Opts.Pool is overridden with
-  /// the service's pool unless the caller set one.
+  /// (rtEval over memory) always compile.
   FnHandle getOrCompile(core::Context &Ctx, core::Stmt Body,
                         core::EvalType RetType,
                         core::CompileOptions Opts = core::CompileOptions());
@@ -155,10 +150,10 @@ public:
                      tier::TierManager *Manager = nullptr);
 
   /// Stats live on the components themselves (cache().stats(),
-  /// pool().stats()) and, cumulatively, in obs::MetricsRegistry — the
-  /// service adds no parallel stats surface of its own.
+  /// CodeHeap::global().stats()) and, cumulatively, in
+  /// obs::MetricsRegistry — the service adds no parallel stats surface of
+  /// its own.
   CodeCache &cache() { return Cache; }
-  RegionPool &pool() { return Pool; }
   /// The persistent snapshot cache, or null when ServiceConfig::SnapshotDir
   /// was empty (or the directory was unusable — persistence degrades to
   /// off, never to an error).
@@ -198,11 +193,8 @@ private:
   /// state (fd, mapping, record index) — no code regions — so its position
   /// in the destruction order is unconstrained.
   std::unique_ptr<persist::SnapshotCache> Snap;
-  /// Pool is declared before Cache deliberately: cached functions release
-  /// their regions into the pool on destruction, so the cache (and its
-  /// entries) must be destroyed first. Handles the caller keeps must be
-  /// dropped before the service that produced them.
-  RegionPool Pool;
+  /// A handle the caller keeps may outlive the service: its code lives in
+  /// the process-wide CodeHeap, not in anything the service owns.
   CodeCache Cache;
   support::Mutex InFlightM;
   std::unordered_map<SpecKey, std::shared_ptr<InFlightCompile>, SpecKeyHash>

@@ -170,8 +170,8 @@ std::uint64_t hashBytes(const std::vector<std::uint8_t> &Bytes) {
 /// writer carries a Refs collector.
 void writeKeyBody(KeyWriter &W, const Context &Ctx, Stmt Body,
                   EvalType RetType, const CompileOptions &Opts) {
-  // Everything in CompileOptions that changes generated code (Pool changes
-  // only where code lives, so it is deliberately absent).
+  // Everything in CompileOptions that changes generated code (Ctx changes
+  // only where compile scratch lives, so it is deliberately absent).
   //
   // Fixed-width options prefix: one capacity check covers it all.
   W.ensure(32);
@@ -186,7 +186,6 @@ void writeKeyBody(KeyWriter &W, const Context &Ctx, Stmt Body,
   W.u8(static_cast<std::uint8_t>(Opts.RegAlloc));
   W.u8(static_cast<std::uint8_t>(Opts.Spill));
   W.u8(static_cast<std::uint8_t>(Opts.Placement));
-  W.u64(Opts.CodeCapacity);
   W.u32(Opts.UnrollLimit);
   // Tier-0 profile digest: the per-loop unroll decisions steer code shape,
   // so differently-profiled compiles of one spec must occupy distinct

@@ -1440,6 +1440,7 @@ struct Instantiation {
   EvalType RetType;
   const CompileOptions &Opts;
   Arena &A;
+  std::uint8_t *Buf; ///< The context's emission buffer.
   bool DoVerify;
   std::uint64_t &VerifyCyc; ///< Checker time, deducted from the total.
 
@@ -1449,7 +1450,7 @@ struct Instantiation {
   template <class BE> Decisions run() {
     std::uint64_t SetupStart = readCycleCounterBegin();
     if constexpr (BackendTraits<BE>::OnePass) {
-      BE V(F.Region->base(), F.Region->capacity(), &A);
+      BE V(Buf, CompileContext::CodeBufferBytes, &A);
       if (Opts.Relocs)
         V.assembler().setRelocTable(Opts.Relocs);
       Decisions PE = walk(V, SetupStart);
@@ -1480,7 +1481,7 @@ struct Instantiation {
       Audit.PostPeephole = &VerifyHooks::postPeephole;
       Audit.PostRegAlloc = &VerifyHooks::postRegAlloc;
       SetupStart = readCycleCounterBegin();
-      vcode::VCode V(F.Region->base(), F.Region->capacity(), &A);
+      vcode::VCode V(Buf, CompileContext::CodeBufferBytes, &A);
       if (Opts.Relocs)
         V.assembler().setRelocTable(Opts.Relocs);
       F.Stats.CyclesSetup += readCycleCounterEnd() - SetupStart;
@@ -1564,10 +1565,6 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
   if (Opts.Profile)
     F.Prof = obs::ProfileRegistry::global().create(
         Opts.ProfileName ? Opts.ProfileName : "");
-  F.Region = Opts.Pool
-                 ? Opts.Pool->acquire(Opts.CodeCapacity, Opts.Placement)
-                 : PooledRegion(new CodeRegion(Opts.CodeCapacity,
-                                               Opts.Placement));
   // Per-compile scratch: the caller's context, or this thread's fallback.
   // A nested compile on the same thread (a CGF that itself compiles) must
   // not reset the arena the outer compile is using, so it gets a private
@@ -1581,6 +1578,7 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
   }
   CompileContext::Scope CtxScope(*CC);
   Arena &A = CC->arena();
+  std::uint8_t *Buf = CC->codeBuffer();
   Decisions PE;
   // Checker time spent inside the Total scope; deducted below so CyclesTotal
   // keeps meaning "what the compile itself cost" with or without -verify.
@@ -1592,15 +1590,27 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
     (void)pcode::StencilLibrary::get();
   {
     obs::Phase Total(obs::EventKind::CompileTotal, F.Stats.CyclesTotal);
-    Instantiation I{F, Ctx, Body.node(), RetType, Opts, A, DoVerify, VerifyCyc};
+    Instantiation I{F, Ctx, Body.node(), RetType, Opts,
+                    A, Buf, DoVerify, VerifyCyc};
     PE = Opts.Backend == BackendKind::VCode   ? I.run<vcode::VCode>()
          : Opts.Backend == BackendKind::PCode ? I.run<pcode::PCode>()
                                               : I.run<icode::ICode>();
+    {
+      // Installing is part of what a compile costs; charge it inside the
+      // total so the phase breakdown sums to the whole. The code goes into
+      // its heap block the way a snapshot load's does, and nothing calls
+      // the exec-view entry before compileFn returns.
+      obs::Phase Fin(obs::EventKind::Finalize, F.Stats.CyclesFinalize);
+      if (F.Entry && F.Stats.CodeBytes) {
+        F.Code = CodeHeap::global().install(Buf, F.Stats.CodeBytes,
+                                            Opts.Placement);
+        F.Entry = F.Code.exec() + (static_cast<std::uint8_t *>(F.Entry) - Buf);
+      }
+    }
     if (DoVerify) {
-      // Admit the finished bytes while the region is still readable through
-      // its write mapping, before anything can execute them: the same
-      // analysis every snapshot load faces unconditionally, so a shape the
-      // verifier would reject at load time can never be saved unnoticed.
+      // Admit the installed bytes through the block's writable view: the
+      // same analysis every snapshot load faces unconditionally, so a shape
+      // the verifier would reject at load time can never be saved unnoticed.
       // When this compile recorded a portable reloc table, it is handed
       // over and the call-target confinement proof runs exactly as it will
       // on reload. Fresh compiles also switch on their backend's own facts.
@@ -1609,7 +1619,7 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
       {
         obs::Phase T(obs::EventKind::Verify, Cyc);
         verify::AdmissionInputs AI;
-        AI.Code = F.Region->base();
+        AI.Code = F.Code.code();
         AI.Size = F.Stats.CodeBytes;
         AI.ProfileCounter =
             F.Prof ? static_cast<const void *>(&F.Prof->Invocations) : nullptr;
@@ -1640,17 +1650,6 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
       if (!R.ok())
         verify::failCompile(R);
     }
-    {
-      // Finalization is part of what a compile costs; charge it inside the
-      // total so the phase breakdown sums to the whole. For dual-mapped
-      // (pooled) regions this is a flag flip plus the entry-pointer
-      // translation into the exec alias; single mappings pay the classic
-      // mprotect + icache sync here.
-      obs::Phase Fin(obs::EventKind::Finalize, F.Stats.CyclesFinalize);
-      F.Region->makeExecutable();
-      if (F.Entry)
-        F.Entry = F.Region->execPtr(F.Entry);
-    }
   }
   F.Stats.CyclesTotal -= std::min(F.Stats.CyclesTotal, VerifyCyc);
   if (F.Prof) {
@@ -1669,10 +1668,10 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
     M.Allocs.inc(CC->allocsThisCompile());
     M.ArenaBytes.record(CC->arenaBytes());
   }
-  // Register the finalized region so the sampler, the flight recorder, and
+  // Register the installed code so the sampler, the flight recorder, and
   // external perf can symbolize its PCs. The handle retires in ~CompiledFn
-  // (declared after Region/Prof), which a tier slot only runs once the
-  // slot itself dies — no caller can still be executing the region.
+  // (declared after Code/Prof), which a tier slot only runs once the
+  // slot itself dies — no caller can still be executing the block.
   if (F.Entry && F.Stats.CodeBytes)
     F.Sym = obs::RuntimeSymbolTable::global().registerRegion(
         F.Entry, F.Stats.CodeBytes, SymName,
@@ -1684,23 +1683,19 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
 }
 
 CompiledFn core::adoptLoadedCode(LoadedCode &&L) {
-  assert(L.Region && L.CodeBytes && "adopting an empty loaded region");
+  assert(L.Code && "adopting an empty loaded block");
   CompiledFn F;
-  F.Region = std::move(L.Region);
+  F.Code = std::move(L.Code);
+  F.Entry = F.Code.exec();
   F.Prof = std::move(L.Prof);
   F.Backend = L.Backend;
   F.FromSnapshot = true;
-  F.Stats.CodeBytes = L.CodeBytes;
+  F.Stats.CodeBytes = F.Code.size();
   F.Stats.MachineInstrs = L.MachineInstrs;
   // Compile-phase cycles stay zero: nothing was compiled here, and a loaded
   // function reporting a walk cost would corrupt the paper's per-phase
   // tables. The snapshot layer accounts load latency separately
   // (cache.snapshot.load.cycles).
-  {
-    obs::Phase Fin(obs::EventKind::Finalize, F.Stats.CyclesFinalize);
-    F.Region->makeExecutable();
-    F.Entry = F.Region->execPtr(F.Region->base());
-  }
   const char *SymName =
       L.SymbolName && *L.SymbolName ? L.SymbolName : "spec.snapshot";
   if (F.Prof) {

@@ -69,15 +69,10 @@ struct CompileOptions {
   icode::RegAllocKind RegAlloc = icode::RegAllocKind::LinearScan;
   icode::SpillHeuristic Spill = icode::SpillHeuristic::LongestInterval;
   CodePlacement Placement = CodePlacement::Sequential;
-  std::size_t CodeCapacity = 1 << 20;
   /// Maximum iteration count dynamic loop unrolling will expand; loops with
   /// larger run-time-constant trip counts fall back to runtime loops ("unless
   /// it is made too large ... it will easily outperform", paper §4.4).
   unsigned UnrollLimit = 16384;
-  /// When set, the code region is acquired from (and eventually returned
-  /// to) this pool instead of being mmap'd per instantiation. Not part of
-  /// the cache key: pooling changes where code lives, never what it is.
-  RegionPool *Pool = nullptr;
   /// When set, all transient compile-time structures (IR, liveness bitsets,
   /// intervals, emitter tables) are carved from this context's arena, which
   /// retains its capacity between compiles — the zero-allocation fast path.
@@ -127,15 +122,14 @@ struct DynStats {
   std::uint64_t CyclesSetup = 0; ///< Backend/walker construction.
   std::uint64_t CyclesWalk = 0;  ///< CGF walk (VCode: walk == emission;
                                  ///< ICode: IR construction).
-  std::uint64_t CyclesFinalize = 0; ///< mprotect + icache flush.
+  std::uint64_t CyclesFinalize = 0; ///< Install into the code heap.
   icode::CompileStats ICode;     ///< Per-phase ICODE costs (ICode backend).
   unsigned MachineInstrs = 0;
   std::size_t CodeBytes = 0;
 };
 
-/// An instantiated dynamic function: owns its executable region. When the
-/// region came from a RegionPool, destruction recycles it (flipped back
-/// writable) instead of unmapping.
+/// An instantiated dynamic function: owns its CodeHeap block, which goes
+/// back on the heap's freelist when the function is destroyed.
 class CompiledFn {
 public:
   CompiledFn() = default;
@@ -171,7 +165,7 @@ private:
                               const CompileOptions &);
   friend CompiledFn adoptLoadedCode(struct LoadedCode &&);
   friend struct Instantiation; ///< compileFn's per-backend step.
-  PooledRegion Region;
+  CodeBlock Code;
   void *Entry = nullptr;
   DynStats Stats;
   BackendKind Backend = BackendKind::VCode;
@@ -180,7 +174,7 @@ private:
   /// Runtime symbol registration. Declared last on purpose: destruction
   /// runs in reverse order, so the symbol retires (draining any in-flight
   /// sampler hit that might bump Prof->Samples) before Prof is released
-  /// and before Region can be recycled into the pool.
+  /// and before Code can be handed to another function.
   obs::SymbolHandle Sym;
 };
 
@@ -191,11 +185,10 @@ CompiledFn compileFn(Context &Ctx, Stmt Body, EvalType RetType,
                      const CompileOptions &Opts = CompileOptions());
 
 /// Everything the persistence layer hands core to revive one snapshot
-/// record as a live function: a still-writable region already holding the
-/// relocation-patched bytes (the loader audits them *before* calling this).
+/// record as a live function: a heap block already holding the
+/// relocation-patched bytes (the loader admits them *before* calling this).
 struct LoadedCode {
-  PooledRegion Region;
-  std::size_t CodeBytes = 0;
+  CodeBlock Code;
   unsigned MachineInstrs = 0;
   /// The loading process's freshly created profile entry whose counter the
   /// patched code increments; null for unprofiled records.
@@ -206,9 +199,9 @@ struct LoadedCode {
   BackendKind Backend = BackendKind::VCode;
 };
 
-/// Finalizes a loaded region (W^X flip + icache discipline) and wraps it in
-/// a CompiledFn indistinguishable from a fresh compile except for its
-/// fromSnapshot() provenance bit and zeroed compile-cost stats.
+/// Publishes a loaded block's exec-view entry and wraps it in a CompiledFn
+/// indistinguishable from a fresh compile except for its fromSnapshot()
+/// provenance bit and zeroed compile-cost stats.
 CompiledFn adoptLoadedCode(LoadedCode &&L);
 
 inline CompiledFn compileVCode(Context &Ctx, Stmt Body, EvalType RetType) {

@@ -8,10 +8,11 @@
 /// \file
 /// A CompileContext owns the arena every transient compile-time structure
 /// (ICODE instruction stream, flow graph, liveness bitsets, live intervals,
-/// VCODE label/patch tables, the CGF walker's scratch) is carved from. The
-/// arena's reset() retains its slab between compiles, so the second and
-/// every later compile through the same context performs zero heap
-/// allocations on the fast path.
+/// VCODE label/patch tables, the CGF walker's scratch) is carved from, and
+/// the buffer machine code is emitted into. The arena's reset() retains its
+/// slab and the buffer its size between compiles, so the second and every
+/// later compile through the same context performs zero heap allocations on
+/// the fast path.
 ///
 /// Contexts are recycled through a CompileContextPool (one per
 /// CompileService, shared with the tier manager's promotion workers) or, for
@@ -83,6 +84,18 @@ public:
 
   bool inUse() const { return InUse; }
 
+  /// Bytes a back end may emit for one function.
+  static constexpr std::size_t CodeBufferBytes = std::size_t(1) << 20;
+
+  /// The buffer back ends emit into: plain writable memory of
+  /// CodeBufferBytes, reused across compiles and never executable. The
+  /// finished bytes are copied out into a CodeHeap block sized to them.
+  std::uint8_t *codeBuffer() {
+    if (!Code)
+      Code.reset(new std::uint8_t[CodeBufferBytes]);
+    return Code.get();
+  }
+
   /// Per-thread fallback for compileFn callers that pass no context and no
   /// service: each thread gets one lazily-created context that lives for
   /// the thread's lifetime, so even ad-hoc compiles hit the zero-allocation
@@ -91,6 +104,7 @@ public:
 
 private:
   Arena A;
+  std::unique_ptr<std::uint8_t[]> Code;
   std::uint64_t AllocsAtBegin = 0;
   bool InUse = false;
 };

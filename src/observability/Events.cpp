@@ -27,9 +27,9 @@ constexpr const char *EventNames[] = {
     // Spans.
     "compile", "spec-fingerprint", "cache-probe", "cache-insert", "cgf-walk",
     "flow-graph", "liveness", "live-intervals", "linear-scan", "graph-color",
-    "peephole", "emit", "finalize", "verify", "icache-flush",
-    "region-acquire", "region-release", "tier-enqueue", "tier-compile",
-    "tier-swap",
+    "peephole", "emit", "finalize", "verify", "admit-decode", "admit-cfg",
+    "admit-fixpoint", "icache-flush", "code-install", "code-free",
+    "tier-enqueue", "tier-compile", "tier-swap",
     // Instants.
     "compile.begin", "compile.end", "tier.swap", "cache.evict", "verify.fail",
     "region.retire"};

@@ -8,7 +8,7 @@
 /// \file
 /// The one store for runtime events: a fixed-size lock-free ring of
 ///   * spans, one per pipeline phase the paper costs out (Figures 6/7) plus
-///     the cache, region and tier layers around them, written by obs::Phase
+///     the cache, code heap and tier layers around them, written by obs::Phase
 ///     while tracing is on (TICKC_TRACE=<path> or traceStart()) and
 ///     exported by traceStop() as Chrome trace-event JSON (Perfetto);
 ///   * instants (compile begin/end, tier swap, cache evict, verify failure,
@@ -57,11 +57,14 @@ enum class EventKind : std::uint8_t {
   GraphColor,      ///< Graph-coloring register allocation.
   Peephole,        ///< ICODE dead-code/peephole pass.
   Emit,            ///< ICODE -> VCODE -> binary translation.
-  Finalize,        ///< Region made executable, entry translated.
+  Finalize,        ///< Code copied into its heap block, entry translated.
   Verify,          ///< One verify layer's check (TICKC_VERIFY).
+  AdmitDecode,     ///< Admission: strict decode and the linear facts.
+  AdmitCfg,        ///< Admission: control-flow graph recovery.
+  AdmitFixpoint,   ///< Admission: abstract-interpretation fixpoint.
   ICacheFlush,     ///< makeExecutable(): mprotect + icache sync.
-  RegionAcquire,   ///< RegionPool::acquire (reuse or mmap).
-  RegionRelease,   ///< RegionPool::release (recycle or munmap).
+  CodeInstall,     ///< CodeHeap::install (block + copy).
+  CodeFree,        ///< A dead function's block back on its freelist.
   TierEnqueue,     ///< Promotion request pushed onto the tier queue.
   TierCompile,     ///< Background recompile of a spec.
   TierSwap,        ///< Dispatch-slot swap to the new entry.

@@ -105,10 +105,12 @@ inline constexpr char SnapshotEvictions[] = "cache.snapshot.evictions";
 inline constexpr char SnapshotExpired[] = "cache.snapshot.expired";
 inline constexpr char HistSnapshotLoad[] = "cache.snapshot.load.cycles";
 
-// Region pool (all RegionPool instances, cumulative).
-inline constexpr char PoolReused[] = "pool.regions.reused";
-inline constexpr char PoolMapped[] = "pool.regions.mapped";
-inline constexpr char PoolDropped[] = "pool.regions.dropped";
+// The code heap (support/CodeBuffer.h): chunks mapped, blocks carved fresh
+// from chunk space, blocks reused from a size-class freelist, blocks freed.
+inline constexpr char HeapChunks[] = "heap.chunks.mapped";
+inline constexpr char HeapFresh[] = "heap.blocks.fresh";
+inline constexpr char HeapReused[] = "heap.blocks.reused";
+inline constexpr char HeapFreed[] = "heap.blocks.freed";
 
 // Single-flight compilation: threads that blocked on another thread's
 // in-flight compile of the same key instead of duplicating it.

@@ -194,13 +194,16 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
       }
   }
 
-  std::uint64_t Reused = S.counter(names::PoolReused);
-  std::uint64_t Mapped = S.counter(names::PoolMapped);
-  if (Reused + Mapped)
-    appendf(Out, "region pool: %llu reused, %llu mapped, %llu dropped\n",
+  std::uint64_t Fresh = S.counter(names::HeapFresh);
+  std::uint64_t Reused = S.counter(names::HeapReused);
+  if (Fresh + Reused)
+    appendf(Out,
+            "code heap: %llu chunks mapped; %llu blocks fresh, %llu reused "
+            "from freelists, %llu freed\n",
+            static_cast<unsigned long long>(S.counter(names::HeapChunks)),
+            static_cast<unsigned long long>(Fresh),
             static_cast<unsigned long long>(Reused),
-            static_cast<unsigned long long>(Mapped),
-            static_cast<unsigned long long>(S.counter(names::PoolDropped)));
+            static_cast<unsigned long long>(S.counter(names::HeapFreed)));
 
   // Compile-overhead vitals for the zero-allocation fast path: per-backend
   // cycles per generated instruction, arena footprint, and how often a
@@ -380,6 +383,35 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
             Total ? 100.0 * static_cast<double>(VCyc) /
                         static_cast<double>(Total)
                   : 0.0);
+  }
+
+  // Admission stages, from the traced spans still in the ring (only a
+  // traced run records them; the untraced cost is one relaxed load each).
+  struct StageRow {
+    EventKind Kind;
+    std::uint64_t N = 0, Cycles = 0;
+  };
+  StageRow Stages[] = {{EventKind::AdmitDecode},
+                       {EventKind::AdmitCfg},
+                       {EventKind::AdmitFixpoint}};
+  std::uint64_t StageSum = 0;
+  for (const EventRing::Record &R : EventRing::global().snapshot())
+    for (StageRow &St : Stages)
+      if (R.Kind == St.Kind) {
+        ++St.N;
+        St.Cycles += R.A - R.Tsc;
+        StageSum += R.A - R.Tsc;
+      }
+  if (StageSum) {
+    Out += "admission stages (traced spans in the ring)\n";
+    for (const StageRow &St : Stages)
+      appendf(Out, "  %-16s n=%-8llu mean=%-8.0f %5.1f%%\n",
+              eventName(St.Kind), static_cast<unsigned long long>(St.N),
+              St.N ? static_cast<double>(St.Cycles) /
+                         static_cast<double>(St.N)
+                   : 0.0,
+              100.0 * static_cast<double>(St.Cycles) /
+                  static_cast<double>(StageSum));
   }
 
   bool AnyHist = false;

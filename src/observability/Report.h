@@ -8,7 +8,7 @@
 /// \file
 /// Renders the metrics registry and the generated-code profile as a text
 /// report: a per-phase stacked compile-cost breakdown (this repo's answer
-/// to the paper's Figures 6 and 7), cache/pool traffic, the §4.4 partial
+/// to the paper's Figures 6 and 7), cache and code-heap traffic, the §4.4 partial
 /// evaluation decisions, compile-latency distributions, and the hottest
 /// profiled dynamic functions. Benches print it after a run; tests assert
 /// on its invariants (phase sum ≈ total).

@@ -191,7 +191,7 @@ void RuntimeSymbolTable::retire(int Idx) {
   FreeList[FreeTop++] = Idx;
   SymtabMetrics::get().Retired.inc();
 
-  // A retired region may be recycled and re-registered at the same address
+  // A retired block may be reused and re-registered at the same address
   // under a different name: rewrite the map so the stale line cannot win.
   if (Export == PerfExport::Map || Export == PerfExport::Both)
     writePerfMapLocked();

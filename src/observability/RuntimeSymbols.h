@@ -53,8 +53,8 @@ namespace tcc {
 namespace obs {
 
 /// Move-only RAII registration: retires the symbol on destruction. Owned by
-/// core::CompiledFn, declared after the code region so the symbol leaves
-/// the table before the region can be recycled into the pool.
+/// core::CompiledFn, declared after the code block so the symbol leaves
+/// the table before the block can be handed to another function.
 class SymbolHandle {
 public:
   SymbolHandle() = default;

@@ -525,17 +525,12 @@ core::CompiledFn SnapshotCache::tryLoad(const cache::PersistKey &K,
   if (!CodeLen)
     return Reject();
 
-  // Copy the stored bytes into a live (still-writable) region.
-  PooledRegion Region =
-      Opts.Pool ? Opts.Pool->acquireLoaded(recCode(R), CodeLen, Opts.Placement)
-                : PooledRegion(nullptr, RegionReleaser{});
-  if (!Region) {
-    Region = PooledRegion(new CodeRegion(CodeLen, Opts.Placement,
-                                         /*DualMap=*/false),
-                          RegionReleaser{});
-    std::memcpy(Region->base(), recCode(R), CodeLen);
-  }
-  std::uint8_t *Base = Region->base();
+  // Install the stored bytes the way a compile installs its own: into a
+  // heap block, patched and admitted through its writable view before the
+  // exec-view entry is published. A reject frees the block unexecuted.
+  CodeBlock Code =
+      CodeHeap::global().install(recCode(R), CodeLen, Opts.Placement);
+  std::uint8_t *Base = Code.code();
 
   // A profiled record increments a counter that must live in *this*
   // process: create the entry first so relocation patching can target it.
@@ -612,8 +607,7 @@ core::CompiledFn SnapshotCache::tryLoad(const cache::PersistKey &K,
   }
 
   core::LoadedCode L;
-  L.Region = std::move(Region);
-  L.CodeBytes = CodeLen;
+  L.Code = std::move(Code);
   L.MachineInstrs = rd32(R + OffMachineInstrs);
   L.Prof = std::move(Prof);
   L.SymbolName = Opts.SymbolName ? Opts.SymbolName : Opts.ProfileName;

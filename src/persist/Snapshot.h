@@ -116,10 +116,10 @@ public:
   SnapshotCache(const SnapshotCache &) = delete;
   SnapshotCache &operator=(const SnapshotCache &) = delete;
 
-  /// Probes for a record matching \p K; on a hit, copies the code into a
-  /// region (from \p Opts.Pool when set), re-points every recorded imm64 at
-  /// this process's addresses (K.Refs by ordinal; a fresh profile counter
-  /// when \p Opts.Profile), byte-audits the result, and adopts it. Returns
+  /// Probes for a record matching \p K; on a hit, installs the code into a
+  /// CodeHeap block, re-points every recorded imm64 at this process's
+  /// addresses (K.Refs by ordinal; a fresh profile counter when
+  /// \p Opts.Profile), admits the result, and adopts it. Returns
   /// an invalid CompiledFn on miss or reject — the caller compiles.
   core::CompiledFn tryLoad(const cache::PersistKey &K,
                            const core::CompileOptions &Opts);

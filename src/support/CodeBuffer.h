@@ -6,157 +6,164 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executable-memory management for dynamically generated code. Follows the
-/// paper (§4.4): code placement may be randomized modulo the instruction
-/// cache size to avoid systematically poor cache behaviour, and buffers are
-/// made executable before the function pointer is handed back (Keppel [28]
-/// addressed this portability problem; on x86-64/Linux an mprotect flip is
-/// sufficient and no icache flush is needed).
+/// Executable memory for dynamically generated code. Follows the paper
+/// (§4.4): code placement may be randomized modulo the instruction cache
+/// size to avoid systematically poor cache behaviour, and code is made
+/// executable before the function pointer is handed back (Keppel [28]
+/// addressed this portability problem; on x86-64/Linux no icache flush is
+/// needed).
 ///
-/// The RegionPool recycles mappings across instantiations: a released
-/// region flips back writable and waits on a freelist, so a pooled compile
-/// pays zero mmap/munmap syscalls on the allocation side. Pooled regions
-/// are additionally dual-mapped (memfd shared memory mapped twice: a
-/// writable view for emission and an executable alias for calls), which
-/// removes the per-compile mprotect pair entirely — finalizing and
-/// recycling a pooled region is syscall-free. No single virtual range is
-/// ever writable and executable at once; unpooled regions keep the classic
-/// single-mapping W^X mprotect flip.
+/// Every compiled or loaded function lives in one block of the process-wide
+/// CodeHeap. The heap maps large dual-mapped chunks (memfd shared memory
+/// mapped twice: a writable view the heap installs bytes through and a
+/// read+exec alias entry points land in), so installing a function costs no
+/// syscall and no single virtual range is ever writable and executable at
+/// once. Blocks start 64-byte aligned, are sized by class, and go back on
+/// their class's freelist, scrubbed, when the function that owns them dies.
+///
+/// CodeRegion is a standalone buffer that code is emitted into in place
+/// (assembler and back-end unit tests, ablation benches) and flipped
+/// executable with the classic W^X mprotect.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TICKC_SUPPORT_CODEBUFFER_H
 #define TICKC_SUPPORT_CODEBUFFER_H
 
+#include "support/ThreadSafety.h"
+
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <utility>
 #include <vector>
 
 namespace tcc {
 
-/// Placement policy for fresh code regions.
+/// Where a function's code starts inside its heap block.
 enum class CodePlacement {
-  Sequential, ///< Pack functions back to back.
-  Randomized, ///< Randomize start offset modulo the i-cache size (paper §4.4).
+  Sequential, ///< At the block start.
+  Randomized, ///< After a random pad modulo the i-cache size (paper §4.4).
 };
 
-/// A growable region of memory that machine code is emitted into and that
-/// can be flipped executable. One CodeRegion per compiled dynamic function.
+/// A page-granular private mapping that machine code is written into and
+/// executed from, one protection at a time.
 class CodeRegion {
 public:
-  /// \p DualMap requests two views of the same pages: base() stays
-  /// writable forever and execPtr() addresses land in a read+exec alias,
-  /// so makeExecutable()/makeWritable() are flag flips with no syscall.
-  /// Falls back to a single W^X mapping if the host lacks memfd_create.
-  CodeRegion(std::size_t Capacity, CodePlacement Placement,
-             bool DualMap = false);
+  explicit CodeRegion(std::size_t Capacity);
   ~CodeRegion();
 
   CodeRegion(const CodeRegion &) = delete;
   CodeRegion &operator=(const CodeRegion &) = delete;
 
-  /// Base address code is emitted at (already offset per placement policy).
-  std::uint8_t *base() const { return Base; }
+  /// Start of the mapping.
+  std::uint8_t *base() const { return Mapping; }
 
-  /// Translates a pointer inside the writable view to the address it must
-  /// be executed at: the exec alias for dual-mapped regions, \p P itself
-  /// for single-mapped ones.
-  void *execPtr(void *P) const {
-    if (!ExecMapping)
-      return P;
-    return ExecMapping + (static_cast<std::uint8_t *>(P) - Mapping);
-  }
-
-  bool isDualMapped() const { return ExecMapping != nullptr; }
-
-  /// Bytes available starting at base().
+  /// Bytes available starting at base() (the request, page rounded).
   std::size_t capacity() const { return Capacity; }
-
-  /// Bytes actually reserved from the OS (>= capacity, page rounded).
-  std::size_t mappingBytes() const { return MappingSize; }
-
-  CodePlacement placement() const { return Placement; }
 
   /// Flips the region executable (and read-only for writes under W^X).
   /// Must be called before executing emitted code.
   void makeExecutable();
 
-  /// Flips the region back to writable for reuse.
+  /// Flips the region back to writable.
   void makeWritable();
 
   bool isExecutable() const { return Executable; }
 
 private:
-  std::uint8_t *Mapping = nullptr; ///< Page-aligned mmap base (writable).
-  std::uint8_t *ExecMapping = nullptr; ///< Read+exec alias (dual mode only).
-  std::size_t MappingSize = 0;
-  std::uint8_t *Base = nullptr; ///< Emission start inside the mapping.
+  std::uint8_t *Mapping = nullptr; ///< Page-aligned mmap base.
   std::size_t Capacity = 0;
-  CodePlacement Placement = CodePlacement::Sequential;
   bool Executable = false;
 };
 
-class RegionPool;
-
-/// Deleter for regions that may belong to a pool: pooled regions are
-/// returned for reuse, unpooled ones are freed.
-struct RegionReleaser {
-  RegionPool *Pool = nullptr;
-  void operator()(CodeRegion *R) const;
-};
-
-/// Owning handle to a code region; releases back to its pool (if any) on
-/// destruction.
-using PooledRegion = std::unique_ptr<CodeRegion, RegionReleaser>;
-
-/// Pool activity counters (monotonic; read with relaxed snapshots).
-struct RegionPoolStats {
-  std::uint64_t Reused = 0;  ///< acquire() satisfied from the freelist.
-  std::uint64_t Mapped = 0;  ///< acquire() fell back to a fresh mmap.
-  std::uint64_t Dropped = 0; ///< release() unmapped (pool byte cap hit).
-  std::size_t FreeBytes = 0; ///< Mapping bytes currently on the freelist.
-};
-
-/// A thread-safe freelist of CodeRegion mappings. acquire() reuses any
-/// writable region with enough capacity and a matching placement policy;
-/// release() flips the region back writable and shelves it. The freelist
-/// is bounded by mapping bytes; beyond the bound released regions are
-/// unmapped.
-class RegionPool {
+/// One function's memory in the CodeHeap: installed bytes behind a writable
+/// view and the read+exec alias they run from. Move-only; destruction
+/// returns the block to the heap, so its owner must outlive every call into
+/// the code (CompiledFn is destroyed only when its FnHandle count or its
+/// tier slot dies).
+class CodeBlock {
 public:
-  explicit RegionPool(std::size_t MaxFreeBytes = 64u << 20)
-      : MaxFreeBytes(MaxFreeBytes) {}
+  CodeBlock() = default;
+  CodeBlock(CodeBlock &&O) noexcept { *this = std::move(O); }
+  CodeBlock &operator=(CodeBlock &&O) noexcept;
+  ~CodeBlock();
 
-  RegionPool(const RegionPool &) = delete;
-  RegionPool &operator=(const RegionPool &) = delete;
+  CodeBlock(const CodeBlock &) = delete;
+  CodeBlock &operator=(const CodeBlock &) = delete;
 
-  /// A writable region with capacity() >= \p Capacity. Reuses a pooled
-  /// mapping when one fits; otherwise maps a fresh region.
-  PooledRegion acquire(std::size_t Capacity, CodePlacement Placement);
-
-  /// The snapshot loader's load-without-compile entry point: a pooled
-  /// (dual-mapped where possible) region with \p Bytes already copied to
-  /// base(). Still writable on return — the caller patches relocations and
-  /// audits the bytes before flipping it executable.
-  PooledRegion acquireLoaded(const std::uint8_t *Bytes, std::size_t Len,
-                             CodePlacement Placement);
-
-  /// Returns \p R (writable again) to the freelist, or unmaps it if the
-  /// pool is full. Called by RegionReleaser; takes ownership.
-  void release(CodeRegion *R);
-
-  RegionPoolStats stats() const;
-
-  /// Unmaps every pooled region (regions currently acquired are unaffected).
-  void clear();
+  /// The installed bytes through the writable view: relocations are
+  /// patched and admission runs here, before exec() is published.
+  std::uint8_t *code() const { return W + Pad; }
+  /// Where the installed bytes execute.
+  std::uint8_t *exec() const { return X + Pad; }
+  /// Installed byte count.
+  std::size_t size() const { return Len; }
+  explicit operator bool() const { return W != nullptr; }
 
 private:
-  mutable std::mutex M;
-  std::vector<std::unique_ptr<CodeRegion>> Free;
-  std::size_t MaxFreeBytes;
-  RegionPoolStats Stats;
+  friend class CodeHeap;
+  std::uint8_t *W = nullptr; ///< Block start, writable view.
+  std::uint8_t *X = nullptr; ///< Block start, exec view.
+  std::uint32_t Len = 0;     ///< Installed bytes.
+  std::uint32_t Pad = 0;     ///< Randomized-placement offset of code().
+  std::uint16_t Class = 0;   ///< Size class (freelist index).
+};
+
+/// Heap activity counters (monotonic except LiveBytes).
+struct CodeHeapStats {
+  std::uint64_t Chunks = 0;    ///< Dual-mapped chunks mapped.
+  std::uint64_t Fresh = 0;     ///< Blocks carved from unused chunk space.
+  std::uint64_t Reused = 0;    ///< Blocks taken from a freelist.
+  std::uint64_t Freed = 0;     ///< Blocks returned by dying functions.
+  std::uint64_t LiveBytes = 0; ///< Block bytes currently installed.
+};
+
+/// The one process-wide code heap. Chunks are never unmapped, and the heap
+/// itself is never destroyed, so no static-destruction order can free code
+/// that is still in use. A freed block keeps its address range for reuse
+/// by its own class but not its memory: its partial pages are filled with
+/// int3 and its whole pages are handed back to the kernel. All methods are
+/// thread-safe.
+class CodeHeap {
+public:
+  /// Size of an ordinary chunk. A block of more than a quarter of it gets
+  /// a chunk of its own.
+  static constexpr std::size_t ChunkBytes = std::size_t(4) << 20;
+  /// Block alignment and size granule: one cache line, so a new install
+  /// never shares a line with code another thread is running.
+  static constexpr std::size_t BlockAlign = 64;
+
+  static CodeHeap &global();
+
+  /// Copies \p Len bytes into a block of their size class (multiples of
+  /// 64 up to 4 KiB, then four classes per power of two), after a random
+  /// 16-byte-aligned pad below hostICacheSize() for Randomized placement.
+  CodeBlock install(const std::uint8_t *Bytes, std::size_t Len,
+                    CodePlacement Placement);
+
+  CodeHeapStats stats() const;
+
+private:
+  friend class CodeBlock;
+  /// 64 exact classes plus 4 per doubling up to 4 GiB.
+  static constexpr unsigned NumClasses = 64 + 4 * 20;
+  /// A block's two views. Freelists live here, outside the blocks, so a
+  /// freed block holds no heap metadata.
+  struct Views {
+    std::uint8_t *W; ///< Writable view.
+    std::uint8_t *X; ///< Read+exec alias of the same pages.
+  };
+
+  CodeHeap() = default;
+  /// Maps \p Bytes of fresh memfd shared memory twice; fatal on failure.
+  static Views mapChunk(std::size_t Bytes);
+  void release(CodeBlock &B);
+
+  mutable support::Mutex M;
+  Views Cur TICKC_GUARDED_BY(M) = {};              ///< Bump pointer.
+  std::uint8_t *End TICKC_GUARDED_BY(M) = nullptr; ///< Cur chunk's end (W).
+  std::vector<Views> Free[NumClasses] TICKC_GUARDED_BY(M);
+  CodeHeapStats Stats TICKC_GUARDED_BY(M);
 };
 
 /// Returns the host instruction-cache size used by the randomized placement

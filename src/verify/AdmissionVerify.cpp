@@ -73,6 +73,7 @@
 #include "verify/Verify.h"
 #include "verify/VerifyInternal.h"
 
+#include "observability/Events.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
 #include "support/Reloc.h"
@@ -1409,16 +1410,26 @@ struct Admission {
   }
 
   void run() {
-    if (!decodeAll())
-      return;
-    checkLinearFacts();
-    // Both run, so a record with several defects reports each of them.
-    bool ShapeOk = checkPrologue();
-    ShapeOk = checkRelocShape() && ShapeOk;
-    if (!buildCfg())
-      return;
-    if (ShapeOk)
+    // One span per stage, so a trace shows where admission time goes.
+    bool ShapeOk;
+    {
+      obs::Phase P(obs::EventKind::AdmitDecode);
+      if (!decodeAll())
+        return;
+      checkLinearFacts();
+      // Both run, so a record with several defects reports each of them.
+      ShapeOk = checkPrologue();
+      ShapeOk = checkRelocShape() && ShapeOk;
+    }
+    {
+      obs::Phase P(obs::EventKind::AdmitCfg);
+      if (!buildCfg())
+        return;
+    }
+    if (ShapeOk) {
+      obs::Phase P(obs::EventKind::AdmitFixpoint);
       interpret();
+    }
 
     auto &Reg = obs::MetricsRegistry::global();
     Reg.counter(obs::names::VerifyAdmitBlocks).inc(Blocks.size());

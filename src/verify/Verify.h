@@ -113,8 +113,9 @@ Result verifyInstrs(const icode::ICode &IC, const icode::Instr *Instrs,
 Result auditAllocation(const icode::ICode &IC, const icode::Allocation &Alloc);
 
 /// Inputs for the machine-code admission verifier (AdmissionVerify.cpp).
-/// Code must be a readable view of the finalized region *after* relocation
-/// patching — the analysis proves properties of the bytes that will run.
+/// Code must be a readable view of the bytes that will run *after*
+/// relocation patching (for installed code, the heap block's writable
+/// view) — the analysis proves properties of exactly those bytes.
 struct AdmissionInputs {
   const std::uint8_t *Code = nullptr;
   std::size_t Size = 0;

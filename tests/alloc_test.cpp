@@ -2,7 +2,7 @@
 //
 // Counts heap allocations by overriding the global operator new in this
 // test binary. The contract under test: once a CompileContext (and the
-// region pool) are warm, repeat ICODE compiles of the same spec perform
+// code heap) are warm, repeat ICODE compiles of the same spec perform
 // ZERO heap allocations — everything transient lives in the context's
 // arena, which retains its slab across reset().
 //
@@ -123,23 +123,22 @@ Stmt buildHashSpec(Context &C, const int *KeysData, const int *ValsData,
   return C.block({Init, Loop, Tail});
 }
 
-/// Compiles \p Body repeatedly through one warmed CompileContext + region
-/// pool and returns the heap allocations the steady-state compiles cost.
+/// Compiles \p Body repeatedly through one warmed CompileContext and
+/// returns the heap allocations the steady-state compiles cost.
 std::uint64_t steadyStateAllocs(Context &Ctx, Stmt Body, unsigned Reps) {
-  RegionPool Pool;
   CompileContext CC;
   CompileOptions Opts;
   Opts.Backend = BackendKind::ICode;
-  Opts.Pool = &Pool;
   Opts.Ctx = &CC;
 
-  // Warm up: first compiles grow the arena, the region pool's mapping, the
-  // metrics registry entries, and function-local statics.
+  // Warm up: first compiles grow the arena and the emission buffer, map the
+  // code heap's chunk, and create the metrics registry entries and
+  // function-local statics.
   for (int W = 0; W < 3; ++W) {
     CompiledFn F = compileFn(Ctx, Body, EvalType::Int, Opts);
     EXPECT_TRUE(F.valid());
-  } // F destroyed here: its region returns to the pool before the next
-    // acquire, so the pool stays at one region.
+  } // F destroyed here: its heap block goes back on its freelist before the
+    // next install takes it again.
 
   obs::Counter &Allocs =
       obs::MetricsRegistry::global().counter(obs::names::CompileAllocs);
@@ -186,10 +185,8 @@ TEST(AllocTest, ThreadLocalFallbackContextReachesZeroAllocArena) {
   // a warmup compile the arena must stop growing there too.
   Context C;
   Stmt Body = buildPowerSpec(C, 21);
-  RegionPool Pool;
   CompileOptions Opts;
   Opts.Backend = BackendKind::ICode;
-  Opts.Pool = &Pool;
   for (int W = 0; W < 2; ++W) {
     CompiledFn F = compileFn(C, Body, EvalType::Int, Opts);
     EXPECT_TRUE(F.valid());

@@ -1,9 +1,10 @@
-//===- tests/cache_test.cpp - Code cache / region pool tests --------------===//
+//===- tests/cache_test.cpp - Code cache tests ----------------------------===//
 //
 // Covers the memoizing instantiation path: structural key derivation,
 // hit/miss identity, LRU eviction under a byte budget, eviction safety for
-// live handles, region pooling, and a multi-threaded getOrCompile stress
-// (run under -fsanitize=thread in CI).
+// live handles, and a multi-threaded getOrCompile stress (run under
+// -fsanitize=thread in CI). Code-heap blocks behind the cached functions
+// are covered by code_heap_test.
 //
 //===----------------------------------------------------------------------===//
 
@@ -109,9 +110,12 @@ TEST(CompileService, ThreeBackendsThreeEntries) {
 }
 
 TEST(SpecKey, PoolDoesNotChangeTheKey) {
-  RegionPool Pool;
+  // A context drawn from a CompileContextPool changes where scratch lives,
+  // never what is compiled.
+  CompileContextPool Pool;
+  CompileContextPool::Handle H = Pool.acquire();
   CompileOptions WithPool;
-  WithPool.Pool = &Pool;
+  WithPool.Ctx = H.get();
   EXPECT_TRUE(keyOf(3, 7) == keyOf(3, 7, WithPool));
 }
 
@@ -294,54 +298,6 @@ TEST(CompileService, EvictedEntriesSurviveWhileHandleHeld) {
               Expected);
   }
   EXPECT_GT(S.cache().stats().Evictions, 0u);
-}
-
-// --- Region pool ------------------------------------------------------------
-
-TEST(RegionPoolTest, ReleasedRegionsAreReused) {
-  RegionPool Pool;
-  std::uint8_t *Base;
-  {
-    PooledRegion R = Pool.acquire(4096, CodePlacement::Sequential);
-    Base = R->base();
-    R->makeExecutable();
-  } // Released: flipped writable, shelved.
-  RegionPoolStats St = Pool.stats();
-  EXPECT_EQ(St.Mapped, 1u);
-  EXPECT_GT(St.FreeBytes, 0u);
-
-  PooledRegion R2 = Pool.acquire(4096, CodePlacement::Sequential);
-  EXPECT_EQ(R2->base(), Base);
-  EXPECT_FALSE(R2->isExecutable());
-  EXPECT_EQ(Pool.stats().Reused, 1u);
-  // Writable again: emitting over it must not fault.
-  R2->base()[0] = 0xC3;
-}
-
-TEST(RegionPoolTest, CapacityAndPlacementMustMatch) {
-  RegionPool Pool;
-  { PooledRegion R = Pool.acquire(4096, CodePlacement::Sequential); }
-  PooledRegion Big = Pool.acquire(1 << 20, CodePlacement::Sequential);
-  EXPECT_EQ(Pool.stats().Mapped, 2u); // 4 KiB region can't serve 1 MiB.
-  EXPECT_GE(Big->capacity(), 1u << 20);
-}
-
-TEST(RegionPoolTest, CompileFnUsesThePool) {
-  RegionPool Pool;
-  CompileOptions Opts;
-  Opts.Pool = &Pool;
-  apps::PowerApp P(13);
-  {
-    CompiledFn F = P.specialize(Opts);
-    EXPECT_EQ(F.as<int(int)>()(2), 8192);
-  } // Fn destroyed → region back in the pool.
-  EXPECT_EQ(Pool.stats().Mapped, 1u);
-  {
-    CompiledFn F = P.specialize(Opts);
-    EXPECT_EQ(F.as<int(int)>()(2), 8192);
-  }
-  EXPECT_EQ(Pool.stats().Reused, 1u);
-  EXPECT_EQ(Pool.stats().Mapped, 1u); // No second mmap.
 }
 
 // --- Concurrency -------------------------------------------------------------

@@ -24,7 +24,7 @@ namespace {
 class IJit {
 public:
   explicit IJit(std::size_t Cap = 1 << 18)
-      : Region(Cap, CodePlacement::Sequential), V(Region.base(), Cap) {}
+      : Region(Cap), V(Region.base(), Cap) {}
 
   template <typename FnT>
   FnT *compile(ICode &IC, RegAllocKind Kind, CompileStats *Stats = nullptr) {

@@ -95,7 +95,7 @@ TEST(BitVectorTest, RandomizedAgainstSet) {
 // --- VCode unchecked-getreg mode (paper §5.1 fast path) --------------------------
 
 TEST(VCodeModes, UncheckedModeWorksWithinPool) {
-  CodeRegion Region(1 << 14, CodePlacement::Sequential);
+  CodeRegion Region(1 << 14);
   vcode::VCode V(Region.base(), Region.capacity());
   V.setSpillingEnabled(false);
   V.enter();
@@ -112,7 +112,7 @@ TEST(VCodeModes, UncheckedModeWorksWithinPool) {
 TEST(VCodeModes, UncheckedModeAbortsOnExhaustion) {
   EXPECT_DEATH(
       {
-        CodeRegion Region(1 << 14, CodePlacement::Sequential);
+        CodeRegion Region(1 << 14);
         vcode::VCode V(Region.base(), Region.capacity());
         V.setSpillingEnabled(false);
         for (int I = 0; I <= vcode::VCode::NumIntPool; ++I)
@@ -226,7 +226,7 @@ TEST(FailureModes, UnboundLabelAsserts) {
 #ifndef NDEBUG
   EXPECT_DEATH(
       {
-        CodeRegion Region(1 << 14, CodePlacement::Sequential);
+        CodeRegion Region(1 << 14);
         vcode::VCode V(Region.base(), Region.capacity());
         V.enter();
         vcode::Label L = V.newLabel();

@@ -335,7 +335,36 @@ TEST(Trace, RealCompilePipelineProducesSpans) {
   EXPECT_GE(ByName["cgf-walk"], 1u);
   EXPECT_GE(ByName["linear-scan"], 1u);
   EXPECT_GE(ByName["emit"], 1u);
-  EXPECT_GE(ByName["icache-flush"], 1u);
+  EXPECT_GE(ByName["code-install"], 1u);
+  std::remove(Path.c_str());
+}
+
+TEST(Trace, AdmissionStagesAreSpansInTheReport) {
+  // A verified compile runs admission; each of its three stages is a span,
+  // and the report breaks admission time down by them.
+  obs::traceStart(nullptr);
+  Context C;
+  VSpec X = C.paramInt(0);
+  CompileOptions O;
+  O.Backend = BackendKind::ICode;
+  O.Verify = true;
+  CompiledFn F = compileFn(C, C.ret(C.read(X) * C.intConst(3)),
+                           EvalType::Int, O);
+  EXPECT_EQ(F.as<int(int)>()(5), 15);
+  std::string Path = tracePath("obs_trace_admit.json");
+  ASSERT_TRUE(obs::traceStopTo(Path.c_str()));
+
+  JValue Events = loadAndValidateTrace(Path);
+  std::map<std::string, unsigned> ByName;
+  for (const JValue &E : Events.A)
+    if (E.at("ph").S == "B")
+      ++ByName[E.at("name").S];
+  EXPECT_GE(ByName["admit-decode"], 1u);
+  EXPECT_GE(ByName["admit-cfg"], 1u);
+  EXPECT_GE(ByName["admit-fixpoint"], 1u);
+  std::string Report = obs::renderReport();
+  EXPECT_NE(Report.find("admission stages"), std::string::npos) << Report;
+  EXPECT_NE(Report.find("admit-fixpoint"), std::string::npos);
   std::remove(Path.c_str());
 }
 

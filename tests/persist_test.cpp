@@ -22,6 +22,7 @@
 #include "persist/Snapshot.h"
 #include "support/Fingerprint.h"
 #include "support/Hash.h"
+#include "support/CodeBuffer.h"
 #include "support/Reloc.h"
 
 #include <gtest/gtest.h>
@@ -704,6 +705,48 @@ TEST(Snapshot, OutOfRangeRelocKindRejected) {
   EXPECT_EQ(H->as<int(int)>()(5), 66);
   EXPECT_EQ(S.snapshot()->stats().Rejects, 1u);
   EXPECT_EQ(S.snapshot()->stats().Hits, 0u);
+}
+
+TEST(Snapshot, RejectedRecordLeavesOnlyTrapsInItsBlock) {
+  // The loader installs a record into a heap block to admit it there. When
+  // admission refuses it, the block goes back to the heap, and the refused
+  // bytes must not stay mapped executable until the block is reused. A
+  // class's freelist is LIFO, so a probe block of the record's code length,
+  // freed just before the load, is the block the load takes.
+  static int Cell = 45;
+  TempDir Dir;
+  {
+    CompileService Seed(snapConfig(Dir));
+    EXPECT_EQ(compileCell(Seed, &Cell)->as<int(int)>()(1), 46);
+  }
+  std::uint32_t CodeLen = 0;
+  rewriteRecords(Dir.file(), [&](std::uint8_t *Rec) {
+    CodeLen = rd32At(Rec + 28);
+    // Header, key, refs, relocs, then the code.
+    std::uint8_t *Code = Rec + 48 + rd32At(Rec + 24) + 12 * rd32At(Rec + 36) +
+                         12 * rd32At(Rec + 32);
+    Code[0] = 0x0F; // syscall: outside every emitter's vocabulary.
+    Code[1] = 0x05;
+  });
+  ASSERT_GT(CodeLen, 2u);
+
+  std::vector<std::uint8_t> Filler(CodeLen, 0x90);
+  const std::uint8_t *X;
+  {
+    CodeBlock Probe = CodeHeap::global().install(Filler.data(), CodeLen,
+                                                 CodePlacement::Sequential);
+    X = Probe.exec();
+  }
+  std::uint64_t ReusedBefore = CodeHeap::global().stats().Reused;
+  CompileService S(snapConfig(Dir));
+  CompiledFn F = S.snapshot()->tryLoad(persistKeyForCell(&Cell), {});
+  EXPECT_FALSE(F.valid());
+  EXPECT_EQ(S.snapshot()->stats().Rejects, 1u);
+  ASSERT_EQ(CodeHeap::global().stats().Reused, ReusedBefore + 1)
+      << "the load did not take the probe's block";
+  // Heap chunks are never unmapped, so the exec view stays readable.
+  for (std::uint32_t I = 0; I < CodeLen; ++I)
+    ASSERT_EQ(X[I], 0xCC) << "byte " << I << " of a refused record survived";
 }
 
 // --- Per-entry TTL ----------------------------------------------------------

@@ -70,7 +70,7 @@ TEST(Arena, ResetReclaims) {
 }
 
 TEST(CodeRegion, WriteThenExecute) {
-  CodeRegion R(4096, CodePlacement::Sequential);
+  CodeRegion R(4096);
   // mov eax, 0x2A; ret
   const std::uint8_t Code[] = {0xB8, 0x2A, 0x00, 0x00, 0x00, 0xC3};
   std::memcpy(R.base(), Code, sizeof(Code));
@@ -80,7 +80,7 @@ TEST(CodeRegion, WriteThenExecute) {
 }
 
 TEST(CodeRegion, WritableAfterExecutable) {
-  CodeRegion R(4096, CodePlacement::Sequential);
+  CodeRegion R(4096);
   const std::uint8_t Code[] = {0xB8, 0x2A, 0x00, 0x00, 0x00, 0xC3};
   std::memcpy(R.base(), Code, sizeof(Code));
   R.makeExecutable();
@@ -89,16 +89,6 @@ TEST(CodeRegion, WritableAfterExecutable) {
   R.makeExecutable();
   auto Fn = reinterpret_cast<int (*)()>(R.base());
   EXPECT_EQ(Fn(), 7);
-}
-
-TEST(CodeRegion, RandomizedPlacementStaysAligned) {
-  for (int I = 0; I < 16; ++I) {
-    CodeRegion R(4096, CodePlacement::Randomized);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(R.base()) % 16, 0u);
-    R.base()[0] = 0xC3;
-    R.makeExecutable();
-    reinterpret_cast<void (*)()>(R.base())();
-  }
 }
 
 TEST(Timing, CycleCounterMonotonic) {

@@ -24,7 +24,7 @@ namespace {
 class Jit {
 public:
   explicit Jit(std::size_t Cap = 1 << 16)
-      : Region(Cap, CodePlacement::Sequential), V(Region.base(), Cap) {}
+      : Region(Cap), V(Region.base(), Cap) {}
 
   template <typename FnT> FnT *finish() {
     void *Entry = V.finish();

@@ -114,7 +114,7 @@ TEST(X86Golden, InstructionCounter) {
 
 /// Assembles through \p Emit and runs the result as int64(*)(int64, int64).
 std::int64_t run2(void (*Emit)(Assembler &), std::int64_t X, std::int64_t Y) {
-  CodeRegion R(4096, CodePlacement::Sequential);
+  CodeRegion R(4096);
   Assembler A(R.base(), R.capacity());
   Emit(A);
   R.makeExecutable();
@@ -185,7 +185,7 @@ TEST(X86Exec, ConditionalBranch) {
 
 TEST(X86Exec, DoubleArith) {
   // double f(double a, double b) { return a * b + a; }
-  CodeRegion R(4096, CodePlacement::Sequential);
+  CodeRegion R(4096);
   Assembler A(R.base(), R.capacity());
   A.movsdRR(XMM2, XMM0);
   A.mulsd(XMM2, XMM1);
@@ -199,7 +199,7 @@ TEST(X86Exec, DoubleArith) {
 }
 
 TEST(X86Exec, IntToDoubleAndBack) {
-  CodeRegion R(4096, CodePlacement::Sequential);
+  CodeRegion R(4096);
   Assembler A(R.base(), R.capacity());
   // return (int64)((double)rdi / 2.0)
   A.cvtsi2sd64(XMM0, RDI);
@@ -218,7 +218,7 @@ TEST(X86Exec, IntToDoubleAndBack) {
 }
 
 TEST(X86Exec, MovqRoundTrip) {
-  CodeRegion R(4096, CodePlacement::Sequential);
+  CodeRegion R(4096);
   Assembler A(R.base(), R.capacity());
   A.movqXR(XMM3, RDI);
   A.movqRX(RAX, XMM3);
@@ -340,7 +340,7 @@ TEST(Decoder, RejectsOutOfRangeShiftImmediate) {
 }
 
 TEST(X86Exec, CallThroughRegister) {
-  CodeRegion R(4096, CodePlacement::Sequential);
+  CodeRegion R(4096);
   Assembler A(R.base(), R.capacity());
   // Forward rdi to a helper and add 1 to its result.
   auto Helper = +[](std::int64_t X) { return X * 10; };
