@@ -3,7 +3,7 @@
 // Runs a .tc program: the static half is interpreted, the backquoted half
 // is dynamically compiled to machine code.
 //
-//   tickc_run prog.tc [--vcode|--icode]
+//   tickc_run prog.tc [--vcode|--pcode|--icode]
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +19,8 @@ using namespace tcc;
 
 int main(int Argc, char **Argv) {
   if (Argc < 2) {
-    std::fprintf(stderr, "usage: tickc_run <program.tc> [--vcode|--icode]\n");
+    std::fprintf(stderr,
+                 "usage: tickc_run <program.tc> [--vcode|--pcode|--icode]\n");
     return 2;
   }
   std::ifstream In(Argv[1]);
@@ -33,6 +34,8 @@ int main(int Argc, char **Argv) {
   core::BackendKind Backend = core::BackendKind::ICode;
   if (Argc > 2 && std::string(Argv[2]) == "--vcode")
     Backend = core::BackendKind::VCode;
+  else if (Argc > 2 && std::string(Argv[2]) == "--pcode")
+    Backend = core::BackendKind::PCode;
 
   frontend::Interp I(frontend::parseProgram(Buf.str()), Backend);
   I.setEcho(true);

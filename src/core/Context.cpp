@@ -1,6 +1,7 @@
 //===- core/Context.cpp - Specification-time construction -----------------==//
 
 #include "core/Context.h"
+#include "core/Semantics.h"
 
 #include "support/Error.h"
 
@@ -115,57 +116,18 @@ static std::uint8_t combineNeed(const ExprNode *A, const ExprNode *B) {
 }
 
 EvalType Context::promote(Expr &A, Expr &B) {
-  EvalType Ta = A.type(), Tb = B.type();
-  if (Ta == Tb)
-    return Ta;
-  // Double wins.
-  if (Ta == EvalType::Double || Tb == EvalType::Double) {
-    if (Ta != EvalType::Double)
-      A = toDouble(A);
-    if (Tb != EvalType::Double)
-      B = toDouble(B);
-    return EvalType::Double;
-  }
-  // Pointer arithmetic: Ptr op {Int,Long} stays Ptr.
-  if (Ta == EvalType::Ptr || Tb == EvalType::Ptr) {
-    if (Ta != EvalType::Ptr)
-      A = toLong(A);
-    if (Tb != EvalType::Ptr)
-      B = toLong(B);
-    return EvalType::Ptr;
-  }
-  // Int/Long mix widens to Long.
-  if (Ta == EvalType::Int)
-    A = toLong(A);
-  if (Tb == EvalType::Int)
-    B = toLong(B);
-  return EvalType::Long;
+  EvalType T = sem::promote(A.type(), B.type());
+  for (Expr *E : {&A, &B})
+    if (E->type() != T)
+      *E = T == EvalType::Double ? toDouble(*E) : toLong(*E);
+  return T;
 }
 
 Expr Context::binary(BinOp O, Expr A, Expr B) {
   assert(A.valid() && B.valid() && "binary on empty cspec");
-  if (O == BinOp::LogAnd || O == BinOp::LogOr) {
-    assert(A.type() == EvalType::Int && B.type() == EvalType::Int &&
-           "logical operators take int conditions");
-    ExprNode *N = newExpr(ExprKind::Binary, EvalType::Int);
-    N->OpByte = static_cast<std::uint8_t>(O);
-    N->A = A.node();
-    N->B = B.node();
-    N->RegNeed = combineNeed(N->A, N->B);
-    N->Flags = N->A->Flags | N->B->Flags;
-    return Expr(N);
-  }
+  assert(sem::compiledAt(O, sem::promote(A.type(), B.type())) &&
+         "operator not defined at this type");
   EvalType T = promote(A, B);
-  assert((T != EvalType::Double ||
-          (O == BinOp::Add || O == BinOp::Sub || O == BinOp::Mul ||
-           O == BinOp::Div)) &&
-         "operation not defined on double");
-  assert((T == EvalType::Int || (O != BinOp::Shl && O != BinOp::Shr &&
-                                 O != BinOp::Mod && O != BinOp::Div &&
-                                 O != BinOp::And && O != BinOp::Or &&
-                                 O != BinOp::Xor) ||
-          T == EvalType::Double) &&
-         "64-bit operation limited to add/sub/mul");
   ExprNode *N = newExpr(ExprKind::Binary, T);
   N->OpByte = static_cast<std::uint8_t>(O);
   N->A = A.node();
@@ -189,18 +151,14 @@ Expr Context::cmp(CmpKind K, Expr A, Expr B) {
 
 Expr Context::unary(UnOp O, Expr A) {
   assert(A.valid() && "unary on empty cspec");
+  assert(sem::compiledAt(O, A.type()) && "operator not defined at this type");
   EvalType T = EvalType::Int;
   switch (O) {
   case UnOp::Neg:
-    T = A.type();
-    assert(T != EvalType::Ptr && T != EvalType::Void && "cannot negate");
-    break;
   case UnOp::Not:
     T = A.type();
-    assert(T == EvalType::Int && "~ is defined on int");
     break;
   case UnOp::LogNot:
-    assert(A.type() == EvalType::Int && "! needs an int");
     T = EvalType::Int;
     break;
   case UnOp::IntToDouble:

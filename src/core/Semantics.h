@@ -6,22 +6,31 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one definition of what `C expressions compute. Two tree walks need
+/// The one definition of what C operators compute. Three tree walks need
 /// operator values: the instantiation-time constant folder (the automatic
-/// dynamic partial evaluation of paper §4.4, in Compile.cpp) and the tier-0
-/// interpreter (SpecInterp.cpp). Both call the helpers below, so folded code
-/// and interpreted code cannot disagree with each other; the helpers follow
-/// what the emitted x86 computes, so neither disagrees with compiled code.
+/// dynamic partial evaluation of paper §4.4, in Compile.cpp), the tier-0
+/// interpreter (SpecInterp.cpp) and the Tick-C frontend's static half
+/// (frontend/Interp.cpp), which computes `x << s` before a backquote the way
+/// the compiled code computes it after one. All call the helpers below, so
+/// none can disagree with another; the helpers follow what the emitted x86
+/// computes, so none disagrees with compiled code.
 ///
 /// Values are canonical scalars: an Int is sign-extended to 64 bits, Long
 /// and Ptr use all 64, a Double lives in D. Where the machine is defined
 /// and C++ is not, the machine wins:
-///   * Int Div/Mod trap (idiv's #DE) exactly when y == 0, or when
-///     x == INT32_MIN and y == -1. binary() reports the trap; the folder
-///     then declines to fold and the interpreter raises SIGFPE.
+///   * Integer Div/Mod trap (idiv's #DE) exactly when y == 0, or when x is
+///     the type's minimum and y == -1. binary() reports the trap; the folder
+///     then declines to fold, the interpreter raises SIGFPE and the
+///     frontend reports a line-numbered error.
 ///   * DoubleToInt is cvttsd2si: NaN and out-of-range inputs give INT32_MIN.
 ///   * Add, Sub, Mul and Neg wrap in two's complement at their type's width.
-///   * Shift counts are masked to 5 bits, as 32-bit shl/sar do.
+///   * Shifts are width-aware: an Int count is masked to 5 bits, as 32-bit
+///     shl/sar do, and a Long count to 6, as shl r64 does. The back ends
+///     emit only Int shifts (compiledAt), so only the frontend's static
+///     half reaches the Long case.
+///   * Double compares read ucomisd's flags with no parity check, as the
+///     back ends emit them: a NaN operand makes ==, < and <= true and !=,
+///     > and >= false.
 ///
 /// Everything here is inline: tier 0 runs these helpers on every node of
 /// every interpreted call.
@@ -53,6 +62,52 @@ inline std::int64_t sext32(std::int64_t V) {
 /// Canonical form of an integer-class value of type \p T.
 inline std::int64_t canon(EvalType T, std::int64_t V) {
   return T == EvalType::Int ? sext32(V) : V;
+}
+
+/// The type both operands of a binary or compare node are converted to
+/// (Context::promote): Double wins, then Ptr, and an Int/Long mix is Long.
+inline EvalType promote(EvalType A, EvalType B) {
+  if (A == B)
+    return A;
+  if (A == EvalType::Double || B == EvalType::Double)
+    return EvalType::Double;
+  if (A == EvalType::Ptr || B == EvalType::Ptr)
+    return EvalType::Ptr;
+  return EvalType::Long;
+}
+
+/// True when the back ends compile `A O B` at promoted type \p T: every
+/// operator on Int, + - * / on Double, and + - * on Long and Ptr. && and ||
+/// take Int conditions. binary() computes the rest of Long too, for the
+/// frontend's static half; Context::binary accepts only what this allows.
+inline bool compiledAt(BinOp O, EvalType T) {
+  switch (T) {
+  case EvalType::Int:
+    return true;
+  case EvalType::Double:
+    return O == BinOp::Add || O == BinOp::Sub || O == BinOp::Mul ||
+           O == BinOp::Div;
+  case EvalType::Long:
+  case EvalType::Ptr:
+    return O == BinOp::Add || O == BinOp::Sub || O == BinOp::Mul;
+  case EvalType::Void:
+    break;
+  }
+  return false;
+}
+
+/// The same for `O A` with A of type \p T: - on every number, ~ and ! on
+/// Int. Conversions are chosen by type (Context::toInt etc.).
+inline bool compiledAt(UnOp O, EvalType T) {
+  switch (O) {
+  case UnOp::Neg:
+    return T == EvalType::Int || T == EvalType::Long || T == EvalType::Double;
+  case UnOp::Not:
+  case UnOp::LogNot:
+    return T == EvalType::Int;
+  default:
+    return true;
+  }
 }
 
 inline bool truthy(EvalType T, Value V) {
@@ -220,10 +275,13 @@ inline bool binary(BinOp O, EvalType T, Value A, Value B, Value &R) {
     V = X ^ Y;
     break;
   case BinOp::Shl:
-    V = static_cast<std::int32_t>(static_cast<std::uint32_t>(X) << (Y & 31));
+    V = T == EvalType::Int ? static_cast<std::int32_t>(
+                                 static_cast<std::uint32_t>(X) << (Y & 31))
+                           : static_cast<std::int64_t>(UX << (Y & 63));
     break;
   case BinOp::Shr:
-    V = static_cast<std::int32_t>(X) >> (Y & 31);
+    V = T == EvalType::Int ? static_cast<std::int32_t>(X) >> (Y & 31)
+                           : X >> (Y & 63);
     break;
   case BinOp::LogAnd:
   case BinOp::LogOr:
@@ -233,10 +291,11 @@ inline bool binary(BinOp O, EvalType T, Value A, Value B, Value &R) {
   return true;
 }
 
-/// The one CmpKind table, over a signed view (X, Y) and an unsigned view
-/// (UX, UY) of the same operands.
-template <class S, class U>
-inline bool compareViews(CmpKind K, S X, S Y, U UX, U UY) {
+/// `X K Y` on canonical integers. Sign extension preserves both the signed
+/// and the unsigned order of 32-bit values, so one 64-bit compare serves
+/// Int, Long and Ptr alike.
+inline bool compareInt(CmpKind K, std::int64_t X, std::int64_t Y) {
+  auto UX = static_cast<std::uint64_t>(X), UY = static_cast<std::uint64_t>(Y);
   switch (K) {
   case CmpKind::Eq:
     return X == Y;
@@ -262,21 +321,34 @@ inline bool compareViews(CmpKind K, S X, S Y, U UX, U UY) {
   return false;
 }
 
-/// `X K Y` on canonical integers. Sign extension preserves both the signed
-/// and the unsigned order of 32-bit values, so one 64-bit compare serves
-/// Int, Long and Ptr alike.
-inline bool compareInt(CmpKind K, std::int64_t X, std::int64_t Y) {
-  return compareViews(K, X, Y, static_cast<std::uint64_t>(X),
-                      static_cast<std::uint64_t>(Y));
-}
-
-/// `A K B` on operands of type \p OpT. Doubles have one order (ucomisd sets
-/// the flags the unsigned conditions read), so the signed and unsigned
-/// kinds agree on them.
+/// `A K B` on operands of type \p OpT. Doubles compare the way the emitted
+/// code does: ucomisd sets ZF and CF (both, for an unordered pair) and the
+/// condition reads them like an unsigned compare, so the signed and unsigned
+/// kinds agree and no parity check tells NaN apart.
 inline bool compare(CmpKind K, EvalType OpT, Value A, Value B) {
-  if (OpT == EvalType::Double)
-    return compareViews(K, A.D, B.D, A.D, B.D);
-  return compareInt(K, A.I, B.I);
+  if (OpT != EvalType::Double)
+    return compareInt(K, A.I, B.I);
+  bool Unordered = A.D != A.D || B.D != B.D;
+  bool ZF = Unordered || A.D == B.D, CF = Unordered || A.D < B.D;
+  switch (K) {
+  case CmpKind::Eq:
+    return ZF;
+  case CmpKind::Ne:
+    return !ZF;
+  case CmpKind::LtS:
+  case CmpKind::LtU:
+    return CF;
+  case CmpKind::LeS:
+  case CmpKind::LeU:
+    return CF || ZF;
+  case CmpKind::GtS:
+  case CmpKind::GtU:
+    return !CF && !ZF;
+  case CmpKind::GeS:
+  case CmpKind::GeU:
+    return !CF;
+  }
+  return false;
 }
 
 } // namespace sem

@@ -17,6 +17,8 @@
 #ifndef TICKC_FRONTEND_AST_H
 #define TICKC_FRONTEND_AST_H
 
+#include "core/Nodes.h"
+
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -50,21 +52,37 @@ enum class FExprKind : std::uint8_t {
   DoubleLit,
   StringLit,
   Ident,
-  Unary,   ///< Op in OpText: - ! ~ * (deref) & (addr)
-  Binary,  ///< Op in OpText: + - * / % & | ^ << >> < <= > >= == != && ||
-  Assign,  ///< OpText: = += -= *= /=
+  Unary,   ///< Op A: - ! ~ (a UnOp), * (Deref) or & (AddrOf).
+  Binary,  ///< A Op B: a BinOp (&& and || included) or a CmpKind.
+  Assign,  ///< A = B (Op None), or A op= B (Op the BinOp).
   Ternary,
   Call,    ///< Callee in A; Args. Special forms: compile/local/param.
   Index,   ///< A[B]
   Tick,    ///< `expr (A) or `{...} (Body)
   Dollar,  ///< $expr within dynamic code
-  PostIncDec, ///< OpText: ++ or --
+  PostIncDec, ///< A++ or A--: A op= B with Op Add or Sub and B the literal
+              ///< 1, valued at A's old value.
+};
+
+/// An operator, mapped once by the parser from its token to what the core
+/// library computes, so both halves of a program evaluate one meaning: the
+/// static half through core/Semantics.h, the backquoted half through the
+/// Context builders. Dereference and address-of have no core operator and
+/// stay the frontend's own forms.
+struct FOp {
+  enum KindT : std::uint8_t { None, Bin, Cmp, Un, Deref, AddrOf } Kind = None;
+  core::BinOp B = core::BinOp::Add;   ///< Kind == Bin.
+  core::CmpKind C = core::CmpKind::Eq; ///< Kind == Cmp.
+  core::UnOp U = core::UnOp::Neg;     ///< Kind == Un.
+
+  bool is(core::BinOp O) const { return Kind == Bin && B == O; }
 };
 
 struct FExpr {
   FExprKind Kind;
   unsigned Line = 0;
-  std::string OpText;  ///< Operator spelling, or identifier name.
+  FOp Op;           ///< Unary, Binary, Assign and PostIncDec.
+  std::string Name; ///< Ident: the identifier.
   std::int64_t IntVal = 0;
   double DoubleVal = 0;
   std::string StrVal;

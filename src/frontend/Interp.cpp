@@ -2,6 +2,7 @@
 
 #include "frontend/Interp.h"
 
+#include "core/Semantics.h"
 #include "frontend/Parser.h"
 #include "support/Error.h"
 
@@ -31,6 +32,26 @@ struct Slot {
 };
 using SlotPtr = std::shared_ptr<Slot>;
 
+/// Where a slot keeps its payload, and as what: `&x` points there, and
+/// dynamic code reads and writes a free variable there.
+struct Cell {
+  void *Addr;
+  MemType M;
+};
+Cell cellOf(Slot &S) {
+  if (S.Type.isPointer())
+    return {&S.V.P, MemType::P64};
+  switch (S.Type.Base) {
+  case TypeRef::Double:
+    return {&S.V.D, MemType::F64};
+  case TypeRef::Long:
+    return {&S.V.I, MemType::I64};
+  default:
+    // Int/Char payloads live in the low bytes of the int64 (little-endian).
+    return {&S.V.I, MemType::I32};
+  }
+}
+
 EvalType evalTypeOf(const TypeRef &T) {
   if (T.isPointer())
     return EvalType::Ptr;
@@ -47,6 +68,22 @@ EvalType evalTypeOf(const TypeRef &T) {
   }
   return EvalType::Int;
 }
+
+TypeRef typeRefOf(EvalType T) {
+  switch (T) {
+  case EvalType::Double:
+    return {TypeRef::Double};
+  case EvalType::Long:
+    return {TypeRef::Long};
+  case EvalType::Void:
+    return {TypeRef::Void};
+  default:
+    return {TypeRef::Int};
+  }
+}
+
+/// A literal's type, as in C: int if it fits, else long.
+bool fitsInt(std::int64_t V) { return V == sem::sext32(V); }
 
 MemType memTypeOfPointee(const TypeRef &PtrT) {
   if (PtrT.PtrDepth > 1)
@@ -80,6 +117,109 @@ char sigCharOf(const TypeRef &T) {
     return 'd';
   }
   return 'i';
+}
+
+// --- Static values, computed by core/Semantics.h ----------------------------
+
+/// The core type of a numeric interpreter value.
+EvalType typeOf(const Value &V, unsigned Line) {
+  switch (V.Kind) {
+  case Value::Int:
+    return EvalType::Int;
+  case Value::Long:
+    return EvalType::Long;
+  case Value::Double:
+    return EvalType::Double;
+  case Value::Ptr:
+    return EvalType::Ptr;
+  default:
+    rtError(Line, "operand is not a number");
+  }
+}
+
+/// \p V as a canonical core scalar of type \p T: its own type, or the type
+/// sem::promote widens it to.
+sem::Value semOf(const Value &V, EvalType T) {
+  std::int64_t I =
+      V.Kind == Value::Ptr || V.Kind == Value::FnPtr
+          ? static_cast<std::int64_t>(reinterpret_cast<std::uintptr_t>(V.P))
+      : V.Kind == Value::Int ? sem::sext32(V.I)
+                             : V.I;
+  if (T != EvalType::Double)
+    return {I, 0};
+  return {0, V.Kind == Value::Double ? V.D : static_cast<double>(I)};
+}
+
+/// An interpreter value of numeric type \p T holding \p R.
+Value valueOf(EvalType T, sem::Value R) {
+  Value V;
+  V.Kind = T == EvalType::Double ? Value::Double
+           : T == EvalType::Long ? Value::Long
+                                 : Value::Int;
+  V.I = R.I;
+  V.D = R.D;
+  return V;
+}
+
+bool truthy(const Value &V) {
+  EvalType T = V.Kind == Value::Double ? EvalType::Double : EvalType::Long;
+  return sem::truthy(T, semOf(V, T));
+}
+
+MemType memOf(const Value &Ptr) {
+  return memTypeOfPointee(TypeRef{Ptr.Pointee, 1});
+}
+
+/// \p P + \p N elements, or P - N for Sub: C pointer arithmetic.
+Value offsetPtr(Value P, const Value &N, BinOp O) {
+  auto Bytes = static_cast<std::uint64_t>(semOf(N, EvalType::Long).I) *
+               memSize(memOf(P));
+  auto Addr = reinterpret_cast<std::uintptr_t>(P.P);
+  P.P = reinterpret_cast<void *>(O == BinOp::Add ? Addr + Bytes
+                                                 : Addr - Bytes);
+  return P;
+}
+
+/// `O A`. Every value comes from sem::unary.
+Value unaryValue(UnOp O, const Value &A, unsigned Line) {
+  EvalType T = typeOf(A, Line);
+  if (O != UnOp::LogNot &&
+      (T == EvalType::Ptr || (O == UnOp::Not && T == EvalType::Double)))
+    rtError(Line, std::string("operator not defined on ") + typeName(T));
+  EvalType RT = O == UnOp::LogNot ? EvalType::Int : T;
+  return valueOf(RT, sem::unary(O, RT, T, semOf(A, T)));
+}
+
+/// `A Op B` for every operator but && and ||, which short-circuit. Pointer
+/// arithmetic is the frontend's own; every other value comes from
+/// sem::compare or sem::binary at the promoted type, where long keeps its
+/// 64-bit meaning for / % & | ^ << >> (compiledAt refuses those only in
+/// dynamic code). A trap is a line-numbered error.
+Value binaryValue(const FOp &Op, const Value &A, const Value &B,
+                  unsigned Line) {
+  EvalType T = sem::promote(typeOf(A, Line), typeOf(B, Line));
+  if (Op.Kind == FOp::Cmp)
+    return valueOf(EvalType::Int,
+                   {sem::compare(Op.C, T, semOf(A, T), semOf(B, T)), 0});
+  if (A.Kind == Value::Ptr && (B.Kind == Value::Int || B.Kind == Value::Long) &&
+      (Op.is(BinOp::Add) || Op.is(BinOp::Sub)))
+    return offsetPtr(A, B, Op.B);
+  if (T == EvalType::Ptr) // Pointer differences compute in long.
+    T = EvalType::Long;
+  if (T == EvalType::Double && !sem::compiledAt(Op.B, T))
+    rtError(Line, "operator not defined on double");
+  sem::Value X = semOf(A, T), Y = semOf(B, T), R;
+  if (!sem::binary(Op.B, T, X, Y, R))
+    rtError(Line, Y.I == 0 ? "division by zero" : "division overflow");
+  return valueOf(T, R);
+}
+
+/// The backquoted half builds only what the back ends compile
+/// (sem::compiledAt); anything else is a diagnostic, not an abort.
+void checkCompiled(bool Compiled, EvalType T, unsigned Line) {
+  if (!Compiled)
+    rtError(Line, std::string("operator not defined on ") + typeName(T) +
+                      " in dynamic code");
 }
 
 /// Calls a native function with NI integer-class and ND double arguments.
@@ -191,23 +331,23 @@ public:
   explicit Evaluator(Interp::ImplState &S) : S(S) {}
 
   Value callFunction(const FFunction &F, std::vector<Value> Args);
+  void initGlobals();
 
 private:
   // --- Environment -----------------------------------------------------------
-  SlotPtr *lookupLocal(const std::string &Name) {
+  /// The slot \p Name resolves to (locals shadow globals), or null.
+  SlotPtr find(const std::string &Name) {
     for (std::size_t I = Scopes.size(); I-- > 0;) {
       auto It = Scopes[I].find(Name);
       if (It != Scopes[I].end())
-        return &It->second;
+        return It->second;
     }
-    return nullptr;
+    auto It = S.Globals.find(Name);
+    return It != S.Globals.end() ? It->second : nullptr;
   }
   SlotPtr lookup(const std::string &Name, unsigned Line) {
-    if (SlotPtr *L = lookupLocal(Name))
-      return *L;
-    auto It = S.Globals.find(Name);
-    if (It != S.Globals.end())
-      return It->second;
+    if (SlotPtr SP = find(Name))
+      return SP;
     rtError(Line, "undefined variable '" + Name + "'");
   }
 
@@ -215,16 +355,13 @@ private:
   Flow execStmt(const FStmt *St, Value &Ret);
   Value evalExpr(const FExpr *E);
   Value evalCall(const FExpr *E);
-  void assignTo(const FExpr *Lhs, Value V);
+  void assignTo(const FExpr *Lhs, const Value &V);
+  /// The address `A[B]` names.
+  Value element(const FExpr *E);
+  Value load(const Value &Ptr, unsigned Line);
+  void store(const Value &Ptr, const Value &V, unsigned Line);
   Value defaultValue(const TypeRef &T);
   Value coerce(Value V, const TypeRef &T, unsigned Line);
-
-  static bool truthy(const Value &V) {
-    return V.Kind == Value::Double ? V.D != 0 : V.I != 0 || V.P != nullptr;
-  }
-  static double asDouble(const Value &V) {
-    return V.Kind == Value::Double ? V.D : static_cast<double>(V.I);
-  }
 
   // --- Dynamic-code specification (the tick operator) -------------------------
   struct SV {
@@ -233,15 +370,17 @@ private:
   };
   Value buildTick(const FExpr *E);
   SV specExpr(const FExpr *E);
+  SV specBinary(BinOp O, const SV &A, const SV &B, unsigned Line);
   core::Stmt specStmt(const FStmt *St);
   core::Stmt specAssign(const FExpr *E);
-  core::Stmt specIncDec(const FExpr *E);
   core::Stmt specExprAsStmt(const FExpr *E);
   core::Stmt specFor(const FStmt *St);
+  core::VSpec newLocal(const TypeRef &T);
+  core::VSpec declareTickLocal(const FStmt *D);
   /// Resolves an identifier to a vspec lvalue (tick local or spliced
   /// vspec variable); null Value if it is a plain (free) variable.
   const Value *vspecLvalue(const std::string &Name);
-  SV spliceValue(const Value &V, const TypeRef &T, unsigned Line);
+  SV spliceValue(Slot &SP, unsigned Line);
   SV rcOf(const Value &V, unsigned Line);
 
   SlotPtr *lookupTickLocal(const std::string &Name) {
@@ -318,25 +457,22 @@ Value Evaluator::coerce(Value V, const TypeRef &T, unsigned Line) {
     V.Pointee = T.Base;
     return V;
   }
+  bool FromDouble = V.Kind == Value::Double;
   switch (T.Base) {
-  case TypeRef::Double: {
-    Value R;
-    R.Kind = Value::Double;
-    R.D = asDouble(V);
-    return R;
-  }
+  case TypeRef::Double:
+    return valueOf(EvalType::Double, semOf(V, EvalType::Double));
   case TypeRef::Long: {
-    Value R;
-    R.Kind = Value::Long;
-    R.I = V.Kind == Value::Double ? static_cast<std::int64_t>(V.D) : V.I;
-    return R;
+    std::int64_t I = semOf(V, EvalType::Long).I;
+    if (FromDouble) // cvttsd2si r64: NaN and out-of-range give INT64_MIN.
+      I = V.D >= -0x1p63 && V.D < 0x1p63 ? static_cast<std::int64_t>(V.D)
+                                         : INT64_MIN;
+    return valueOf(EvalType::Long, {I, 0});
   }
   default: {
-    Value R;
-    R.Kind = Value::Int;
-    R.I = static_cast<std::int32_t>(
-        V.Kind == Value::Double ? static_cast<std::int64_t>(V.D) : V.I);
-    return R;
+    EvalType From = FromDouble ? EvalType::Double : EvalType::Long;
+    return valueOf(EvalType::Int,
+                   sem::unary(FromDouble ? UnOp::DoubleToInt : UnOp::LongToInt,
+                              EvalType::Int, From, semOf(V, From)));
   }
   }
 }
@@ -357,6 +493,21 @@ Value Evaluator::callFunction(const FFunction &F, std::vector<Value> Args) {
     Ret = defaultValue(F.RetType);
   Scopes.pop_back();
   return Ret;
+}
+
+/// Globals are initialized in order before main runs, from literal
+/// constants only.
+void Evaluator::initGlobals() {
+  for (const FStmt &G : S.Prog.Globals) {
+    if (G.E && G.E->Kind != FExprKind::IntLit &&
+        G.E->Kind != FExprKind::DoubleLit)
+      rtError(G.Line, "global initializers must be literal constants");
+    auto SlotP = std::make_shared<Slot>();
+    SlotP->Type = G.DeclType;
+    SlotP->V = G.E ? coerce(evalExpr(G.E.get()), G.DeclType, G.Line)
+                   : defaultValue(G.DeclType);
+    S.Globals[G.Name] = SlotP;
+  }
 }
 
 Flow Evaluator::execStmt(const FStmt *St, Value &Ret) {
@@ -431,18 +582,11 @@ Flow Evaluator::execStmt(const FStmt *St, Value &Ret) {
 
 Value Evaluator::evalExpr(const FExpr *E) {
   switch (E->Kind) {
-  case FExprKind::IntLit: {
-    Value V;
-    V.Kind = Value::Int;
-    V.I = E->IntVal;
-    return V;
-  }
-  case FExprKind::DoubleLit: {
-    Value V;
-    V.Kind = Value::Double;
-    V.D = E->DoubleVal;
-    return V;
-  }
+  case FExprKind::IntLit:
+    return valueOf(fitsInt(E->IntVal) ? EvalType::Int : EvalType::Long,
+                   {E->IntVal, 0});
+  case FExprKind::DoubleLit:
+    return valueOf(EvalType::Double, {0, E->DoubleVal});
   case FExprKind::StringLit: {
     S.StringPool.push_back(E->StrVal);
     Value V;
@@ -452,302 +596,102 @@ Value Evaluator::evalExpr(const FExpr *E) {
     return V;
   }
   case FExprKind::Ident:
-    return lookup(E->OpText, E->Line)->V;
+    return lookup(E->Name, E->Line)->V;
   case FExprKind::Tick:
     return buildTick(E);
   case FExprKind::Dollar:
     rtError(E->Line, "$ outside a tick-expression");
-  case FExprKind::Unary: {
-    if (E->OpText == "&") {
+  case FExprKind::Unary:
+    switch (E->Op.Kind) {
+    case FOp::AddrOf: {
       if (E->A->Kind != FExprKind::Ident)
         rtError(E->Line, "& requires a variable");
-      SlotPtr SP = lookup(E->A->OpText, E->Line);
+      SlotPtr SP = lookup(E->A->Name, E->Line);
       Value V;
       V.Kind = Value::Ptr;
       V.Pointee = SP->Type.Base;
-      V.P = SP->Type.Base == TypeRef::Double
-                ? static_cast<void *>(&SP->V.D)
-                : static_cast<void *>(&SP->V.I);
+      V.P = cellOf(*SP).Addr;
       return V;
     }
-    Value A = evalExpr(E->A.get());
-    Value R;
-    if (E->OpText == "-") {
-      if (A.Kind == Value::Double) {
-        R.Kind = Value::Double;
-        R.D = -A.D;
-      } else {
-        R.Kind = A.Kind;
-        R.I = -A.I;
-        if (A.Kind == Value::Int)
-          R.I = static_cast<std::int32_t>(R.I);
-      }
-      return R;
+    case FOp::Deref:
+      return load(evalExpr(E->A.get()), E->Line);
+    default:
+      return unaryValue(E->Op.U, evalExpr(E->A.get()), E->Line);
     }
-    if (E->OpText == "!") {
-      R.Kind = Value::Int;
-      R.I = !truthy(A);
-      return R;
-    }
-    if (E->OpText == "~") {
-      R.Kind = A.Kind;
-      R.I = ~A.I;
-      return R;
-    }
-    if (E->OpText == "*") {
-      if (A.Kind != Value::Ptr)
-        rtError(E->Line, "dereferencing a non-pointer");
-      switch (A.Pointee) {
-      case TypeRef::Char:
-        R.Kind = Value::Int;
-        R.I = *static_cast<const char *>(A.P);
-        return R;
-      case TypeRef::Int:
-        R.Kind = Value::Int;
-        R.I = *static_cast<const std::int32_t *>(A.P);
-        return R;
-      case TypeRef::Long:
-        R.Kind = Value::Long;
-        R.I = *static_cast<const std::int64_t *>(A.P);
-        return R;
-      case TypeRef::Double:
-        R.Kind = Value::Double;
-        R.D = *static_cast<const double *>(A.P);
-        return R;
-      default:
-        rtError(E->Line, "cannot dereference this pointer type");
-      }
-    }
-    rtError(E->Line, "bad unary operator");
-  }
   case FExprKind::Binary: {
-    const std::string &Op = E->OpText;
-    // Short-circuit forms first.
-    if (Op == "&&") {
-      Value R;
-      R.Kind = Value::Int;
-      R.I = truthy(evalExpr(E->A.get())) && truthy(evalExpr(E->B.get()));
-      return R;
-    }
-    if (Op == "||") {
-      Value R;
-      R.Kind = Value::Int;
-      R.I = truthy(evalExpr(E->A.get())) || truthy(evalExpr(E->B.get()));
-      return R;
-    }
     Value A = evalExpr(E->A.get());
-    Value B = evalExpr(E->B.get());
-    Value R;
-    // Pointer arithmetic.
-    if (A.Kind == Value::Ptr && (Op == "+" || Op == "-") &&
-        B.Kind != Value::Ptr) {
-      unsigned Sz = A.Pointee == TypeRef::Double ? 8
-                    : A.Pointee == TypeRef::Long ? 8
-                    : A.Pointee == TypeRef::Char ? 1
-                                                 : 4;
-      R = A;
-      auto Delta = static_cast<std::int64_t>(B.I) * Sz;
-      R.P = static_cast<char *>(A.P) + (Op == "+" ? Delta : -Delta);
-      return R;
+    // && and || short-circuit: the right operand runs only on demand.
+    bool And = E->Op.is(BinOp::LogAnd);
+    if (And || E->Op.is(BinOp::LogOr)) {
+      bool R = truthy(A);
+      if (R == And)
+        R = truthy(evalExpr(E->B.get()));
+      return valueOf(EvalType::Int, {R, 0});
     }
-    bool Cmp = Op == "<" || Op == "<=" || Op == ">" || Op == ">=" ||
-               Op == "==" || Op == "!=";
-    if (A.Kind == Value::Double || B.Kind == Value::Double) {
-      double X = asDouble(A), Y = asDouble(B);
-      if (Cmp) {
-        R.Kind = Value::Int;
-        R.I = Op == "<"    ? X < Y
-              : Op == "<=" ? X <= Y
-              : Op == ">"  ? X > Y
-              : Op == ">=" ? X >= Y
-              : Op == "==" ? X == Y
-                           : X != Y;
-        return R;
-      }
-      R.Kind = Value::Double;
-      R.D = Op == "+"   ? X + Y
-            : Op == "-" ? X - Y
-            : Op == "*" ? X * Y
-            : Op == "/" ? X / Y
-                        : 0;
-      if (Op == "%")
-        rtError(E->Line, "% on doubles");
-      return R;
-    }
-    std::int64_t X = A.Kind == Value::Ptr
-                         ? static_cast<std::int64_t>(
-                               reinterpret_cast<std::uintptr_t>(A.P))
-                         : A.I;
-    std::int64_t Y = B.Kind == Value::Ptr
-                         ? static_cast<std::int64_t>(
-                               reinterpret_cast<std::uintptr_t>(B.P))
-                         : B.I;
-    if (Cmp) {
-      R.Kind = Value::Int;
-      R.I = Op == "<"    ? X < Y
-            : Op == "<=" ? X <= Y
-            : Op == ">"  ? X > Y
-            : Op == ">=" ? X >= Y
-            : Op == "==" ? X == Y
-                         : X != Y;
-      return R;
-    }
-    bool BothInt = A.Kind == Value::Int && B.Kind == Value::Int;
-    R.Kind = BothInt ? Value::Int : Value::Long;
-    if ((Op == "/" || Op == "%") && Y == 0)
-      rtError(E->Line, "division by zero");
-    std::int64_t Res = Op == "+"    ? X + Y
-                       : Op == "-"  ? X - Y
-                       : Op == "*"  ? X * Y
-                       : Op == "/"  ? X / Y
-                       : Op == "%"  ? X % Y
-                       : Op == "&"  ? X & Y
-                       : Op == "|"  ? X | Y
-                       : Op == "^"  ? X ^ Y
-                       : Op == "<<" ? X << (Y & 63)
-                       : Op == ">>" ? X >> (Y & 63)
-                                    : 0;
-    R.I = BothInt ? static_cast<std::int32_t>(Res) : Res;
-    return R;
+    return binaryValue(E->Op, A, evalExpr(E->B.get()), E->Line);
   }
-  case FExprKind::Assign: {
+  case FExprKind::Assign:
+  case FExprKind::PostIncDec: {
+    // A op= B (and so A++ and A--) is A = A op B, through binaryValue.
     Value V = evalExpr(E->B.get());
-    if (E->OpText != "=") {
-      // Compound assignment: read-modify-write.
-      FExpr Tmp;
-      Tmp.Kind = FExprKind::Binary;
-      Tmp.Line = E->Line;
-      Tmp.OpText = E->OpText.substr(0, 1);
-      // Evaluate lhs value via a synthetic binary node.
-      Value L = evalExpr(E->A.get());
-      Value R;
-      if (L.Kind == Value::Double || V.Kind == Value::Double) {
-        R.Kind = Value::Double;
-        double X = asDouble(L), Y = asDouble(V);
-        R.D = Tmp.OpText == "+"   ? X + Y
-              : Tmp.OpText == "-" ? X - Y
-              : Tmp.OpText == "*" ? X * Y
-                                  : X / Y;
-      } else {
-        R.Kind = L.Kind;
-        std::int64_t X = L.I, Y = V.I;
-        std::int64_t Res = Tmp.OpText == "+"   ? X + Y
-                           : Tmp.OpText == "-" ? X - Y
-                           : Tmp.OpText == "*" ? X * Y
-                                               : X / Y;
-        R.I = L.Kind == Value::Int ? static_cast<std::int32_t>(Res) : Res;
-      }
-      V = R;
+    Value Old;
+    if (E->Op.Kind == FOp::Bin) {
+      Old = evalExpr(E->A.get());
+      V = binaryValue(E->Op, Old, V, E->Line);
     }
     assignTo(E->A.get(), V);
-    return V;
+    return E->Kind == FExprKind::PostIncDec ? Old : V;
   }
   case FExprKind::Ternary:
     return truthy(evalExpr(E->A.get())) ? evalExpr(E->B.get())
                                         : evalExpr(E->C.get());
-  case FExprKind::Index: {
-    Value Base = evalExpr(E->A.get());
-    Value Idx = evalExpr(E->B.get());
-    if (Base.Kind != Value::Ptr)
-      rtError(E->Line, "indexing a non-pointer");
-    Value R;
-    switch (Base.Pointee) {
-    case TypeRef::Char:
-      R.Kind = Value::Int;
-      R.I = static_cast<const char *>(Base.P)[Idx.I];
-      return R;
-    case TypeRef::Int:
-      R.Kind = Value::Int;
-      R.I = static_cast<const std::int32_t *>(Base.P)[Idx.I];
-      return R;
-    case TypeRef::Long:
-      R.Kind = Value::Long;
-      R.I = static_cast<const std::int64_t *>(Base.P)[Idx.I];
-      return R;
-    case TypeRef::Double:
-      R.Kind = Value::Double;
-      R.D = static_cast<const double *>(Base.P)[Idx.I];
-      return R;
-    default:
-      rtError(E->Line, "cannot index this pointer type");
-    }
-  }
-  case FExprKind::PostIncDec: {
-    Value Old = evalExpr(E->A.get());
-    Value New = Old;
-    std::int64_t Delta = E->OpText == "++" ? 1 : -1;
-    if (Old.Kind == Value::Double)
-      New.D += static_cast<double>(Delta);
-    else
-      New.I = Old.Kind == Value::Int
-                  ? static_cast<std::int32_t>(Old.I + Delta)
-                  : Old.I + Delta;
-    assignTo(E->A.get(), New);
-    return Old;
-  }
+  case FExprKind::Index:
+    return load(element(E), E->Line);
   case FExprKind::Call:
     return evalCall(E);
   }
   rtError(E->Line, "bad expression");
 }
 
-void Evaluator::assignTo(const FExpr *Lhs, Value V) {
+Value Evaluator::element(const FExpr *E) {
+  Value Base = evalExpr(E->A.get());
+  if (Base.Kind != Value::Ptr)
+    rtError(E->Line, "indexing a non-pointer");
+  return offsetPtr(Base, evalExpr(E->B.get()), BinOp::Add);
+}
+
+Value Evaluator::load(const Value &Ptr, unsigned Line) {
+  if (Ptr.Kind != Value::Ptr || Ptr.Pointee == TypeRef::Void)
+    rtError(Line, "dereferencing a non-pointer");
+  MemType M = memOf(Ptr);
+  return valueOf(evalTypeFor(M), sem::load(Ptr.P, M));
+}
+
+void Evaluator::store(const Value &Ptr, const Value &V, unsigned Line) {
+  if (Ptr.Kind != Value::Ptr || Ptr.Pointee == TypeRef::Void)
+    rtError(Line, "assignment through a non-pointer");
+  MemType M = memOf(Ptr);
+  sem::store(Ptr.P, M,
+             semOf(coerce(V, TypeRef{Ptr.Pointee}, Line), evalTypeFor(M)));
+}
+
+void Evaluator::assignTo(const FExpr *Lhs, const Value &V) {
   if (Lhs->Kind == FExprKind::Ident) {
-    SlotPtr SP = lookup(Lhs->OpText, Lhs->Line);
-    SP->V = coerce(std::move(V), SP->Type, Lhs->Line);
-    return;
+    SlotPtr SP = lookup(Lhs->Name, Lhs->Line);
+    SP->V = coerce(V, SP->Type, Lhs->Line);
+  } else if (Lhs->Kind == FExprKind::Index) {
+    store(element(Lhs), V, Lhs->Line);
+  } else if (Lhs->Kind == FExprKind::Unary && Lhs->Op.Kind == FOp::Deref) {
+    store(evalExpr(Lhs->A.get()), V, Lhs->Line);
+  } else {
+    rtError(Lhs->Line, "invalid assignment target");
   }
-  if (Lhs->Kind == FExprKind::Index) {
-    Value Base = evalExpr(Lhs->A.get());
-    Value Idx = evalExpr(Lhs->B.get());
-    if (Base.Kind != Value::Ptr)
-      rtError(Lhs->Line, "indexed assignment to a non-pointer");
-    switch (Base.Pointee) {
-    case TypeRef::Char:
-      static_cast<char *>(Base.P)[Idx.I] = static_cast<char>(V.I);
-      return;
-    case TypeRef::Int:
-      static_cast<std::int32_t *>(Base.P)[Idx.I] =
-          static_cast<std::int32_t>(V.Kind == Value::Double
-                                        ? static_cast<std::int64_t>(V.D)
-                                        : V.I);
-      return;
-    case TypeRef::Long:
-      static_cast<std::int64_t *>(Base.P)[Idx.I] =
-          V.Kind == Value::Double ? static_cast<std::int64_t>(V.D) : V.I;
-      return;
-    case TypeRef::Double:
-      static_cast<double *>(Base.P)[Idx.I] = asDouble(V);
-      return;
-    default:
-      rtError(Lhs->Line, "cannot assign through this pointer type");
-    }
-  }
-  if (Lhs->Kind == FExprKind::Unary && Lhs->OpText == "*") {
-    Value Base = evalExpr(Lhs->A.get());
-    if (Base.Kind != Value::Ptr)
-      rtError(Lhs->Line, "assignment through a non-pointer");
-    switch (Base.Pointee) {
-    case TypeRef::Int:
-      *static_cast<std::int32_t *>(Base.P) = static_cast<std::int32_t>(V.I);
-      return;
-    case TypeRef::Long:
-      *static_cast<std::int64_t *>(Base.P) = V.I;
-      return;
-    case TypeRef::Double:
-      *static_cast<double *>(Base.P) = asDouble(V);
-      return;
-    default:
-      rtError(Lhs->Line, "cannot assign through this pointer type");
-    }
-  }
-  rtError(Lhs->Line, "invalid assignment target");
 }
 
 Value Evaluator::evalCall(const FExpr *E) {
   if (E->A->Kind != FExprKind::Ident)
     rtError(E->Line, "calls must name a function or function variable");
-  const std::string &Name = E->A->OpText;
+  const std::string &Name = E->A->Name;
 
   // --- `C special forms -------------------------------------------------------
   if (Name == "compile") {
@@ -816,20 +760,7 @@ Value Evaluator::evalCall(const FExpr *E) {
   if (Name == "local") {
     Value R;
     R.Kind = Value::VSpecRef;
-    switch (evalTypeOf(E->TypeArg)) {
-    case EvalType::Double:
-      R.Vs = S.Ctx.localDouble();
-      break;
-    case EvalType::Ptr:
-      R.Vs = S.Ctx.localPtr();
-      break;
-    case EvalType::Long:
-      R.Vs = S.Ctx.localLong();
-      break;
-    default:
-      R.Vs = S.Ctx.localInt();
-      break;
-    }
+    R.Vs = newLocal(E->TypeArg);
     return R;
   }
 
@@ -840,11 +771,11 @@ Value Evaluator::evalCall(const FExpr *E) {
     return Value();
   }
   if (Name == "print_long") {
-    tickcPrintLong(Eval1(0).I);
+    tickcPrintLong(semOf(Eval1(0), EvalType::Long).I);
     return Value();
   }
   if (Name == "print_double") {
-    tickcPrintDouble(asDouble(Eval1(0)));
+    tickcPrintDouble(semOf(Eval1(0), EvalType::Double).D);
     return Value();
   }
   if (Name == "print_str") {
@@ -870,8 +801,7 @@ Value Evaluator::evalCall(const FExpr *E) {
   }
 
   // --- A compiled dynamic function held in a variable -----------------------------
-  if (SlotPtr *L = lookupLocal(Name); L || S.Globals.count(Name)) {
-    SlotPtr SP = L ? *L : S.Globals[Name];
+  if (SlotPtr SP = find(Name)) {
     const Value &FV = SP->V;
     if (FV.Kind == Value::FnPtr ||
         (FV.Kind == Value::Ptr && !FV.FnSig.empty())) {
@@ -885,12 +815,9 @@ Value Evaluator::evalCall(const FExpr *E) {
           rtError(E->Line, "too few arguments to dynamic function");
         Value AV = evalExpr(E->Args[ArgIdx++].get());
         if (Sig[K] == 'd')
-          DA[ND++] = asDouble(AV);
-        else if (Sig[K] == 'p')
-          IA[NI++] = static_cast<std::int64_t>(
-              reinterpret_cast<std::uintptr_t>(AV.P));
+          DA[ND++] = semOf(AV, EvalType::Double).D;
         else
-          IA[NI++] = AV.I;
+          IA[NI++] = semOf(AV, EvalType::Long).I;
       }
       Value R;
       if (Sig[0] == 'd') {
@@ -969,51 +896,32 @@ Evaluator::SV Evaluator::rcOf(const Value &V, unsigned Line) {
 
 /// Splices a variable's value into dynamic code: cspecs compose, vspecs
 /// read, plain variables become free variables.
-Evaluator::SV Evaluator::spliceValue(const Value &V, const TypeRef &T,
-                                     unsigned Line) {
-  SV R;
+Evaluator::SV Evaluator::spliceValue(Slot &SP, unsigned Line) {
+  const TypeRef &T = SP.Type;
+  SV R{{}, T};
   if (T.IsCSpec) {
-    if (V.Kind != Value::CSpecExpr)
+    if (SP.V.Kind != Value::CSpecExpr)
       rtError(Line, "cannot splice a statement cspec as an expression");
-    R.E = V.Ex;
-    R.T = T;
+    R.E = SP.V.Ex;
     R.T.IsCSpec = false;
-    return R;
-  }
-  if (T.IsVSpec) {
-    R.E = S.Ctx.read(V.Vs);
-    R.T = T;
+  } else if (T.IsVSpec) {
+    R.E = S.Ctx.read(SP.V.Vs);
     R.T.IsVSpec = false;
-    return R;
+  } else {
+    Cell C = cellOf(SP);
+    R.E = S.Ctx.freeVar(C.Addr, C.M);
   }
-  // Free variable: capture the address of the slot's payload.
-  R.T = T;
-  if (T.isPointer()) {
-    R.E = S.Ctx.freeVar(&V.P, MemType::P64);
-    return R;
-  }
-  switch (T.Base) {
-  case TypeRef::Double:
-    R.E = S.Ctx.freeVar(&V.D, MemType::F64);
-    return R;
-  case TypeRef::Long:
-    R.E = S.Ctx.freeVar(&V.I, MemType::I64);
-    return R;
-  default:
-    // Int/Char payloads live in the low bytes of the int64 (little-endian).
-    R.E = S.Ctx.freeVar(&V.I, MemType::I32);
-    return R;
-  }
+  return R;
 }
 
 Evaluator::SV Evaluator::specExpr(const FExpr *E) {
   Context &C = S.Ctx;
   switch (E->Kind) {
   case FExprKind::IntLit: {
-    SV R;
-    R.E = C.intConst(static_cast<std::int32_t>(E->IntVal));
-    R.T.Base = TypeRef::Int;
-    return R;
+    Expr Lit = fitsInt(E->IntVal)
+                   ? C.intConst(static_cast<std::int32_t>(E->IntVal))
+                   : C.longConst(E->IntVal);
+    return {Lit, typeRefOf(Lit.type())};
   }
   case FExprKind::DoubleLit: {
     SV R;
@@ -1036,107 +944,32 @@ Evaluator::SV Evaluator::specExpr(const FExpr *E) {
   case FExprKind::Ident: {
     // Dynamic locals declared in this tick expression shadow the
     // interpreter environment.
-    if (SlotPtr *TL = lookupTickLocal(E->OpText)) {
-      SV R;
-      R.E = C.read((*TL)->V.Vs);
-      R.T = (*TL)->Type;
-      return R;
-    }
-    SlotPtr SP = lookup(E->OpText, E->Line);
-    return spliceValue(SP->V, SP->Type, E->Line);
+    if (SlotPtr *TL = lookupTickLocal(E->Name))
+      return {C.read((*TL)->V.Vs), (*TL)->Type};
+    return spliceValue(*lookup(E->Name, E->Line), E->Line);
   }
   case FExprKind::Unary: {
-    if (E->OpText == "*") {
-      SV A = specExpr(E->A.get());
-      if (!A.T.isPointer())
-        rtError(E->Line, "dereferencing a non-pointer in dynamic code");
-      SV R;
-      R.E = C.loadMem(memTypeOfPointee(A.T), A.E);
-      R.T = A.T;
-      --R.T.PtrDepth;
-      return R;
-    }
     SV A = specExpr(E->A.get());
-    SV R;
-    R.T = A.T;
-    if (E->OpText == "-")
-      R.E = C.neg(A.E);
-    else if (E->OpText == "~")
-      R.E = C.bitNot(A.E);
-    else if (E->OpText == "!") {
-      R.E = C.logNot(A.E);
-      R.T = TypeRef();
-    } else
+    if (E->Op.Kind == FOp::Un) {
+      checkCompiled(sem::compiledAt(E->Op.U, A.E.type()), A.E.type(),
+                    E->Line);
+      return {C.unary(E->Op.U, A.E),
+              E->Op.U == UnOp::LogNot ? TypeRef() : A.T};
+    }
+    if (E->Op.Kind != FOp::Deref)
       rtError(E->Line, "operator not supported in dynamic code");
+    if (!A.T.isPointer())
+      rtError(E->Line, "dereferencing a non-pointer in dynamic code");
+    SV R{C.loadMem(memTypeOfPointee(A.T), A.E), A.T};
+    --R.T.PtrDepth;
     return R;
   }
   case FExprKind::Binary: {
-    const std::string &Op = E->OpText;
     SV A = specExpr(E->A.get());
-    // Pointer indexing arithmetic handled via Index; plain ptr+int works
-    // through core's promotion.
     SV B = specExpr(E->B.get());
-    SV R;
-    if (Op == "<" || Op == "<=" || Op == ">" || Op == ">=" || Op == "==" ||
-        Op == "!=") {
-      CmpKind K = Op == "<"    ? CmpKind::LtS
-                  : Op == "<=" ? CmpKind::LeS
-                  : Op == ">"  ? CmpKind::GtS
-                  : Op == ">=" ? CmpKind::GeS
-                  : Op == "==" ? CmpKind::Eq
-                               : CmpKind::Ne;
-      R.E = C.cmp(K, A.E, B.E);
-      R.T.Base = TypeRef::Int;
-      return R;
-    }
-    BinOp BO;
-    if (Op == "+")
-      BO = BinOp::Add;
-    else if (Op == "-")
-      BO = BinOp::Sub;
-    else if (Op == "*")
-      BO = BinOp::Mul;
-    else if (Op == "/")
-      BO = BinOp::Div;
-    else if (Op == "%")
-      BO = BinOp::Mod;
-    else if (Op == "&")
-      BO = BinOp::And;
-    else if (Op == "|")
-      BO = BinOp::Or;
-    else if (Op == "^")
-      BO = BinOp::Xor;
-    else if (Op == "<<")
-      BO = BinOp::Shl;
-    else if (Op == ">>")
-      BO = BinOp::Shr;
-    else if (Op == "&&")
-      BO = BinOp::LogAnd;
-    else if (Op == "||")
-      BO = BinOp::LogOr;
-    else
-      rtError(E->Line, "operator not supported in dynamic code");
-    // Pointer + integer scales like C pointer arithmetic.
-    if (A.T.isPointer() && (BO == BinOp::Add || BO == BinOp::Sub) &&
-        !B.T.isPointer()) {
-      unsigned Sz = memSize(memTypeOfPointee(A.T));
-      Expr Scaled = C.binary(BinOp::Mul, C.toLong(B.E),
-                             C.longConst(static_cast<std::int64_t>(Sz)));
-      R.E = C.binary(BO, A.E, Scaled);
-      R.T = A.T;
-      return R;
-    }
-    R.E = C.binary(BO, A.E, B.E);
-    // Result type follows core's promotion; approximate at the TypeRef
-    // level for later memory typing.
-    R.T = A.T.Base == TypeRef::Double || B.T.Base == TypeRef::Double
-              ? TypeRef{TypeRef::Double, 0, false, false}
-          : A.T.isPointer() ? A.T
-          : B.T.isPointer() ? B.T
-          : A.T.Base == TypeRef::Long || B.T.Base == TypeRef::Long
-              ? TypeRef{TypeRef::Long, 0, false, false}
-              : TypeRef{TypeRef::Int, 0, false, false};
-    return R;
+    if (E->Op.Kind == FOp::Cmp)
+      return {C.cmp(E->Op.C, A.E, B.E), TypeRef()};
+    return specBinary(E->Op.B, A, B, E->Line);
   }
   case FExprKind::Ternary: {
     SV Cond = specExpr(E->A.get());
@@ -1161,7 +994,7 @@ Evaluator::SV Evaluator::specExpr(const FExpr *E) {
   case FExprKind::Call: {
     if (E->A->Kind != FExprKind::Ident)
       rtError(E->Line, "dynamic calls must name a function");
-    const std::string &Name = E->A->OpText;
+    const std::string &Name = E->A->Name;
     struct Builtin {
       const char *Name;
       const void *Fn;
@@ -1217,6 +1050,51 @@ Evaluator::SV Evaluator::specExpr(const FExpr *E) {
   rtError(E->Line, "bad dynamic expression");
 }
 
+/// `A O B` in dynamic code: binaryValue's twin. Pointer arithmetic scales
+/// here; everything else goes to Context::binary, after the one check of
+/// what the back ends compile (sem::compiledAt).
+Evaluator::SV Evaluator::specBinary(BinOp O, const SV &A, const SV &B,
+                                    unsigned Line) {
+  Context &C = S.Ctx;
+  if (A.T.isPointer() && !B.T.isPointer() &&
+      (O == BinOp::Add || O == BinOp::Sub)) {
+    Expr Bytes = C.binary(BinOp::Mul, C.toLong(B.E),
+                          C.longConst(memSize(memTypeOfPointee(A.T))));
+    return {C.binary(O, A.E, Bytes), A.T};
+  }
+  EvalType T = sem::promote(A.E.type(), B.E.type());
+  checkCompiled(sem::compiledAt(O, T), T, Line);
+  SV R{C.binary(O, A.E, B.E), typeRefOf(T)};
+  if (T == EvalType::Ptr)
+    R.T = A.T.isPointer() ? A.T : B.T;
+  return R;
+}
+
+core::VSpec Evaluator::newLocal(const TypeRef &T) {
+  switch (evalTypeOf(T)) {
+  case EvalType::Double:
+    return S.Ctx.localDouble();
+  case EvalType::Ptr:
+    return S.Ctx.localPtr();
+  case EvalType::Long:
+    return S.Ctx.localLong();
+  default:
+    return S.Ctx.localInt();
+  }
+}
+
+/// A declaration inside a backquote creates a *dynamic local*, in scope
+/// for the rest of the enclosing tick block.
+core::VSpec Evaluator::declareTickLocal(const FStmt *D) {
+  auto SlotP = std::make_shared<Slot>();
+  SlotP->Type = D->DeclType;
+  SlotP->Type.IsVSpec = true;
+  SlotP->V.Kind = Value::VSpecRef;
+  SlotP->V.Vs = newLocal(D->DeclType);
+  TickScopes.back()[D->Name] = SlotP;
+  return SlotP->V.Vs;
+}
+
 core::Stmt Evaluator::specStmt(const FStmt *St) {
   Context &C = S.Ctx;
   switch (St->Kind) {
@@ -1229,50 +1107,11 @@ core::Stmt Evaluator::specStmt(const FStmt *St) {
     return C.block(Body);
   }
   case FStmtKind::Decl: {
-    // A declaration inside backquote creates a *dynamic local*.
-    auto SlotP = std::make_shared<Slot>();
-    SlotP->Type = St->DeclType;
-    SlotP->Type.IsVSpec = true;
-    SlotP->V.Kind = Value::VSpecRef;
-    switch (evalTypeOf(St->DeclType)) {
-    case EvalType::Double:
-      SlotP->V.Vs = C.localDouble();
-      break;
-    case EvalType::Ptr:
-      SlotP->V.Vs = C.localPtr();
-      break;
-    case EvalType::Long:
-      SlotP->V.Vs = C.localLong();
-      break;
-    default:
-      SlotP->V.Vs = C.localInt();
-      break;
-    }
-    TickScopes.back()[St->Name] = SlotP;
-    if (St->E)
-      return C.assign(SlotP->V.Vs, specExpr(St->E.get()).E);
-    return C.block({});
+    core::VSpec V = declareTickLocal(St);
+    return St->E ? C.assign(V, specExpr(St->E.get()).E) : C.block({});
   }
-  case FStmtKind::ExprStmt: {
-    const FExpr *E = St->E.get();
-    if (E->Kind == FExprKind::Assign)
-      return specAssign(E);
-    if (E->Kind == FExprKind::PostIncDec)
-      return specIncDec(E);
-    // A bare identifier naming a `void cspec` splices the whole statement
-    // (composition of compound statements, e.g. `{ steps; acc = acc*b; }).
-    if (E->Kind == FExprKind::Ident && !lookupTickLocal(E->OpText)) {
-      SlotPtr *L = lookupLocal(E->OpText);
-      SlotPtr SP;
-      if (L)
-        SP = *L;
-      else if (auto It = S.Globals.find(E->OpText); It != S.Globals.end())
-        SP = It->second;
-      if (SP && SP->Type.IsCSpec && SP->V.Kind == Value::CSpecStmt)
-        return SP->V.St.valid() ? SP->V.St : C.block({});
-    }
-    return C.exprStmt(specExpr(E).E);
-  }
+  case FStmtKind::ExprStmt:
+    return specExprAsStmt(St->E.get());
   case FStmtKind::If: {
     core::Stmt Then = specStmt(St->S1.get());
     if (St->S2)
@@ -1299,50 +1138,27 @@ core::Stmt Evaluator::specStmt(const FStmt *St) {
 const Value *Evaluator::vspecLvalue(const std::string &Name) {
   if (SlotPtr *TL = lookupTickLocal(Name))
     return &(*TL)->V;
-  if (SlotPtr *L = lookupLocal(Name)) {
-    if ((*L)->Type.IsVSpec)
-      return &(*L)->V;
-    return nullptr;
-  }
-  auto It = S.Globals.find(Name);
-  if (It != S.Globals.end() && It->second->Type.IsVSpec)
-    return &It->second->V;
-  return nullptr;
+  SlotPtr SP = find(Name);
+  return SP && SP->Type.IsVSpec ? &SP->V : nullptr;
 }
 
+/// `A = B`, `A op= B`, `A++` and `A--` in dynamic code. The compound forms
+/// are A = A op B through specBinary; all four store through one path.
 core::Stmt Evaluator::specAssign(const FExpr *E) {
   Context &C = S.Ctx;
   SV Rhs = specExpr(E->B.get());
-  // Compound assignment reads the target first.
-  if (E->OpText != "=") {
-    SV L = specExpr(E->A.get());
-    BinOp BO = E->OpText == "+="   ? BinOp::Add
-               : E->OpText == "-=" ? BinOp::Sub
-               : E->OpText == "*=" ? BinOp::Mul
-                                   : BinOp::Div;
-    Rhs.E = C.binary(BO, L.E, Rhs.E);
-    Rhs.T = L.T;
-  }
+  if (E->Op.Kind == FOp::Bin)
+    Rhs = specBinary(E->Op.B, specExpr(E->A.get()), Rhs, E->Line);
   const FExpr *Lhs = E->A.get();
   if (Lhs->Kind == FExprKind::Ident) {
-    if (const Value *VS = vspecLvalue(Lhs->OpText))
+    if (const Value *VS = vspecLvalue(Lhs->Name))
       return C.assign(VS->Vs, Rhs.E);
     // Free variable write: a store to the interpreter slot's payload.
-    SlotPtr SP = lookup(Lhs->OpText, Lhs->Line);
+    SlotPtr SP = lookup(Lhs->Name, Lhs->Line);
     if (SP->Type.IsCSpec)
       rtError(Lhs->Line, "cannot assign to a cspec inside dynamic code");
-    MemType M = SP->Type.isPointer() ? MemType::P64
-                : SP->Type.Base == TypeRef::Double
-                    ? MemType::F64
-                : SP->Type.Base == TypeRef::Long ? MemType::I64
-                                                 : MemType::I32;
-    const void *Addr = SP->Type.Base == TypeRef::Double &&
-                               !SP->Type.isPointer()
-                           ? static_cast<const void *>(&SP->V.D)
-                       : SP->Type.isPointer()
-                           ? static_cast<const void *>(&SP->V.P)
-                           : static_cast<const void *>(&SP->V.I);
-    return C.storeMem(M, C.rcPtr(Addr), Rhs.E);
+    Cell Cl = cellOf(*SP);
+    return C.storeMem(Cl.M, C.rcPtr(Cl.Addr), Rhs.E);
   }
   if (Lhs->Kind == FExprKind::Index) {
     SV Base = specExpr(Lhs->A.get());
@@ -1351,7 +1167,7 @@ core::Stmt Evaluator::specAssign(const FExpr *E) {
       rtError(Lhs->Line, "indexed assignment to a non-pointer");
     return C.storeIndex(Base.E, Idx.E, memTypeOfPointee(Base.T), Rhs.E);
   }
-  if (Lhs->Kind == FExprKind::Unary && Lhs->OpText == "*") {
+  if (Lhs->Kind == FExprKind::Unary && Lhs->Op.Kind == FOp::Deref) {
     SV Base = specExpr(Lhs->A.get());
     if (!Base.T.isPointer())
       rtError(Lhs->Line, "assignment through a non-pointer");
@@ -1360,31 +1176,16 @@ core::Stmt Evaluator::specAssign(const FExpr *E) {
   rtError(Lhs->Line, "invalid assignment target in dynamic code");
 }
 
-core::Stmt Evaluator::specIncDec(const FExpr *E) {
-  Context &C = S.Ctx;
-  if (E->A->Kind != FExprKind::Ident)
-    rtError(E->Line, "++/-- in dynamic code needs a variable");
-  SV Cur = specExpr(E->A.get());
-  Expr NewV = C.binary(E->OpText == "++" ? BinOp::Add : BinOp::Sub, Cur.E,
-                       C.intConst(1));
-  if (const Value *VS = vspecLvalue(E->A->OpText))
-    return C.assign(VS->Vs, NewV);
-  // Free-variable increment: a read-modify-write of the captured slot.
-  SlotPtr SP = lookup(E->A->OpText, E->Line);
-  MemType M = SP->Type.Base == TypeRef::Double ? MemType::F64
-              : SP->Type.Base == TypeRef::Long ? MemType::I64
-                                               : MemType::I32;
-  const void *Addr = SP->Type.Base == TypeRef::Double
-                         ? static_cast<const void *>(&SP->V.D)
-                         : static_cast<const void *>(&SP->V.I);
-  return C.storeMem(M, C.rcPtr(Addr), NewV);
-}
-
 core::Stmt Evaluator::specExprAsStmt(const FExpr *E) {
-  if (E->Kind == FExprKind::Assign)
+  if (E->Kind == FExprKind::Assign || E->Kind == FExprKind::PostIncDec)
     return specAssign(E);
-  if (E->Kind == FExprKind::PostIncDec)
-    return specIncDec(E);
+  // A bare identifier naming a `void cspec` splices the whole statement
+  // (composition of compound statements, e.g. `{ steps; acc = acc*b; }).
+  if (E->Kind == FExprKind::Ident && !lookupTickLocal(E->Name)) {
+    SlotPtr SP = find(E->Name);
+    if (SP && SP->Type.IsCSpec && SP->V.Kind == Value::CSpecStmt)
+      return SP->V.St.valid() ? SP->V.St : S.Ctx.block({});
+  }
   return S.Ctx.exprStmt(specExpr(E).E);
 }
 
@@ -1395,81 +1196,44 @@ core::Stmt Evaluator::specFor(const FStmt *St) {
   core::VSpec Var;
   Expr InitE;
   if (St->S1 && St->S1->Kind == FStmtKind::Decl) {
-    const FStmt *D = St->S1.get();
-    auto SlotP = std::make_shared<Slot>();
-    SlotP->Type = D->DeclType;
-    SlotP->Type.IsVSpec = true;
-    SlotP->V.Kind = Value::VSpecRef;
-    switch (evalTypeOf(D->DeclType)) {
-    case EvalType::Double:
-      SlotP->V.Vs = C.localDouble();
-      break;
-    case EvalType::Ptr:
-      SlotP->V.Vs = C.localPtr();
-      break;
-    case EvalType::Long:
-      SlotP->V.Vs = C.localLong();
-      break;
-    default:
-      SlotP->V.Vs = C.localInt();
-      break;
-    }
-    TickScopes.back()[D->Name] = SlotP;
-    Var = SlotP->V.Vs;
-    if (D->E)
-      InitE = specExpr(D->E.get()).E;
+    Var = declareTickLocal(St->S1.get());
+    if (St->S1->E)
+      InitE = specExpr(St->S1->E.get()).E;
   } else if (St->S1 && St->S1->Kind == FStmtKind::ExprStmt &&
              St->S1->E->Kind == FExprKind::Assign &&
-             St->S1->E->OpText == "=" &&
+             St->S1->E->Op.Kind == FOp::None &&
              St->S1->E->A->Kind == FExprKind::Ident) {
-    if (const Value *VS = vspecLvalue(St->S1->E->A->OpText)) {
+    if (const Value *VS = vspecLvalue(St->S1->E->A->Name)) {
       Var = VS->Vs;
       InitE = specExpr(St->S1->E->B.get()).E;
     }
   }
 
-  // Recognize `for (v = a; v <op> bound; v++/v += c)` so that core's
-  // forStmt — and with it dynamic loop unrolling — applies.
+  // Recognize `for (v = a; v <op> bound; v++/v--/v += c/v -= c)` over an
+  // int or long v so that core's forStmt, and with it dynamic loop
+  // unrolling, applies.
   auto IsVar = [&](const FExpr *X) {
-    if (!Var.valid() || X->Kind != FExprKind::Ident)
+    if (X->Kind != FExprKind::Ident)
       return false;
-    const Value *VS = vspecLvalue(X->OpText);
+    const Value *VS = vspecLvalue(X->Name);
     return VS && VS->Vs.id() == Var.id();
   };
-  if (Var.valid() && InitE.valid() && St->E2 && St->E3 &&
-      St->E2->Kind == FExprKind::Binary && IsVar(St->E2->A.get())) {
-    const std::string &Op = St->E2->OpText;
-    CmpKind K;
-    bool Known = true;
-    if (Op == "<")
-      K = CmpKind::LtS;
-    else if (Op == "<=")
-      K = CmpKind::LeS;
-    else if (Op == ">")
-      K = CmpKind::GtS;
-    else if (Op == ">=")
-      K = CmpKind::GeS;
-    else if (Op == "!=")
-      K = CmpKind::Ne;
-    else
-      Known = false;
-    Expr StepE;
-    const FExpr *SE = St->E3.get();
-    if (SE->Kind == FExprKind::PostIncDec && IsVar(SE->A.get()))
-      StepE = C.intConst(SE->OpText == "++" ? 1 : -1);
-    else if (SE->Kind == FExprKind::Assign &&
-             (SE->OpText == "+=" || SE->OpText == "-=") &&
-             IsVar(SE->A.get())) {
-      StepE = specExpr(SE->B.get()).E;
-      if (SE->OpText == "-=")
-        StepE = C.neg(StepE);
-    }
-    if (Known && StepE.valid()) {
-      Expr Bound = specExpr(St->E2->B.get()).E;
-      core::Stmt Body = specStmt(St->S2.get());
-      TickScopes.pop_back();
-      return C.forStmt(Var, InitE, K, Bound, StepE, Body);
-    }
+  const FExpr *Cond = St->E2.get(), *Step = St->E3.get();
+  if (Var.valid() && InitE.valid() &&
+      (Var.type() == EvalType::Int || Var.type() == EvalType::Long) && Cond &&
+      Step && Cond->Kind == FExprKind::Binary && Cond->Op.Kind == FOp::Cmp &&
+      Cond->Op.C != CmpKind::Eq && IsVar(Cond->A.get()) &&
+      (Step->Kind == FExprKind::Assign ||
+       Step->Kind == FExprKind::PostIncDec) &&
+      (Step->Op.is(BinOp::Add) || Step->Op.is(BinOp::Sub)) &&
+      IsVar(Step->A.get())) {
+    Expr StepE = specExpr(Step->B.get()).E;
+    if (Step->Op.is(BinOp::Sub))
+      StepE = C.neg(StepE);
+    Expr Bound = specExpr(Cond->B.get()).E;
+    core::Stmt Body = specStmt(St->S2.get());
+    TickScopes.pop_back();
+    return C.forStmt(Var, InitE, Cond->Op.C, Bound, StepE, Body);
   }
 
   // General fallback: init; while (cond) { body; step; }. (A continue in
@@ -1477,16 +1241,14 @@ core::Stmt Evaluator::specFor(const FStmt *St) {
   std::vector<core::Stmt> Outer;
   if (Var.valid() && InitE.valid())
     Outer.push_back(C.assign(Var, InitE)); // Decl local already created.
-  else if (St->S1 && St->S1->Kind == FStmtKind::ExprStmt)
-    Outer.push_back(specExprAsStmt(St->S1->E.get()));
   else if (St->S1 && St->S1->Kind != FStmtKind::Decl)
     Outer.push_back(specStmt(St->S1.get()));
   std::vector<core::Stmt> BodyV;
   BodyV.push_back(specStmt(St->S2.get()));
-  if (St->E3)
-    BodyV.push_back(specExprAsStmt(St->E3.get()));
-  Expr Cond = St->E2 ? specExpr(St->E2.get()).E : C.intConst(1);
-  Outer.push_back(C.whileStmt(Cond, C.block(BodyV)));
+  if (Step)
+    BodyV.push_back(specExprAsStmt(Step));
+  Expr CondE = Cond ? specExpr(Cond).E : C.intConst(1);
+  Outer.push_back(C.whileStmt(CondE, C.block(BodyV)));
   TickScopes.pop_back();
   return C.block(Outer);
 }
@@ -1510,30 +1272,7 @@ int Interp::runMain() {
   ActiveOut = &Out;
   ActiveEcho = Echo;
   Evaluator Ev(*S);
-  // Globals are initialized in order before main runs.
-  for (const FStmt &G : S->Prog.Globals) {
-    auto SlotP = std::make_shared<Slot>();
-    SlotP->Type = G.DeclType;
-    SlotP->V = Value();
-    S->Globals[G.Name] = SlotP;
-  }
-  // Re-evaluate initializers through a tiny synthetic main prologue: walk
-  // them with the evaluator by calling a fake function? Globals with
-  // initializers are assigned via callFunction on a synthetic wrapper; for
-  // simplicity initializers on globals must be constants.
-  for (const FStmt &G : S->Prog.Globals) {
-    if (!G.E)
-      continue;
-    if (G.E->Kind == FExprKind::IntLit) {
-      S->Globals[G.Name]->V.Kind = Value::Int;
-      S->Globals[G.Name]->V.I = G.E->IntVal;
-    } else if (G.E->Kind == FExprKind::DoubleLit) {
-      S->Globals[G.Name]->V.Kind = Value::Double;
-      S->Globals[G.Name]->V.D = G.E->DoubleVal;
-    } else {
-      rtError(G.Line, "global initializers must be literal constants");
-    }
-  }
+  Ev.initGlobals();
   auto It = S->Funcs.find("main");
   if (It == S->Funcs.end())
     reportFatalError("tickc program has no main()");

@@ -7,8 +7,15 @@
 
 using namespace tcc;
 using namespace tcc::frontend;
+using core::BinOp;
+using core::CmpKind;
+using core::UnOp;
 
 namespace {
+
+FOp binOp(BinOp O) { return {.Kind = FOp::Bin, .B = O}; }
+FOp cmpOp(CmpKind K) { return {.Kind = FOp::Cmp, .C = K}; }
+FOp unOp(UnOp O) { return {.Kind = FOp::Un, .U = O}; }
 
 class Parser {
 public:
@@ -241,22 +248,28 @@ private:
 
   FExprPtr parseAssign() {
     FExprPtr L = parseTernary();
-    const char *Op = nullptr;
-    if (at(Tok::Assign))
-      Op = "=";
-    else if (at(Tok::PlusAssign))
-      Op = "+=";
-    else if (at(Tok::MinusAssign))
-      Op = "-=";
-    else if (at(Tok::StarAssign))
-      Op = "*=";
-    else if (at(Tok::SlashAssign))
-      Op = "/=";
-    if (!Op)
+    FOp Op;
+    switch (cur().Kind) {
+    case Tok::Assign:
+      break;
+    case Tok::PlusAssign:
+      Op = binOp(BinOp::Add);
+      break;
+    case Tok::MinusAssign:
+      Op = binOp(BinOp::Sub);
+      break;
+    case Tok::StarAssign:
+      Op = binOp(BinOp::Mul);
+      break;
+    case Tok::SlashAssign:
+      Op = binOp(BinOp::Div);
+      break;
+    default:
       return L;
+    }
     ++Pos;
     FExprPtr E = makeExpr(FExprKind::Assign);
-    E->OpText = Op;
+    E->Op = Op;
     E->A = std::move(L);
     E->B = parseAssign();
     return E;
@@ -274,96 +287,66 @@ private:
     return E;
   }
 
-  /// Precedence-climbing over binary operators.
-  static int precOf(Tok K) {
+  /// A binary operator token's precedence (-1 if the token is none) and
+  /// the operator it denotes.
+  struct BinaryTok {
+    int Prec;
+    FOp Op;
+  };
+  static BinaryTok binaryTok(Tok K) {
     switch (K) {
     case Tok::PipePipe:
-      return 1;
+      return {1, binOp(BinOp::LogOr)};
     case Tok::AmpAmp:
-      return 2;
+      return {2, binOp(BinOp::LogAnd)};
     case Tok::Pipe:
-      return 3;
+      return {3, binOp(BinOp::Or)};
     case Tok::Caret:
-      return 4;
+      return {4, binOp(BinOp::Xor)};
     case Tok::Amp:
-      return 5;
+      return {5, binOp(BinOp::And)};
     case Tok::EqEq:
+      return {6, cmpOp(CmpKind::Eq)};
     case Tok::NotEq:
-      return 6;
+      return {6, cmpOp(CmpKind::Ne)};
     case Tok::Lt:
+      return {7, cmpOp(CmpKind::LtS)};
     case Tok::Le:
+      return {7, cmpOp(CmpKind::LeS)};
     case Tok::Gt:
+      return {7, cmpOp(CmpKind::GtS)};
     case Tok::Ge:
-      return 7;
+      return {7, cmpOp(CmpKind::GeS)};
     case Tok::Shl:
+      return {8, binOp(BinOp::Shl)};
     case Tok::Shr:
-      return 8;
+      return {8, binOp(BinOp::Shr)};
     case Tok::Plus:
+      return {9, binOp(BinOp::Add)};
     case Tok::Minus:
-      return 9;
+      return {9, binOp(BinOp::Sub)};
     case Tok::Star:
+      return {10, binOp(BinOp::Mul)};
     case Tok::Slash:
+      return {10, binOp(BinOp::Div)};
     case Tok::Percent:
-      return 10;
+      return {10, binOp(BinOp::Mod)};
     default:
-      return -1;
+      return {-1, {}};
     }
   }
 
-  static const char *opSpelling(Tok K) {
-    switch (K) {
-    case Tok::PipePipe:
-      return "||";
-    case Tok::AmpAmp:
-      return "&&";
-    case Tok::Pipe:
-      return "|";
-    case Tok::Caret:
-      return "^";
-    case Tok::Amp:
-      return "&";
-    case Tok::EqEq:
-      return "==";
-    case Tok::NotEq:
-      return "!=";
-    case Tok::Lt:
-      return "<";
-    case Tok::Le:
-      return "<=";
-    case Tok::Gt:
-      return ">";
-    case Tok::Ge:
-      return ">=";
-    case Tok::Shl:
-      return "<<";
-    case Tok::Shr:
-      return ">>";
-    case Tok::Plus:
-      return "+";
-    case Tok::Minus:
-      return "-";
-    case Tok::Star:
-      return "*";
-    case Tok::Slash:
-      return "/";
-    case Tok::Percent:
-      return "%";
-    default:
-      return "?";
-    }
-  }
-
+  /// Precedence climbing over binaryTok's table.
   FExprPtr parseBinary(int MinPrec) {
     FExprPtr L = parseUnary();
     while (true) {
-      int P = precOf(cur().Kind);
-      if (P < 0 || P < MinPrec)
+      BinaryTok BT = binaryTok(cur().Kind);
+      if (BT.Prec < 0 || BT.Prec < MinPrec)
         return L;
-      Tok OpTok = cur().Kind;
       ++Pos;
-      FExprPtr R = parseBinary(P + 1);
+      FExprPtr R = parseBinary(BT.Prec + 1);
       FExprPtr E = makeExpr(FExprKind::Binary);
-      E->OpText = opSpelling(OpTok);
+      E->Op = BT.Op;
       E->A = std::move(L);
       E->B = std::move(R);
       L = std::move(E);
@@ -385,21 +368,30 @@ private:
       E->A = parseUnary();
       return E;
     }
-    const char *Op = nullptr;
-    if (at(Tok::Minus))
-      Op = "-";
-    else if (at(Tok::Not))
-      Op = "!";
-    else if (at(Tok::Tilde))
-      Op = "~";
-    else if (at(Tok::Star))
-      Op = "*";
-    else if (at(Tok::Amp))
-      Op = "&";
-    if (Op) {
+    FOp Op;
+    switch (cur().Kind) {
+    case Tok::Minus:
+      Op = unOp(UnOp::Neg);
+      break;
+    case Tok::Not:
+      Op = unOp(UnOp::LogNot);
+      break;
+    case Tok::Tilde:
+      Op = unOp(UnOp::Not);
+      break;
+    case Tok::Star:
+      Op.Kind = FOp::Deref;
+      break;
+    case Tok::Amp:
+      Op.Kind = FOp::AddrOf;
+      break;
+    default:
+      break;
+    }
+    if (Op.Kind != FOp::None) {
       ++Pos;
       FExprPtr E = makeExpr(FExprKind::Unary);
-      E->OpText = Op;
+      E->Op = Op;
       E->A = parseUnary();
       return E;
     }
@@ -415,8 +407,8 @@ private:
         // param(T, i).
         bool TypeFirst = false, TypeSecond = false;
         if (E->Kind == FExprKind::Ident) {
-          TypeFirst = E->OpText == "local" || E->OpText == "param";
-          TypeSecond = E->OpText == "compile";
+          TypeFirst = E->Name == "local" || E->Name == "param";
+          TypeSecond = E->Name == "compile";
         }
         Call->A = std::move(E);
         if (TypeFirst) {
@@ -448,10 +440,13 @@ private:
         continue;
       }
       if (at(Tok::PlusPlus) || at(Tok::MinusMinus)) {
+        // x++ and x-- are x += 1 and x -= 1 valued at x's old value.
         FExprPtr P = makeExpr(FExprKind::PostIncDec);
-        P->OpText = at(Tok::PlusPlus) ? "++" : "--";
+        P->Op = binOp(at(Tok::PlusPlus) ? BinOp::Add : BinOp::Sub);
         ++Pos;
         P->A = std::move(E);
+        P->B = makeExpr(FExprKind::IntLit);
+        P->B->IntVal = 1;
         E = std::move(P);
         continue;
       }
@@ -480,7 +475,7 @@ private:
     }
     if (at(Tok::Ident)) {
       FExprPtr E = makeExpr(FExprKind::Ident);
-      E->OpText = cur().Text;
+      E->Name = cur().Text;
       ++Pos;
       return E;
     }

@@ -670,6 +670,12 @@ Expr semNeg(Context &C, Expr A, Expr) { return C.neg(A); }
 Expr semToInt(Context &C, Expr A, Expr) {
   return C.unary(UnOp::DoubleToInt, A);
 }
+Expr semEq(Context &C, Expr A, Expr B) { return C.cmp(CmpKind::Eq, A, B); }
+Expr semNe(Context &C, Expr A, Expr B) { return C.cmp(CmpKind::Ne, A, B); }
+Expr semLt(Context &C, Expr A, Expr B) { return C.cmp(CmpKind::LtS, A, B); }
+Expr semLe(Context &C, Expr A, Expr B) { return C.cmp(CmpKind::LeS, A, B); }
+Expr semGt(Context &C, Expr A, Expr B) { return C.cmp(CmpKind::GtS, A, B); }
+Expr semGe(Context &C, Expr A, Expr B) { return C.cmp(CmpKind::GeS, A, B); }
 Expr semLtU(Context &C, Expr A, Expr B) { return C.cmp(CmpKind::LtU, A, B); }
 Expr semLeU(Context &C, Expr A, Expr B) { return C.cmp(CmpKind::LeU, A, B); }
 Expr semGtU(Context &C, Expr A, Expr B) { return C.cmp(CmpKind::GtU, A, B); }
@@ -679,7 +685,8 @@ TEST(OneSemantics, EveryFormAndTierAgrees) {
   // The folder (instantiation-time partial evaluation), the emitted code
   // and tier 0 must compute one value for every operator, including where
   // C++ leaves it undefined and x86 does not: wrapping, masked shift
-  // counts, cvttsd2si's integer indefinite, and idiv's #DE trap.
+  // counts, cvttsd2si's integer indefinite, idiv's #DE trap, and NaN
+  // compares read from ucomisd's flags without a parity check.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   constexpr std::int64_t I32Max = INT32_MAX, I32Min = INT32_MIN;
   constexpr std::int64_t I64Max = INT64_MAX, I64Min = INT64_MIN;
@@ -714,6 +721,12 @@ TEST(OneSemantics, EveryFormAndTierAgrees) {
       {"(int)2147483647.9", Dbl, 0, 0, 2147483647.9, semToInt, I32Max, false},
       {"(int)-2147483648.5", Dbl, 0, 0, -2147483648.5, semToInt, I32Min,
        false},
+      {"NaN == NaN", Dbl, 0, 0, NaN, semEq, 1, false},
+      {"NaN != NaN", Dbl, 0, 0, NaN, semNe, 0, false},
+      {"NaN < NaN", Dbl, 0, 0, NaN, semLt, 1, false},
+      {"NaN <= NaN", Dbl, 0, 0, NaN, semLe, 1, false},
+      {"NaN > NaN", Dbl, 0, 0, NaN, semGt, 0, false},
+      {"NaN >= NaN", Dbl, 0, 0, NaN, semGe, 0, false},
       {"min/-1", Int, I32Min, -1, 0, semDiv, 0, true},
       {"min%-1", Int, I32Min, -1, 0, semMod, 0, true},
       {"7/0", Int, 7, 0, 0, semDiv, 0, true},

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
+
 using namespace tcc;
 using namespace tcc::core;
 using namespace tcc::frontend;
@@ -26,10 +28,12 @@ protected:
 
 INSTANTIATE_TEST_SUITE_P(Backends, TickCBothBackends,
                          ::testing::Values(BackendKind::VCode,
+                                           BackendKind::PCode,
                                            BackendKind::ICode),
                          [](const auto &Info) {
-                           return Info.param == BackendKind::VCode ? "VCode"
-                                                                   : "ICode";
+                           return Info.param == BackendKind::VCode   ? "VCode"
+                                  : Info.param == BackendKind::PCode ? "PCode"
+                                                                     : "ICode";
                          });
 
 TEST_P(TickCBothBackends, HelloWorld) {
@@ -235,6 +239,202 @@ TEST_P(TickCBothBackends, QueryCompilerInTickC) {
   )");
   EXPECT_EQ(Code, 3); // 45, 52, 44
   (void)Out;
+}
+
+// --- Compound assignment and ++/-- are A = A op B, in both halves ----------
+
+TEST_P(TickCBothBackends, StaticPointerPlusAssignScales) {
+  auto [Code, Out] = run(R"(
+    int main() {
+      int* a = alloc_int(2);
+      a[0] = 10; a[1] = 20;
+      int* p = a;
+      p += 1;
+      return *p;
+    }
+  )");
+  EXPECT_EQ(Code, 20);
+  (void)Out;
+}
+
+TEST_P(TickCBothBackends, StaticPointerIncrementScales) {
+  auto [Code, Out] = run(R"(
+    int main() {
+      int* a = alloc_int(2);
+      a[0] = 10; a[1] = 20;
+      int* p = a;
+      p++;
+      return *p;
+    }
+  )");
+  EXPECT_EQ(Code, 20);
+  (void)Out;
+}
+
+TEST_P(TickCBothBackends, BackquotedPointerPlusAssignAndIncrementScale) {
+  // Dynamic code advancing a captured int* stores the scaled pointer back
+  // into the variable's pointer payload.
+  auto [Code, Out] = run(R"(
+    int main() {
+      int* a = alloc_int(3);
+      a[0] = 10; a[1] = 20; a[2] = 30;
+      int* p = a;
+      void* f = compile(`{ p += 1; }, void);
+      f();
+      print_int(*p);
+      void* g = compile(`{ p++; }, void);
+      g();
+      print_int(*p);
+      return 0;
+    }
+  )");
+  EXPECT_EQ(Code, 0);
+  EXPECT_EQ(Out, "2030");
+}
+
+TEST_P(TickCBothBackends, StaticDivideAssignByZeroIsAnError) {
+  EXPECT_EXIT(run("int main() {\n"
+                  "  int x = 7;\n"
+                  "  int z = 0;\n"
+                  "  x /= z;\n"
+                  "  return x;\n"
+                  "}\n"),
+              ::testing::ExitedWithCode(1), "line 4: error: division by zero");
+}
+
+// --- One operator table for both halves ------------------------------------
+
+/// One operator row: `Expr` over variables x and y, evaluated statically,
+/// folded from `$x`/`$y`, and over parameters inside a backquote. \c Want
+/// is the printed result; null when the operation traps.
+struct OperatorRow {
+  const char *TX, *X, *TY, *Y;
+  const char *Expr;
+  const char *RT;
+  const char *Want;
+};
+
+const OperatorRow OperatorRows[] = {
+    {"int", "2147483647", "int", "1", "x + y", "int", "-2147483648"},
+    {"int", "1", "int", "31", "x << y", "int", "-2147483648"},
+    {"int", "1", "int", "32", "x << y", "int", "1"},
+    {"int", "1", "int", "33", "x << y", "int", "2"},
+    {"int", "1", "int", "-1", "x << y", "int", "-2147483648"},
+    {"int", "-2147483647 - 1", "int", "33", "x >> y", "int", "-1073741824"},
+    {"long", "9223372036854775807", "long", "1", "x + y", "long",
+     "-9223372036854775808"},
+    {"long", "-9223372036854775807 - 1", "long", "0", "-x", "long",
+     "-9223372036854775808"},
+    {"int", "1", "double", "0.5", "x + y", "double", "1.5"},
+    {"int", "7", "double", "2.0", "x / y", "double", "3.5"},
+    {"int", "-3", "double", "0.5", "x * y", "double", "-1.5"},
+    {"int", "3", "double", "3.5", "x < y", "int", "1"},
+    // NaN compares read ucomisd's flags: unordered is "equal and below".
+    {"double", "0.0 / 0.0", "double", "1.0", "x == y", "int", "1"},
+    {"double", "0.0 / 0.0", "double", "1.0", "x != y", "int", "0"},
+    {"double", "0.0 / 0.0", "double", "1.0", "x < y", "int", "1"},
+    {"double", "0.0 / 0.0", "double", "1.0", "x <= y", "int", "1"},
+    {"double", "0.0 / 0.0", "double", "1.0", "x > y", "int", "0"},
+    {"double", "0.0 / 0.0", "double", "1.0", "x >= y", "int", "0"},
+    // idiv's #DE.
+    {"int", "-2147483647 - 1", "int", "-1", "x / y", "int", nullptr},
+    {"int", "-2147483647 - 1", "int", "-1", "x % y", "int", nullptr},
+    {"int", "7", "int", "0", "x / y", "int", nullptr},
+};
+
+/// \p Expr with x and y replaced by \p X and \p Y.
+std::string substitute(const char *Expr, const char *X, const char *Y) {
+  std::string R;
+  for (const char *C = Expr; *C; ++C)
+    R += *C == 'x' ? X : *C == 'y' ? Y : std::string(1, *C);
+  return R;
+}
+
+TEST_P(TickCBothBackends, OperatorsAgreeAcrossHalves) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const OperatorRow &Row : OperatorRows) {
+    std::string Print = std::string("print_") + Row.RT;
+    std::string Decls = std::string("int main() {\n  ") + Row.TX + " x = " +
+                        Row.X + ";\n  " + Row.TY + " y = " + Row.Y + ";\n";
+    // Integer-class and double parameters are numbered separately.
+    bool SameClass = (std::string(Row.TX) == "double") ==
+                     (std::string(Row.TY) == "double");
+    std::string Params = std::string("  ") + Row.TX + " vspec a = param(" +
+                         Row.TX + ", 0);\n  " + Row.TY +
+                         " vspec b = param(" + Row.TY + ", " +
+                         (SameClass ? "1" : "0") + ");\n";
+    auto Compiled = [&](const std::string &Body, const char *Args) {
+      return std::string(Row.RT) + "* f = compile(`(" + Body + "), " +
+             Row.RT + ");\n  " + Print + "(f(" + Args + "));\n";
+    };
+    const std::string Static =
+        Decls + "  " + Print + "(" + Row.Expr + ");\n  return 0;\n}\n";
+    const std::string Folded = Decls + "  " +
+                               Compiled(substitute(Row.Expr, "$x", "$y"), "") +
+                               "  return 0;\n}\n";
+    const std::string Over = Decls + Params + "  " +
+                             Compiled(substitute(Row.Expr, "a", "b"), "x, y") +
+                             "  return 0;\n}\n";
+    struct Cell {
+      const char *Name;
+      const std::string &Src;
+    } Cells[] = {{"static", Static}, {"folded", Folded}, {"params", Over}};
+    for (const Cell &C : Cells) {
+      SCOPED_TRACE(std::string(Row.Expr) + " with x = " + Row.X +
+                   ", y = " + Row.Y + ", " + C.Name);
+      if (Row.Want) {
+        auto [Code, Out] = run(C.Src);
+        EXPECT_EQ(Code, 0);
+        EXPECT_EQ(Out, Row.Want);
+      } else if (&C.Src == &Static) {
+        EXPECT_EXIT(run(C.Src), ::testing::ExitedWithCode(1),
+                    "line 4: error: division");
+      } else {
+        EXPECT_EXIT(
+            {
+              // Die of the trap itself, not of a sanitizer's report.
+              std::signal(SIGFPE, SIG_DFL);
+              run(C.Src);
+            },
+            ::testing::KilledBySignal(SIGFPE), "");
+      }
+    }
+  }
+}
+
+TEST(TickCInterp, UndefinedDynamicOperatorIsADiagnostic) {
+  // The back ends compile only + - * (and unary -) on long and + - * / on
+  // double (sem::compiledAt); anything else in dynamic code is a
+  // line-numbered error, not an abort or a miscompile in the code
+  // generator.
+  for (const char *Op : {"<<", ">>", "/", "%", "&", "|", "^"})
+    EXPECT_EXIT(runTickC(std::string("int main() {\n"
+                                     "  long vspec a = param(long, 0);\n"
+                                     "  long vspec b = param(long, 1);\n"
+                                     "  long* f = compile(`(a ") +
+                         Op + " b), long);\n  return 0;\n}\n"),
+                ::testing::ExitedWithCode(1),
+                "line 4: error: operator not defined on long in dynamic code");
+  for (const char *Op : {"%", "&", "<<"})
+    EXPECT_EXIT(runTickC(std::string("int main() {\n"
+                                     "  double vspec a = param(double, 0);\n"
+                                     "  int vspec b = param(int, 0);\n"
+                                     "  double* f = compile(`(a ") +
+                         Op + " b), double);\n  return 0;\n}\n"),
+                ::testing::ExitedWithCode(1),
+                "line 4: error: operator not defined on double in dynamic "
+                "code");
+  for (const char *Src : {"int main() {\n"
+                          "  long vspec a = param(long, 0);\n"
+                          "  long* f = compile(`(~a), long);\n"
+                          "  return 0;\n}\n",
+                          "int main() {\n"
+                          "  double vspec a = param(double, 0);\n"
+                          "  int* f = compile(`(!a), int);\n"
+                          "  return 0;\n}\n"})
+    EXPECT_EXIT(runTickC(Src), ::testing::ExitedWithCode(1),
+                "line 3: error: operator not defined on (long|double) in "
+                "dynamic code");
 }
 
 TEST(TickCParser, RejectsGarbage) {
