@@ -420,7 +420,7 @@ int main() {
     for (std::size_t Off = 0; Off < Size;) {
       x86::Decoded D;
       const char *Err = nullptr;
-      if (!x86::decodeOne(Code, Size, Off, D, &Err)) {
+      if (x86::decodeOne(Code, Size, Off, D, &Err) != x86::DecodeStatus::Ok) {
         std::fprintf(stderr, "FAIL: %s decode error at +%zu: %s\n",
                      App.Name.c_str(), Off, Err ? Err : "?");
         return 1;

@@ -98,7 +98,8 @@ private:
     while (Off < S.Len) {
       x86::Decoded D;
       const char *Err = nullptr;
-      if (!x86::decodeOne(S.Bytes, S.Len, Off, D, &Err))
+      if (x86::decodeOne(S.Bytes, S.Len, Off, D, &Err) !=
+          x86::DecodeStatus::Ok)
         buildFatal(What, Err ? Err : "undecodable stencil bytes");
       L.ClassMask |= 1ull << static_cast<unsigned>(D.Cls);
       Off += D.Len;

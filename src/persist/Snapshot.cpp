@@ -545,8 +545,10 @@ core::CompiledFn SnapshotCache::tryLoad(const cache::PersistKey &K,
   // The patched table is what admission trusts below, so a kind outside
   // the three the emitters record is rejected here, before its slot is
   // patched or the field narrowed to a RelocKind.
-  std::vector<support::RelocEntry> Relocs;
-  Relocs.reserve(NumRelocs);
+  // The table is reused per thread, as admission reuses its own arrays, so
+  // a warm load builds it without allocating.
+  thread_local std::vector<support::RelocEntry> Relocs;
+  Relocs.clear();
   const std::uint8_t *RL = recRelocs(R);
   for (std::size_t I = 0; I < NumRelocs; ++I, RL += RelocLen) {
     std::size_t Offset = rd32(RL);

@@ -74,14 +74,11 @@
 #include "verify/VerifyInternal.h"
 
 #include "observability/Events.h"
-#include "observability/Metrics.h"
-#include "observability/Names.h"
 #include "support/Reloc.h"
 #include "x86/X86Decoder.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -368,6 +365,15 @@ enum class Prov : std::uint8_t { Trusted = 0, Computed = 1, Plain = 2 };
 
 Prov provJoin(Prov A, Prov B) { return A > B ? A : B; }
 
+/// A tracked frame cell's abstract value in one byte: its provenance in the
+/// low bits, plus InitBit once the cell is stored on all paths (spill fact
+/// only).
+constexpr std::uint8_t CellProvMask = 0x03, InitBit = 0x80;
+
+Prov cellProv(std::uint8_t V) { return static_cast<Prov>(V & CellProvMask); }
+
+/// A block's abstract state. Fixed-size, so visiting a block copies bytes;
+/// the per-cell values sit beside it in Admission::CellVals.
 struct AbsState {
   bool Valid = false;          ///< Block has received an entry state.
   std::int64_t Depth = 0;      ///< Bytes below the entry rsp.
@@ -380,31 +386,53 @@ struct AbsState {
                                ///< trips and cvtsi2sd/cvttsd2si preserve
                                ///< 48-bit pointers exactly, so the xmm
                                ///< file is a laundering channel too).
-  std::vector<Prov> Slot;      ///< Per tracked rbp frame-cell provenance.
-  std::vector<std::uint8_t> Init; ///< Per tracked cell: stored on all paths
-                                  ///< (∩ at joins; spill fact only, else
-                                  ///< empty).
 
   bool sameShape(const AbsState &O) const {
     return Depth == O.Depth && RbpDepth == O.RbpDepth;
   }
 };
 
-struct Admission {
-  Admission(const AdmissionInputs &I, Result &Res) : In(I), R(Res) {}
+/// Grows \p V to at least \p N elements; never shrinks, so a reused array
+/// keeps its capacity.
+template <typename T> void grow(std::vector<T> &V, std::size_t N) {
+  if (V.size() < N)
+    V.resize(N);
+}
 
-  const AdmissionInputs &In;
-  Result &R;
+/// Offset map entries (Admission::At): the index of the instruction that
+/// starts at a byte, PayloadTag | index on a movabs imm64 payload, NoIdx
+/// anywhere else.
+constexpr std::uint32_t NoIdx = UINT32_MAX, PayloadTag = 0x80000000u;
+
+/// Regions up to this size keep their arrays on the thread after the call.
+constexpr std::size_t ScratchKeepBytes = 64 * 1024;
+
+/// One admission's analysis. A thread reuses one instance for every call
+/// (verifyAdmission), so the arrays below keep their capacity and a
+/// steady-state admission allocates nothing. They are sized up, never
+/// shrunk, and each entry is written before it is read: [0, NI) for the
+/// per-instruction arrays, [0, Size) for At, [0, Blocks.size()) for the
+/// per-block ones.
+struct Admission {
+  const AdmissionInputs *In = nullptr;
+  Result *R = nullptr;
+
+  std::size_t NI = 0; ///< Decoded instructions.
   std::vector<Decoded> Ins;
-  std::vector<std::uint32_t> Starts;
-  std::vector<std::uint8_t> IsStart;
-  std::vector<std::size_t> StartToIdx;
+  std::vector<std::uint32_t> Starts; ///< Starts[NI] is the region size.
+  std::vector<std::uint32_t> At;     ///< Byte offset -> instruction.
+  std::vector<std::uint8_t> Leader;  ///< Instruction starts a block.
+  /// jcc, jmp and indirect-jump instructions, in stream order.
+  std::vector<std::uint32_t> Transfers;
 
   // Per decoded movabs: the reloc kind of the slot its payload sits on, or
   // None when the immediate is outside the table.
   std::vector<support::RelocKind> ImmSlotKind;
 
+  // Linear-fact tallies from the decode loop.
   std::uint64_t Calls = 0; ///< Indirect-call sites (verify.admit.calls).
+  unsigned Hooks = 0, Pops = 0, Rets = 0;
+  std::uint64_t ClassesSeen = 0; ///< Bit per decoded x86::InstrClass.
 
   std::int64_t Reserve = 0; ///< Prologue frame reserve (sub rsp, imm).
 
@@ -421,65 +449,141 @@ struct Admission {
   std::vector<std::int32_t> SpillCell;
 
   struct Blk {
-    std::size_t Begin = 0, End = 0; // [Begin, End) instruction indices
-    std::size_t Succ[2] = {0, 0};
-    unsigned NumSucc = 0;
+    std::uint32_t Begin = 0, End = 0; // [Begin, End) instruction indices
+    std::uint32_t Succ[2] = {0, 0};
+    std::uint8_t NumSucc = 0;
+    std::uint8_t DfsNext = 0; ///< Next successor the order walk follows.
     bool Reachable = false;
     bool JoinReported = false;
   };
   std::vector<Blk> Blocks;
-  std::vector<std::size_t> BlockOf;
+  std::vector<std::uint32_t> BlockOf;
+  std::vector<std::uint32_t> Order;  ///< Reachable blocks, reverse post-order.
+  std::vector<std::uint32_t> Stack;  ///< Order walk.
+  std::vector<std::uint8_t> Pending; ///< Block's entry state changed.
   std::vector<AbsState> InState;
+  /// Cells.size() bytes per row: block BI's entry cells in row BI, the
+  /// visit's working cells in the row after the last block.
+  std::vector<std::uint8_t> CellVals;
+  /// Some fixpoint visit hit a violation, so the reporting pass must run.
+  bool Flagged = false;
 
   std::string CfgDump; // Built lazily on first flow failure.
 
+  std::uint8_t *cellsOf(std::size_t Row) {
+    return CellVals.data() + Row * Cells.size();
+  }
+
   void fail(std::size_t Off, const char *Cat, std::string Msg,
             bool WithCfg = false) {
-    if (R.diags().size() > 16)
+    if (R->diags().size() > 16)
       return;
-    std::string Dump = detail::hexWindow(In.Code, In.Size, Off);
+    std::string Dump = detail::hexWindow(In->Code, In->Size, Off);
     if (WithCfg) {
       if (CfgDump.empty())
         CfgDump = renderCfg();
       Dump += CfgDump;
     }
-    R.fail(Layer::Admit, Cat,
-           Msg + " (at offset 0x" + [&] {
-             char B[16];
-             std::snprintf(B, sizeof(B), "%zx", Off);
-             return std::string(B);
-           }() + ")",
-           std::move(Dump));
+    R->fail(Layer::Admit, Cat,
+            Msg + " (at offset 0x" + [&] {
+              char B[16];
+              std::snprintf(B, sizeof(B), "%zx", Off);
+              return std::string(B);
+            }() + ")",
+            std::move(Dump));
   }
 
   //===--------------------------------------------------------------------===
   // Phase 1: strict decode.
   //===--------------------------------------------------------------------===
 
+  /// The one pass over the bytes. Besides the instruction table it fills
+  /// the offset map (instruction starts and movabs payloads), the leaders
+  /// that follow a terminator, the control transfers, the frame cells and
+  /// the linear-fact tallies, so no later phase walks the stream for them.
   bool decodeAll() {
-    IsStart.assign(In.Size, 0);
-    StartToIdx.assign(In.Size, SIZE_MAX);
-    if (In.Size == 0) {
+    std::size_t Size = In->Size;
+    if (Size == 0) {
       fail(0, "boundary", "empty code region");
       return false;
     }
-    std::size_t Off = 0;
-    while (Off < In.Size) {
-      Decoded D;
-      const char *Err = nullptr;
-      if (!x86::decodeOne(In.Code, In.Size, Off, D, &Err)) {
-        bool Truncated = Err && std::strstr(Err, "truncated");
-        fail(Off, Truncated ? "boundary" : "decode",
-             std::string(Err ? Err : "undecodable bytes"));
+    grow(Ins, Size);
+    grow(Starts, Size + 1);
+    grow(Leader, Size);
+    grow(ImmSlotKind, Size);
+    if (In->ICodeFacts)
+      grow(SpillCell, Size);
+    grow(At, Size);
+    std::fill_n(At.begin(), Size, NoIdx);
+    bool AfterTerm = true; // Instruction 0 leads the entry block.
+    for (std::size_t Off = 0; Off < Size; ++NI) {
+      Decoded &D = Ins[NI];
+      const char *Err = "";
+      x86::DecodeStatus St = x86::decodeOne(In->Code, Size, Off, D, &Err);
+      if (St != x86::DecodeStatus::Ok) {
+        fail(Off,
+             St == x86::DecodeStatus::Truncated ? "boundary" : "decode", Err);
         return false;
       }
-      IsStart[Off] = 1;
-      StartToIdx[Off] = Ins.size();
-      Starts.push_back(static_cast<std::uint32_t>(Off));
-      Ins.push_back(D);
+      auto Idx = static_cast<std::uint32_t>(NI);
+      Starts[NI] = static_cast<std::uint32_t>(Off);
+      At[Off] = Idx;
+      Leader[NI] = AfterTerm;
+      AfterTerm = false;
+      ClassesSeen |= std::uint64_t(1) << static_cast<unsigned>(D.Cls);
+      switch (D.Cls) {
+      case InstrClass::Ret:
+        ++Rets;
+        AfterTerm = true;
+        break;
+      case InstrClass::Jcc:
+      case InstrClass::Jmp:
+        AfterTerm = true;
+        Transfers.push_back(Idx);
+        break;
+      case InstrClass::JmpInd:
+        Transfers.push_back(Idx);
+        break;
+      case InstrClass::Pop:
+        ++Pops;
+        break;
+      case InstrClass::CallInd:
+        ++Calls;
+        break;
+      case InstrClass::LockInc:
+        ++Hooks;
+        break;
+      case InstrClass::MovImm64:
+        At[Off + D.Len - 8] = PayloadTag | Idx;
+        ImmSlotKind[NI] = support::RelocKind::None;
+        break;
+      default:
+        break;
+      }
+      if (In->ICodeFacts)
+        SpillCell[NI] = -1;
+      if (D.IsMem && D.Rm == RegRBP && D.Disp < 0)
+        noteCell(NI, D);
       Off += D.Len;
     }
+    Starts[NI] = static_cast<std::uint32_t>(Size);
     return true;
+  }
+
+  /// Tracks the frame cell an rbp-relative access at a negative
+  /// displacement touches.
+  void noteCell(std::size_t I, const Decoded &D) {
+    std::int32_t W = memWidth(D);
+    if (W == 0)
+      return;
+    auto It = std::find_if(Cells.begin(), Cells.end(),
+                           [&](const Cell &C) { return C.Disp == D.Disp; });
+    if (It == Cells.end())
+      It = Cells.insert(Cells.end(), Cell{D.Disp, W});
+    else
+      It->Width = std::max(It->Width, W);
+    if (In->ICodeFacts && isSpillAccess(D))
+      SpillCell[I] = static_cast<std::int32_t>(It - Cells.begin());
   }
 
   //===--------------------------------------------------------------------===
@@ -487,50 +591,37 @@ struct Admission {
   //===--------------------------------------------------------------------===
 
   /// The facts that need no CFG. None of them stops the analysis: the
-  /// structural phases below still run and report their own findings.
+  /// structural phases below still run and report their own findings. The
+  /// decode loop tallied what they count; the stream is walked again only
+  /// when some instruction needs a closer look.
   void checkLinearFacts() {
     const icode::EmitterUsage *Usage =
-        In.ICodeFacts ? &icode::ICode::emitterUsage() : nullptr;
-    unsigned Hooks = 0, Pops = 0, Rets = 0;
-    for (std::size_t I = 0; I < Ins.size(); ++I) {
-      const Decoded &D = Ins[I];
-      if (In.StencilClassMask &&
-          !(In.StencilClassMask &
-            (std::uint64_t(1) << static_cast<unsigned>(D.Cls))))
-        fail(Starts[I], "stencil-class",
-             std::string("decoded `") + x86::instrClassName(D.Cls) +
-                 "` is outside the stencil library's rendered vocabulary "
-                 "and the encoder-fallback glue set (patch corrupted an "
-                 "opcode byte, or the library drifted from the emitter)");
-      if (Usage) {
-        Just J = justify(D);
-        bool Ok = J.Scaffold;
-        for (unsigned K = 0; K < J.N && !Ok; ++K)
-          Ok = Usage->isUsed(J.Ops[K]);
-        if (!Ok)
-          fail(Starts[I], "emitter-usage",
+        In->ICodeFacts ? &icode::ICode::emitterUsage() : nullptr;
+    std::uint64_t Mask = In->StencilClassMask;
+    if (Usage || Hooks || (Mask && (ClassesSeen & ~Mask)))
+      for (std::size_t I = 0; I < NI; ++I) {
+        const Decoded &D = Ins[I];
+        std::uint64_t Bit = std::uint64_t(1) << static_cast<unsigned>(D.Cls);
+        if (Mask && !(Mask & Bit))
+          fail(Starts[I], "stencil-class",
                std::string("decoded `") + x86::instrClassName(D.Cls) +
-                   "` has no recorded ICODE opcode that could have emitted "
-                   "it (assembler/pruning-table drift)");
+                   "` is outside the stencil library's rendered vocabulary "
+                   "and the encoder-fallback glue set (patch corrupted an "
+                   "opcode byte, or the library drifted from the emitter)");
+        if (Usage) {
+          Just J = justify(D);
+          bool Ok = J.Scaffold;
+          for (unsigned K = 0; K < J.N && !Ok; ++K)
+            Ok = Usage->isUsed(J.Ops[K]);
+          if (!Ok)
+            fail(Starts[I], "emitter-usage",
+                 std::string("decoded `") + x86::instrClassName(D.Cls) +
+                     "` has no recorded ICODE opcode that could have "
+                     "emitted it (assembler/pruning-table drift)");
+        }
+        if (D.Cls == InstrClass::LockInc)
+          checkProfileHook(I);
       }
-      switch (D.Cls) {
-      case InstrClass::Pop:
-        ++Pops;
-        break;
-      case InstrClass::Ret:
-        ++Rets;
-        break;
-      case InstrClass::CallInd:
-        ++Calls;
-        break;
-      case InstrClass::LockInc:
-        ++Hooks;
-        checkProfileHook(I);
-        break;
-      default:
-        break;
-      }
-    }
     // Every epilogue is `mov rsp, rbp; pop rbp; ret`, so a ret that lost
     // its pairing (smashed to a nop, say) shows up here even when the CFG
     // phase would only see a fallthrough or a dead tail.
@@ -538,12 +629,12 @@ struct Admission {
       fail(0, "stack-balance",
            "pop/ret imbalance: " + std::to_string(Pops) + " pop, " +
                std::to_string(Rets) + " ret");
-    if (In.ExpectProfile && Hooks == 0)
+    if (In->ExpectProfile && Hooks == 0)
       fail(0, "profile", "profiling requested but no hook was planted");
   }
 
   void checkProfileHook(std::size_t I) {
-    if (!In.ExpectProfile) {
+    if (!In->ExpectProfile) {
       fail(Starts[I], "profile", "profiling hook present but profiling is off");
       return;
     }
@@ -558,7 +649,7 @@ struct Admission {
            "counter increment not preceded by `movabs r10, counter`");
       return;
     }
-    auto Want = reinterpret_cast<std::uint64_t>(In.ProfileCounter);
+    auto Want = reinterpret_cast<std::uint64_t>(In->ProfileCounter);
     if (Ins[I - 1].Imm64 != Want)
       fail(Starts[I - 1], "profile",
            "profiling hook targets a counter that was never registered");
@@ -569,7 +660,7 @@ struct Admission {
   //===--------------------------------------------------------------------===
 
   bool checkPrologue() {
-    if (Ins.size() < 4) {
+    if (NI < 4) {
       fail(0, "prologue", "region too short for a frame setup");
       return false;
     }
@@ -605,24 +696,19 @@ struct Admission {
   /// (patching happens before admission) rewrites opcode bytes or splices a
   /// target into a displacement.
   bool checkRelocShape() {
-    if (!In.HaveRelocs)
+    if (!In->HaveRelocs)
       return true;
-    // Map imm64 payload offset -> movabs instruction index.
-    std::vector<std::size_t> PayloadIdx(In.Size, SIZE_MAX);
-    ImmSlotKind.assign(Ins.size(), support::RelocKind::None);
-    for (std::size_t I = 0; I < Ins.size(); ++I)
-      if (Ins[I].Cls == InstrClass::MovImm64)
-        PayloadIdx[Starts[I] + Ins[I].Len - 8] = I;
     bool Ok = true;
-    for (std::size_t I = 0; I < In.NumRelocs; ++I) {
-      std::uint32_t Off = In.Relocs[I].Offset;
-      if (Off >= In.Size || PayloadIdx[Off] == SIZE_MAX) {
-        fail(Off < In.Size ? Off : 0, "reloc-shape",
+    for (std::size_t I = 0; I < In->NumRelocs; ++I) {
+      std::uint32_t Off = In->Relocs[I].Offset;
+      std::uint32_t A = Off < In->Size ? At[Off] : NoIdx;
+      if (A == NoIdx || !(A & PayloadTag)) {
+        fail(Off < In->Size ? Off : 0, "reloc-shape",
              "relocation slot does not land on a movabs imm64 payload");
         Ok = false;
         continue;
       }
-      ImmSlotKind[PayloadIdx[Off]] = In.Relocs[I].Kind;
+      ImmSlotKind[A & ~PayloadTag] = In->Relocs[I].Kind;
     }
     return Ok;
   }
@@ -636,28 +722,29 @@ struct Admission {
            D.Cls == InstrClass::Ret;
   }
 
+  std::int64_t branchTarget(std::size_t I) const {
+    return static_cast<std::int64_t>(Starts[I]) + Ins[I].Len + Ins[I].Rel32;
+  }
+
   bool buildCfg() {
-    std::size_t NI = Ins.size();
     bool Ok = true;
 
     // Branch-target validation.
-    for (std::size_t I = 0; I < NI; ++I) {
-      const Decoded &D = Ins[I];
-      if (D.Cls == InstrClass::JmpInd) {
+    for (std::uint32_t I : Transfers) {
+      if (Ins[I].Cls == InstrClass::JmpInd) {
         fail(Starts[I], "branch-target",
              "indirect jump is never admitted (computed control transfer "
              "cannot be proven confined)");
         Ok = false;
-      }
-      if (D.Cls != InstrClass::Jcc && D.Cls != InstrClass::Jmp)
         continue;
-      std::int64_t T = static_cast<std::int64_t>(Starts[I]) + D.Len + D.Rel32;
-      if (T < 0 || T >= static_cast<std::int64_t>(In.Size)) {
+      }
+      std::int64_t T = branchTarget(I);
+      if (T < 0 || T >= static_cast<std::int64_t>(In->Size)) {
         fail(Starts[I], "branch-target",
              "relative branch leaves the region (target " + std::to_string(T) +
                  ")");
         Ok = false;
-      } else if (!IsStart[static_cast<std::size_t>(T)]) {
+      } else if (At[static_cast<std::size_t>(T)] & PayloadTag) {
         fail(Starts[I], "branch-target",
              "branch target 0x" + [&] {
                char B[16];
@@ -677,65 +764,64 @@ struct Admission {
     if (!Ok)
       return false;
 
-    // Leaders: entry, branch targets, instruction after any terminator.
-    std::vector<std::uint8_t> Leader(NI, 0);
-    Leader[0] = 1;
-    for (std::size_t I = 0; I < NI; ++I) {
-      const Decoded &D = Ins[I];
-      if (D.Cls == InstrClass::Jcc || D.Cls == InstrClass::Jmp) {
-        std::int64_t T = static_cast<std::int64_t>(Starts[I]) + D.Len + D.Rel32;
-        Leader[StartToIdx[static_cast<std::size_t>(T)]] = 1;
-      }
-      if (isTerm(D) && I + 1 < NI)
-        Leader[I + 1] = 1;
-    }
+    // Leaders: entry and the instruction after any terminator (marked by
+    // the decode loop), and branch targets.
+    auto TargetIdx = [&](std::size_t I) {
+      return At[static_cast<std::size_t>(branchTarget(I))];
+    };
+    for (std::uint32_t I : Transfers)
+      Leader[TargetIdx(I)] = 1;
 
-    BlockOf.assign(NI, 0);
-    for (std::size_t I = 0; I < NI;) {
-      std::size_t J = I + 1;
-      while (J < NI && !Leader[J])
-        ++J;
-      for (std::size_t K = I; K < J; ++K)
-        BlockOf[K] = Blocks.size();
-      Blocks.push_back(Blk{I, J, {0, 0}, 0, false, false});
-      I = J;
+    grow(BlockOf, NI);
+    for (std::uint32_t I = 0; I < NI; ++I) {
+      if (Leader[I]) {
+        if (!Blocks.empty())
+          Blocks.back().End = I;
+        Blocks.push_back(Blk{I, 0});
+      }
+      BlockOf[I] = static_cast<std::uint32_t>(Blocks.size() - 1);
     }
+    Blocks.back().End = static_cast<std::uint32_t>(NI);
     for (Blk &B : Blocks) {
       const Decoded &Last = Ins[B.End - 1];
       bool Fall = Last.Cls != InstrClass::Jmp && Last.Cls != InstrClass::Ret;
       if (Fall && B.End < NI)
         B.Succ[B.NumSucc++] = BlockOf[B.End];
       if (Last.Cls == InstrClass::Jcc || Last.Cls == InstrClass::Jmp) {
-        std::int64_t T = static_cast<std::int64_t>(Starts[B.End - 1]) +
-                         Last.Len + Last.Rel32;
-        std::size_t TB = BlockOf[StartToIdx[static_cast<std::size_t>(T)]];
+        std::uint32_t TB = BlockOf[TargetIdx(B.End - 1)];
         if (B.NumSucc == 0 || B.Succ[0] != TB)
           B.Succ[B.NumSucc++] = TB;
       }
     }
 
-    // Reachability from the entry. Unreachable ranges are *admitted but
-    // proven inert*: the walkers legitimately emit dead code (a jump over
-    // an else-arm after a `return`-terminated then-arm, dead epilogue
-    // tails), so rejecting it would reject the compilers' own output.
-    // Inertness holds because every control transfer in reachable code has
-    // just been proven to land on an instruction boundary — a target makes
-    // its block reachable by definition, so a range that ends up dead can
-    // never gain control. Dead bytes still had to decode canonically and
-    // contain no indirect jump (both checked above over the whole region),
-    // which bounds what can even be parked there; the abstract
-    // interpretation below runs over reachable blocks only.
-    std::vector<std::size_t> Work{0};
+    // Reachability from the entry, and the reverse post-order the fixpoint
+    // visits blocks in. Unreachable ranges are *admitted but proven inert*:
+    // the walkers legitimately emit dead code (a jump over an else-arm
+    // after a `return`-terminated then-arm, dead epilogue tails), so
+    // rejecting it would reject the compilers' own output. Inertness holds
+    // because every control transfer in reachable code has just been
+    // proven to land on an instruction boundary — a target makes its block
+    // reachable by definition, so a range that ends up dead can never gain
+    // control. Dead bytes still had to decode canonically and contain no
+    // indirect jump (both checked above over the whole region), which
+    // bounds what can even be parked there; the abstract interpretation
+    // below runs over reachable blocks only.
     Blocks[0].Reachable = true;
-    while (!Work.empty()) {
-      std::size_t BI = Work.back();
-      Work.pop_back();
-      for (unsigned S = 0; S < Blocks[BI].NumSucc; ++S)
-        if (!Blocks[Blocks[BI].Succ[S]].Reachable) {
-          Blocks[Blocks[BI].Succ[S]].Reachable = true;
-          Work.push_back(Blocks[BI].Succ[S]);
+    Stack.push_back(0);
+    while (!Stack.empty()) {
+      Blk &B = Blocks[Stack.back()];
+      if (B.DfsNext < B.NumSucc) {
+        std::uint32_t S = B.Succ[B.DfsNext++];
+        if (!Blocks[S].Reachable) {
+          Blocks[S].Reachable = true;
+          Stack.push_back(S);
         }
+        continue;
+      }
+      Order.push_back(Stack.back());
+      Stack.pop_back();
     }
+    std::reverse(Order.begin(), Order.end());
     return Ok;
   }
 
@@ -791,55 +877,36 @@ struct Admission {
     return Qword && D.IsMem && D.Rm == RegRBP && D.Disp <= FirstSlotOff;
   }
 
-  void collectCells() {
-    if (In.ICodeFacts)
-      SpillCell.assign(Ins.size(), -1);
-    for (std::size_t I = 0; I < Ins.size(); ++I) {
-      const Decoded &D = Ins[I];
-      if (!D.IsMem || D.Rm != RegRBP || D.Disp >= 0)
-        continue;
-      std::int32_t W = memWidth(D);
-      if (W == 0)
-        continue;
-      auto It = std::find_if(Cells.begin(), Cells.end(),
-                             [&](const Cell &C) { return C.Disp == D.Disp; });
-      if (It == Cells.end())
-        It = Cells.insert(Cells.end(), Cell{D.Disp, W});
-      else
-        It->Width = std::max(It->Width, W);
-      if (In.ICodeFacts && isSpillAccess(D))
-        SpillCell[I] = static_cast<std::int32_t>(It - Cells.begin());
-    }
-  }
-
   /// Weak/strong update of every tracked cell the store range overlaps.
-  void storeToFrame(AbsState &S, std::int32_t Disp, std::int32_t W,
+  void storeToFrame(std::uint8_t *CV, std::int32_t Disp, std::int32_t W,
                     Prov P) const {
     for (std::size_t CI = 0; CI < Cells.size(); ++CI) {
       const Cell &C = Cells[CI];
       if (Disp >= C.Disp + C.Width || Disp + W <= C.Disp)
         continue;
       bool Covers = Disp <= C.Disp && Disp + W >= C.Disp + C.Width;
-      S.Slot[CI] = Covers ? P : provJoin(S.Slot[CI], P);
+      Prov N = Covers ? P : provJoin(cellProv(CV[CI]), P);
+      CV[CI] = static_cast<std::uint8_t>((CV[CI] & InitBit) |
+                                         static_cast<std::uint8_t>(N));
     }
   }
 
   /// Provenance of a load range: the join of every overlapped cell over a
   /// Computed base (unwritten frame memory holds run-time values).
-  Prov loadFromFrame(const AbsState &S, std::int32_t Disp,
+  Prov loadFromFrame(const std::uint8_t *CV, std::int32_t Disp,
                      std::int32_t W) const {
     Prov P = Prov::Computed;
     for (std::size_t CI = 0; CI < Cells.size(); ++CI) {
       const Cell &C = Cells[CI];
       if (Disp < C.Disp + C.Width && Disp + W > C.Disp)
-        P = provJoin(P, S.Slot[CI]);
+        P = provJoin(P, cellProv(CV[CI]));
     }
     return P;
   }
 
   /// Provenance of the movabs at instruction \p I.
   Prov immProv(std::size_t I) const {
-    if (!In.HaveRelocs)
+    if (!In->HaveRelocs)
       return Prov::Trusted; // Fresh compile, no table: the emitter's own.
     support::RelocKind Kind = ImmSlotKind[I];
     if (Kind == support::RelocKind::Callee || Kind == support::RelocKind::Ptr)
@@ -849,12 +916,14 @@ struct Admission {
     return Prov::Plain;
   }
 
-  /// One instruction's transfer on \p S. When \p Report is set, violations
-  /// become diagnostics; the fixpoint iterations run with it clear. Returns
-  /// false when the state is too broken to keep interpreting the block.
-  bool step(AbsState &S, std::size_t I, bool Report) {
+  /// One instruction's transfer on \p S and its frame cells \p CV. A
+  /// violation sets Flagged, and becomes a diagnostic when \p Report is
+  /// set; the fixpoint iterations run with it clear. Returns false when the
+  /// state is too broken to keep interpreting the block.
+  bool step(AbsState &S, std::uint8_t *CV, std::size_t I, bool Report) {
     const Decoded &D = Ins[I];
     auto Bad = [&](const char *Cat, std::string Msg) {
+      Flagged = true;
       if (Report)
         fail(Starts[I], Cat, std::move(Msg), /*WithCfg=*/true);
       return false;
@@ -889,20 +958,23 @@ struct Admission {
     // in, so `add r, imm` / `shl r, imm` chains can never bleach a stray
     // value into an admissible call target — nor assemble one from imm32
     // pieces.
-    const Prov ImmP = In.HaveRelocs ? Prov::Plain : Prov::Trusted;
+    const Prov ImmP = In->HaveRelocs ? Prov::Plain : Prov::Trusted;
 
     // Spill discipline: a store initializes its slot on this path; a reload
     // must find the slot initialized on every path reaching it. A finding,
     // not a broken state — interpretation continues.
-    if (!SpillCell.empty() && SpillCell[I] >= 0) {
-      std::uint8_t &Init = S.Init[static_cast<std::size_t>(SpillCell[I])];
-      if (isStoreCls(D.Cls))
-        Init = 1;
-      else if (!Init && Report)
-        fail(Starts[I], "spill-reload",
-             "load from spill slot [rbp" + dispStr(D.Disp) +
-                 "] that is not initialized on all paths",
-             /*WithCfg=*/true);
+    if (In->ICodeFacts && SpillCell[I] >= 0) {
+      std::uint8_t &Cv = CV[SpillCell[I]];
+      if (isStoreCls(D.Cls)) {
+        Cv |= InitBit;
+      } else if (!(Cv & InitBit)) {
+        Flagged = true;
+        if (Report)
+          fail(Starts[I], "spill-reload",
+               "load from spill slot [rbp" + dispStr(D.Disp) +
+                   "] that is not initialized on all paths",
+               /*WithCfg=*/true);
+      }
     }
 
     // Frame-integrity gates on the memory operand, checked as byte ranges
@@ -1055,7 +1127,7 @@ struct Admission {
         }
         if (!clobberCheck(D.Reg))
           return false;
-        S.Reg[D.Reg] = loadFromFrame(S, D.Disp, memWidth(D));
+        S.Reg[D.Reg] = loadFromFrame(CV, D.Disp, memWidth(D));
         return true;
       }
       if (!clobberCheck(D.Reg))
@@ -1070,7 +1142,7 @@ struct Admission {
         return Bad("stack-balance", "load writes the stack/frame pointer");
       if (!clobberCheck(D.Reg))
         return false;
-      S.Reg[D.Reg] = D.Rm == RegRBP ? loadFromFrame(S, D.Disp, memWidth(D))
+      S.Reg[D.Reg] = D.Rm == RegRBP ? loadFromFrame(CV, D.Disp, memWidth(D))
                                     : Prov::Computed;
       return true;
     case InstrClass::Store8:
@@ -1086,16 +1158,16 @@ struct Admission {
         if (D.Cls == InstrClass::Store64 && calleeRegForSlot(D.Disp) == D.Reg &&
             !(S.Clobbered & calleeBit(D.Reg)))
           S.Saved = static_cast<std::uint16_t>(S.Saved | calleeBit(D.Reg));
-        storeToFrame(S, D.Disp, memWidth(D), S.Reg[D.Reg]);
+        storeToFrame(CV, D.Disp, memWidth(D), S.Reg[D.Reg]);
       }
       return true;
     case InstrClass::SseStore:
       if (D.Rm == RegRBP)
-        storeToFrame(S, D.Disp, 8, S.Xmm[D.Reg]);
+        storeToFrame(CV, D.Disp, 8, S.Xmm[D.Reg]);
       return true;
     case InstrClass::SseLoad:
       S.Xmm[D.Reg] =
-          D.Rm == RegRBP ? loadFromFrame(S, D.Disp, 8) : Prov::Computed;
+          D.Rm == RegRBP ? loadFromFrame(CV, D.Disp, 8) : Prov::Computed;
       return true;
     case InstrClass::MovqXR:
       if (isFrameReg(D.Rm))
@@ -1263,13 +1335,18 @@ struct Admission {
     return true;
   }
 
-  /// Join \p Out into block \p BI's entry state. Returns true when the
-  /// entry state changed (block must be (re)visited).
-  bool joinInto(std::size_t BI, const AbsState &Out) {
+  /// Join \p Out (with frame cells \p OutCV) into block \p BI's entry
+  /// state. Returns true when the entry state changed (block must be
+  /// (re)visited).
+  bool joinInto(std::size_t BI, const AbsState &Out,
+                const std::uint8_t *OutCV) {
     AbsState &T = InState[BI];
+    std::uint8_t *TC = cellsOf(BI);
+    std::size_t NC = Cells.size();
     if (!T.Valid) {
       T = Out;
       T.Valid = true;
+      std::copy_n(OutCV, NC, TC);
       return true;
     }
     if (!T.sameShape(Out)) {
@@ -1307,70 +1384,85 @@ struct Admission {
         Changed = true;
       }
     }
-    for (std::size_t SI = 0; SI < T.Slot.size(); ++SI) {
-      Prov N = provJoin(T.Slot[SI], Out.Slot[SI]);
-      if (N != T.Slot[SI]) {
-        T.Slot[SI] = N;
+    // Provenance joins by max, the init bit by intersection.
+    for (std::size_t CI = 0; CI < NC; ++CI) {
+      auto N = static_cast<std::uint8_t>(
+          std::max(TC[CI] & CellProvMask, OutCV[CI] & CellProvMask) |
+          (TC[CI] & OutCV[CI] & InitBit));
+      if (N != TC[CI]) {
+        TC[CI] = N;
         Changed = true;
       }
     }
-    for (std::size_t SI = 0; SI < T.Init.size(); ++SI)
-      if (T.Init[SI] && !Out.Init[SI]) {
-        T.Init[SI] = 0;
-        Changed = true;
-      }
     return Changed;
   }
 
-  void interpret() {
-    collectCells();
-    InState.assign(Blocks.size(), AbsState{});
+  /// Runs \p BI's instructions on the state \p S and cells \p CV; false
+  /// when a step found the path broken.
+  bool visit(std::size_t BI, AbsState &S, std::uint8_t *CV, bool Report) {
+    std::copy_n(cellsOf(BI), Cells.size(), CV);
+    for (std::size_t I = Blocks[BI].Begin; I < Blocks[BI].End; ++I)
+      if (!step(S, CV, I, Report))
+        return false;
+    return true;
+  }
 
-    AbsState Entry;
+  void interpret() {
+    std::size_t NB = Blocks.size(), NC = Cells.size();
+    grow(InState, NB);
+    for (std::size_t BI = 0; BI < NB; ++BI)
+      InState[BI].Valid = false;
+    grow(CellVals, (NB + 1) * NC);
+    std::uint8_t *Work = cellsOf(NB);
+
+    AbsState &Entry = InState[0];
+    Entry = AbsState{};
     Entry.Valid = true;
     // Entry registers and frame memory hold run-time values (arguments,
     // caller state) — Computed, admissible as call targets by design.
     std::fill(std::begin(Entry.Reg), std::end(Entry.Reg), Prov::Computed);
     std::fill(std::begin(Entry.Xmm), std::end(Entry.Xmm), Prov::Computed);
-    Entry.Slot.assign(Cells.size(), Prov::Computed);
-    if (In.ICodeFacts)
-      Entry.Init.assign(Cells.size(), 0);
-    InState[0] = Entry;
+    std::fill_n(cellsOf(0), NC, static_cast<std::uint8_t>(Prov::Computed));
 
-    std::vector<std::size_t> Work{0};
-    std::vector<std::uint8_t> InWork(Blocks.size(), 0);
-    InWork[0] = 1;
-    // Fixpoint: run silently; diagnostics come from the reporting pass over
-    // the converged states (so transient pre-fixpoint states cannot produce
-    // spurious findings). Join-shape mismatches are definitive (equality
-    // domain) and report immediately.
-    while (!Work.empty()) {
-      std::size_t BI = Work.back();
-      Work.pop_back();
-      InWork[BI] = 0;
-      AbsState S = InState[BI];
-      bool Alive = true;
-      for (std::size_t I = Blocks[BI].Begin; Alive && I < Blocks[BI].End; ++I)
-        Alive = step(S, I, /*Report=*/false);
-      if (!Alive)
-        continue; // Broken path: the reporting pass will say why.
-      for (unsigned K = 0; K < Blocks[BI].NumSucc; ++K) {
-        std::size_t SB = Blocks[BI].Succ[K];
-        if (joinInto(SB, S) && !InWork[SB]) {
-          InWork[SB] = 1;
-          Work.push_back(SB);
+    // Fixpoint: sweeps over the reachable blocks in reverse post-order,
+    // visiting those whose entry state changed, until a sweep visits none.
+    // Steps run silently here (so transient pre-fixpoint states cannot
+    // produce spurious findings). Join-shape mismatches are definitive
+    // (equality domain) and report immediately.
+    grow(Pending, NB);
+    std::fill_n(Pending.begin(), NB, 0);
+    Pending[0] = 1;
+    for (bool Again = true; Again;) {
+      Again = false;
+      for (std::uint32_t BI : Order) {
+        if (!Pending[BI])
+          continue;
+        Pending[BI] = 0;
+        Again = true;
+        AbsState S = InState[BI];
+        if (!visit(BI, S, Work, /*Report=*/false))
+          continue; // Broken path: the reporting pass will say why.
+        for (unsigned J = 0; J < Blocks[BI].NumSucc; ++J) {
+          std::size_t SB = Blocks[BI].Succ[J];
+          if (joinInto(SB, S, Work))
+            Pending[SB] = 1;
         }
       }
     }
 
-    // Reporting pass over the converged entry states.
-    for (std::size_t BI = 0; BI < Blocks.size(); ++BI) {
+    // Reporting pass over the converged entry states, only when some visit
+    // flagged a violation. Skipping it otherwise is exact: a block is
+    // revisited whenever its entry state changes, so every reachable
+    // block's last visit ran on its converged state, and the steps are
+    // deterministic — the reporting pass would re-run those same steps and
+    // find what they found, which was nothing.
+    if (!Flagged)
+      return;
+    for (std::size_t BI = 0; BI < NB; ++BI) {
       if (!InState[BI].Valid)
         continue; // Only reachable via a path already reported broken.
       AbsState S = InState[BI];
-      for (std::size_t I = Blocks[BI].Begin; I < Blocks[BI].End; ++I)
-        if (!step(S, I, /*Report=*/true))
-          break;
+      visit(BI, S, Work, /*Report=*/true);
     }
   }
 
@@ -1384,13 +1476,11 @@ struct Admission {
     for (std::size_t BI = 0; BI < Blocks.size(); ++BI) {
       const Blk &B = Blocks[BI];
       std::snprintf(Buf, sizeof(Buf), "    B%zu [%#x, %#x)%s", BI,
-                    Starts[B.Begin],
-                    B.End < Ins.size() ? Starts[B.End]
-                                       : static_cast<unsigned>(In.Size),
+                    Starts[B.Begin], Starts[B.End],
                     B.Reachable ? "" : " UNREACHABLE");
       S += Buf;
       for (unsigned K = 0; K < B.NumSucc; ++K) {
-        std::snprintf(Buf, sizeof(Buf), "%s B%zu", K ? "," : " ->",
+        std::snprintf(Buf, sizeof(Buf), "%s B%u", K ? "," : " ->",
                       B.Succ[K]);
         S += Buf;
       }
@@ -1409,7 +1499,21 @@ struct Admission {
     return S;
   }
 
-  void run() {
+  void run(const AdmissionInputs &Inputs, Result &Res) {
+    In = &Inputs;
+    R = &Res;
+    NI = 0;
+    Transfers.clear();
+    Calls = 0;
+    Hooks = Pops = Rets = 0;
+    ClassesSeen = 0;
+    Reserve = 0;
+    Cells.clear();
+    Blocks.clear();
+    Order.clear();
+    Flagged = false;
+    CfgDump.clear();
+
     // One span per stage, so a trace shows where admission time goes.
     bool ShapeOk;
     {
@@ -1430,10 +1534,7 @@ struct Admission {
       obs::Phase P(obs::EventKind::AdmitFixpoint);
       interpret();
     }
-
-    auto &Reg = obs::MetricsRegistry::global();
-    Reg.counter(obs::names::VerifyAdmitBlocks).inc(Blocks.size());
-    Reg.counter(obs::names::VerifyAdmitCalls).inc(Calls);
+    detail::recordAdmitShape(Blocks.size(), Calls);
   }
 };
 
@@ -1441,8 +1542,10 @@ struct Admission {
 
 Result verifyAdmission(const AdmissionInputs &In) {
   Result R;
-  Admission A{In, R};
-  A.run();
+  thread_local Admission A;
+  A.run(In, R);
+  if (In.Size > ScratchKeepBytes)
+    A = Admission(); // One huge region does not pin its arrays for good.
   return R;
 }
 

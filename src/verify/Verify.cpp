@@ -76,6 +76,7 @@ struct VerifyMetrics {
   obs::Counter &IrChecked, &IrFailed;
   obs::Counter &AllocChecked, &AllocFailed;
   obs::Counter &AdmitChecked, &AdmitFailed, &AdmitCycles;
+  obs::Counter &AdmitBlocks, &AdmitCalls;
   obs::Counter &Cycles;
 
   static VerifyMetrics &get() {
@@ -91,6 +92,8 @@ struct VerifyMetrics {
                            R.counter(N::VerifyAdmitChecked),
                            R.counter(N::VerifyAdmitFailed),
                            R.counter(N::VerifyAdmitCycles),
+                           R.counter(N::VerifyAdmitBlocks),
+                           R.counter(N::VerifyAdmitCalls),
                            R.counter(N::VerifyCycles)};
     }();
     return M;
@@ -125,6 +128,12 @@ void recordOutcome(Layer L, bool Failed, std::uint64_t Cycles) {
     break;
   }
   M.Cycles.inc(Cycles);
+}
+
+void detail::recordAdmitShape(std::uint64_t Blocks, std::uint64_t Calls) {
+  VerifyMetrics &M = VerifyMetrics::get();
+  M.AdmitBlocks.inc(Blocks);
+  M.AdmitCalls.inc(Calls);
 }
 
 void failCompile(const Result &R) {

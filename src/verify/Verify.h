@@ -162,7 +162,8 @@ struct AdmissionInputs {
 /// call-target confinement properties. Every snapshot load must pass this
 /// before its bytes can execute; under TICKC_VERIFY it also runs on fresh
 /// compiles from all three backends, with the backend's optional facts
-/// (ICodeFacts, StencilClassMask) switched on.
+/// (ICodeFacts, StencilClassMask) switched on. Each thread reuses one set
+/// of analysis arrays, so a warm call that admits allocates nothing.
 Result verifyAdmission(const AdmissionInputs &In);
 
 /// Feeds verify.<layer>.{checked,failed} and verify.cycles into the

@@ -15,9 +15,10 @@
 /// self-certify.
 ///
 /// The verify path stays off the compile hot path: the IR and allocation
-/// checks run only when the user has opted in, and admission runs once per
-/// snapshot load (or per opted-in compile), so it uses plain
+/// checks run only when the user has opted in, so they use plain
 /// std::vector/std::string rather than the compile path's arena machinery.
+/// Admission, which every snapshot load runs, keeps its std::vectors on the
+/// thread and reuses them, so a warm admission allocates nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -118,6 +119,9 @@ std::string dumpWindow(const icode::Instr *Instrs, std::size_t N,
 /// Hex dump of the bytes around \p Off.
 std::string hexWindow(const std::uint8_t *Code, std::size_t Size,
                       std::size_t Off);
+
+/// Feeds verify.admit.{blocks,calls}: the shape of one admitted region.
+void recordAdmitShape(std::uint64_t Blocks, std::uint64_t Calls);
 
 } // namespace detail
 } // namespace verify

@@ -26,60 +26,69 @@
 
 #include "x86/X86Decoder.h"
 
+#include <cstring>
+
 namespace tcc {
 namespace x86 {
 
 namespace {
 
-struct Cursor {
-  const std::uint8_t *Code;
-  std::size_t Size;
-  std::size_t Off;   // Current read position.
-  std::size_t Begin; // Instruction start (for Len).
-  const char **Err;
+/// Helpers that run per decoded byte are force-inlined into decodeOne, so
+/// the cursor and the instruction under construction stay in registers and
+/// the caller's table entry is written once, at the end.
+#define TICKC_DECODE_INLINE [[gnu::always_inline]] inline
 
-  bool fail(const char *Msg) {
-    *Err = Msg;
+struct Cursor {
+  const std::uint8_t *P;     // Current read position.
+  const std::uint8_t *End;   // One past the region.
+  const std::uint8_t *Begin; // Instruction start (for Len).
+  const char *Msg = "";
+  DecodeStatus St = DecodeStatus::Ok;
+
+  TICKC_DECODE_INLINE bool fail(const char *M) {
+    Msg = M;
+    St = DecodeStatus::Invalid;
     return false;
   }
-  bool atEnd() const { return Off >= Size; }
-  bool peek(std::uint8_t &B) const {
-    if (Off >= Size)
+  /// The bytes end inside the instruction.
+  TICKC_DECODE_INLINE bool truncated(const char *M) {
+    Msg = M;
+    St = DecodeStatus::Truncated;
+    return false;
+  }
+  TICKC_DECODE_INLINE bool peek(std::uint8_t &B) const {
+    if (P >= End)
       return false;
-    B = Code[Off];
+    B = *P;
     return true;
   }
-  bool take(std::uint8_t &B) {
-    if (Off >= Size)
+  TICKC_DECODE_INLINE bool take(std::uint8_t &B) {
+    if (P >= End)
       return false;
-    B = Code[Off++];
+    B = *P++;
     return true;
   }
-  bool takeI8(std::int64_t &V) {
+  TICKC_DECODE_INLINE bool takeI8(std::int64_t &V) {
     std::uint8_t B;
     if (!take(B))
       return false;
     V = static_cast<std::int8_t>(B);
     return true;
   }
-  bool takeI32(std::int64_t &V) {
-    if (Off + 4 > Size)
+  TICKC_DECODE_INLINE bool takeI32(std::int64_t &V) {
+    if (End - P < 4)
       return false;
-    std::uint32_t U = 0;
-    for (int I = 0; I < 4; ++I)
-      U |= static_cast<std::uint32_t>(Code[Off + I]) << (8 * I);
-    Off += 4;
-    V = static_cast<std::int32_t>(U);
+    std::int32_t U;
+    std::memcpy(&U, P, 4); // x86-64 hosts only: the bytes are little-endian.
+    P += 4;
+    V = U;
     return true;
   }
-  bool takeU64(std::uint64_t &V) {
-    if (Off + 8 > Size)
+  TICKC_DECODE_INLINE bool takeU64(std::uint64_t &V) {
+    if (End - P < 8)
       return false;
-    std::uint64_t U = 0;
-    for (int I = 0; I < 8; ++I)
-      U |= static_cast<std::uint64_t>(Code[Off + I]) << (8 * I);
-    Off += 8;
-    V = U;
+    std::memcpy(&V, P, 8);
+    P += 8;
     return true;
   }
 };
@@ -97,7 +106,7 @@ struct Prefixes {
 };
 
 // Condition nibbles condFor() can produce: B/AE/E/NE/BE/A and L/GE/LE/G.
-bool condAllowed(std::uint8_t Cc) {
+TICKC_DECODE_INLINE bool condAllowed(std::uint8_t Cc) {
   switch (Cc) {
   case 0x2: case 0x3: case 0x4: case 0x5: case 0x6: case 0x7:
   case 0xC: case 0xD: case 0xE: case 0xF:
@@ -108,21 +117,21 @@ bool condAllowed(std::uint8_t Cc) {
 }
 
 /// Parses the strictly ordered prefix run: [F0] [66|F2] [REX].
-bool readPrefixes(Cursor &C, Prefixes &P) {
+TICKC_DECODE_INLINE bool readPrefixes(Cursor &C, Prefixes &P) {
   std::uint8_t B;
   if (!C.peek(B))
-    return C.fail("truncated instruction");
+    return C.truncated("truncated instruction");
   if (B == 0xF0) {
     P.Lock = true;
-    ++C.Off;
+    ++C.P;
     if (!C.peek(B))
-      return C.fail("truncated after lock prefix");
+      return C.truncated("truncated after lock prefix");
   }
   if (B == 0x66 || B == 0xF2) {
     (B == 0x66 ? P.P66 : P.PF2) = true;
-    ++C.Off;
+    ++C.P;
     if (!C.peek(B))
-      return C.fail("truncated after operand prefix");
+      return C.truncated("truncated after operand prefix");
     if (B == 0x66 || B == 0xF2)
       return C.fail("duplicate operand-size prefix");
   }
@@ -131,21 +140,22 @@ bool readPrefixes(Cursor &C, Prefixes &P) {
       return C.fail("REX.X set (Assembler never uses an index register)");
     P.HasRex = true;
     P.Rex = B;
-    ++C.Off;
+    ++C.P;
   }
   return true;
 }
 
 /// Canonicality for rexOpt()-emitted forms: a REX prefix must be earning
 /// its keep.
-bool rexOptOk(const Prefixes &P) {
+TICKC_DECODE_INLINE bool rexOptOk(const Prefixes &P) {
   return !P.HasRex || P.w() || P.r() || P.b();
 }
 
 /// Canonicality for rexByteOp()-emitted forms (setcc/movzx8/movsx8 register
 /// operands): REX present exactly when a register number >= 4 is involved,
 /// never with W.
-bool rexByteOk(const Prefixes &P, std::uint8_t ExtReg, std::uint8_t ExtRm) {
+TICKC_DECODE_INLINE bool rexByteOk(const Prefixes &P, std::uint8_t ExtReg,
+                                   std::uint8_t ExtRm) {
   if (!P.HasRex)
     return ExtReg < 4 && ExtRm < 4;
   return !P.w() && (ExtReg >= 4 || ExtRm >= 4);
@@ -153,25 +163,24 @@ bool rexByteOk(const Prefixes &P, std::uint8_t ExtReg, std::uint8_t ExtRm) {
 
 /// Decodes a ModRM byte plus displacement with the Assembler's exact
 /// canonical-form rules. On success fills Out.Mod/Reg/Rm/IsMem/Disp.
-bool readModRM(Cursor &C, const Prefixes &P, Decoded &Out) {
+TICKC_DECODE_INLINE bool readModRM(Cursor &C, const Prefixes &P,
+                                   Decoded &Out) {
   std::uint8_t M;
   if (!C.take(M))
-    return C.fail("truncated at ModRM");
+    return C.truncated("truncated at ModRM");
   Out.HasModRM = true;
   Out.Mod = static_cast<std::uint8_t>(M >> 6);
   std::uint8_t RegLo = (M >> 3) & 7;
   std::uint8_t RmLo = M & 7;
   Out.Reg = static_cast<std::uint8_t>(RegLo | (P.r() ? 8 : 0));
   Out.Rm = static_cast<std::uint8_t>(RmLo | (P.b() ? 8 : 0));
-  if (Out.Mod == 3) {
-    Out.IsMem = false;
+  if (Out.Mod == 3)
     return true;
-  }
   Out.IsMem = true;
   if (RmLo == 4) {
     std::uint8_t Sib;
     if (!C.take(Sib))
-      return C.fail("truncated at SIB");
+      return C.truncated("truncated at SIB");
     if (Sib != 0x24)
       return C.fail("non-canonical SIB (Assembler only emits 0x24)");
   }
@@ -179,12 +188,11 @@ bool readModRM(Cursor &C, const Prefixes &P, Decoded &Out) {
   case 0:
     if (RmLo == 5)
       return C.fail("RIP-relative operand (Assembler never emits one)");
-    Out.Disp = 0;
     return true;
   case 1: {
     std::int64_t D;
     if (!C.takeI8(D))
-      return C.fail("truncated at disp8");
+      return C.truncated("truncated at disp8");
     if (D == 0 && RmLo != 5)
       return C.fail("non-canonical disp8 of zero");
     Out.Disp = static_cast<std::int32_t>(D);
@@ -193,7 +201,7 @@ bool readModRM(Cursor &C, const Prefixes &P, Decoded &Out) {
   default: {
     std::int64_t D;
     if (!C.takeI32(D))
-      return C.fail("truncated at disp32");
+      return C.truncated("truncated at disp32");
     if (D >= -128 && D <= 127)
       return C.fail("non-canonical disp32 (disp8 would fit)");
     Out.Disp = static_cast<std::int32_t>(D);
@@ -202,17 +210,18 @@ bool readModRM(Cursor &C, const Prefixes &P, Decoded &Out) {
   }
 }
 
-bool finish(Cursor &C, Decoded &Out, InstrClass Cls) {
+TICKC_DECODE_INLINE bool finish(Cursor &C, Decoded &Out, InstrClass Cls) {
   Out.Cls = Cls;
-  Out.Len = static_cast<std::uint8_t>(C.Off - C.Begin);
+  Out.Len = static_cast<std::uint8_t>(C.P - C.Begin);
   return true;
 }
 
 /// Instructions behind the 0F escape byte.
-bool decodeTwoByte(Cursor &C, Prefixes &P, Decoded &Out) {
+TICKC_DECODE_INLINE bool decodeTwoByte(Cursor &C, Prefixes &P,
+                                       Decoded &Out) {
   std::uint8_t Op;
   if (!C.take(Op))
-    return C.fail("truncated after 0F escape");
+    return C.truncated("truncated after 0F escape");
   Out.Op8 = Op;
   Out.RexW = P.w();
 
@@ -299,7 +308,7 @@ bool decodeTwoByte(Cursor &C, Prefixes &P, Decoded &Out) {
       return C.fail("prefixed multi-byte nop");
     std::uint8_t M, D;
     if (!C.take(M) || !C.take(D))
-      return C.fail("truncated multi-byte nop");
+      return C.truncated("truncated multi-byte nop");
     if (M != 0x40 || D != 0x00)
       return C.fail("non-canonical multi-byte nop");
     return finish(C, Out, InstrClass::Nop);
@@ -347,7 +356,7 @@ bool decodeTwoByte(Cursor &C, Prefixes &P, Decoded &Out) {
       return C.fail("condition code the back end never generates");
     std::int64_t R;
     if (!C.takeI32(R))
-      return C.fail("truncated jcc displacement");
+      return C.truncated("truncated jcc displacement");
     Out.Rel32 = static_cast<std::int32_t>(R);
     return finish(C, Out, InstrClass::Jcc);
   }
@@ -366,22 +375,15 @@ bool decodeTwoByte(Cursor &C, Prefixes &P, Decoded &Out) {
   return C.fail("unknown 0F opcode");
 }
 
-} // namespace
-
-bool decodeOne(const std::uint8_t *Code, std::size_t Size, std::size_t Off,
-               Decoded &Out, const char **Err) {
-  static const char *Unset = "";
-  if (!Err)
-    Err = &Unset;
-  Cursor C{Code, Size, Off, Off, Err};
-  Out = Decoded();
+/// One instruction into \p Out, which must arrive zero-initialized.
+TICKC_DECODE_INLINE bool decodeInto(Cursor &C, Decoded &Out) {
   Prefixes P;
   if (!readPrefixes(C, P))
     return false;
 
   std::uint8_t Op;
   if (!C.take(Op))
-    return C.fail("truncated at opcode");
+    return C.truncated("truncated at opcode");
   Out.Op8 = Op;
   Out.RexW = P.w();
 
@@ -431,14 +433,14 @@ bool decodeOne(const std::uint8_t *Code, std::size_t Size, std::size_t Off,
       if (P.r())
         return C.fail("non-canonical movabs REX");
       if (!C.takeU64(Out.Imm64))
-        return C.fail("truncated movabs immediate");
+        return C.truncated("truncated movabs immediate");
       return finish(C, Out, InstrClass::MovImm64);
     }
     if (P.HasRex && P.Rex != 0x41)
       return C.fail("non-canonical mov-imm32 REX");
     std::int64_t V;
     if (!C.takeI32(V))
-      return C.fail("truncated mov immediate");
+      return C.truncated("truncated mov immediate");
     Out.Imm = V;
     return finish(C, Out, InstrClass::MovImm32);
   }
@@ -461,7 +463,7 @@ bool decodeOne(const std::uint8_t *Code, std::size_t Size, std::size_t Off,
       return C.fail("prefixed jmp");
     std::int64_t R;
     if (!C.takeI32(R))
-      return C.fail("truncated jmp displacement");
+      return C.truncated("truncated jmp displacement");
     Out.Rel32 = static_cast<std::int32_t>(R);
     return finish(C, Out, InstrClass::Jmp);
   }
@@ -514,10 +516,10 @@ bool decodeOne(const std::uint8_t *Code, std::size_t Size, std::size_t Off,
       return C.fail("adc/sbb digit never emitted");
     if (Op == 0x83) {
       if (!C.takeI8(Out.Imm))
-        return C.fail("truncated imm8");
+        return C.truncated("truncated imm8");
     } else {
       if (!C.takeI32(Out.Imm))
-        return C.fail("truncated imm32");
+        return C.truncated("truncated imm32");
       if (Out.Imm >= -128 && Out.Imm <= 127) {
         // The only wide-immediate-that-would-fit encoding is the patchable
         // frame reserve: REX.W 81 /5 on RSP.
@@ -533,7 +535,7 @@ bool decodeOne(const std::uint8_t *Code, std::size_t Size, std::size_t Off,
     if (Out.IsMem || !P.w() || (Out.Reg & 7) != 0)
       return C.fail("non-canonical C7 mov");
     if (!C.takeI32(Out.Imm))
-      return C.fail("truncated C7 immediate");
+      return C.truncated("truncated C7 immediate");
     return finish(C, Out, InstrClass::MovImmSExt);
   case 0x69: // imul r, r, imm32
     if (!readModRM(C, P, Out))
@@ -541,7 +543,7 @@ bool decodeOne(const std::uint8_t *Code, std::size_t Size, std::size_t Off,
     if (Out.IsMem || !rexOptOk(P))
       return C.fail("non-canonical imul-imm");
     if (!C.takeI32(Out.Imm))
-      return C.fail("truncated imul immediate");
+      return C.truncated("truncated imul immediate");
     return finish(C, Out, InstrClass::ImulRRI);
   case 0xF7: { // not/neg/div/idiv
     if (!readModRM(C, P, Out))
@@ -569,7 +571,7 @@ bool decodeOne(const std::uint8_t *Code, std::size_t Size, std::size_t Off,
         !(Digit == 4 || Digit == 5 || Digit == 7))
       return C.fail("C1 digit the back end never generates");
     if (!C.takeI8(Out.Imm))
-      return C.fail("truncated shift immediate");
+      return C.truncated("truncated shift immediate");
     if (Out.Imm < 0 || Out.Imm > 63)
       return C.fail("shift count out of range");
     return finish(C, Out, InstrClass::ShiftImm);
@@ -594,6 +596,39 @@ bool decodeOne(const std::uint8_t *Code, std::size_t Size, std::size_t Off,
   default:
     return C.fail("opcode outside the Assembler's repertoire");
   }
+}
+
+} // namespace
+
+DecodeStatus decodeOne(const std::uint8_t *Code, std::size_t Size,
+                       std::size_t Off, Decoded &Out, const char **Err) {
+  Cursor C{Code + Off, Code + Size, Code + Off};
+  Decoded D;
+  if (!decodeInto(C, D)) {
+    if (Err)
+      *Err = C.Msg;
+    return C.St;
+  }
+  // Built in registers, stored into the caller's entry once, field by
+  // field: an aggregate copy goes through the stack and reads the
+  // piecewise-written fields back with wide loads, which stall on store
+  // forwarding.
+  static_assert(sizeof(Decoded) == 40, "copy every field of Decoded");
+  Out.Cls = D.Cls;
+  Out.Len = D.Len;
+  Out.RexW = D.RexW;
+  Out.HasModRM = D.HasModRM;
+  Out.IsMem = D.IsMem;
+  Out.Mod = D.Mod;
+  Out.Reg = D.Reg;
+  Out.Rm = D.Rm;
+  Out.Disp = D.Disp;
+  Out.Imm = D.Imm;
+  Out.Imm64 = D.Imm64;
+  Out.Rel32 = D.Rel32;
+  Out.Op8 = D.Op8;
+  Out.CondCode = D.CondCode;
+  return DecodeStatus::Ok;
 }
 
 unsigned decodedGprWrites(const Decoded &D, std::uint8_t Out[2]) {

@@ -104,10 +104,18 @@ struct Decoded {
   std::uint8_t CondCode = 0; ///< Condition nibble (Jcc/Setcc).
 };
 
-/// Decodes the instruction at \p Off. Returns false (with \p Err pointing
-/// at a static message) for anything x86::Assembler cannot have emitted.
-bool decodeOne(const std::uint8_t *Code, std::size_t Size, std::size_t Off,
-               Decoded &Out, const char **Err);
+/// Outcome of decoding one instruction. Truncated means the bytes end
+/// inside an instruction whose bytes so far are canonical: a region cut at
+/// the wrong length, not a corrupted encoding.
+enum class DecodeStatus : std::uint8_t { Ok, Invalid, Truncated };
+
+/// Decodes the instruction at \p Off. Anything x86::Assembler cannot have
+/// emitted is Invalid or Truncated, with \p Err (when given) pointing at a
+/// static message; \p Out is then left unspecified. Fields an accepted
+/// instruction does not use read as zero.
+DecodeStatus decodeOne(const std::uint8_t *Code, std::size_t Size,
+                       std::size_t Off, Decoded &Out,
+                       const char **Err = nullptr);
 
 /// General-purpose registers \p D explicitly writes (REX-extended numbers),
 /// filled into \p Out; returns the count (0..2). Implicit stack-pointer

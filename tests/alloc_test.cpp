@@ -4,13 +4,15 @@
 // test binary. The contract under test: once a CompileContext (and the
 // code heap) are warm, repeat ICODE compiles of the same spec perform
 // ZERO heap allocations — everything transient lives in the context's
-// arena, which retains its slab across reset().
+// arena, which retains its slab across reset(). The same holds for
+// machine-code admission on a warm thread, which reuses its scratch arrays.
 //
 // Also stresses CompileContextPool reuse from 8 threads; CI runs this
 // binary under TSan.
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/Query.h"
 #include "cache/CompileService.h"
 #include "core/Compile.h"
 #include "core/CompileContext.h"
@@ -18,6 +20,7 @@
 #include "observability/Metrics.h"
 #include "observability/Names.h"
 #include "support/CodeBuffer.h"
+#include "support/Reloc.h"
 #include "verify/Verify.h"
 
 #include <gtest/gtest.h>
@@ -199,6 +202,35 @@ TEST(AllocTest, ThreadLocalFallbackContextReachesZeroAllocArena) {
     EXPECT_TRUE(F.valid());
   }
   EXPECT_EQ(Allocs.value(), Before);
+}
+
+TEST(AllocTest, WarmAdmissionIsAllocationFree) {
+  // Admission as a snapshot load runs it: a clean ICODE query body, handed
+  // its reloc table. The analysis reuses its thread's scratch arrays, so
+  // after one warm-up call on the thread it makes no heap allocation.
+  apps::QueryApp App;
+  support::RelocTable RT;
+  CompileOptions Opts;
+  Opts.Backend = BackendKind::ICode;
+  Opts.Relocs = &RT;
+  CompiledFn F = App.specialize(App.benchmarkQuery(), Opts);
+  ASSERT_TRUE(F.valid());
+  ASSERT_FALSE(RT.Unportable);
+  verify::AdmissionInputs AI;
+  AI.Code = static_cast<const std::uint8_t *>(F.entry());
+  AI.Size = F.stats().CodeBytes;
+  AI.Relocs = RT.Entries.data();
+  AI.NumRelocs = RT.Entries.size();
+  AI.HaveRelocs = true;
+  ASSERT_TRUE(verify::verifyAdmission(AI).ok());
+
+  std::uint64_t Before = GHeapAllocs.load(std::memory_order_relaxed);
+  int Admitted = 0;
+  for (int I = 0; I < 16; ++I)
+    Admitted += verify::verifyAdmission(AI).ok();
+  std::uint64_t After = GHeapAllocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(Admitted, 16);
+  EXPECT_EQ(After - Before, 0u);
 }
 
 TEST(AllocTest, ContextPoolReusesContexts) {

@@ -31,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -262,8 +263,8 @@ struct AdmitProgram {
     std::size_t Off = 0;
     while (Off < Bytes.size()) {
       x86::Decoded D;
-      const char *Err = nullptr;
-      if (!x86::decodeOne(Bytes.data(), Bytes.size(), Off, D, &Err))
+      if (x86::decodeOne(Bytes.data(), Bytes.size(), Off, D) !=
+          x86::DecodeStatus::Ok)
         break; // Hostile streams may stop decoding; the verifier says why.
       Starts.push_back(Off);
       Ins.push_back(D);
@@ -1455,6 +1456,64 @@ TEST(VerifyAdmission, AcceptsCleanCompilesAllBackends) {
             Before.counter(N::VerifyAdmitChecked) + Compiled);
   EXPECT_GT(After.counter(N::VerifyAdmitBlocks),
             Before.counter(N::VerifyAdmitBlocks));
+}
+
+TEST(VerifyAdmission, RegionCutInsideAnInstructionIsABoundaryReject) {
+  // A region that ends inside an instruction (a record whose code length
+  // lies) is a length fault, reported as `boundary` from the decoder's
+  // typed truncation result, never as a corrupted encoding (`decode`).
+  for (BackendKind BK :
+       {BackendKind::VCode, BackendKind::PCode, BackendKind::ICode}) {
+    CompileOptions Opts;
+    Opts.Backend = BK;
+    for (const AdmitProgram &Full :
+         {AdmitProgram::of(compileLoopFn(Opts), nullptr),
+          AdmitProgram::of(compileCallFn(Opts), nullptr)}) {
+      ASSERT_TRUE(verify::verifyAdmission(Full.inputs()).ok());
+      unsigned Inside = 0;
+      for (std::size_t Cut = 1; Cut < Full.Bytes.size(); ++Cut) {
+        if (std::binary_search(Full.Starts.begin(), Full.Starts.end(), Cut))
+          continue;
+        ++Inside;
+        verify::AdmissionInputs AI = Full.inputs();
+        AI.Size = Cut;
+        verify::Result R = verify::verifyAdmission(AI);
+        EXPECT_TRUE(R.has("boundary"))
+            << "cut at " << Cut << " of " << Full.Bytes.size() << ":\n"
+            << R.render();
+        EXPECT_FALSE(R.has("decode"))
+            << "cut at " << Cut << " of " << Full.Bytes.size() << ":\n"
+            << R.render();
+      }
+      EXPECT_GT(Inside, 0u);
+    }
+  }
+}
+
+TEST(VerifyAdmission, ViolationThatAppearsOnlyAfterTheBackEdgeIsRejected) {
+  // A loop whose head calls through rax, and whose tail reloads rax with a
+  // stray movabs no reloc slot declares. The head's first visit sees rax as
+  // a run-time value and is clean; only the state joined over the back
+  // edge makes the call target Plain. The fixpoint reports only when some
+  // visit flagged a violation, so that later visit must flag it.
+  std::vector<std::uint8_t> Body = {
+      0xFF, 0xD0,                         // head: call rax
+      0x85, 0xC0,                         // test eax, eax
+      0x0F, 0x84, 0x0F, 0x00, 0x00, 0x00, // je exit
+      0x48, 0xB8};                        // movabs rax, <imm64>
+  appendU64(Body, 0x123456789Aull);
+  Body.insert(Body.end(), {0xE9, 0xE7, 0xFF, 0xFF, 0xFF}); // jmp head
+  AdmitProgram P = AdmitProgram::hand(handFrame(Body));
+  P.HaveRelocs = true; // An empty table: the immediate is undeclared.
+  verify::Result R = verify::verifyAdmission(P.inputs());
+  EXPECT_FALSE(R.ok());
+  EXPECT_TRUE(R.has("call-target")) << R.render();
+
+  // The same loop with the immediate declared as a Callee slot is admitted,
+  // so the rejection above is the stray target's alone.
+  P.Relocs.push_back({23, support::RelocKind::Callee});
+  R = verify::verifyAdmission(P.inputs());
+  EXPECT_TRUE(R.ok()) << R.render();
 }
 
 TEST(VerifyAdmission, RejectionArtifactSample) {

@@ -247,8 +247,7 @@ std::vector<std::uint8_t> emit(void (*Emit)(Assembler &)) {
 
 bool decodesAs(const std::vector<std::uint8_t> &Code, InstrClass Want) {
   Decoded D;
-  const char *Err = nullptr;
-  if (!decodeOne(Code.data(), Code.size(), 0, D, &Err))
+  if (decodeOne(Code.data(), Code.size(), 0, D) != DecodeStatus::Ok)
     return false;
   return D.Cls == Want && D.Len == Code.size();
 }
@@ -310,7 +309,7 @@ TEST(Decoder, AcceptsStencilSetccForBackendConditions) {
     A.setcc(C, RBX);
     Decoded D;
     const char *Err = nullptr;
-    ASSERT_TRUE(decodeOne(Buf, A.pc(), 0, D, &Err))
+    ASSERT_EQ(decodeOne(Buf, A.pc(), 0, D, &Err), DecodeStatus::Ok)
         << "cond " << static_cast<int>(C) << ": " << (Err ? Err : "");
     EXPECT_EQ(D.Cls, InstrClass::Setcc);
   }
@@ -324,8 +323,7 @@ TEST(Decoder, RejectsConditionsTheRendererSkips) {
     const std::uint8_t Code[] = {0x0F, static_cast<std::uint8_t>(0x90 | Nibble),
                                  0xC3};
     Decoded D;
-    const char *Err = nullptr;
-    EXPECT_FALSE(decodeOne(Code, sizeof(Code), 0, D, &Err))
+    EXPECT_EQ(decodeOne(Code, sizeof(Code), 0, D), DecodeStatus::Invalid)
         << "nibble " << static_cast<int>(Nibble);
   }
 }
@@ -335,8 +333,53 @@ TEST(Decoder, RejectsOutOfRangeShiftImmediate) {
   // patch writing such a byte would be caught at the machine-audit layer.
   const std::uint8_t Code[] = {0xC1, 0xE0, 64};
   Decoded D;
-  const char *Err = nullptr;
-  EXPECT_FALSE(decodeOne(Code, sizeof(Code), 0, D, &Err));
+  EXPECT_EQ(decodeOne(Code, sizeof(Code), 0, D), DecodeStatus::Invalid);
+}
+
+TEST(Decoder, ExhaustiveThreeBytePrefixFingerprint) {
+  // Every 3-byte prefix, padded with one fixed 12-byte tail, is decoded
+  // twice: at the full 15 bytes (room for any instruction the Assembler
+  // emits) and cut to the prefix alone (where most accepted shapes end
+  // truncated). The status of each decode, and every field of each
+  // accepted one, fold into one hash. The pinned value pins the strict
+  // accept set, the decoded fields and the truncated/invalid split, so a
+  // faster decoder must reproduce the reference decoder bit for bit.
+  static const std::uint8_t Tail[12] = {0x45, 0xF8, 0x90, 0x01, 0x00, 0x00,
+                                        0x88, 0x77, 0x66, 0x55, 0x44, 0x33};
+  std::uint8_t Buf[15];
+  std::memcpy(Buf + 3, Tail, sizeof(Tail));
+  std::uint64_t H = 0;
+  auto Mix = [&](std::uint64_t V) {
+    H = (H ^ V) * 0x9E3779B97F4A7C15ull;
+    H ^= H >> 29;
+  };
+  std::uint64_t Accepted = 0, Truncated = 0;
+  for (std::uint32_t P = 0; P < (1u << 24); ++P) {
+    Buf[0] = static_cast<std::uint8_t>(P);
+    Buf[1] = static_cast<std::uint8_t>(P >> 8);
+    Buf[2] = static_cast<std::uint8_t>(P >> 16);
+    for (std::size_t Size : {sizeof(Buf), std::size_t(3)}) {
+      Decoded D;
+      DecodeStatus St = decodeOne(Buf, Size, 0, D);
+      Mix(St == DecodeStatus::Ok ? 0 : St == DecodeStatus::Truncated ? 2 : 1);
+      Truncated += St == DecodeStatus::Truncated;
+      if (St != DecodeStatus::Ok)
+        continue;
+      ++Accepted;
+      Mix(std::uint64_t(D.Cls) | std::uint64_t(D.Len) << 8 |
+          std::uint64_t(D.RexW) << 16 | std::uint64_t(D.HasModRM) << 24 |
+          std::uint64_t(D.IsMem) << 32 | std::uint64_t(D.Mod) << 40 |
+          std::uint64_t(D.Reg) << 48 | std::uint64_t(D.Rm) << 56);
+      Mix(std::uint64_t(static_cast<std::uint32_t>(D.Disp)) |
+          std::uint64_t(static_cast<std::uint32_t>(D.Rel32)) << 32);
+      Mix(static_cast<std::uint64_t>(D.Imm));
+      Mix(D.Imm64);
+      Mix(std::uint64_t(D.Op8) | std::uint64_t(D.CondCode) << 8);
+    }
+  }
+  EXPECT_EQ(Accepted, 3671725u);
+  EXPECT_EQ(Truncated, 938977u);
+  EXPECT_EQ(H, 0x110c8fce0bbf379eull);
 }
 
 TEST(X86Exec, CallThroughRegister) {
