@@ -35,7 +35,7 @@ ServiceConfig ServiceConfig::fromEnv() {
 
 CompileService::CompileService(ServiceConfig Config)
     : Config(Config), Cache(Config.Shards, Config.MaxCodeBytes) {
-  if (!this->Config.SnapshotDir.empty() && this->Config.EnableCache)
+  if (!this->Config.SnapshotDir.empty())
     Snap = persist::SnapshotCache::open(this->Config.SnapshotDir,
                                         this->Config.SnapshotCompactBytes,
                                         this->Config.SnapshotBudgetBytes,
@@ -54,42 +54,41 @@ CompiledFn CompileService::compilePooled(Context &Ctx, Stmt Body,
   return compileFn(Ctx, Body, RetType, Opts);
 }
 
+/// Names the runtime symbol after the spec's identity hash (which covers
+/// the captured addresses), so perf/flamegraph frames distinguish
+/// specializations of one source function — over different captured
+/// buffers too. Only paths that compile or load call this; a cache hit
+/// never formats a name. \p Buf must outlive the compile; compileFn copies
+/// the name into the symbol table.
+static void nameSymbol(CompileOptions &Opts, const SpecKey &K,
+                       char (&Buf)[64]) {
+  if (Opts.SymbolName)
+    return;
+  if (Opts.ProfileName && *Opts.ProfileName)
+    std::snprintf(Buf, sizeof(Buf), "%s#%08llx", Opts.ProfileName,
+                  static_cast<unsigned long long>(K.Hash & 0xFFFFFFFFu));
+  else
+    std::snprintf(Buf, sizeof(Buf), "spec-%016llx",
+                  static_cast<unsigned long long>(K.Hash));
+  Opts.SymbolName = Buf;
+}
+
 FnHandle CompileService::getOrCompile(Context &Ctx, Stmt Body,
                                       EvalType RetType, CompileOptions Opts) {
-  if (!Config.EnableCache)
-    return std::make_shared<CompiledFn>(
-        compilePooled(Ctx, Body, RetType, Opts));
-
-  SpecKey K;
-  {
-    obs::Phase Span(obs::EventKind::SpecFingerprint);
-    K = buildSpecKey(Ctx, Body, RetType, Opts);
-  }
-  return getOrCompileKeyed(Ctx, Body, RetType, Opts, K);
+  return getOrCompileKeyed(Ctx, Body, RetType, Opts,
+                           buildSpecKey(Ctx, Body, RetType, Opts));
 }
 
 FnHandle CompileService::getOrCompileKeyed(Context &Ctx, Stmt Body,
                                            EvalType RetType,
                                            CompileOptions Opts,
                                            const SpecKey &K) {
-  // Runtime symbol name derived from the spec key: perf/flamegraph frames
-  // then distinguish specializations of the same source function by their
-  // structural hash. Lives on the stack for the duration of the compile;
-  // compileFn copies it into the symbol table.
   char SymBuf[64];
-  if (!Opts.SymbolName) {
-    if (Opts.ProfileName && *Opts.ProfileName)
-      std::snprintf(SymBuf, sizeof(SymBuf), "%s#%08llx", Opts.ProfileName,
-                    static_cast<unsigned long long>(K.Hash & 0xFFFFFFFFu));
-    else
-      std::snprintf(SymBuf, sizeof(SymBuf), "spec-%016llx",
-                    static_cast<unsigned long long>(K.Hash));
-    Opts.SymbolName = SymBuf;
-  }
-
-  if (!Config.EnableCache || !K.Cacheable)
+  if (!K.Cacheable) {
+    nameSymbol(Opts, K, SymBuf);
     return std::make_shared<CompiledFn>(
         compilePooled(Ctx, Body, RetType, Opts));
+  }
 
   if (FnHandle H = Cache.lookup(K))
     return H;
@@ -124,26 +123,26 @@ FnHandle CompileService::getOrCompileKeyed(Context &Ctx, Stmt Body,
   // The leader may have won the in-flight slot just after a previous
   // leader published its result and retired; re-probe before compiling.
   FnHandle H = Cache.lookup(K);
-  if (!H && Snap) {
-    // Warm-start path: probe the on-disk snapshot before paying for a
-    // compile, and teach it any compile it could not serve. Both sides key
-    // on the address-independent PersistKey (one extra fingerprint walk,
-    // only ever on a cold miss with persistence enabled).
-    PersistKey PK = buildPersistKey(Ctx, Body, RetType, Opts);
-    core::CompiledFn L = Snap->tryLoad(PK, Opts);
-    if (L.valid())
+  if (!H) {
+    nameSymbol(Opts, K, SymBuf);
+    if (!Snap) {
+      H = Cache.insert(K, compilePooled(Ctx, Body, RetType, Opts));
+    } else if (core::CompiledFn L = Snap->tryLoad(K, Opts); L.valid()) {
+      // Warm-start path: the on-disk snapshot is probed before paying for
+      // a compile. The request's own key is the record key: its bytes are
+      // address-independent and its Refs re-point the record's captured
+      // addresses.
       H = Cache.insert(K, std::move(L));
-    if (!H) {
+    } else {
+      // Teach the snapshot the compile it could not serve.
       support::RelocTable Relocs;
       CompileOptions SaveOpts = Opts;
       SaveOpts.Relocs = &Relocs;
       core::CompiledFn F = compilePooled(Ctx, Body, RetType, SaveOpts);
-      Snap->trySave(PK, F, Relocs);
+      Snap->trySave(K, F, Relocs);
       H = Cache.insert(K, std::move(F));
     }
   }
-  if (!H)
-    H = Cache.insert(K, compilePooled(Ctx, Body, RetType, Opts));
   {
     // Retire the flight before publishing: the cache already holds the
     // entry, so late arrivals that miss the flight re-probe and hit.
@@ -160,7 +159,7 @@ FnHandle CompileService::getOrCompileKeyed(Context &Ctx, Stmt Body,
 }
 
 FnHandle CompileService::lookup(const SpecKey &K) {
-  if (!Config.EnableCache || !K.Cacheable)
+  if (!K.Cacheable)
     return nullptr;
   return Cache.lookup(K);
 }

@@ -7,8 +7,11 @@
 ///
 /// \file
 /// The front door for server-shaped workloads: getOrCompile() memoizes
-/// compileFn() behind a structural cache key. A cache hit costs one
-/// fingerprint walk and one sharded map lookup — no code generation; a
+/// compileFn() behind a structural cache key (cache/SpecKey.h), the one
+/// identity the in-memory cache, the tier slots and the persistent snapshot
+/// all share. A cache hit costs one fingerprint walk and one sharded map
+/// lookup — no code generation; a cold miss with a snapshot open reuses
+/// that same key to probe the file, without walking the tree again; a
 /// cold compile installs its code into the process-wide CodeHeap without a
 /// syscall once the heap is warm. Concurrent misses on one key are
 /// single-flighted: one thread compiles, the rest block on it and share the
@@ -62,7 +65,6 @@ struct ServiceConfig {
   unsigned Shards = 8;
   /// Bound on emitted code bytes held by the cache (LRU beyond it).
   std::size_t MaxCodeBytes = 32u << 20;
-  bool EnableCache = true;
   /// When non-empty, the service opens (creating on demand) the persistent
   /// snapshot file in this directory: in-memory cache misses probe it
   /// before compiling, and fresh compiles of portable specs append to it —
@@ -95,6 +97,7 @@ struct ServiceConfig {
   /// TICKC_SNAPSHOT_DIR enables the persistent snapshot cache;
   /// TICKC_SNAPSHOT_COMPACT sets its compaction threshold;
   /// TICKC_SNAPSHOT_BUDGET caps the snapshot file size;
+  /// TICKC_SNAPSHOT_TTL sets the per-record snapshot lifetime (seconds);
   /// TICKC_TIER0=0 / TICKC_TIER0_PROFILE=0 disable the interpreter tier
   /// and its profile collection. Used by CompileService::instance() so
   /// benches and CI can sweep the knobs without rebuilding.
@@ -120,8 +123,10 @@ public:
   /// getOrCompile() with the fingerprint already built: skips the key
   /// derivation walk when the caller (like the tier manager, which needs
   /// the key for its own slot memoization anyway) has one for exactly this
-  /// (Ctx, Body, RetType, Opts) request. Passing a key built from different
-  /// inputs poisons the cache.
+  /// (Ctx, Body, RetType, Opts) request. The key is the only identity the
+  /// request has — the in-memory cache and, when one is open, the snapshot
+  /// file both store the result under it — so passing a key built from
+  /// different inputs poisons the cache and the snapshot file alike.
   FnHandle getOrCompileKeyed(core::Context &Ctx, core::Stmt Body,
                              core::EvalType RetType, core::CompileOptions Opts,
                              const SpecKey &K);
@@ -130,8 +135,7 @@ public:
   /// built earlier (see QueryApp::cacheKey / PowerApp::cacheKey). A server
   /// that fingerprints each plan once can serve repeat instantiations from
   /// here without rebuilding or re-walking the spec; on a null return, fall
-  /// back to getOrCompile(). Returns null for uncacheable keys and when the
-  /// cache is disabled.
+  /// back to getOrCompile(). Returns null for uncacheable keys.
   FnHandle lookup(const SpecKey &K);
 
   /// Tiered instantiation: compiles \p Build's spec with VCODE (profiled)

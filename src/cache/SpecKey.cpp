@@ -3,6 +3,7 @@
 #include "cache/SpecKey.h"
 
 #include "core/SpecInterp.h"
+#include "observability/Events.h"
 #include "support/Hash.h"
 #include "verify/Verify.h"
 
@@ -21,8 +22,7 @@ namespace {
 /// stay unambiguous.
 class KeyWriter {
 public:
-  explicit KeyWriter(std::vector<std::uint8_t> &Out,
-                     std::vector<ExtRef> *Refs = nullptr)
+  KeyWriter(std::vector<std::uint8_t> &Out, std::vector<ExtRef> &Refs)
       : Out(Out), Refs(Refs) {
     Out.resize(1024);
     Cur = Out.data();
@@ -38,7 +38,8 @@ public:
   // Key construction sits on the cache-hit path, so the serializer is tuned
   // like one: a raw cursor over a pre-grown buffer, one capacity check per
   // node covering all of that node's fixed-width fields, then unchecked
-  // stores. Host byte order is fine — keys never leave the process.
+  // stores. Host byte order is fine — snapshot files carry the build/ISA
+  // fingerprint, so keys only ever meet keys from the same build.
   void ensure(std::size_t N) {
     if (static_cast<std::size_t>(End - Cur) < N)
       grow(N);
@@ -77,15 +78,12 @@ public:
       break;
     case ExprKind::FreeVar:
     case ExprKind::Call: {
-      // Captured addresses are part of the code the walk emits. In persist
-      // mode (Refs attached) the key stays address-independent: the bytes
-      // carry the first-occurrence ordinal, the addresses land in Refs.
-      std::uint64_t Addr = static_cast<std::uint64_t>(
-          reinterpret_cast<std::uintptr_t>(N->PtrVal));
-      if (Refs)
-        u32(refOrdinal(static_cast<std::uint8_t>(N->Kind), Addr));
-      else
-        u64(Addr);
+      // Captured addresses are part of the code the walk emits, but the
+      // bytes stay address-independent: they carry the first-occurrence
+      // ordinal, the addresses land in Refs.
+      u32(refOrdinal(static_cast<std::uint8_t>(N->Kind),
+                     static_cast<std::uint64_t>(
+                         reinterpret_cast<std::uintptr_t>(N->PtrVal))));
       break;
     }
     case ExprKind::RtEval:
@@ -135,11 +133,11 @@ private:
   /// First-occurrence ordinal of (Kind, Addr). Linear scan: spec trees
   /// capture a handful of externals, not hundreds.
   std::uint32_t refOrdinal(std::uint8_t Kind, std::uint64_t Addr) {
-    for (std::size_t I = 0; I < Refs->size(); ++I)
-      if ((*Refs)[I].Kind == Kind && (*Refs)[I].Addr == Addr)
+    for (std::size_t I = 0; I < Refs.size(); ++I)
+      if (Refs[I].Kind == Kind && Refs[I].Addr == Addr)
         return static_cast<std::uint32_t>(I);
-    Refs->push_back({Kind, Addr});
-    return static_cast<std::uint32_t>(Refs->size() - 1);
+    Refs.push_back({Kind, Addr});
+    return static_cast<std::uint32_t>(Refs.size() - 1);
   }
 
   void grow(std::size_t N) {
@@ -154,22 +152,18 @@ private:
   }
 
   std::vector<std::uint8_t> &Out;
-  std::vector<ExtRef> *Refs;
+  std::vector<ExtRef> &Refs;
   std::uint8_t *Cur = nullptr;
   std::uint8_t *End = nullptr;
 };
 
-/// Hashes the key bytes a word at a time (support/Hash.h — shared with the
-/// snapshot layer so record probes and spec keys agree on one algorithm).
-std::uint64_t hashBytes(const std::vector<std::uint8_t> &Bytes) {
-  return support::hashBytes(Bytes.data(), Bytes.size());
-}
+} // namespace
 
-/// The canonical serialization both key flavors share; only the FreeVar /
-/// Call leaf encoding differs (address vs ordinal), decided by whether the
-/// writer carries a Refs collector.
-void writeKeyBody(KeyWriter &W, const Context &Ctx, Stmt Body,
-                  EvalType RetType, const CompileOptions &Opts) {
+SpecKey cache::buildSpecKey(const Context &Ctx, Stmt Body, EvalType RetType,
+                            const CompileOptions &Opts) {
+  obs::Phase Span(obs::EventKind::SpecFingerprint);
+  SpecKey K;
+  KeyWriter W(K.Bytes, K.Refs);
   // Everything in CompileOptions that changes generated code (Ctx changes
   // only where compile scratch lives, so it is deliberately absent).
   //
@@ -223,29 +217,14 @@ void writeKeyBody(KeyWriter &W, const Context &Ctx, Stmt Body,
   }
 
   W.stmt(Body.node());
-}
-
-} // namespace
-
-SpecKey cache::buildSpecKey(const Context &Ctx, Stmt Body, EvalType RetType,
-                            const CompileOptions &Opts) {
-  SpecKey K;
-  KeyWriter W(K.Bytes);
-  writeKeyBody(W, Ctx, Body, RetType, Opts);
   W.finish();
   K.Cacheable = W.Cacheable;
-  K.Hash = hashBytes(K.Bytes);
-  return K;
-}
-
-PersistKey cache::buildPersistKey(const Context &Ctx, Stmt Body,
-                                  EvalType RetType,
-                                  const CompileOptions &Opts) {
-  PersistKey K;
-  KeyWriter W(K.Bytes, &K.Refs);
-  writeKeyBody(W, Ctx, Body, RetType, Opts);
-  W.finish();
-  K.Cacheable = W.Cacheable;
-  K.Hash = hashBytes(K.Bytes);
+  // The bytes hash is the one snapshot records store (support/Hash.h, the
+  // algorithm the persistence layer shares); the identity hash folds each
+  // captured address in on top of it.
+  K.BytesHash = support::hashBytes(K.Bytes.data(), K.Bytes.size());
+  K.Hash = K.BytesHash;
+  for (const ExtRef &R : K.Refs)
+    K.Hash = support::hashMix64(K.Hash ^ R.Addr);
   return K;
 }

@@ -8,17 +8,21 @@
 /// \file
 /// Derives a structural identity for one instantiation request: a canonical
 /// byte fingerprint of the cspec closure tree — node kinds, types,
-/// operators, vspec ids, bound run-time constants (`$` values), captured
-/// free-variable and callee addresses — plus the Context's vspec table, the
-/// return type, and every CompileOptions knob that changes generated code.
+/// operators, vspec ids, bound run-time constants (`$` values) — plus the
+/// Context's vspec table, the return type, and every CompileOptions knob
+/// that changes generated code. Captured free-variable and callee addresses
+/// stay out of the bytes: each is written as the ordinal of its first
+/// occurrence and listed in Refs, so the bytes are the same in every
+/// process that builds the spec, and the persistent snapshot keys on them
+/// as they are.
 ///
-/// Two instantiation requests with equal SpecKeys produce byte-identical
-/// machine code, even when their trees were built by different Contexts:
-/// instantiation is a pure function of exactly the facts serialized here.
-/// The one exception is `$`-at-instantiation over memory (rtEval of a load
-/// or free variable): the embedded immediate depends on what memory holds
-/// *when the walk runs*, which no tree fingerprint can capture — such specs
-/// are marked not Cacheable and always compile.
+/// Two instantiation requests with equal SpecKeys (bytes and Refs) produce
+/// byte-identical machine code, even when their trees were built by
+/// different Contexts: instantiation is a pure function of exactly the facts
+/// serialized here. The one exception is `$`-at-instantiation over memory
+/// (rtEval of a load or free variable): the embedded immediate depends on
+/// what memory holds *when the walk runs*, which no tree fingerprint can
+/// capture — such specs are marked not Cacheable and always compile.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,32 +38,6 @@
 namespace tcc {
 namespace cache {
 
-/// The memoization key: canonical bytes plus their precomputed hash.
-struct SpecKey {
-  std::vector<std::uint8_t> Bytes;
-  std::uint64_t Hash = 0;
-  /// False when the spec's generated code can depend on instantiation-time
-  /// memory contents (rtEval over loads); never memoized.
-  bool Cacheable = true;
-
-  bool operator==(const SpecKey &O) const {
-    return Hash == O.Hash && Bytes == O.Bytes;
-  }
-};
-
-/// Hasher for unordered containers: the hash is already computed.
-struct SpecKeyHash {
-  std::size_t operator()(const SpecKey &K) const {
-    return static_cast<std::size_t>(K.Hash);
-  }
-};
-
-/// Fingerprints one instantiation request. Cost is one tree walk — the
-/// same order of work as the CGF walk itself, minus all emission.
-SpecKey buildSpecKey(const core::Context &Ctx, core::Stmt Body,
-                     core::EvalType RetType,
-                     const core::CompileOptions &Opts);
-
 /// One canonical external reference of a spec tree, in first-occurrence
 /// walk order. Kind is the ExprKind byte (FreeVar or Call) so the same
 /// numeric address captured both as data and as a callee never aliases.
@@ -71,27 +49,45 @@ struct ExtRef {
   }
 };
 
-/// Address-independent identity for persistent snapshot records. Canonical
-/// bytes are serialized exactly like SpecKey except each captured address
-/// is replaced by the ordinal of its first occurrence, with the addresses
-/// themselves collected into Refs. Two processes that build the same tree
-/// over ASLR-relocated globals therefore produce the same PersistKey bytes
-/// with different Refs — the pairing the loader uses to re-point imm64
-/// relocation slots (old address at ordinal i → this process's address at
-/// ordinal i).
-struct PersistKey {
+/// The one spec identity: the memoization key, the tier-slot key and the
+/// snapshot record key. Bytes plus Refs is complete — the address-bearing
+/// form is Bytes with each ordinal replaced by its Refs entry.
+struct SpecKey {
+  /// Canonical bytes, address-independent (captures appear as ordinals).
   std::vector<std::uint8_t> Bytes;
-  std::uint64_t Hash = 0;
+  /// The captured addresses, indexed by the ordinals in Bytes. A loader
+  /// re-points a record's imm64 slots through them (stored ordinal i →
+  /// this process's address at i).
   std::vector<ExtRef> Refs;
-  /// Mirrors SpecKey::Cacheable; uncacheable specs are never persisted.
+  /// Hash of Bytes alone; equal across processes. Snapshot records store
+  /// and index it.
+  std::uint64_t BytesHash = 0;
+  /// BytesHash mixed with every Ref: the in-process identity hash that
+  /// unordered containers, cache shards and symbol names use, so specs
+  /// differing only in a captured address spread apart.
+  std::uint64_t Hash = 0;
+  /// False when the spec's generated code can depend on instantiation-time
+  /// memory contents (rtEval over loads); never memoized or persisted.
   bool Cacheable = true;
+
+  bool operator==(const SpecKey &O) const {
+    return Hash == O.Hash && Bytes == O.Bytes && Refs == O.Refs;
+  }
 };
 
-/// Builds the address-independent persistence identity (one extra tree
-/// walk; only taken on in-memory cache misses when a snapshot is open).
-PersistKey buildPersistKey(const core::Context &Ctx, core::Stmt Body,
-                           core::EvalType RetType,
-                           const core::CompileOptions &Opts);
+/// Hasher for unordered containers: the hash is already computed.
+struct SpecKeyHash {
+  std::size_t operator()(const SpecKey &K) const {
+    return static_cast<std::size_t>(K.Hash);
+  }
+};
+
+/// Fingerprints one instantiation request, recorded as a `spec-fingerprint`
+/// span. Cost is one tree walk — the same order of work as the CGF walk
+/// itself, minus all emission.
+SpecKey buildSpecKey(const core::Context &Ctx, core::Stmt Body,
+                     core::EvalType RetType,
+                     const core::CompileOptions &Opts);
 
 } // namespace cache
 } // namespace tcc

@@ -52,7 +52,7 @@ namespace {
 //   reloc     := u32 Offset u32 Kind u32 RefOrdinal               (12 bytes)
 //
 // A reloc's RefOrdinal indexes the record's ref table — and, equivalently,
-// the loader's freshly built PersistKey::Refs, which lists the *current*
+// the loader's freshly built SpecKey::Refs, which lists the *current*
 // process's addresses in the same canonical first-occurrence order. Profile
 // relocs carry the sentinel ordinal: their target (the counter) is created
 // at load time, not captured in the key.
@@ -437,9 +437,9 @@ void SnapshotCache::indexRecord(const std::uint8_t *Rec) {
   Index.emplace(rd64(Rec + OffKeyHash), RecordRef{Rec});
 }
 
-const std::uint8_t *SnapshotCache::findRecord(const cache::PersistKey &K) const {
+const std::uint8_t *SnapshotCache::findRecord(const cache::SpecKey &K) const {
   support::MutexLock G(M);
-  auto Range = Index.equal_range(K.Hash);
+  auto Range = Index.equal_range(K.BytesHash);
   for (auto It = Range.first; It != Range.second; ++It) {
     const std::uint8_t *R = It->second.Rec;
     if (rd32(R + OffKeyLen) != K.Bytes.size() ||
@@ -499,7 +499,7 @@ void SnapshotCache::countEviction(std::uint64_t N) {
   Stats.Evictions += N;
 }
 
-core::CompiledFn SnapshotCache::tryLoad(const cache::PersistKey &K,
+core::CompiledFn SnapshotCache::tryLoad(const cache::SpecKey &K,
                                         const core::CompileOptions &Opts) {
   SnapMetrics &GM = SnapMetrics::get();
   if (!K.Cacheable)
@@ -625,7 +625,7 @@ core::CompiledFn SnapshotCache::tryLoad(const cache::PersistKey &K,
   return F;
 }
 
-void SnapshotCache::trySave(const cache::PersistKey &K,
+void SnapshotCache::trySave(const cache::SpecKey &K,
                             const core::CompiledFn &F,
                             const support::RelocTable &Relocs) {
   SnapMetrics &GM = SnapMetrics::get();
@@ -704,7 +704,7 @@ void SnapshotCache::trySave(const cache::PersistKey &K,
               Wire.size() * RelocLen + CodeLen);
   push32(Rec, RecordMagic);
   push32(Rec, 0); // TotalLen, fixed up below.
-  push64(Rec, K.Hash);
+  push64(Rec, K.BytesHash);
   push64(Rec, 0); // Checksum, fixed up below.
   push32(Rec, static_cast<std::uint32_t>(K.Bytes.size()));
   push32(Rec, static_cast<std::uint32_t>(CodeLen));

@@ -7,8 +7,10 @@
 ///
 /// \file
 /// Warm-start snapshots: an on-disk log of finalized compiles keyed by the
-/// address-independent PersistKey (cache/SpecKey.h), so a fresh process can
-/// reach steady-state cache-hit latency without recompiling anything.
+/// SpecKey (cache/SpecKey.h) — its address-independent bytes, indexed by
+/// their bytes-only hash, with its Refs as the address table — so a fresh
+/// process can reach steady-state cache-hit latency without recompiling
+/// anything.
 ///
 /// Format. One file per snapshot directory (TICKC_SNAPSHOT_DIR):
 ///
@@ -121,13 +123,13 @@ public:
   /// addresses (K.Refs by ordinal; a fresh profile counter when
   /// \p Opts.Profile), admits the result, and adopts it. Returns
   /// an invalid CompiledFn on miss or reject — the caller compiles.
-  core::CompiledFn tryLoad(const cache::PersistKey &K,
+  core::CompiledFn tryLoad(const cache::SpecKey &K,
                            const core::CompileOptions &Opts);
 
   /// Appends the finished compile \p F under \p K. Counted no-op when the
   /// reloc table is unportable or a recorded address has no ordinal in
   /// K.Refs (nothing wrong — just not representable on disk).
-  void trySave(const cache::PersistKey &K, const core::CompiledFn &F,
+  void trySave(const cache::SpecKey &K, const core::CompiledFn &F,
                const support::RelocTable &Relocs);
 
   SnapshotStats stats() const;
@@ -150,7 +152,7 @@ private:
   /// Counts one budget eviction in both the registry and Stats.
   void countEviction(std::uint64_t N = 1);
   void indexRecord(const std::uint8_t *Rec) TICKC_REQUIRES(M);
-  const std::uint8_t *findRecord(const cache::PersistKey &K) const;
+  const std::uint8_t *findRecord(const cache::SpecKey &K) const;
   /// False when the append was refused (lock failure or budget).
   bool appendRecord(std::vector<std::uint8_t> &&Bytes);
 

@@ -49,7 +49,7 @@
 //    snapshot load has one), each reloc must land exactly on a decoded
 //    movabs payload, and an indirect call may only target a value that is
 //    either computed at run time or materialized by a Callee/Ptr reloc slot
-//    (an address the PersistKey's own walk declared). A stray embedded
+//    (an address the loader's own SpecKey walk declared). A stray embedded
 //    imm64 used as a call target — the patched-but-hostile-record attack —
 //    is rejected. Provenance is tracked through register moves, through
 //    arithmetic (the result of an ALU op, shift, multiply, or widening
@@ -353,7 +353,7 @@ Just justify(const Decoded &D) {
 /// Provenance of a 64-bit value, for the call-target confinement proof.
 /// Ordered so that join = max:
 ///   Trusted  — materialized by a reloc-slot movabs (Callee/Ptr kind): an
-///              address the PersistKey's own walk declared. Admissible as
+///              address the loader's SpecKey walk declared. Admissible as
 ///              an indirect-call target.
 ///   Computed — produced at run time (loads, arithmetic, call results).
 ///              Admissible: this is how emitCallIndirect feeds fn pointers.

@@ -126,7 +126,7 @@ struct AdmissionInputs {
   bool ExpectProfile = false;
   /// The relocation side table (snapshot record or fresh RelocTable); only
   /// Offset and Kind are read. Slots are the only immediates whose values
-  /// came from the loader's own PersistKey::Refs walk (or a freshly created
+  /// came from the loader's own SpecKey::Refs walk (or a freshly created
   /// profile counter) — everything else embedded in the bytes is untrusted
   /// input. When HaveRelocs is set, every slot must land exactly on a
   /// decoded movabs payload, and an indirect call may only target a value

@@ -18,11 +18,14 @@
 #include "core/Context.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
+#include "observability/RuntimeSymbols.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 using namespace tcc;
@@ -119,6 +122,27 @@ TEST(SpecKey, PoolDoesNotChangeTheKey) {
   EXPECT_TRUE(keyOf(3, 7) == keyOf(3, 7, WithPool));
 }
 
+TEST(SpecKey, CapturedAddressSpreadsTheContainerHash) {
+  // Specs differing only in a captured address share their bytes (and the
+  // bytes hash snapshot records store), but the hash containers and cache
+  // shards use covers Refs: they must not pile onto one chain.
+  static int Cells[16];
+  std::vector<SpecKey> Keys;
+  for (int &Cell : Cells) {
+    Context C;
+    VSpec X = C.paramInt(0);
+    Keys.push_back(buildSpecKey(C, C.ret(Expr(X) + C.fvInt(&Cell)),
+                                EvalType::Int, CompileOptions()));
+  }
+  std::unordered_set<std::size_t> Hashes;
+  for (const SpecKey &K : Keys) {
+    EXPECT_EQ(K.Bytes, Keys[0].Bytes);
+    EXPECT_EQ(K.BytesHash, Keys[0].BytesHash);
+    Hashes.insert(SpecKeyHash()(K));
+  }
+  EXPECT_EQ(Hashes.size(), Keys.size());
+}
+
 TEST(SpecKey, RtEvalOverMemoryIsUncacheable) {
   static int Cell = 41;
   Context C;
@@ -135,6 +159,34 @@ TEST(SpecKey, RtEvalOverPureConstantsIsCacheable) {
 }
 
 // --- Hit/miss identity ------------------------------------------------------
+
+TEST(CompileService, CapturedBuffersKeepDistinctSymbolNames) {
+  // The runtime symbol is named after the identity hash, which covers the
+  // captured addresses: perf frames of two specializations over different
+  // buffers must not share a name although their key bytes are equal.
+  static int CellA = 1, CellB = 2;
+  CompileService S;
+  std::string Names[2];
+  const int *Cells[2] = {&CellA, &CellB};
+  FnHandle Fns[2];
+  for (int I = 0; I < 2; ++I) {
+    Context C;
+    VSpec X = C.paramInt(0);
+    Fns[I] = S.getOrCompile(C, C.ret(Expr(X) + C.fvInt(Cells[I])),
+                            EvalType::Int);
+    char Name[obs::RuntimeSymbolTable::NameBytes];
+    std::uintptr_t Start = 0;
+    std::size_t Size = 0;
+    ASSERT_TRUE(obs::RuntimeSymbolTable::global().resolve(
+        reinterpret_cast<std::uintptr_t>(Fns[I]->entry()), Name, &Start,
+        &Size));
+    Names[I] = Name;
+    EXPECT_EQ(Names[I].rfind("spec-", 0), 0u) << Names[I];
+  }
+  EXPECT_NE(Names[0], Names[1]);
+  EXPECT_EQ(Fns[0]->as<int(int)>()(1), 2);
+  EXPECT_EQ(Fns[1]->as<int(int)>()(1), 3);
+}
 
 TEST(CompileService, SameSpecSameConstantsHitsIdenticalEntry) {
   CompileService S;

@@ -1,7 +1,7 @@
 //===- tests/persist_test.cpp - Persistent snapshot cache tests -----------===//
 //
 // Covers the warm-start path end to end: relocation side-table capture,
-// address-independent PersistKeys, save/load round trips through all three
+// address-independent SpecKeys, save/load round trips through all three
 // back ends (every load must pass the flow-sensitive admission verifier
 // before it can execute), relocation patching against moved free variables
 // and fresh profile counters, rejection of wrong-fingerprint / corrupted /
@@ -86,13 +86,14 @@ FnHandle compileCell(CompileService &S, const int *Cell,
                         Opts);
 }
 
-cache::PersistKey persistKeyForCell(const int *Cell,
-                                    const CompileOptions &Opts = {}) {
+SpecKey keyForCell(const int *Cell) {
   Context C;
   VSpec X = C.paramInt(0);
-  Stmt Body = C.ret(Expr(X) + C.fvInt(Cell));
-  return buildPersistKey(C, Body, EvalType::Int, Opts);
+  return buildSpecKey(C, C.ret(Expr(X) + C.fvInt(Cell)), EvalType::Int,
+                      CompileOptions());
 }
+
+int goldenCallee(int V) { return V + 1; }
 
 /// Flips one byte of the snapshot file at \p Offset (negative = from end).
 void flipByte(const std::string &File, long Offset) {
@@ -176,14 +177,14 @@ TEST(RelocTable, RecordingDoesNotChangeEmittedBytes) {
   }
 }
 
-// --- PersistKey canonicalization -------------------------------------------
+// --- SpecKey canonicalization ---------------------------------------------
 
-TEST(PersistKey, AddressIndependentAcrossMovedFreeVars) {
+TEST(SpecKey, AddressIndependentAcrossMovedFreeVars) {
   static int CellA = 1, CellB = 2;
-  cache::PersistKey KA = persistKeyForCell(&CellA);
-  cache::PersistKey KB = persistKeyForCell(&CellB);
+  SpecKey KA = keyForCell(&CellA);
+  SpecKey KB = keyForCell(&CellB);
   // Same canonical bytes (the address became an ordinal) ...
-  EXPECT_EQ(KA.Hash, KB.Hash);
+  EXPECT_EQ(KA.BytesHash, KB.BytesHash);
   EXPECT_EQ(KA.Bytes, KB.Bytes);
   // ... with the differing addresses carried out-of-band, pairable by
   // position.
@@ -192,16 +193,30 @@ TEST(PersistKey, AddressIndependentAcrossMovedFreeVars) {
   EXPECT_EQ(KA.Refs[0].Addr, reinterpret_cast<std::uint64_t>(&CellA));
   EXPECT_EQ(KB.Refs[0].Addr, reinterpret_cast<std::uint64_t>(&CellB));
   EXPECT_EQ(KA.Refs[0].Kind, KB.Refs[0].Kind);
+  // Yet the keys stay unequal: two different cells are two different
+  // functions to one process.
+  EXPECT_FALSE(KA == KB);
+}
 
-  // The in-memory SpecKey, by contrast, must keep the addresses inline —
-  // two different cells are two different functions to one process.
-  Context C1, C2;
-  VSpec X1 = C1.paramInt(0), X2 = C2.paramInt(0);
-  SpecKey SA = buildSpecKey(C1, C1.ret(Expr(X1) + C1.fvInt(&CellA)),
-                            EvalType::Int, CompileOptions());
-  SpecKey SB = buildSpecKey(C2, C2.ret(Expr(X2) + C2.fvInt(&CellB)),
-                            EvalType::Int, CompileOptions());
-  EXPECT_FALSE(SA == SB);
+TEST(SpecKey, GoldenBytesHashPinsTheRecordKeyFormat) {
+  // The key bytes are the snapshot record key, so they must not drift
+  // without a SnapshotFormatVersion bump. The spec covers every ordinal
+  // shape: a repeated free variable (A), a second one (B) and a callee.
+  static int CellA = 1, CellB = 2;
+  Context C;
+  VSpec X = C.paramInt(0);
+  Expr Call = C.callC(reinterpret_cast<const void *>(&goldenCallee),
+                      EvalType::Int, {Expr(X) + C.fvInt(&CellA)});
+  Stmt Body = C.ret(Call + C.fvInt(&CellA) + C.fvInt(&CellB));
+  CompileOptions Opts;
+  Opts.Verify = true; // Pinned on, so TICKC_VERIFY cannot flip its byte.
+  SpecKey K = buildSpecKey(C, Body, EvalType::Int, Opts);
+  ASSERT_EQ(K.Refs.size(), 3u);
+  EXPECT_EQ(K.Refs[0].Addr, reinterpret_cast<std::uint64_t>(&goldenCallee));
+  EXPECT_EQ(K.Refs[1].Addr, reinterpret_cast<std::uint64_t>(&CellA));
+  EXPECT_EQ(K.Refs[2].Addr, reinterpret_cast<std::uint64_t>(&CellB));
+  EXPECT_EQ(K.Bytes.size(), 166u);
+  EXPECT_EQ(K.BytesHash, 0x75d7993bec9546ebull);
 }
 
 // --- Save / load round trips ------------------------------------------------
@@ -739,7 +754,7 @@ TEST(Snapshot, RejectedRecordLeavesOnlyTrapsInItsBlock) {
   }
   std::uint64_t ReusedBefore = CodeHeap::global().stats().Reused;
   CompileService S(snapConfig(Dir));
-  CompiledFn F = S.snapshot()->tryLoad(persistKeyForCell(&Cell), {});
+  CompiledFn F = S.snapshot()->tryLoad(keyForCell(&Cell), {});
   EXPECT_FALSE(F.valid());
   EXPECT_EQ(S.snapshot()->stats().Rejects, 1u);
   ASSERT_EQ(CodeHeap::global().stats().Reused, ReusedBefore + 1)

@@ -15,12 +15,14 @@
 #include "core/Compile.h"
 #include "core/Context.h"
 #include "core/SpecInterp.h"
+#include "observability/Events.h"
 #include "tier/Tier.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -308,6 +310,38 @@ TEST(Tier0, EnvKnobsReachServiceConfig) {
   unsetenv("TICKC_TIER0");
   unsetenv("TICKC_TIER0_PROFILE");
   unsetenv("TICKC_SNAPSHOT_BUDGET");
+}
+
+TEST(Tier0, SlotCreationRecordsOneFingerprintSpan) {
+  // The slot's key walk is the only one the creating thread makes, and it
+  // is attributed: buildSpecKey records the span itself, so the walk shows
+  // up whichever front door took it.
+  CompileService S;
+  TierManager TM(config(1 << 20)); // Promotion out of the picture.
+  obs::EventRing &Ring = obs::EventRing::global();
+  std::uint64_t From = Ring.eventCount();
+  obs::traceStart(nullptr);
+  // Tags this thread in the ring, to tell its spans from the worker's.
+  obs::recordEvent(obs::EventKind::CompileBegin, 0, 0, "fingerprint-caller");
+  TieredFnHandle TF =
+      S.getOrCompileTiered(loopBuild(19), EvalType::Int, CompileOptions(), &TM);
+  ASSERT_TRUE(TF);
+  ASSERT_TRUE(TF->waitCompiled());
+  ASSERT_TRUE(obs::traceStopTo(nullptr));
+  EXPECT_NE(TF->state(), TierState::Promoted);
+
+  std::vector<obs::EventRing::Record> Records = Ring.snapshot(From);
+  std::uint32_t Caller = 0;
+  for (const obs::EventRing::Record &R : Records)
+    if (R.Kind == obs::EventKind::CompileBegin &&
+        std::string(R.Name) == "fingerprint-caller")
+      Caller = R.Tid;
+  ASSERT_NE(Caller, 0u);
+  unsigned Walks = 0;
+  for (const obs::EventRing::Record &R : Records)
+    if (R.Kind == obs::EventKind::SpecFingerprint && R.Tid == Caller)
+      ++Walks;
+  EXPECT_EQ(Walks, 1u);
 }
 
 // --- Concurrency -------------------------------------------------------------
