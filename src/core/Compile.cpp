@@ -321,6 +321,25 @@ bool forOrdinalRec(const StmtNode *S, const StmtNode *Target,
 
 // --- The walker ---------------------------------------------------------------------
 
+/// Largest &&/||/! tree ICODE lowers branch-free. A branch-free tree
+/// executes every leaf, a short-circuit chain only those it reaches, so
+/// past some size the work saved on mispredictions is spent on leaves
+/// the chain would skip. Measured on a 2.1 GHz-TSC Xeon VM with 300 random
+/// and/or trees of N int compares per size, each scanned once over 2000
+/// random 32-byte records right after its ICODE compile (DESIGN.md,
+/// "Branch-free predicates"): the median branch-free scan took 0.60-0.66x
+/// the chain's time at 5-10 leaves, 0.69x at 12, 0.70x at 14, 0.78x at 16
+/// and 0.88x at 20, with a quarter of the trees slower than the chain at
+/// 12 and up (p75 1.05-1.16). The gain stops growing before the leaf
+/// count, and the compile cost, does.
+constexpr unsigned MaxPredicateLeaves = 12;
+
+/// Widest load span a page guard accepts: the widest measured. The
+/// query compiler's records span at most 20 bytes (servebench's catalog)
+/// and differential_test's predicate records 48. A span of s bytes sends
+/// (s - 1) / 4096 of uniformly placed records to the twin: 1.1% here.
+constexpr std::int64_t MaxGuardSpan = 48;
+
 /// §4.4 partial-evaluation decisions, tallied during the walk (plain ints:
 /// one flush to the shared metrics registry per compile, not one atomic add
 /// per folded node).
@@ -329,6 +348,8 @@ struct Decisions {
   unsigned BranchesEliminated = 0;
   unsigned StrengthReductions = 0;
   unsigned ProfiledUnrolls = 0;
+  unsigned PredicatesBranchFree = 0; ///< ICODE only.
+  unsigned PredicatesDeclined = 0;   ///< ICODE only.
 };
 
 template <class BE> class Walker {
@@ -348,7 +369,7 @@ public:
       : Ctx(Ctx), Back(Back), RetType(RetType), Opts(Opts),
         Rc(static_cast<unsigned>(Ctx.locals().size()), Scratch),
         LocalLoc(Scratch), UserLabels(Scratch), LoopStack(Scratch),
-        ScratchArena(Scratch) {
+        SpecBases(Scratch), BaseFixed(Scratch), ScratchArena(Scratch) {
     LocalLoc.resize(Ctx.locals().size(), INT_MIN);
     UserLabels.resize(Ctx.numDynLabels(), std::nullopt);
   }
@@ -359,15 +380,27 @@ public:
   /// counter on every invocation (CompileOptions::Profile).
   const void *ProfileCounter = nullptr;
 
+  /// Set for the VCODE fallback of a page-guarded ICODE function
+  /// (Instantiation::emitTwin), which runs in that function's frame.
+  bool IsTwin = false;
+
   void run(const StmtNode *Body) {
     Root = Body;
     BodyHasCalls = stmtHasCall(Body);
     if constexpr (TR::OnePass)
-      Back.enter();
+      if (!IsTwin)
+        Back.enter();
     if (ProfileCounter)
       Back.profileEntry(ProfileCounter);
     bindParams();
     genStmt(Body);
+    if constexpr (!TR::OnePass)
+      for (const SpecBase &B : SpecBases)
+        Back.addPageGuard(
+            static_cast<unsigned>(
+                Ctx.locals()[static_cast<std::size_t>(B.LocalId)].ArgIndex),
+            static_cast<std::int32_t>(B.Lo),
+            static_cast<std::uint32_t>(B.Hi - B.Lo));
     // Fall-off-the-end return.
     if (RetType == EvalType::Void) {
       Back.retVoid();
@@ -845,6 +878,9 @@ private:
   }
 
   Val genLogicalValue(const ExprNode *N) {
+    if constexpr (!TR::OnePass)
+      if (admitBranchFree(N))
+        return genBoolTree(N);
     int D = TR::allocI(Back);
     LabelT False = Back.newLabel(), End = Back.newLabel();
     genBranch(N, False, /*WhenTrue=*/false);
@@ -853,6 +889,252 @@ private:
     Back.bindLabel(False);
     Back.setI(D, 0);
     Back.bindLabel(End);
+    return Val{D, true, false};
+  }
+
+  // --- Branch-free predicates (ICODE) --------------------------------------
+  //
+  // A &&/||/! tree in value context is computed as 0/1 leaves combined with
+  // AndI/OrI/XorII, so a scan over random records pays no mispredictions.
+  // That executes every leaf, including loads the short-circuit order would
+  // skip. It is legal only for the shapes scanPredicate admits: pure leaves
+  // whose loads all read `P + const` for one parameter P the body never
+  // assigns, with the first-evaluated leaf loading from P. When a later
+  // leaf loads, P's load span is added to the function's page guard, which
+  // sends a call whose span crosses a 4 KiB page to the short-circuit VCODE
+  // twin (Instantiation::emitTwin). DESIGN.md gives the argument.
+
+  /// What scanPredicate found in one tree.
+  struct PredScan {
+    unsigned Leaves = 0;
+    std::int32_t Base = -1; ///< LocalId of the one load base, or -1.
+    std::int64_t Lo = INT64_MAX, Hi = INT64_MIN; ///< Load span off Base.
+    bool FirstLoads = false; ///< The first-evaluated leaf loads from Base.
+    bool Speculates = false; ///< A later leaf loads.
+    const char *Declined = nullptr;
+  };
+
+  /// True if parameter \p Id can anchor speculated loads: an integer-class
+  /// register argument (the page guard reads the register) that the body
+  /// never assigns, so its entry value is its value at every load.
+  bool isFixedBase(std::int32_t Id) {
+    const LocalInfo &L = Ctx.locals()[static_cast<std::size_t>(Id)];
+    if (L.ArgIndex < 0 || L.ArgIndex >= 6 ||
+        (L.Type != EvalType::Ptr && L.Type != EvalType::Long))
+      return false;
+    if (BaseFixed.empty())
+      BaseFixed.resize(Ctx.locals().size(), -1);
+    std::int8_t &F = BaseFixed[static_cast<std::size_t>(Id)];
+    if (F < 0)
+      F = !assignsLocal(Root, Id);
+    return F != 0;
+  }
+
+  /// A load's address must be `P` or `P + const` for a fixed base P.
+  void scanLoad(const ExprNode *N, PredScan &S) {
+    const ExprNode *Addr = N->A;
+    std::int64_t Off = 0;
+    if (Addr->Kind == ExprKind::Binary &&
+        static_cast<BinOp>(Addr->OpByte) == BinOp::Add) {
+      if (auto BC = Rc.eval(Addr->B, false)) {
+        Off = BC->I;
+        Addr = Addr->A;
+      } else if (auto AC = Rc.eval(Addr->A, false)) {
+        Off = AC->I;
+        Addr = Addr->B;
+      }
+    }
+    if (Addr->Kind != ExprKind::Local || Off < INT32_MIN || Off > INT32_MAX ||
+        !isFixedBase(Addr->LocalId)) {
+      S.Declined = "address";
+      return;
+    }
+    if (S.Base >= 0 && S.Base != Addr->LocalId) {
+      S.Declined = "second-base";
+      return;
+    }
+    S.Base = Addr->LocalId;
+    S.Lo = std::min(S.Lo, Off);
+    S.Hi = std::max(S.Hi, Off + memSize(static_cast<MemType>(N->OpByte)));
+  }
+
+  /// One leaf's operands: constants, `$` values, locals, params, pure
+  /// arithmetic, conversions and compares, and loads off the base.
+  void scanLeaf(const ExprNode *N, PredScan &S, bool &Loads) {
+    if (S.Declined)
+      return;
+    switch (N->Kind) {
+    case ExprKind::ConstInt:
+    case ExprKind::ConstLong:
+    case ExprKind::ConstDouble:
+    case ExprKind::RtEval:
+    case ExprKind::Local:
+      return;
+    case ExprKind::FreeVar:
+      S.Declined = "free-variable";
+      return;
+    case ExprKind::Call:
+      S.Declined = "call";
+      return;
+    case ExprKind::Cond:
+      S.Declined = "cond";
+      return;
+    case ExprKind::Load:
+      Loads = true;
+      scanLoad(N, S);
+      return;
+    case ExprKind::Unary:
+      scanLeaf(N->A, S, Loads);
+      return;
+    case ExprKind::Binary: {
+      auto O = static_cast<BinOp>(N->OpByte);
+      if (O == BinOp::Div || O == BinOp::Mod) {
+        S.Declined = "div";
+        return;
+      }
+      if (O == BinOp::LogAnd || O == BinOp::LogOr) {
+        S.Declined = "nested";
+        return;
+      }
+      [[fallthrough]];
+    }
+    case ExprKind::Cmp:
+      scanLeaf(N->A, S, Loads);
+      scanLeaf(N->B, S, Loads);
+      return;
+    }
+  }
+
+  /// Walks the &&/||/! skeleton; \p First marks the leftmost leaf, the one
+  /// every evaluation of the predicate executes.
+  void scanPredicate(const ExprNode *N, PredScan &S, bool First) {
+    if (S.Declined)
+      return;
+    if (N->Kind == ExprKind::Binary &&
+        (static_cast<BinOp>(N->OpByte) == BinOp::LogAnd ||
+         static_cast<BinOp>(N->OpByte) == BinOp::LogOr)) {
+      scanPredicate(N->A, S, First);
+      scanPredicate(N->B, S, false);
+      return;
+    }
+    if (N->Kind == ExprKind::Unary &&
+        static_cast<UnOp>(N->OpByte) == UnOp::LogNot) {
+      scanPredicate(N->A, S, First);
+      return;
+    }
+    if (++S.Leaves > MaxPredicateLeaves) {
+      S.Declined = "leaf-cap";
+      return;
+    }
+    if (N->Flags & EF_HasCall) {
+      S.Declined = "call";
+      return;
+    }
+    bool Loads = false;
+    scanLeaf(N, S, Loads);
+    if (First)
+      S.FirstLoads = Loads;
+    else
+      S.Speculates |= Loads;
+  }
+
+  /// Decides whether the tree at \p N lowers branch-free, tallies the
+  /// decision, and widens the page guard by the loads it speculates.
+  bool admitBranchFree(const ExprNode *N) {
+    PredScan S;
+    if (hasDecisiveLeaf(N))
+      S.Declined = "decisive";
+    else
+      scanPredicate(N, S, /*First=*/true);
+    if (!S.Declined && S.Speculates && !S.FirstLoads)
+      S.Declined = "first-leaf";
+    SpecBase *Merged = nullptr;
+    std::int64_t Lo = S.Lo, Hi = S.Hi;
+    if (!S.Declined && S.Speculates) {
+      for (SpecBase &B : SpecBases)
+        if (B.LocalId == S.Base)
+          Merged = &B;
+      if (Merged) {
+        Lo = std::min(Lo, Merged->Lo);
+        Hi = std::max(Hi, Merged->Hi);
+      }
+      if (Hi - Lo > MaxGuardSpan)
+        S.Declined = "span";
+    }
+    if (S.Declined) {
+      ++PE.PredicatesDeclined;
+      obs::recordEvent(obs::EventKind::PredicateDeclined, S.Leaves, 0,
+                       S.Declined);
+      return false;
+    }
+    ++PE.PredicatesBranchFree;
+    if (!S.Speculates)
+      return true; // Every load sits in the first leaf: nothing speculated.
+    if (Merged) {
+      Merged->Lo = Lo;
+      Merged->Hi = Hi;
+    } else {
+      SpecBases.push_back(SpecBase{S.Base, Lo, Hi});
+    }
+    return true;
+  }
+
+  /// True if following first operands down from the root of &&/|| tree
+  /// \p N, through nodes of the root's operator, ends in a leaf: a compare
+  /// that alone decides the tree (false under &&, true under ||), so the
+  /// chain stops there whenever it decides. Such trees keep the chain.
+  /// Lowered branch-free, a tree decided by a predictable first compare
+  /// ran at twice the chain's cost, and keeping one branch on that leaf
+  /// (branch-free after it) still needed the page guard and the VCODE twin
+  /// for the rest. Measured on servebench's catalog, where 52% of the
+  /// trees have such a leaf, alternated pairs on a 4-vCPU VM: keeping
+  /// that branch read hot latency_p50_x 0.21 against 0.30 here (parent
+  /// 0.40), but its twins made a boot of 1024 compiles 12-19% slower
+  /// (here 4%) and hot setup_s read +51% over ten 20 s pairs.
+  static bool hasDecisiveLeaf(const ExprNode *N) {
+    auto O = static_cast<BinOp>(N->OpByte);
+    const ExprNode *First = N;
+    while (isLogical(First, O))
+      First = First->A;
+    return First != N && !isLogical(First, BinOp::LogAnd) &&
+           !isLogical(First, BinOp::LogOr) &&
+           !(First->Kind == ExprKind::Unary &&
+             static_cast<UnOp>(First->OpByte) == UnOp::LogNot);
+  }
+
+  static bool isLogical(const ExprNode *N, BinOp O) {
+    return N->Kind == ExprKind::Binary && static_cast<BinOp>(N->OpByte) == O;
+  }
+
+  /// The 0/1 value of an admitted tree, with no branches.
+  Val genBoolTree(const ExprNode *N) {
+    if (auto V = Rc.eval(N, false)) {
+      int R = TR::allocI(Back);
+      Back.setI(R, V->truthy());
+      return Val{R, true, false};
+    }
+    if (N->Kind == ExprKind::Binary) {
+      auto O = static_cast<BinOp>(N->OpByte);
+      if (O == BinOp::LogAnd || O == BinOp::LogOr) {
+        Val A = genBoolTree(N->A);
+        Val B = genBoolTree(N->B);
+        O == BinOp::LogAnd ? Back.andI(A.R, A.R, B.R)
+                           : Back.orI(A.R, A.R, B.R);
+        freeVal(B);
+        return A;
+      }
+    }
+    if (N->Kind == ExprKind::Unary &&
+        static_cast<UnOp>(N->OpByte) == UnOp::LogNot) {
+      Val A = genBoolTree(N->A);
+      Back.xorII(A.R, A.R, 1);
+      return A;
+    }
+    if (N->Kind == ExprKind::Cmp)
+      return genCmp(N);
+    Val V = genExpr(N);
+    int D = V.Temp ? V.R : TR::allocI(Back);
+    Back.cmpSetII(CmpKind::Ne, D, V.R, 0);
     return Val{D, true, false};
   }
 
@@ -1281,6 +1563,13 @@ private:
     LabelT Continue;
   };
 
+  /// A parameter whose loads some branch-free predicate speculates, with
+  /// the union [Lo, Hi) of those predicates' load offsets.
+  struct SpecBase {
+    std::int32_t LocalId;
+    std::int64_t Lo, Hi;
+  };
+
   Context &Ctx;
   BE &Back;
   EvalType RetType;
@@ -1289,6 +1578,8 @@ private:
   ArenaVector<int> LocalLoc;
   ArenaVector<std::optional<LabelT>> UserLabels;
   ArenaVector<LoopLabels> LoopStack;
+  ArenaVector<SpecBase> SpecBases;
+  ArenaVector<std::int8_t> BaseFixed; ///< Per local: -1 unknown, else 0/1.
   Arena &ScratchArena;
   const StmtNode *Root = nullptr;
   bool BodyHasCalls = false;
@@ -1306,6 +1597,7 @@ struct CompileMetrics {
   obs::Counter &Setup, &Walk, &Finalize, &FlowGraph, &Liveness, &Intervals,
       &RegAlloc, &Peephole, &Emit;
   obs::Counter &Spilled, &Unrolled, &DeadBranches, &Strength, &Profiled;
+  obs::Counter &BranchFree, &Declined;
   obs::Counter &Allocs, &StencilPatches;
   obs::Histogram &HistVCode, &HistPCode, &HistLinear, &HistColor;
   obs::Histogram &ArenaBytes, &CpiVCode, &CpiICode, &CpiPCode;
@@ -1326,6 +1618,7 @@ struct CompileMetrics {
         R.counter(N::PhaseEmit), R.counter(N::SpilledIntervals),
         R.counter(N::LoopsUnrolled), R.counter(N::BranchesEliminated),
         R.counter(N::StrengthReductions), R.counter(N::UnrollProfiled),
+        R.counter(N::PredicatesBranchFree), R.counter(N::PredicatesDeclined),
         R.counter(N::CompileAllocs),
         R.counter(N::StencilPatches),
         R.histogram(N::HistCyclesVCode), R.histogram(N::HistCyclesPCode),
@@ -1355,6 +1648,10 @@ void publishCompileMetrics(const CompiledFn &F, const CompileOptions &Opts,
     M.Strength.inc(PE.StrengthReductions);
   if (PE.ProfiledUnrolls)
     M.Profiled.inc(PE.ProfiledUnrolls);
+  if (PE.PredicatesBranchFree)
+    M.BranchFree.inc(PE.PredicatesBranchFree);
+  if (PE.PredicatesDeclined)
+    M.Declined.inc(PE.PredicatesDeclined);
   obs::Histogram *Cpi;
   if (Opts.Backend == BackendKind::VCode) {
     M.CountVCode.inc();
@@ -1487,6 +1784,8 @@ struct Instantiation {
       F.Stats.CyclesSetup += readCycleCounterEnd() - SetupStart;
       F.Entry = IC.compileTo(V, Opts.RegAlloc, &F.Stats.ICode, Opts.Spill,
                              DoVerify ? &Audit : nullptr);
+      if (!IC.pageGuards().empty())
+        emitTwin(V);
       recordCode(V);
       return PE;
     }
@@ -1505,6 +1804,24 @@ private:
     if constexpr (BackendTraits<BE>::OnePass)
       F.Entry = Back.finish();
     return W.PE;
+  }
+
+  /// The fallback of a page-guarded ICODE function, emitted where
+  /// ICode::compileTo left \p V: the same body walked a second time by the
+  /// one-pass VCODE walker, in short-circuit order, right after the guarded
+  /// body. It shares that body's frame and exit, so the function stays one
+  /// function at offset 0, and it plants its own profile hook, so a
+  /// profiled call counts once on either path. Charged, with the finish
+  /// that ends it, to the walk phase as a VCODE walk is; its decisions are
+  /// not tallied again.
+  void emitTwin(vcode::VCode &V) {
+    obs::Phase Walk(obs::EventKind::CGFWalk, F.Stats.CyclesWalk);
+    Walker<vcode::VCode> W(Ctx, V, RetType, Opts, A);
+    if (F.Prof)
+      W.ProfileCounter = &F.Prof->Invocations;
+    W.IsTwin = true;
+    W.run(Body);
+    F.Entry = V.finish();
   }
 
   template <class VM> void recordCode(const VM &V) {

@@ -196,10 +196,11 @@ Allocation allocateGraphColor(const ICode &IC, const FlowGraph &FG,
                               SpillHeuristic Spill,
                               const std::uint8_t *MustSpill);
 
-/// Dead-code elimination over pure instructions whose results are never
-/// used; part of the peephole machinery run before allocation. Returns the
-/// number of instructions erased (turned into Nop). \p Scratch backs the
-/// use-count table.
+/// Dead-code elimination over unreachable instructions (after a jump or
+/// return, before the next label) and pure instructions whose results are
+/// never used; part of the peephole machinery run before allocation.
+/// Returns the number of instructions erased (turned into Nop). \p Scratch
+/// backs the use-count table.
 unsigned eliminateDeadCode(Instr *Instrs, std::size_t NumInstrs,
                            unsigned NumRegs, Arena &Scratch);
 

@@ -42,9 +42,12 @@ public:
       VLabels[I] = V.newLabel();
   }
 
-  void run() {
+  /// Emits the function; page-guard units, if any, branch to \p Fallback.
+  void run(vcode::Label Fallback) {
     const auto &Instrs = IC.instrs();
     V.enter();
+    for (const PageGuard &G : IC.pageGuards())
+      V.pageGuard(G.ArgIndex, G.Lo, G.Span, Fallback);
     for (std::size_t I = 0, E = Instrs.size(); I != E; ++I)
       emitOne(Instrs, I);
   }
@@ -423,14 +426,28 @@ void *ICode::compileTo(VCode &V, RegAllocKind Kind, CompileStats *Stats,
   if (Audit && Audit->PostRegAlloc)
     Audit->PostRegAlloc(Audit->Ctx, *this, Alloc);
 
-  void *Entry;
+  // A page-guarded function is one frame with two bodies: this one, then
+  // the fallback the guard branches to, whose epilogues jump to this
+  // body's first one. The caller emits the fallback and finishes V.
+  const bool Guarded = !Guards.empty();
+  void *Entry = nullptr;
+  vcode::Label Fallback;
   {
     // The final stat tally stays inside the emit scope so the per-phase
     // cycles keep covering the whole pipeline (tickc-report drift guard).
     obs::Phase T(obs::EventKind::Emit, S.CyclesEmit);
+    if (Guarded) {
+      Fallback = V.newLabel();
+      V.shareExit(V.newLabel());
+    }
     Emitter E(*this, V, Alloc);
-    E.run();
-    Entry = V.finish();
+    E.run(Fallback);
+    if (Guarded) {
+      V.bindLabel(Fallback);
+      V.exitThrough();
+    } else {
+      Entry = V.finish();
+    }
     S.NumBasicBlocks = static_cast<unsigned>(FG.blocks().size());
     S.NumIntervals = 0;
     for (unsigned R = 0; R < Alloc.NumRegs; ++R)

@@ -11,14 +11,14 @@ using namespace tcc;
 using namespace tcc::icode;
 
 ICode::ICode() : Owned(new Arena()), A(Owned.get()), Instrs(*A), Pool(*A),
-                 RegIsFloat(*A), LabelTargets(*A) {
+                 RegIsFloat(*A), LabelTargets(*A), Guards(*A) {
   Instrs.reserve(64);
   Pool.reserve(8);
 }
 
 ICode::ICode(Arena &BackingArena)
     : A(&BackingArena), Instrs(*A), Pool(*A), RegIsFloat(*A),
-      LabelTargets(*A) {
+      LabelTargets(*A), Guards(*A) {
   Instrs.reserve(64);
   Pool.reserve(8);
 }
@@ -62,6 +62,7 @@ ICode ICode::clone() const {
   CopyInto(C.Pool, Pool);
   CopyInto(C.RegIsFloat, RegIsFloat);
   CopyInto(C.LabelTargets, LabelTargets);
+  CopyInto(C.Guards, Guards);
   C.NumLabels = NumLabels;
   return C;
 }

@@ -178,6 +178,15 @@ static_assert(sizeof(Instr) == 16, "ICODE instruction should stay compact");
 
 struct Allocation; // Analysis.h
 
+/// One unit of the page guard a speculating compile plants right after
+/// its prologue (core/Compile.cpp, branch-free predicates): the loads off
+/// integer argument ArgIndex span [arg+Lo, arg+Lo+Span).
+struct PageGuard {
+  std::uint32_t ArgIndex = 0;
+  std::int32_t Lo = 0;
+  std::uint32_t Span = 0;
+};
+
 /// Optional checkpoints compileTo() exposes to the verification subsystem
 /// (src/verify). Plain function pointers so icode does not depend on verify;
 /// the core compile driver wires them up when verification is on. Both hooks
@@ -488,10 +497,22 @@ public:
   void resultToL(VReg D) { append(Op::ResultL, 0, D, 0, 0); }
   void resultToD(VReg D) { append(Op::ResultD, 0, D, 0, 0); }
 
+  // --- Page guard ------------------------------------------------------------------------------
+  /// Asks compileTo() to plant a page-guard unit right after the prologue.
+  /// A failing unit branches to the fallback the caller of compileTo()
+  /// emits after the guarded body.
+  void addPageGuard(unsigned ArgIndex, std::int32_t Lo, std::uint32_t Span) {
+    Guards.push_back(PageGuard{ArgIndex, Lo, Span});
+  }
+  const ArenaVector<PageGuard> &pageGuards() const { return Guards; }
+
   // --- Compilation -----------------------------------------------------------------------------
   /// Runs the full ICODE pipeline into \p V (which must be freshly
   /// constructed): flow graph, liveness, intervals, register allocation,
-  /// peephole, emission. Returns the entry point (V.finish()).
+  /// peephole, emission. Returns the entry point (V.finish()). With page
+  /// guards it returns null and leaves \p V unfinished, positioned where
+  /// the guards branch to: the caller emits the fallback there, whose
+  /// epilogues jump to the guarded body's, and calls V.finish().
   void *compileTo(vcode::VCode &V, RegAllocKind Kind,
                   CompileStats *Stats = nullptr,
                   SpillHeuristic Spill = SpillHeuristic::LongestInterval,
@@ -538,6 +559,7 @@ private:
   ArenaVector<std::uint64_t> Pool;
   ArenaVector<std::uint8_t> RegIsFloat;
   ArenaVector<std::int32_t> LabelTargets;
+  ArenaVector<PageGuard> Guards;
   unsigned NumLabels = 0;
 };
 

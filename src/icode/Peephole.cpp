@@ -1,9 +1,10 @@
 //===- icode/Peephole.cpp - IR-level cleanup before allocation ------------==//
 //
-// Dead code elimination over pure instructions. Dynamic loop unrolling and
-// run-time-constant folding in the CGFs (paper §4.4) routinely leave
-// computations whose results are never consumed; erasing them before
-// register allocation keeps intervals short and spill counts low.
+// Dead code elimination over unreachable code and pure instructions.
+// Dynamic loop unrolling and run-time-constant folding in the CGFs (paper
+// §4.4) routinely leave computations whose results are never consumed;
+// erasing them before register allocation keeps intervals short and spill
+// counts low.
 //
 //===----------------------------------------------------------------------===//
 
@@ -72,7 +73,23 @@ static bool isPure(Op O) {
 unsigned tcc::icode::eliminateDeadCode(Instr *Instrs, std::size_t NumInstrs,
                                        unsigned NumRegs, Arena &Scratch) {
   auto *UseCount = Scratch.allocateZeroed<std::uint32_t>(NumRegs);
+  unsigned Erased = 0;
+  // Code between a jump or return and the next label is unreachable, e.g.
+  // the fall-off-the-end return of a body that ends in `return`. It goes
+  // first, so its uses do not keep anything alive.
+  bool Unreachable = false;
   for (std::size_t I = 0; I < NumInstrs; ++I) {
+    Op O = Instrs[I].Opcode;
+    if (O == Op::Label || O == Op::Hint) {
+      Unreachable = false;
+    } else if (Unreachable) {
+      Erased += O != Op::Nop;
+      Instrs[I].Opcode = Op::Nop;
+      continue;
+    } else {
+      Unreachable = O == Op::Jump || O == Op::RetI || O == Op::RetL ||
+                    O == Op::RetD || O == Op::RetVoid;
+    }
     VReg Defs[2], Uses[3];
     unsigned ND, NU;
     ICode::defsUses(Instrs[I], Defs, ND, Uses, NU);
@@ -80,7 +97,6 @@ unsigned tcc::icode::eliminateDeadCode(Instr *Instrs, std::size_t NumInstrs,
       ++UseCount[static_cast<unsigned>(Uses[U])];
   }
 
-  unsigned Erased = 0;
   bool Changed = true;
   while (Changed) {
     Changed = false;

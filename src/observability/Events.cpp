@@ -32,9 +32,9 @@ constexpr const char *EventNames[] = {
     "tier-enqueue", "tier-compile", "tier-swap",
     // Instants.
     "compile.begin", "compile.end", "tier.swap", "cache.evict", "verify.fail",
-    "region.retire"};
+    "region.retire", "predicate.declined"};
 static_assert(std::size(EventNames) ==
-                  static_cast<std::size_t>(EventKind::RegionRetire) + 1,
+                  static_cast<std::size_t>(EventKind::PredicateDeclined) + 1,
               "one name per event kind");
 
 static_assert(sizeof(EventRing::Slot) == 80, "spans reuse the 80-byte slot");

@@ -75,6 +75,7 @@ enum class EventKind : std::uint8_t {
   CacheEvict,   ///< A = entry, B = code bytes, Name = symbol.
   VerifyFail,   ///< Name = failing layer/rule.
   RegionRetire, ///< A = entry, B = size, Name = symbol.
+  PredicateDeclined, ///< A = leaves scanned, Name = reason (ICODE).
 };
 
 inline bool isSpan(EventKind K) { return K < EventKind::CompileBegin; }

@@ -78,6 +78,12 @@ inline constexpr char StrengthReductions[] = "opt.strength_reductions";
 /// Loops whose unroll decision came from a tier-0 measured trip count
 /// (CompileOptions::TripProfile) instead of the static UnrollLimit.
 inline constexpr char UnrollProfiled[] = "opt.unroll.profiled";
+/// &&/||/! trees ICODE lowered to 0/1 compares combined with and/or (a
+/// decisive first leaf keeps its branch), and those it left to the
+/// short-circuit chain (each decline also records a predicate.declined
+/// event naming its reason).
+inline constexpr char PredicatesBranchFree[] = "icode.predicates.branch_free";
+inline constexpr char PredicatesDeclined[] = "icode.predicates.declined";
 
 // Code cache (all CodeCache instances, cumulative).
 inline constexpr char CacheHits[] = "cache.hits";

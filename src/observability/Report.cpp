@@ -142,6 +142,13 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
               S.counter(names::StrengthReductions)),
           static_cast<unsigned long long>(
               S.counter(names::UnrollProfiled)));
+  appendf(Out,
+          "icode predicates: %llu branch-free, %llu declined to the "
+          "short-circuit chain\n",
+          static_cast<unsigned long long>(
+              S.counter(names::PredicatesBranchFree)),
+          static_cast<unsigned long long>(
+              S.counter(names::PredicatesDeclined)));
 
   std::uint64_t Hits = S.counter(names::CacheHits);
   std::uint64_t Misses = S.counter(names::CacheMisses);

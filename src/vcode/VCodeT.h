@@ -312,6 +312,29 @@ public:
     Asm.lockIncM64(detail::ScratchA, 0);
   }
 
+  /// Plants one unit of a page guard right after enter(): branches to
+  /// \p Fallback unless the \p Span bytes at `arg[Index] + Lo` lie inside
+  /// one 4 KiB page, i.e. unless `((arg + Lo) & 4095) + Span <= 4096`.
+  /// Reads no memory and clobbers only scratch; the argument registers
+  /// still hold the caller's values.
+  void pageGuard(unsigned Index, std::int32_t Lo, std::uint32_t Span,
+                 Label Fallback) {
+    assert(Index < 6 && Span >= 1 && Span <= 4096 && "bad page guard");
+    Asm.lea(detail::ScratchA, x86::IntArgRegs[Index], Lo);
+    Asm.andRI32(detail::ScratchA, 4095);
+    Asm.cmpRI32(detail::ScratchA, static_cast<std::int32_t>(4096 - Span));
+    branchOn(x86::Cond::A, Fallback);
+  }
+
+  /// One frame, two bodies (a page-guarded ICODE body and its fallback):
+  /// after shareExit(L) the next epilogue binds \p L, and after
+  /// exitThrough() every epilogue is a jump to it instead.
+  void shareExit(Label L) { SharedExit = L; }
+  void exitThrough() {
+    assert(ExitBound && "no epilogue to share");
+    ExitJumps = true;
+  }
+
   /// Moves integer argument \p Index (0-based, SysV) into \p Dst.
   void bindArgI(unsigned Index, Reg Dst) {
     if constexpr (UsesOpStencils) {
@@ -1752,6 +1775,14 @@ private:
   }
 
   void epilogue() {
+    if (ExitJumps) {
+      jump(SharedExit);
+      return;
+    }
+    if (SharedExit.valid() && !ExitBound) {
+      bindLabel(SharedExit);
+      ExitBound = true;
+    }
     if constexpr (UsesOpStencils) {
       Asm.opEpilogue(RestoreSitePcs);
       return;
@@ -1776,6 +1807,8 @@ private:
   ArenaVector<int> FreeSpillSlots;
   int NumSlots = 0;
   ArenaVector<LabelInfo> Labels;
+  Label SharedExit;
+  bool ExitBound = false, ExitJumps = false;
   std::size_t FramePatchOffset = 0;
   bool Finished = false;
   /// Pool registers actually handed to emitted code; unused ones get their

@@ -62,7 +62,10 @@
 //  * spill discipline (ICODE fresh compiles only) — a must-initialized bit
 //    per tracked frame cell, intersected where paths join, proves every
 //    load from a spill slot is preceded on all paths by a store to it: the
-//    machine-level proof that spilled uses reload initialized memory.
+//    machine-level proof that spilled uses reload initialized memory;
+//  * page guards — in a page-guarded ICODE function, the VCODE fallback
+//    behind the guard is entered only through it and never by falling
+//    through, and the ICODE-only facts stop where it starts.
 //
 // The abstract state lattice is documented in DESIGN.md ("Machine-code
 // admission"); rejection diagnostics carry a hex window plus a CFG +
@@ -435,6 +438,10 @@ struct Admission {
   std::uint64_t ClassesSeen = 0; ///< Bit per decoded x86::InstrClass.
 
   std::int64_t Reserve = 0; ///< Prologue frame reserve (sub rsp, imm).
+  // A page-guarded ICODE function (findGuard): guard units occupy
+  // instructions [GuardBegin, GuardEnd), and the fallback body they branch
+  // to starts at instruction TwinIdx (NI when there is none).
+  std::size_t GuardBegin = 0, GuardEnd = 0, TwinIdx = 0;
 
   // Tracked rbp-relative frame cells (provenance flows through them,
   // byte-accurately: a cell records the widest access at its displacement,
@@ -586,6 +593,72 @@ struct Admission {
       SpillCell[I] = static_cast<std::int32_t>(It - Cells.begin());
   }
 
+  /// A page-guarded ICODE function is one frame with two bodies: the
+  /// prologue, guard units `lea r10, [arg+lo]; and r10d, 4095;
+  /// cmp r10d, k; ja twin` (vcode::VCodeT::pageGuard), the branch-free
+  /// body, then the short-circuit fallback whose epilogues jump back to the
+  /// body's exit. The backend's own facts hold for the body only; the
+  /// fallback is VCODE output and gets what a VCODE compile gets. The
+  /// fallback must be reachable only through the guard, and nothing may
+  /// fall into it.
+  void findGuard() {
+    GuardBegin = GuardEnd = 0;
+    TwinIdx = NI;
+    // The guard follows the frame setup and its callee-save slots.
+    std::size_t I = 3;
+    while (I < NI && I < 8 &&
+           (Ins[I].Cls == InstrClass::Nop ||
+            (Ins[I].Cls == InstrClass::Store64 && Ins[I].Rm == RegRBP)))
+      ++I;
+    auto isR10Imm = [&](std::size_t K, std::uint8_t Digit) {
+      const Decoded &E = Ins[K];
+      return E.Cls == InstrClass::AluRI && !E.RexW && !E.IsMem &&
+             E.Rm == RegR10 && (E.Reg & 7) == Digit;
+    };
+    std::int64_t Twin = -1;
+    std::size_t End = I;
+    for (; End + 4 <= NI; End += 4) {
+      const Decoded &L = Ins[End];
+      if (!(L.Cls == InstrClass::Lea && L.RexW && L.Reg == RegR10 &&
+            isIntArgReg(L.Rm) && isR10Imm(End + 1, 4) &&
+            Ins[End + 1].Imm == 4095 && isR10Imm(End + 2, 7) &&
+            Ins[End + 2].Imm >= 0 && Ins[End + 2].Imm < 4096 &&
+            Ins[End + 3].Cls == InstrClass::Jcc &&
+            Ins[End + 3].CondCode == 0x7))
+        break;
+      std::int64_t T = branchTarget(End + 3);
+      if (Twin >= 0 && T != Twin) {
+        fail(Starts[End + 3], "guard", "page-guard units branch apart");
+        return;
+      }
+      Twin = T;
+    }
+    if (Twin < 0)
+      return; // No guard: one body.
+    if (Twin >= static_cast<std::int64_t>(In->Size) ||
+        Twin <= static_cast<std::int64_t>(Starts[End]) ||
+        At[static_cast<std::size_t>(Twin)] & PayloadTag)
+      return; // buildCfg rejects the branch itself.
+    GuardBegin = I;
+    GuardEnd = End;
+    TwinIdx = At[static_cast<std::size_t>(Twin)];
+    const Decoded &Before = Ins[TwinIdx - 1];
+    if (Before.Cls != InstrClass::Ret && Before.Cls != InstrClass::Jmp)
+      fail(Starts[TwinIdx], "cfg-fallthrough",
+           "the guarded body falls through into its fallback");
+    for (std::uint32_t K : Transfers) {
+      if (K >= TwinIdx || (K >= GuardBegin && K < GuardEnd))
+        continue;
+      std::int64_t T = branchTarget(K);
+      if (T >= Twin && T < static_cast<std::int64_t>(In->Size))
+        fail(Starts[K], "guard",
+             "the fallback is entered other than through the page guard");
+    }
+    if (In->ICodeFacts)
+      std::fill(SpillCell.begin() + static_cast<std::ptrdiff_t>(TwinIdx),
+                SpillCell.begin() + static_cast<std::ptrdiff_t>(NI), -1);
+  }
+
   //===--------------------------------------------------------------------===
   // Phase 2: linear facts over the decoded stream.
   //===--------------------------------------------------------------------===
@@ -608,9 +681,9 @@ struct Admission {
                    "` is outside the stencil library's rendered vocabulary "
                    "and the encoder-fallback glue set (patch corrupted an "
                    "opcode byte, or the library drifted from the emitter)");
-        if (Usage) {
+        if (Usage && I < TwinIdx) {
           Just J = justify(D);
-          bool Ok = J.Scaffold;
+          bool Ok = J.Scaffold || (I >= GuardBegin && I < GuardEnd);
           for (unsigned K = 0; K < J.N && !Ok; ++K)
             Ok = Usage->isUsed(J.Ops[K]);
           if (!Ok)
@@ -1520,6 +1593,7 @@ struct Admission {
       obs::Phase P(obs::EventKind::AdmitDecode);
       if (!decodeAll())
         return;
+      findGuard();
       checkLinearFacts();
       // Both run, so a record with several defects reports each of them.
       ShapeOk = checkPrologue();

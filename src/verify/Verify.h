@@ -141,7 +141,8 @@ struct AdmissionInputs {
   /// an opcode EmitterUsage recorded (link-time-pruning drift check), and
   /// every spill-slot load is preceded by a store to that slot on all paths.
   /// (VCODE output has no such guarantee — an uninitialized C local may
-  /// legitimately be read.)
+  /// legitimately be read.) In a page-guarded function both facts stop at
+  /// the VCODE fallback behind the guard.
   bool ICodeFacts = false;
   /// PCODE-backend compiles only (0 = off): every decoded instruction's
   /// x86::InstrClass bit must be set in the mask (the stencil library's

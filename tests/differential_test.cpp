@@ -16,16 +16,26 @@
 #include "cache/CompileService.h"
 #include "core/Compile.h"
 #include "core/Context.h"
+#include "core/Semantics.h"
 #include "core/SpecInterp.h"
+#include "observability/Metrics.h"
+#include "observability/Names.h"
 #include "tier/Tier.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <functional>
 #include <random>
 #include <thread>
 #include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 using namespace tcc;
 using namespace tcc::core;
@@ -196,6 +206,327 @@ public:
   int Args[2] = {0, 0};
   std::vector<std::function<void()>> Trace;
 };
+
+/// Random &&/||/! predicate trees in value context over a record pointer,
+/// the shapes ICODE lowers branch-free, plus shapes it must decline (a
+/// call, a division, a load off a second base). The host reference
+/// evaluates with the short-circuit order over the same bytes, through
+/// core/Semantics.h's compare (ucomisd's NaN outcomes included).
+class PredicateGen {
+public:
+  /// Record layout: three ints, two longs, two doubles.
+  static constexpr std::size_t RecordBytes = 48;
+  static constexpr unsigned IntOff[3] = {0, 4, 8};
+  static constexpr unsigned LongOff[2] = {16, 24};
+  static constexpr unsigned DblOff[2] = {32, 40};
+
+  struct Env {
+    const std::uint8_t *P, *Q;
+    int A;
+  };
+  using Eval = std::function<sem::Value(const Env &)>;
+
+  PredicateGen(Context &C, std::mt19937 &Rng) : C(C), Rng(Rng) {
+    P = C.paramPtr(0);
+    Q = C.paramPtr(1);
+    A = C.paramInt(2);
+  }
+
+  /// `return pred`, `x = pred; return 3 * x + a` or `return twice(pred)`.
+  Stmt build(Eval &Ref) {
+    Eval Pred;
+    Expr E = tree(1 + Rng() % 7, Pred);
+    switch (Rng() % 3) {
+    case 0:
+      Ref = Pred;
+      return C.ret(E);
+    case 1: {
+      VSpec X = C.localInt();
+      Ref = [Pred](const Env &V) {
+        sem::Value R;
+        R.I = sem::canon(EvalType::Int, 3 * Pred(V).I + V.A);
+        return R;
+      };
+      return C.block({C.assign(X, E),
+                      C.ret(Expr(X) * C.intConst(3) + Expr(A))});
+    }
+    default:
+      Ref = [Pred](const Env &V) {
+        sem::Value R;
+        R.I = twice(static_cast<int>(Pred(V).I));
+        return R;
+      };
+      return C.ret(C.callC(reinterpret_cast<const void *>(&twice),
+                           EvalType::Int, {E}));
+    }
+  }
+
+  static int twice(int X) { return 2 * X; } // X is 0 or 1.
+  static int bump(int X) {
+    return static_cast<int>(static_cast<unsigned>(X) + 1u);
+  }
+
+private:
+  Expr tree(unsigned Leaves, Eval &Out) {
+    if (Leaves == 1) {
+      Expr E = leaf(Out);
+      if (Rng() % 6 == 0) {
+        Eval In = Out;
+        Out = [In](const Env &V) {
+          sem::Value R;
+          R.I = In(V).I == 0;
+          return R;
+        };
+        return !E;
+      }
+      return E;
+    }
+    unsigned L = 1 + Rng() % (Leaves - 1);
+    Eval EA, EB;
+    Expr XA = tree(L, EA), XB = tree(Leaves - L, EB);
+    bool And = Rng() % 2;
+    Out = [EA, EB, And](const Env &V) {
+      sem::Value R;
+      R.I = And ? (EA(V).I && EB(V).I) : (EA(V).I || EB(V).I);
+      return R;
+    };
+    return And ? (XA && XB) : (XA || XB);
+  }
+
+  template <typename T> static T read(const std::uint8_t *B, unsigned Off) {
+    T V;
+    std::memcpy(&V, B + Off, sizeof(T));
+    return V;
+  }
+
+  Expr field(VSpec Base, MemType M, unsigned Off) {
+    return C.loadMem(M, C.binary(BinOp::Add, Expr(Base), C.longConst(Off)));
+  }
+
+  /// One comparison. Mostly loads off P; one leaf in ten is a shape the
+  /// recognizer declines.
+  Expr leaf(Eval &Out) {
+    auto K = static_cast<CmpKind>(Rng() % 6); // Eq..GeS
+    unsigned Decline = Rng() % 10;
+    unsigned Ty = Rng() % 3;
+    Expr L, R;
+    Eval EL, ER;
+    EvalType T = Ty == 0 ? EvalType::Int
+                 : Ty == 1 ? EvalType::Long
+                           : EvalType::Double;
+    if (T == EvalType::Int) {
+      unsigned Off = IntOff[Rng() % 3];
+      bool OffQ = Decline == 0;
+      L = field(OffQ ? Q : P, MemType::I32, Off);
+      EL = [Off, OffQ](const Env &V) {
+        sem::Value X;
+        X.I = read<std::int32_t>(OffQ ? V.Q : V.P, Off);
+        return X;
+      };
+      if (Decline == 1) {
+        L = L / C.intConst(3);
+        Eval In = EL;
+        EL = [In](const Env &V) {
+          sem::Value X;
+          X.I = In(V).I / 3;
+          return X;
+        };
+      } else if (Decline == 2) {
+        L = C.callC(reinterpret_cast<const void *>(&bump), EvalType::Int,
+                    {L});
+        Eval In = EL;
+        EL = [In](const Env &V) {
+          sem::Value X;
+          X.I = bump(static_cast<int>(In(V).I));
+          return X;
+        };
+      }
+      static constexpr std::int32_t Edge[] = {0, 1, -1, 7, INT32_MIN,
+                                              INT32_MAX};
+      switch (Rng() % 3) {
+      case 0: {
+        std::int32_t K2 = Edge[Rng() % 6];
+        R = C.intConst(K2);
+        ER = [K2](const Env &) {
+          sem::Value X;
+          X.I = K2;
+          return X;
+        };
+        break;
+      }
+      case 1:
+        R = Expr(A);
+        ER = [](const Env &V) {
+          sem::Value X;
+          X.I = V.A;
+          return X;
+        };
+        break;
+      default: {
+        unsigned Off2 = IntOff[Rng() % 3];
+        R = field(P, MemType::I32, Off2) + Expr(A);
+        ER = [Off2](const Env &V) {
+          sem::Value X;
+          X.I = sem::add(EvalType::Int, read<std::int32_t>(V.P, Off2), V.A);
+          return X;
+        };
+      }
+      }
+    } else if (T == EvalType::Long) {
+      unsigned Off = LongOff[Rng() % 2];
+      L = field(P, MemType::I64, Off);
+      EL = [Off](const Env &V) {
+        sem::Value X;
+        X.I = read<std::int64_t>(V.P, Off);
+        return X;
+      };
+      static constexpr std::int64_t Edge[] = {0, -1, 1, INT64_MIN,
+                                              std::int64_t(1) << 40};
+      if (Rng() % 2) {
+        std::int64_t K2 = Edge[Rng() % 5];
+        R = C.longConst(K2);
+        ER = [K2](const Env &) {
+          sem::Value X;
+          X.I = K2;
+          return X;
+        };
+      } else {
+        R = C.toLong(Expr(A));
+        ER = [](const Env &V) {
+          sem::Value X;
+          X.I = V.A;
+          return X;
+        };
+      }
+    } else {
+      unsigned Off = DblOff[Rng() % 2];
+      L = field(P, MemType::F64, Off);
+      EL = [Off](const Env &V) {
+        sem::Value X;
+        X.D = read<double>(V.P, Off);
+        return X;
+      };
+      static constexpr double Edge[] = {0.0, -1.5, 1e300, NAN};
+      if (Rng() % 2) {
+        double K2 = Edge[Rng() % 4];
+        R = C.doubleConst(K2);
+        ER = [K2](const Env &) {
+          sem::Value X;
+          X.D = K2;
+          return X;
+        };
+      } else {
+        R = C.toDouble(Expr(A));
+        ER = [](const Env &V) {
+          sem::Value X;
+          X.D = V.A;
+          return X;
+        };
+      }
+    }
+    Out = [EL, ER, K, T](const Env &V) {
+      sem::Value X;
+      X.I = sem::compare(K, T, EL(V), ER(V));
+      return X;
+    };
+    return C.cmp(K, L, R);
+  }
+
+  Context &C;
+  std::mt19937 &Rng;
+  VSpec P, Q, A;
+};
+
+/// Fills a record's fields with edge values: INT_MIN, NaN and friends.
+void fillRecord(std::uint8_t *B, std::mt19937 &Rng) {
+  static constexpr std::int32_t Ints[] = {0, 1, -1, 7, INT32_MIN, INT32_MAX};
+  static constexpr std::int64_t Longs[] = {0, -1, 1, INT64_MIN,
+                                           std::int64_t(1) << 40};
+  static constexpr double Dbls[] = {0.0, -0.0, -1.5, 1e300, NAN};
+  for (unsigned Off : PredicateGen::IntOff)
+    std::memcpy(B + Off, &Ints[Rng() % 6], 4);
+  for (unsigned Off : PredicateGen::LongOff)
+    std::memcpy(B + Off, &Longs[Rng() % 5], 8);
+  for (unsigned Off : PredicateGen::DblOff)
+    std::memcpy(B + Off, &Dbls[Rng() % 5], 8);
+}
+
+// Speculated ICODE against VCODE, PCODE and the host reference, on records
+// placed at every offset within 64 bytes of a page boundary: the page
+// guard sends the straddling placements to the twin, the others take the
+// branch-free body.
+TEST(Differential, PredicatesAgreeAcrossBackends) {
+  std::mt19937 Rng(20261017);
+  const std::size_t Page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  void *M = mmap(nullptr, 2 * Page, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(M, MAP_FAILED);
+  auto *Boundary = static_cast<std::uint8_t *>(M) + Page;
+  alignas(8) std::uint8_t Rec[PredicateGen::RecordBytes], QRec[48];
+  const int As[] = {0, 7, INT32_MIN};
+  struct Config {
+    const char *Name;
+    BackendKind Backend;
+    icode::RegAllocKind Alloc;
+  };
+  const Config Configs[] = {
+      {"vcode", BackendKind::VCode, icode::RegAllocKind::LinearScan},
+      {"pcode", BackendKind::PCode, icode::RegAllocKind::LinearScan},
+      {"icode-ls", BackendKind::ICode, icode::RegAllocKind::LinearScan},
+      {"icode-gc", BackendKind::ICode, icode::RegAllocKind::GraphColor},
+  };
+  auto Counter = [](const char *Name) {
+    return obs::MetricsRegistry::global().counter(Name).value();
+  };
+  std::uint64_t FreeBefore = Counter(obs::names::PredicatesBranchFree),
+                DeclinedBefore = Counter(obs::names::PredicatesDeclined);
+  for (int Trial = 0; Trial < 400; ++Trial) {
+    Context C;
+    PredicateGen Gen(C, Rng);
+    PredicateGen::Eval Ref;
+    Stmt Fn = Gen.build(Ref);
+    std::vector<CompiledFn> Fns;
+    for (const Config &Cfg : Configs) {
+      CompileOptions O;
+      O.Backend = Cfg.Backend;
+      O.RegAlloc = Cfg.Alloc;
+      Fns.push_back(compileFn(C, Fn, EvalType::Int, O));
+    }
+    ASSERT_EQ(Fns[0].stats().CodeBytes, Fns[1].stats().CodeBytes);
+    EXPECT_EQ(std::memcmp(Fns[0].entry(), Fns[1].entry(),
+                          Fns[0].stats().CodeBytes),
+              0)
+        << "trial " << Trial;
+    for (int Fill = 0; Fill < 3; ++Fill) {
+      fillRecord(Rec, Rng);
+      fillRecord(QRec, Rng);
+      for (int Delta = -64; Delta <= 16; ++Delta) {
+        std::uint8_t *At = Boundary + Delta;
+        std::memcpy(At, Rec, sizeof(Rec));
+        for (int A : As) {
+          int Want = static_cast<int>(Ref({At, QRec, A}).I);
+          for (std::size_t K = 0; K < Fns.size(); ++K)
+            EXPECT_EQ((Fns[K].as<int(const void *, const void *, int)>()(
+                          At, QRec, A)),
+                      Want)
+                << "trial " << Trial << " config " << Configs[K].Name
+                << " record at page boundary " << Delta << " a " << A;
+        }
+      }
+    }
+  }
+  munmap(M, 2 * Page);
+  // Both outcomes of the recognizer were exercised (two ICODE configs per
+  // trial).
+  std::uint64_t Free = Counter(obs::names::PredicatesBranchFree) - FreeBefore,
+                Declined =
+                    Counter(obs::names::PredicatesDeclined) - DeclinedBefore;
+  std::printf("[ predicates: %llu branch-free, %llu declined ]\n",
+              static_cast<unsigned long long>(Free),
+              static_cast<unsigned long long>(Declined));
+  EXPECT_GT(Free, 100u);
+  EXPECT_GT(Declined, 40u);
+}
 
 TEST(Differential, AllConfigurationsAgree) {
   std::mt19937 Rng(20260707);

@@ -323,6 +323,55 @@ TEST(Snapshot, ProfiledLoadPatchesFreshCounter) {
   EXPECT_STREQ(H->profile()->Backend.load(), "snapshot");
 }
 
+/// `return (p[0] == 7 && p[4] > 3) || p[1] == 9`: ICODE compiles it as a
+/// page-guarded branch-free body with a short-circuit VCODE twin behind it.
+FnHandle compileVersioned(CompileService &S, const CompileOptions &Opts) {
+  Context C;
+  VSpec P = C.paramPtr(0);
+  auto Field = [&](unsigned Off) {
+    return C.loadMem(MemType::I32,
+                     C.binary(BinOp::Add, Expr(P), C.longConst(Off)));
+  };
+  Expr E = (Field(0) == C.intConst(7) && Field(16) > C.intConst(3)) ||
+           Field(4) == C.intConst(9);
+  return S.getOrCompile(C, C.ret(E), EvalType::Int, Opts);
+}
+
+TEST(Snapshot, VersionedIcodeFunctionRoundTripsThroughAdmission) {
+  TempDir Dir;
+  CompileOptions Opts;
+  Opts.Backend = BackendKind::ICode;
+  Opts.Profile = true;
+  Opts.ProfileName = "persist.versioned";
+  // A record straddling a page boundary takes the twin; one inside a page
+  // takes the guarded body. Both pages are readable.
+  const std::size_t Page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  std::vector<std::uint8_t> Mem(3 * Page);
+  std::uint8_t *Boundary = reinterpret_cast<std::uint8_t *>(
+      (reinterpret_cast<std::uintptr_t>(Mem.data()) + 2 * Page - 1) &
+      ~(Page - 1));
+  std::int32_t Straddle[5] = {7, 0, 0, 0, 9}, Inside[5] = {7, 0, 0, 0, 2};
+  std::memcpy(Boundary - 8, Straddle, sizeof(Straddle));
+  std::memcpy(Boundary - 64, Inside, sizeof(Inside));
+  {
+    CompileService Cold(snapConfig(Dir));
+    FnHandle H = compileVersioned(Cold, Opts);
+    EXPECT_EQ(H->as<int(const void *)>()(Boundary - 8), 1);
+    EXPECT_EQ(Cold.snapshot()->stats().Saves, 1u);
+  }
+  CompileService Warm(snapConfig(Dir));
+  FnHandle H = compileVersioned(Warm, Opts);
+  ASSERT_TRUE(H->fromSnapshot());
+  EXPECT_EQ(Warm.snapshot()->stats().Rejects, 0u);
+  ASSERT_NE(H->profile(), nullptr);
+  auto *Fn = H->as<int(const void *)>();
+  EXPECT_EQ(Fn(Boundary - 8), 1);  // Twin.
+  EXPECT_EQ(Fn(Boundary - 64), 0); // Guarded body.
+  EXPECT_EQ(Fn(Boundary - 8), 1);
+  // Both profile hooks were re-pointed at the loading service's counter.
+  EXPECT_EQ(H->profile()->Invocations.load(), 3u);
+}
+
 // --- Rejection and recovery -------------------------------------------------
 
 TEST(Snapshot, WrongFingerprintRejectedNotFatal) {

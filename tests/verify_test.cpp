@@ -1516,6 +1516,99 @@ TEST(VerifyAdmission, ViolationThatAppearsOnlyAfterTheBackEdgeIsRejected) {
   EXPECT_TRUE(R.ok()) << R.render();
 }
 
+/// `if (x > 0) return (p[0] == 7 && p[4] > 3) || p[1] == 9; return 2;`
+/// through ICODE: a page guard after the prologue, the guarded body (one
+/// branch, for the `if`), then the short-circuit VCODE fallback the guard
+/// targets.
+CompiledFn compileVersionedFn(support::RelocTable *RT, bool Profile) {
+  Context C;
+  VSpec P = C.paramPtr(0), X = C.paramInt(1);
+  auto Field = [&](unsigned Off) {
+    return C.loadMem(MemType::I32,
+                     C.binary(BinOp::Add, Expr(P), C.longConst(Off)));
+  };
+  Expr E = (Field(0) == C.intConst(7) && Field(16) > C.intConst(3)) ||
+           Field(4) == C.intConst(9);
+  CompileOptions O;
+  O.Backend = BackendKind::ICode;
+  O.Relocs = RT;
+  O.Profile = Profile;
+  O.ProfileName = Profile ? "verify.versioned" : nullptr;
+  return compileFn(C,
+                   C.block({C.ifStmt(Expr(X) > C.intConst(0), C.ret(E)),
+                            C.ret(C.intConst(2))}),
+                   EvalType::Int, O);
+}
+
+TEST(VerifyAdmission, VersionedFunctionFallbackIsReachedOnlyThroughTheGuard) {
+  for (bool Profile : {false, true}) {
+    support::RelocTable RT;
+    CompiledFn F = compileVersionedFn(&RT, Profile);
+    AdmitProgram Full = AdmitProgram::of(F, &RT);
+    Full.ICodeFacts = true;
+    verify::Result Clean = verify::verifyAdmission(Full.inputs());
+    ASSERT_TRUE(Clean.ok()) << Clean.render();
+    // After the prologue: lea, and, cmp, ja fallback.
+    std::size_t Lea = 0;
+    while (Lea < Full.Ins.size() && Full.Ins[Lea].Cls != x86::InstrClass::Lea)
+      ++Lea;
+    ASSERT_LT(Lea + 4, Full.Ins.size());
+    const std::size_t Ja = Lea + 3;
+    ASSERT_EQ(Full.Ins[Ja].Cls, x86::InstrClass::Jcc);
+    const std::size_t JaRel = Full.Starts[Ja] + 2, GuardEnd = Full.Starts[Ja + 1];
+    const std::size_t Twin = GuardEnd + static_cast<std::size_t>(
+                                            Full.Ins[Ja].Rel32);
+    auto TwinAt = std::find(Full.Starts.begin(), Full.Starts.end(), Twin);
+    ASSERT_NE(TwinAt, Full.Starts.end());
+    auto TwinIdx = static_cast<std::size_t>(TwinAt - Full.Starts.begin());
+    ASSERT_EQ(Full.Ins[TwinIdx - 1].Cls, x86::InstrClass::Ret);
+
+    // A guard that lands inside the fallback: the code before its target
+    // falls through into it, and the real fallback entry is now reached
+    // only by falling through.
+    for (std::size_t K = TwinIdx + 1; K < TwinIdx + 6; ++K) {
+      AdmitProgram P = Full;
+      auto Rel = static_cast<std::int32_t>(Full.Starts[K] - GuardEnd);
+      std::memcpy(&P.Bytes[JaRel], &Rel, 4);
+      verify::Result R = verify::verifyAdmission(P.inputs());
+      EXPECT_FALSE(R.ok()) << "guard into the fallback at +"
+                           << Full.Starts[K];
+      EXPECT_TRUE(R.has("cfg-fallthrough")) << R.render();
+    }
+    // A guard that leaves the region.
+    {
+      AdmitProgram P = Full;
+      auto Rel = static_cast<std::int32_t>(P.Bytes.size() + 64 - GuardEnd);
+      std::memcpy(&P.Bytes[JaRel], &Rel, 4);
+      EXPECT_TRUE(verify::verifyAdmission(P.inputs()).has("branch-target"));
+    }
+    // The guarded body falls through into the fallback: its last ret is
+    // gone.
+    {
+      AdmitProgram P = Full;
+      P.Bytes[Full.Starts[TwinIdx - 1]] = 0x90; // ret -> nop
+      verify::Result R = verify::verifyAdmission(P.inputs());
+      EXPECT_FALSE(R.ok());
+      EXPECT_TRUE(R.has("cfg-fallthrough")) << R.render();
+    }
+    // A branch of the guarded body that enters the fallback.
+    unsigned Retargeted = 0;
+    for (std::size_t K = Ja + 1; K < TwinIdx; ++K) {
+      if (Full.Ins[K].Cls != x86::InstrClass::Jcc &&
+          Full.Ins[K].Cls != x86::InstrClass::Jmp)
+        continue;
+      AdmitProgram P = Full;
+      std::size_t RelAt = Full.Starts[K] + Full.Ins[K].Len - 4;
+      auto Rel = static_cast<std::int32_t>(
+          Twin - (Full.Starts[K] + Full.Ins[K].Len));
+      std::memcpy(&P.Bytes[RelAt], &Rel, 4);
+      EXPECT_TRUE(verify::verifyAdmission(P.inputs()).has("guard"));
+      ++Retargeted;
+    }
+    EXPECT_GT(Retargeted, 0u);
+  }
+}
+
 TEST(VerifyAdmission, RejectionArtifactSample) {
   // CI sets TICKC_ADMIT_SAMPLE to collect one full rejection report (hex
   // window + CFG + abstract-state dump) as a build artifact; without the
