@@ -37,8 +37,8 @@ public:
   /// the array values hardwired into the instruction stream.
   core::CompiledFn specialize(const core::CompileOptions &Opts) const;
 
-  /// Tiered instantiation: interpreted immediately, machine code in the
-  /// background. Call as `TF->call<int(int)>(Key)`.
+  /// Tiered instantiation: the PCODE baseline now, ICODE once hot. Call
+  /// as `TF->call<int(int)>(Key)`.
   tier::TieredFnHandle specializeTiered(
       cache::CompileService &Service, tier::TierManager *Manager = nullptr,
       const core::CompileOptions &Opts = core::CompileOptions()) const;

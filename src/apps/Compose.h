@@ -39,8 +39,8 @@ public:
   /// composed into the copy loop.
   core::CompiledFn specialize(const core::CompileOptions &Opts) const;
 
-  /// Tiered instantiation: interpreted immediately, machine code in the
-  /// background. The ComposeApp must outlive the returned slot. Call as
+  /// Tiered instantiation: the PCODE baseline now, ICODE once hot. The
+  /// ComposeApp must outlive the returned slot. Call as
   /// `TF->call<int(std::uint32_t *)>(Dst)`.
   tier::TieredFnHandle specializeTiered(
       cache::CompileService &Service, tier::TierManager *Manager = nullptr,

@@ -44,8 +44,8 @@ public:
   /// 12-byte swap specialized into the sort.
   core::CompiledFn specialize(const core::CompileOptions &Opts) const;
 
-  /// Tiered instantiation: interpreted immediately, machine code in the
-  /// background. Call as `TF->call<void(HeapRecord *)>(A)`.
+  /// Tiered instantiation: the PCODE baseline now, ICODE once hot. Call
+  /// as `TF->call<void(HeapRecord *)>(A)`.
   tier::TieredFnHandle specializeTiered(
       cache::CompileService &Service, tier::TierManager *Manager = nullptr,
       const core::CompileOptions &Opts = core::CompileOptions()) const;

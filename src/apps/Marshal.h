@@ -63,8 +63,7 @@ public:
       const void *Target, cache::CompileService &Service,
       const core::CompileOptions &Opts = core::CompileOptions()) const;
 
-  /// Tiered marshaler: interpreted immediately, machine code in the
-  /// background. Call as
+  /// Tiered marshaler: the PCODE baseline now, ICODE once hot. Call as
   /// `TF->call<void(int, int, int, int, int, std::uint8_t *)>(...)`.
   tier::TieredFnHandle buildMarshalerTiered(
       cache::CompileService &Service, tier::TierManager *Manager = nullptr,

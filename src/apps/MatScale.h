@@ -33,8 +33,8 @@ public:
   /// Instantiates `void scale(int *m)` with factor and extent hardwired.
   core::CompiledFn specialize(const core::CompileOptions &Opts) const;
 
-  /// Tiered instantiation: interpreted immediately, machine code in the
-  /// background. Call as `TF->call<void(int *)>(M)`.
+  /// Tiered instantiation: the PCODE baseline now, ICODE once hot. Call
+  /// as `TF->call<void(int *)>(M)`.
   tier::TieredFnHandle specializeTiered(
       cache::CompileService &Service, tier::TierManager *Manager = nullptr,
       const core::CompileOptions &Opts = core::CompileOptions()) const;

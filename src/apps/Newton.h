@@ -34,8 +34,8 @@ public:
   /// Instantiates `double solve(double x0)` with f and f' inlined.
   core::CompiledFn specialize(const core::CompileOptions &Opts) const;
 
-  /// Tiered instantiation: interpreted immediately, machine code in the
-  /// background. Call as `TF->call<double(double)>(X0)`.
+  /// Tiered instantiation: the PCODE baseline now, ICODE once hot. Call
+  /// as `TF->call<double(double)>(X0)`.
   tier::TieredFnHandle specializeTiered(
       cache::CompileService &Service, tier::TierManager *Manager = nullptr,
       const core::CompileOptions &Opts = core::CompileOptions()) const;

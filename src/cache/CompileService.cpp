@@ -27,9 +27,6 @@ ServiceConfig ServiceConfig::fromEnv() {
   C.SnapshotBudgetBytes = static_cast<std::size_t>(
       envUInt64("TICKC_SNAPSHOT_BUDGET", C.SnapshotBudgetBytes));
   C.SnapshotTtlSec = envUInt64("TICKC_SNAPSHOT_TTL", C.SnapshotTtlSec);
-  C.EnableTier0 = envUInt64("TICKC_TIER0", C.EnableTier0 ? 1 : 0) != 0;
-  C.EnableTier0Profile =
-      envUInt64("TICKC_TIER0_PROFILE", C.EnableTier0Profile ? 1 : 0) != 0;
   return C;
 }
 

@@ -21,9 +21,9 @@
 ///   cache::FnHandle F = S.getOrCompile(Ctx, Body, EvalType::Int);
 ///   int R = F->as<int(int)>()(42);   // Hold F while the code may run.
 ///
-/// getOrCompileTiered() (implemented in src/tier) answers at VCODE latency
-/// and transparently re-instantiates hot specs with ICODE in the
-/// background — see tier/Tier.h.
+/// getOrCompileTiered() (implemented in src/tier) answers from a PCODE
+/// baseline compiled on the caller's thread and transparently
+/// re-instantiates hot specs with ICODE in the background — see tier/Tier.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,25 +82,14 @@ struct ServiceConfig {
   /// longer ago (counted as cache.snapshot.expired) and the open-time
   /// compaction drops them. 0 = records never expire.
   std::uint64_t SnapshotTtlSec = 0;
-  /// Interpreter tier 0 (tier/Tier.h): getOrCompileTiered answers from the
-  /// spec-tree interpreter immediately and compiles the baseline in the
-  /// background. Off, every tiered slot compiles its baseline
-  /// synchronously — the pre-tier-0 behavior.
-  bool EnableTier0 = true;
-  /// Collect tier-0 execution profiles (trip counts, branch bias,
-  /// `$`-stability) and feed them into the ICODE promotion's unroll
-  /// decisions (CompileOptions::TripProfile).
-  bool EnableTier0Profile = true;
-
   /// Default config with environment overrides applied:
   /// TICKC_CACHE_BYTES caps MaxCodeBytes (decimal bytes);
   /// TICKC_SNAPSHOT_DIR enables the persistent snapshot cache;
   /// TICKC_SNAPSHOT_COMPACT sets its compaction threshold;
   /// TICKC_SNAPSHOT_BUDGET caps the snapshot file size;
-  /// TICKC_SNAPSHOT_TTL sets the per-record snapshot lifetime (seconds);
-  /// TICKC_TIER0=0 / TICKC_TIER0_PROFILE=0 disable the interpreter tier
-  /// and its profile collection. Used by CompileService::instance() so
-  /// benches and CI can sweep the knobs without rebuilding.
+  /// TICKC_SNAPSHOT_TTL sets the per-record snapshot lifetime (seconds).
+  /// Used by CompileService::instance() so benches and CI can sweep the
+  /// knobs without rebuilding.
   static ServiceConfig fromEnv();
 };
 
@@ -138,16 +127,17 @@ public:
   /// back to getOrCompile(). Returns null for uncacheable keys.
   FnHandle lookup(const SpecKey &K);
 
-  /// Tiered instantiation: compiles \p Build's spec with VCODE (profiled)
-  /// and returns a dispatch slot that answers immediately; once the
-  /// prologue counter crosses the tier manager's promotion threshold, a
-  /// background worker recompiles the spec with ICODE and atomically swaps
-  /// the slot. \p BaseOpts seeds both compiles (Backend/Profile are
-  /// overridden per tier; RegAlloc/Spill/UnrollLimit are honored). Pass a
-  /// null \p Manager for the process-wide tier::TierManager::global().
-  /// Defined in tier/Tier.cpp — callers link tickc_tier. The returned
-  /// handle (and anything \p Build captures) must not outlive this service
-  /// or the manager.
+  /// Tiered instantiation: compiles \p Build's spec with the PCODE baseline
+  /// (profiled; TICKC_BACKEND overrides the back end) before returning a
+  /// dispatch slot that runs it; once the prologue counter crosses the tier
+  /// manager's promotion threshold, a background worker recompiles the spec
+  /// with ICODE and atomically swaps the slot. \p BaseOpts seeds both
+  /// compiles (Backend/Profile are overridden per tier;
+  /// RegAlloc/Spill/UnrollLimit are honored). Pass a null \p Manager for
+  /// the process-wide tier::TierManager::global(). Defined in
+  /// tier/Tier.cpp — callers link tickc_tier. The returned handle (and
+  /// anything \p Build captures) must not outlive this service or the
+  /// manager.
   tier::TieredFnHandle
   getOrCompileTiered(const tier::SpecBuild &Build, core::EvalType RetType,
                      core::CompileOptions BaseOpts = core::CompileOptions(),
@@ -167,10 +157,6 @@ public:
   /// come through getOrCompileKeyed) draws from here, so warm-service
   /// compiles allocate nothing.
   core::CompileContextPool &contextPool() { return CtxPool; }
-
-  /// The configuration this service was built with (the tier manager reads
-  /// the tier-0 knobs through this).
-  const ServiceConfig &config() const { return Config; }
 
   /// Process-wide default instance (ServiceConfig::fromEnv()).
   static CompileService &instance();

@@ -2,7 +2,6 @@
 
 #include "cache/SpecKey.h"
 
-#include "core/SpecInterp.h"
 #include "observability/Events.h"
 #include "support/Hash.h"
 #include "verify/Verify.h"
@@ -181,20 +180,6 @@ SpecKey cache::buildSpecKey(const Context &Ctx, Stmt Body, EvalType RetType,
   W.u8(static_cast<std::uint8_t>(Opts.Spill));
   W.u8(static_cast<std::uint8_t>(Opts.Placement));
   W.u32(Opts.UnrollLimit);
-  // Tier-0 profile digest: the per-loop unroll decisions steer code shape,
-  // so differently-profiled compiles of one spec must occupy distinct
-  // slots (and snapshot records). Unprofiled compiles write a single zero
-  // byte, keeping their keys byte-identical to the pre-profile format.
-  W.u8(Opts.TripProfile != nullptr);
-  if (const core::Tier0ProfileSnapshot *TP = Opts.TripProfile) {
-    // +8 keeps the trailing flag bytes below inside this check's envelope.
-    W.ensure(12 + 5 * static_cast<std::size_t>(TP->NumLoops));
-    W.u32(TP->NumLoops);
-    for (std::uint32_t I = 0; I < TP->NumLoops; ++I) {
-      W.u8(TP->Decision[I]);
-      W.u32(TP->MaxTrip[I]);
-    }
-  }
   // Profiled code carries an extra prologue instruction, so it can never
   // share an entry with unprofiled code. ProfileName is a label, not a
   // semantic input: same-key profiled compiles share the first entry's

@@ -13,7 +13,6 @@
 
 #include "core/CompileContext.h"
 #include "core/Semantics.h"
-#include "core/SpecInterp.h"
 #include "observability/Events.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
@@ -59,8 +58,8 @@ struct RcVal : sem::Value {
 /// environment carries derived run-time constants (unrolled induction
 /// variables). With AllowLoads (inside an explicit `$`/rtEval), memory is
 /// read immediately — this is how `$row[k]` becomes an immediate. Operator
-/// values come from core/Semantics.h, the definitions tier 0 executes; an
-/// operation that would trap is left to the emitted code.
+/// values come from core/Semantics.h, which the Tick-C static half also
+/// computes with; an operation that would trap is left to the emitted code.
 class RcEvaluator {
 public:
   RcEvaluator(unsigned NumLocals, Arena &A) : Env(A) {
@@ -261,64 +260,6 @@ bool hasEscapingControl(const StmtNode *S) {
   return false;
 }
 
-// --- Tier-0 profile plumbing -------------------------------------------------
-
-/// True if the subtree contains an rtEval that references a vspec — a
-/// `$`-expression that only folds while the enclosing loops unroll. A
-/// profile decision to roll such a loop would leave the rtEval unevaluable
-/// at instantiation time (a fatal error), so genFor must never honor it.
-bool exprHasRtEvalLocal(const ExprNode *N) {
-  if (!N)
-    return false;
-  if (N->Kind == ExprKind::RtEval && (N->Flags & EF_HasLocal))
-    return true;
-  if (exprHasRtEvalLocal(N->A) || exprHasRtEvalLocal(N->B) ||
-      exprHasRtEvalLocal(N->C))
-    return true;
-  for (std::uint32_t I = 0; I < N->ArgC; ++I)
-    if (exprHasRtEvalLocal(N->ArgV[I]))
-      return true;
-  return false;
-}
-
-bool stmtHasRtEvalLocal(const StmtNode *S) {
-  if (!S)
-    return false;
-  if (exprHasRtEvalLocal(S->E) || exprHasRtEvalLocal(S->E2) ||
-      exprHasRtEvalLocal(S->E3))
-    return true;
-  if (stmtHasRtEvalLocal(S->S1) || stmtHasRtEvalLocal(S->S2))
-    return true;
-  for (std::uint32_t I = 0; I < S->BodyC; ++I)
-    if (stmtHasRtEvalLocal(S->BodyV[I]))
-      return true;
-  return false;
-}
-
-/// Ordinal of \p Target in the pre-order every-visit For numbering rooted
-/// at the spec body — the allocation-free mirror of SpecInterp's indexing
-/// (a shared For subtree is numbered at its first visit; later visits only
-/// advance the counter). Returns false when \p Target is unreachable.
-bool forOrdinalRec(const StmtNode *S, const StmtNode *Target,
-                   unsigned &Counter, unsigned &Out) {
-  if (!S)
-    return false;
-  if (S->Kind == StmtKind::For) {
-    if (S == Target) {
-      Out = Counter;
-      return true;
-    }
-    ++Counter;
-  }
-  if (forOrdinalRec(S->S1, Target, Counter, Out) ||
-      forOrdinalRec(S->S2, Target, Counter, Out))
-    return true;
-  for (std::uint32_t I = 0; I < S->BodyC; ++I)
-    if (forOrdinalRec(S->BodyV[I], Target, Counter, Out))
-      return true;
-  return false;
-}
-
 // --- The walker ---------------------------------------------------------------------
 
 /// Largest &&/||/! tree ICODE lowers branch-free. A branch-free tree
@@ -347,7 +288,6 @@ struct Decisions {
   unsigned LoopsUnrolled = 0;
   unsigned BranchesEliminated = 0;
   unsigned StrengthReductions = 0;
-  unsigned ProfiledUnrolls = 0;
   unsigned PredicatesBranchFree = 0; ///< ICODE only.
   unsigned PredicatesDeclined = 0;   ///< ICODE only.
 };
@@ -1434,7 +1374,7 @@ private:
 
   /// Trip-count values of an unrollable loop, or nullopt. The test and
   /// the wrapping step at the induction variable's type \p VarT are the
-  /// ones the emitted runtime loop (and tier 0) perform.
+  /// ones the emitted runtime loop performs.
   std::optional<ArenaVector<std::int64_t>>
   unrollValues(EvalType VarT, std::int64_t Init, CmpKind K,
                std::int64_t Bound, std::int64_t Step, std::uint64_t Limit) {
@@ -1452,42 +1392,16 @@ private:
 
   void genFor(const StmtNode *S) {
     auto K = static_cast<CmpKind>(S->OpByte);
-    // Tier-0 profile consult: a measured trip count replaces the static
-    // UnrollLimit heuristic for this loop. Decision 1 (roll) is ignored
-    // when the body holds a vspec-dependent `$`-expression — that only
-    // folds while the loop unrolls, so rolling would be a fatal error at
-    // instantiation time.
-    std::uint64_t EffLimit = Opts.UnrollLimit;
-    bool SkipUnroll = false;
-    if (Opts.TripProfile) {
-      unsigned Ord = 0, Counter = 0;
-      if (forOrdinalRec(Root, S, Counter, Ord) &&
-          Ord < Opts.TripProfile->NumLoops) {
-        std::uint8_t D = Opts.TripProfile->Decision[Ord];
-        if (D == 1 && !stmtHasRtEvalLocal(S->S1)) {
-          SkipUnroll = true;
-          ++PE.ProfiledUnrolls;
-        } else if (D == 2) {
-          // Tighten, never raise: a caller's explicit UnrollLimit is a
-          // code-size cap, and a measured trip count must not blow past
-          // it (profiles refine the heuristic in the rolling direction).
-          EffLimit = std::min<std::uint64_t>(Opts.UnrollLimit,
-                                             Opts.TripProfile->MaxTrip[Ord]);
-          ++PE.ProfiledUnrolls;
-        }
-      }
-    }
     // Dynamic loop unrolling (paper §4.4): run-time-constant bounds and
     // step, and a body that never reassigns the induction variable.
     auto IV = Rc.eval(S->E, false);
     auto BV = Rc.eval(S->E2, false);
     auto SV = Rc.eval(S->E3, false);
-    if (!SkipUnroll && IV && BV && SV && !IV->isFp() && !BV->isFp() &&
-        !SV->isFp() && !assignsLocal(S->S1, S->LocalId) &&
-        !hasEscapingControl(S->S1)) {
+    if (IV && BV && SV && !IV->isFp() && !BV->isFp() && !SV->isFp() &&
+        !assignsLocal(S->S1, S->LocalId) && !hasEscapingControl(S->S1)) {
       EvalType VarT = Ctx.locals()[static_cast<std::size_t>(S->LocalId)].Type;
       if (auto Values =
-              unrollValues(VarT, IV->I, K, BV->I, SV->I, EffLimit)) {
+              unrollValues(VarT, IV->I, K, BV->I, SV->I, Opts.UnrollLimit)) {
         ++PE.LoopsUnrolled;
         for (std::int64_t V : *Values) {
           Rc.bind(S->LocalId, RcVal::of(VarT, {V})); // Derived rt const.
@@ -1596,7 +1510,7 @@ struct CompileMetrics {
   obs::Counter &CyclesTotal, &CodeBytes, &MachineInstrs;
   obs::Counter &Setup, &Walk, &Finalize, &FlowGraph, &Liveness, &Intervals,
       &RegAlloc, &Peephole, &Emit;
-  obs::Counter &Spilled, &Unrolled, &DeadBranches, &Strength, &Profiled;
+  obs::Counter &Spilled, &Unrolled, &DeadBranches, &Strength;
   obs::Counter &BranchFree, &Declined;
   obs::Counter &Allocs, &StencilPatches;
   obs::Histogram &HistVCode, &HistPCode, &HistLinear, &HistColor;
@@ -1617,7 +1531,7 @@ struct CompileMetrics {
         R.counter(N::PhaseRegAlloc), R.counter(N::PhasePeephole),
         R.counter(N::PhaseEmit), R.counter(N::SpilledIntervals),
         R.counter(N::LoopsUnrolled), R.counter(N::BranchesEliminated),
-        R.counter(N::StrengthReductions), R.counter(N::UnrollProfiled),
+        R.counter(N::StrengthReductions),
         R.counter(N::PredicatesBranchFree), R.counter(N::PredicatesDeclined),
         R.counter(N::CompileAllocs),
         R.counter(N::StencilPatches),
@@ -1646,8 +1560,6 @@ void publishCompileMetrics(const CompiledFn &F, const CompileOptions &Opts,
     M.DeadBranches.inc(PE.BranchesEliminated);
   if (PE.StrengthReductions)
     M.Strength.inc(PE.StrengthReductions);
-  if (PE.ProfiledUnrolls)
-    M.Profiled.inc(PE.ProfiledUnrolls);
   if (PE.PredicatesBranchFree)
     M.BranchFree.inc(PE.PredicatesBranchFree);
   if (PE.PredicatesDeclined)

@@ -40,7 +40,6 @@ namespace tcc {
 namespace core {
 
 class CompileContext;
-struct Tier0ProfileSnapshot;
 
 /// Which dynamic back end instantiation uses. Serialized into SpecKey (the
 /// first option byte), so each backend's output occupies its own cache slot.
@@ -49,13 +48,13 @@ enum class BackendKind {
   ICode,
   /// Copy-and-patch: the VCODE abstract machine over pre-rendered stencils
   /// (src/pcode). Emits byte-identical code to VCode at a fraction of the
-  /// instantiation cost; the preferred tier-0 baseline.
+  /// instantiation cost; the default tier baseline.
   PCode,
 };
 
-/// The tier-0 baseline backend: BackendKind::PCode (copy-and-patch — the
-/// cheapest instantiation with VCODE-identical code), unless overridden by
-/// the TICKC_BACKEND environment variable (`vcode`, `pcode`, or `icode`;
+/// The tiered slots' baseline backend: BackendKind::PCode (copy-and-patch —
+/// the cheapest instantiation with VCODE-identical code), unless overridden
+/// by the TICKC_BACKEND environment variable (`vcode`, `pcode`, or `icode`;
 /// read once, unknown values fall back to PCode).
 BackendKind baselineBackendFromEnv();
 
@@ -106,13 +105,6 @@ struct CompileOptions {
   /// (src/persist). Recording never changes the emitted bytes. Not part of
   /// the cache key. Owned by the caller; must outlive the compile.
   support::RelocTable *Relocs = nullptr;
-  /// Frozen tier-0 execution profile (core/SpecInterp.h). When set, the
-  /// Walker chooses per-loop unroll bounds from the measured trip counts
-  /// instead of the static UnrollLimit heuristic. Part of the cache key
-  /// (the per-loop decision digest), so differently-profiled compiles of
-  /// one spec never alias in the cache or snapshot. Owned by the caller;
-  /// must outlive the compile.
-  const Tier0ProfileSnapshot *TripProfile = nullptr;
 };
 
 /// Cost account of one instantiation — the raw material of Table 1 and

@@ -6,21 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one definition of what C operators compute. Three tree walks need
+/// The one definition of what C operators compute. Two tree walks need
 /// operator values: the instantiation-time constant folder (the automatic
-/// dynamic partial evaluation of paper §4.4, in Compile.cpp), the tier-0
-/// interpreter (SpecInterp.cpp) and the Tick-C frontend's static half
-/// (frontend/Interp.cpp), which computes `x << s` before a backquote the way
-/// the compiled code computes it after one. All call the helpers below, so
-/// none can disagree with another; the helpers follow what the emitted x86
-/// computes, so none disagrees with compiled code.
+/// dynamic partial evaluation of paper §4.4, in Compile.cpp) and the Tick-C
+/// frontend's static half (frontend/Interp.cpp), which computes `x << s`
+/// before a backquote the way the compiled code computes it after one. Both
+/// call the helpers below, so they cannot disagree; the helpers follow what
+/// the emitted x86 computes, so neither disagrees with compiled code.
 ///
 /// Values are canonical scalars: an Int is sign-extended to 64 bits, Long
 /// and Ptr use all 64, a Double lives in D. Where the machine is defined
 /// and C++ is not, the machine wins:
 ///   * Integer Div/Mod trap (idiv's #DE) exactly when y == 0, or when x is
 ///     the type's minimum and y == -1. binary() reports the trap; the folder
-///     then declines to fold, the interpreter raises SIGFPE and the
+///     then declines to fold (the compiled idiv traps at the call) and the
 ///     frontend reports a line-numbered error.
 ///   * DoubleToInt is cvttsd2si: NaN and out-of-range inputs give INT32_MIN.
 ///   * Add, Sub, Mul and Neg wrap in two's complement at their type's width.
@@ -32,8 +31,8 @@
 ///     back ends emit them: a NaN operand makes ==, < and <= true and !=,
 ///     > and >= false.
 ///
-/// Everything here is inline: tier 0 runs these helpers on every node of
-/// every interpreted call.
+/// Everything here is inline: the folder runs these helpers on every
+/// constant node of every instantiation.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -75,9 +75,6 @@ inline constexpr char StencilPatches[] = "stencil.patches";
 inline constexpr char LoopsUnrolled[] = "opt.loops_unrolled";
 inline constexpr char BranchesEliminated[] = "opt.branches_eliminated";
 inline constexpr char StrengthReductions[] = "opt.strength_reductions";
-/// Loops whose unroll decision came from a tier-0 measured trip count
-/// (CompileOptions::TripProfile) instead of the static UnrollLimit.
-inline constexpr char UnrollProfiled[] = "opt.unroll.profiled";
 /// &&/||/! trees ICODE lowered to 0/1 compares combined with and/or (a
 /// decisive first leaf keeps its branch), and those it left to the
 /// short-circuit chain (each decline also records a predicate.declined
@@ -122,7 +119,7 @@ inline constexpr char HeapFreed[] = "heap.blocks.freed";
 // in-flight compile of the same key instead of duplicating it.
 inline constexpr char CacheSingleflightWait[] = "cache.singleflight_wait";
 
-// Tiered compilation (src/tier): VCODE-first dispatch slots promoted in the
+// Tiered compilation (src/tier): PCODE-first dispatch slots promoted in the
 // background to ICODE once the prologue counter crosses the threshold.
 inline constexpr char TierEnqueued[] = "tier.promote.enqueued";
 inline constexpr char TierQueueFull[] = "tier.promote.queue_full";
@@ -135,22 +132,16 @@ inline constexpr char TierRetiredFns[] = "tier.retired.fns";
 inline constexpr char TierRetiredBytes[] = "tier.retired.bytes";
 /// Enqueue -> dispatch-slot swap, TSC ticks per promotion.
 inline constexpr char HistTierPromoteLatency[] = "tier.promote.latency.cycles";
-/// Tier-0 baselines revived from a persistent snapshot instead of compiled
+/// Tier baselines revived from a persistent snapshot instead of compiled
 /// (warm-started processes answer at hit latency from the first call; the
 /// promotion machinery works on them unchanged — loaded code carries a
 /// live patched counter).
 inline constexpr char TierBaselineSnapshot[] = "tier.baseline.from_snapshot";
 
-// Interpreter tier 0 (src/core/SpecInterp + src/tier): slots that answer
-// from the spec-tree interpreter the instant getOrCompileTiered returns,
-// while the PCODE baseline compiles off the caller's critical path.
-/// Calls dispatched through the interpreted entry (before the swap).
+/// Calls answered by the retired interpreter tier 0. Nothing increments it
+/// any more; kept declared because servebench reports it
+/// (tier0_calls_per_req), so the series reads 0 instead of vanishing.
 inline constexpr char Tier0Invocations[] = "tier0.invocations";
-/// Tier-0 slots that fell back to a synchronous baseline compile because
-/// the background queue was full.
-inline constexpr char Tier0Fallback[] = "tier0.fallback";
-/// Slot creation -> baseline machine-code swap, TSC ticks.
-inline constexpr char HistTier0SwapLatency[] = "tier0.swap_latency";
 
 // Runtime execution observability (src/observability/Runtime*): the JIT
 // symbol table, SIGPROF sampling profiler, and flight recorder.

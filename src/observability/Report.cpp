@@ -133,15 +133,12 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
           static_cast<unsigned long long>(S.counter(names::SpilledIntervals)));
   appendf(Out,
           "partial evaluation: %llu loops unrolled, %llu dead branches "
-          "eliminated, %llu strength reductions, %llu profile-directed "
-          "unroll decisions\n",
+          "eliminated, %llu strength reductions\n",
           static_cast<unsigned long long>(S.counter(names::LoopsUnrolled)),
           static_cast<unsigned long long>(
               S.counter(names::BranchesEliminated)),
           static_cast<unsigned long long>(
-              S.counter(names::StrengthReductions)),
-          static_cast<unsigned long long>(
-              S.counter(names::UnrollProfiled)));
+              S.counter(names::StrengthReductions)));
   appendf(Out,
           "icode predicates: %llu branch-free, %llu declined to the "
           "short-circuit chain\n",
@@ -192,7 +189,7 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
                 S.counter(names::SnapshotEvictions)));
     std::uint64_t TierSnap = S.counter(names::TierBaselineSnapshot);
     if (TierSnap)
-      appendf(Out, "  %llu tier-0 baselines revived without compiling\n",
+      appendf(Out, "  %llu tier baselines from snapshot, not compiled\n",
               static_cast<unsigned long long>(TierSnap));
     if (const HistogramSnapshot *H = S.histogram(names::HistSnapshotLoad))
       if (H->Count) {
@@ -286,7 +283,7 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
   std::uint64_t TierReq = S.counter(names::TierEnqueued);
   std::uint64_t TierDone = S.counter(names::TierPromotions);
   if (TierReq + TierDone) {
-    Out += "tiers (vcode-first dispatch, background icode promotion)\n";
+    Out += "tiers (baseline-first dispatch, background icode promotion)\n";
     appendf(Out,
             "  %llu requests -> %llu promotions (%llu queue-full, "
             "%llu stale, %llu abandoned)\n",
@@ -322,32 +319,6 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
         }
       }
     }
-  }
-
-  // Interpreter tier 0: calls answered before any machine code existed, and
-  // how long each slot spent interpreting before its baseline landed. The
-  // swap-latency tail is the window where every call pays interpreter speed.
-  std::uint64_t T0Inv = S.counter(names::Tier0Invocations);
-  std::uint64_t T0Fallback = S.counter(names::Tier0Fallback);
-  const HistogramSnapshot *T0Swap = S.histogram(names::HistTier0SwapLatency);
-  if (T0Inv + T0Fallback || (T0Swap && T0Swap->Count)) {
-    Out += "tier 0 (interpreted dispatch until the baseline compile lands)\n";
-    appendf(Out,
-            "  %llu interpreted calls; %llu slots fell back to a "
-            "synchronous baseline (queue full)\n",
-            static_cast<unsigned long long>(T0Inv),
-            static_cast<unsigned long long>(T0Fallback));
-    if (T0Swap && T0Swap->Count) {
-      Out += "  baseline swap latency (slot creation -> machine code, "
-             "cycles)\n";
-      renderHistogram(Out, *T0Swap);
-    }
-    std::uint64_t Prof = S.counter(names::UnrollProfiled);
-    if (Prof)
-      appendf(Out,
-              "  %llu unroll decisions taken from interpreter trip "
-              "profiles instead of the static heuristic\n",
-              static_cast<unsigned long long>(Prof));
   }
 
   // Verification: per-layer pass/fail volume, plus what fraction of total

@@ -32,7 +32,7 @@ namespace tcc {
 namespace support {
 
 /// Bumped on any persisted-format or relocation-scheme change.
-inline constexpr std::uint32_t SnapshotFormatVersion = 2;
+inline constexpr std::uint32_t SnapshotFormatVersion = 3;
 
 /// The process-wide build/ISA fingerprint (computed once, then cached).
 std::uint64_t buildFingerprint();

@@ -10,7 +10,6 @@
 #include "support/Timing.h"
 
 #include <algorithm>
-#include <cstdio>
 
 using namespace tcc;
 using namespace tcc::tier;
@@ -58,24 +57,6 @@ bool TieredFn::waitPromoted(std::chrono::milliseconds Timeout) const {
       break;
   }
   return State.load() == TierState::Promoted;
-}
-
-bool TieredFn::waitCompiled(std::chrono::milliseconds Timeout) const {
-  auto Deadline = std::chrono::steady_clock::now() + Timeout;
-  support::MutexLock L(M);
-  while (Entry.load() == nullptr && State.load() != TierState::Failed)
-    if (CV.wait_until(M, Deadline) == std::cv_status::timeout)
-      break;
-  return compiled();
-}
-
-core::InterpResult TieredFn::dispatchInterp(const std::int64_t *IntArgs,
-                                            unsigned NumInt,
-                                            const double *FpArgs,
-                                            unsigned NumFp) const {
-  static obs::Counter &C = counter(obs::names::Tier0Invocations);
-  C.inc();
-  return Interp->run(IntArgs, NumInt, FpArgs, NumFp);
 }
 
 void TieredFn::requestPromotion() {
@@ -144,33 +125,6 @@ void TieredFn::installPromoted(cache::FnHandle NewFn) {
     State.store(TierState::Promoted);
   }
   CV.notify_all();
-}
-
-void TieredFn::installBaseline(cache::FnHandle NewFn) {
-  // Record the swap latency before the entry becomes visible: a caller
-  // released by waitCompiled() must already see tier0SwapNanos() set.
-  Tier0SwapNs.store(readMonotonicNanos() - CreatedNs);
-  obs::MetricsRegistry::global()
-      .histogram(obs::names::HistTier0SwapLatency)
-      .record(readCycleCounter() - CreatedTsc);
-  {
-    obs::Phase Swap(obs::EventKind::TierSwap);
-    support::MutexLock G(M);
-    Baseline = std::move(NewFn);
-    Entry.store(Baseline->entry());
-    obs::recordEvent(obs::EventKind::TierSwapped, 0,
-                     reinterpret_cast<std::uintptr_t>(Baseline->entry()),
-                     Prof ? Prof->Name.c_str() : nullptr);
-    // From here every new call runs machine code; callers already past
-    // their Entry.load() finish on the interpreter, which stays alive for
-    // the slot's whole lifetime — nothing retires at this swap.
-    State.store(TierState::Baseline);
-  }
-  CV.notify_all();
-  // The slot may have crossed the promotion trigger while still
-  // interpreted (maybeRequestPromotion no-ops outside Baseline); re-check
-  // now so a burst that went quiet before the swap still tiers up.
-  maybeRequestPromotion();
 }
 
 //===----------------------------------------------------------------------===//
@@ -243,15 +197,9 @@ void TierManager::workerLoop() {
       W = std::move(Queue.front());
       Queue.pop_front();
     }
-    if (std::shared_ptr<TieredFn> Fn = W.lock()) {
-      // Tier-0 slots enqueue twice in their lifetime: once at creation
-      // (Interpreted — compile the baseline) and once when the counter
-      // crosses the trigger (Queued — promote to ICODE).
-      if (Fn->State.load() == TierState::Interpreted)
-        compileBaseline(Fn);
-      else
-        promote(Fn);
-    } else
+    if (std::shared_ptr<TieredFn> Fn = W.lock())
+      promote(Fn);
+    else
       counter(obs::names::TierAbandoned).inc();
   }
 }
@@ -284,17 +232,8 @@ void TierManager::sampleWatchLoop() {
             Live.push_back(std::move(Fn));
     }
     for (std::shared_ptr<TieredFn> &Fn : Live) {
-      std::uint64_t Samples =
-          Fn->Prof->Samples.load(std::memory_order_relaxed);
-      // Tier-0 slots own a fresh "interp" profile entry that the sampler
-      // never attributes code samples to; once their baseline lands, the
-      // samples accrue on the *compile's* (cache-shared) entry instead —
-      // read it through the installed handle.
-      if (Fn->IsTier0)
-        if (cache::FnHandle H = Fn->handle())
-          if (const obs::ProfileEntry *PE = H->profile())
-            Samples += PE->Samples.load(std::memory_order_relaxed);
-      if (Samples < Config.SamplePromoteThreshold)
+      if (Fn->Prof->Samples.load(std::memory_order_relaxed) <
+          Config.SamplePromoteThreshold)
         continue;
       counter(obs::names::TierPromoteSampled).inc();
       Fn->requestPromotion();
@@ -330,63 +269,11 @@ void TierManager::promote(const std::shared_ptr<TieredFn> &Fn) {
     // emitted bytes) *inside* this compile — i.e. before installPromoted
     // can swap it into the dispatch slot. A promotion can therefore never
     // replace working baseline code with bytes that failed an audit.
-    CompileOptions PO = Fn->PromoteOpts;
-    // Tier-0 profile handoff: freeze the live counters into per-loop
-    // unroll decisions on this stack frame (the live Tier0Profile keeps
-    // mutating under concurrent interpreted calls; the compile — and the
-    // SpecKey digest — must see one consistent snapshot).
-    Tier0ProfileSnapshot Snap;
-    if (Fn->T0Prof) {
-      Snap = snapshotTier0(*Fn->T0Prof);
-      PO.TripProfile = &Snap;
-    }
-    Optimized = Fn->Service->getOrCompile(Ctx, Body, Fn->RetType, PO);
+    Optimized =
+        Fn->Service->getOrCompile(Ctx, Body, Fn->RetType, Fn->PromoteOpts);
   }
   counter(obs::names::TierCompiled).inc();
   Fn->installPromoted(std::move(Optimized));
-}
-
-void TierManager::publishSlotProfile(TieredFn &Fn) {
-  // Deferred half of tier-0 slot creation: the entry was allocated on the
-  // caller's path (so dispatch counting never misses a call), but the
-  // snprintf and the registry mutex run here, off the latency path. The
-  // baseline swap's release ordering publishes Name to post-swap readers.
-  if (!Fn.Prof || !Fn.Prof->Name.empty())
-    return;
-  char NameBuf[64];
-  const char *Label = Fn.BaselineOpts.ProfileName && *Fn.BaselineOpts.ProfileName
-                          ? Fn.BaselineOpts.ProfileName
-                          : "tier0";
-  std::snprintf(NameBuf, sizeof(NameBuf), "%s#%08llx", Label,
-                static_cast<unsigned long long>(Fn.BaselineKey.Hash &
-                                                0xFFFFFFFFu));
-  Fn.Prof->Name = NameBuf;
-  obs::ProfileRegistry::global().publish(Fn.Prof);
-}
-
-void TierManager::compileBaseline(const std::shared_ptr<TieredFn> &Fn) {
-  publishSlotProfile(*Fn);
-  cache::FnHandle B;
-  {
-    obs::Phase Span(obs::EventKind::TierCompile);
-    Context Ctx;
-    Stmt Body = Fn->Build(Ctx);
-    B = Fn->Service->getOrCompileKeyed(Ctx, Body, Fn->RetType,
-                                       Fn->BaselineOpts, Fn->BaselineKey);
-  }
-  if (!B || !B->valid()) {
-    // The slot keeps answering from the interpreter; it just never tiers
-    // up. waitCompiled()/waitPromoted() callers unblock with failure.
-    {
-      support::MutexLock G(Fn->M);
-      Fn->State.store(TierState::Failed);
-    }
-    Fn->CV.notify_all();
-    return;
-  }
-  if (B->fromSnapshot())
-    counter(obs::names::TierBaselineSnapshot).inc();
-  Fn->installBaseline(std::move(B));
 }
 
 TieredFnHandle TierManager::getOrCreate(cache::CompileService &Service,
@@ -404,11 +291,7 @@ TieredFnHandle TierManager::getOrCreate(cache::CompileService &Service,
   PromoteOpts.Backend = BackendKind::ICode;
   PromoteOpts.Profile = false;
 
-  // Built into an owned context: the tier-0 path hands the tree to the
-  // interpreter, which keeps it alive for the slot's lifetime; the legacy
-  // path just lets it die at scope exit.
-  auto OwnedCtx = std::make_unique<Context>();
-  Context &Ctx = *OwnedCtx;
+  Context Ctx;
   Stmt Body = Build(Ctx);
   cache::SpecKey Key = cache::buildSpecKey(Ctx, Body, RetType, BaselineOpts);
 
@@ -431,63 +314,6 @@ TieredFnHandle TierManager::getOrCreate(cache::CompileService &Service,
   Fn->Build = Build;
   Fn->RetType = RetType;
   Fn->PromoteOpts = PromoteOpts;
-  Fn->BaselineOpts = BaselineOpts;
-
-  // Interpreter tier 0: when the baseline is not already cache-resident
-  // (a hit answers at full speed immediately — interpreting it would be a
-  // regression) and the spec is within the interpreter's envelope, answer
-  // from the interpreter now and push the baseline compile to the worker
-  // pool. TTFC becomes the cost of one tree walk: the interpreter's
-  // construction walk doubles as the eligibility check (SpecInterp::ok),
-  // and the profile-entry naming/registration is deferred to the worker.
-  if (Service.config().EnableTier0 && !Service.lookup(Key)) {
-    if (Service.config().EnableTier0Profile)
-      Fn->T0Prof = std::make_shared<Tier0Profile>();
-    auto Interp = std::make_unique<SpecInterp>(std::move(OwnedCtx), Body,
-                                               RetType, Fn->T0Prof.get());
-    if (Interp->ok()) {
-      Fn->Interp = std::move(Interp);
-      Fn->BaselineKey = std::move(Key);
-      Fn->IsTier0 = true;
-      Fn->State.store(TierState::Interpreted);
-      Fn->CreatedNs = readMonotonicNanos();
-      Fn->CreatedTsc = readCycleCounter();
-      // The slot's own profile entry: the invocation counter the call<>
-      // wrapper bumps across all three tiers (the interpreter has no
-      // profiling prologue, and compiled prologues bump the cache-shared
-      // compile entries instead). Allocated here so counting starts with
-      // the first dispatch; named and registered off the creation path by
-      // publishSlotProfile (worker, or the degraded path below).
-      Fn->Prof = std::make_shared<obs::ProfileEntry>();
-      Fn->Prof->Backend.store("interp");
-      Fn->Prof->PromoteThreshold.store(Config.PromoteThreshold,
-                                       std::memory_order_relaxed);
-      Fn->TriggerAt.store(Config.PromoteThreshold, std::memory_order_relaxed);
-      // Entry stays null: call<> dispatches to the interpreter until the
-      // worker installs the baseline.
-      TieredFnHandle Published = publishSlot(Fn);
-      if (Published.get() == Fn.get() && !enqueue(Fn)) {
-        // Queue full (or manager stopping): degrade to the legacy
-        // synchronous compile rather than interpreting unboundedly. Ctx is
-        // still alive — the interpreter owns it now.
-        counter(obs::names::Tier0Fallback).inc();
-        publishSlotProfile(*Fn);
-        cache::FnHandle B = Service.getOrCompileKeyed(Ctx, Body, RetType,
-                                                      BaselineOpts,
-                                                      Fn->BaselineKey);
-        if (!B || !B->valid())
-          reportFatalError("tier: baseline instantiation failed");
-        if (B->fromSnapshot())
-          counter(obs::names::TierBaselineSnapshot).inc();
-        Fn->installBaseline(std::move(B));
-      }
-      return Published;
-    }
-    // Outside the interpreter's envelope: reclaim the tree and fall
-    // through to the synchronous baseline.
-    OwnedCtx = Interp->takeContext();
-    Fn->T0Prof.reset();
-  }
 
   cache::FnHandle Baseline =
       Service.getOrCompileKeyed(Ctx, Body, RetType, BaselineOpts, Key);

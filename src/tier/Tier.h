@@ -6,8 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tiered instantiation: answer first calls at VCODE compile latency
-/// (~100-500 cycles/generated instruction, paper §5.1), then transparently
+/// Tiered instantiation: answer the first call from a baseline compiled
+/// synchronously by PCODE — VCODE's one-pass abstract machine over
+/// pre-rendered stencils, at or below VCODE's ~100-500 cycles/generated
+/// instruction (paper §5.1) — then transparently
 /// re-instantiate hot specs through ICODE's global register allocator
 /// (~1000-2500 cycles/instruction for measurably better code, §5.2) — the
 /// paper's static per-`compile` back-end choice made automatic.
@@ -29,11 +31,9 @@
 ///     CompileService, so the optimized body lands in the code cache,
 ///     verifies the baseline spec is still cache-resident, and atomically
 ///     swaps the slot.
-///   * Retirement — the slot keeps every body it ever dispatched to (the
-///     tier-0 interpreter and the superseded baseline) until it dies. A
-///     caller inside call<>() holds a TieredFnHandle, so no thread can ever
-///     execute freed code. A slot swaps at most twice, so it holds at most
-///     one superseded body.
+///   * Retirement — the slot keeps the superseded baseline until it dies.
+///     A caller inside call<>() holds a TieredFnHandle, so no thread can
+///     ever execute freed code. A slot swaps at most once.
 ///
 /// Lifetime rules: a TieredFnHandle (and anything its SpecBuild closure
 /// captures) must not outlive the CompileService it was created against or
@@ -45,7 +45,6 @@
 #define TICKC_TIER_TIER_H
 
 #include "cache/CompileService.h"
-#include "core/SpecInterp.h"
 #include "observability/Profile.h"
 #include "support/ThreadSafety.h"
 
@@ -88,24 +87,13 @@ struct TierConfig {
 
 /// Where a dispatch slot currently stands.
 enum class TierState : std::uint8_t {
-  /// Tier 0: answering from the spec-tree interpreter while the baseline
-  /// compiles in the background (Entry is still null).
-  Interpreted,
-  Baseline, ///< Running VCODE code, counting invocations.
+  Baseline, ///< Running the PCODE baseline, counting invocations.
   Queued,   ///< Promotion request enqueued or being compiled.
   Promoted, ///< Slot points at the ICODE-compiled body.
   Failed,   ///< Manager shut down with the request pending; stays baseline.
 };
 
 class TierManager;
-
-namespace detail {
-/// Marshals a call<FnT>() invocation into the interpreter's SysV-split
-/// argument arrays. Specialized on the *declared* signature so argument
-/// conversions (int literal to a double parameter, etc.) happen exactly
-/// where the compiled call would perform them.
-template <typename FnT> struct InterpMarshal;
-} // namespace detail
 
 /// A per-function dispatch slot. Callers invoke through call<>(), which
 /// loads the entry pointer, runs the generated code, and (while the slot can
@@ -122,30 +110,21 @@ public:
 
   /// Invokes the current tier: `TF->call<int(const Record *)>(&R)`.
   template <typename FnT, typename... ArgTs> auto call(ArgTs... Args) {
-    // Only an Interpreted or Baseline slot can still be promoted, so only
-    // those count; above them a call is the entry load plus the call.
-    TierState S = State.load(std::memory_order_relaxed);
-    bool Counting = S == TierState::Interpreted || S == TierState::Baseline;
-    // Tier-0 slots count invocations here: the interpreter has no profiling
-    // prologue, and after the swap the compiled prologue bumps the
-    // *compile's own* (cache-shared) entry, not this slot's — the wrapper
-    // keeps one continuous count so the promotion trigger never stalls.
-    if (IsTier0 && Counting)
-      Prof->Invocations.fetch_add(1, std::memory_order_relaxed);
+    // Only a Baseline slot can still be promoted, so only it checks the
+    // trigger; above it a call is the entry load plus the call. The
+    // baseline's own prologue counts the invocation.
+    bool Counting =
+        State.load(std::memory_order_relaxed) == TierState::Baseline;
     // Every body the slot installed lives as long as the slot, which the
-    // caller's handle keeps alive. Null is tier 0 before the baseline swap.
+    // caller's handle keeps alive.
     auto *Fn = reinterpret_cast<FnT *>(Entry.load(std::memory_order_acquire));
     using RetT = decltype(Fn(Args...));
     if constexpr (std::is_void_v<RetT>) {
-      if (Fn)
-        Fn(Args...);
-      else
-        detail::InterpMarshal<FnT>::invoke(*this, Args...);
+      Fn(Args...);
       if (Counting)
         maybeRequestPromotion();
     } else {
-      RetT R = Fn ? Fn(Args...)
-                  : detail::InterpMarshal<FnT>::invoke(*this, Args...);
+      RetT R = Fn(Args...);
       if (Counting)
         maybeRequestPromotion();
       return R;
@@ -154,10 +133,7 @@ public:
 
   /// The current tier as a refcounted handle — the steady-state batch
   /// path: one refcount bump amortized over many direct calls, valid after
-  /// the slot dies. Does not advance the promotion trigger.
-  /// Null while the slot is still interpreted (tier 0): there is no
-  /// compiled body yet — dispatch through call<>() or waitCompiled()
-  /// first.
+  /// the slot dies. Does not advance the promotion trigger. Never null.
   cache::FnHandle handle() const {
     support::MutexLock G(M);
     return Promoted ? Promoted : Baseline;
@@ -165,19 +141,9 @@ public:
 
   TierState state() const { return State.load(); }
   bool promoted() const { return state() == TierState::Promoted; }
-  /// True once machine code is installed (baseline or promoted); false
-  /// only while a tier-0 slot still answers from the interpreter.
-  bool compiled() const {
-    return Entry.load(std::memory_order_acquire) != nullptr;
-  }
 
   /// Blocks until the slot is promoted (or fails) or \p Timeout elapses.
   bool waitPromoted(std::chrono::milliseconds Timeout =
-                        std::chrono::milliseconds(10000)) const;
-  /// Blocks until the slot has machine code — the tier-0 baseline swap (or
-  /// any later tier, or failure) — or \p Timeout elapses. Returns
-  /// compiled().
-  bool waitCompiled(std::chrono::milliseconds Timeout =
                         std::chrono::milliseconds(10000)) const;
 
   /// The baseline profile entry carrying the invocation counter. The count
@@ -188,22 +154,6 @@ public:
   }
   /// Enqueue -> slot-swap latency of the completed promotion, or 0.
   std::uint64_t promoteLatencyNanos() const { return PromoteLatencyNs.load(); }
-  /// Slot-creation -> baseline-swap latency of a tier-0 slot, or 0 while
-  /// still interpreted (and always 0 for non-tier-0 slots).
-  std::uint64_t tier0SwapNanos() const { return Tier0SwapNs.load(); }
-  /// True for slots created on the interpreter tier (even after they swap
-  /// to compiled code).
-  bool isTier0() const { return IsTier0; }
-  /// The tier-0 execution profile, or null (profiling disabled / legacy
-  /// slot).
-  const core::Tier0Profile *tier0Profile() const { return T0Prof.get(); }
-
-  /// Implementation detail of call<>'s interpreted path: counts the
-  /// dispatch and runs the spec-tree interpreter. Public only for
-  /// detail::InterpMarshal.
-  core::InterpResult dispatchInterp(const std::int64_t *IntArgs,
-                                    unsigned NumInt, const double *FpArgs,
-                                    unsigned NumFp) const;
 
 private:
   friend class TierManager;
@@ -226,12 +176,6 @@ private:
   /// The baseline stays with the slot until ~TieredFn.
   void installPromoted(cache::FnHandle NewFn);
 
-  /// Worker side of the tier-0 swap: install the freshly compiled baseline
-  /// into a still-interpreted slot: the entry store, the latency record,
-  /// and the chained promotion check for slots that crossed the trigger
-  /// while interpreted.
-  void installBaseline(cache::FnHandle NewFn);
-
   // --- Dispatch fast path ---------------------------------------------------
   std::atomic<void *> Entry{nullptr};
   std::atomic<TierState> State{TierState::Baseline};
@@ -239,7 +183,6 @@ private:
   /// promotion is dropped as stale.
   std::atomic<std::uint64_t> TriggerAt{0};
   std::atomic<std::uint64_t> PromoteLatencyNs{0};
-  std::atomic<std::uint64_t> Tier0SwapNs{0};
 
   // --- Fixed at creation ----------------------------------------------------
   TierManager *Manager = nullptr;
@@ -247,17 +190,8 @@ private:
   SpecBuild Build;
   core::EvalType RetType = core::EvalType::Int;
   core::CompileOptions PromoteOpts;
-  core::CompileOptions BaselineOpts; ///< The background baseline compile.
   cache::SpecKey BaselineKey; ///< !Cacheable skips the residency check.
   std::shared_ptr<obs::ProfileEntry> Prof;
-  /// Tier-0 machinery, set only when the slot was created interpreted.
-  /// Interp is never destroyed before the slot: a caller racing the
-  /// baseline swap may still be executing run().
-  std::unique_ptr<core::SpecInterp> Interp;
-  std::shared_ptr<core::Tier0Profile> T0Prof;
-  bool IsTier0 = false;
-  std::uint64_t CreatedNs = 0;  ///< Slot creation, for tier0.swap_latency.
-  std::uint64_t CreatedTsc = 0;
 
   // --- Tier handles + promotion rendezvous ----------------------------------
   // CV is _any so it can sleep on the annotated Mutex directly (it is
@@ -272,43 +206,6 @@ private:
   std::uint64_t EnqueuedNs TICKC_GUARDED_BY(M) = 0;
   std::uint64_t EnqueuedTsc TICKC_GUARDED_BY(M) = 0;
 };
-
-namespace detail {
-template <typename R, typename... Ps> struct InterpMarshal<R(Ps...)> {
-  // Out of line and cold: a slot leaves tier 0 as soon as its baseline
-  // lands, so call<>() sites inline only the compiled-code dispatch.
-  [[gnu::noinline, gnu::cold]] static R invoke(const TieredFn &TF,
-                                               Ps... Args) {
-    // SysV split, mirroring both the compiled calling convention and
-    // SpecInterp's parameter binding: doubles in FpArgs, everything else
-    // (sign-extended ints, longs, pointers) in IntArgs, each in
-    // declaration order within its class.
-    std::int64_t IA[8] = {};
-    double FA[8] = {};
-    unsigned NI = 0, ND = 0;
-    auto Put = [&](auto V) {
-      using T = decltype(V);
-      if constexpr (std::is_floating_point_v<T>)
-        FA[ND++] = static_cast<double>(V);
-      else if constexpr (std::is_pointer_v<T>)
-        IA[NI++] = static_cast<std::int64_t>(
-            reinterpret_cast<std::uintptr_t>(V));
-      else
-        IA[NI++] = static_cast<std::int64_t>(V);
-    };
-    (Put(Args), ...);
-    core::InterpResult Res = TF.dispatchInterp(IA, NI, FA, ND);
-    if constexpr (std::is_void_v<R>)
-      return;
-    else if constexpr (std::is_floating_point_v<R>)
-      return static_cast<R>(Res.D);
-    else if constexpr (std::is_pointer_v<R>)
-      return reinterpret_cast<R>(static_cast<std::uintptr_t>(Res.I));
-    else
-      return static_cast<R>(Res.I);
-  }
-};
-} // namespace detail
 
 /// Owns the promotion queue and worker pool, and memoizes dispatch slots by
 /// spec identity so repeated tiered instantiations of one spec share one
@@ -326,7 +223,7 @@ public:
   TierManager &operator=(const TierManager &) = delete;
 
   /// Builds (or finds) the dispatch slot for \p Build's spec: compiles the
-  /// VCODE baseline through \p Service (memoized + single-flighted) and
+  /// PCODE baseline through \p Service (memoized + single-flighted) and
   /// arms the promotion trigger. Cacheable specs are memoized per manager,
   /// so a repeat request returns the existing slot — possibly already
   /// promoted. Prefer CompileService::getOrCompileTiered().
@@ -349,14 +246,6 @@ private:
   void workerLoop();
   /// Recompile + verify + swap for one dequeued slot.
   void promote(const std::shared_ptr<TieredFn> &Fn);
-  /// Worker side of tier 0: compile the baseline for a still-interpreted
-  /// slot and swap it in (installBaseline). Failure marks the slot Failed;
-  /// it keeps answering from the interpreter.
-  void compileBaseline(const std::shared_ptr<TieredFn> &Fn);
-  /// Names and registers a tier-0 slot's deferred profile entry (see
-  /// getOrCreate): runs on the worker, or inline on the degraded
-  /// synchronous path — never on slot creation's critical path.
-  void publishSlotProfile(TieredFn &Fn);
   /// Memoizes \p Fn in Slots/AllSlots; returns the already-published slot
   /// instead when another creator won the race for the same key.
   TieredFnHandle publishSlot(const std::shared_ptr<TieredFn> &Fn);

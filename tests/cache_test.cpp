@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -186,6 +187,19 @@ TEST(CompileService, CapturedBuffersKeepDistinctSymbolNames) {
   EXPECT_NE(Names[0], Names[1]);
   EXPECT_EQ(Fns[0]->as<int(int)>()(1), 2);
   EXPECT_EQ(Fns[1]->as<int(int)>()(1), 3);
+}
+
+TEST(CompileService, EnvKnobsReachServiceConfig) {
+  ASSERT_EQ(setenv("TICKC_SNAPSHOT_BUDGET", "12345", 1), 0);
+  ASSERT_EQ(setenv("TICKC_CACHE_BYTES", "4096", 1), 0);
+  ServiceConfig C = ServiceConfig::fromEnv();
+  EXPECT_EQ(C.SnapshotBudgetBytes, 12345u);
+  EXPECT_EQ(C.MaxCodeBytes, 4096u);
+  unsetenv("TICKC_SNAPSHOT_BUDGET");
+  unsetenv("TICKC_CACHE_BYTES");
+  ServiceConfig D = ServiceConfig::fromEnv();
+  EXPECT_EQ(D.SnapshotBudgetBytes, ServiceConfig().SnapshotBudgetBytes);
+  EXPECT_EQ(D.MaxCodeBytes, ServiceConfig().MaxCodeBytes);
 }
 
 TEST(CompileService, SameSpecSameConstantsHitsIdenticalEntry) {

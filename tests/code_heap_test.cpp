@@ -366,7 +366,7 @@ TEST(CodeHeap, NoMappingIsWritableAndExecutable) {
   for (const FnHandle &F : Live)
     EXPECT_EQ(F->as<int(int)>()(4), affine(4, 11));
 
-  // A tier promotion: interpreter, baseline swap, ICODE swap.
+  // A tier promotion: baseline, then the ICODE swap.
   CompileService TierSvc;
   tier::TierConfig TC;
   TC.PromoteThreshold = 16;

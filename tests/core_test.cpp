@@ -8,7 +8,6 @@
 
 #include "core/Compile.h"
 #include "core/Context.h"
-#include "core/SpecInterp.h"
 
 #include <gtest/gtest.h>
 
@@ -603,15 +602,11 @@ struct SemCase {
 /// `$`-captured operands (read at instantiation), two parameters, and a
 /// parameter against a constant (the strength-reduced immediate forms).
 enum class SemForm { Folded, Dollar, Params, ParamConst };
-/// Tier 0 and the three compiling back ends.
-enum class SemTier { Interp, VCode, PCode, ICode };
-
-/// Builds \p K in form \p Fm and runs it on \p Tr. Returns the result in
-/// canonical form (Int sign-extended).
-std::int64_t runSemCase(const SemCase &K, SemForm Fm, SemTier Tr) {
+/// Builds \p K in form \p Fm and runs it on back end \p Back. Returns the
+/// result in canonical form (Int sign-extended).
+std::int64_t runSemCase(const SemCase &K, SemForm Fm, BackendKind Back) {
   Context C;
-  // `$` operands are read at instantiation (compiled tiers) or at the call
-  // (tier 0); both happen while these slots are live.
+  // `$` operands are read at instantiation, while these slots are live.
   std::int32_t I32[2] = {static_cast<std::int32_t>(K.X),
                          static_cast<std::int32_t>(K.Y)};
   std::int64_t I64[2] = {K.X, K.Y};
@@ -641,16 +636,8 @@ std::int64_t runSemCase(const SemCase &K, SemForm Fm, SemTier Tr) {
   Expr E = K.Op(C, A, B);
   EvalType RT = E.type();
   Stmt Body = C.ret(E);
-  if (Tr == SemTier::Interp) {
-    SpecInterp Interp(C, Body, RT);
-    EXPECT_TRUE(Interp.ok());
-    InterpResult R = Interp.run(I64, 2, F64, 2);
-    return R.I;
-  }
   CompileOptions O;
-  O.Backend = Tr == SemTier::VCode   ? BackendKind::VCode
-              : Tr == SemTier::PCode ? BackendKind::PCode
-                                     : BackendKind::ICode;
+  O.Backend = Back;
   CompiledFn F = compileFn(C, Body, RT, O);
   if (K.T == EvalType::Double)
     return F.as<std::int32_t(double, double)>()(K.DX, K.DX);
@@ -682,8 +669,8 @@ Expr semGtU(Context &C, Expr A, Expr B) { return C.cmp(CmpKind::GtU, A, B); }
 Expr semGeU(Context &C, Expr A, Expr B) { return C.cmp(CmpKind::GeU, A, B); }
 
 TEST(OneSemantics, EveryFormAndTierAgrees) {
-  // The folder (instantiation-time partial evaluation), the emitted code
-  // and tier 0 must compute one value for every operator, including where
+  // The folder (instantiation-time partial evaluation) and the code every
+  // back end emits must compute one value for every operator, including where
   // C++ leaves it undefined and x86 does not: wrapping, masked shift
   // counts, cvttsd2si's integer indefinite, idiv's #DE trap, and NaN
   // compares read from ucomisd's flags without a parity check.
@@ -735,24 +722,23 @@ TEST(OneSemantics, EveryFormAndTierAgrees) {
   const SemForm Forms[] = {SemForm::Folded, SemForm::Dollar, SemForm::Params,
                            SemForm::ParamConst};
   const char *FormNames[] = {"folded", "$", "params", "param-op-const"};
-  const SemTier Tiers[] = {SemTier::Interp, SemTier::VCode, SemTier::PCode,
-                           SemTier::ICode};
-  const char *TierNames[] = {"tier0", "vcode", "pcode", "icode"};
+  const BackendKind Backends[] = {BackendKind::VCode, BackendKind::PCode,
+                                  BackendKind::ICode};
   for (const SemCase &K : Cases)
     for (unsigned Fi = 0; Fi < 4; ++Fi)
-      for (unsigned Ti = 0; Ti < 4; ++Ti) {
+      for (BackendKind B : Backends) {
         SCOPED_TRACE(std::string(K.Name) + " " + FormNames[Fi] + " " +
-                     TierNames[Ti]);
+                     backendName(B));
         if (K.Traps)
           EXPECT_EXIT(
               {
                 // Die of the trap itself, not of a sanitizer's report.
                 std::signal(SIGFPE, SIG_DFL);
-                runSemCase(K, Forms[Fi], Tiers[Ti]);
+                runSemCase(K, Forms[Fi], B);
               },
               ::testing::KilledBySignal(SIGFPE), "");
         else
-          EXPECT_EQ(runSemCase(K, Forms[Fi], Tiers[Ti]), K.Want);
+          EXPECT_EQ(runSemCase(K, Forms[Fi], B), K.Want);
       }
 }
 

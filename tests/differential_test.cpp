@@ -1,14 +1,13 @@
 //===- tests/differential_test.cpp - Cross-backend differential fuzzing ---===//
 //
 // Generates random structured programs (locals, arithmetic, nested ifs and
-// bounded loops) and checks that every configuration of the system — the
-// tier-0 spec-tree interpreter, VCODE, PCODE (copy-and-patch), ICODE with
-// linear scan, ICODE with graph coloring, and both spill heuristics —
-// computes exactly the same result as a host-side reference interpreter.
-// This is the strongest whole-pipeline invariant we have: any divergence in
-// the interpreter's evaluator, the encoder, stencil patching, register
-// allocators, spill paths, strength reduction, or the CGF walk shows up as
-// a value mismatch. PCODE is additionally held to byte identity against
+// bounded loops) and checks that every configuration of the system — VCODE,
+// PCODE (copy-and-patch), ICODE with linear scan, ICODE with graph
+// coloring, and both spill heuristics — computes exactly the same result as
+// a host-side reference interpreter. This is the strongest whole-pipeline
+// invariant we have: any divergence in the encoder, stencil patching,
+// register allocators, spill paths, strength reduction, or the CGF walk
+// shows up as a value mismatch. PCODE is additionally held to byte identity against
 // VCODE on every random program.
 //
 //===----------------------------------------------------------------------===//
@@ -17,7 +16,6 @@
 #include "core/Compile.h"
 #include "core/Context.h"
 #include "core/Semantics.h"
-#include "core/SpecInterp.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
 #include "tier/Tier.h"
@@ -578,30 +576,15 @@ TEST(Differential, AllConfigurationsAgree) {
     ASSERT_EQ(FV.stats().CodeBytes, FP.stats().CodeBytes) << "trial " << Trial;
     EXPECT_EQ(std::memcmp(FV.entry(), FP.entry(), FV.stats().CodeBytes), 0)
         << "trial " << Trial;
-
-    // Tier 0: the interpreter executes the same tree the backends compile
-    // and must agree exactly with all of them.
-    ASSERT_TRUE(specInterpretable(C, Fn, EvalType::Int)) << "trial " << Trial;
-    SpecInterp Interp(C, Fn, EvalType::Int);
-    for (auto [A0, A1] : Inputs) {
-      long long Want = Gen.runReference(A0, A1);
-      std::int64_t IA[2] = {A0, A1};
-      InterpResult R = Interp.run(IA, 2, nullptr, 0);
-      EXPECT_EQ(static_cast<int>(R.I), static_cast<int>(Want))
-          << "trial " << Trial << " config interp args (" << A0 << ", " << A1
-          << ")";
-    }
   }
 }
 
 // The tiered configuration: the same random programs dispatched through a
-// TieredFn slot with a promotion mid-stream. With tier 0 on (the default)
-// the slot is born interpreted, so the stream crosses TWO swaps: the
-// interpreter answers until the background baseline compile lands — PCODE
-// unless TICKC_BACKEND overrides it — and the baseline answers until the
-// ICODE promotion lands. The reference must agree on every tier and across
-// both swaps — any divergence between the tiers of one spec, or any
-// tearing during a swap, shows up as a value mismatch.
+// TieredFn slot with a promotion mid-stream. The slot is born on its
+// baseline — PCODE unless TICKC_BACKEND overrides it — which answers until
+// the ICODE promotion lands. The reference must agree on both tiers and
+// across the swap — any divergence between the tiers of one spec, or any
+// tearing during the swap, shows up as a value mismatch.
 TEST(Differential, TieredPromotionAgreesMidStream) {
   std::mt19937 Rng(20260806);
   const std::pair<int, int> Inputs[] = {
@@ -656,12 +639,10 @@ TEST(Differential, TieredPromotionAgreesMidStream) {
   }
 }
 
-// Tier 0 under load: many threads hammer a freshly created slot from its
-// interpreted birth through the baseline swap and the ICODE promotion,
-// while the answers are checked on every call. Run under TSan in CI — the
-// interpreted-entry swap (Entry null -> baseline) is the newest race
-// surface in the dispatch path.
-TEST(Differential, TieredInterpretedPromotionUnderLoad) {
+// Promotion under load: many threads hammer a freshly created slot from its
+// birth on the baseline through the ICODE promotion, while the answers are
+// checked on every call. Run under TSan in CI.
+TEST(Differential, TieredPromotionUnderLoad) {
   std::mt19937 Rng(20260807);
   const std::pair<int, int> Inputs[] = {
       {0, 0}, {1, -1}, {17, 5}, {-100, 99}, {12345, -777}};
@@ -717,8 +698,8 @@ TEST(Differential, TieredInterpretedPromotionUnderLoad) {
       T.join();
     EXPECT_TRUE(Promoted) << "trial " << Trial;
     EXPECT_EQ(Failures.load(), 0u) << "trial " << Trial;
-    // Both swaps landed; the slot ends on the optimized tier and the
-    // answers never wavered along the way.
+    // The swap landed; the slot ends on the optimized tier and the answers
+    // never wavered along the way.
     for (std::size_t I = 0; I < std::size(Inputs); ++I)
       EXPECT_EQ(
           (TF->call<int(int, int)>(Inputs[I].first, Inputs[I].second)),

@@ -215,8 +215,8 @@ TEST(SpecKey, GoldenBytesHashPinsTheRecordKeyFormat) {
   EXPECT_EQ(K.Refs[0].Addr, reinterpret_cast<std::uint64_t>(&goldenCallee));
   EXPECT_EQ(K.Refs[1].Addr, reinterpret_cast<std::uint64_t>(&CellA));
   EXPECT_EQ(K.Refs[2].Addr, reinterpret_cast<std::uint64_t>(&CellB));
-  EXPECT_EQ(K.Bytes.size(), 166u);
-  EXPECT_EQ(K.BytesHash, 0x75d7993bec9546ebull);
+  EXPECT_EQ(K.Bytes.size(), 165u);
+  EXPECT_EQ(K.BytesHash, 0x9a2c74ae80f69267ull);
 }
 
 // --- Save / load round trips ------------------------------------------------

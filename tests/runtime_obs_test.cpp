@@ -301,12 +301,7 @@ TEST(Tier, SampleSignalPromotesWhenInvocationCounterCannotFire) {
   apps::HashApp H(256, 100, 3);
   tier::TieredFnHandle TF = H.specializeTiered(Svc, &TM);
   ASSERT_TRUE(TF);
-  // Tier 0 (the default) births the slot interpreted; the sample watcher
-  // takes over once the background baseline lands.
-  tier::TierState St0 = TF->state();
-  EXPECT_TRUE(St0 == tier::TierState::Interpreted ||
-              St0 == tier::TierState::Baseline)
-      << static_cast<int>(St0);
+  EXPECT_EQ(TF->state(), tier::TierState::Baseline);
 
   std::uint64_t SampledBefore =
       MetricsRegistry::global().snapshot().counter(names::TierPromoteSampled);
@@ -576,9 +571,6 @@ TEST(RuntimeSymbols, ChurnUnderEightThreadPromotionAndEviction) {
   S.stop();
   EXPECT_EQ(Failures.load(), 0u);
   EXPECT_GT(Svc.cache().stats().Evictions, 0u);
-  // The tier-0 baseline swap is asynchronous; handle() is null until it
-  // lands, so wait before resolving the region.
-  ASSERT_TRUE(TF->waitCompiled());
   // The slot still answers correctly and its live region still resolves.
   EXPECT_EQ(TF->call<int(int)>(Key), Want);
   char Name[RuntimeSymbolTable::NameBytes];

@@ -1,12 +1,13 @@
 //===- tests/tier_test.cpp - Tiered compilation tests ---------------------===//
 //
-// Covers the VCODE-first / background-ICODE promotion path (src/tier):
-// dispatch-slot correctness across the swap for every app adapter, slot
-// memoization, uncacheable-spec tiering, queue-full backoff, shutdown with
-// pending requests, worker wakeups beside the sample watcher, retirement of
-// the superseded baseline at slot death, and multi-threaded stress during
-// promotion and under cache-eviction churn (run under -fsanitize=thread in
-// CI).
+// Covers the baseline-first / background-ICODE promotion path (src/tier):
+// a slot born on machine code, dispatch-slot correctness across the swap
+// for every app adapter, slot memoization, uncacheable-spec tiering, the
+// one key walk of slot creation, queue-full backoff, shutdown with pending
+// requests, worker wakeups beside the sample watcher, retirement of the
+// superseded baseline at slot death, and multi-threaded stress from slot
+// birth through promotion, across many fresh slots and under cache-eviction
+// churn (run under -fsanitize=thread in CI).
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,8 @@
 #include "apps/Power.h"
 #include "apps/Query.h"
 #include "cache/CompileService.h"
+#include "core/Context.h"
+#include "observability/Events.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
 #include "tier/Tier.h"
@@ -25,6 +28,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -42,6 +46,20 @@ TierConfig config(std::uint64_t Threshold, unsigned Workers = 1) {
   return TC;
 }
 
+/// `f(x) = N * x`, computed by an N-trip counting loop.
+SpecBuild loopBuild(int N) {
+  return [N](Context &C) {
+    VSpec X = C.paramInt(0);
+    VSpec Acc = C.localInt();
+    VSpec I = C.localInt();
+    return C.block({C.assign(Acc, C.intConst(0)),
+                    C.forStmt(I, C.intConst(0), vcode::CmpKind::LtS,
+                              C.intConst(N), C.intConst(1),
+                              C.assign(Acc, Expr(Acc) + Expr(X))),
+                    C.ret(Expr(Acc))});
+  };
+}
+
 /// Drives \p TF across the promotion threshold with \p Call until the swap
 /// lands (or 10 s pass).
 template <typename CallT> bool driveToPromotion(TieredFn &TF, CallT Call) {
@@ -56,6 +74,64 @@ template <typename CallT> bool driveToPromotion(TieredFn &TF, CallT Call) {
   return true;
 }
 
+// --- Slot lifecycle ----------------------------------------------------------
+
+TEST(Tier, SlotBornOnBaselinePromotesToICode) {
+  CompileService S;
+  TierManager TM(config(16, 2));
+  TieredFnHandle TF =
+      S.getOrCompileTiered(loopBuild(24), EvalType::Int, CompileOptions(), &TM);
+  ASSERT_TRUE(TF);
+  // The baseline is machine code before getOrCompileTiered returns.
+  EXPECT_EQ(TF->state(), TierState::Baseline);
+  FnHandle H = TF->handle();
+  ASSERT_TRUE(H);
+  EXPECT_EQ(H->backend(), baselineBackendFromEnv());
+  EXPECT_NE(H->profile(), nullptr);
+  EXPECT_EQ(H->as<int(int)>()(2), 48);
+  // The baseline prologue's counter crosses the trigger; the call wrapper
+  // enqueues the promotion.
+  for (int I = 0; I < 64; ++I)
+    EXPECT_EQ(TF->call<int(int)>(2), 48);
+  ASSERT_TRUE(TF->waitPromoted());
+  EXPECT_EQ(TF->state(), TierState::Promoted);
+  EXPECT_EQ(TF->handle()->backend(), BackendKind::ICode);
+  EXPECT_EQ(TF->handle()->profile(), nullptr);
+  EXPECT_EQ(TF->call<int(int)>(2), 48);
+  EXPECT_EQ(TF->call<int(int)>(-3), -72);
+}
+
+TEST(Tier, SlotCreationRecordsOneFingerprintSpan) {
+  // The slot's key walk is the only one the creating thread makes, and it
+  // is attributed: buildSpecKey records the span itself, and the baseline
+  // compile reuses the key instead of walking the tree again.
+  CompileService S;
+  TierManager TM(config(1 << 20)); // Promotion out of the picture.
+  obs::EventRing &Ring = obs::EventRing::global();
+  std::uint64_t From = Ring.eventCount();
+  obs::traceStart(nullptr);
+  // Tags this thread in the ring, to tell its spans from the worker's.
+  obs::recordEvent(obs::EventKind::CompileBegin, 0, 0, "fingerprint-caller");
+  TieredFnHandle TF =
+      S.getOrCompileTiered(loopBuild(19), EvalType::Int, CompileOptions(), &TM);
+  ASSERT_TRUE(TF);
+  ASSERT_TRUE(obs::traceStopTo(nullptr));
+  EXPECT_EQ(TF->state(), TierState::Baseline);
+
+  std::vector<obs::EventRing::Record> Records = Ring.snapshot(From);
+  std::uint32_t Caller = 0;
+  for (const obs::EventRing::Record &R : Records)
+    if (R.Kind == obs::EventKind::CompileBegin &&
+        std::string(R.Name) == "fingerprint-caller")
+      Caller = R.Tid;
+  ASSERT_NE(Caller, 0u);
+  unsigned Walks = 0;
+  for (const obs::EventRing::Record &R : Records)
+    if (R.Kind == obs::EventKind::SpecFingerprint && R.Tid == Caller)
+      ++Walks;
+  EXPECT_EQ(Walks, 1u);
+}
+
 // --- Per-app agreement across the swap --------------------------------------
 
 TEST(Tier, QueryPromotesToICodeAndAgrees) {
@@ -68,11 +144,7 @@ TEST(Tier, QueryPromotesToICodeAndAgrees) {
 
   TieredFnHandle TF = App.specializeTiered(Q, S, &TM);
   ASSERT_TRUE(TF);
-  // With tier 0 on (the default) the slot is born interpreted; the baseline
-  // swap may or may not have landed by the time we look.
-  TierState St0 = TF->state();
-  EXPECT_TRUE(St0 == TierState::Interpreted || St0 == TierState::Baseline)
-      << static_cast<int>(St0);
+  EXPECT_EQ(TF->state(), TierState::Baseline);
 
   auto CountViaSlot = [&] {
     int N = 0;
@@ -211,19 +283,19 @@ TEST(Tier, ShutdownWithPendingRequestsFailsThemCleanly) {
       Fns.push_back(std::move(TF));
     }
   } // Joins workers; still-queued requests become Failed.
-  for (TieredFnHandle &TF : Fns) {
-    TierState St = TF->state();
+  for (unsigned I = 0; I < Fns.size(); ++I) {
+    TieredFn &TF = *Fns[I];
+    TierState St = TF.state();
     EXPECT_TRUE(St == TierState::Promoted || St == TierState::Failed ||
                 St == TierState::Baseline)
         << static_cast<int>(St);
     EXPECT_NE(St, TierState::Queued);
-    // Whatever tier survived, the slot still answers correctly. A slot
-    // whose baseline compile died in the queue keeps interpreting and has
-    // no handle — the call itself must still work.
-    int X = TF->call<int(int)>(2);
-    if (FnHandle H = TF->handle()) {
-      EXPECT_EQ(H->as<int(int)>()(2), X);
-    }
+    // Whatever tier survived, the slot still answers correctly: 2^(I + 2).
+    int Want = 1 << (I + 2);
+    EXPECT_EQ(TF.call<int(int)>(2), Want);
+    FnHandle H = TF.handle();
+    ASSERT_TRUE(H);
+    EXPECT_EQ(H->as<int(int)>()(2), Want);
   }
 }
 
@@ -231,11 +303,11 @@ TEST(Tier, ShutdownWithPendingRequestsFailsThemCleanly) {
 
 TEST(Tier, SampleWatcherNeverSwallowsAWorkerWakeup) {
   // A sample watcher that sleeps for a minute and never promotes, beside a
-  // single worker. Each fresh tier-0 slot enqueues its baseline compile with
-  // one notify; if the watcher could take that wakeup, the worker would
-  // sleep on and the slot would stay interpreted until an unrelated
-  // enqueue.
-  TierConfig TC = config(1000);
+  // single worker. Each fresh slot's first call crosses the trigger and
+  // enqueues its promotion with one notify; if the watcher could take that
+  // wakeup, the worker would sleep on and the slot would stay on its
+  // baseline until an unrelated enqueue.
+  TierConfig TC = config(1);
   TC.SamplePromoteThreshold = 1ull << 60;
   TC.SampleWatchMs = 60000;
   CompileService S;
@@ -244,8 +316,9 @@ TEST(Tier, SampleWatcherNeverSwallowsAWorkerWakeup) {
     apps::PowerApp P(E);
     TieredFnHandle TF = P.specializeTiered(S, &TM);
     ASSERT_TRUE(TF);
-    EXPECT_TRUE(TF->waitCompiled(std::chrono::milliseconds(500)))
-        << "exponent " << E << " never left the interpreter";
+    EXPECT_EQ(TF->call<int(int)>(1), 1);
+    EXPECT_TRUE(TF->waitPromoted(std::chrono::milliseconds(500)))
+        << "exponent " << E << " was never promoted";
   }
 }
 
@@ -265,7 +338,6 @@ TEST(Tier, SupersededBaselineLivesUntilSlotDies) {
   TieredFnHandle TF = P.specializeTiered(S, &TM);
   TieredFnHandle Again = P.specializeTiered(S, &TM);
   ASSERT_EQ(TF.get(), Again.get());
-  ASSERT_TRUE(TF->waitCompiled());
   // The raw baseline entry, as a caller that loaded it just before the
   // swap would still be running it.
   auto *Old = TF->handle()->as<int(int)>();
@@ -339,6 +411,72 @@ TEST(Tier, ConcurrentCallersAcrossTheSwap) {
   EXPECT_EQ(TF->handle()->profile(), nullptr);
 }
 
+TEST(Tier, ConcurrentCallersFromSlotBirthThroughPromotion) {
+  // 8 threads hammer a loop spec's slot from the moment it is created
+  // through the ICODE promotion, checking every answer.
+  CompileService S;
+  TierManager TM(config(256, 2));
+  TieredFnHandle TF =
+      S.getOrCompileTiered(loopBuild(16), EvalType::Int, CompileOptions(), &TM);
+  ASSERT_TRUE(TF);
+
+  constexpr unsigned NumThreads = 8;
+  std::atomic<unsigned> Failures{0};
+  std::atomic<bool> Stop{false};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NumThreads; ++T) {
+    Threads.emplace_back([&, T] {
+      for (unsigned I = 0; I < 4000 && !Stop.load(); ++I) {
+        int X = static_cast<int>(1 + (T + I) % 7);
+        if (TF->call<int(int)>(X) != 16 * X)
+          Failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  bool Promoted = TF->waitPromoted();
+  Stop.store(true);
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_TRUE(Promoted);
+  EXPECT_EQ(Failures.load(), 0u);
+  EXPECT_EQ(TF->handle()->backend(), BackendKind::ICode);
+  EXPECT_EQ(TF->handle()->profile(), nullptr);
+}
+
+TEST(Tier, ManyFreshSlotsUnderConcurrentLoad) {
+  // Distinct specs churn the queue while callers race each slot's own
+  // promotion: the manager's worker pool and the per-slot state machines
+  // must not interfere across slots.
+  CompileService S;
+  TierManager TM(config(32, 2));
+  constexpr unsigned NumSlots = 12;
+  std::vector<TieredFnHandle> Slots;
+  for (unsigned N = 0; N < NumSlots; ++N)
+    Slots.push_back(S.getOrCompileTiered(loopBuild(static_cast<int>(N + 1)),
+                                         EvalType::Int, CompileOptions(),
+                                         &TM));
+  std::atomic<unsigned> Failures{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < 4; ++T) {
+    Threads.emplace_back([&, T] {
+      for (unsigned I = 0; I < 2000; ++I) {
+        unsigned Slot = (T + I) % NumSlots;
+        if (Slots[Slot]->call<int(int)>(3) !=
+            3 * static_cast<int>(Slot + 1))
+          Failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Failures.load(), 0u);
+  // Every slot crossed its trigger; each promotion lands and agrees.
+  for (unsigned N = 0; N < NumSlots; ++N) {
+    EXPECT_TRUE(Slots[N]->waitPromoted()) << "slot " << N;
+    EXPECT_EQ(Slots[N]->call<int(int)>(3), 3 * static_cast<int>(N + 1));
+  }
+}
+
 TEST(Tier, CallersSurviveEvictionChurnAroundPromotion) {
   ServiceConfig Cfg;
   Cfg.Shards = 1;
@@ -377,11 +515,10 @@ TEST(Tier, CallersSurviveEvictionChurnAroundPromotion) {
   EXPECT_EQ(Failures.load(), 0u);
   EXPECT_GT(S.cache().stats().Evictions, 0u);
   // Promotion may have been dropped as stale (baseline evicted) — that is
-  // legal; so is a background baseline compile still in flight (tier 0).
-  // What is not legal is a wrong answer or a torn state.
+  // legal. What is not legal is a wrong answer or a torn state.
   TierState St = TF->state();
-  EXPECT_TRUE(St == TierState::Interpreted || St == TierState::Baseline ||
-              St == TierState::Queued || St == TierState::Promoted);
+  EXPECT_TRUE(St == TierState::Baseline || St == TierState::Queued ||
+              St == TierState::Promoted);
   EXPECT_EQ(TF->call<int(int)>(Key), Want);
 }
 
