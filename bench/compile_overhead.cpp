@@ -64,7 +64,6 @@ struct Row {
   std::string Name;
   double Cpi = 0;          ///< Measured this run (ICODE, the gated column).
   double VcodeCpi = 0;     ///< Same protocol, VCODE backend (context only).
-  double PcodeCpi = 0;     ///< Same protocol, PCODE copy-and-patch backend.
   double SeedCpi = 0;      ///< Embedded pre-PR measurement.
   double BaselineCpi = 0;  ///< Carried from the baseline file (or == Cpi).
   unsigned MachineInstrs = 0;
@@ -117,8 +116,8 @@ int main() {
 
   constexpr unsigned Warmup = 2, Reps = 100;
   // Same protocol (warmup, median of Reps, pooled context) for every
-  // backend. Only the ICODE column is gated; the VCODE and PCODE columns
-  // put all three instantiation strategies side by side.
+  // backend. Only the ICODE column is gated; the VCODE column puts the two
+  // instantiation strategies side by side.
   auto measureCpi = [&](const AppCase &App, CompileOptions &O,
                         unsigned &InstrsOut,
                         std::uint64_t *AllocsOut = nullptr) -> double {
@@ -145,9 +144,8 @@ int main() {
     return InstrsOut ? static_cast<double>(Median) / InstrsOut : 0;
   };
 
-  CompileOptions VOpts = Opts, POpts = Opts;
+  CompileOptions VOpts = Opts;
   VOpts.Backend = BackendKind::VCode;
-  POpts.Backend = BackendKind::PCode;
 
   AppSet Set;
   std::vector<Row> Rows;
@@ -167,15 +165,14 @@ int main() {
     R.ArenaHighWater = CC.arenaHighWater();
     Rows.push_back(R);
   }
-  // Informational columns: the same workloads through VCODE and the PCODE
-  // copy-and-patch backend, measured after the gated loop so they cannot
-  // perturb it. Any frequency drift lands here, where nothing gates.
+  // Informational column: the same workloads through VCODE, measured after
+  // the gated loop so it cannot perturb it. Any frequency drift lands here,
+  // where nothing gates.
   for (std::size_t I = 0; I < Rows.size(); ++I) {
     const AppCase &App = Set.cases()[I];
     unsigned Scratch = 0;
     Rows[I].VcodeCpi = measureCpi(App, VOpts, Scratch);
-    Rows[I].PcodeCpi = measureCpi(App, POpts, Scratch);
-    if (Rows[I].VcodeCpi < 0 || Rows[I].PcodeCpi < 0) {
+    if (Rows[I].VcodeCpi < 0) {
       std::fprintf(stderr, "FAIL: %s did not compile\n", App.Name.c_str());
       return 1;
     }
@@ -189,18 +186,17 @@ int main() {
     if (R.BaselineCpi <= 0)
       R.BaselineCpi = R.Cpi; // First run: record, don't gate.
 
-  std::printf("%-8s %7s %7s %7s %8s %8s %9s %9s %7s\n", "bench", "instrs",
-              "vcode", "pcode", "icode", "seed", "speedup", "baseline",
-              "allocs");
+  std::printf("%-8s %7s %7s %8s %8s %9s %9s %7s\n", "bench", "instrs",
+              "vcode", "icode", "seed", "speedup", "baseline", "allocs");
   printRule();
   unsigned NumFaster = 0;
   bool Ok = true;
   for (const Row &R : Rows) {
     double Speedup = R.Cpi > 0 ? R.SeedCpi / R.Cpi : 0;
     NumFaster += Speedup >= 1.5;
-    std::printf("%-8s %7u %7.1f %7.1f %8.1f %8.1f %8.2fx %9.1f %7llu\n",
-                R.Name.c_str(), R.MachineInstrs, R.VcodeCpi, R.PcodeCpi,
-                R.Cpi, R.SeedCpi, Speedup, R.BaselineCpi,
+    std::printf("%-8s %7u %7.1f %8.1f %8.1f %8.2fx %9.1f %7llu\n",
+                R.Name.c_str(), R.MachineInstrs, R.VcodeCpi, R.Cpi, R.SeedCpi,
+                Speedup, R.BaselineCpi,
                 static_cast<unsigned long long>(R.SteadyAllocs));
     if (R.SteadyAllocs != 0) {
       std::fprintf(stderr,
@@ -251,13 +247,12 @@ int main() {
     const Row &R = Rows[I];
     std::fprintf(F,
                  "    {\"name\": \"%s\", \"machine_instrs\": %u, "
-                 "\"cpi\": %.2f, \"vcode_cpi\": %.2f, \"pcode_cpi\": %.2f, "
+                 "\"cpi\": %.2f, \"vcode_cpi\": %.2f, "
                  "\"seed_cpi\": %.2f, "
                  "\"speedup_vs_seed\": %.3f, \"baseline_cpi\": %.2f, "
                  "\"steady_state_allocs\": %llu, "
                  "\"arena_high_water_bytes\": %zu}%s\n",
-                 R.Name.c_str(), R.MachineInstrs, R.Cpi, R.VcodeCpi,
-                 R.PcodeCpi, R.SeedCpi,
+                 R.Name.c_str(), R.MachineInstrs, R.Cpi, R.VcodeCpi, R.SeedCpi,
                  R.Cpi > 0 ? R.SeedCpi / R.Cpi : 0, R.BaselineCpi,
                  static_cast<unsigned long long>(R.SteadyAllocs),
                  R.ArenaHighWater, I + 1 == Rows.size() ? "" : ",");

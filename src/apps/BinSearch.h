@@ -37,7 +37,7 @@ public:
   /// the array values hardwired into the instruction stream.
   core::CompiledFn specialize(const core::CompileOptions &Opts) const;
 
-  /// Tiered instantiation: the PCODE baseline now, ICODE once hot. Call
+  /// Tiered instantiation: the VCODE baseline now, ICODE once hot. Call
   /// as `TF->call<int(int)>(Key)`.
   tier::TieredFnHandle specializeTiered(
       cache::CompileService &Service, tier::TierManager *Manager = nullptr,

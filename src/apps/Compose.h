@@ -39,7 +39,7 @@ public:
   /// composed into the copy loop.
   core::CompiledFn specialize(const core::CompileOptions &Opts) const;
 
-  /// Tiered instantiation: the PCODE baseline now, ICODE once hot. The
+  /// Tiered instantiation: the VCODE baseline now, ICODE once hot. The
   /// ComposeApp must outlive the returned slot. Call as
   /// `TF->call<int(std::uint32_t *)>(Dst)`.
   tier::TieredFnHandle specializeTiered(

@@ -44,7 +44,7 @@ public:
   /// 12-byte swap specialized into the sort.
   core::CompiledFn specialize(const core::CompileOptions &Opts) const;
 
-  /// Tiered instantiation: the PCODE baseline now, ICODE once hot. Call
+  /// Tiered instantiation: the VCODE baseline now, ICODE once hot. Call
   /// as `TF->call<void(HeapRecord *)>(A)`.
   tier::TieredFnHandle specializeTiered(
       cache::CompileService &Service, tier::TierManager *Manager = nullptr,

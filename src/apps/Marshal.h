@@ -63,7 +63,7 @@ public:
       const void *Target, cache::CompileService &Service,
       const core::CompileOptions &Opts = core::CompileOptions()) const;
 
-  /// Tiered marshaler: the PCODE baseline now, ICODE once hot. Call as
+  /// Tiered marshaler: the VCODE baseline now, ICODE once hot. Call as
   /// `TF->call<void(int, int, int, int, int, std::uint8_t *)>(...)`.
   tier::TieredFnHandle buildMarshalerTiered(
       cache::CompileService &Service, tier::TierManager *Manager = nullptr,

@@ -33,7 +33,7 @@ public:
   /// Instantiates `void scale(int *m)` with factor and extent hardwired.
   core::CompiledFn specialize(const core::CompileOptions &Opts) const;
 
-  /// Tiered instantiation: the PCODE baseline now, ICODE once hot. Call
+  /// Tiered instantiation: the VCODE baseline now, ICODE once hot. Call
   /// as `TF->call<void(int *)>(M)`.
   tier::TieredFnHandle specializeTiered(
       cache::CompileService &Service, tier::TierManager *Manager = nullptr,

@@ -34,7 +34,7 @@ public:
   /// Instantiates `double solve(double x0)` with f and f' inlined.
   core::CompiledFn specialize(const core::CompileOptions &Opts) const;
 
-  /// Tiered instantiation: the PCODE baseline now, ICODE once hot. Call
+  /// Tiered instantiation: the VCODE baseline now, ICODE once hot. Call
   /// as `TF->call<double(double)>(X0)`.
   tier::TieredFnHandle specializeTiered(
       cache::CompileService &Service, tier::TierManager *Manager = nullptr,

@@ -21,8 +21,8 @@
 ///   cache::FnHandle F = S.getOrCompile(Ctx, Body, EvalType::Int);
 ///   int R = F->as<int(int)>()(42);   // Hold F while the code may run.
 ///
-/// getOrCompileTiered() (implemented in src/tier) answers from a PCODE
-/// baseline compiled on the caller's thread and transparently
+/// getOrCompileTiered() (implemented in src/tier) answers from a profiled
+/// VCODE baseline compiled on the caller's thread and transparently
 /// re-instantiates hot specs with ICODE in the background — see tier/Tier.h.
 ///
 //===----------------------------------------------------------------------===//
@@ -127,11 +127,11 @@ public:
   /// back to getOrCompile(). Returns null for uncacheable keys.
   FnHandle lookup(const SpecKey &K);
 
-  /// Tiered instantiation: compiles \p Build's spec with the PCODE baseline
-  /// (profiled; TICKC_BACKEND overrides the back end) before returning a
-  /// dispatch slot that runs it; once the prologue counter crosses the tier
-  /// manager's promotion threshold, a background worker recompiles the spec
-  /// with ICODE and atomically swaps the slot. \p BaseOpts seeds both
+  /// Tiered instantiation: compiles \p Build's spec with the profiled VCODE
+  /// baseline (the entry getOrCompile returns for {VCode, Profile}) before
+  /// returning a dispatch slot that runs it; once the prologue counter
+  /// crosses the tier manager's promotion threshold, a background worker
+  /// recompiles the spec with ICODE and atomically swaps the slot. \p BaseOpts seeds both
   /// compiles (Backend/Profile are overridden per tier;
   /// RegAlloc/Spill/UnrollLimit are honored). Pass a null \p Manager for
   /// the process-wide tier::TierManager::global(). Defined in

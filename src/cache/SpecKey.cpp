@@ -169,12 +169,10 @@ SpecKey cache::buildSpecKey(const Context &Ctx, Stmt Body, EvalType RetType,
   // Fixed-width options prefix: one capacity check covers it all.
   W.ensure(32);
   // Backend is the FIRST key byte and covers BackendKind exhaustively:
-  // VCode=0, ICode=1, PCode=2 each serialize to a distinct byte, and key
-  // equality is full byte-string equality, so the three back ends can never
-  // share a cache slot. (PCODE output is byte-identical to VCODE by
-  // construction, but the entries stay separate on purpose — a cached hit
-  // must reproduce the backend the options asked for, including its stats
-  // and audit posture.) Pinned by SpecKey.BackendsOccupyDistinctSlots.
+  // VCode=0 and ICode=1 serialize to distinct bytes, and key equality is
+  // full byte-string equality, so the back ends can never share a cache
+  // slot. A record keyed under a retired back end's byte (2, copy-and-patch)
+  // is never probed. Pinned by SpecKey.BackendsOccupyDistinctSlots.
   W.u8(static_cast<std::uint8_t>(Opts.Backend));
   W.u8(static_cast<std::uint8_t>(Opts.RegAlloc));
   W.u8(static_cast<std::uint8_t>(Opts.Spill));

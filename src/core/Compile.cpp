@@ -16,8 +16,6 @@
 #include "observability/Events.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
-#include "pcode/PCode.h"
-#include "pcode/StencilLibrary.h"
 #include "support/Error.h"
 #include "support/Timing.h"
 #include "verify/Verify.h"
@@ -26,11 +24,8 @@
 #include <bit>
 #include <cassert>
 #include <climits>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <optional>
-#include <type_traits>
 #include <vector>
 
 using namespace tcc;
@@ -176,9 +171,8 @@ private:
 
 template <class B> struct BackendTraits;
 
-/// Covers every VCODE-machine instantiation: the classic encoder-backed
-/// vcode::VCode and the copy-and-patch pcode::PCode share the abstract
-/// machine, so they share the walker traits too.
+/// Covers the VCODE machine over any encoder (vcode::VCode is the one
+/// instantiation).
 template <class AsmT> struct BackendTraits<vcode::VCodeT<AsmT>> {
   using VM = vcode::VCodeT<AsmT>;
   static constexpr bool OnePass = true;
@@ -1506,15 +1500,15 @@ private:
 /// each compile flushes its DynStats/decisions with a handful of relaxed
 /// adds, keeping the instrumented path within the disabled-overhead budget.
 struct CompileMetrics {
-  obs::Counter &CountVCode, &CountICode, &CountPCode;
+  obs::Counter &CountVCode, &CountICode;
   obs::Counter &CyclesTotal, &CodeBytes, &MachineInstrs;
   obs::Counter &Setup, &Walk, &Finalize, &FlowGraph, &Liveness, &Intervals,
       &RegAlloc, &Peephole, &Emit;
   obs::Counter &Spilled, &Unrolled, &DeadBranches, &Strength;
   obs::Counter &BranchFree, &Declined;
-  obs::Counter &Allocs, &StencilPatches;
-  obs::Histogram &HistVCode, &HistPCode, &HistLinear, &HistColor;
-  obs::Histogram &ArenaBytes, &CpiVCode, &CpiICode, &CpiPCode;
+  obs::Counter &Allocs;
+  obs::Histogram &HistVCode, &HistLinear, &HistColor;
+  obs::Histogram &ArenaBytes, &CpiVCode, &CpiICode;
 
   static CompileMetrics &get() {
     using obs::MetricsRegistry;
@@ -1522,7 +1516,6 @@ struct CompileMetrics {
     auto &R = MetricsRegistry::global();
     static CompileMetrics M{
         R.counter(N::CompileCountVCode), R.counter(N::CompileCountICode),
-        R.counter(N::CompileCountPCode),
         R.counter(N::CompileCyclesTotal), R.counter(N::CompileCodeBytes),
         R.counter(N::CompileMachineInstrs), R.counter(N::PhaseSetup),
         R.counter(N::PhaseCgfWalk),
@@ -1533,13 +1526,11 @@ struct CompileMetrics {
         R.counter(N::LoopsUnrolled), R.counter(N::BranchesEliminated),
         R.counter(N::StrengthReductions),
         R.counter(N::PredicatesBranchFree), R.counter(N::PredicatesDeclined),
-        R.counter(N::CompileAllocs),
-        R.counter(N::StencilPatches),
-        R.histogram(N::HistCyclesVCode), R.histogram(N::HistCyclesPCode),
+        R.counter(N::CompileAllocs), R.histogram(N::HistCyclesVCode),
         R.histogram(N::HistCyclesLinearScan),
         R.histogram(N::HistCyclesGraphColor),
         R.histogram(N::HistArenaBytes), R.histogram(N::HistCpiVCode),
-        R.histogram(N::HistCpiICode), R.histogram(N::HistCpiPCode)};
+        R.histogram(N::HistCpiICode)};
     return M;
   }
 };
@@ -1569,10 +1560,6 @@ void publishCompileMetrics(const CompiledFn &F, const CompileOptions &Opts,
     M.CountVCode.inc();
     M.HistVCode.record(S.CyclesTotal);
     Cpi = &M.CpiVCode;
-  } else if (Opts.Backend == BackendKind::PCode) {
-    M.CountPCode.inc();
-    M.HistPCode.record(S.CyclesTotal);
-    Cpi = &M.CpiPCode;
   } else {
     M.CountICode.inc();
     M.FlowGraph.inc(S.ICode.CyclesFlowGraph);
@@ -1630,8 +1617,7 @@ struct VerifyHooks {
 
 /// Default symbol of an unnamed compile, in BackendKind order;
 /// backendName() is the part after "spec.".
-constexpr const char *DefaultSymbols[] = {"spec.vcode", "spec.icode",
-                                          "spec.pcode"};
+constexpr const char *DefaultSymbols[] = {"spec.vcode", "spec.icode"};
 
 } // namespace
 
@@ -1653,9 +1639,8 @@ struct Instantiation {
   bool DoVerify;
   std::uint64_t &VerifyCyc; ///< Checker time, deducted from the total.
 
-  /// The VCODE machines (VCODE and PCODE's copy-and-patch) emit during the
-  /// walk; ICODE lays down IR that its own pipeline then allocates and
-  /// emits through a VCODE encoder.
+  /// VCODE emits during the walk; ICODE lays down IR that its own pipeline
+  /// then allocates and emits through a VCODE encoder.
   template <class BE> Decisions run() {
     std::uint64_t SetupStart = readCycleCounterBegin();
     if constexpr (BackendTraits<BE>::OnePass) {
@@ -1664,9 +1649,6 @@ struct Instantiation {
         V.assembler().setRelocTable(Opts.Relocs);
       Decisions PE = walk(V, SetupStart);
       recordCode(V);
-      if constexpr (std::is_same_v<BE, pcode::PCode>)
-        CompileMetrics::get().StencilPatches.inc(
-            V.assembler().patchesApplied());
       return PE;
     } else {
       BE IC(A);
@@ -1749,20 +1731,6 @@ const char *core::backendName(BackendKind K) {
   return DefaultSymbols[static_cast<std::size_t>(K)] + sizeof("spec.") - 1;
 }
 
-BackendKind core::baselineBackendFromEnv() {
-  static const BackendKind K = [] {
-    const char *V = std::getenv("TICKC_BACKEND");
-    if (V) {
-      if (std::strcmp(V, "vcode") == 0)
-        return BackendKind::VCode;
-      if (std::strcmp(V, "icode") == 0)
-        return BackendKind::ICode;
-    }
-    return BackendKind::PCode;
-  }();
-  return K;
-}
-
 CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
                            const CompileOptions &Opts) {
   assert(Body.valid() && "compiling an empty cspec");
@@ -1812,18 +1780,12 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
   // Checker time spent inside the Total scope; deducted below so CyclesTotal
   // keeps meaning "what the compile itself cost" with or without -verify.
   std::uint64_t VerifyCyc = 0;
-  // Resolve the stencil library before the timed region: it is a one-time
-  // process cost (stencil.library.build_cycles), and letting it land inside
-  // the first PCODE compile's CyclesTotal would skew the phase accounting.
-  if (Opts.Backend == BackendKind::PCode)
-    (void)pcode::StencilLibrary::get();
   {
     obs::Phase Total(obs::EventKind::CompileTotal, F.Stats.CyclesTotal);
     Instantiation I{F, Ctx, Body.node(), RetType, Opts,
                     A, Buf, DoVerify, VerifyCyc};
-    PE = Opts.Backend == BackendKind::VCode   ? I.run<vcode::VCode>()
-         : Opts.Backend == BackendKind::PCode ? I.run<pcode::PCode>()
-                                              : I.run<icode::ICode>();
+    PE = Opts.Backend == BackendKind::VCode ? I.run<vcode::VCode>()
+                                            : I.run<icode::ICode>();
     {
       // Installing is part of what a compile costs; charge it inside the
       // total so the phase breakdown sums to the whole. The code goes into
@@ -1861,17 +1823,6 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
         // The usage cross-check and spill dataflow assume ICODE's emission
         // discipline; VCODE's one-pass output gets the structural checks.
         AI.ICodeFacts = Opts.Backend == BackendKind::ICode;
-        if (Opts.Backend == BackendKind::PCode) {
-          // Patched output must stay inside the instruction vocabulary the
-          // stencil library rendered (plus the escape-hatch ops that call
-          // the encoder directly). A class outside the mask means a patch
-          // corrupted an opcode byte or the library drifted from the
-          // emitter. Byte-level patch correctness itself is proven at
-          // library build time (dual-render re-patch equivalence) and by
-          // the differential suite.
-          AI.StencilClassMask = pcode::StencilLibrary::get().ClassMask |
-                                pcode::StencilAssembler::glueClassMask();
-        }
         R = verify::verifyAdmission(AI);
       }
       VerifyCyc += Cyc;

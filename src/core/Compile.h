@@ -43,23 +43,15 @@ class CompileContext;
 
 /// Which dynamic back end instantiation uses. Serialized into SpecKey (the
 /// first option byte), so each backend's output occupies its own cache slot.
+/// The values are persisted key bytes: a record keyed under a retired back
+/// end's byte (2 was the copy-and-patch PCODE back end) is never looked up,
+/// so it reads as a miss.
 enum class BackendKind {
   VCode,
   ICode,
-  /// Copy-and-patch: the VCODE abstract machine over pre-rendered stencils
-  /// (src/pcode). Emits byte-identical code to VCode at a fraction of the
-  /// instantiation cost; the default tier baseline.
-  PCode,
 };
 
-/// The tiered slots' baseline backend: BackendKind::PCode (copy-and-patch —
-/// the cheapest instantiation with VCODE-identical code), unless overridden
-/// by the TICKC_BACKEND environment variable (`vcode`, `pcode`, or `icode`;
-/// read once, unknown values fall back to PCode).
-BackendKind baselineBackendFromEnv();
-
-/// Lower-case name of a back end ("vcode", "icode" or "pcode"), as profiles
-/// and TICKC_BACKEND spell it.
+/// Lower-case name of a back end ("vcode" or "icode"), as profiles spell it.
 const char *backendName(BackendKind K);
 
 /// Knobs for one instantiation.
@@ -205,12 +197,6 @@ inline CompiledFn compileVCode(Context &Ctx, Stmt Body, EvalType RetType) {
 inline CompiledFn compileICode(Context &Ctx, Stmt Body, EvalType RetType) {
   CompileOptions Opts;
   Opts.Backend = BackendKind::ICode;
-  return compileFn(Ctx, Body, RetType, Opts);
-}
-
-inline CompiledFn compilePCode(Context &Ctx, Stmt Body, EvalType RetType) {
-  CompileOptions Opts;
-  Opts.Backend = BackendKind::PCode;
   return compileFn(Ctx, Body, RetType, Opts);
 }
 

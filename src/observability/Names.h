@@ -22,6 +22,8 @@ namespace names {
 // Compile volume.
 inline constexpr char CompileCountVCode[] = "compile.count.vcode";
 inline constexpr char CompileCountICode[] = "compile.count.icode";
+/// Compiles of the retired copy-and-patch back end: nothing increments it
+/// (reads 0); declared because the serving benchmark still reads it.
 inline constexpr char CompileCountPCode[] = "compile.count.pcode";
 inline constexpr char CompileCyclesTotal[] = "compile.cycles.total";
 inline constexpr char CompileCodeBytes[] = "compile.code.bytes";
@@ -40,7 +42,6 @@ inline constexpr char PhaseFinalize[] = "phase.finalize.cycles";
 
 // Per-compile latency distributions, split by backend/allocator.
 inline constexpr char HistCyclesVCode[] = "compile.cycles.vcode";
-inline constexpr char HistCyclesPCode[] = "compile.cycles.pcode";
 inline constexpr char HistCyclesLinearScan[] =
     "compile.cycles.icode.linear_scan";
 inline constexpr char HistCyclesGraphColor[] =
@@ -59,17 +60,8 @@ inline constexpr char CompileAllocs[] = "compile.allocs";
 inline constexpr char HistArenaBytes[] = "compile.arena_bytes";
 inline constexpr char HistCpiVCode[] = "compile.cycles_per_insn.vcode";
 inline constexpr char HistCpiICode[] = "compile.cycles_per_insn.icode";
-inline constexpr char HistCpiPCode[] = "compile.cycles_per_insn.pcode";
 inline constexpr char CtxPoolHits[] = "compile.ctx_pool.hits";
 inline constexpr char CtxPoolMisses[] = "compile.ctx_pool.misses";
-
-// Copy-and-patch stencil backend (src/pcode). The library counters are
-// published once, when the process-wide StencilLibrary is built; the patch
-// counter accumulates holes patched across all PCODE compiles.
-inline constexpr char StencilLibBuildCycles[] = "stencil.library.build_cycles";
-inline constexpr char StencilLibCount[] = "stencil.library.count";
-inline constexpr char StencilLibBytes[] = "stencil.library.bytes";
-inline constexpr char StencilPatches[] = "stencil.patches";
 
 // Dynamic partial evaluation decisions (paper §4.4).
 inline constexpr char LoopsUnrolled[] = "opt.loops_unrolled";
@@ -119,7 +111,7 @@ inline constexpr char HeapFreed[] = "heap.blocks.freed";
 // in-flight compile of the same key instead of duplicating it.
 inline constexpr char CacheSingleflightWait[] = "cache.singleflight_wait";
 
-// Tiered compilation (src/tier): PCODE-first dispatch slots promoted in the
+// Tiered compilation (src/tier): VCODE-first dispatch slots promoted in the
 // background to ICODE once the prologue counter crosses the threshold.
 inline constexpr char TierEnqueued[] = "tier.promote.enqueued";
 inline constexpr char TierQueueFull[] = "tier.promote.queue_full";

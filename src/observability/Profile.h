@@ -47,11 +47,6 @@ struct ProfileEntry {
   /// from signal context (relaxed fetch_add); the RuntimeSymbolTable's
   /// retirement drain guarantees no bump after the entry is freed.
   std::atomic<std::uint64_t> Samples{0};
-  /// Invocation count at which the tier manager promotes the function to
-  /// the optimizing back end; 0 when the function is not tier-managed
-  /// (src/tier reads Invocations against this after each dispatched call
-  /// until the slot is queued for promotion).
-  std::atomic<std::uint64_t> PromoteThreshold{0};
 };
 
 /// Weak registry of every live ProfileEntry; entries drop out when the last

@@ -120,12 +120,10 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
 
   std::uint64_t NV = S.counter(names::CompileCountVCode);
   std::uint64_t NI = S.counter(names::CompileCountICode);
-  std::uint64_t NP = S.counter(names::CompileCountPCode);
   appendf(Out,
-          "compiles: %llu vcode + %llu pcode + %llu icode; %llu code bytes, "
+          "compiles: %llu vcode + %llu icode; %llu code bytes, "
           "%llu machine instrs, %llu spilled intervals\n",
           static_cast<unsigned long long>(NV),
-          static_cast<unsigned long long>(NP),
           static_cast<unsigned long long>(NI),
           static_cast<unsigned long long>(S.counter(names::CompileCodeBytes)),
           static_cast<unsigned long long>(
@@ -213,18 +211,15 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
   // cycles per generated instruction, arena footprint, and how often a
   // compile had a recycled context waiting for it.
   const HistogramSnapshot *CpiV = S.histogram(names::HistCpiVCode);
-  const HistogramSnapshot *CpiP = S.histogram(names::HistCpiPCode);
   const HistogramSnapshot *CpiI = S.histogram(names::HistCpiICode);
   const HistogramSnapshot *ArenaB = S.histogram(names::HistArenaBytes);
   std::uint64_t CtxHits = S.counter(names::CtxPoolHits);
   std::uint64_t CtxMisses = S.counter(names::CtxPoolMisses);
-  if ((CpiV && CpiV->Count) || (CpiP && CpiP->Count) ||
-      (CpiI && CpiI->Count) || (ArenaB && ArenaB->Count) ||
-      CtxHits + CtxMisses) {
+  if ((CpiV && CpiV->Count) || (CpiI && CpiI->Count) ||
+      (ArenaB && ArenaB->Count) || CtxHits + CtxMisses) {
     Out += "compile overhead (cycles per generated instruction)\n";
     for (auto [Label, H] : {std::pair<const char *, const HistogramSnapshot *>(
                                 "vcode", CpiV),
-                            {"pcode", CpiP},
                             {"icode", CpiI}}) {
       if (!H || !H->Count)
         continue;
@@ -250,34 +245,6 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
               static_cast<unsigned long long>(CtxMisses),
               100.0 * static_cast<double>(CtxHits) /
                   static_cast<double>(CtxHits + CtxMisses));
-  }
-
-  // Copy-and-patch stencils: the self-stenciled library is a one-time
-  // process cost; the per-compile numbers show how much of PCODE
-  // instantiation is memcpy + hole patching.
-  std::uint64_t StCount = S.counter(names::StencilLibCount);
-  if (StCount) {
-    Out += "stencils (pcode copy-and-patch library)\n";
-    appendf(Out,
-            "  library: %llu stencils, %llu table bytes, built once in "
-            "%llu cycles\n",
-            static_cast<unsigned long long>(StCount),
-            static_cast<unsigned long long>(S.counter(names::StencilLibBytes)),
-            static_cast<unsigned long long>(
-                S.counter(names::StencilLibBuildCycles)));
-    std::uint64_t Patches = S.counter(names::StencilPatches);
-    if (NP)
-      appendf(Out, "  patches: %llu holes across %llu compiles (%.1f/compile)\n",
-              static_cast<unsigned long long>(Patches),
-              static_cast<unsigned long long>(NP),
-              static_cast<double>(Patches) / static_cast<double>(NP));
-    if (CpiP && CpiP->Count)
-      appendf(Out,
-              "  instantiate: mean %.0f cycles/insn over %llu compiles "
-              "(compile.cycles_per_insn.pcode)\n",
-              static_cast<double>(CpiP->Sum) /
-                  static_cast<double>(CpiP->Count),
-              static_cast<unsigned long long>(CpiP->Count));
   }
 
   std::uint64_t TierReq = S.counter(names::TierEnqueued);

@@ -376,8 +376,8 @@ void RuntimeSymbolTable::enablePerfExport(PerfExport Mode,
                                0);
         if (JitdumpMarker == MAP_FAILED)
           JitdumpMarker = nullptr;
-        // Registrations that predate enabling still matter (the stencil
-        // library, early compiles): append them now.
+        // Registrations that predate enabling still matter (early
+        // compiles): append them now.
         unsigned N = MaxUsed.load(std::memory_order_acquire);
         for (unsigned I = 0; I < N; ++I)
           if (Slots[I].Start.load(std::memory_order_acquire))

@@ -6,7 +6,6 @@
 #include "observability/Metrics.h"
 #include "observability/Names.h"
 #include "observability/Profile.h"
-#include "support/Env.h"
 #include "support/Fingerprint.h"
 #include "support/Hash.h"
 #include "support/Timing.h"
@@ -222,18 +221,6 @@ std::unique_ptr<SnapshotCache> SnapshotCache::open(const std::string &Dir,
   if (!SC->openFile(Dir + "/tickc.snapshot", CompactThreshold))
     return nullptr;
   return SC;
-}
-
-std::unique_ptr<SnapshotCache> SnapshotCache::openFromEnv() {
-  const char *Dir = std::getenv("TICKC_SNAPSHOT_DIR");
-  if (!Dir || !*Dir)
-    return nullptr;
-  std::size_t Compact = static_cast<std::size_t>(
-      tcc::envUInt64("TICKC_SNAPSHOT_COMPACT", 1u << 20));
-  std::size_t Budget =
-      static_cast<std::size_t>(tcc::envUInt64("TICKC_SNAPSHOT_BUDGET", 0));
-  std::uint64_t Ttl = tcc::envUInt64("TICKC_SNAPSHOT_TTL", 0);
-  return open(Dir, Compact, Budget, Ttl);
 }
 
 bool SnapshotCache::expired(const std::uint8_t *Rec) const {

@@ -107,12 +107,6 @@ public:
                                              std::size_t BudgetBytes = 0,
                                              std::uint64_t TtlSeconds = 0);
 
-  /// open() configured from TICKC_SNAPSHOT_DIR / TICKC_SNAPSHOT_COMPACT
-  /// (default 1 MiB of dead bytes) / TICKC_SNAPSHOT_BUDGET (default
-  /// unbounded) / TICKC_SNAPSHOT_TTL (seconds, default no expiry); null
-  /// when TICKC_SNAPSHOT_DIR is unset.
-  static std::unique_ptr<SnapshotCache> openFromEnv();
-
   ~SnapshotCache();
 
   SnapshotCache(const SnapshotCache &) = delete;

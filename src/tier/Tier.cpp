@@ -280,12 +280,13 @@ TieredFnHandle TierManager::getOrCreate(cache::CompileService &Service,
                                         const SpecBuild &Build,
                                         EvalType RetType,
                                         CompileOptions BaseOpts) {
-  // Baseline tier: PCODE (copy-and-patch, overridable via TICKC_BACKEND)
-  // with the profiling prologue — the counter is the promotion sensor. No
-  // tier sits above ICODE, so the promoted body drops the prologue (and
-  // can share a cache entry with a plain ICODE compile of the same spec).
+  // Baseline tier: VCODE with the profiling prologue — the counter is the
+  // promotion sensor, and the slot's handle is the same cache entry a
+  // profiled VCODE getOrCompile of this spec returns. No tier sits above
+  // ICODE, so the promoted body drops the prologue (and can share a cache
+  // entry with a plain ICODE compile of the same spec).
   CompileOptions BaselineOpts = BaseOpts;
-  BaselineOpts.Backend = baselineBackendFromEnv();
+  BaselineOpts.Backend = BackendKind::VCode;
   BaselineOpts.Profile = true;
   CompileOptions PromoteOpts = BaseOpts;
   PromoteOpts.Backend = BackendKind::ICode;
@@ -329,8 +330,6 @@ TieredFnHandle TierManager::getOrCreate(cache::CompileService &Service,
   Fn->Prof = Baseline->profileShared();
   if (!Fn->Prof)
     reportFatalError("tier: baseline compiled without a profile entry");
-  Fn->Prof->PromoteThreshold.store(Config.PromoteThreshold,
-                                   std::memory_order_relaxed);
   // Arm relative to the counter's current value: a cache-shared baseline
   // may already have been invoked by non-tiered callers.
   Fn->TriggerAt.store(Fn->Prof->Invocations.load(std::memory_order_relaxed) +

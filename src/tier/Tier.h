@@ -6,10 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tiered instantiation: answer the first call from a baseline compiled
-/// synchronously by PCODE — VCODE's one-pass abstract machine over
-/// pre-rendered stencils, at or below VCODE's ~100-500 cycles/generated
-/// instruction (paper §5.1) — then transparently
+/// Tiered instantiation: answer the first call from a profiled baseline
+/// compiled synchronously by VCODE — the one-pass abstract machine at
+/// ~100-500 cycles/generated instruction (paper §5.1) — then transparently
 /// re-instantiate hot specs through ICODE's global register allocator
 /// (~1000-2500 cycles/instruction for measurably better code, §5.2) — the
 /// paper's static per-`compile` back-end choice made automatic.
@@ -87,7 +86,7 @@ struct TierConfig {
 
 /// Where a dispatch slot currently stands.
 enum class TierState : std::uint8_t {
-  Baseline, ///< Running the PCODE baseline, counting invocations.
+  Baseline, ///< Running the VCODE baseline, counting invocations.
   Queued,   ///< Promotion request enqueued or being compiled.
   Promoted, ///< Slot points at the ICODE-compiled body.
   Failed,   ///< Manager shut down with the request pending; stays baseline.
@@ -179,8 +178,10 @@ private:
   // --- Dispatch fast path ---------------------------------------------------
   std::atomic<void *> Entry{nullptr};
   std::atomic<TierState> State{TierState::Baseline};
-  /// Promotion trigger in absolute invocations; doubled for backoff when a
-  /// promotion is dropped as stale.
+  /// Promotion trigger in absolute invocations: the baseline counter's
+  /// value at slot creation plus TierConfig::PromoteThreshold (the only
+  /// threshold; the ProfileEntry carries none), doubled for backoff when a
+  /// promotion is dropped as stale or the queue is full.
   std::atomic<std::uint64_t> TriggerAt{0};
   std::atomic<std::uint64_t> PromoteLatencyNs{0};
 
@@ -223,7 +224,8 @@ public:
   TierManager &operator=(const TierManager &) = delete;
 
   /// Builds (or finds) the dispatch slot for \p Build's spec: compiles the
-  /// PCODE baseline through \p Service (memoized + single-flighted) and
+  /// profiled VCODE baseline through \p Service (memoized + single-flighted;
+  /// the same entry getOrCompile returns for {VCode, Profile}) and
   /// arms the promotion trigger. Cacheable specs are memoized per manager,
   /// so a repeat request returns the existing slot — possibly already
   /// promoted. Prefer CompileService::getOrCompileTiered().

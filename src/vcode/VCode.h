@@ -29,10 +29,9 @@
 /// Types: the I suffix denotes 32-bit integer operations, L 64-bit
 /// integer/pointer operations, D IEEE double operations.
 ///
-/// The implementation lives in vcode/VCodeT.h, templated over the emitter
-/// (so the PCODE copy-and-patch backend can reuse the whole abstract
-/// machine); VCode is the classic instantiation over x86::Assembler,
-/// compiled once in VCode.cpp.
+/// The implementation lives in vcode/VCodeT.h, templated over the emitter;
+/// VCode is its instantiation over x86::Assembler, compiled once in
+/// VCode.cpp.
 ///
 //===----------------------------------------------------------------------===//
 

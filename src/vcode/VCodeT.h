@@ -9,20 +9,9 @@
 /// The VCODE abstract machine, templated over its instruction emitter. All
 /// register-designator handling, spill bracketing, value-dependent
 /// instruction selection and label fixup logic lives here, single-source;
-/// the AsmT parameter decides how machine bytes actually reach the buffer:
-///
-///   * VCodeT<x86::Assembler>   — the classic one-pass encoder (vcode::VCode)
-///   * VCodeT<pcode::StencilAssembler> — the copy-and-patch backend
-///     (pcode::PCode), which overlays pre-rendered stencil bytes and patches
-///     holes instead of running the encoder per instruction.
-///
-/// Emitter types opt into the stencil fast paths by specializing
-/// HasOpStencils; ops whose operands are all physical registers then
-/// short-circuit into a single table-driven emission (Asm.opXyz), skipping
-/// both the per-operand spill checks and the per-instruction encoder. The
-/// fallback path below each guard is the reference semantics; stencil
-/// tables are rendered *from* these paths at startup, so the two emit
-/// byte-identical code by construction.
+/// the AsmT parameter is the encoder that puts machine bytes in the buffer.
+/// Its one instantiation is VCodeT<x86::Assembler>, the one-pass encoder
+/// vcode::VCode.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +27,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <type_traits>
 #include <utility>
 
 namespace tcc {
@@ -78,12 +66,6 @@ struct Label {
   unsigned Id = ~0u;
   bool valid() const { return Id != ~0u; }
 };
-
-/// Opt-in marker for emitter types that carry pre-rendered VCODE-op
-/// stencils (pcode::StencilAssembler specializes this to true_type). With
-/// stencils available, operations on all-physical operands collapse to one
-/// table lookup + bulk byte store + hole patches.
-template <class AsmT> struct HasOpStencils : std::false_type {};
 
 namespace detail {
 
@@ -176,9 +158,6 @@ public:
   /// (rbx, r12..r15; the rbp push is accounted separately). Spill slots
   /// start below this area; admission's spill fact keys off it.
   static constexpr std::int32_t CalleeSaveBytes = 40;
-
-  /// True when ops may take the pre-rendered stencil fast paths.
-  static constexpr bool UsesOpStencils = HasOpStencils<AsmT>::value;
 
   /// Designator for spill slot \p Slot (0-based).
   static constexpr Reg spillReg(int Slot) { return -Slot - 1; }
@@ -284,10 +263,6 @@ public:
   /// Emits the prologue. Call bindArgI/bindArgD for each incoming parameter
   /// immediately afterwards, before any other operation.
   void enter() {
-    if constexpr (UsesOpStencils) {
-      Asm.opEnter(FramePatchOffset, SaveSitePc);
-      return;
-    }
     // Callee-saved pool registers are preserved with rbp-relative stores
     // (fixed 4-byte encodings) rather than pushes, so that finish() can
     // erase the ones this function never used — keeping small dynamic
@@ -337,13 +312,6 @@ public:
 
   /// Moves integer argument \p Index (0-based, SysV) into \p Dst.
   void bindArgI(unsigned Index, Reg Dst) {
-    if constexpr (UsesOpStencils) {
-      if (Dst >= 0 && Index < 6) {
-        noteUsed(Dst);
-        Asm.opBindArgI(Index, Dst);
-        return;
-      }
-    }
     x86::GPR Pd = dstI(Dst, detail::ScratchA);
     if (Index < 6)
       Asm.movRR64(Pd, x86::IntArgRegs[Index]);
@@ -355,12 +323,6 @@ public:
   /// Moves double argument \p Index (0-based among FP args) into \p Dst.
   void bindArgD(unsigned Index, FReg Dst) {
     assert(Index < 8 && "stack-passed double arguments not supported");
-    if constexpr (UsesOpStencils) {
-      if (Dst >= 0) {
-        Asm.opBindArgD(Index, Dst);
-        return;
-      }
-    }
     x86::XMM Pd = dstD(Dst, detail::FScratchA);
     Asm.movsdRR(Pd, x86::FloatArgRegs[Index]);
     writeBackD(Dst, Pd);
@@ -370,28 +332,12 @@ public:
   void retVoid() { epilogue(); }
 
   void retI(Reg R) {
-    if constexpr (UsesOpStencils) {
-      if (R >= 0) {
-        noteUsed(R);
-        Asm.opRetMovI(R);
-        epilogue();
-        return;
-      }
-    }
     x86::GPR P = srcI(R, detail::ScratchA);
     Asm.movRR32(x86::RAX, P);
     epilogue();
   }
 
   void retL(Reg R) {
-    if constexpr (UsesOpStencils) {
-      if (R >= 0) {
-        noteUsed(R);
-        Asm.opRetMovL(R);
-        epilogue();
-        return;
-      }
-    }
     x86::GPR P = srcI(R, detail::ScratchA);
     if (P != x86::RAX)
       Asm.movRR64(x86::RAX, P);
@@ -399,13 +345,6 @@ public:
   }
 
   void retD(FReg R) {
-    if constexpr (UsesOpStencils) {
-      if (R >= 0) {
-        Asm.opRetMovD(R);
-        epilogue();
-        return;
-      }
-    }
     x86::XMM P = srcD(R, detail::FScratchA);
     if (P != x86::XMM0)
       Asm.movsdRR(x86::XMM0, P);
@@ -438,13 +377,6 @@ public:
 
   // --- Moves and constants -------------------------------------------------
   void setI(Reg D, std::int32_t Imm) {
-    if constexpr (UsesOpStencils) {
-      if (D >= 0) {
-        noteUsed(D);
-        Asm.opSetI(D, Imm);
-        return;
-      }
-    }
     x86::GPR Pd = dstI(D, detail::ScratchA);
     if (Imm == 0)
       Asm.xorRR32(Pd, Pd);
@@ -454,13 +386,6 @@ public:
   }
 
   void setL(Reg D, std::int64_t Imm) {
-    if constexpr (UsesOpStencils) {
-      if (D >= 0) {
-        noteUsed(D);
-        Asm.opSetL(D, Imm);
-        return;
-      }
-    }
     x86::GPR Pd = dstI(D, detail::ScratchA);
     if (Imm == 0)
       Asm.xorRR32(Pd, Pd);
@@ -483,12 +408,6 @@ public:
   void setD(FReg D, double Imm) {
     std::uint64_t Bits;
     std::memcpy(&Bits, &Imm, 8);
-    if constexpr (UsesOpStencils) {
-      if (D >= 0) {
-        Asm.opSetD(D, Bits);
-        return;
-      }
-    }
     x86::XMM Pd = dstD(D, detail::FScratchA);
     if (Bits == 0) {
       Asm.xorpd(Pd, Pd);
@@ -504,13 +423,6 @@ public:
   void movL(Reg D, Reg S) {
     if (D == S)
       return;
-    if constexpr (UsesOpStencils) {
-      if ((D | S) >= 0) {
-        noteUsed2(D, S);
-        Asm.opMovL(D, S);
-        return;
-      }
-    }
     x86::GPR Ps = srcI(S, detail::ScratchA);
     x86::GPR Pd = dstI(D, detail::ScratchA);
     if (Pd != Ps)
@@ -521,12 +433,6 @@ public:
   void movD(FReg D, FReg S) {
     if (D == S)
       return;
-    if constexpr (UsesOpStencils) {
-      if ((D | S) >= 0) {
-        Asm.opMovD(D, S);
-        return;
-      }
-    }
     x86::XMM Ps = srcD(S, detail::FScratchA);
     x86::XMM Pd = dstD(D, detail::FScratchA);
     if (Pd != Ps)
@@ -536,93 +442,30 @@ public:
 
   // --- Integer arithmetic (32-bit) -----------------------------------------
   void addI(Reg D, Reg A, Reg B) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A | B) >= 0) {
-        noteUsed3(D, A, B);
-        Asm.opAddI(D, A, B);
-        return;
-      }
-    }
     binI(D, A, B, &AsmT::addRR32, true);
   }
   void subI(Reg D, Reg A, Reg B) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A | B) >= 0) {
-        noteUsed3(D, A, B);
-        Asm.opSubI(D, A, B);
-        return;
-      }
-    }
     binI(D, A, B, &AsmT::subRR32, false);
   }
   void mulI(Reg D, Reg A, Reg B) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A | B) >= 0) {
-        noteUsed3(D, A, B);
-        Asm.opMulI(D, A, B);
-        return;
-      }
-    }
     binI(D, A, B, &AsmT::imulRR32, true);
   }
   void andI(Reg D, Reg A, Reg B) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A | B) >= 0) {
-        noteUsed3(D, A, B);
-        Asm.opAndI(D, A, B);
-        return;
-      }
-    }
     binI(D, A, B, &AsmT::andRR32, true);
   }
   void orI(Reg D, Reg A, Reg B) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A | B) >= 0) {
-        noteUsed3(D, A, B);
-        Asm.opOrI(D, A, B);
-        return;
-      }
-    }
     binI(D, A, B, &AsmT::orRR32, true);
   }
   void xorI(Reg D, Reg A, Reg B) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A | B) >= 0) {
-        noteUsed3(D, A, B);
-        Asm.opXorI(D, A, B);
-        return;
-      }
-    }
     binI(D, A, B, &AsmT::xorRR32, true);
   }
   void addL(Reg D, Reg A, Reg B) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A | B) >= 0) {
-        noteUsed3(D, A, B);
-        Asm.opAddL(D, A, B);
-        return;
-      }
-    }
     binI(D, A, B, &AsmT::addRR64, true);
   }
   void subL(Reg D, Reg A, Reg B) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A | B) >= 0) {
-        noteUsed3(D, A, B);
-        Asm.opSubL(D, A, B);
-        return;
-      }
-    }
     binI(D, A, B, &AsmT::subRR64, false);
   }
   void mulL(Reg D, Reg A, Reg B) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A | B) >= 0) {
-        noteUsed3(D, A, B);
-        Asm.opMulL(D, A, B);
-        return;
-      }
-    }
     binI(D, A, B, &AsmT::imulRR64, true);
   }
 
@@ -636,13 +479,6 @@ public:
   void ushrI(Reg D, Reg A, Reg B) { shiftI(D, A, B, &AsmT::shrCl32); }
 
   void negI(Reg D, Reg A) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A) >= 0) {
-        noteUsed2(D, A);
-        Asm.opNegI(D, A);
-        return;
-      }
-    }
     x86::GPR Pa = srcI(A, detail::ScratchA);
     x86::GPR Pd = dstI(D, detail::ScratchA);
     if (Pd != Pa)
@@ -652,13 +488,6 @@ public:
   }
 
   void notI(Reg D, Reg A) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A) >= 0) {
-        noteUsed2(D, A);
-        Asm.opNotI(D, A);
-        return;
-      }
-    }
     x86::GPR Pa = srcI(A, detail::ScratchA);
     x86::GPR Pd = dstI(D, detail::ScratchA);
     if (Pd != Pa)
@@ -676,13 +505,6 @@ public:
       movI(D, A);
       return;
     }
-    if constexpr (UsesOpStencils) {
-      if ((D | A) >= 0) {
-        noteUsed2(D, A);
-        Asm.opAddII(D, A, Imm);
-        return;
-      }
-    }
     binII(D, A, Imm, &AsmT::addRI32, false);
   }
   void subII(Reg D, Reg A, std::int32_t Imm) {
@@ -690,36 +512,15 @@ public:
       movI(D, A);
       return;
     }
-    if constexpr (UsesOpStencils) {
-      if ((D | A) >= 0) {
-        noteUsed2(D, A);
-        Asm.opSubII(D, A, Imm);
-        return;
-      }
-    }
     binII(D, A, Imm, &AsmT::subRI32, false);
   }
   void andII(Reg D, Reg A, std::int32_t Imm) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A) >= 0) {
-        noteUsed2(D, A);
-        Asm.opAndII(D, A, Imm);
-        return;
-      }
-    }
     binII(D, A, Imm, &AsmT::andRI32, false);
   }
   void orII(Reg D, Reg A, std::int32_t Imm) {
     if (Imm == 0) {
       movI(D, A);
       return;
-    }
-    if constexpr (UsesOpStencils) {
-      if ((D | A) >= 0) {
-        noteUsed2(D, A);
-        Asm.opOrII(D, A, Imm);
-        return;
-      }
     }
     binII(D, A, Imm, &AsmT::orRI32, false);
   }
@@ -728,26 +529,12 @@ public:
       movI(D, A);
       return;
     }
-    if constexpr (UsesOpStencils) {
-      if ((D | A) >= 0) {
-        noteUsed2(D, A);
-        Asm.opXorII(D, A, Imm);
-        return;
-      }
-    }
     binII(D, A, Imm, &AsmT::xorRI32, false);
   }
   void addLI(Reg D, Reg A, std::int32_t Imm) {
     if (Imm == 0) {
       movL(D, A);
       return;
-    }
-    if constexpr (UsesOpStencils) {
-      if ((D | A) >= 0) {
-        noteUsed2(D, A);
-        Asm.opAddLI(D, A, Imm);
-        return;
-      }
     }
     binII(D, A, Imm, &AsmT::addRI64, true);
   }
@@ -756,13 +543,6 @@ public:
     if (Imm == 0) {
       movI(D, A);
       return;
-    }
-    if constexpr (UsesOpStencils) {
-      if ((D | A) >= 0) {
-        noteUsed2(D, A);
-        Asm.opShlII(D, A, Imm);
-        return;
-      }
     }
     x86::GPR Pa = srcI(A, detail::ScratchA);
     x86::GPR Pd = dstI(D, detail::ScratchA);
@@ -777,13 +557,6 @@ public:
       movI(D, A);
       return;
     }
-    if constexpr (UsesOpStencils) {
-      if ((D | A) >= 0) {
-        noteUsed2(D, A);
-        Asm.opShrII(D, A, Imm);
-        return;
-      }
-    }
     x86::GPR Pa = srcI(A, detail::ScratchA);
     x86::GPR Pd = dstI(D, detail::ScratchA);
     if (Pd != Pa)
@@ -797,13 +570,6 @@ public:
       movI(D, A);
       return;
     }
-    if constexpr (UsesOpStencils) {
-      if ((D | A) >= 0) {
-        noteUsed2(D, A);
-        Asm.opUshrII(D, A, Imm);
-        return;
-      }
-    }
     x86::GPR Pa = srcI(A, detail::ScratchA);
     x86::GPR Pd = dstI(D, detail::ScratchA);
     if (Pd != Pa)
@@ -816,13 +582,6 @@ public:
     if (Imm == 0) {
       movL(D, A);
       return;
-    }
-    if constexpr (UsesOpStencils) {
-      if ((D | A) >= 0) {
-        noteUsed2(D, A);
-        Asm.opShlLI(D, A, Imm);
-        return;
-      }
     }
     x86::GPR Pa = srcI(A, detail::ScratchA);
     x86::GPR Pd = dstI(D, detail::ScratchA);
@@ -851,13 +610,6 @@ public:
                              : static_cast<std::uint32_t>(Imm);
     if (std::has_single_bit(M)) {
       std::uint8_t K = static_cast<std::uint8_t>(std::countr_zero(M));
-      if constexpr (UsesOpStencils) {
-        if ((D | A) >= 0) {
-          noteUsed2(D, A);
-          Asm.opMulIIPow2(D, A, K, Negate);
-          return;
-        }
-      }
       x86::GPR Pa = srcI(A, detail::ScratchA);
       x86::GPR Pd = dstI(D, detail::ScratchA);
       if (Pd != Pa)
@@ -872,14 +624,6 @@ public:
       // a*(2^hi + 2^lo) = (a<<hi) + (a<<lo).
       int Hi = 31 - std::countl_zero(M);
       int Lo = std::countr_zero(M);
-      if constexpr (UsesOpStencils) {
-        if ((D | A) >= 0) {
-          noteUsed2(D, A);
-          Asm.opMulIITwoBit(D, A, static_cast<std::uint8_t>(Hi),
-                            static_cast<std::uint8_t>(Lo), Negate);
-          return;
-        }
-      }
       x86::GPR Pa = srcI(A, detail::ScratchA);
       Asm.movRR64(detail::ScratchB, Pa);
       Asm.shlRI32(detail::ScratchB, static_cast<std::uint8_t>(Hi));
@@ -893,13 +637,6 @@ public:
         Asm.negR32(Pd);
       writeBackI(D, Pd);
       return;
-    }
-    if constexpr (UsesOpStencils) {
-      if ((D | A) >= 0) {
-        noteUsed2(D, A);
-        Asm.opMulIIGeneral(D, A, Imm);
-        return;
-      }
     }
     x86::GPR Pa = srcI(A, detail::ScratchA);
     x86::GPR Pd = dstI(D, detail::ScratchA);
@@ -918,13 +655,6 @@ public:
                 std::countr_zero(static_cast<std::uint32_t>(Imm))));
       return;
     }
-    if constexpr (UsesOpStencils) {
-      if ((D | A) >= 0) {
-        noteUsed2(D, A);
-        Asm.opMulLIGeneral(D, A, Imm);
-        return;
-      }
-    }
     x86::GPR Pa = srcI(A, detail::ScratchA);
     x86::GPR Pd = dstI(D, detail::ScratchA);
     Asm.imulRRI64(Pd, Pa, Imm);
@@ -940,13 +670,6 @@ public:
       // Signed division by 2^k with the rounding-toward-zero bias:
       //   d = (a + ((a >> 31) >>> (32-k))) >> k.
       int K = std::countr_zero(static_cast<std::uint32_t>(Imm));
-      if constexpr (UsesOpStencils) {
-        if ((D | A) >= 0) {
-          noteUsed2(D, A);
-          Asm.opDivIIPow2(D, A, static_cast<std::uint8_t>(K));
-          return;
-        }
-      }
       x86::GPR Pa = srcI(A, detail::ScratchA);
       Asm.movRR64(detail::ScratchB, Pa);
       Asm.sarRI32(detail::ScratchB, 31);
@@ -1006,13 +729,6 @@ public:
       // Signed remainder by 2^k: m = a - (((a + bias) >> k) << k) with the
       // same rounding bias as division.
       int K = std::countr_zero(static_cast<std::uint32_t>(Imm));
-      if constexpr (UsesOpStencils) {
-        if ((D | A) >= 0) {
-          noteUsed2(D, A);
-          Asm.opModIIPow2(D, A, static_cast<std::uint8_t>(K));
-          return;
-        }
-      }
       x86::GPR Pa = srcI(A, detail::ScratchA);
       Asm.movRR64(detail::ScratchB, Pa);
       Asm.sarRI32(detail::ScratchB, 31);
@@ -1040,13 +756,6 @@ public:
 
   /// D = sign-extension of the 32-bit value in S.
   void sextIToL(Reg D, Reg S) {
-    if constexpr (UsesOpStencils) {
-      if ((D | S) >= 0) {
-        noteUsed2(D, S);
-        Asm.opSextIToL(D, S);
-        return;
-      }
-    }
     x86::GPR Ps = srcI(S, detail::ScratchA);
     x86::GPR Pd = dstI(D, detail::ScratchA);
     Asm.movsxd(Pd, Ps);
@@ -1055,39 +764,15 @@ public:
 
   // --- Double arithmetic ---------------------------------------------------
   void addD(FReg D, FReg A, FReg B) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A | B) >= 0) {
-        Asm.opAddD(D, A, B);
-        return;
-      }
-    }
     binD(D, A, B, &AsmT::addsd, true);
   }
   void subD(FReg D, FReg A, FReg B) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A | B) >= 0) {
-        Asm.opSubD(D, A, B);
-        return;
-      }
-    }
     binD(D, A, B, &AsmT::subsd, false);
   }
   void mulD(FReg D, FReg A, FReg B) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A | B) >= 0) {
-        Asm.opMulD(D, A, B);
-        return;
-      }
-    }
     binD(D, A, B, &AsmT::mulsd, true);
   }
   void divD(FReg D, FReg A, FReg B) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A | B) >= 0) {
-        Asm.opDivD(D, A, B);
-        return;
-      }
-    }
     binD(D, A, B, &AsmT::divsd, false);
   }
 
@@ -1102,13 +787,6 @@ public:
   }
 
   void cvtIToD(FReg D, Reg S) {
-    if constexpr (UsesOpStencils) {
-      if ((D | S) >= 0) {
-        noteUsed(S);
-        Asm.opCvtIToD(D, S);
-        return;
-      }
-    }
     x86::GPR Ps = srcI(S, detail::ScratchA);
     x86::XMM Pd = dstD(D, detail::FScratchA);
     Asm.cvtsi2sd32(Pd, Ps);
@@ -1116,13 +794,6 @@ public:
   }
 
   void cvtLToD(FReg D, Reg S) {
-    if constexpr (UsesOpStencils) {
-      if ((D | S) >= 0) {
-        noteUsed(S);
-        Asm.opCvtLToD(D, S);
-        return;
-      }
-    }
     x86::GPR Ps = srcI(S, detail::ScratchA);
     x86::XMM Pd = dstD(D, detail::FScratchA);
     Asm.cvtsi2sd64(Pd, Ps);
@@ -1130,13 +801,6 @@ public:
   }
 
   void cvtDToI(Reg D, FReg S) { ///< Truncating.
-    if constexpr (UsesOpStencils) {
-      if ((D | S) >= 0) {
-        noteUsed(D);
-        Asm.opCvtDToI(D, S);
-        return;
-      }
-    }
     x86::XMM Ps = srcD(S, detail::FScratchA);
     x86::GPR Pd = dstI(D, detail::ScratchA);
     Asm.cvttsd2si32(Pd, Ps);
@@ -1145,14 +809,6 @@ public:
 
   // --- Comparison producing 0/1 --------------------------------------------
   void cmpSetI(CmpKind K, Reg D, Reg A, Reg B) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A | B) >= 0) {
-        noteUsed3(D, A, B);
-        Asm.opCmpRR32(A, B);
-        Asm.opSetZx(detail::condFor(K), D);
-        return;
-      }
-    }
     x86::GPR Pa = srcI(A, detail::ScratchA);
     x86::GPR Pb = srcI(B, detail::ScratchB);
     Asm.cmpRR32(Pa, Pb);
@@ -1163,14 +819,6 @@ public:
   }
 
   void cmpSetII(CmpKind K, Reg D, Reg A, std::int32_t Imm) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A) >= 0) {
-        noteUsed2(D, A);
-        Asm.opCmpRI32(A, Imm);
-        Asm.opSetZx(detail::condFor(K), D);
-        return;
-      }
-    }
     x86::GPR Pa = srcI(A, detail::ScratchA);
     Asm.cmpRI32(Pa, Imm);
     x86::GPR Pd = dstI(D, detail::ScratchA);
@@ -1180,14 +828,6 @@ public:
   }
 
   void cmpSetL(CmpKind K, Reg D, Reg A, Reg B) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A | B) >= 0) {
-        noteUsed3(D, A, B);
-        Asm.opCmpRR64(A, B);
-        Asm.opSetZx(detail::condFor(K), D);
-        return;
-      }
-    }
     x86::GPR Pa = srcI(A, detail::ScratchA);
     x86::GPR Pb = srcI(B, detail::ScratchB);
     Asm.cmpRR64(Pa, Pb);
@@ -1198,14 +838,6 @@ public:
   }
 
   void cmpSetD(CmpKind K, Reg D, FReg A, FReg B) {
-    if constexpr (UsesOpStencils) {
-      if ((D | A | B) >= 0) {
-        noteUsed(D);
-        Asm.opUcomisd(A, B);
-        Asm.opSetZx(detail::condForDouble(K), D);
-        return;
-      }
-    }
     x86::XMM Pa = srcD(A, detail::FScratchA);
     x86::XMM Pb = srcD(B, detail::FScratchB);
     Asm.ucomisd(Pa, Pb);
@@ -1217,13 +849,6 @@ public:
 
   // --- Memory --------------------------------------------------------------
   void ldI(Reg D, Reg Base, std::int32_t Off) {
-    if constexpr (UsesOpStencils) {
-      if ((D | Base) >= 0) {
-        noteUsed2(D, Base);
-        Asm.opLdI(D, Base, Off);
-        return;
-      }
-    }
     x86::GPR Pb = srcI(Base, detail::ScratchA);
     x86::GPR Pd = dstI(D, detail::ScratchA);
     Asm.loadRM32(Pd, Pb, Off);
@@ -1231,13 +856,6 @@ public:
   }
 
   void ldL(Reg D, Reg Base, std::int32_t Off) {
-    if constexpr (UsesOpStencils) {
-      if ((D | Base) >= 0) {
-        noteUsed2(D, Base);
-        Asm.opLdL(D, Base, Off);
-        return;
-      }
-    }
     x86::GPR Pb = srcI(Base, detail::ScratchA);
     x86::GPR Pd = dstI(D, detail::ScratchA);
     Asm.loadRM64(Pd, Pb, Off);
@@ -1245,13 +863,6 @@ public:
   }
 
   void ldI8s(Reg D, Reg Base, std::int32_t Off) {
-    if constexpr (UsesOpStencils) {
-      if ((D | Base) >= 0) {
-        noteUsed2(D, Base);
-        Asm.opLdI8s(D, Base, Off);
-        return;
-      }
-    }
     x86::GPR Pb = srcI(Base, detail::ScratchA);
     x86::GPR Pd = dstI(D, detail::ScratchA);
     Asm.loadSExt8(Pd, Pb, Off);
@@ -1259,13 +870,6 @@ public:
   }
 
   void ldI8u(Reg D, Reg Base, std::int32_t Off) {
-    if constexpr (UsesOpStencils) {
-      if ((D | Base) >= 0) {
-        noteUsed2(D, Base);
-        Asm.opLdI8u(D, Base, Off);
-        return;
-      }
-    }
     x86::GPR Pb = srcI(Base, detail::ScratchA);
     x86::GPR Pd = dstI(D, detail::ScratchA);
     Asm.loadZExt8(Pd, Pb, Off);
@@ -1273,13 +877,6 @@ public:
   }
 
   void ldI16s(Reg D, Reg Base, std::int32_t Off) {
-    if constexpr (UsesOpStencils) {
-      if ((D | Base) >= 0) {
-        noteUsed2(D, Base);
-        Asm.opLdI16s(D, Base, Off);
-        return;
-      }
-    }
     x86::GPR Pb = srcI(Base, detail::ScratchA);
     x86::GPR Pd = dstI(D, detail::ScratchA);
     Asm.loadSExt16(Pd, Pb, Off);
@@ -1287,13 +884,6 @@ public:
   }
 
   void ldI16u(Reg D, Reg Base, std::int32_t Off) {
-    if constexpr (UsesOpStencils) {
-      if ((D | Base) >= 0) {
-        noteUsed2(D, Base);
-        Asm.opLdI16u(D, Base, Off);
-        return;
-      }
-    }
     x86::GPR Pb = srcI(Base, detail::ScratchA);
     x86::GPR Pd = dstI(D, detail::ScratchA);
     Asm.loadZExt16(Pd, Pb, Off);
@@ -1301,13 +891,6 @@ public:
   }
 
   void ldD(FReg D, Reg Base, std::int32_t Off) {
-    if constexpr (UsesOpStencils) {
-      if ((D | Base) >= 0) {
-        noteUsed(Base);
-        Asm.opLdD(D, Base, Off);
-        return;
-      }
-    }
     x86::GPR Pb = srcI(Base, detail::ScratchA);
     x86::XMM Pd = dstD(D, detail::FScratchA);
     Asm.movsdRM(Pd, Pb, Off);
@@ -1315,65 +898,30 @@ public:
   }
 
   void stI(Reg Base, std::int32_t Off, Reg S) {
-    if constexpr (UsesOpStencils) {
-      if ((Base | S) >= 0) {
-        noteUsed2(Base, S);
-        Asm.opStI(Base, Off, S);
-        return;
-      }
-    }
     x86::GPR Pb = srcI(Base, detail::ScratchA);
     x86::GPR Ps = srcI(S, detail::ScratchB);
     Asm.storeMR32(Pb, Off, Ps);
   }
 
   void stL(Reg Base, std::int32_t Off, Reg S) {
-    if constexpr (UsesOpStencils) {
-      if ((Base | S) >= 0) {
-        noteUsed2(Base, S);
-        Asm.opStL(Base, Off, S);
-        return;
-      }
-    }
     x86::GPR Pb = srcI(Base, detail::ScratchA);
     x86::GPR Ps = srcI(S, detail::ScratchB);
     Asm.storeMR64(Pb, Off, Ps);
   }
 
   void stI8(Reg Base, std::int32_t Off, Reg S) {
-    if constexpr (UsesOpStencils) {
-      if ((Base | S) >= 0) {
-        noteUsed2(Base, S);
-        Asm.opStI8(Base, Off, S);
-        return;
-      }
-    }
     x86::GPR Pb = srcI(Base, detail::ScratchA);
     x86::GPR Ps = srcI(S, detail::ScratchB);
     Asm.storeMR8(Pb, Off, Ps);
   }
 
   void stI16(Reg Base, std::int32_t Off, Reg S) {
-    if constexpr (UsesOpStencils) {
-      if ((Base | S) >= 0) {
-        noteUsed2(Base, S);
-        Asm.opStI16(Base, Off, S);
-        return;
-      }
-    }
     x86::GPR Pb = srcI(Base, detail::ScratchA);
     x86::GPR Ps = srcI(S, detail::ScratchB);
     Asm.storeMR16(Pb, Off, Ps);
   }
 
   void stD(Reg Base, std::int32_t Off, FReg S) {
-    if constexpr (UsesOpStencils) {
-      if ((Base | S) >= 0) {
-        noteUsed(Base);
-        Asm.opStD(Base, Off, S);
-        return;
-      }
-    }
     x86::GPR Pb = srcI(Base, detail::ScratchA);
     x86::XMM Ps = srcD(S, detail::FScratchA);
     Asm.movsdMR(Pb, Off, Ps);
@@ -1408,14 +956,6 @@ public:
   }
 
   void brCmpI(CmpKind K, Reg A, Reg B, Label L) {
-    if constexpr (UsesOpStencils) {
-      if ((A | B) >= 0) {
-        noteUsed2(A, B);
-        Asm.opCmpRR32(A, B);
-        branchOn(detail::condFor(K), L);
-        return;
-      }
-    }
     x86::GPR Pa = srcI(A, detail::ScratchA);
     x86::GPR Pb = srcI(B, detail::ScratchB);
     Asm.cmpRR32(Pa, Pb);
@@ -1423,28 +963,12 @@ public:
   }
 
   void brCmpII(CmpKind K, Reg A, std::int32_t Imm, Label L) {
-    if constexpr (UsesOpStencils) {
-      if (A >= 0) {
-        noteUsed(A);
-        Asm.opCmpRI32(A, Imm);
-        branchOn(detail::condFor(K), L);
-        return;
-      }
-    }
     x86::GPR Pa = srcI(A, detail::ScratchA);
     Asm.cmpRI32(Pa, Imm);
     branchOn(detail::condFor(K), L);
   }
 
   void brCmpL(CmpKind K, Reg A, Reg B, Label L) {
-    if constexpr (UsesOpStencils) {
-      if ((A | B) >= 0) {
-        noteUsed2(A, B);
-        Asm.opCmpRR64(A, B);
-        branchOn(detail::condFor(K), L);
-        return;
-      }
-    }
     x86::GPR Pa = srcI(A, detail::ScratchA);
     x86::GPR Pb = srcI(B, detail::ScratchB);
     Asm.cmpRR64(Pa, Pb);
@@ -1452,13 +976,6 @@ public:
   }
 
   void brCmpD(CmpKind K, FReg A, FReg B, Label L) {
-    if constexpr (UsesOpStencils) {
-      if ((A | B) >= 0) {
-        Asm.opUcomisd(A, B);
-        branchOn(detail::condForDouble(K), L);
-        return;
-      }
-    }
     x86::XMM Pa = srcD(A, detail::FScratchA);
     x86::XMM Pb = srcD(B, detail::FScratchB);
     Asm.ucomisd(Pa, Pb);
@@ -1466,28 +983,12 @@ public:
   }
 
   void brTrueI(Reg A, Label L) {
-    if constexpr (UsesOpStencils) {
-      if (A >= 0) {
-        noteUsed(A);
-        Asm.opTestRR32(A);
-        branchOn(x86::Cond::NE, L);
-        return;
-      }
-    }
     x86::GPR Pa = srcI(A, detail::ScratchA);
     Asm.testRR32(Pa, Pa);
     branchOn(x86::Cond::NE, L);
   }
 
   void brFalseI(Reg A, Label L) {
-    if constexpr (UsesOpStencils) {
-      if (A >= 0) {
-        noteUsed(A);
-        Asm.opTestRR32(A);
-        branchOn(x86::Cond::E, L);
-        return;
-      }
-    }
     x86::GPR Pa = srcI(A, detail::ScratchA);
     Asm.testRR32(Pa, Pa);
     branchOn(x86::Cond::E, L);
@@ -1551,13 +1052,6 @@ public:
   }
 
   void resultToI(Reg D) {
-    if constexpr (UsesOpStencils) {
-      if (D >= 0) {
-        noteUsed(D);
-        Asm.opResultToI(D);
-        return;
-      }
-    }
     x86::GPR Pd = dstI(D, detail::ScratchA);
     if (Pd != x86::RAX)
       Asm.movRR64(Pd, x86::RAX);
@@ -1567,12 +1061,6 @@ public:
   void resultToL(Reg D) { resultToI(D); }
 
   void resultToD(FReg D) {
-    if constexpr (UsesOpStencils) {
-      if (D >= 0) {
-        Asm.opResultToD(D);
-        return;
-      }
-    }
     x86::XMM Pd = dstD(D, detail::FScratchA);
     if (Pd != x86::XMM0)
       Asm.movsdRR(Pd, x86::XMM0);
@@ -1584,17 +1072,6 @@ public:
   std::size_t codeBytes() const { return Asm.pc(); }
   int slotsUsed() const { return NumSlots; }
   AsmT &assembler() { return Asm; }
-
-  // --- Introspection (stencil-library renderer and tests) ------------------
-  /// Offset of the frame-size imm32 that finish() patches.
-  std::size_t framePatchOffset() const { return FramePatchOffset; }
-  /// Callee-save store sites recorded by enter() (NumIntPool entries of 4
-  /// bytes each; finish() nop-fills the ones for untouched pool registers).
-  const std::size_t *saveSitePcs() const { return SaveSitePc; }
-  /// Callee-save reload sites, NumIntPool entries per emitted epilogue.
-  const ArenaVector<std::size_t> &restoreSitePcs() const {
-    return RestoreSitePcs;
-  }
 
 private:
   struct LabelInfo {
@@ -1616,15 +1093,6 @@ private:
   x86::XMM fpPhys(FReg R) const {
     assert(R >= 0 && R < NumFloatPool && "bad register designator");
     return detail::FloatPoolPhys[R];
-  }
-
-  /// Stencil fast paths bypass intPhys; they record touched registers with
-  /// these instead. Bits above NumIntPool (static registers) are harmless:
-  /// finish() only consults pool bits.
-  void noteUsed(Reg R) { UsedPoolMask |= 1u << R; }
-  void noteUsed2(Reg A, Reg B) { UsedPoolMask |= (1u << A) | (1u << B); }
-  void noteUsed3(Reg A, Reg B, Reg C) {
-    UsedPoolMask |= (1u << A) | (1u << B) | (1u << C);
   }
 
   std::int32_t slotOffset(int Slot) const {
@@ -1681,10 +1149,8 @@ private:
     Asm.movsdMR(x86::RBP, slotOffset(Slot), Phys);
   }
 
-  // Member-pointer op arguments are typed on AsmT, not x86::Assembler: an
-  // emitter may *shadow* encoder entry points (pcode::StencilAssembler does),
-  // and `&AsmT::addRR32` must bind to the shadow. Base-class methods convert
-  // implicitly, so AsmT == x86::Assembler still works unchanged.
+  // Member-pointer op arguments are typed on AsmT, the encoder the machine
+  // was instantiated over.
   using BinOp = void (AsmT::*)(x86::GPR, x86::GPR);
   using FBinOp = void (AsmT::*)(x86::XMM, x86::XMM);
 
@@ -1782,10 +1248,6 @@ private:
     if (SharedExit.valid() && !ExitBound) {
       bindLabel(SharedExit);
       ExitBound = true;
-    }
-    if constexpr (UsesOpStencils) {
-      Asm.opEpilogue(RestoreSitePcs);
-      return;
     }
     for (int I = 0; I < NumIntPool; ++I) {
       RestoreSitePcs.push_back(Asm.pc());

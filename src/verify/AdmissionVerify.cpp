@@ -13,11 +13,9 @@
 //
 //  * linear facts — the profiling hook increments exactly the registered
 //    counter (or is absent when profiling is off), every `pop rbp` pairs
-//    with a ret, and, on fresh compiles, the backend's own vocabulary: PCODE
-//    output stays inside the stencil class mask, and every instruction of
-//    ICODE output is explainable by an opcode the link-time-pruning usage
-//    table recorded, so the assembler and the pruning table cannot drift
-//    apart silently;
+//    with a ret, and, on fresh ICODE compiles, every instruction is
+//    explainable by an opcode the link-time-pruning usage table recorded,
+//    so the assembler and the pruning table cannot drift apart silently;
 //  * CFG recovery — every relative branch lands on an instruction boundary
 //    inside the region, the region ends in a terminator (no fallthrough off
 //    the end), and indirect jumps are never admitted. Unreachable ranges
@@ -435,7 +433,6 @@ struct Admission {
   // Linear-fact tallies from the decode loop.
   std::uint64_t Calls = 0; ///< Indirect-call sites (verify.admit.calls).
   unsigned Hooks = 0, Pops = 0, Rets = 0;
-  std::uint64_t ClassesSeen = 0; ///< Bit per decoded x86::InstrClass.
 
   std::int64_t Reserve = 0; ///< Prologue frame reserve (sub rsp, imm).
   // A page-guarded ICODE function (findGuard): guard units occupy
@@ -537,7 +534,6 @@ struct Admission {
       At[Off] = Idx;
       Leader[NI] = AfterTerm;
       AfterTerm = false;
-      ClassesSeen |= std::uint64_t(1) << static_cast<unsigned>(D.Cls);
       switch (D.Cls) {
       case InstrClass::Ret:
         ++Rets;
@@ -670,17 +666,9 @@ struct Admission {
   void checkLinearFacts() {
     const icode::EmitterUsage *Usage =
         In->ICodeFacts ? &icode::ICode::emitterUsage() : nullptr;
-    std::uint64_t Mask = In->StencilClassMask;
-    if (Usage || Hooks || (Mask && (ClassesSeen & ~Mask)))
+    if (Usage || Hooks)
       for (std::size_t I = 0; I < NI; ++I) {
         const Decoded &D = Ins[I];
-        std::uint64_t Bit = std::uint64_t(1) << static_cast<unsigned>(D.Cls);
-        if (Mask && !(Mask & Bit))
-          fail(Starts[I], "stencil-class",
-               std::string("decoded `") + x86::instrClassName(D.Cls) +
-                   "` is outside the stencil library's rendered vocabulary "
-                   "and the encoder-fallback glue set (patch corrupted an "
-                   "opcode byte, or the library drifted from the emitter)");
         if (Usage && I < TwinIdx) {
           Just J = justify(D);
           bool Ok = J.Scaffold || (I >= GuardBegin && I < GuardEnd);
@@ -1579,7 +1567,6 @@ struct Admission {
     Transfers.clear();
     Calls = 0;
     Hooks = Pops = Rets = 0;
-    ClassesSeen = 0;
     Reserve = 0;
     Cells.clear();
     Blocks.clear();

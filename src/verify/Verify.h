@@ -24,9 +24,9 @@
 ///   Admit    — decodes the finalized region with the strict x86 decoder,
 ///              recovers its CFG, and proves by abstract interpretation the
 ///              frame, stack, callee-saved, call-target and profile-hook
-///              properties; fresh compiles add the backend's own facts
-///              (EmitterUsage cross-check and spill store-before-load for
-///              ICODE, the stencil class mask for PCODE).
+///              properties; fresh ICODE compiles add that back end's own
+///              facts (EmitterUsage cross-check and spill
+///              store-before-load).
 ///
 /// Every checker is deliberately *independent* of the code it audits: it
 /// has its own operand-signature table, its own CFG construction, and its
@@ -144,12 +144,6 @@ struct AdmissionInputs {
   /// legitimately be read.) In a page-guarded function both facts stop at
   /// the VCODE fallback behind the guard.
   bool ICodeFacts = false;
-  /// PCODE-backend compiles only (0 = off): every decoded instruction's
-  /// x86::InstrClass bit must be set in the mask (the stencil library's
-  /// rendered vocabulary ∪ the encoder-fallback glue classes). A class
-  /// outside the mask means a stencil patch landed on an opcode byte or the
-  /// library drifted from the emitter it was rendered from.
-  std::uint64_t StencilClassMask = 0;
 };
 
 /// Layer 3: machine-code admission, the one analyzer of emitted bytes.
@@ -162,9 +156,9 @@ struct AdmissionInputs {
 /// integrity (no rsp/rbp escape, no store above the frame), and the
 /// call-target confinement properties. Every snapshot load must pass this
 /// before its bytes can execute; under TICKC_VERIFY it also runs on fresh
-/// compiles from all three backends, with the backend's optional facts
-/// (ICodeFacts, StencilClassMask) switched on. Each thread reuses one set
-/// of analysis arrays, so a warm call that admits allocates nothing.
+/// compiles from both back ends, with ICODE's optional facts (ICodeFacts)
+/// switched on. Each thread reuses one set of analysis arrays, so a warm
+/// call that admits allocates nothing.
 Result verifyAdmission(const AdmissionInputs &In);
 
 /// Feeds verify.<layer>.{checked,failed} and verify.cycles into the

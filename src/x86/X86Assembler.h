@@ -55,10 +55,9 @@ public:
   void setRelocTable(support::RelocTable *T) { Relocs = T; }
 
   /// Declare that the *next* 64-bit immediate emitted is an external
-  /// address of kind \p K. movRI64 (and the pcode stencil equivalents)
-  /// record the imm64's offset into the attached table and clear the
-  /// arming. Callers that discover the armed value took a non-imm64
-  /// encoding must call disarmReloc() instead.
+  /// address of kind \p K. movRI64 records the imm64's offset into the
+  /// attached table and clears the arming. Callers that discover the armed
+  /// value took a non-imm64 encoding must call disarmReloc() instead.
   void armReloc(support::RelocKind K) {
     if (Relocs)
       PendingReloc = K;
@@ -73,16 +72,6 @@ public:
       Relocs->Unportable = true;
       PendingReloc = support::RelocKind::None;
     }
-  }
-
-  /// Record an armed 64-bit immediate at buffer offset \p ImmOff. No-op
-  /// unless a kind is armed and a table is attached.
-  void captureReloc64(std::size_t ImmOff, std::uint64_t V) {
-    if (!Relocs || PendingReloc == support::RelocKind::None)
-      return;
-    Relocs->Entries.push_back(
-        {static_cast<std::uint32_t>(ImmOff), PendingReloc, V});
-    PendingReloc = support::RelocKind::None;
   }
 
   // --- Raw emission -------------------------------------------------------
@@ -122,37 +111,6 @@ public:
     std::uint32_t W;
     std::memcpy(&W, Buf + At, 4);
     return W;
-  }
-
-  // --- Stencil support (pcode copy-and-patch backend) ---------------------
-  /// Bulk-appends \p Len pre-rendered bytes covering \p Instrs machine
-  /// instructions; returns the offset the bytes landed at so hole patches
-  /// can be applied relative to it. When the buffer has slack we copy a
-  /// fixed-size window (one or two vector stores instead of a variable
-  /// memcpy); the overhang past Len is dead bytes that the next append or
-  /// patch overwrites.
-  static constexpr std::size_t StencilWindow = 40;
-  std::size_t appendStencil(const std::uint8_t *Src, unsigned Len,
-                            unsigned Instrs) {
-    assert(Pos + Len <= Capacity && "code buffer overflow");
-    std::size_t At = Pos;
-    if (Pos + StencilWindow <= Capacity)
-      std::memcpy(Buf + At, Src, StencilWindow);
-    else
-      std::memcpy(Buf + At, Src, Len);
-    Pos += Len;
-    NumInstrs += Instrs;
-    return At;
-  }
-  /// Overwrites one already-emitted byte (stencil hole patching).
-  void patch8(std::size_t At, std::uint8_t B) {
-    assert(At < Pos && "patch outside emitted code");
-    Buf[At] = B;
-  }
-  /// Overwrites a previously emitted 64-bit field (stencil hole patching).
-  void patch64(std::size_t At, std::uint64_t W) {
-    assert(At + 8 <= Pos && "patch outside emitted code");
-    std::memcpy(Buf + At, &W, 8);
   }
 
   // --- Moves --------------------------------------------------------------
@@ -321,6 +279,16 @@ public:
   void movqRX(GPR Dst, XMM Src); ///< Raw bit move XMM -> GPR.
 
 private:
+  /// Record an armed 64-bit immediate at buffer offset \p ImmOff. No-op
+  /// unless a kind is armed and a table is attached.
+  void captureReloc64(std::size_t ImmOff, std::uint64_t V) {
+    if (!Relocs || PendingReloc == support::RelocKind::None)
+      return;
+    Relocs->Entries.push_back(
+        {static_cast<std::uint32_t>(ImmOff), PendingReloc, V});
+    PendingReloc = support::RelocKind::None;
+  }
+
   void rex(bool W, bool R, bool X, bool B) {
     byte(0x40 | (W << 3) | (R << 2) | (X << 1) | static_cast<int>(B));
   }

@@ -70,12 +70,10 @@ TEST(SpecKey, CompileOptionsChangeTheKey) {
 }
 
 TEST(SpecKey, BackendsOccupyDistinctSlots) {
-  // BackendKind is the first serialized option byte, so the three back ends
-  // can never share a cache entry — even PCODE, whose output is
-  // byte-identical to VCODE by construction. Pairwise over the exhaustive
-  // backend set, keys must differ while each remains self-equal.
-  const BackendKind All[] = {BackendKind::VCode, BackendKind::ICode,
-                             BackendKind::PCode};
+  // BackendKind is the first serialized option byte, so the back ends can
+  // never share a cache entry. Pairwise over the exhaustive backend set,
+  // keys must differ while each remains self-equal.
+  const BackendKind All[] = {BackendKind::VCode, BackendKind::ICode};
   for (BackendKind A : All) {
     CompileOptions OA;
     OA.Backend = A;
@@ -92,15 +90,18 @@ TEST(SpecKey, BackendsOccupyDistinctSlots) {
 }
 
 TEST(CompileService, ThreeBackendsThreeEntries) {
+  // VCODE, ICODE and the tier baseline (profiled VCODE, whose prologue
+  // counts calls) are three distinct entries.
   CompileService S;
   apps::PowerApp P(13);
-  CompileOptions VC, IC, PC;
+  CompileOptions VC, IC, Base;
   VC.Backend = BackendKind::VCode;
   IC.Backend = BackendKind::ICode;
-  PC.Backend = BackendKind::PCode;
+  Base.Backend = BackendKind::VCode;
+  Base.Profile = true;
   FnHandle A = P.specializeCached(S, VC);
   FnHandle B = P.specializeCached(S, IC);
-  FnHandle C = P.specializeCached(S, PC);
+  FnHandle C = P.specializeCached(S, Base);
   EXPECT_NE(A.get(), B.get());
   EXPECT_NE(B.get(), C.get());
   EXPECT_NE(A.get(), C.get());
@@ -109,7 +110,7 @@ TEST(CompileService, ThreeBackendsThreeEntries) {
   EXPECT_EQ(B->as<int(int)>()(3), 1594323);
   EXPECT_EQ(C->as<int(int)>()(3), 1594323);
   // Re-requesting each hits its own slot — no cross-backend aliasing.
-  EXPECT_EQ(P.specializeCached(S, PC).get(), C.get());
+  EXPECT_EQ(P.specializeCached(S, Base).get(), C.get());
   EXPECT_EQ(S.cache().stats().Insertions, 3u);
 }
 

@@ -53,7 +53,7 @@ namespace {
 
 /// `return x * K + 1`: a distinct small spec per \p K.
 FnHandle compileAffine(CompileService &S, int K,
-                       BackendKind Backend = BackendKind::PCode) {
+                       BackendKind Backend = BackendKind::VCode) {
   Context C;
   VSpec X = C.paramInt(0);
   CompileOptions O;
@@ -294,8 +294,7 @@ TEST(CodeHeap, EightThreadsInstallAndFreeConcurrently) {
       std::vector<CodeBlock> Mine;
       for (int I = 0; I < PerThread; ++I) {
         int K = T * PerThread + I;
-        FnHandle F = compileAffine(
-            S, K, I % 3 == 0 ? BackendKind::VCode : BackendKind::PCode);
+        FnHandle F = compileAffine(S, K);
         Failures[T] += F->as<int(int)>()(5) != affine(5, K);
         std::vector<std::uint8_t> Bytes(64 + (K * 37) % 700, 0x90);
         Bytes.insert(Bytes.end(), std::begin(Ret42), std::end(Ret42));
@@ -322,8 +321,7 @@ TEST(CodeHeap, MappingsStayBoundedOver100kCompiles) {
   CodeHeapStats Before = CodeHeap::global().stats();
   constexpr int N = 100000;
   for (int K = 0; K < N; ++K) {
-    FnHandle F = compileAffine(
-        S, K, K % 2 ? BackendKind::PCode : BackendKind::VCode);
+    FnHandle F = compileAffine(S, K);
     if (K % 9973 == 0) {
       ASSERT_EQ(F->as<int(int)>()(3), affine(3, K));
     }
@@ -350,16 +348,14 @@ TEST(CodeHeap, NoMappingIsWritableAndExecutable) {
   SnapCfg.SnapshotDir = Dir.Path;
   std::vector<FnHandle> Live;
   {
-    // All three back ends; each compile also saves a snapshot record.
+    // Both back ends; each compile also saves a snapshot record.
     CompileService Writer(SnapCfg);
-    for (BackendKind B :
-         {BackendKind::VCode, BackendKind::PCode, BackendKind::ICode})
+    for (BackendKind B : {BackendKind::VCode, BackendKind::ICode})
       Live.push_back(compileAffine(Writer, 11, B));
   }
   // A second service on the same directory loads them instead.
   CompileService Reader(SnapCfg);
-  for (BackendKind B :
-       {BackendKind::VCode, BackendKind::PCode, BackendKind::ICode}) {
+  for (BackendKind B : {BackendKind::VCode, BackendKind::ICode}) {
     Live.push_back(compileAffine(Reader, 11, B));
     EXPECT_TRUE(Live.back()->fromSnapshot());
   }

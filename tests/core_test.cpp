@@ -722,8 +722,7 @@ TEST(OneSemantics, EveryFormAndTierAgrees) {
   const SemForm Forms[] = {SemForm::Folded, SemForm::Dollar, SemForm::Params,
                            SemForm::ParamConst};
   const char *FormNames[] = {"folded", "$", "params", "param-op-const"};
-  const BackendKind Backends[] = {BackendKind::VCode, BackendKind::PCode,
-                                  BackendKind::ICode};
+  const BackendKind Backends[] = {BackendKind::VCode, BackendKind::ICode};
   for (const SemCase &K : Cases)
     for (unsigned Fi = 0; Fi < 4; ++Fi)
       for (BackendKind B : Backends) {

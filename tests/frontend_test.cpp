@@ -28,12 +28,10 @@ protected:
 
 INSTANTIATE_TEST_SUITE_P(Backends, TickCBothBackends,
                          ::testing::Values(BackendKind::VCode,
-                                           BackendKind::PCode,
                                            BackendKind::ICode),
                          [](const auto &Info) {
-                           return Info.param == BackendKind::VCode   ? "VCode"
-                                  : Info.param == BackendKind::PCode ? "PCode"
-                                                                     : "ICode";
+                           return Info.param == BackendKind::VCode ? "VCode"
+                                                                   : "ICode";
                          });
 
 TEST_P(TickCBothBackends, HelloWorld) {

@@ -213,8 +213,7 @@ TEST(TcExamples, DotProd) {
 TEST(TcExamples, Power) {
   std::string Src = exampleSource("power.tc");
   ASSERT_FALSE(Src.empty());
-  for (BackendKind B :
-       {BackendKind::VCode, BackendKind::PCode, BackendKind::ICode}) {
+  for (BackendKind B : {BackendKind::VCode, BackendKind::ICode}) {
     auto [Code, Out] = frontend::runTickC(Src, B);
     EXPECT_EQ(Code, 0);
     EXPECT_EQ(Out, "2^13 = 8192, 3^13 = 1594323\n");

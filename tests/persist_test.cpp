@@ -1,7 +1,7 @@
 //===- tests/persist_test.cpp - Persistent snapshot cache tests -----------===//
 //
 // Covers the warm-start path end to end: relocation side-table capture,
-// address-independent SpecKeys, save/load round trips through all three
+// address-independent SpecKeys, save/load round trips through both
 // back ends (every load must pass the flow-sensitive admission verifier
 // before it can execute), relocation patching against moved free variables
 // and fresh profile counters, rejection of wrong-fingerprint / corrupted /
@@ -157,8 +157,7 @@ TEST(RelocTable, CapturesFreeVarAndProfileImm64Slots) {
 
 TEST(RelocTable, RecordingDoesNotChangeEmittedBytes) {
   static int Cell = 9;
-  for (BackendKind B :
-       {BackendKind::VCode, BackendKind::ICode, BackendKind::PCode}) {
+  for (BackendKind B : {BackendKind::VCode, BackendKind::ICode}) {
     Context C1, C2;
     VSpec X1 = C1.paramInt(0);
     VSpec X2 = C2.paramInt(0);
@@ -225,8 +224,7 @@ TEST(Snapshot, RoundTripAllBackendsOnFig7Workloads) {
   apps::HashApp Hash;
   apps::PowerApp Power(13);
   apps::QueryApp Query(64);
-  for (BackendKind B :
-       {BackendKind::VCode, BackendKind::ICode, BackendKind::PCode}) {
+  for (BackendKind B : {BackendKind::VCode, BackendKind::ICode}) {
     TempDir Dir;
     CompileOptions Opts;
     Opts.Backend = B;

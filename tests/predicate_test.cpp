@@ -109,12 +109,10 @@ TEST(BranchFreePredicate, IcodeBodyHasNoBranchBesidesTheGuard) {
   ASSERT_GT(Twin, 0u) << "speculating compile has no page guard";
   EXPECT_LT(Twin, F.stats().CodeBytes);
   EXPECT_EQ(Jccs, 1u) << "the guarded ICODE body still branches";
-  // VCODE and PCODE keep the short-circuit chain and no guard.
-  for (BackendKind B : {BackendKind::VCode, BackendKind::PCode}) {
-    CompiledFn G = compilePredicate(B);
-    unsigned J = 0;
-    EXPECT_EQ(twinOffset(G, J), 0u);
-  }
+  // VCODE keeps the short-circuit chain and no guard.
+  CompiledFn G = compilePredicate(BackendKind::VCode);
+  unsigned J = 0;
+  EXPECT_EQ(twinOffset(G, J), 0u);
 }
 
 TEST(BranchFreePredicate, DecisiveFirstLeafKeepsTheChain) {

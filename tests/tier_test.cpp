@@ -86,7 +86,7 @@ TEST(Tier, SlotBornOnBaselinePromotesToICode) {
   EXPECT_EQ(TF->state(), TierState::Baseline);
   FnHandle H = TF->handle();
   ASSERT_TRUE(H);
-  EXPECT_EQ(H->backend(), baselineBackendFromEnv());
+  EXPECT_EQ(H->backend(), BackendKind::VCode);
   EXPECT_NE(H->profile(), nullptr);
   EXPECT_EQ(H->as<int(int)>()(2), 48);
   // The baseline prologue's counter crosses the trigger; the call wrapper
@@ -99,6 +99,31 @@ TEST(Tier, SlotBornOnBaselinePromotesToICode) {
   EXPECT_EQ(TF->handle()->profile(), nullptr);
   EXPECT_EQ(TF->call<int(int)>(2), 48);
   EXPECT_EQ(TF->call<int(int)>(-3), -72);
+}
+
+TEST(Tier, SlotBaselineIsTheCachedProfiledVCodeCompile) {
+  // One identity: a fresh slot's baseline is the very entry a profiled
+  // VCODE getOrCompile of the same spec returns. There is no separate
+  // baseline back end, so no second compile and no second cache entry.
+  CompileService S;
+  TierManager TM(config(1 << 20)); // Promotion out of the picture.
+  TieredFnHandle TF =
+      S.getOrCompileTiered(loopBuild(21), EvalType::Int, CompileOptions(), &TM);
+  ASSERT_TRUE(TF);
+  FnHandle Baseline = TF->handle();
+  ASSERT_TRUE(Baseline);
+
+  Context C;
+  Stmt Body = loopBuild(21)(C);
+  CompileOptions Profiled;
+  Profiled.Backend = BackendKind::VCode;
+  Profiled.Profile = true;
+  FnHandle Direct = S.getOrCompile(C, Body, EvalType::Int, Profiled);
+  ASSERT_TRUE(Direct);
+  EXPECT_EQ(Direct.get(), Baseline.get());
+  EXPECT_EQ(Direct->backend(), BackendKind::VCode);
+  EXPECT_EQ(S.cache().stats().Insertions, 1u);
+  EXPECT_EQ(TF->call<int(int)>(2), 42);
 }
 
 TEST(Tier, SlotCreationRecordsOneFingerprintSpan) {
@@ -332,7 +357,7 @@ TEST(Tier, SupersededBaselineLivesUntilSlotDies) {
   TierManager TM(config(16));
   apps::PowerApp P(13);
   CompileOptions BaselineOpts;
-  BaselineOpts.Backend = baselineBackendFromEnv();
+  BaselineOpts.Backend = BackendKind::VCode;
   BaselineOpts.Profile = true;
 
   TieredFnHandle TF = P.specializeTiered(S, &TM);

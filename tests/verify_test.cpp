@@ -22,8 +22,6 @@
 #include "icode/ICode.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
-#include "pcode/PCode.h"
-#include "pcode/StencilLibrary.h"
 #include "support/Reloc.h"
 #include "verify/Verify.h"
 #include "vcode/VCode.h"
@@ -255,7 +253,6 @@ struct AdmitProgram {
   const void *Counter = nullptr;
   bool Profiled = false;
   bool ICodeFacts = false;
-  std::uint64_t StencilMask = 0;
 
   void decode() {
     Ins.clear();
@@ -303,7 +300,6 @@ struct AdmitProgram {
     AI.NumRelocs = Relocs.size();
     AI.HaveRelocs = HaveRelocs;
     AI.ICodeFacts = ICodeFacts;
-    AI.StencilClassMask = StencilMask;
     return AI;
   }
 };
@@ -849,34 +845,6 @@ TEST(VerifyMutation, CorruptedBytesAreRejected) {
                },
                "profiling expected but no hook planted");
 
-  // A PCODE body checked against the stencil class mask: one instruction
-  // overwritten by `lea rax, [rax]` (nop-padded to its length) still
-  // decodes, but lea is outside both the rendered stencils and the glue.
-  {
-    CompileOptions Opts;
-    Opts.Backend = BackendKind::PCode;
-    AdmitProgram PC = AdmitProgram::of(compileLoopFn(Opts), nullptr);
-    PC.StencilMask = pcode::StencilLibrary::get().ClassMask |
-                     pcode::StencilAssembler::glueClassMask();
-    ASSERT_EQ(PC.StencilMask &
-                  (std::uint64_t(1) << static_cast<unsigned>(
-                       x86::InstrClass::Lea)),
-              0u);
-    verify::Result R = verify::verifyAdmission(PC.inputs());
-    EXPECT_TRUE(R.ok()) << R.render();
-    std::size_t I = 3; // First instruction past the prologue.
-    while (I < PC.Ins.size() && PC.Ins[I].Len < 3)
-      ++I;
-    ASSERT_LT(I, PC.Ins.size());
-    runAdmitCase(T, PC, "stencil-class",
-                 [&PC, I](AdmitProgram &M) {
-                   const std::uint8_t Lea[] = {0x48, 0x8D, 0x00};
-                   std::memset(&M.Bytes[PC.Starts[I]], 0x90, PC.Ins[I].Len);
-                   std::memcpy(&M.Bytes[PC.Starts[I]], Lea, sizeof(Lea));
-                 },
-                 "pcode instruction patched to lea");
-  }
-
   EXPECT_GE(T.Cases, 50u);
   EXPECT_EQ(T.Rejected, T.Cases) << "some byte corruptions slipped through";
 }
@@ -1306,9 +1274,7 @@ TEST(VerifyAdmission, HostileRecordsRejected) {
   struct Cfg {
     const char *Name;
     BackendKind BK;
-  } Cfgs[] = {{"vcode", BackendKind::VCode},
-              {"pcode", BackendKind::PCode},
-              {"icode", BackendKind::ICode}};
+  } Cfgs[] = {{"vcode", BackendKind::VCode}, {"icode", BackendKind::ICode}};
   for (const Cfg &Cf : Cfgs) {
     CompileOptions Opts;
     Opts.Backend = Cf.BK;
@@ -1425,8 +1391,7 @@ TEST(VerifyAdmission, HostileRecordsRejected) {
 TEST(VerifyAdmission, AcceptsCleanCompilesAllBackends) {
   obs::MetricsSnapshot Before = obs::MetricsRegistry::global().snapshot();
   bench::AppSet Apps;
-  const BackendKind Backends[] = {BackendKind::VCode, BackendKind::PCode,
-                                  BackendKind::ICode};
+  const BackendKind Backends[] = {BackendKind::VCode, BackendKind::ICode};
   unsigned Compiled = 0;
   for (BackendKind BK : Backends) {
     for (const bench::AppCase &App : Apps.cases()) {
@@ -1462,8 +1427,7 @@ TEST(VerifyAdmission, RegionCutInsideAnInstructionIsABoundaryReject) {
   // A region that ends inside an instruction (a record whose code length
   // lies) is a length fault, reported as `boundary` from the decoder's
   // typed truncation result, never as a corrupted encoding (`decode`).
-  for (BackendKind BK :
-       {BackendKind::VCode, BackendKind::PCode, BackendKind::ICode}) {
+  for (BackendKind BK : {BackendKind::VCode, BackendKind::ICode}) {
     CompileOptions Opts;
     Opts.Backend = BK;
     for (const AdmitProgram &Full :

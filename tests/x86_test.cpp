@@ -228,15 +228,14 @@ TEST(X86Exec, MovqRoundTrip) {
   EXPECT_EQ(Fn(0x123456789ABCDEF0ll), 0x123456789ABCDEF0ll);
 }
 
-// --- Strict-decoder coverage of the stencil renderer's vocabulary ----------
+// --- Strict-decoder coverage of the encoder's operand-class vocabulary -----
 //
-// The PCODE stencil library is rendered by driving this encoder with
-// sentinel operands and then strictly decoded at build time; these tests
-// pin the decode side of that contract directly. Every form the renderer
-// emits must decode, and the forms the renderer was *constrained away
-// from* (condition nibbles the back end never generates) must stay
-// rejected — that rejection is what keeps the library inside the audited
-// vocabulary.
+// Every operand class VCODE drives this encoder with (immediate widths,
+// displacement classes, the condition nibbles of its compares) must decode
+// strictly, and the forms the back end never generates must stay rejected:
+// admission decodes every emitted byte, so the two may not drift apart.
+// (The "Stencil" test names date from the copy-and-patch back end, whose
+// pre-rendered templates were made of exactly these forms.)
 
 std::vector<std::uint8_t> emit(void (*Emit)(Assembler &)) {
   std::uint8_t Buf[64];
@@ -253,8 +252,7 @@ bool decodesAs(const std::vector<std::uint8_t> &Code, InstrClass Want) {
 }
 
 TEST(Decoder, AcceptsStencilImmediateForms) {
-  // Both ALU immediate widths (83 /digit ib and 81 /digit id): the stencil
-  // library renders a distinct stencil per width class.
+  // Both ALU immediate widths (83 /digit ib and 81 /digit id).
   EXPECT_TRUE(decodesAs(emit([](Assembler &A) { A.addRI32(RBX, 5); }),
                         InstrClass::AluRI));
   EXPECT_TRUE(decodesAs(emit([](Assembler &A) { A.addRI32(RBX, 100000); }),
@@ -262,12 +260,12 @@ TEST(Decoder, AcceptsStencilImmediateForms) {
   EXPECT_TRUE(decodesAs(emit([](Assembler &A) { A.cmpRI32(R12, -129); }),
                         InstrClass::AluRI));
   // Shift-by-immediate is always C1 /digit ib — never the shift-by-1 short
-  // form — so any count patches into the same hole.
+  // form — so every count has one encoding.
   EXPECT_TRUE(decodesAs(emit([](Assembler &A) { A.shlRI32(RBX, 1); }),
                         InstrClass::ShiftImm));
   EXPECT_TRUE(decodesAs(emit([](Assembler &A) { A.sarRI32(R13, 31); }),
                         InstrClass::ShiftImm));
-  // The three mov-immediate size classes (SetI / SetL stencils).
+  // The three mov-immediate size classes (setI / setL).
   EXPECT_TRUE(decodesAs(emit([](Assembler &A) { A.movRI32(R14, 7); }),
                         InstrClass::MovImm32));
   EXPECT_TRUE(
@@ -300,8 +298,8 @@ TEST(Decoder, AcceptsStencilMemoryForms) {
 }
 
 TEST(Decoder, AcceptsStencilSetccForBackendConditions) {
-  // The renderer emits setcc+movzx only for the condition nibbles the back
-  // end's compare lowering produces.
+  // setcc+movzx over the condition nibbles the back end's compare lowering
+  // produces.
   for (Cond C : {Cond::B, Cond::AE, Cond::E, Cond::NE, Cond::BE, Cond::A,
                  Cond::L, Cond::GE, Cond::LE, Cond::G}) {
     std::uint8_t Buf[16];
@@ -317,8 +315,8 @@ TEST(Decoder, AcceptsStencilSetccForBackendConditions) {
 
 TEST(Decoder, RejectsConditionsTheRendererSkips) {
   // 0F 90+cc with a nibble outside the back end's set (O/NO/S/NS/P/NP):
-  // the stencil builder leaves these SetZx entries unrendered, and the
-  // decoder keeps rejecting the raw encodings.
+  // no back end emits these, and the decoder keeps rejecting the raw
+  // encodings.
   for (std::uint8_t Nibble : {0x0, 0x1, 0x8, 0x9, 0xA, 0xB}) {
     const std::uint8_t Code[] = {0x0F, static_cast<std::uint8_t>(0x90 | Nibble),
                                  0xC3};
@@ -329,8 +327,8 @@ TEST(Decoder, RejectsConditionsTheRendererSkips) {
 }
 
 TEST(Decoder, RejectsOutOfRangeShiftImmediate) {
-  // C1 /4 with a count the encoder can never produce (> 63). A stencil
-  // patch writing such a byte would be caught at the machine-audit layer.
+  // C1 /4 with a count the encoder can never produce (> 63). A corrupted
+  // count byte is caught at the machine-audit layer.
   const std::uint8_t Code[] = {0xC1, 0xE0, 64};
   Decoded D;
   EXPECT_EQ(decodeOne(Code, sizeof(Code), 0, D), DecodeStatus::Invalid);
