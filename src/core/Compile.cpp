@@ -183,6 +183,9 @@ template <class AsmT> struct BackendTraits<vcode::VCodeT<AsmT>> {
   static void freeF(VM &V, int R) { V.putfreg(R); }
   /// Memory-resident double location (safe across emitted calls).
   static int allocMemF(VM &V) { return VM::spillReg(V.allocSlot()); }
+  static void bindArgs(VM &V, const vcode::ArgBind *B, unsigned N) {
+    V.bindArgs(B, N);
+  }
 };
 
 template <> struct BackendTraits<icode::ICode> {
@@ -193,6 +196,13 @@ template <> struct BackendTraits<icode::ICode> {
   static int allocF(icode::ICode &IC) { return IC.newFloatReg(); }
   static void freeF(icode::ICode &, int) {}
   static int allocMemF(icode::ICode &IC) { return IC.newFloatReg(); }
+  /// ICODE's emitter orders the bindings; the IR just lists them.
+  static void bindArgs(icode::ICode &IC, const vcode::ArgBind *B,
+                       unsigned N) {
+    for (unsigned I = 0; I < N; ++I)
+      B[I].Fp ? IC.bindArgD(B[I].Index, B[I].Dst)
+              : IC.bindArgI(B[I].Index, B[I].Dst);
+  }
 };
 
 // --- Tree predicates -------------------------------------------------------------
@@ -370,15 +380,15 @@ private:
 
   void bindParams() {
     const std::vector<LocalInfo> &Locals = Ctx.locals();
+    ArenaVector<vcode::ArgBind> Binds(ScratchArena);
     for (std::size_t Id = 0; Id < Locals.size(); ++Id) {
       if (Locals[Id].ArgIndex < 0)
         continue;
-      int Loc = localLoc(static_cast<std::int32_t>(Id));
-      if (Locals[Id].Type == EvalType::Double)
-        Back.bindArgD(static_cast<unsigned>(Locals[Id].ArgIndex), Loc);
-      else
-        Back.bindArgI(static_cast<unsigned>(Locals[Id].ArgIndex), Loc);
+      Binds.push_back({static_cast<unsigned>(Locals[Id].ArgIndex),
+                       localLoc(static_cast<std::int32_t>(Id)),
+                       Locals[Id].Type == EvalType::Double});
     }
+    TR::bindArgs(Back, Binds.data(), static_cast<unsigned>(Binds.size()));
   }
 
   void freeVal(const Val &V) {
@@ -1506,6 +1516,7 @@ struct CompileMetrics {
       &RegAlloc, &Peephole, &Emit;
   obs::Counter &Spilled, &Unrolled, &DeadBranches, &Strength;
   obs::Counter &BranchFree, &Declined;
+  obs::Counter &PoolCallerSaved, &PoolCalleeSaved;
   obs::Counter &Allocs;
   obs::Histogram &HistVCode, &HistLinear, &HistColor;
   obs::Histogram &ArenaBytes, &CpiVCode, &CpiICode;
@@ -1526,6 +1537,7 @@ struct CompileMetrics {
         R.counter(N::LoopsUnrolled), R.counter(N::BranchesEliminated),
         R.counter(N::StrengthReductions),
         R.counter(N::PredicatesBranchFree), R.counter(N::PredicatesDeclined),
+        R.counter(N::PoolCallerSaved), R.counter(N::PoolCalleeSaved),
         R.counter(N::CompileAllocs), R.histogram(N::HistCyclesVCode),
         R.histogram(N::HistCyclesLinearScan),
         R.histogram(N::HistCyclesGraphColor),
@@ -1569,6 +1581,7 @@ void publishCompileMetrics(const CompiledFn &F, const CompileOptions &Opts,
     M.Peephole.inc(S.ICode.CyclesPeephole);
     M.Emit.inc(S.ICode.CyclesEmit);
     M.Spilled.inc(S.ICode.NumSpilledIntervals);
+    (S.ICode.CallerSavedPool ? M.PoolCallerSaved : M.PoolCalleeSaved).inc();
     (Opts.RegAlloc == icode::RegAllocKind::LinearScan ? M.HistLinear
                                                       : M.HistColor)
         .record(S.CyclesTotal);

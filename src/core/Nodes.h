@@ -84,8 +84,9 @@ enum ExprFlags : std::uint8_t {
   EF_HasCall = 4,  ///< Contains a call (never foldable).
 };
 
-/// One expression node. 64 bytes; allocated from the Context's arena (the
-/// paper's closure arena: "allocation cost is a pointer increment").
+/// One expression node. 88 bytes on LP64 (pinned below, so a field that
+/// grows it is a visible decision); allocated from the Context's arena
+/// (the paper's closure arena: "allocation cost is a pointer increment").
 struct ExprNode {
   ExprKind Kind;
   EvalType Type;
@@ -121,7 +122,7 @@ enum class StmtKind : std::uint8_t {
   Goto,     ///< LocalId = user label id.
 };
 
-/// One statement node.
+/// One statement node; 72 bytes on LP64, pinned below.
 struct StmtNode {
   StmtKind Kind;
   std::uint8_t OpByte = 0;
@@ -135,6 +136,11 @@ struct StmtNode {
   std::uint32_t BodyC = 0;
   Context *Ctx = nullptr;
 };
+
+static_assert(sizeof(void *) != 8 || sizeof(ExprNode) == 88,
+              "ExprNode size changed: update the comment and the budget");
+static_assert(sizeof(void *) != 8 || sizeof(StmtNode) == 72,
+              "StmtNode size changed: update the comment and the budget");
 
 /// Metadata for one dynamic local or parameter (vspec).
 struct LocalInfo {

@@ -167,9 +167,11 @@ ArenaVector<Interval> buildLiveIntervals(const ICode &IC, const FlowGraph &FG);
 
 /// Per-vreg "must live in memory" mask (1 byte per vreg, in IC's arena):
 /// double-precision values whose interval crosses a call site cannot stay
-/// in (caller-saved) XMM registers. The integer pool is callee-saved, so
-/// only float vregs are affected. Returns null when the code has no call
-/// sites — callers treat null as all-clear.
+/// in (caller-saved) XMM registers. Only float vregs are affected: code
+/// with a call site gets the callee-saved integer pool, and the
+/// caller-saved one only where there is no call to cross (see
+/// vcode::VCodeT::useCallerSavedPool). Returns null when the code has no
+/// call sites — callers treat null as all-clear.
 const std::uint8_t *computeMustSpill(const ICode &IC,
                                      const Interval *Intervals,
                                      std::size_t NumIntervals);

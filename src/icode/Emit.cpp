@@ -32,8 +32,9 @@ namespace {
 /// Translates one allocated ICODE buffer into machine code through VCode.
 class Emitter {
 public:
-  Emitter(const ICode &IC, VCode &V, const Allocation &Alloc)
-      : IC(IC), V(V), Alloc(Alloc),
+  Emitter(const ICode &IC, VCode &V, const Allocation &Alloc,
+          bool CallerSavedPool)
+      : IC(IC), V(V), Alloc(Alloc), CallerSavedPool(CallerSavedPool),
         SlotDesignator(IC.arena().allocateArray<int>(IC.numRegs())),
         VLabels(IC.arena().allocateArray<vcode::Label>(IC.numLabels())) {
     for (unsigned R = 0; R < IC.numRegs(); ++R)
@@ -48,11 +49,59 @@ public:
     V.enter();
     for (const PageGuard &G : IC.pageGuards())
       V.pageGuard(G.ArgIndex, G.Lo, G.Span, Fallback);
-    for (std::size_t I = 0, E = Instrs.size(); I != E; ++I)
+    for (std::size_t I = emitPrologue(Instrs), E = Instrs.size(); I != E; ++I)
       emitOne(Instrs, I);
   }
 
 private:
+  /// Emits the IR prologue, which the IR verifier keeps ahead of the body:
+  /// the profile hook, then every argument binding as one parallel move
+  /// (the caller-saved pool's registers include argument registers).
+  /// Returns the index of the first body instruction.
+  ///
+  /// The allocator sees the bindings one after another, so an unused
+  /// parameter's binding may share its register with a later one. In IR
+  /// order the later move simply overwrites it; in a parallel move it
+  /// could land last, so with the caller-saved pool such a dead binding is
+  /// dropped. The callee-saved pool's destinations are never argument
+  /// registers, so its bindings keep IR order and their bytes.
+  std::size_t emitPrologue(const ArenaVector<Instr> &Instrs) {
+    std::size_t End = 0, NumBinds = 0;
+    for (; End < Instrs.size(); ++End) {
+      Op O = Instrs[End].Opcode;
+      if (O == Op::BindArgI || O == Op::BindArgD)
+        ++NumBinds;
+      else if (O == Op::ProfileInc)
+        emitOne(Instrs, End);
+      else if (O != Op::Nop && O != Op::Hint)
+        break;
+    }
+    auto *Binds = IC.arena().allocateArray<vcode::ArgBind>(NumBinds);
+    unsigned N = 0;
+    for (std::size_t I = 0; I < End; ++I) {
+      const Instr &In = Instrs[I];
+      if (In.Opcode != Op::BindArgI && In.Opcode != Op::BindArgD)
+        continue;
+      ICode::emitterUsage().noteUse(In.Opcode);
+      Binds[N++] = {static_cast<unsigned>(In.B), loc(In.A),
+                    In.Opcode == Op::BindArgD};
+    }
+    if (CallerSavedPool) {
+      unsigned Live = 0;
+      for (unsigned I = 0; I < N; ++I) {
+        bool Dead = false;
+        for (unsigned J = I + 1; J < N && !Dead; ++J)
+          Dead = !VCode::isSpill(Binds[I].Dst) &&
+                 Binds[J].Dst == Binds[I].Dst && Binds[J].Fp == Binds[I].Fp;
+        if (!Dead)
+          Binds[Live++] = Binds[I];
+      }
+      N = Live;
+    }
+    V.bindArgs(Binds, N);
+    return End;
+  }
+
   /// Register designator (pool index or stack slot) for a virtual register.
   vcode::Reg loc(VReg R) {
     int L = Alloc.Location[static_cast<std::size_t>(R)];
@@ -314,11 +363,8 @@ private:
       V.brFalseI(loc(In.A), VLabels[In.B]);
       break;
     case Op::BindArgI:
-      V.bindArgI(static_cast<unsigned>(In.B), loc(In.A));
-      break;
     case Op::BindArgD:
-      V.bindArgD(static_cast<unsigned>(In.B), loc(In.A));
-      break;
+      tcc_unreachable("argument binding after the prologue");
     case Op::RetI:
       V.retI(loc(In.A));
       break;
@@ -369,6 +415,7 @@ private:
   const ICode &IC;
   VCode &V;
   const Allocation &Alloc;
+  bool CallerSavedPool;
   int *SlotDesignator;      ///< Arena-resident, numRegs() entries.
   vcode::Label *VLabels;    ///< Arena-resident, numLabels() entries.
 };
@@ -380,8 +427,15 @@ void *ICode::compileTo(VCode &V, RegAllocKind Kind, CompileStats *Stats,
   CompileStats Local;
   CompileStats &S = Stats ? *Stats : Local;
 
+  // A body with no call site keeps no value across one, so it can live in
+  // caller-saved registers. Read before dead-code elimination: a page-
+  // guarded function's fallback walks the whole spec again, unreachable
+  // calls included, in the same frame and pool.
+  bool CallFree = true;
   {
     obs::Phase T(obs::EventKind::Peephole, S.CyclesPeephole);
+    for (const Instr &In : Instrs)
+      CallFree &= In.Opcode != Op::Call && In.Opcode != Op::CallIndirect;
     eliminateDeadCode(Instrs.data(), Instrs.size(), numRegs(), *A);
   }
   if (Audit && Audit->PostPeephole)
@@ -436,11 +490,19 @@ void *ICode::compileTo(VCode &V, RegAllocKind Kind, CompileStats *Stats,
     // The final stat tally stays inside the emit scope so the per-phase
     // cycles keep covering the whole pipeline (tickc-report drift guard).
     obs::Phase T(obs::EventKind::Emit, S.CyclesEmit);
+    S.CallerSavedPool = CallFree;
+    if (CallFree) {
+      std::uint32_t Used = 0;
+      for (unsigned R = 0; R < Alloc.NumRegs; ++R)
+        if (Alloc.Location[R] >= 0 && !isFloatReg(static_cast<VReg>(R)))
+          Used |= 1u << Alloc.Location[R];
+      V.useCallerSavedPool(Used);
+    }
     if (Guarded) {
       Fallback = V.newLabel();
       V.shareExit(V.newLabel());
     }
-    Emitter E(*this, V, Alloc);
+    Emitter E(*this, V, Alloc, CallFree);
     E.run(Fallback);
     if (Guarded) {
       V.bindLabel(Fallback);

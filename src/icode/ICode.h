@@ -227,6 +227,9 @@ struct CompileStats {
   unsigned NumIntervals = 0;
   unsigned NumSpilledIntervals = 0;
   unsigned NumLivenessIterations = 0;
+  /// The body has no call, so it was emitted with the caller-saved pool
+  /// (vcode::VCodeT::useCallerSavedPool).
+  bool CallerSavedPool = false;
 };
 
 /// Records which ICODE opcodes a program actually uses. Reproduces the

@@ -189,7 +189,7 @@ const std::uint8_t *tcc::icode::computeMustSpill(const ICode &IC,
   for (std::size_t K = 0; K < NumIntervals; ++K) {
     const Interval &IV = Intervals[K];
     if (!IV.IsFloat)
-      continue; // The integer pool is callee-saved.
+      continue; // Code with calls gets the callee-saved integer pool.
     for (std::size_t C = 0; C < NumCalls; ++C)
       if (CallSites[C] > IV.Start && CallSites[C] < IV.End) {
         Result[static_cast<std::size_t>(IV.Reg)] = 1;

@@ -73,6 +73,11 @@ inline constexpr char StrengthReductions[] = "opt.strength_reductions";
 /// event naming its reason).
 inline constexpr char PredicatesBranchFree[] = "icode.predicates.branch_free";
 inline constexpr char PredicatesDeclined[] = "icode.predicates.declined";
+/// ICODE compiles whose body has no call and so took the caller-saved
+/// register pool (no callee-save traffic unless a fifth register is
+/// needed), and those that kept the callee-saved pool.
+inline constexpr char PoolCallerSaved[] = "icode.pool.caller_saved";
+inline constexpr char PoolCalleeSaved[] = "icode.pool.callee_saved";
 
 // Code cache (all CodeCache instances, cumulative).
 inline constexpr char CacheHits[] = "cache.hits";

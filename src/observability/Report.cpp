@@ -144,6 +144,13 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
               S.counter(names::PredicatesBranchFree)),
           static_cast<unsigned long long>(
               S.counter(names::PredicatesDeclined)));
+  appendf(Out,
+          "icode register pool: %llu caller-saved (call-free body), %llu "
+          "callee-saved\n",
+          static_cast<unsigned long long>(
+              S.counter(names::PoolCallerSaved)),
+          static_cast<unsigned long long>(
+              S.counter(names::PoolCalleeSaved)));
 
   std::uint64_t Hits = S.counter(names::CacheHits);
   std::uint64_t Misses = S.counter(names::CacheMisses);

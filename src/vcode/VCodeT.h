@@ -69,13 +69,34 @@ struct Label {
 
 namespace detail {
 
-/// Physical register assignment. The integer pool is callee-saved so that
-/// values survive calls emitted into dynamic code; R10/R11/RAX(/RDX/RCX)
-/// are emission scratch and never allocated; R8/R9 are the reserved static
-/// registers of paper §5.1.
+/// Physical register assignment, two integer pools. Neither holds an
+/// emission scratch register: R10/R11/RAX are scratch, and RDX/RCX are
+/// written implicitly by division and variable shifts.
+///
+/// IntPoolPhys is callee-saved, so values survive calls emitted into
+/// dynamic code. Every VCODE function and every ICODE function that makes a
+/// call uses it; R8/R9 are its reserved static registers (paper §5.1).
 inline constexpr x86::GPR IntPoolPhys[7] = {x86::RBX, x86::R12, x86::R13,
                                             x86::R14, x86::R15, x86::R8,
                                             x86::R9};
+/// The pool of a call-free ICODE function (VCodeT::useCallerSavedPool):
+/// caller-saved registers first, so such a function saves nothing unless it
+/// needs a fifth register. It has no static registers.
+inline constexpr x86::GPR LeafPoolPhys[5] = {x86::RDI, x86::RSI, x86::R8,
+                                             x86::R9, x86::RBX};
+/// Pool indices of LeafPoolPhys that are caller-saved.
+inline constexpr std::uint32_t LeafCallerSavedMask = 0xF;
+
+/// Frame offset of a callee-saved pool register's save slot: rbx, r12..r15
+/// at [rbp-8], [rbp-16], ... whichever pool the function uses, so the save
+/// area keeps one layout (admission checks it).
+constexpr std::int32_t saveSlotOffset(x86::GPR R) {
+  for (int I = 0; I < 5; ++I)
+    if (IntPoolPhys[I] == R)
+      return -8 * (I + 1);
+  return 0;
+}
+
 inline constexpr x86::GPR ScratchA = x86::R10;
 inline constexpr x86::GPR ScratchB = x86::R11;
 inline constexpr x86::GPR ScratchAux = x86::RAX;
@@ -143,6 +164,14 @@ inline x86::Cond condForDouble(CmpKind K) {
 
 } // namespace detail
 
+/// One incoming parameter for VCodeT::bindArgs: SysV argument \p Index of
+/// its class (integer, or double when \p Fp) into designator \p Dst.
+struct ArgBind {
+  unsigned Index = 0;
+  int Dst = 0;
+  bool Fp = false;
+};
+
 /// One-pass code generator. Construct over a writable code buffer, emit
 /// operations, then call finish(); the caller flips the buffer executable.
 /// See the file comment for the AsmT contract.
@@ -154,9 +183,10 @@ public:
   static constexpr int NumStaticRegs = 2;
   /// Number of double registers getfreg() can hand out.
   static constexpr int NumFloatPool = 12;
-  /// Bytes of callee-saved registers stored below the frame pointer
-  /// (rbx, r12..r15; the rbp push is accounted separately). Spill slots
-  /// start below this area; admission's spill fact keys off it.
+  /// Bytes of the callee-save area below the frame pointer (save slots of
+  /// rbx, r12..r15; the rbp push is accounted separately). Every frame
+  /// reserves it, whichever pool the function uses; spill slots start below
+  /// it, and admission's spill fact keys off it.
   static constexpr std::int32_t CalleeSaveBytes = 40;
 
   /// Designator for spill slot \p Slot (0-based).
@@ -234,7 +264,7 @@ public:
   }
 
   /// Static register \p I (0 <= I < NumStaticRegs); never tracked, does not
-  /// survive emitted calls.
+  /// survive emitted calls. Only the callee-saved pool has them.
   static constexpr Reg staticReg(int I) { return NumIntPool + I; }
   /// When disabled, getreg aborts instead of spilling, and operations skip
   /// the per-operand spill checks (the paper's fast path).
@@ -260,16 +290,40 @@ public:
   }
 
   // --- Function boundaries -------------------------------------------------
-  /// Emits the prologue. Call bindArgI/bindArgD for each incoming parameter
-  /// immediately afterwards, before any other operation.
+  /// Switches this function to the caller-saved-first pool
+  /// (detail::LeafPoolPhys) with exact save sites. For a body that emits no
+  /// call, whose register use is known before its first byte (ICODE
+  /// allocates before it emits): \p UsedMask holds the pool indices the
+  /// body uses. enter() and every epilogue save and restore only its
+  /// callee-saved members, and getreg() afterwards hands out only
+  /// caller-saved or saved registers, so code emitted later in the same
+  /// frame (a page-guarded function's fallback) stays inside the saved set.
+  /// Call before enter(); no call may be emitted afterwards.
+  void useCallerSavedPool(std::uint32_t UsedMask) {
+    assert(!FramePatchOffset && "pool chosen after enter()");
+    Pool = detail::LeafPoolPhys;
+    LeafPool = true;
+    SavedMask = UsedMask & ~detail::LeafCallerSavedMask;
+    FreeIntMask = detail::LeafCallerSavedMask | SavedMask;
+  }
+
+  /// Emits the prologue. Bind the incoming parameters (bindArgs, or
+  /// bindArgI/bindArgD one by one) immediately afterwards, before any other
+  /// operation.
   void enter() {
+    Asm.push(x86::RBP);
+    Asm.movRR64(x86::RBP, x86::RSP);
+    FramePatchOffset = Asm.subRI64Patchable(x86::RSP);
+    if (LeafPool) {
+      forEachSaved([&](x86::GPR P) {
+        Asm.storeMR64(x86::RBP, detail::saveSlotOffset(P), P);
+      });
+      return;
+    }
     // Callee-saved pool registers are preserved with rbp-relative stores
     // (fixed 4-byte encodings) rather than pushes, so that finish() can
     // erase the ones this function never used — keeping small dynamic
     // functions' prologues lean without a second pass.
-    Asm.push(x86::RBP);
-    Asm.movRR64(x86::RBP, x86::RSP);
-    FramePatchOffset = Asm.subRI64Patchable(x86::RSP);
     for (int I = 0; I < NumIntPool; ++I) {
       SaveSitePc[I] = Asm.pc();
       Asm.storeMR64(x86::RBP, -8 * (I + 1), detail::IntPoolPhys[I]);
@@ -310,22 +364,75 @@ public:
     ExitJumps = true;
   }
 
-  /// Moves integer argument \p Index (0-based, SysV) into \p Dst.
-  void bindArgI(unsigned Index, Reg Dst) {
-    x86::GPR Pd = dstI(Dst, detail::ScratchA);
-    if (Index < 6)
-      Asm.movRR64(Pd, x86::IntArgRegs[Index]);
-    else
-      Asm.loadRM64(Pd, x86::RBP, 16 + 8 * static_cast<std::int32_t>(Index - 6));
-    writeBackI(Dst, Pd);
-  }
+  /// Moves integer argument \p Index (0-based, SysV) into \p Dst. Safe on
+  /// its own only while no pool register is an argument register; see
+  /// bindArgs.
+  void bindArgI(unsigned Index, Reg Dst) { bindOne({Index, Dst, false}, -1); }
 
   /// Moves double argument \p Index (0-based among FP args) into \p Dst.
-  void bindArgD(unsigned Index, FReg Dst) {
-    assert(Index < 8 && "stack-passed double arguments not supported");
-    x86::XMM Pd = dstD(Dst, detail::FScratchA);
-    Asm.movsdRR(Pd, x86::FloatArgRegs[Index]);
-    writeBackD(Dst, Pd);
+  void bindArgD(unsigned Index, FReg Dst) { bindOne({Index, Dst, true}, -1); }
+
+  /// Binds the \p N incoming parameters \p Binds as one parallel move: no
+  /// argument register is written while a binding that reads it is still
+  /// pending. Bindings that conflict with nothing keep their order, so
+  /// where no destination is an argument register (the callee-saved pool)
+  /// this emits exactly the bindArgI/bindArgD sequence. A cycle, which
+  /// needs destinations among the argument registers, is broken by parking
+  /// one source in a free scratch register.
+  void bindArgs(const ArgBind *Binds, unsigned N) {
+    assert(N <= 64 && "too many parameters for one parallel move");
+    std::uint64_t Left =
+        N == 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << N) - 1;
+    int Parked = -1, ParkedIn = -1; // The binding whose source was parked.
+    auto srcOf = [&](int I) {
+      return I == Parked ? ParkedIn : argSource(Binds[I]);
+    };
+    // The pending binding other than \p I that reads register key R, or -1.
+    auto readerOf = [&](int R, int I) {
+      for (std::uint64_t M = R < 0 ? 0 : Left; M; M &= M - 1)
+        if (int J = std::countr_zero(M); J != I && srcOf(J) == R)
+          return J;
+      return -1;
+    };
+    while (Left) {
+      bool Progress = false;
+      for (int I = 0; I < static_cast<int>(N); ++I) {
+        if (!(Left >> I & 1) || readerOf(argClobber(Binds[I]), I) >= 0)
+          continue;
+        bindOne(Binds[I], I == Parked ? ParkedIn : -1,
+                readerOf(FpKey + detail::FScratchA, I) >= 0);
+        Left &= ~(std::uint64_t(1) << I);
+        Progress = true;
+      }
+      if (Progress || !Left)
+        continue;
+      // Every pending binding writes a register another one reads. Park
+      // the source the first one waits for in a register no binding reads
+      // or writes; that unblocks it, and the cycle unwinds. Each register
+      // is written by at most one binding and read by at most one, so the
+      // previous park is done by now, and a cycle leaves a free xmm: at
+      // most 8 sources and 8 destinations, two of them shared.
+      assert((Parked < 0 || !(Left >> Parked & 1)) && "two parks pending");
+      int First = std::countr_zero(Left);
+      Parked = readerOf(argClobber(Binds[First]), First);
+      int Src = argSource(Binds[Parked]);
+      if (!Binds[Parked].Fp) {
+        ParkedIn = detail::ScratchB; // No binding writes or reads it.
+        Asm.movRR64(detail::ScratchB, static_cast<x86::GPR>(Src));
+        continue;
+      }
+      for (ParkedIn = FpKey;; ++ParkedIn) {
+        assert(ParkedIn < FpKey + 16 && "no free xmm to park in");
+        bool Busy = false;
+        for (unsigned I = 0; I < N && !Busy; ++I)
+          Busy = argSource(Binds[I]) == ParkedIn ||
+                 argClobber(Binds[I]) == ParkedIn;
+        if (!Busy)
+          break;
+      }
+      Asm.movsdRR(static_cast<x86::XMM>(ParkedIn - FpKey),
+                  static_cast<x86::XMM>(Src - FpKey));
+    }
   }
 
   /// Emits epilogue + return with no value.
@@ -363,6 +470,9 @@ public:
         CalleeSaveBytes + 8 * static_cast<std::uint32_t>(NumSlots);
     Frame = (Frame + 15) & ~15u; // Keep calls 16-byte aligned.
     Asm.patch32(FramePatchOffset, Frame);
+    Finished = true;
+    if (LeafPool) // Exact save sites: nothing to erase.
+      return Asm.bufferBase();
     // Erase callee-save traffic for pool registers never handed out.
     for (int I = 0; I < NumIntPool; ++I) {
       if (UsedPoolMask & (1u << I))
@@ -371,7 +481,6 @@ public:
       for (std::size_t E = 0; E < RestoreSitePcs.size(); E += NumIntPool)
         Asm.nopFill(RestoreSitePcs[E + static_cast<std::size_t>(I)], 4);
     }
-    Finished = true;
     return Asm.bufferBase();
   }
 
@@ -1000,6 +1109,7 @@ public:
   // slots >= 4, which alias the argument registers).
   void prepareCallArgI(unsigned Slot, Reg Src) {
     assert(Slot < 6 && "stack-passed call arguments not supported");
+    assert(!LeafPool && "call emitted with the caller-saved pool");
     if (isSpill(Src)) {
       Asm.loadRM64(x86::IntArgRegs[Slot], x86::RBP,
                    slotOffset(spillSlot(Src)));
@@ -1012,17 +1122,20 @@ public:
 
   void prepareCallArgP(unsigned Slot, const void *Ptr) {
     assert(Slot < 6 && "stack-passed call arguments not supported");
+    assert(!LeafPool && "call emitted with the caller-saved pool");
     Asm.armReloc(support::RelocKind::Ptr);
     Asm.movRI64(x86::IntArgRegs[Slot], reinterpret_cast<std::uintptr_t>(Ptr));
   }
 
   void prepareCallArgII(unsigned Slot, std::int64_t Imm) {
     assert(Slot < 6 && "stack-passed call arguments not supported");
+    assert(!LeafPool && "call emitted with the caller-saved pool");
     Asm.movRI64(x86::IntArgRegs[Slot], static_cast<std::uint64_t>(Imm));
   }
 
   void prepareCallArgD(unsigned FpSlot, FReg Src) {
     assert(FpSlot < 8 && "stack-passed call arguments not supported");
+    assert(!LeafPool && "call emitted with the caller-saved pool");
     if (isSpill(Src)) {
       Asm.movsdRM(x86::FloatArgRegs[FpSlot], x86::RBP,
                   slotOffset(spillSlot(Src)));
@@ -1036,6 +1149,7 @@ public:
   /// Calls \p Fn. \p NumFpArgs is the number of vector-register arguments
   /// (needed in AL for variadic callees such as printf).
   void emitCall(const void *Fn, unsigned NumFpArgs = 0) {
+    assert(!LeafPool && "call emitted with the caller-saved pool");
     Asm.armReloc(support::RelocKind::Callee);
     Asm.movRI64(detail::ScratchA, reinterpret_cast<std::uintptr_t>(Fn));
     Asm.movRI32(x86::RAX, NumFpArgs); // AL = #vector args (variadic ABI).
@@ -1044,6 +1158,7 @@ public:
 
   /// Calls through a function pointer held in \p Src.
   void emitCallIndirect(Reg Src, unsigned NumFpArgs = 0) {
+    assert(!LeafPool && "call emitted with the caller-saved pool");
     x86::GPR Ps = srcI(Src, detail::ScratchA);
     if (Ps != detail::ScratchA)
       Asm.movRR64(detail::ScratchA, Ps);
@@ -1085,9 +1200,77 @@ private:
   x86::GPR intPhys(Reg R) {
     assert(R >= 0 && R < NumIntPool + NumStaticRegs &&
            "bad register designator");
-    if (R < NumIntPool)
-      UsedPoolMask |= 1u << R;
-    return detail::IntPoolPhys[R];
+    if (R >= NumIntPool) {
+      assert(!LeafPool && "the caller-saved pool has no static registers");
+      return detail::IntPoolPhys[R];
+    }
+    assert((!LeafPool ||
+            ((detail::LeafCallerSavedMask | SavedMask) >> R & 1)) &&
+           "callee-saved register used but not saved");
+    UsedPoolMask |= 1u << R;
+    return Pool[R];
+  }
+
+  /// Calls \p Fn(phys) for each callee-saved register the caller-saved
+  /// pool saves, in pool order.
+  template <class FnT> void forEachSaved(FnT Fn) const {
+    for (std::uint32_t M = SavedMask; M; M &= M - 1)
+      Fn(Pool[std::countr_zero(M)]);
+  }
+
+  /// bindArgs' register keys: a GPR's number, an XMM's number + FpKey, or
+  /// -1 for no register.
+  static constexpr int FpKey = 16;
+
+  /// The register binding \p B reads (-1: a stack-passed argument).
+  static int argSource(const ArgBind &B) {
+    if (B.Fp)
+      return FpKey + x86::FloatArgRegs[B.Index];
+    return B.Index < 6 ? static_cast<int>(x86::IntArgRegs[B.Index]) : -1;
+  }
+
+  /// The argument register binding \p B writes: its destination register,
+  /// or -1 for a spill slot (a spilled integer passes through r10, which
+  /// no binding reads; a spilled double avoids xmm2 while a binding still
+  /// reads it, see bindOne).
+  int argClobber(const ArgBind &B) const {
+    if (isSpill(B.Dst))
+      return -1;
+    return B.Fp ? FpKey + detail::FloatPoolPhys[B.Dst] : Pool[B.Dst];
+  }
+
+  /// Emits one binding, reading register key \p Parked instead of the
+  /// argument's own register when >= 0. A move of a register to itself is
+  /// omitted. A spilled double is stored through xmm2 (FScratchA), or,
+  /// while \p Xmm2Unread (a pending binding still reads the third double
+  /// argument), straight from its source.
+  void bindOne(const ArgBind &B, int Parked, bool Xmm2Unread = false) {
+    if (B.Fp) {
+      assert(B.Index < 8 && "stack-passed double arguments not supported");
+      x86::XMM Src = Parked >= 0 ? static_cast<x86::XMM>(Parked - FpKey)
+                                 : x86::FloatArgRegs[B.Index];
+      if (!isSpill(B.Dst)) {
+        if (fpPhys(B.Dst) != Src)
+          Asm.movsdRR(fpPhys(B.Dst), Src);
+      } else if (Xmm2Unread) {
+        writeBackD(B.Dst, Src);
+      } else {
+        Asm.movsdRR(detail::FScratchA, Src);
+        writeBackD(B.Dst, detail::FScratchA);
+      }
+      return;
+    }
+    x86::GPR Pd = dstI(B.Dst, detail::ScratchA);
+    if (Parked >= 0 || B.Index < 6) {
+      x86::GPR Src = Parked >= 0 ? static_cast<x86::GPR>(Parked)
+                                 : x86::IntArgRegs[B.Index];
+      if (Pd != Src)
+        Asm.movRR64(Pd, Src);
+    } else {
+      Asm.loadRM64(Pd, x86::RBP,
+                   16 + 8 * static_cast<std::int32_t>(B.Index - 6));
+    }
+    writeBackI(B.Dst, Pd);
   }
 
   x86::XMM fpPhys(FReg R) const {
@@ -1249,9 +1432,15 @@ private:
       bindLabel(SharedExit);
       ExitBound = true;
     }
-    for (int I = 0; I < NumIntPool; ++I) {
-      RestoreSitePcs.push_back(Asm.pc());
-      Asm.loadRM64(detail::IntPoolPhys[I], x86::RBP, -8 * (I + 1));
+    if (LeafPool) {
+      forEachSaved([&](x86::GPR P) {
+        Asm.loadRM64(P, x86::RBP, detail::saveSlotOffset(P));
+      });
+    } else {
+      for (int I = 0; I < NumIntPool; ++I) {
+        RestoreSitePcs.push_back(Asm.pc());
+        Asm.loadRM64(detail::IntPoolPhys[I], x86::RBP, -8 * (I + 1));
+      }
     }
     Asm.movRR64(x86::RSP, x86::RBP);
     Asm.pop(x86::RBP);
@@ -1273,6 +1462,12 @@ private:
   bool ExitBound = false, ExitJumps = false;
   std::size_t FramePatchOffset = 0;
   bool Finished = false;
+  /// This function's integer pool: detail::IntPoolPhys, or LeafPoolPhys
+  /// after useCallerSavedPool().
+  const x86::GPR *Pool = detail::IntPoolPhys;
+  bool LeafPool = false;
+  /// Caller-saved pool only: the callee-saved pool indices enter() saved.
+  std::uint32_t SavedMask = 0;
   /// Pool registers actually handed to emitted code; unused ones get their
   /// callee-save stores/reloads erased at finish().
   std::uint32_t UsedPoolMask = 0;

@@ -38,7 +38,9 @@
 //    arguments at [rbp+16) and up — the saved rbp and the return address
 //    are unreachable for both reads and writes;
 //  * callee-saved obligations — rbx/r12..r15 must be stored to their
-//    canonical save slots before being written, every may-clobbered
+//    canonical save slots before being written (a call-free ICODE
+//    function's pool is rdi/rsi/r8/r9, which carry no obligation, then
+//    rbx, which it saves only if used), every may-clobbered
 //    register is proven restored from its slot on all paths to every ret,
 //    and while a save slot is live (its register is must-saved on every
 //    path) no other store — aligned, misaligned, or partial — may overlap
@@ -99,8 +101,11 @@ constexpr std::uint8_t RegRAX = 0, RegRBX = 3, RegRSP = 4, RegRBP = 5,
 /// callee-save area comes first, slots follow (VCode::slotOffset).
 constexpr std::int32_t FirstSlotOff = -48;
 
-/// Callee-saved pool registers and their canonical save slots below rbp
-/// (vcode::detail::IntPoolPhys order: rbx, r12..r15 at [rbp-8(i+1)]).
+/// Callee-saved registers and their canonical save slots below rbp
+/// (vcode::detail::IntPoolPhys order: rbx, r12..r15 at [rbp-8(i+1)]). Every
+/// frame keeps this layout whichever pool it uses (vcode::detail::
+/// saveSlotOffset): a call-free ICODE function saves only the rbx it
+/// uses, at [rbp-8].
 constexpr std::uint8_t CalleeSavedRegs[5] = {RegRBX, 12, 13, 14, 15};
 
 constexpr std::uint16_t calleeBit(std::uint8_t R) {
@@ -153,14 +158,15 @@ Just justify(const Decoded &D) {
     }
     break;
   case InstrClass::MovImm64:
-    if (D.Rm == 10 || D.Rm == 11) // scratch: call targets, wide constants
+    if (D.Rm == 10 || D.Rm == 11) { // scratch: call targets, wide constants
       J.Scaffold = true;
-    else if (isIntArgReg(D.Rm)) {
-      J.add(Op::CallArgP);
+      break;
+    }
+    J.add(Op::SetL);
+    J.add(Op::SetP);
+    if (isIntArgReg(D.Rm)) { // an outgoing argument (rdi, rsi, r8 and r9
+      J.add(Op::CallArgP);   // are also caller-saved pool registers)
       J.add(Op::CallArgII);
-    } else {
-      J.add(Op::SetL);
-      J.add(Op::SetP);
     }
     break;
   case InstrClass::MovImmSExt:

@@ -152,11 +152,8 @@ void Assembler::addRR64(GPR Dst, GPR Src) { aluRR(true, 0x03, Dst, Src); }
 void Assembler::subRR32(GPR Dst, GPR Src) { aluRR(false, 0x2B, Dst, Src); }
 void Assembler::subRR64(GPR Dst, GPR Src) { aluRR(true, 0x2B, Dst, Src); }
 void Assembler::andRR32(GPR Dst, GPR Src) { aluRR(false, 0x23, Dst, Src); }
-void Assembler::andRR64(GPR Dst, GPR Src) { aluRR(true, 0x23, Dst, Src); }
 void Assembler::orRR32(GPR Dst, GPR Src) { aluRR(false, 0x0B, Dst, Src); }
-void Assembler::orRR64(GPR Dst, GPR Src) { aluRR(true, 0x0B, Dst, Src); }
 void Assembler::xorRR32(GPR Dst, GPR Src) { aluRR(false, 0x33, Dst, Src); }
-void Assembler::xorRR64(GPR Dst, GPR Src) { aluRR(true, 0x33, Dst, Src); }
 void Assembler::cmpRR32(GPR A, GPR B) { aluRR(false, 0x3B, A, B); }
 void Assembler::cmpRR64(GPR A, GPR B) { aluRR(true, 0x3B, A, B); }
 
@@ -165,24 +162,14 @@ void Assembler::testRR32(GPR A, GPR B) {
   byte(0x85);
   modrmRR(B, A);
 }
-void Assembler::testRR64(GPR A, GPR B) {
-  rex(true, B >= 8, false, A >= 8);
-  byte(0x85);
-  modrmRR(B, A);
-}
 
 void Assembler::addRI32(GPR Dst, std::int32_t Imm) { aluRI(false, 0, Dst, Imm); }
 void Assembler::addRI64(GPR Dst, std::int32_t Imm) { aluRI(true, 0, Dst, Imm); }
 void Assembler::subRI32(GPR Dst, std::int32_t Imm) { aluRI(false, 5, Dst, Imm); }
-void Assembler::subRI64(GPR Dst, std::int32_t Imm) { aluRI(true, 5, Dst, Imm); }
 void Assembler::andRI32(GPR Dst, std::int32_t Imm) { aluRI(false, 4, Dst, Imm); }
-void Assembler::andRI64(GPR Dst, std::int32_t Imm) { aluRI(true, 4, Dst, Imm); }
 void Assembler::orRI32(GPR Dst, std::int32_t Imm) { aluRI(false, 1, Dst, Imm); }
-void Assembler::orRI64(GPR Dst, std::int32_t Imm) { aluRI(true, 1, Dst, Imm); }
 void Assembler::xorRI32(GPR Dst, std::int32_t Imm) { aluRI(false, 6, Dst, Imm); }
-void Assembler::xorRI64(GPR Dst, std::int32_t Imm) { aluRI(true, 6, Dst, Imm); }
 void Assembler::cmpRI32(GPR A, std::int32_t Imm) { aluRI(false, 7, A, Imm); }
-void Assembler::cmpRI64(GPR A, std::int32_t Imm) { aluRI(true, 7, A, Imm); }
 
 void Assembler::imulRR32(GPR Dst, GPR Src) {
   rexOpt(false, Dst, Src);
@@ -210,26 +197,18 @@ void Assembler::imulRRI64(GPR Dst, GPR Src, std::int32_t Imm) {
 }
 
 void Assembler::negR32(GPR R) { unaryR(false, 3, R); }
-void Assembler::negR64(GPR R) { unaryR(true, 3, R); }
 void Assembler::notR32(GPR R) { unaryR(false, 2, R); }
-void Assembler::notR64(GPR R) { unaryR(true, 2, R); }
 void Assembler::idivR32(GPR R) { unaryR(false, 7, R); }
-void Assembler::idivR64(GPR R) { unaryR(true, 7, R); }
 void Assembler::divR32(GPR R) { unaryR(false, 6, R); }
-void Assembler::divR64(GPR R) { unaryR(true, 6, R); }
 
 // --- Shifts -----------------------------------------------------------------
 
 void Assembler::shlCl32(GPR R) { shiftCl(false, 4, R); }
-void Assembler::shlCl64(GPR R) { shiftCl(true, 4, R); }
 void Assembler::shrCl32(GPR R) { shiftCl(false, 5, R); }
-void Assembler::shrCl64(GPR R) { shiftCl(true, 5, R); }
 void Assembler::sarCl32(GPR R) { shiftCl(false, 7, R); }
-void Assembler::sarCl64(GPR R) { shiftCl(true, 7, R); }
 void Assembler::shlRI32(GPR R, std::uint8_t Imm) { shiftRI(false, 4, R, Imm); }
 void Assembler::shlRI64(GPR R, std::uint8_t Imm) { shiftRI(true, 4, R, Imm); }
 void Assembler::shrRI32(GPR R, std::uint8_t Imm) { shiftRI(false, 5, R, Imm); }
-void Assembler::shrRI64(GPR R, std::uint8_t Imm) { shiftRI(true, 5, R, Imm); }
 void Assembler::sarRI32(GPR R, std::uint8_t Imm) { shiftRI(false, 7, R, Imm); }
 void Assembler::sarRI64(GPR R, std::uint8_t Imm) { shiftRI(true, 7, R, Imm); }
 
@@ -244,24 +223,6 @@ void Assembler::movzx8RR(GPR Dst, GPR Src) {
   rexByteOp(Dst, Src);
   byte(0x0F);
   byte(0xB6);
-  modrmRR(Dst, Src);
-}
-void Assembler::movsx8RR(GPR Dst, GPR Src) {
-  rexByteOp(Dst, Src);
-  byte(0x0F);
-  byte(0xBE);
-  modrmRR(Dst, Src);
-}
-void Assembler::movzx16RR(GPR Dst, GPR Src) {
-  rexOpt(false, Dst, Src);
-  byte(0x0F);
-  byte(0xB7);
-  modrmRR(Dst, Src);
-}
-void Assembler::movsx16RR(GPR Dst, GPR Src) {
-  rexOpt(false, Dst, Src);
-  byte(0x0F);
-  byte(0xBF);
   modrmRR(Dst, Src);
 }
 
@@ -289,13 +250,6 @@ std::size_t Assembler::jmp() {
   std::size_t At = Pos;
   word32(0);
   return At;
-}
-
-void Assembler::jmpR(GPR R) {
-  if (R >= 8)
-    rex(false, false, false, true);
-  byte(0xFF);
-  modrmRR(4, R);
 }
 
 void Assembler::callR(GPR R) {

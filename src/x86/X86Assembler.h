@@ -143,74 +143,49 @@ public:
   void subRR32(GPR Dst, GPR Src);
   void subRR64(GPR Dst, GPR Src);
   void andRR32(GPR Dst, GPR Src);
-  void andRR64(GPR Dst, GPR Src);
   void orRR32(GPR Dst, GPR Src);
-  void orRR64(GPR Dst, GPR Src);
   void xorRR32(GPR Dst, GPR Src);
-  void xorRR64(GPR Dst, GPR Src);
   void cmpRR32(GPR A, GPR B);
   void cmpRR64(GPR A, GPR B);
   void testRR32(GPR A, GPR B);
-  void testRR64(GPR A, GPR B);
 
   void addRI32(GPR Dst, std::int32_t Imm);
   void addRI64(GPR Dst, std::int32_t Imm);
   void subRI32(GPR Dst, std::int32_t Imm);
-  void subRI64(GPR Dst, std::int32_t Imm);
   void andRI32(GPR Dst, std::int32_t Imm);
-  void andRI64(GPR Dst, std::int32_t Imm);
   void orRI32(GPR Dst, std::int32_t Imm);
-  void orRI64(GPR Dst, std::int32_t Imm);
   void xorRI32(GPR Dst, std::int32_t Imm);
-  void xorRI64(GPR Dst, std::int32_t Imm);
   void cmpRI32(GPR A, std::int32_t Imm);
-  void cmpRI64(GPR A, std::int32_t Imm);
 
   void imulRR32(GPR Dst, GPR Src); ///< Dst *= Src.
   void imulRR64(GPR Dst, GPR Src);
   void imulRRI32(GPR Dst, GPR Src, std::int32_t Imm); ///< Dst = Src * Imm.
   void imulRRI64(GPR Dst, GPR Src, std::int32_t Imm);
   void negR32(GPR R);
-  void negR64(GPR R);
   void notR32(GPR R);
-  void notR64(GPR R);
 
-  /// Sign-extend RAX into RDX:RAX then divide by R (32/64-bit signed).
-  /// Quotient in RAX, remainder in RDX.
+  /// Sign-extend EAX into EDX:EAX then divide by R (32-bit signed).
+  /// Quotient in EAX, remainder in EDX.
   void cdq() {
     ++NumInstrs;
     byte(0x99);
   }
-  void cqo() {
-    ++NumInstrs;
-    rex(true, false, false, false);
-    byte(0x99);
-  }
   void idivR32(GPR R);
-  void idivR64(GPR R);
-  void divR32(GPR R); ///< Unsigned; caller zeroes RDX.
-  void divR64(GPR R);
+  void divR32(GPR R); ///< Unsigned; caller zeroes EDX.
 
   // --- Shifts -------------------------------------------------------------
   void shlCl32(GPR R);
-  void shlCl64(GPR R);
   void shrCl32(GPR R);
-  void shrCl64(GPR R);
   void sarCl32(GPR R);
-  void sarCl64(GPR R);
   void shlRI32(GPR R, std::uint8_t Imm);
   void shlRI64(GPR R, std::uint8_t Imm);
   void shrRI32(GPR R, std::uint8_t Imm);
-  void shrRI64(GPR R, std::uint8_t Imm);
   void sarRI32(GPR R, std::uint8_t Imm);
   void sarRI64(GPR R, std::uint8_t Imm);
 
   // --- Widening / conversions ---------------------------------------------
   void movsxd(GPR Dst, GPR Src);   ///< r64 <- sign-extended r32.
   void movzx8RR(GPR Dst, GPR Src); ///< r32 <- zero-extended r8.
-  void movsx8RR(GPR Dst, GPR Src);
-  void movzx16RR(GPR Dst, GPR Src);
-  void movsx16RR(GPR Dst, GPR Src);
 
   // --- Conditions and branches --------------------------------------------
   void setcc(Cond C, GPR Dst); ///< Dst's low byte = condition; caller zexts.
@@ -229,7 +204,6 @@ public:
   /// Direct branch to an already-known target.
   void jmpTo(std::size_t Target) { patchBranch(jmp(), Target); }
   void jccTo(Cond C, std::size_t Target) { patchBranch(jcc(C), Target); }
-  void jmpR(GPR R);  ///< jmp *R
   void callR(GPR R); ///< call *R
   void ret() {
     ++NumInstrs;
