@@ -2,7 +2,8 @@
 //
 // The CI gate for compile-path overhead: measures steady-state ICODE
 // (linear scan) and VCODE instantiation cost for the paper's fig7
-// workloads, compiling through a warmed CompileContext into the code heap.
+// workloads, compiling through the thread's warmed CompileContext into the
+// code heap.
 // Writes BENCH_overhead.json and fails when
 //
 //   * any steady-state compile grows the context arena (compile.allocs
@@ -115,20 +116,21 @@ bool loadBaseline(const char *Path, std::vector<Row> &Rows) {
 int main() {
   std::printf("Compile overhead: steady-state compile cycles per function, "
               "ICODE over VCODE\n");
-  std::printf("(pooled CompileContext; median of 100 reps after warmup; "
+  std::printf("(thread's CompileContext; median of 100 reps after warmup; "
               "icode/vcode ratio gated)\n");
   printRule();
 
-  CompileContext CC;
+  // Every compile below runs on this thread, so all of them reuse its
+  // context.
+  const CompileContext &CC = CompileContext::forCurrentThread();
   CompileOptions Opts;
   Opts.Backend = BackendKind::ICode;
-  Opts.Ctx = &CC;
 
   obs::Counter &AllocsCtr =
       obs::MetricsRegistry::global().counter(obs::names::CompileAllocs);
 
   constexpr unsigned Warmup = 2, Reps = 100;
-  // Same protocol (warmup, median of Reps, pooled context) for both
+  // Same protocol (warmup, median of Reps, the thread's context) for both
   // backends. Returns the median compile cycles, or -1 if a compile failed.
   auto measure = [&](const AppCase &App, CompileOptions &O, unsigned &InstrsOut,
                      std::uint64_t *AllocsOut = nullptr) -> double {
@@ -216,9 +218,7 @@ int main() {
     }
   }
   printRule();
-  std::printf("context arena high water: %zu bytes; context pool n/a "
-              "(single context)\n",
-              CC.arenaHighWater());
+  std::printf("context arena high water: %zu bytes\n", CC.arenaHighWater());
 
   std::FILE *F = std::fopen("BENCH_overhead.json", "w");
   if (!F) {

@@ -68,8 +68,8 @@ int runChild(const char *Phase, const char *OutPath) {
   apps::QueryApp Query(2000);
   apps::HashApp Hash;
 
-  // Absorb one-time process costs (metrics registry, context pool, first
-  // code region) into a throwaway spec so the timed first calls measure
+  // Absorb one-time process costs (metrics registry, the thread's compile
+  // context, first code region) into a throwaway spec so the timed first calls measure
   // the workloads, not global init. Its snapshot traffic is excluded from
   // the gated numbers by taking deltas from here.
   (void)apps::PowerApp(3).specializeCached(Service);

@@ -41,16 +41,6 @@ CompileService::CompileService(ServiceConfig Config)
 
 CompileService::~CompileService() = default;
 
-CompiledFn CompileService::compilePooled(Context &Ctx, Stmt Body,
-                                         EvalType RetType,
-                                         CompileOptions Opts) {
-  if (Opts.Ctx)
-    return compileFn(Ctx, Body, RetType, Opts);
-  CompileContextPool::Handle H = CtxPool.acquire();
-  Opts.Ctx = H.get();
-  return compileFn(Ctx, Body, RetType, Opts);
-}
-
 /// Names the runtime symbol after the spec's identity hash (which covers
 /// the captured addresses), so perf/flamegraph frames distinguish
 /// specializations of one source function — over different captured
@@ -83,8 +73,7 @@ FnHandle CompileService::getOrCompileKeyed(Context &Ctx, Stmt Body,
   char SymBuf[64];
   if (!K.Cacheable) {
     nameSymbol(Opts, K, SymBuf);
-    return std::make_shared<CompiledFn>(
-        compilePooled(Ctx, Body, RetType, Opts));
+    return std::make_shared<CompiledFn>(compileFn(Ctx, Body, RetType, Opts));
   }
 
   if (FnHandle H = Cache.lookup(K))
@@ -123,7 +112,7 @@ FnHandle CompileService::getOrCompileKeyed(Context &Ctx, Stmt Body,
   if (!H) {
     nameSymbol(Opts, K, SymBuf);
     if (!Snap) {
-      H = Cache.insert(K, compilePooled(Ctx, Body, RetType, Opts));
+      H = Cache.insert(K, compileFn(Ctx, Body, RetType, Opts));
     } else if (core::CompiledFn L = Snap->tryLoad(K, Opts); L.valid()) {
       // Warm-start path: the on-disk snapshot is probed before paying for
       // a compile. The request's own key is the record key: its bytes are
@@ -135,7 +124,7 @@ FnHandle CompileService::getOrCompileKeyed(Context &Ctx, Stmt Body,
       support::RelocTable Relocs;
       CompileOptions SaveOpts = Opts;
       SaveOpts.Relocs = &Relocs;
-      core::CompiledFn F = compilePooled(Ctx, Body, RetType, SaveOpts);
+      core::CompiledFn F = compileFn(Ctx, Body, RetType, SaveOpts);
       Snap->trySave(K, F, Relocs);
       H = Cache.insert(K, std::move(F));
     }

@@ -33,7 +33,6 @@
 #include "cache/CodeCache.h"
 #include "cache/SpecKey.h"
 #include "core/Compile.h"
-#include "core/CompileContext.h"
 #include "support/ThreadSafety.h"
 
 #include <condition_variable>
@@ -152,11 +151,6 @@ public:
   /// was empty (or the directory was unusable — persistence degrades to
   /// off, never to an error).
   persist::SnapshotCache *snapshot() { return Snap.get(); }
-  /// Recycled per-compile scratch contexts; every compile the service
-  /// performs (including the tier manager's background promotions, which
-  /// come through getOrCompileKeyed) draws from here, so warm-service
-  /// compiles allocate nothing.
-  core::CompileContextPool &contextPool() { return CtxPool; }
 
   /// Process-wide default instance (ServiceConfig::fromEnv()).
   static CompileService &instance();
@@ -171,14 +165,7 @@ private:
     FnHandle Result TICKC_GUARDED_BY(M);
   };
 
-  /// Compiles with the service's scratch-context pool threaded into Opts
-  /// (unless the caller brought a context of its own).
-  core::CompiledFn compilePooled(core::Context &Ctx, core::Stmt Body,
-                                 core::EvalType RetType,
-                                 core::CompileOptions Opts);
-
   ServiceConfig Config;
-  core::CompileContextPool CtxPool;
   /// Open snapshot file, or null when persistence is off. Holds only file
   /// state (fd, mapping, record index) — no code regions — so its position
   /// in the destruction order is unconstrained.

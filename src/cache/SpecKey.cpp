@@ -163,8 +163,7 @@ SpecKey cache::buildSpecKey(const Context &Ctx, Stmt Body, EvalType RetType,
   obs::Phase Span(obs::EventKind::SpecFingerprint);
   SpecKey K;
   KeyWriter W(K.Bytes, K.Refs);
-  // Everything in CompileOptions that changes generated code (Ctx changes
-  // only where compile scratch lives, so it is deliberately absent).
+  // Everything in CompileOptions that changes generated code.
   //
   // Fixed-width options prefix: one capacity check covers it all.
   W.ensure(32);

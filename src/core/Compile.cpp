@@ -171,10 +171,8 @@ private:
 
 template <class B> struct BackendTraits;
 
-/// Covers the VCODE machine over any encoder (vcode::VCode is the one
-/// instantiation).
-template <class AsmT> struct BackendTraits<vcode::VCodeT<AsmT>> {
-  using VM = vcode::VCodeT<AsmT>;
+template <> struct BackendTraits<vcode::VCode> {
+  using VM = vcode::VCode;
   static constexpr bool OnePass = true;
   using LabelT = vcode::Label;
   static int allocI(VM &V) { return V.getreg(); }
@@ -1591,40 +1589,43 @@ void publishCompileMetrics(const CompiledFn &F, const CompileOptions &Opts,
     Cpi->record(S.CyclesTotal / S.MachineInstrs);
 }
 
+/// Runs one verify layer: times \p Check as a Verify phase, records the
+/// outcome under \p L, and on a finding aborts the compile with the
+/// structured report, so generated code never escapes a failed check. A
+/// check that runs inside the compile's CyclesTotal scope passes the
+/// per-compile accumulator as \p Deduct: its checker time is recorded under
+/// verify.cycles and *subtracted* from CyclesTotal, so verification never
+/// skews the Figure 6/7 phase accounting or the cycles-per-instruction
+/// overhead series.
+template <class CheckFn>
+void runCheck(verify::Layer L, std::uint64_t *Deduct, CheckFn &&Check) {
+  std::uint64_t Cyc = 0;
+  verify::Result R;
+  {
+    obs::Phase T(obs::EventKind::Verify, Cyc);
+    R = Check();
+  }
+  if (Deduct)
+    *Deduct += Cyc;
+  verify::recordOutcome(L, !R.ok(), Cyc);
+  if (!R.ok())
+    verify::failCompile(R);
+}
+
 /// Bridges the ICODE pipeline's CompileAudit hooks to the verify layers.
 /// The IR is re-verified after the peephole (DCE must not invent or orphan
 /// operands) and the allocation audited the moment it exists, before the
-/// emitter consumes it. Any finding aborts the compile with a structured
-/// report — generated code never escapes a failed check.
-/// Ctx points at the per-compile verify-cycle accumulator: checker time is
-/// recorded under verify.cycles and *subtracted* from the compile's own
-/// CyclesTotal, so verification never skews the Figure 6/7 phase accounting
-/// or the cycles-per-instruction overhead series.
+/// emitter consumes it. Ctx points at the per-compile verify-cycle
+/// accumulator.
 struct VerifyHooks {
   static void postPeephole(void *Ctx, const icode::ICode &IC) {
-    std::uint64_t Cyc = 0;
-    verify::Result R;
-    {
-      obs::Phase T(obs::EventKind::Verify, Cyc);
-      R = verify::verifyICode(IC);
-    }
-    *static_cast<std::uint64_t *>(Ctx) += Cyc;
-    verify::recordOutcome(verify::Layer::IR, !R.ok(), Cyc);
-    if (!R.ok())
-      verify::failCompile(R);
+    runCheck(verify::Layer::IR, static_cast<std::uint64_t *>(Ctx),
+             [&] { return verify::verifyICode(IC); });
   }
   static void postRegAlloc(void *Ctx, const icode::ICode &IC,
                            const icode::Allocation &Alloc) {
-    std::uint64_t Cyc = 0;
-    verify::Result R;
-    {
-      obs::Phase T(obs::EventKind::Verify, Cyc);
-      R = verify::auditAllocation(IC, Alloc);
-    }
-    *static_cast<std::uint64_t *>(Ctx) += Cyc;
-    verify::recordOutcome(verify::Layer::RegAlloc, !R.ok(), Cyc);
-    if (!R.ok())
-      verify::failCompile(R);
+    runCheck(verify::Layer::RegAlloc, static_cast<std::uint64_t *>(Ctx),
+             [&] { return verify::auditAllocation(IC, Alloc); });
   }
 };
 
@@ -1666,20 +1667,11 @@ struct Instantiation {
     } else {
       BE IC(A);
       Decisions PE = walk(IC, SetupStart);
-      if (DoVerify) {
-        // Post-lowering IR check; the peephole and regalloc re-checks run
-        // from inside the pipeline via the audit hooks below.
-        std::uint64_t Cyc = 0;
-        verify::Result R;
-        {
-          obs::Phase T(obs::EventKind::Verify, Cyc);
-          R = verify::verifyICode(IC);
-        }
-        VerifyCyc += Cyc;
-        verify::recordOutcome(verify::Layer::IR, !R.ok(), Cyc);
-        if (!R.ok())
-          verify::failCompile(R);
-      }
+      // Post-lowering IR check; the peephole and regalloc re-checks run
+      // from inside the pipeline via the audit hooks below.
+      if (DoVerify)
+        runCheck(verify::Layer::IR, &VerifyCyc,
+                 [&] { return verify::verifyICode(IC); });
       icode::CompileAudit Audit;
       Audit.Ctx = &VerifyCyc;
       Audit.PostPeephole = &VerifyHooks::postPeephole;
@@ -1759,28 +1751,20 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
           : DefaultSymbols[static_cast<std::size_t>(Opts.Backend)];
   obs::recordEvent(obs::EventKind::CompileBegin, 0, 0, SymName);
   const bool DoVerify = verify::enabled(Opts.Verify);
-  if (DoVerify) {
-    std::uint64_t Cyc = 0;
-    verify::Result R;
-    {
-      obs::Phase T(obs::EventKind::Verify, Cyc);
-      R = verify::lintSpec(Ctx, Body.node());
-    }
-    verify::recordOutcome(verify::Layer::Spec, !R.ok(), Cyc);
-    if (!R.ok())
-      verify::failCompile(R);
-  }
+  // The lint runs before the Total scope opens, so there is nothing to
+  // deduct.
+  if (DoVerify)
+    runCheck(verify::Layer::Spec, nullptr,
+             [&] { return verify::lintSpec(Ctx, Body.node()); });
   CompiledFn F;
   F.Backend = Opts.Backend;
   if (Opts.Profile)
     F.Prof = obs::ProfileRegistry::global().create(
         Opts.ProfileName ? Opts.ProfileName : "");
-  // Per-compile scratch: the caller's context, or this thread's fallback.
-  // A nested compile on the same thread (a CGF that itself compiles) must
-  // not reset the arena the outer compile is using, so it gets a private
-  // one for the duration.
-  CompileContext *CC =
-      Opts.Ctx ? Opts.Ctx : &CompileContext::forCurrentThread();
+  // Per-compile scratch: this thread's context. A nested compile on the
+  // same thread (a CGF that itself compiles) must not reset the arena the
+  // outer compile is using, so it gets a private one for the duration.
+  CompileContext *CC = &CompileContext::forCurrentThread();
   std::unique_ptr<CompileContext> Nested;
   if (CC->inUse()) {
     Nested.reset(new CompileContext());
@@ -1811,17 +1795,14 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
         F.Entry = F.Code.exec() + (static_cast<std::uint8_t *>(F.Entry) - Buf);
       }
     }
-    if (DoVerify) {
-      // Admit the installed bytes through the block's writable view: the
-      // same analysis every snapshot load faces unconditionally, so a shape
-      // the verifier would reject at load time can never be saved unnoticed.
-      // When this compile recorded a portable reloc table, it is handed
-      // over and the call-target confinement proof runs exactly as it will
-      // on reload. Fresh compiles also switch on their backend's own facts.
-      std::uint64_t Cyc = 0;
-      verify::Result R;
-      {
-        obs::Phase T(obs::EventKind::Verify, Cyc);
+    // Admit the installed bytes through the block's writable view: the
+    // same analysis every snapshot load faces unconditionally, so a shape
+    // the verifier would reject at load time can never be saved unnoticed.
+    // When this compile recorded a portable reloc table, it is handed over
+    // and the call-target confinement proof runs exactly as it will on
+    // reload. Fresh compiles also switch on their backend's own facts.
+    if (DoVerify)
+      runCheck(verify::Layer::Admit, &VerifyCyc, [&] {
         verify::AdmissionInputs AI;
         AI.Code = F.Code.code();
         AI.Size = F.Stats.CodeBytes;
@@ -1836,13 +1817,8 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
         // The usage cross-check and spill dataflow assume ICODE's emission
         // discipline; VCODE's one-pass output gets the structural checks.
         AI.ICodeFacts = Opts.Backend == BackendKind::ICode;
-        R = verify::verifyAdmission(AI);
-      }
-      VerifyCyc += Cyc;
-      verify::recordOutcome(verify::Layer::Admit, !R.ok(), Cyc);
-      if (!R.ok())
-        verify::failCompile(R);
-    }
+        return verify::verifyAdmission(AI);
+      });
   }
   F.Stats.CyclesTotal -= std::min(F.Stats.CyclesTotal, VerifyCyc);
   if (F.Prof) {

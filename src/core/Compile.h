@@ -39,8 +39,6 @@
 namespace tcc {
 namespace core {
 
-class CompileContext;
-
 /// Which dynamic back end instantiation uses. Serialized into SpecKey (the
 /// first option byte), so each backend's output occupies its own cache slot.
 /// The values are persisted key bytes: a record keyed under a retired back
@@ -64,12 +62,6 @@ struct CompileOptions {
   /// larger run-time-constant trip counts fall back to runtime loops ("unless
   /// it is made too large ... it will easily outperform", paper §4.4).
   unsigned UnrollLimit = 16384;
-  /// When set, all transient compile-time structures (IR, liveness bitsets,
-  /// intervals, emitter tables) are carved from this context's arena, which
-  /// retains its capacity between compiles — the zero-allocation fast path.
-  /// When null, compileFn uses a per-thread fallback context. Not part of
-  /// the cache key: scratch placement never changes the generated code.
-  CompileContext *Ctx = nullptr;
   /// When true, both back ends plant an atomic invocation-counter bump in
   /// the generated prologue; the CompiledFn carries the counter (see
   /// profile()), making hot specs identifiable at runtime next to their

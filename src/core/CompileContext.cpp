@@ -1,4 +1,4 @@
-//===- core/CompileContext.cpp - Pooled per-compile scratch memory --------==//
+//===- core/CompileContext.cpp - Per-thread compile scratch memory --------==//
 //
 // Part of tickc, a reproduction of "tcc: A System for Fast, Flexible, and
 // High-level Dynamic Code Generation" (PLDI 1997).
@@ -7,62 +7,10 @@
 
 #include "core/CompileContext.h"
 
-#include "observability/Metrics.h"
-#include "observability/Names.h"
-
 using namespace tcc;
 using namespace tcc::core;
 
 CompileContext &CompileContext::forCurrentThread() {
   static thread_local CompileContext Ctx;
   return Ctx;
-}
-
-namespace {
-struct PoolMetrics {
-  obs::Counter &Hits;
-  obs::Counter &Misses;
-  static PoolMetrics &get() {
-    auto &Reg = obs::MetricsRegistry::global();
-    static PoolMetrics M{Reg.counter(obs::names::CtxPoolHits),
-                         Reg.counter(obs::names::CtxPoolMisses)};
-    return M;
-  }
-};
-} // namespace
-
-CompileContextPool::Handle CompileContextPool::acquire() {
-  CompileContext *C = nullptr;
-  bool Hit = false;
-  {
-    support::MutexLock G(M);
-    if (!Free.empty()) {
-      C = Free.back();
-      Free.pop_back();
-      ++Hits;
-      Hit = true;
-    } else {
-      All.emplace_back(new CompileContext());
-      C = All.back().get();
-      ++Misses;
-    }
-  }
-  auto &PM = PoolMetrics::get();
-  (Hit ? PM.Hits : PM.Misses).inc();
-  return Handle(*this, *C);
-}
-
-void CompileContextPool::release(CompileContext &C) {
-  support::MutexLock G(M);
-  Free.push_back(&C);
-}
-
-CompileContextPool::Stats CompileContextPool::stats() const {
-  support::MutexLock G(M);
-  return Stats{Hits, Misses};
-}
-
-std::size_t CompileContextPool::size() const {
-  support::MutexLock G(M);
-  return All.size();
 }

@@ -1,4 +1,4 @@
-//===- core/CompileContext.h - Pooled per-compile scratch memory -*- C++ -*-==//
+//===- core/CompileContext.h - Per-thread compile scratch memory -*- C++ -*-===//
 //
 // Part of tickc, a reproduction of "tcc: A System for Fast, Flexible, and
 // High-level Dynamic Code Generation" (PLDI 1997).
@@ -14,9 +14,12 @@
 /// later compile through the same context performs zero heap allocations on
 /// the fast path.
 ///
-/// Contexts are recycled through a CompileContextPool (one per
-/// CompileService, shared with the tier manager's promotion workers) or, for
-/// direct compileFn callers, through a per-thread fallback context.
+/// Each compiling thread owns one context (forCurrentThread()), created at
+/// its first compile and destroyed with the thread. compileFn is its only
+/// user: every compile on that thread, whether a direct call, a
+/// CompileService miss or a tier promotion, reuses it. A compile nested
+/// inside another on the same thread (a CGF that itself compiles) finds the
+/// context in use and gets a private one for its duration.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,21 +27,18 @@
 #define TICKC_CORE_COMPILECONTEXT_H
 
 #include "support/Arena.h"
-#include "support/ThreadSafety.h"
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 namespace tcc {
 namespace core {
 
 /// Reusable per-compile scratch: one arena plus the bookkeeping needed to
 /// report per-compile allocation behaviour. Not thread-safe; a context is
-/// used by one compile at a time (the pool / thread-local owner enforces
-/// that, and nested compiles on the same thread fall back to a fresh
-/// context).
+/// used by one compile at a time (it belongs to one thread, and nested
+/// compiles on that thread fall back to a fresh context).
 class CompileContext {
 public:
   /// Slab size tuned so a typical fig7-sized compile (flow graph + liveness
@@ -96,10 +96,9 @@ public:
     return Code.get();
   }
 
-  /// Per-thread fallback for compileFn callers that pass no context and no
-  /// service: each thread gets one lazily-created context that lives for
-  /// the thread's lifetime, so even ad-hoc compiles hit the zero-allocation
-  /// steady state.
+  /// The calling thread's context: created lazily at its first compile and
+  /// kept for the thread's lifetime, so every compile after the first on a
+  /// thread hits the zero-allocation steady state.
   static CompileContext &forCurrentThread();
 
 private:
@@ -107,73 +106,6 @@ private:
   std::unique_ptr<std::uint8_t[]> Code;
   std::uint64_t AllocsAtBegin = 0;
   bool InUse = false;
-};
-
-/// Free-list recycler for CompileContexts. CompileService owns one and
-/// threads it through every compile it performs (including those the tier
-/// manager's promotion workers request), so a warm service compiles with
-/// zero heap allocations regardless of which thread asks.
-class CompileContextPool {
-public:
-  /// Move-only handle; returns the context to the pool on destruction.
-  class Handle {
-  public:
-    Handle() = default;
-    Handle(CompileContextPool &Pool, CompileContext &C) : P(&Pool), C(&C) {}
-    Handle(Handle &&O) noexcept : P(O.P), C(O.C) {
-      O.P = nullptr;
-      O.C = nullptr;
-    }
-    Handle &operator=(Handle &&O) noexcept {
-      if (this != &O) {
-        reset();
-        P = O.P;
-        C = O.C;
-        O.P = nullptr;
-        O.C = nullptr;
-      }
-      return *this;
-    }
-    ~Handle() { reset(); }
-
-    CompileContext *get() const { return C; }
-    explicit operator bool() const { return C != nullptr; }
-
-  private:
-    void reset() {
-      if (P && C)
-        P->release(*C);
-      P = nullptr;
-      C = nullptr;
-    }
-
-    CompileContextPool *P = nullptr;
-    CompileContext *C = nullptr;
-  };
-
-  /// Pops a warmed context off the free list, or creates one on first use.
-  /// Publishes hit/miss to the obs registry so tickc-report can show the
-  /// pool's steady-state reuse rate.
-  Handle acquire();
-
-  struct Stats {
-    std::uint64_t Hits = 0;   ///< Acquires served from the free list.
-    std::uint64_t Misses = 0; ///< Acquires that created a new context.
-  };
-  Stats stats() const;
-
-  /// Contexts ever created (== peak concurrency the pool has seen).
-  std::size_t size() const;
-
-private:
-  friend class Handle;
-  void release(CompileContext &C);
-
-  mutable support::Mutex M;
-  std::vector<std::unique_ptr<CompileContext>> All TICKC_GUARDED_BY(M);
-  std::vector<CompileContext *> Free TICKC_GUARDED_BY(M);
-  std::uint64_t Hits TICKC_GUARDED_BY(M) = 0;
-  std::uint64_t Misses TICKC_GUARDED_BY(M) = 0;
 };
 
 } // namespace core

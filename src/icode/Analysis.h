@@ -20,7 +20,7 @@
 ///    linear-scan allocator consumes; holes are deliberately ignored.
 ///
 /// Every structure here allocates from the originating ICode's arena (see
-/// ICode::arena()): on the pooled compile path nothing in this header
+/// ICode::arena()): on the compileFn path nothing in this header
 /// touches the system allocator in the steady state.
 ///
 //===----------------------------------------------------------------------===//
@@ -170,7 +170,7 @@ ArenaVector<Interval> buildLiveIntervals(const ICode &IC, const FlowGraph &FG);
 /// in (caller-saved) XMM registers. Only float vregs are affected: code
 /// with a call site gets the callee-saved integer pool, and the
 /// caller-saved one only where there is no call to cross (see
-/// vcode::VCodeT::useCallerSavedPool). Returns null when the code has no
+/// vcode::VCode::useCallerSavedPool). Returns null when the code has no
 /// call sites — callers treat null as all-clear.
 const std::uint8_t *computeMustSpill(const ICode &IC,
                                      const Interval *Intervals,

@@ -441,8 +441,8 @@ void *ICode::compileTo(VCode &V, RegAllocKind Kind, CompileStats *Stats,
   if (Audit && Audit->PostPeephole)
     Audit->PostPeephole(Audit->Ctx, *this);
 
-  // Every analysis phase allocates from the ICode's arena: on the pooled
-  // compile path this is a CompileContext arena reset between compiles, so
+  // Every analysis phase allocates from the ICode's arena: on the compileFn
+  // path this is a CompileContext arena reset between compiles, so
   // the whole pipeline below is heap-allocation-free in the steady state.
   FlowGraph FG(*A);
   {

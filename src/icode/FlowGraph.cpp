@@ -10,7 +10,7 @@
 // allocation, [block][Def | Use | LiveIn | LiveOut][word], and the
 // relaxation operates on whole uint64_t words: per pass each block costs a
 // handful of OR/AND-NOT word operations instead of per-bit container
-// traffic. On the pooled compile path the backing arena is reset between
+// traffic. On the compileFn path the backing arena is reset between
 // compiles, so steady-state liveness performs no heap allocation at all.
 //
 //===----------------------------------------------------------------------===//

@@ -228,7 +228,7 @@ struct CompileStats {
   unsigned NumSpilledIntervals = 0;
   unsigned NumLivenessIterations = 0;
   /// The body has no call, so it was emitted with the caller-saved pool
-  /// (vcode::VCodeT::useCallerSavedPool).
+  /// (vcode::VCode::useCallerSavedPool).
   bool CallerSavedPool = false;
 };
 
@@ -276,7 +276,7 @@ public:
   /// Owns a private arena — convenient for tests and ad-hoc use.
   ICode();
   /// Builds the IR (and every later analysis structure) in \p A — the
-  /// steady-state compile path, where \p A is a pooled CompileContext's
+  /// steady-state compile path, where \p A is the thread's CompileContext's
   /// arena that is reset (retaining its slab) between compiles.
   explicit ICode(Arena &A);
 
@@ -555,7 +555,7 @@ private:
   }
 
   /// Private arena for the ownerless constructor; null when building into a
-  /// caller-provided (pooled) arena.
+  /// caller-provided arena.
   std::unique_ptr<Arena> Owned;
   Arena *A;
   ArenaVector<Instr> Instrs;

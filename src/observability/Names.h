@@ -50,7 +50,7 @@ inline constexpr char HistCyclesGraphColor[] =
 // Register allocation.
 inline constexpr char SpilledIntervals[] = "regalloc.spilled_intervals";
 
-// Compile-path memory management: the pooled-context zero-allocation fast
+// Compile-path memory management: the reused-context zero-allocation fast
 // path. compile.allocs counts heap allocations performed by the per-compile
 // arena (zero in steady state); compile.arena_bytes is the per-compile arena
 // footprint; compile.cycles_per_insn.* are cycles per generated machine
@@ -60,8 +60,6 @@ inline constexpr char CompileAllocs[] = "compile.allocs";
 inline constexpr char HistArenaBytes[] = "compile.arena_bytes";
 inline constexpr char HistCpiVCode[] = "compile.cycles_per_insn.vcode";
 inline constexpr char HistCpiICode[] = "compile.cycles_per_insn.icode";
-inline constexpr char CtxPoolHits[] = "compile.ctx_pool.hits";
-inline constexpr char CtxPoolMisses[] = "compile.ctx_pool.misses";
 
 // Dynamic partial evaluation decisions (paper §4.4).
 inline constexpr char LoopsUnrolled[] = "opt.loops_unrolled";

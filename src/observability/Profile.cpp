@@ -17,17 +17,13 @@ ProfileRegistry &ProfileRegistry::global() {
 std::shared_ptr<ProfileEntry> ProfileRegistry::create(std::string_view Name) {
   auto E = std::make_shared<ProfileEntry>();
   E->Name.assign(Name.begin(), Name.end());
-  publish(E);
-  return E;
-}
-
-void ProfileRegistry::publish(const std::shared_ptr<ProfileEntry> &E) {
   std::lock_guard<std::mutex> G(M);
   if (Entries.size() >= HighWater) {
     pruneLocked();
     HighWater = std::max(MinHighWater, Entries.size() * 2);
   }
   Entries.emplace_back(E);
+  return E;
 }
 
 std::size_t ProfileRegistry::pruneLocked() {

@@ -60,12 +60,8 @@ public:
   /// The process-wide registry (never destroyed).
   static ProfileRegistry &global();
 
+  /// Allocates a named entry and registers it.
   std::shared_ptr<ProfileEntry> create(std::string_view Name);
-
-  /// Registers an entry allocated elsewhere. For creators on a latency
-  /// path: allocate the entry inline (cheap), name and publish it later
-  /// from a background thread. Name must be set before publication.
-  void publish(const std::shared_ptr<ProfileEntry> &E);
 
   /// Live entries, unordered. Expired entries are pruned as a side effect.
   std::vector<std::shared_ptr<ProfileEntry>> entries();

@@ -215,15 +215,12 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
             static_cast<unsigned long long>(S.counter(names::HeapFreed)));
 
   // Compile-overhead vitals for the zero-allocation fast path: per-backend
-  // cycles per generated instruction, arena footprint, and how often a
-  // compile had a recycled context waiting for it.
+  // cycles per generated instruction and arena footprint.
   const HistogramSnapshot *CpiV = S.histogram(names::HistCpiVCode);
   const HistogramSnapshot *CpiI = S.histogram(names::HistCpiICode);
   const HistogramSnapshot *ArenaB = S.histogram(names::HistArenaBytes);
-  std::uint64_t CtxHits = S.counter(names::CtxPoolHits);
-  std::uint64_t CtxMisses = S.counter(names::CtxPoolMisses);
   if ((CpiV && CpiV->Count) || (CpiI && CpiI->Count) ||
-      (ArenaB && ArenaB->Count) || CtxHits + CtxMisses) {
+      (ArenaB && ArenaB->Count)) {
     Out += "compile overhead (cycles per generated instruction)\n";
     for (auto [Label, H] : {std::pair<const char *, const HistogramSnapshot *>(
                                 "vcode", CpiV),
@@ -246,12 +243,6 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
               static_cast<unsigned long long>(ArenaB->Max),
               static_cast<unsigned long long>(
                   S.counter(names::CompileAllocs)));
-    if (CtxHits + CtxMisses)
-      appendf(Out, "  context pool: %llu hits / %llu misses (%.1f%% reuse)\n",
-              static_cast<unsigned long long>(CtxHits),
-              static_cast<unsigned long long>(CtxMisses),
-              100.0 * static_cast<double>(CtxHits) /
-                  static_cast<double>(CtxHits + CtxMisses));
   }
 
   std::uint64_t TierReq = S.counter(names::TierEnqueued);

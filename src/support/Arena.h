@@ -12,7 +12,7 @@
 /// ICODE's flow graph and liveness structures use the same allocator (§5.2).
 ///
 /// reset() retains capacity: a multi-slab arena coalesces into one slab
-/// sized for everything it held, so a pooled CompileContext that resets its
+/// sized for everything it held, so a CompileContext that resets its
 /// arena between compiles stops touching the system allocator entirely once
 /// it has seen its largest compile. systemAllocs() counts the residual
 /// malloc traffic — the quantity the compile.allocs gate drives to zero.
@@ -83,7 +83,7 @@ public:
   std::size_t slabCount() const { return NumSlabs; }
 
   /// Monotonic count of system (malloc) slab requests over the arena's
-  /// lifetime. Steady-state pooled compiles must not move this.
+  /// lifetime. Steady-state compiles must not move this.
   std::uint64_t systemAllocs() const { return TotalSystemAllocs; }
 
 private:

@@ -12,7 +12,7 @@
 /// addresses, all materialized through `movabs` (x86::Assembler::movRI64):
 /// captured free-variable addresses, direct-call callee entry points, and
 /// the profile invocation-counter slot. The emitting layer arms the
-/// assembler with the pending kind (VCodeT::setP / emitCall /
+/// assembler with the pending kind (VCode::setP / emitCall /
 /// prepareCallArgP / profileEntry); the assembler records the imm64's byte
 /// offset when the movabs actually fires.
 ///

@@ -1,8 +1,7 @@
 //===- vcode/VCode.cpp ----------------------------------------------------==//
 //
-// Non-template pieces of the VCODE machine (comparison-kind algebra and the
-// division magic-number search) plus the explicit instantiation of the
-// classic encoder-backed VCodeT<x86::Assembler>.
+// Out-of-line pieces of the VCODE machine: the comparison-kind algebra and
+// the division magic-number search.
 //
 //===----------------------------------------------------------------------===//
 
@@ -99,11 +98,3 @@ tcc::vcode::signedDivisionMagicImpl(std::int32_t Divisor) {
     Magic = -Magic;
   return {Magic, P - 32};
 }
-
-namespace tcc {
-namespace vcode {
-
-template class VCodeT<x86::Assembler>;
-
-} // namespace vcode
-} // namespace tcc

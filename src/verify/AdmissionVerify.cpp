@@ -597,7 +597,7 @@ struct Admission {
 
   /// A page-guarded ICODE function is one frame with two bodies: the
   /// prologue, guard units `lea r10, [arg+lo]; and r10d, 4095;
-  /// cmp r10d, k; ja twin` (vcode::VCodeT::pageGuard), the branch-free
+  /// cmp r10d, k; ja twin` (vcode::VCode::pageGuard), the branch-free
   /// body, then the short-circuit fallback whose epilogues jump back to the
   /// body's exit. The backend's own facts hold for the body only; the
   /// fallback is VCODE output and gets what a VCODE compile gets. The

@@ -1,14 +1,15 @@
 //===- tests/alloc_test.cpp - Zero-allocation compile fast path -----------==//
 //
 // Counts heap allocations by overriding the global operator new in this
-// test binary. The contract under test: once a CompileContext (and the
-// code heap) are warm, repeat ICODE compiles of the same spec perform
-// ZERO heap allocations — everything transient lives in the context's
-// arena, which retains its slab across reset(). The same holds for
-// machine-code admission on a warm thread, which reuses its scratch arrays.
+// test binary. The contract under test: once a thread's CompileContext
+// (and the code heap) are warm, repeat ICODE compiles of the same spec
+// perform ZERO heap allocations — everything transient lives in the
+// context's arena, which retains its slab across reset(). The same holds
+// for machine-code admission on a warm thread, which reuses its scratch
+// arrays.
 //
-// Also stresses CompileContextPool reuse from 8 threads; CI runs this
-// binary under TSan.
+// Also drives one CompileService from 8 threads, each compiling through its
+// own context; CI runs this binary under TSan.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,9 +40,13 @@
 // check — between the two counters the whole heap surface is covered.)
 
 static std::atomic<std::uint64_t> GHeapAllocs{0};
+/// Allocations at least as large as a compile context's emission buffer.
+static std::atomic<std::uint64_t> GBufferSizedAllocs{0};
 
 static void *countedAlloc(std::size_t Sz, std::size_t Align) {
   GHeapAllocs.fetch_add(1, std::memory_order_relaxed);
+  if (Sz >= tcc::core::CompileContext::CodeBufferBytes)
+    GBufferSizedAllocs.fetch_add(1, std::memory_order_relaxed);
   void *P = Align > alignof(std::max_align_t)
                 ? std::aligned_alloc(Align, (Sz + Align - 1) / Align * Align)
                 : std::malloc(Sz ? Sz : 1);
@@ -126,13 +131,23 @@ Stmt buildHashSpec(Context &C, const int *KeysData, const int *ValsData,
   return C.block({Init, Loop, Tail});
 }
 
-/// Compiles \p Body repeatedly through one warmed CompileContext and
-/// returns the heap allocations the steady-state compiles cost.
+/// Wrapping integer power, matching the generated code's int multiplies.
+int powRef(int X, unsigned E) {
+  std::uint32_t R = 1, B = static_cast<std::uint32_t>(X);
+  while (E) {
+    if (E & 1)
+      R *= B;
+    B *= B;
+    E >>= 1;
+  }
+  return static_cast<int>(R);
+}
+
+/// Compiles \p Body repeatedly through the thread's warmed CompileContext
+/// and returns the heap allocations the steady-state compiles cost.
 std::uint64_t steadyStateAllocs(Context &Ctx, Stmt Body, unsigned Reps) {
-  CompileContext CC;
   CompileOptions Opts;
   Opts.Backend = BackendKind::ICode;
-  Opts.Ctx = &CC;
 
   // Warm up: first compiles grow the arena and the emission buffer, map the
   // code heap's chunk, and create the metrics registry entries and
@@ -184,8 +199,7 @@ TEST(AllocTest, HashSteadyStateCompileIsAllocationFree) {
 }
 
 TEST(AllocTest, ThreadLocalFallbackContextReachesZeroAllocArena) {
-  // compileFn with no explicit context uses the per-thread fallback; after
-  // a warmup compile the arena must stop growing there too.
+  // After a warmup compile the thread's arena stops growing.
   Context C;
   Stmt Body = buildPowerSpec(C, 21);
   CompileOptions Opts;
@@ -233,46 +247,18 @@ TEST(AllocTest, WarmAdmissionIsAllocationFree) {
   EXPECT_EQ(After - Before, 0u);
 }
 
-TEST(AllocTest, ContextPoolReusesContexts) {
-  CompileContextPool Pool;
-  CompileContext *First = nullptr;
-  {
-    auto H = Pool.acquire();
-    First = H.get();
-    ASSERT_NE(First, nullptr);
-  }
-  {
-    auto H = Pool.acquire();
-    EXPECT_EQ(H.get(), First) << "released context should be recycled";
-  }
-  auto S = Pool.stats();
-  EXPECT_EQ(S.Misses, 1u);
-  EXPECT_EQ(S.Hits, 1u);
-  EXPECT_EQ(Pool.size(), 1u);
-}
-
-TEST(AllocTest, EightThreadPoolReuseStress) {
+TEST(AllocTest, EightThreadServiceStress) {
   // 8 threads hammer one CompileService with distinct specs (distinct
-  // exponents -> distinct cache keys -> every request compiles). The
-  // service's context pool must never hand one context to two concurrent
-  // compiles, and after the storm it holds at most one context per peak
-  // concurrent compile. TSan (CI) checks the synchronization.
+  // exponents -> distinct cache keys -> every request compiles). Each
+  // thread compiles through its own context, so after a thread's first
+  // compile its arena never grows again. TSan (CI) checks that no context
+  // is shared between threads.
   cache::CompileService Service;
   constexpr int NumThreads = 8;
   constexpr int PerThread = 24;
-  // Wrapping integer power, matching the generated code's int multiplies.
-  auto PowRef = [](int X, unsigned E) {
-    std::uint32_t R = 1, B = static_cast<std::uint32_t>(X);
-    while (E) {
-      if (E & 1)
-        R *= B;
-      B *= B;
-      E >>= 1;
-    }
-    return static_cast<int>(R);
-  };
   std::vector<std::thread> Threads;
   std::atomic<int> Failures{0};
+  std::atomic<int> GrowingCompiles{0};
   for (int T = 0; T < NumThreads; ++T) {
     Threads.emplace_back([&, T] {
       for (int I = 0; I < PerThread; ++I) {
@@ -283,18 +269,43 @@ TEST(AllocTest, EightThreadPoolReuseStress) {
         Opts.Backend = BackendKind::ICode;
         cache::FnHandle F =
             Service.getOrCompile(C, Body, EvalType::Int, Opts);
-        if (!F || F->as<int(int)>()(3) != PowRef(3, Exponent))
+        if (!F || F->as<int(int)>()(3) != powRef(3, Exponent))
           Failures.fetch_add(1, std::memory_order_relaxed);
+        if (I > 0 &&
+            CompileContext::forCurrentThread().allocsThisCompile() != 0)
+          GrowingCompiles.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
   for (auto &Th : Threads)
     Th.join();
   EXPECT_EQ(Failures.load(), 0);
-  auto S = Service.contextPool().stats();
-  EXPECT_EQ(S.Hits + S.Misses,
+  EXPECT_EQ(GrowingCompiles.load(), 0)
+      << "a warm thread's compile grew its arena";
+  EXPECT_EQ(Service.cache().stats().Insertions,
             static_cast<std::uint64_t>(NumThreads * PerThread));
-  EXPECT_LE(Service.contextPool().size(),
-            static_cast<std::size_t>(NumThreads));
-  EXPECT_GT(S.Hits, 0u) << "pool never recycled a context";
+}
+
+TEST(AllocTest, NewServiceOnAWarmThreadReusesItsContext) {
+  // A service built after its thread has compiled (a server that restarts
+  // its cache) compiles its first miss in the thread's existing context:
+  // no new emission buffer is allocated.
+  {
+    cache::CompileService Warm;
+    Context C;
+    Stmt Body = buildPowerSpec(C, 11);
+    cache::FnHandle F = Warm.getOrCompile(C, Body, EvalType::Int);
+    ASSERT_TRUE(F);
+  }
+  cache::CompileService Fresh;
+  Context C;
+  Stmt Body = buildPowerSpec(C, 12);
+  std::uint64_t Before = GBufferSizedAllocs.load(std::memory_order_relaxed);
+  cache::FnHandle F = Fresh.getOrCompile(C, Body, EvalType::Int);
+  std::uint64_t After = GBufferSizedAllocs.load(std::memory_order_relaxed);
+  ASSERT_TRUE(F);
+  EXPECT_EQ(F->as<int(int)>()(3), powRef(3, 12));
+  EXPECT_EQ(Fresh.cache().stats().Insertions, 1u);
+  EXPECT_EQ(After - Before, 0u)
+      << "the first miss allocated a buffer of CodeBufferBytes or more";
 }

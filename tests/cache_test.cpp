@@ -114,16 +114,6 @@ TEST(CompileService, ThreeBackendsThreeEntries) {
   EXPECT_EQ(S.cache().stats().Insertions, 3u);
 }
 
-TEST(SpecKey, PoolDoesNotChangeTheKey) {
-  // A context drawn from a CompileContextPool changes where scratch lives,
-  // never what is compiled.
-  CompileContextPool Pool;
-  CompileContextPool::Handle H = Pool.acquire();
-  CompileOptions WithPool;
-  WithPool.Ctx = H.get();
-  EXPECT_TRUE(keyOf(3, 7) == keyOf(3, 7, WithPool));
-}
-
 TEST(SpecKey, CapturedAddressSpreadsTheContainerHash) {
   // Specs differing only in a captured address share their bytes (and the
   // bytes hash snapshot records store), but the hash containers and cache
