@@ -1759,8 +1759,7 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
   CompiledFn F;
   F.Backend = Opts.Backend;
   if (Opts.Profile)
-    F.Prof = obs::ProfileRegistry::global().create(
-        Opts.ProfileName ? Opts.ProfileName : "");
+    F.Prof = std::make_shared<obs::ProfileEntry>();
   // Per-compile scratch: this thread's context. A nested compile on the
   // same thread (a CGF that itself compiles) must not reset the arena the
   // outer compile is using, so it gets a private one for the duration.
@@ -1824,9 +1823,6 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
   if (F.Prof) {
     F.Prof->CompileCycles.store(F.Stats.CyclesTotal,
                                 std::memory_order_relaxed);
-    F.Prof->CodeBytes.store(F.Stats.CodeBytes, std::memory_order_relaxed);
-    F.Prof->MachineInstrs.store(F.Stats.MachineInstrs,
-                                std::memory_order_relaxed);
     F.Prof->Backend.store(backendName(Opts.Backend),
                           std::memory_order_relaxed);
   }
@@ -1838,13 +1834,13 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
     M.ArenaBytes.record(CC->arenaBytes());
   }
   // Register the installed code so the sampler, the flight recorder, and
-  // external perf can symbolize its PCs. The handle retires in ~CompiledFn
-  // (declared after Code/Prof), which a tier slot only runs once the
-  // slot itself dies — no caller can still be executing the block.
+  // external perf can symbolize its PCs, and the report can find its
+  // profile entry. The handle retires in ~CompiledFn (declared after
+  // Code/Prof), which a tier slot only runs once the slot itself dies — no
+  // caller can still be executing the block.
   if (F.Entry && F.Stats.CodeBytes)
     F.Sym = obs::RuntimeSymbolTable::global().registerRegion(
-        F.Entry, F.Stats.CodeBytes, SymName,
-        F.Prof ? &F.Prof->Samples : nullptr);
+        F.Entry, F.Stats.CodeBytes, SymName, F.Prof.get());
   obs::recordEvent(obs::EventKind::CompileEnd, F.Stats.CodeBytes,
                    F.Stats.CyclesTotal, SymName);
   publishCompileMetrics(F, Opts, PE);
@@ -1867,15 +1863,10 @@ CompiledFn core::adoptLoadedCode(LoadedCode &&L) {
   // (cache.snapshot.load.cycles).
   const char *SymName =
       L.SymbolName && *L.SymbolName ? L.SymbolName : "spec.snapshot";
-  if (F.Prof) {
-    F.Prof->CodeBytes.store(F.Stats.CodeBytes, std::memory_order_relaxed);
-    F.Prof->MachineInstrs.store(F.Stats.MachineInstrs,
-                                std::memory_order_relaxed);
+  if (F.Prof)
     F.Prof->Backend.store("snapshot", std::memory_order_relaxed);
-  }
   F.Sym = obs::RuntimeSymbolTable::global().registerRegion(
-      F.Entry, F.Stats.CodeBytes, SymName,
-      F.Prof ? &F.Prof->Samples : nullptr);
+      F.Entry, F.Stats.CodeBytes, SymName, F.Prof.get());
   obs::recordEvent(obs::EventKind::CompileEnd, F.Stats.CodeBytes, 0, SymName);
   return F;
 }

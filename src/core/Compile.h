@@ -67,7 +67,9 @@ struct CompileOptions {
   /// profile()), making hot specs identifiable at runtime next to their
   /// compile cost. Part of the cache key: it changes the emitted code.
   bool Profile = false;
-  /// Label for the profile entry (optional; copied at compile time).
+  /// Label for the function (optional): names its runtime symbol when
+  /// SymbolName is null, and so its row in the report's profiled-function
+  /// table. Not part of the cache key.
   const char *ProfileName = nullptr;
   /// Runtime symbol name for the finalized region (optional; copied at
   /// compile time, truncated to RuntimeSymbolTable::NameBytes-1). Every
@@ -110,7 +112,22 @@ class CompiledFn {
 public:
   CompiledFn() = default;
   CompiledFn(CompiledFn &&) = default;
-  CompiledFn &operator=(CompiledFn &&) = default;
+  /// Retires the old symbol first, as the destructor does, before the old
+  /// profile entry and code block are released.
+  CompiledFn &operator=(CompiledFn &&O) noexcept {
+    if (this != &O) {
+      Sym.reset();
+      Code = std::move(O.Code);
+      Entry = O.Entry;
+      O.Entry = nullptr;
+      Stats = O.Stats;
+      Backend = O.Backend;
+      FromSnapshot = O.FromSnapshot;
+      Prof = std::move(O.Prof);
+      Sym = std::move(O.Sym);
+    }
+    return *this;
+  }
 
   void *entry() const { return Entry; }
   bool valid() const { return Entry != nullptr; }
@@ -119,15 +136,12 @@ public:
     return reinterpret_cast<FnT *>(Entry);
   }
   const DynStats &stats() const { return Stats; }
-  /// The profile entry carrying this function's invocation counter, or
-  /// nullptr when compiled without CompileOptions::Profile. The entry is
-  /// shared with obs::ProfileRegistry and lives at least as long as the
-  /// generated code that increments it.
+  /// The profile entry carrying this function's invocation counter and
+  /// compile cost, or nullptr when compiled without CompileOptions::Profile.
+  /// This function owns it, so it lives as long as the generated code that
+  /// increments it; the function's runtime symbol points at it for the
+  /// report, and the symbol retires before the entry is released.
   const obs::ProfileEntry *profile() const { return Prof.get(); }
-  /// Shared ownership of the profile entry, for observers (like the tier
-  /// manager's dispatch slots) that must keep reading the counter after
-  /// they drop the function handle itself.
-  std::shared_ptr<obs::ProfileEntry> profileShared() const { return Prof; }
   /// The back end that generated this code (CompileOptions::Backend; for a
   /// snapshot load, the back end the request's key named).
   BackendKind backend() const { return Backend; }
@@ -148,9 +162,9 @@ private:
   bool FromSnapshot = false;
   std::shared_ptr<obs::ProfileEntry> Prof;
   /// Runtime symbol registration. Declared last on purpose: destruction
-  /// runs in reverse order, so the symbol retires (draining any in-flight
-  /// sampler hit that might bump Prof->Samples) before Prof is released
-  /// and before Code can be handed to another function.
+  /// runs in reverse order, so the symbol retires (after which no report
+  /// reads Prof through it) before Prof is released and before Code can be
+  /// handed to another function.
   obs::SymbolHandle Sym;
 };
 

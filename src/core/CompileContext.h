@@ -53,14 +53,17 @@ public:
   Arena &arena() { return A; }
 
   /// RAII frame for one compile: resets the arena (retaining capacity),
-  /// snapshots the system-allocation counter, and marks the context in use
-  /// so re-entrant compiles on the same thread can detect the conflict.
+  /// snapshots the allocation counter, and marks the context in use so
+  /// re-entrant compiles on the same thread can detect the conflict. The
+  /// first compile through a context skips the snapshot, so it is charged
+  /// the slab the constructor took as well as the code buffer.
   class Scope {
   public:
     explicit Scope(CompileContext &C) : C(C) {
       C.A.reset();
-      C.AllocsAtBegin = C.A.systemAllocs();
-      C.InUse = true;
+      if (C.Used)
+        C.AllocsAtBegin = C.allocs();
+      C.Used = C.InUse = true;
     }
     ~Scope() { C.InUse = false; }
     Scope(const Scope &) = delete;
@@ -70,11 +73,11 @@ public:
     CompileContext &C;
   };
 
-  /// Heap allocations the arena performed since the current Scope began.
-  /// Zero in steady state: reset() retains capacity.
-  std::uint64_t allocsThisCompile() const {
-    return A.systemAllocs() - AllocsAtBegin;
-  }
+  /// Heap allocations (arena slabs and the code buffer) charged to the
+  /// current compile: two for a context's first compile (its slab and its
+  /// buffer) plus any arena growth, zero in steady state (reset() retains
+  /// capacity).
+  std::uint64_t allocsThisCompile() const { return allocs() - AllocsAtBegin; }
 
   /// Arena bytes consumed by the current (or last) compile.
   std::size_t arenaBytes() const { return A.bytesAllocated(); }
@@ -91,8 +94,10 @@ public:
   /// CodeBufferBytes, reused across compiles and never executable. The
   /// finished bytes are copied out into a CodeHeap block sized to them.
   std::uint8_t *codeBuffer() {
-    if (!Code)
+    if (!Code) {
       Code.reset(new std::uint8_t[CodeBufferBytes]);
+      ++BufferAllocs;
+    }
     return Code.get();
   }
 
@@ -102,9 +107,13 @@ public:
   static CompileContext &forCurrentThread();
 
 private:
+  std::uint64_t allocs() const { return A.systemAllocs() + BufferAllocs; }
+
   Arena A;
   std::unique_ptr<std::uint8_t[]> Code;
+  std::uint64_t BufferAllocs = 0;
   std::uint64_t AllocsAtBegin = 0;
+  bool Used = false; ///< A Scope has opened on this context before.
   bool InUse = false;
 };
 

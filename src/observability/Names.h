@@ -51,8 +51,10 @@ inline constexpr char HistCyclesGraphColor[] =
 inline constexpr char SpilledIntervals[] = "regalloc.spilled_intervals";
 
 // Compile-path memory management: the reused-context zero-allocation fast
-// path. compile.allocs counts heap allocations performed by the per-compile
-// arena (zero in steady state); compile.arena_bytes is the per-compile arena
+// path. compile.allocs counts heap allocations charged to compiles: each
+// compiling thread's first compile takes its context's arena slab and code
+// buffer, arena growth adds slabs, and the steady state takes none;
+// compile.arena_bytes is the per-compile arena
 // footprint; compile.cycles_per_insn.* are cycles per generated machine
 // instruction, the normalized compile-overhead figure the paper's Table 1
 // reports (~350 cycles/instruction for ICODE).
@@ -147,9 +149,6 @@ inline constexpr char SampleTotal[] = "sample.total";
 inline constexpr char SampleHits[] = "sample.hits";
 inline constexpr char SampleMisses[] = "sample.misses";
 inline constexpr char FlightEvents[] = "flight.events";
-/// Promotions initiated by the sample watcher rather than the invocation
-/// counter (loop-bound specializations whose counters never fire).
-inline constexpr char TierPromoteSampled[] = "tier.promote.sampled";
 
 // Verification (src/verify): per-layer pass/fail volume and the cycles the
 // checkers themselves consumed (to report verify-time share of compile time).

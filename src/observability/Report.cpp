@@ -4,7 +4,6 @@
 
 #include "observability/Events.h"
 #include "observability/Names.h"
-#include "observability/Profile.h"
 #include "observability/RuntimeSymbols.h"
 #include "observability/Sampler.h"
 
@@ -237,7 +236,8 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
     if (ArenaB && ArenaB->Count)
       appendf(Out,
               "  arena: mean %.0f bytes/compile, high water %llu bytes, "
-              "%llu slab allocations (compile.allocs; 0 = steady state)\n",
+              "%llu allocations (compile.allocs; one slab + one buffer "
+              "per compiling thread, then 0)\n",
               static_cast<double>(ArenaB->Sum) /
                   static_cast<double>(ArenaB->Count),
               static_cast<unsigned long long>(ArenaB->Max),
@@ -366,32 +366,30 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
       renderHistogram(Out, H);
   }
 
-  auto Entries = ProfileRegistry::global().entries();
-  std::vector<std::shared_ptr<ProfileEntry>> Hot;
-  for (auto &E : Entries)
-    if (E->Invocations.load(std::memory_order_relaxed) ||
-        E->CompileCycles.load(std::memory_order_relaxed))
-      Hot.push_back(E);
+  // Profiled functions, read from their runtime symbols: the name and
+  // size are the symbol's, the counts its profile entry's.
+  std::vector<SymbolInfo> Hot = RuntimeSymbolTable::global().liveSymbols();
+  Hot.erase(std::remove_if(Hot.begin(), Hot.end(),
+                           [](const SymbolInfo &Sym) {
+                             return !Sym.Invocations && !Sym.CompileCycles;
+                           }),
+            Hot.end());
   if (!Hot.empty()) {
-    std::sort(Hot.begin(), Hot.end(), [](const auto &A, const auto &B) {
-      return A->Invocations.load(std::memory_order_relaxed) >
-             B->Invocations.load(std::memory_order_relaxed);
-    });
+    std::sort(Hot.begin(), Hot.end(),
+              [](const SymbolInfo &A, const SymbolInfo &B) {
+                return A.Invocations > B.Invocations;
+              });
     Out += "hot dynamic functions (invocations vs compile cost)\n";
     std::size_t N = std::min<std::size_t>(Hot.size(), 10);
     for (std::size_t I = 0; I < N; ++I) {
-      const ProfileEntry &E = *Hot[I];
+      const SymbolInfo &Sym = Hot[I];
       appendf(Out,
-              "  %-24s %12llu calls  %10llu compile cycles  %6llu bytes "
+              "  %-24s %12llu calls  %10llu compile cycles  %6zu bytes "
               "(%s)\n",
-              E.Name.empty() ? "<anon>" : E.Name.c_str(),
-              static_cast<unsigned long long>(
-                  E.Invocations.load(std::memory_order_relaxed)),
-              static_cast<unsigned long long>(
-                  E.CompileCycles.load(std::memory_order_relaxed)),
-              static_cast<unsigned long long>(
-                  E.CodeBytes.load(std::memory_order_relaxed)),
-              E.Backend.load(std::memory_order_relaxed));
+              Sym.Name.c_str(),
+              static_cast<unsigned long long>(Sym.Invocations),
+              static_cast<unsigned long long>(Sym.CompileCycles), Sym.Size,
+              Sym.Backend);
     }
     if (Hot.size() > N)
       appendf(Out, "  ... and %llu more\n",

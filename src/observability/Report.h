@@ -9,9 +9,11 @@
 /// Renders the metrics registry and the generated-code profile as a text
 /// report: a per-phase stacked compile-cost breakdown (this repo's answer
 /// to the paper's Figures 6 and 7), cache and code-heap traffic, the §4.4 partial
-/// evaluation decisions, compile-latency distributions, and the hottest
-/// profiled dynamic functions. Benches print it after a run; tests assert
-/// on its invariants (phase sum ≈ total).
+/// evaluation decisions, compile-latency distributions, the hottest
+/// profiled dynamic functions (read from the runtime symbol table: a
+/// function whose symbol was dropped on a full table is not listed), the
+/// sampler's hotspots and the flight recorder's tail. Benches print it
+/// after a run; tests assert on its invariants (phase sum ≈ total).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +27,8 @@
 namespace tcc {
 namespace obs {
 
-/// Renders \p S (plus the live ProfileRegistry) as a multi-line report.
+/// Renders \p S (plus the runtime symbol table's live profiled functions
+/// and hotspots) as a multi-line report.
 std::string renderReport(const MetricsSnapshot &S);
 
 /// Convenience: snapshot the global registry and render it.

@@ -36,13 +36,6 @@ struct SymtabMetrics {
   }
 };
 
-unsigned log2Bucket(std::uint64_t V, unsigned NumBuckets) {
-  if (V == 0)
-    return 0;
-  unsigned Log = 63u - static_cast<unsigned>(__builtin_clzll(V));
-  return Log < NumBuckets ? Log : NumBuckets - 1;
-}
-
 std::uint64_t monotonicNs() {
   timespec Ts;
   clock_gettime(CLOCK_MONOTONIC, &Ts);
@@ -94,9 +87,10 @@ RuntimeSymbolTable &RuntimeSymbolTable::global() {
   return *T;
 }
 
-SymbolHandle RuntimeSymbolTable::registerRegion(
-    const void *Entry, std::size_t Size, const char *Name,
-    std::atomic<std::uint64_t> *ProfSamples) {
+SymbolHandle RuntimeSymbolTable::registerRegion(const void *Entry,
+                                                std::size_t Size,
+                                                const char *Name,
+                                                const ProfileEntry *Prof) {
   if (!Entry || Size == 0)
     return SymbolHandle();
   std::lock_guard<std::mutex> G(M);
@@ -120,10 +114,7 @@ SymbolHandle RuntimeSymbolTable::registerRegion(
   std::strncpy(S.Name, Name && *Name ? Name : "spec", NameBytes - 1);
   S.Name[NameBytes - 1] = '\0';
   S.Samples.store(0, std::memory_order_relaxed);
-  S.LastSampleTsc.store(0, std::memory_order_relaxed);
-  for (auto &B : S.SelfCycles)
-    B.store(0, std::memory_order_relaxed);
-  S.ProfSamples.store(ProfSamples, std::memory_order_relaxed);
+  S.Prof = Prof;
   S.Size.store(Size, std::memory_order_relaxed);
   S.Start.store(reinterpret_cast<std::uintptr_t>(Entry),
                 std::memory_order_release);
@@ -160,13 +151,14 @@ void RuntimeSymbolTable::retire(int Idx) {
   S.Seq.fetch_add(1, std::memory_order_acq_rel);
   S.Start.store(0, std::memory_order_relaxed);
   S.Size.store(0, std::memory_order_relaxed);
-  S.ProfSamples.store(nullptr, std::memory_order_relaxed);
+  S.Prof = nullptr;
   S.Seq.fetch_add(1, std::memory_order_release);
 
   // Drain in-flight signal-context readers: one may have validated the
   // slot's sequence just before we flipped it and still be about to bump
-  // the (externally owned) ProfSamples counter. Handlers never block, so
-  // this spin is bounded by one handler execution.
+  // its Samples. Waiting here stops that sample from landing on the slot
+  // after it is reused, and lets the total below include it. Handlers
+  // never block, so this spin is bounded by one handler execution.
   while (InSignal.load(std::memory_order_acquire) != 0)
     ;
 
@@ -177,8 +169,6 @@ void RuntimeSymbolTable::retire(int Idx) {
     if (Agg.Name.empty())
       Agg.Name = S.Name;
     Agg.Samples += N;
-    for (unsigned B = 0; B < SelfCycleBuckets; ++B)
-      Agg.SelfCycles[B] += S.SelfCycles[B].load(std::memory_order_relaxed);
     if (Retired.size() > 512) {
       auto Coldest = Retired.begin();
       for (auto It = Retired.begin(); It != Retired.end(); ++It)
@@ -197,7 +187,7 @@ void RuntimeSymbolTable::retire(int Idx) {
     writePerfMapLocked();
 }
 
-int RuntimeSymbolTable::sampleHit(std::uintptr_t PC, std::uint64_t Tsc) {
+int RuntimeSymbolTable::sampleHit(std::uintptr_t PC) {
   InSignal.fetch_add(1, std::memory_order_acquire);
   int Hit = -1;
   unsigned N = MaxUsed.load(std::memory_order_acquire);
@@ -210,18 +200,9 @@ int RuntimeSymbolTable::sampleHit(std::uintptr_t PC, std::uint64_t Tsc) {
     std::size_t Size = S.Size.load(std::memory_order_relaxed);
     if (!Start || PC < Start || PC >= Start + Size)
       continue;
-    std::atomic<std::uint64_t> *Prof =
-        S.ProfSamples.load(std::memory_order_relaxed);
     if (S.Seq.load(std::memory_order_acquire) != Seq)
       continue; // Slot mutated underneath us; treat as a miss on it.
     S.Samples.fetch_add(1, std::memory_order_relaxed);
-    std::uint64_t Last =
-        S.LastSampleTsc.exchange(Tsc, std::memory_order_relaxed);
-    if (Last && Tsc > Last)
-      S.SelfCycles[log2Bucket(Tsc - Last, SelfCycleBuckets)].fetch_add(
-          1, std::memory_order_relaxed);
-    if (Prof)
-      Prof->fetch_add(1, std::memory_order_relaxed);
     Hit = static_cast<int>(I);
     break;
   }
@@ -276,9 +257,12 @@ std::vector<SymbolInfo> RuntimeSymbolTable::liveSymbols() {
     Info.Start = Start;
     Info.Size = S.Size.load(std::memory_order_relaxed);
     Info.Samples = S.Samples.load(std::memory_order_relaxed);
-    for (unsigned B = 0; B < SelfCycleBuckets; ++B)
-      Info.SelfCycles[B] = S.SelfCycles[B].load(std::memory_order_relaxed);
     Info.Live = true;
+    if (const ProfileEntry *P = S.Prof) {
+      Info.Invocations = P->Invocations.load(std::memory_order_relaxed);
+      Info.CompileCycles = P->CompileCycles.load(std::memory_order_relaxed);
+      Info.Backend = P->Backend.load(std::memory_order_relaxed);
+    }
     Out.push_back(std::move(Info));
   }
   return Out;
@@ -295,8 +279,6 @@ std::vector<SymbolInfo> RuntimeSymbolTable::hotSymbols() {
       for (SymbolInfo &L : Out)
         if (L.Name == Name) {
           L.Samples += Info.Samples;
-          for (unsigned B = 0; B < SelfCycleBuckets; ++B)
-            L.SelfCycles[B] += Info.SelfCycles[B];
           Merged = true;
           break;
         }
@@ -477,7 +459,7 @@ void RuntimeSymbolTable::resetForTesting() {
     S.Seq.fetch_add(1, std::memory_order_acq_rel);
     S.Start.store(0, std::memory_order_relaxed);
     S.Size.store(0, std::memory_order_relaxed);
-    S.ProfSamples.store(nullptr, std::memory_order_relaxed);
+    S.Prof = nullptr;
     S.Samples.store(0, std::memory_order_relaxed);
     S.Seq.fetch_add(1, std::memory_order_release);
   }

@@ -20,7 +20,12 @@
 ///     (`perf inject -j`), so `perf report` symbolizes specialized frames
 ///     instead of showing anonymous [JIT] regions.
 ///
-/// Signal-safety contract: lookupts from signal context (`sampleHit`,
+/// Each slot also points at its function's ProfileEntry, when the function
+/// was compiled with CompileOptions::Profile: the slot is the function's one
+/// runtime record, holding its name, its extent, its sample count and (via
+/// the entry) its call count and compile cost.
+///
+/// Signal-safety contract: lookups from signal context (`sampleHit`,
 /// `resolve`) touch only a fixed array of lock-free slots — no locks, no
 /// allocation, no syscalls. Each slot is published and retired under a
 /// per-slot seqlock (odd = mutating); a signal-context reader that observes
@@ -31,14 +36,19 @@
 /// Retirement never races a tier swap: a symbol is retired from
 /// ~CompiledFn, and a tier dispatch slot keeps its superseded baseline
 /// CompiledFn until the slot itself dies (no caller can still be executing
-/// the region). retire() additionally waits for in-flight signal handlers
-/// to leave the table before returning, so the ProfileEntry a slot points
-/// into can never be read after it is freed.
+/// the region). The signal handler never touches a slot's ProfileEntry;
+/// only readers holding the table mutex do, and retire() takes that mutex,
+/// so an entry (which ~CompiledFn releases after the symbol retires) is
+/// never read after it is freed. retire() also waits for in-flight signal
+/// handlers to leave the table, so a sample that resolved the slot before
+/// it retired cannot land on the slot's next tenant.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TICKC_OBSERVABILITY_RUNTIMESYMBOLS_H
 #define TICKC_OBSERVABILITY_RUNTIMESYMBOLS_H
+
+#include "observability/Profile.h"
 
 #include <array>
 #include <atomic>
@@ -88,11 +98,12 @@ struct SymbolInfo {
   std::uintptr_t Start = 0;
   std::size_t Size = 0;
   std::uint64_t Samples = 0;
-  /// Log2-bucketed histogram of TSC deltas between consecutive samples
-  /// landing in this symbol ("self-cycle" spacing; tight buckets = the
-  /// symbol owns the CPU). Bucket i counts deltas in [2^i, 2^(i+1)).
-  std::array<std::uint32_t, 16> SelfCycles{};
   bool Live = false; ///< False for retired-and-aggregated symbols.
+  /// Copied from the symbol's ProfileEntry; zero (and "") for a function
+  /// compiled without CompileOptions::Profile.
+  std::uint64_t Invocations = 0;
+  std::uint64_t CompileCycles = 0;
+  const char *Backend = "";
 };
 
 /// How registrations are exported for external perf tooling.
@@ -107,27 +118,26 @@ class RuntimeSymbolTable {
 public:
   static constexpr unsigned Capacity = 4096;
   static constexpr unsigned NameBytes = 48;
-  static constexpr unsigned SelfCycleBuckets = 16;
 
   /// The process-wide table (never destroyed: generated code, signal
   /// handlers, and static-destruction-order callers may outlive any scope).
   static RuntimeSymbolTable &global();
 
   /// Registers a finalized region. \p Name is truncated to NameBytes-1 and
-  /// copied. \p ProfSamples, when non-null, is an external per-function
-  /// sample counter (obs::ProfileEntry::Samples) bumped on every sample
-  /// hit; it must stay valid until the returned handle is reset (CompiledFn
-  /// guarantees this: the entry is freed only after the symbol retires).
-  /// Returns an invalid handle when the table is full (symtab.dropped).
+  /// copied. \p Prof, when non-null, is the function's profile entry; the
+  /// report reads it under the table mutex, so it must stay valid until the
+  /// returned handle is reset (CompiledFn guarantees this: the entry is
+  /// freed only after the symbol retires). Returns an invalid handle when
+  /// the table is full (symtab.dropped): such a function appears in no
+  /// report section.
   SymbolHandle registerRegion(const void *Entry, std::size_t Size,
-                              const char *Name,
-                              std::atomic<std::uint64_t> *ProfSamples);
+                              const char *Name, const ProfileEntry *Prof);
 
   // --- Signal-context API (async-signal-safe, lock-free) -------------------
 
-  /// Resolves \p PC and accumulates one sample into the owning slot (and
-  /// its ProfileEntry, if any). Returns the slot index or -1.
-  int sampleHit(std::uintptr_t PC, std::uint64_t Tsc);
+  /// Resolves \p PC and accumulates one sample into the owning slot.
+  /// Returns the slot index or -1.
+  int sampleHit(std::uintptr_t PC);
 
   /// Resolves \p PC without recording a sample: copies the symbol name into
   /// \p NameOut (NUL-terminated, at most NameBytes) and reports the region
@@ -137,6 +147,8 @@ public:
 
   // --- Reporting ------------------------------------------------------------
 
+  /// Every live symbol, with its profile entry's counts copied under the
+  /// table mutex (retire() takes it too, so no entry is read once freed).
   std::vector<SymbolInfo> liveSymbols();
   /// Live symbols plus the retained sample totals of retired ones (tier
   /// swaps must not lose the baseline's samples), sorted by sample count.
@@ -171,9 +183,8 @@ private:
     std::atomic<std::uintptr_t> Start{0};
     std::atomic<std::size_t> Size{0};
     std::atomic<std::uint64_t> Samples{0};
-    std::atomic<std::uint64_t> LastSampleTsc{0};
-    std::atomic<std::atomic<std::uint64_t> *> ProfSamples{nullptr};
-    std::array<std::atomic<std::uint32_t>, SelfCycleBuckets> SelfCycles{};
+    /// Read and written under M only; the signal handler never reads it.
+    const ProfileEntry *Prof = nullptr;
     char Name[NameBytes] = {};
   };
 
@@ -187,7 +198,8 @@ private:
   /// Slots at index < MaxUsed may be live; signal-context scans stop there.
   std::atomic<unsigned> MaxUsed{0};
   /// Count of signal-context readers currently inside the table; retire()
-  /// drains this before returning so freed ProfileEntries are unreachable.
+  /// drains this before the slot can be reused, so a sample that resolved
+  /// the old symbol cannot land on the next one.
   std::atomic<unsigned> InSignal{0};
   std::atomic<std::uint64_t> Epoch{0};
 

@@ -5,7 +5,6 @@
 #include "observability/Metrics.h"
 #include "observability/Names.h"
 #include "observability/RuntimeSymbols.h"
-#include "support/Timing.h"
 
 #include <atomic>
 #include <cstdio>
@@ -21,11 +20,20 @@ using namespace tcc::obs;
 
 namespace {
 
-// Handler-visible state. Counters are plain relaxed atomics plus cached
-// MetricsRegistry pointers, all resolved on a normal thread in start()
-// before the timer is armed — the handler itself only does fetch_add.
-std::atomic<std::uint64_t> GTotal{0}, GHits{0}, GMisses{0};
-std::atomic<Counter *> GTotalC{nullptr}, GHitsC{nullptr}, GMissesC{nullptr};
+// The sample.* counters: the one tally of samples, which the handler bumps
+// and totalSamples()/hitSamples()/missSamples() read. start() registers
+// them on a normal thread before it installs the handler, so in the handler
+// get() is an initialized static and each bump a relaxed fetch_add.
+struct SampleCounters {
+  Counter &Total, &Hits, &Misses;
+  static SampleCounters &get() {
+    auto &R = MetricsRegistry::global();
+    static SampleCounters C{R.counter(names::SampleTotal),
+                            R.counter(names::SampleHits),
+                            R.counter(names::SampleMisses)};
+    return C;
+  }
+};
 
 void onSigprof(int, siginfo_t *, void *Uc) {
   std::uintptr_t PC = 0;
@@ -36,14 +44,10 @@ void onSigprof(int, siginfo_t *, void *Uc) {
 #else
   (void)Uc;
 #endif
-  GTotal.fetch_add(1, std::memory_order_relaxed);
-  bool Hit = PC && RuntimeSymbolTable::global().sampleHit(
-                       PC, readCycleCounter()) >= 0;
-  (Hit ? GHits : GMisses).fetch_add(1, std::memory_order_relaxed);
-  if (Counter *C = GTotalC.load(std::memory_order_relaxed))
-    C->inc();
-  if (Counter *C = (Hit ? GHitsC : GMissesC).load(std::memory_order_relaxed))
-    C->inc();
+  SampleCounters &C = SampleCounters::get();
+  C.Total.inc();
+  bool Hit = PC && RuntimeSymbolTable::global().sampleHit(PC) >= 0;
+  (Hit ? C.Hits : C.Misses).inc();
 }
 
 // Mutator state (normal threads, under SamplerM).
@@ -69,10 +73,7 @@ bool Sampler::start(unsigned Hz) {
   std::lock_guard<std::mutex> G(SamplerM);
 
   // Resolve everything the handler will touch before any tick can fire.
-  auto &R = MetricsRegistry::global();
-  GTotalC.store(&R.counter(names::SampleTotal), std::memory_order_relaxed);
-  GHitsC.store(&R.counter(names::SampleHits), std::memory_order_relaxed);
-  GMissesC.store(&R.counter(names::SampleMisses), std::memory_order_relaxed);
+  (void)SampleCounters::get();
   (void)RuntimeSymbolTable::global();
 
   if (!GHandlerInstalled) {
@@ -125,13 +126,13 @@ bool Sampler::running() const { return GRunning.load(std::memory_order_relaxed);
 unsigned Sampler::hz() const { return GHz.load(std::memory_order_relaxed); }
 
 std::uint64_t Sampler::totalSamples() const {
-  return GTotal.load(std::memory_order_relaxed);
+  return SampleCounters::get().Total.value();
 }
 std::uint64_t Sampler::hitSamples() const {
-  return GHits.load(std::memory_order_relaxed);
+  return SampleCounters::get().Hits.value();
 }
 std::uint64_t Sampler::missSamples() const {
-  return GMisses.load(std::memory_order_relaxed);
+  return SampleCounters::get().Misses.value();
 }
 
 std::string Sampler::foldedStacks() {
@@ -163,7 +164,8 @@ bool Sampler::writeFolded(const char *Path) {
 }
 
 void Sampler::resetForTesting() {
-  GTotal.store(0, std::memory_order_relaxed);
-  GHits.store(0, std::memory_order_relaxed);
-  GMisses.store(0, std::memory_order_relaxed);
+  SampleCounters &C = SampleCounters::get();
+  C.Total.reset();
+  C.Hits.reset();
+  C.Misses.reset();
 }

@@ -10,18 +10,16 @@
 /// CPU-time timer (timer_create on CLOCK_PROCESS_CPUTIME_ID) delivers
 /// SIGPROF at `TICKC_SAMPLE_HZ`; the handler reads the interrupted PC from
 /// the ucontext and resolves it against the RuntimeSymbolTable with one
-/// async-signal-safe lock-free scan. Hits accumulate per-specialization
-/// sample counts and self-cycle histograms in the table and bump the
-/// function's ProfileEntry::Samples — the *execution-side* heat signal the
-/// TierManager's sample watcher promotes on, so a specialization stuck in
-/// one long-running loop tiers up even though its invocation counter never
-/// fires (the Deegen/Dino argument: tier decisions need execution profiles,
-/// not compile-side counters).
+/// async-signal-safe lock-free scan. Each sample is counted once: the
+/// handler bumps the sample.total counter, sample.hits or sample.misses,
+/// and, on a hit, the owning symbol's sample count. Those per-symbol counts
+/// feed the report's hotspot table and the folded stacks; no tier decision
+/// reads them (promotion is driven by the invocation counter, Tier.h).
 ///
 /// Everything the handler touches is resolved on a normal thread inside
 /// start() before the timer is armed: the metric counters (relaxed
 /// fetch_add, signal-safe) and the symbol table singleton. The handler
-/// performs no allocation, locking, or syscalls beyond reading the TSC.
+/// performs no allocation, locking, or syscalls.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,6 +50,7 @@ public:
   bool running() const;
   unsigned hz() const;
 
+  /// The sample.* counters in the metrics registry.
   std::uint64_t totalSamples() const;
   std::uint64_t hitSamples() const;  ///< Resolved to a registered region.
   std::uint64_t missSamples() const; ///< Landed outside generated code.
@@ -62,7 +61,7 @@ public:
   std::string foldedStacks();
   bool writeFolded(const char *Path);
 
-  /// Testing hook: zeroes the sample tallies (does not touch the table).
+  /// Testing hook: zeroes the sample.* counters (does not touch the table).
   void resetForTesting();
 
 private:

@@ -523,8 +523,7 @@ core::CompiledFn SnapshotCache::tryLoad(const cache::SpecKey &K,
   // process: create the entry first so relocation patching can target it.
   std::shared_ptr<obs::ProfileEntry> Prof;
   if (Opts.Profile)
-    Prof = obs::ProfileRegistry::global().create(
-        Opts.ProfileName ? Opts.ProfileName : "");
+    Prof = std::make_shared<obs::ProfileEntry>();
 
   // Re-point every recorded imm64 at this process's addresses. The stored
   // ordinals index K.Refs — the fresh walk's captures in the same canonical

@@ -5,6 +5,7 @@
 #include "observability/Events.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
+#include "observability/RuntimeSymbols.h"
 #include "support/Env.h"
 #include "support/Error.h"
 #include "support/Timing.h"
@@ -33,8 +34,6 @@ TierConfig TierConfig::fromEnv() {
       1, envUInt64("TICKC_TIER_THREADS", C.Workers)));
   C.PromoteThreshold = std::max<std::uint64_t>(
       1, envUInt64("TICKC_TIER_THRESHOLD", C.PromoteThreshold));
-  C.SamplePromoteThreshold =
-      envUInt64("TICKC_TIER_SAMPLES", C.SamplePromoteThreshold);
   return C;
 }
 
@@ -95,6 +94,10 @@ TieredFn::~TieredFn() {
 
 void TieredFn::installPromoted(cache::FnHandle NewFn) {
   std::uint64_t StartNs, StartTsc;
+  // The swap instant names the baseline by its runtime symbol.
+  char Name[obs::RuntimeSymbolTable::NameBytes] = {};
+  obs::RuntimeSymbolTable::global().resolve(
+      reinterpret_cast<std::uintptr_t>(Entry.load()), Name, nullptr, nullptr);
   {
     obs::Phase Swap(obs::EventKind::TierSwap);
     support::MutexLock G(M);
@@ -106,7 +109,7 @@ void TieredFn::installPromoted(cache::FnHandle NewFn) {
     obs::recordEvent(obs::EventKind::TierSwapped,
                      reinterpret_cast<std::uintptr_t>(OldEntry),
                      reinterpret_cast<std::uintptr_t>(Promoted->entry()),
-                     Prof ? Prof->Name.c_str() : nullptr);
+                     Name);
     // From here every new call dispatches to the ICODE body; callers
     // already past their Entry.load() finish on the baseline, which the
     // slot keeps until it dies.
@@ -135,8 +138,6 @@ TierManager::TierManager(TierConfig Config) : Config(Config) {
   Workers.reserve(Config.Workers);
   for (unsigned I = 0; I < Config.Workers; ++I)
     Workers.emplace_back([this] { workerLoop(); });
-  if (Config.SamplePromoteThreshold)
-    SampleWatcher = std::thread([this] { sampleWatchLoop(); });
 }
 
 TierManager::~TierManager() {
@@ -146,11 +147,8 @@ TierManager::~TierManager() {
     Queue.clear(); // Never-reached requests are failed via AllSlots below.
   }
   QueueCV.notify_all();
-  WatchCV.notify_all();
   for (std::thread &W : Workers)
     W.join();
-  if (SampleWatcher.joinable())
-    SampleWatcher.join();
   // Detach every surviving slot: a slot left Baseline would enqueue into
   // this (dead) manager the next time its counter crossed the trigger.
   // Failed slots keep dispatching whatever tier they reached and never
@@ -201,43 +199,6 @@ void TierManager::workerLoop() {
       promote(Fn);
     else
       counter(obs::names::TierAbandoned).inc();
-  }
-}
-
-void TierManager::sampleWatchLoop() {
-  // The invocation-counter trigger lives in the call path, so a spec whose
-  // single invocation spins in a hot loop for minutes never fires it. This
-  // watcher is the execution-side complement: it reads the SIGPROF sample
-  // count the profiler accumulates into each slot's ProfileEntry and
-  // enqueues a promotion once it crosses the configured threshold.
-  std::vector<std::shared_ptr<TieredFn>> Live;
-  for (;;) {
-    {
-      auto Deadline = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(Config.SampleWatchMs);
-      support::MutexLock L(QueueM);
-      while (!Stopping)
-        if (WatchCV.wait_until(QueueM, Deadline) == std::cv_status::timeout)
-          break;
-      if (Stopping)
-        return;
-    }
-    Live.clear();
-    {
-      support::MutexLock G(SlotsM);
-      for (std::weak_ptr<TieredFn> &W : AllSlots)
-        if (std::shared_ptr<TieredFn> Fn = W.lock())
-          if (Fn->State.load(std::memory_order_relaxed) ==
-              TierState::Baseline)
-            Live.push_back(std::move(Fn));
-    }
-    for (std::shared_ptr<TieredFn> &Fn : Live) {
-      if (Fn->Prof->Samples.load(std::memory_order_relaxed) <
-          Config.SamplePromoteThreshold)
-        continue;
-      counter(obs::names::TierPromoteSampled).inc();
-      Fn->requestPromotion();
-    }
   }
 }
 
@@ -327,7 +288,7 @@ TieredFnHandle TierManager::getOrCreate(cache::CompileService &Service,
     counter(obs::names::TierBaselineSnapshot).inc();
 
   Fn->BaselineKey = std::move(Key);
-  Fn->Prof = Baseline->profileShared();
+  Fn->Prof = Baseline->profile();
   if (!Fn->Prof)
     reportFatalError("tier: baseline compiled without a profile entry");
   // Arm relative to the counter's current value: a cache-shared baseline

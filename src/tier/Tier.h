@@ -22,7 +22,8 @@
 ///     each call and enqueues a promotion request the first time it is
 ///     crossed. Once the slot is queued, promoted or failed the wrapper
 ///     stops counting: a call is one acquire load of the entry plus an
-///     indirect call.
+///     indirect call. The invocation counter is the only trigger: the
+///     sampler's per-symbol counts feed reports, not promotion.
 ///   * TierManager — a small pool of background compile threads draining a
 ///     bounded MPMC queue of promotion requests. A worker re-runs the
 ///     spec-building closure, compiles it with BackendKind::ICode (without
@@ -68,19 +69,9 @@ struct TierConfig {
   /// slot retries once the counter doubles) and counted as
   /// tier.promote.queue_full.
   std::size_t QueueCapacity = 256;
-  /// Alternative promotion signal: when nonzero, a watcher thread promotes
-  /// any baseline slot whose ProfileEntry::Samples (SIGPROF samples landing
-  /// in its code, see observability/Sampler.h) reaches this count — so a
-  /// specialization stuck in one long-running hot loop tiers up even though
-  /// its invocation counter never crosses PromoteThreshold. Counted as
-  /// tier.promote.sampled. Requires the sampler (TICKC_SAMPLE_HZ) to
-  /// actually produce samples.
-  std::uint64_t SamplePromoteThreshold = 0;
-  /// Poll period of the sample watcher.
-  unsigned SampleWatchMs = 5;
 
   /// Defaults with environment overrides applied: TICKC_TIER_THREADS,
-  /// TICKC_TIER_THRESHOLD, TICKC_TIER_SAMPLES.
+  /// TICKC_TIER_THRESHOLD.
   static TierConfig fromEnv();
 };
 
@@ -145,8 +136,9 @@ public:
   bool waitPromoted(std::chrono::milliseconds Timeout =
                         std::chrono::milliseconds(10000)) const;
 
-  /// The baseline profile entry carrying the invocation counter. The count
-  /// stops once the slot is queued for (or reaches) the top tier.
+  /// The baseline profile entry carrying the invocation counter, the only
+  /// promotion trigger. The count stops once the slot is queued for (or
+  /// reaches) the top tier.
   const obs::ProfileEntry &profile() const { return *Prof; }
   std::uint64_t invocations() const {
     return Prof->Invocations.load(std::memory_order_relaxed);
@@ -192,7 +184,9 @@ private:
   core::EvalType RetType = core::EvalType::Int;
   core::CompileOptions PromoteOpts;
   cache::SpecKey BaselineKey; ///< !Cacheable skips the residency check.
-  std::shared_ptr<obs::ProfileEntry> Prof;
+  /// The baseline's entry; the baseline (and so the entry) lives as long as
+  /// the slot.
+  const obs::ProfileEntry *Prof = nullptr;
 
   // --- Tier handles + promotion rendezvous ----------------------------------
   // CV is _any so it can sleep on the annotated Mutex directly (it is
@@ -251,23 +245,15 @@ private:
   /// Memoizes \p Fn in Slots/AllSlots; returns the already-published slot
   /// instead when another creator won the race for the same key.
   TieredFnHandle publishSlot(const std::shared_ptr<TieredFn> &Fn);
-  /// Polls AllSlots for baseline slots whose execution-sample count crossed
-  /// Config.SamplePromoteThreshold and enqueues them (runs only when the
-  /// threshold is nonzero).
-  void sampleWatchLoop();
 
   TierConfig Config;
 
   support::Mutex QueueM;
-  /// Wakes workers only: enqueue() notifies one waiter, which must never be
-  /// the sample watcher.
+  /// Workers sleep on it; enqueue() notifies one, shutdown all.
   std::condition_variable_any QueueCV;
-  /// The sample watcher's own sleep, signalled only on shutdown.
-  std::condition_variable_any WatchCV;
   std::deque<std::weak_ptr<TieredFn>> Queue TICKC_GUARDED_BY(QueueM);
   bool Stopping TICKC_GUARDED_BY(QueueM) = false;
   std::vector<std::thread> Workers;
-  std::thread SampleWatcher;
 
   support::Mutex SlotsM;
   std::unordered_map<cache::SpecKey, std::weak_ptr<TieredFn>,

@@ -250,14 +250,16 @@ TEST(AllocTest, WarmAdmissionIsAllocationFree) {
 TEST(AllocTest, EightThreadServiceStress) {
   // 8 threads hammer one CompileService with distinct specs (distinct
   // exponents -> distinct cache keys -> every request compiles). Each
-  // thread compiles through its own context, so after a thread's first
-  // compile its arena never grows again. TSan (CI) checks that no context
-  // is shared between threads.
+  // thread compiles through its own context: its first compile is charged
+  // the context's slab and code buffer (2 allocations), and after that its
+  // arena never grows again. TSan (CI) checks that no context is shared
+  // between threads.
   cache::CompileService Service;
   constexpr int NumThreads = 8;
   constexpr int PerThread = 24;
   std::vector<std::thread> Threads;
   std::atomic<int> Failures{0};
+  std::atomic<int> WrongFirstCharges{0};
   std::atomic<int> GrowingCompiles{0};
   for (int T = 0; T < NumThreads; ++T) {
     Threads.emplace_back([&, T] {
@@ -271,8 +273,11 @@ TEST(AllocTest, EightThreadServiceStress) {
             Service.getOrCompile(C, Body, EvalType::Int, Opts);
         if (!F || F->as<int(int)>()(3) != powRef(3, Exponent))
           Failures.fetch_add(1, std::memory_order_relaxed);
-        if (I > 0 &&
-            CompileContext::forCurrentThread().allocsThisCompile() != 0)
+        std::uint64_t Charged =
+            CompileContext::forCurrentThread().allocsThisCompile();
+        if (I == 0 && Charged != 2)
+          WrongFirstCharges.fetch_add(1, std::memory_order_relaxed);
+        if (I > 0 && Charged != 0)
           GrowingCompiles.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -280,6 +285,8 @@ TEST(AllocTest, EightThreadServiceStress) {
   for (auto &Th : Threads)
     Th.join();
   EXPECT_EQ(Failures.load(), 0);
+  EXPECT_EQ(WrongFirstCharges.load(), 0)
+      << "a fresh thread's first compile was not charged its slab and buffer";
   EXPECT_EQ(GrowingCompiles.load(), 0)
       << "a warm thread's compile grew its arena";
   EXPECT_EQ(Service.cache().stats().Insertions,

@@ -4,8 +4,8 @@
 // a slot born on machine code, dispatch-slot correctness across the swap
 // for every app adapter, slot memoization, uncacheable-spec tiering, the
 // one key walk of slot creation, queue-full backoff, shutdown with pending
-// requests, worker wakeups beside the sample watcher, retirement of the
-// superseded baseline at slot death, and multi-threaded stress from slot
+// requests, the swap instant's symbol name, retirement of the superseded
+// baseline at slot death, and multi-threaded stress from slot
 // birth through promotion, across many fresh slots and under cache-eviction
 // churn (run under -fsanitize=thread in CI).
 //
@@ -21,6 +21,7 @@
 #include "observability/Events.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
+#include "observability/RuntimeSymbols.h"
 #include "tier/Tier.h"
 
 #include <gtest/gtest.h>
@@ -324,27 +325,37 @@ TEST(Tier, ShutdownWithPendingRequestsFailsThemCleanly) {
   }
 }
 
-// --- Manager wakeups ---------------------------------------------------------
+// --- Swap instant ------------------------------------------------------------
 
-TEST(Tier, SampleWatcherNeverSwallowsAWorkerWakeup) {
-  // A sample watcher that sleeps for a minute and never promotes, beside a
-  // single worker. Each fresh slot's first call crosses the trigger and
-  // enqueues its promotion with one notify; if the watcher could take that
-  // wakeup, the worker would sleep on and the slot would stay on its
-  // baseline until an unrelated enqueue.
-  TierConfig TC = config(1);
-  TC.SamplePromoteThreshold = 1ull << 60;
-  TC.SampleWatchMs = 60000;
+TEST(Tier, SwapInstantCarriesTheBaselineSymbolName) {
+  // The tier.swapped instant names the function by the baseline's runtime
+  // symbol (the service names it from the spec key), resolved on the worker
+  // that swaps.
   CompileService S;
-  TierManager TM(TC);
-  for (unsigned E = 2; E < 18; ++E) {
-    apps::PowerApp P(E);
-    TieredFnHandle TF = P.specializeTiered(S, &TM);
-    ASSERT_TRUE(TF);
-    EXPECT_EQ(TF->call<int(int)>(1), 1);
-    EXPECT_TRUE(TF->waitPromoted(std::chrono::milliseconds(500)))
-        << "exponent " << E << " was never promoted";
-  }
+  TierManager TM(config(1));
+  TieredFnHandle TF =
+      S.getOrCompileTiered(loopBuild(7), EvalType::Int, CompileOptions(), &TM);
+  ASSERT_TRUE(TF);
+  void *BaselineEntry = TF->handle()->entry();
+  char Name[obs::RuntimeSymbolTable::NameBytes];
+  ASSERT_TRUE(obs::RuntimeSymbolTable::global().resolve(
+      reinterpret_cast<std::uintptr_t>(BaselineEntry), Name, nullptr,
+      nullptr));
+  ASSERT_NE(Name[0], '\0');
+
+  EXPECT_EQ(TF->call<int(int)>(3), 21);
+  ASSERT_TRUE(TF->waitPromoted());
+  void *PromotedEntry = TF->handle()->entry();
+
+  bool Found = false;
+  for (const obs::EventRing::Record &R : obs::EventRing::global().snapshot())
+    if (R.Kind == obs::EventKind::TierSwapped &&
+        R.A == reinterpret_cast<std::uintptr_t>(BaselineEntry) &&
+        R.B == reinterpret_cast<std::uintptr_t>(PromotedEntry)) {
+      Found = true;
+      EXPECT_STREQ(R.Name, Name);
+    }
+  EXPECT_TRUE(Found) << "no tier.swapped instant for this slot's swap";
 }
 
 // --- Retirement --------------------------------------------------------------
