@@ -51,16 +51,20 @@ ICode makePressure(unsigned NumVars, unsigned Steps) {
 
 double allocNs(ICode &IC, RegAllocKind Kind, unsigned &Spills) {
   icode::CompileStats Stats;
+  obs::PhaseCycles Cycles;
   double Ns = nsPerOp([&] {
     CodeRegion Region(1 << 20);
     vcode::VCode V(Region.base(), Region.capacity());
     ICode Copy = IC.clone(); // compileTo mutates (DCE) — keep the original
     Stats = icode::CompileStats();
-    Copy.compileTo(V, Kind, &Stats);
+    Cycles = obs::PhaseCycles();
+    obs::LapClock Clock(Cycles);
+    Copy.compileTo(V, Clock, Kind, &Stats);
   }, 5);
   (void)Ns;
   Spills = Stats.NumSpilledIntervals;
-  return static_cast<double>(Stats.CyclesRegAlloc) / cyclesPerNano();
+  return static_cast<double>(Cycles[obs::CompilePhase::RegAlloc]) /
+         cyclesPerNano();
 }
 
 } // namespace
@@ -144,7 +148,10 @@ int main() {
       vcode::VCode V(Region.base(), Region.capacity());
       ICode Copy = IC.clone();
       icode::CompileStats Stats;
-      void *Entry = Copy.compileTo(V, RegAllocKind::LinearScan, &Stats, H);
+      obs::PhaseCycles Cycles;
+      obs::LapClock Clock(Cycles);
+      void *Entry =
+          Copy.compileTo(V, Clock, RegAllocKind::LinearScan, &Stats, H);
       Region.makeExecutable();
       auto *Fn = reinterpret_cast<int (*)(int)>(Entry);
       double Ns = nsPerOp([&] { Sinkish = Sinkish + Fn(1000); });

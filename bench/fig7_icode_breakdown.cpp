@@ -44,17 +44,19 @@ int main() {
     auto PerInstr = [&](double Ns, unsigned Instrs) {
       return Ns * CPN / Instrs;
     };
-    const icode::CompileStats &S = LS.Stats.ICode;
+    using obs::CompilePhase;
+    const obs::PhaseCycles &S = LS.Stats.Cycles;
     double Closure = PerInstr(LS.SpecNs, LS.MachineInstrs);
     double IRBuild =
-        static_cast<double>(LS.Stats.CyclesWalk) / LS.MachineInstrs;
-    double FlowLive = static_cast<double>(S.CyclesFlowGraph +
-                                          S.CyclesLiveness +
-                                          S.CyclesIntervals) /
+        static_cast<double>(S[CompilePhase::CgfWalk]) / LS.MachineInstrs;
+    double FlowLive = static_cast<double>(S[CompilePhase::FlowGraph] +
+                                          S[CompilePhase::Liveness] +
+                                          S[CompilePhase::LiveIntervals]) /
                       LS.MachineInstrs;
-    double RegAlloc = static_cast<double>(S.CyclesRegAlloc) /
+    double RegAlloc = static_cast<double>(S[CompilePhase::RegAlloc]) /
                       LS.MachineInstrs;
-    double Emit = static_cast<double>(S.CyclesEmit + S.CyclesPeephole) /
+    double Emit = static_cast<double>(S[CompilePhase::Emit] +
+                                      S[CompilePhase::Peephole]) /
                   LS.MachineInstrs;
     double LsTotal = PerInstr(LS.TotalNs, LS.MachineInstrs);
     double GcTotal = PerInstr(GC.TotalNs, GC.MachineInstrs);
@@ -74,10 +76,12 @@ int main() {
     CompileOptions GO = IO;
     GO.RegAlloc = icode::RegAllocKind::GraphColor;
     CompileCost GC = measureCompile(App.Specialize, GO);
-    double LsRa = static_cast<double>(LS.Stats.ICode.CyclesRegAlloc) /
-                  LS.MachineInstrs;
-    double GcRa = static_cast<double>(GC.Stats.ICode.CyclesRegAlloc) /
-                  GC.MachineInstrs;
+    double LsRa =
+        static_cast<double>(LS.Stats.Cycles[obs::CompilePhase::RegAlloc]) /
+        LS.MachineInstrs;
+    double GcRa =
+        static_cast<double>(GC.Stats.Cycles[obs::CompilePhase::RegAlloc]) /
+        GC.MachineInstrs;
     std::printf("%-8s %14.0f %14.0f %10.2f\n", App.Name.c_str(), LsRa, GcRa,
                 GcRa / (LsRa > 0 ? LsRa : 1));
   }

@@ -54,8 +54,10 @@ static void BM_ICodeFullPipeline(benchmark::State &State) {
       IC.addI(A, A, B);
     IC.retI(A);
     vcode::VCode V(Region.base(), Region.capacity());
+    obs::PhaseCycles Cycles;
+    obs::LapClock Clock(Cycles);
     benchmark::DoNotOptimize(
-        IC.compileTo(V, icode::RegAllocKind::LinearScan));
+        IC.compileTo(V, Clock, icode::RegAllocKind::LinearScan));
   }
   State.SetItemsProcessed(State.iterations() * 100);
 }

@@ -112,7 +112,7 @@ int main() {
     CompileOptions O;
     O.Backend = BackendKind::ICode;
     O.Profile = true;
-    O.ProfileName = App.Name.c_str();
+    O.Name = App.Name.c_str();
     CompiledFn F = App.Specialize(O);
     if (!F.valid()) {
       std::fprintf(stderr, "FAIL: %s did not compile\n", App.Name.c_str());

@@ -49,15 +49,13 @@ CompileService::~CompileService() = default;
 /// the name into the symbol table.
 static void nameSymbol(CompileOptions &Opts, const SpecKey &K,
                        char (&Buf)[64]) {
-  if (Opts.SymbolName)
-    return;
-  if (Opts.ProfileName && *Opts.ProfileName)
-    std::snprintf(Buf, sizeof(Buf), "%s#%08llx", Opts.ProfileName,
+  if (Opts.Name && *Opts.Name)
+    std::snprintf(Buf, sizeof(Buf), "%s#%08llx", Opts.Name,
                   static_cast<unsigned long long>(K.Hash & 0xFFFFFFFFu));
   else
     std::snprintf(Buf, sizeof(Buf), "spec-%016llx",
                   static_cast<unsigned long long>(K.Hash));
-  Opts.SymbolName = Buf;
+  Opts.Name = Buf;
 }
 
 FnHandle CompileService::getOrCompile(Context &Ctx, Stmt Body,

@@ -178,9 +178,9 @@ SpecKey cache::buildSpecKey(const Context &Ctx, Stmt Body, EvalType RetType,
   W.u8(static_cast<std::uint8_t>(Opts.Placement));
   W.u32(Opts.UnrollLimit);
   // Profiled code carries an extra prologue instruction, so it can never
-  // share an entry with unprofiled code. ProfileName is a label, not a
-  // semantic input: same-key profiled compiles share the first entry's
-  // counter (and name).
+  // share an entry with unprofiled code. Name is a label, not a semantic
+  // input: same-key profiled compiles share the first entry's counter (and
+  // name).
   W.u8(Opts.Profile ? 1 : 0);
   // The *effective* verify setting (option OR the TICKC_VERIFY environment):
   // a hit on a verified entry must mean the stored code actually passed the

@@ -17,7 +17,6 @@
 #include "observability/Metrics.h"
 #include "observability/Names.h"
 #include "support/Error.h"
-#include "support/Timing.h"
 #include "verify/Verify.h"
 
 #include <algorithm>
@@ -1510,8 +1509,6 @@ private:
 struct CompileMetrics {
   obs::Counter &CountVCode, &CountICode;
   obs::Counter &CyclesTotal, &CodeBytes, &MachineInstrs;
-  obs::Counter &Setup, &Walk, &Finalize, &FlowGraph, &Liveness, &Intervals,
-      &RegAlloc, &Peephole, &Emit;
   obs::Counter &Spilled, &Unrolled, &DeadBranches, &Strength;
   obs::Counter &BranchFree, &Declined;
   obs::Counter &PoolCallerSaved, &PoolCalleeSaved;
@@ -1526,12 +1523,7 @@ struct CompileMetrics {
     static CompileMetrics M{
         R.counter(N::CompileCountVCode), R.counter(N::CompileCountICode),
         R.counter(N::CompileCyclesTotal), R.counter(N::CompileCodeBytes),
-        R.counter(N::CompileMachineInstrs), R.counter(N::PhaseSetup),
-        R.counter(N::PhaseCgfWalk),
-        R.counter(N::PhaseFinalize), R.counter(N::PhaseFlowGraph),
-        R.counter(N::PhaseLiveness), R.counter(N::PhaseLiveIntervals),
-        R.counter(N::PhaseRegAlloc), R.counter(N::PhasePeephole),
-        R.counter(N::PhaseEmit), R.counter(N::SpilledIntervals),
+        R.counter(N::CompileMachineInstrs), R.counter(N::SpilledIntervals),
         R.counter(N::LoopsUnrolled), R.counter(N::BranchesEliminated),
         R.counter(N::StrengthReductions),
         R.counter(N::PredicatesBranchFree), R.counter(N::PredicatesDeclined),
@@ -1550,9 +1542,16 @@ void publishCompileMetrics(const CompiledFn &F, const CompileOptions &Opts,
   CompileMetrics &M = CompileMetrics::get();
   const DynStats &S = F.stats();
   M.CyclesTotal.inc(S.CyclesTotal);
-  M.Setup.inc(S.CyclesSetup);
-  M.Walk.inc(S.CyclesWalk);
-  M.Finalize.inc(S.CyclesFinalize);
+  static obs::Counter *const *Phases = [] {
+    static obs::Counter *P[obs::NumTotalPhases];
+    for (unsigned I = 0; I < obs::NumTotalPhases; ++I)
+      P[I] = &obs::MetricsRegistry::global().counter(
+          obs::CompilePhases[I].Metric);
+    return P;
+  }();
+  for (unsigned I = 0; I < obs::NumTotalPhases; ++I)
+    if (S.Cycles.Cycles[I])
+      Phases[I]->inc(S.Cycles.Cycles[I]);
   M.CodeBytes.inc(S.CodeBytes);
   M.MachineInstrs.inc(S.MachineInstrs);
   if (PE.LoopsUnrolled)
@@ -1572,12 +1571,6 @@ void publishCompileMetrics(const CompiledFn &F, const CompileOptions &Opts,
     Cpi = &M.CpiVCode;
   } else {
     M.CountICode.inc();
-    M.FlowGraph.inc(S.ICode.CyclesFlowGraph);
-    M.Liveness.inc(S.ICode.CyclesLiveness);
-    M.Intervals.inc(S.ICode.CyclesIntervals);
-    M.RegAlloc.inc(S.ICode.CyclesRegAlloc);
-    M.Peephole.inc(S.ICode.CyclesPeephole);
-    M.Emit.inc(S.ICode.CyclesEmit);
     M.Spilled.inc(S.ICode.NumSpilledIntervals);
     (S.ICode.CallerSavedPool ? M.PoolCallerSaved : M.PoolCalleeSaved).inc();
     (Opts.RegAlloc == icode::RegAllocKind::LinearScan ? M.HistLinear
@@ -1589,45 +1582,19 @@ void publishCompileMetrics(const CompiledFn &F, const CompileOptions &Opts,
     Cpi->record(S.CyclesTotal / S.MachineInstrs);
 }
 
-/// Runs one verify layer: times \p Check as a Verify phase, records the
-/// outcome under \p L, and on a finding aborts the compile with the
-/// structured report, so generated code never escapes a failed check. A
-/// check that runs inside the compile's CyclesTotal scope passes the
-/// per-compile accumulator as \p Deduct: its checker time is recorded under
-/// verify.cycles and *subtracted* from CyclesTotal, so verification never
-/// skews the Figure 6/7 phase accounting or the cycles-per-instruction
-/// overhead series.
+/// Runs one verify layer as a verify lap of \p Clock (whose previous lap
+/// the caller has ended), records the outcome and the lap's cycles under
+/// \p L, and on a finding aborts the compile with the structured report,
+/// so generated code never escapes a failed check. A verify lap is outside
+/// CyclesTotal, so verification never skews the Figure 6/7 phase
+/// accounting or the cycles-per-instruction overhead series.
 template <class CheckFn>
-void runCheck(verify::Layer L, std::uint64_t *Deduct, CheckFn &&Check) {
-  std::uint64_t Cyc = 0;
-  verify::Result R;
-  {
-    obs::Phase T(obs::EventKind::Verify, Cyc);
-    R = Check();
-  }
-  if (Deduct)
-    *Deduct += Cyc;
-  verify::recordOutcome(L, !R.ok(), Cyc);
+void runCheck(verify::Layer L, obs::LapClock &Clock, CheckFn &&Check) {
+  verify::Result R = Check();
+  verify::recordOutcome(L, !R.ok(), Clock.lap(obs::CompilePhase::Verify));
   if (!R.ok())
     verify::failCompile(R);
 }
-
-/// Bridges the ICODE pipeline's CompileAudit hooks to the verify layers.
-/// The IR is re-verified after the peephole (DCE must not invent or orphan
-/// operands) and the allocation audited the moment it exists, before the
-/// emitter consumes it. Ctx points at the per-compile verify-cycle
-/// accumulator.
-struct VerifyHooks {
-  static void postPeephole(void *Ctx, const icode::ICode &IC) {
-    runCheck(verify::Layer::IR, static_cast<std::uint64_t *>(Ctx),
-             [&] { return verify::verifyICode(IC); });
-  }
-  static void postRegAlloc(void *Ctx, const icode::ICode &IC,
-                           const icode::Allocation &Alloc) {
-    runCheck(verify::Layer::RegAlloc, static_cast<std::uint64_t *>(Ctx),
-             [&] { return verify::auditAllocation(IC, Alloc); });
-  }
-};
 
 /// Default symbol of an unnamed compile, in BackendKind order;
 /// backendName() is the part after "spec.".
@@ -1639,9 +1606,8 @@ namespace tcc {
 namespace core {
 
 /// One instantiation (paper §4.4) of \c Body into \c F. Backend and walker
-/// construction is charged to the setup phase and the CGF walk to the walk
-/// phase, so the stacked breakdown keeps summing to the total (tickc-report's
-/// drift guard asserts >= 95% coverage).
+/// construction end a setup lap and the CGF walk a walk lap of the
+/// compile's clock, so the phases tile the compile.
 struct Instantiation {
   CompiledFn &F;
   Context &Ctx;
@@ -1651,38 +1617,42 @@ struct Instantiation {
   Arena &A;
   std::uint8_t *Buf; ///< The context's emission buffer.
   bool DoVerify;
-  std::uint64_t &VerifyCyc; ///< Checker time, deducted from the total.
+  obs::LapClock &Clock;
 
   /// VCODE emits during the walk; ICODE lays down IR that its own pipeline
   /// then allocates and emits through a VCODE encoder.
   template <class BE> Decisions run() {
-    std::uint64_t SetupStart = readCycleCounterBegin();
     if constexpr (BackendTraits<BE>::OnePass) {
       BE V(Buf, CompileContext::CodeBufferBytes, &A);
       if (Opts.Relocs)
         V.assembler().setRelocTable(Opts.Relocs);
-      Decisions PE = walk(V, SetupStart);
+      Decisions PE = walk(V);
       recordCode(V);
       return PE;
     } else {
       BE IC(A);
-      Decisions PE = walk(IC, SetupStart);
-      // Post-lowering IR check; the peephole and regalloc re-checks run
-      // from inside the pipeline via the audit hooks below.
+      Decisions PE = walk(IC);
+      // Post-lowering IR check. From inside the pipeline, the IR is checked
+      // again after the peephole (DCE must not invent or orphan operands)
+      // and the allocation audited before the emitter consumes it.
       if (DoVerify)
-        runCheck(verify::Layer::IR, &VerifyCyc,
+        runCheck(verify::Layer::IR, Clock,
                  [&] { return verify::verifyICode(IC); });
       icode::CompileAudit Audit;
-      Audit.Ctx = &VerifyCyc;
-      Audit.PostPeephole = &VerifyHooks::postPeephole;
-      Audit.PostRegAlloc = &VerifyHooks::postRegAlloc;
-      SetupStart = readCycleCounterBegin();
+      Audit.PostPeephole = [](obs::LapClock &C, const icode::ICode &IR) {
+        runCheck(verify::Layer::IR, C, [&] { return verify::verifyICode(IR); });
+      };
+      Audit.PostRegAlloc = [](obs::LapClock &C, const icode::ICode &IR,
+                              const icode::Allocation &Alloc) {
+        runCheck(verify::Layer::RegAlloc, C,
+                 [&] { return verify::auditAllocation(IR, Alloc); });
+      };
       vcode::VCode V(Buf, CompileContext::CodeBufferBytes, &A);
       if (Opts.Relocs)
         V.assembler().setRelocTable(Opts.Relocs);
-      F.Stats.CyclesSetup += readCycleCounterEnd() - SetupStart;
-      F.Entry = IC.compileTo(V, Opts.RegAlloc, &F.Stats.ICode, Opts.Spill,
-                             DoVerify ? &Audit : nullptr);
+      Clock.lap(obs::CompilePhase::Setup);
+      F.Entry = IC.compileTo(V, Clock, Opts.RegAlloc, &F.Stats.ICode,
+                             Opts.Spill, DoVerify ? &Audit : nullptr);
       if (!IC.pageGuards().empty())
         emitTwin(V);
       recordCode(V);
@@ -1691,17 +1661,17 @@ struct Instantiation {
   }
 
 private:
-  /// Builds the walker (setup, timed from \p SetupStart) and runs the CGF
-  /// walk over \p Back (walk).
-  template <class BE> Decisions walk(BE &Back, std::uint64_t SetupStart) {
+  /// Builds the walker (a setup lap) and runs the CGF walk over \p Back (a
+  /// walk lap).
+  template <class BE> Decisions walk(BE &Back) {
     Walker<BE> W(Ctx, Back, RetType, Opts, A);
     if (F.Prof)
       W.ProfileCounter = &F.Prof->Invocations;
-    F.Stats.CyclesSetup += readCycleCounterEnd() - SetupStart;
-    obs::Phase Walk(obs::EventKind::CGFWalk, F.Stats.CyclesWalk);
+    Clock.lap(obs::CompilePhase::Setup);
     W.run(Body);
     if constexpr (BackendTraits<BE>::OnePass)
       F.Entry = Back.finish();
+    Clock.lap(obs::CompilePhase::CgfWalk);
     return W.PE;
   }
 
@@ -1714,13 +1684,13 @@ private:
   /// that ends it, to the walk phase as a VCODE walk is; its decisions are
   /// not tallied again.
   void emitTwin(vcode::VCode &V) {
-    obs::Phase Walk(obs::EventKind::CGFWalk, F.Stats.CyclesWalk);
     Walker<vcode::VCode> W(Ctx, V, RetType, Opts, A);
     if (F.Prof)
       W.ProfileCounter = &F.Prof->Invocations;
     W.IsTwin = true;
     W.run(Body);
     F.Entry = V.finish();
+    Clock.lap(obs::CompilePhase::CgfWalk);
   }
 
   template <class VM> void recordCode(const VM &V) {
@@ -1745,17 +1715,11 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
   static std::once_flag ObsOnce;
   std::call_once(ObsOnce, obs::initRuntimeObservabilityFromEnv);
   const char *SymName =
-      Opts.SymbolName && *Opts.SymbolName ? Opts.SymbolName
-      : Opts.ProfileName && *Opts.ProfileName
-          ? Opts.ProfileName
+      Opts.Name && *Opts.Name
+          ? Opts.Name
           : DefaultSymbols[static_cast<std::size_t>(Opts.Backend)];
   obs::recordEvent(obs::EventKind::CompileBegin, 0, 0, SymName);
   const bool DoVerify = verify::enabled(Opts.Verify);
-  // The lint runs before the Total scope opens, so there is nothing to
-  // deduct.
-  if (DoVerify)
-    runCheck(verify::Layer::Spec, nullptr,
-             [&] { return verify::lintSpec(Ctx, Body.node()); });
   CompiledFn F;
   F.Backend = Opts.Backend;
   if (Opts.Profile)
@@ -1772,54 +1736,51 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
   CompileContext::Scope CtxScope(*CC);
   Arena &A = CC->arena();
   std::uint8_t *Buf = CC->codeBuffer();
-  Decisions PE;
-  // Checker time spent inside the Total scope; deducted below so CyclesTotal
-  // keeps meaning "what the compile itself cost" with or without -verify.
-  std::uint64_t VerifyCyc = 0;
-  {
-    obs::Phase Total(obs::EventKind::CompileTotal, F.Stats.CyclesTotal);
-    Instantiation I{F, Ctx, Body.node(), RetType, Opts,
-                    A, Buf, DoVerify, VerifyCyc};
-    PE = Opts.Backend == BackendKind::VCode ? I.run<vcode::VCode>()
-                                            : I.run<icode::ICode>();
-    {
-      // Installing is part of what a compile costs; charge it inside the
-      // total so the phase breakdown sums to the whole. The code goes into
-      // its heap block the way a snapshot load's does, and nothing calls
-      // the exec-view entry before compileFn returns.
-      obs::Phase Fin(obs::EventKind::Finalize, F.Stats.CyclesFinalize);
-      if (F.Entry && F.Stats.CodeBytes) {
-        F.Code = CodeHeap::global().install(Buf, F.Stats.CodeBytes,
-                                            Opts.Placement);
-        F.Entry = F.Code.exec() + (static_cast<std::uint8_t *>(F.Entry) - Buf);
-      }
-    }
-    // Admit the installed bytes through the block's writable view: the
-    // same analysis every snapshot load faces unconditionally, so a shape
-    // the verifier would reject at load time can never be saved unnoticed.
-    // When this compile recorded a portable reloc table, it is handed over
-    // and the call-target confinement proof runs exactly as it will on
-    // reload. Fresh compiles also switch on their backend's own facts.
-    if (DoVerify)
-      runCheck(verify::Layer::Admit, &VerifyCyc, [&] {
-        verify::AdmissionInputs AI;
-        AI.Code = F.Code.code();
-        AI.Size = F.Stats.CodeBytes;
-        AI.ProfileCounter =
-            F.Prof ? static_cast<const void *>(&F.Prof->Invocations) : nullptr;
-        AI.ExpectProfile = Opts.Profile && F.Prof != nullptr;
-        if (Opts.Relocs && !Opts.Relocs->Unportable) {
-          AI.Relocs = Opts.Relocs->Entries.data();
-          AI.NumRelocs = Opts.Relocs->Entries.size();
-          AI.HaveRelocs = true;
-        }
-        // The usage cross-check and spill dataflow assume ICODE's emission
-        // discipline; VCODE's one-pass output gets the structural checks.
-        AI.ICodeFacts = Opts.Backend == BackendKind::ICode;
-        return verify::verifyAdmission(AI);
-      });
+  // From here to the last lap the compile's clock runs: every cycle is
+  // charged to one phase, and CyclesTotal is the sum of all but verify's.
+  obs::LapClock Clock(F.Stats.Cycles);
+  if (DoVerify)
+    runCheck(verify::Layer::Spec, Clock,
+             [&] { return verify::lintSpec(Ctx, Body.node()); });
+  Instantiation I{F, Ctx, Body.node(), RetType, Opts,
+                  A, Buf, DoVerify, Clock};
+  Decisions PE = Opts.Backend == BackendKind::VCode ? I.run<vcode::VCode>()
+                                                    : I.run<icode::ICode>();
+  // Installing is part of what a compile costs. The code goes into its
+  // heap block the way a snapshot load's does, and nothing calls the
+  // exec-view entry before compileFn returns.
+  if (F.Entry && F.Stats.CodeBytes) {
+    F.Code =
+        CodeHeap::global().install(Buf, F.Stats.CodeBytes, Opts.Placement);
+    F.Entry = F.Code.exec() + (static_cast<std::uint8_t *>(F.Entry) - Buf);
   }
-  F.Stats.CyclesTotal -= std::min(F.Stats.CyclesTotal, VerifyCyc);
+  Clock.lap(obs::CompilePhase::Finalize);
+  // Admit the installed bytes through the block's writable view: the same
+  // analysis every snapshot load faces unconditionally, so a shape the
+  // verifier would reject at load time can never be saved unnoticed. When
+  // this compile recorded a portable reloc table, it is handed over and the
+  // call-target confinement proof runs exactly as it will on reload. Fresh
+  // compiles also switch on their backend's own facts.
+  if (DoVerify)
+    runCheck(verify::Layer::Admit, Clock, [&] {
+      verify::AdmissionInputs AI;
+      AI.Code = F.Code.code();
+      AI.Size = F.Stats.CodeBytes;
+      AI.ProfileCounter =
+          F.Prof ? static_cast<const void *>(&F.Prof->Invocations) : nullptr;
+      AI.ExpectProfile = Opts.Profile && F.Prof != nullptr;
+      if (Opts.Relocs && !Opts.Relocs->Unportable) {
+        AI.Relocs = Opts.Relocs->Entries.data();
+        AI.NumRelocs = Opts.Relocs->Entries.size();
+        AI.HaveRelocs = true;
+      }
+      // The usage cross-check and spill dataflow assume ICODE's emission
+      // discipline; VCODE's one-pass output gets the structural checks.
+      AI.ICodeFacts = Opts.Backend == BackendKind::ICode;
+      return verify::verifyAdmission(AI);
+    });
+  Clock.spanAll(obs::EventKind::CompileTotal);
+  F.Stats.CyclesTotal = F.Stats.Cycles.total();
   if (F.Prof) {
     F.Prof->CompileCycles.store(F.Stats.CyclesTotal,
                                 std::memory_order_relaxed);
@@ -1861,8 +1822,7 @@ CompiledFn core::adoptLoadedCode(LoadedCode &&L) {
   // function reporting a walk cost would corrupt the paper's per-phase
   // tables. The snapshot layer accounts load latency separately
   // (cache.snapshot.load.cycles).
-  const char *SymName =
-      L.SymbolName && *L.SymbolName ? L.SymbolName : "spec.snapshot";
+  const char *SymName = L.Name && *L.Name ? L.Name : "spec.snapshot";
   if (F.Prof)
     F.Prof->Backend.store("snapshot", std::memory_order_relaxed);
   F.Sym = obs::RuntimeSymbolTable::global().registerRegion(

@@ -28,6 +28,7 @@
 
 #include "core/Context.h"
 #include "icode/ICode.h"
+#include "observability/Events.h"
 #include "observability/Profile.h"
 #include "observability/RuntimeSymbols.h"
 #include "support/CodeBuffer.h"
@@ -67,17 +68,10 @@ struct CompileOptions {
   /// profile()), making hot specs identifiable at runtime next to their
   /// compile cost. Part of the cache key: it changes the emitted code.
   bool Profile = false;
-  /// Label for the function (optional): names its runtime symbol when
-  /// SymbolName is null, and so its row in the report's profiled-function
-  /// table. Not part of the cache key.
-  const char *ProfileName = nullptr;
-  /// Runtime symbol name for the finalized region (optional; copied at
-  /// compile time, truncated to RuntimeSymbolTable::NameBytes-1). Every
-  /// finalized region registers with obs::RuntimeSymbolTable regardless —
-  /// this only controls the human-readable name; when null, ProfileName is
-  /// used, then a generic label. Not part of the cache key: naming never
-  /// changes the generated code.
-  const char *SymbolName = nullptr;
+  /// The function's runtime symbol (optional; copied, truncated to
+  /// RuntimeSymbolTable::NameBytes-1; null means a generic label), which
+  /// CompileService decorates as "name#hash". Not part of the cache key.
+  const char *Name = nullptr;
   /// When true, every compile is re-checked by the src/verify static
   /// analyzers (spec lint, IR verifier, register-allocation audit, emitted
   /// x86 audit); any finding aborts with a structured report. The
@@ -96,12 +90,11 @@ struct CompileOptions {
 /// Cost account of one instantiation — the raw material of Table 1 and
 /// Figures 6/7.
 struct DynStats {
-  std::uint64_t CyclesTotal = 0; ///< Entire compile() call, TSC ticks.
-  std::uint64_t CyclesSetup = 0; ///< Backend/walker construction.
-  std::uint64_t CyclesWalk = 0;  ///< CGF walk (VCode: walk == emission;
-                                 ///< ICode: IR construction).
-  std::uint64_t CyclesFinalize = 0; ///< Install into the code heap.
-  icode::CompileStats ICode;     ///< Per-phase ICODE costs (ICode backend).
+  std::uint64_t CyclesTotal = 0; ///< TSC ticks: every lap but Verify's.
+  /// Laps of the compile's clock. CgfWalk is emission for VCODE and IR
+  /// construction for ICODE; Verify is TICKC_VERIFY's checker time.
+  obs::PhaseCycles Cycles;
+  icode::CompileStats ICode; ///< What the ICODE pipeline produced.
   unsigned MachineInstrs = 0;
   std::size_t CodeBytes = 0;
 };
@@ -184,7 +177,7 @@ struct LoadedCode {
   /// patched code increments; null for unprofiled records.
   std::shared_ptr<obs::ProfileEntry> Prof;
   /// Runtime symbol name (copied; may be null for a generic label).
-  const char *SymbolName = nullptr;
+  const char *Name = nullptr;
   /// The back end the request's options named (part of the record's key).
   BackendKind Backend = BackendKind::VCode;
 };

@@ -18,7 +18,6 @@
 
 #include "observability/Events.h"
 #include "support/Error.h"
-#include "support/Timing.h"
 
 #include <cassert>
 #include <climits>
@@ -422,8 +421,10 @@ private:
 
 } // namespace
 
-void *ICode::compileTo(VCode &V, RegAllocKind Kind, CompileStats *Stats,
-                       SpillHeuristic Spill, const CompileAudit *Audit) {
+void *ICode::compileTo(VCode &V, obs::LapClock &Clock, RegAllocKind Kind,
+                       CompileStats *Stats, SpillHeuristic Spill,
+                       const CompileAudit *Audit) {
+  using obs::CompilePhase;
   CompileStats Local;
   CompileStats &S = Stats ? *Stats : Local;
 
@@ -432,53 +433,41 @@ void *ICode::compileTo(VCode &V, RegAllocKind Kind, CompileStats *Stats,
   // guarded function's fallback walks the whole spec again, unreachable
   // calls included, in the same frame and pool.
   bool CallFree = true;
-  {
-    obs::Phase T(obs::EventKind::Peephole, S.CyclesPeephole);
-    for (const Instr &In : Instrs)
-      CallFree &= In.Opcode != Op::Call && In.Opcode != Op::CallIndirect;
-    eliminateDeadCode(Instrs.data(), Instrs.size(), numRegs(), *A);
-  }
+  for (const Instr &In : Instrs)
+    CallFree &= In.Opcode != Op::Call && In.Opcode != Op::CallIndirect;
+  eliminateDeadCode(Instrs.data(), Instrs.size(), numRegs(), *A);
+  Clock.lap(CompilePhase::Peephole);
   if (Audit && Audit->PostPeephole)
-    Audit->PostPeephole(Audit->Ctx, *this);
+    Audit->PostPeephole(Clock, *this);
 
   // Every analysis phase allocates from the ICode's arena: on the compileFn
   // path this is a CompileContext arena reset between compiles, so
   // the whole pipeline below is heap-allocation-free in the steady state.
   FlowGraph FG(*A);
-  {
-    obs::Phase T(obs::EventKind::FlowGraph, S.CyclesFlowGraph);
-    FG.build(*this);
-  }
+  FG.build(*this);
+  Clock.lap(CompilePhase::FlowGraph);
 
-  {
-    obs::Phase T(obs::EventKind::Liveness, S.CyclesLiveness);
-    S.NumLivenessIterations = FG.solveLiveness(*this);
-  }
+  S.NumLivenessIterations = FG.solveLiveness(*this);
+  Clock.lap(CompilePhase::Liveness);
 
   // Intervals are needed for linear scan and, under either allocator, for
   // deciding which caller-saved-class values cross a call.
-  ArenaVector<Interval> Intervals;
-  const std::uint8_t *MustSpill = nullptr;
-  {
-    obs::Phase T(obs::EventKind::LiveIntervals, S.CyclesIntervals);
-    Intervals = buildLiveIntervals(*this, FG);
-    MustSpill = computeMustSpill(*this, Intervals.data(), Intervals.size());
-  }
+  ArenaVector<Interval> Intervals = buildLiveIntervals(*this, FG);
+  const std::uint8_t *MustSpill =
+      computeMustSpill(*this, Intervals.data(), Intervals.size());
+  Clock.lap(CompilePhase::LiveIntervals);
 
-  Allocation Alloc;
-  {
-    obs::Phase T(Kind == RegAllocKind::LinearScan ? obs::EventKind::LinearScan
-                                                  : obs::EventKind::GraphColor,
-                 S.CyclesRegAlloc);
-    Alloc =
-        Kind == RegAllocKind::LinearScan
-            ? allocateLinearScan(*this, Intervals, vcode::VCode::NumIntPool,
-                                 vcode::VCode::NumFloatPool, Spill, MustSpill)
-            : allocateGraphColor(*this, FG, vcode::VCode::NumIntPool,
-                                 vcode::VCode::NumFloatPool, Spill, MustSpill);
-  }
+  Allocation Alloc =
+      Kind == RegAllocKind::LinearScan
+          ? allocateLinearScan(*this, Intervals, vcode::VCode::NumIntPool,
+                               vcode::VCode::NumFloatPool, Spill, MustSpill)
+          : allocateGraphColor(*this, FG, vcode::VCode::NumIntPool,
+                               vcode::VCode::NumFloatPool, Spill, MustSpill);
+  Clock.lap(CompilePhase::RegAlloc, Kind == RegAllocKind::LinearScan
+                                        ? obs::EventKind::LinearScan
+                                        : obs::EventKind::GraphColor);
   if (Audit && Audit->PostRegAlloc)
-    Audit->PostRegAlloc(Audit->Ctx, *this, Alloc);
+    Audit->PostRegAlloc(Clock, *this, Alloc);
 
   // A page-guarded function is one frame with two bodies: this one, then
   // the fallback the guard branches to, whose epilogues jump to this
@@ -486,39 +475,35 @@ void *ICode::compileTo(VCode &V, RegAllocKind Kind, CompileStats *Stats,
   const bool Guarded = !Guards.empty();
   void *Entry = nullptr;
   vcode::Label Fallback;
-  {
-    // The final stat tally stays inside the emit scope so the per-phase
-    // cycles keep covering the whole pipeline (tickc-report drift guard).
-    obs::Phase T(obs::EventKind::Emit, S.CyclesEmit);
-    S.CallerSavedPool = CallFree;
-    if (CallFree) {
-      std::uint32_t Used = 0;
-      for (unsigned R = 0; R < Alloc.NumRegs; ++R)
-        if (Alloc.Location[R] >= 0 && !isFloatReg(static_cast<VReg>(R)))
-          Used |= 1u << Alloc.Location[R];
-      V.useCallerSavedPool(Used);
-    }
-    if (Guarded) {
-      Fallback = V.newLabel();
-      V.shareExit(V.newLabel());
-    }
-    Emitter E(*this, V, Alloc, CallFree);
-    E.run(Fallback);
-    if (Guarded) {
-      V.bindLabel(Fallback);
-      V.exitThrough();
-    } else {
-      Entry = V.finish();
-    }
-    S.NumBasicBlocks = static_cast<unsigned>(FG.blocks().size());
-    S.NumIntervals = 0;
+  S.CallerSavedPool = CallFree;
+  if (CallFree) {
+    std::uint32_t Used = 0;
     for (unsigned R = 0; R < Alloc.NumRegs; ++R)
-      S.NumIntervals += Alloc.Location[R] != Allocation::Unused;
-    S.NumSpilledIntervals = Alloc.NumSpilled;
-    for (const Instr &In : Instrs)
-      S.NumIRInstrs += In.Opcode != Op::Nop && In.Opcode != Op::Hint &&
-                       In.Opcode != Op::Label;
-    S.NumMachineInstrs = V.instructionsEmitted();
+      if (Alloc.Location[R] >= 0 && !isFloatReg(static_cast<VReg>(R)))
+        Used |= 1u << Alloc.Location[R];
+    V.useCallerSavedPool(Used);
   }
+  if (Guarded) {
+    Fallback = V.newLabel();
+    V.shareExit(V.newLabel());
+  }
+  Emitter E(*this, V, Alloc, CallFree);
+  E.run(Fallback);
+  if (Guarded) {
+    V.bindLabel(Fallback);
+    V.exitThrough();
+  } else {
+    Entry = V.finish();
+  }
+  S.NumBasicBlocks = static_cast<unsigned>(FG.blocks().size());
+  S.NumIntervals = 0;
+  for (unsigned R = 0; R < Alloc.NumRegs; ++R)
+    S.NumIntervals += Alloc.Location[R] != Allocation::Unused;
+  S.NumSpilledIntervals = Alloc.NumSpilled;
+  for (const Instr &In : Instrs)
+    S.NumIRInstrs += In.Opcode != Op::Nop && In.Opcode != Op::Hint &&
+                     In.Opcode != Op::Label;
+  S.NumMachineInstrs = V.instructionsEmitted();
+  Clock.lap(CompilePhase::Emit);
   return Entry;
 }

@@ -34,6 +34,9 @@
 #include <memory>
 
 namespace tcc {
+namespace obs {
+class LapClock;
+} // namespace obs
 namespace icode {
 
 using vcode::CmpKind;
@@ -190,13 +193,13 @@ struct PageGuard {
 /// Optional checkpoints compileTo() exposes to the verification subsystem
 /// (src/verify). Plain function pointers so icode does not depend on verify;
 /// the core compile driver wires them up when verification is on. Both hooks
-/// observe, never mutate.
+/// observe, never mutate; each gets the compile's clock, whose previous lap
+/// has just ended, to time its check as a verify lap.
 struct CompileAudit {
-  void *Ctx = nullptr;
   /// After dead-code elimination, before flow-graph construction.
-  void (*PostPeephole)(void *Ctx, const class ICode &IC) = nullptr;
+  void (*PostPeephole)(obs::LapClock &Clock, const class ICode &IC) = nullptr;
   /// After register allocation, before machine-code emission.
-  void (*PostRegAlloc)(void *Ctx, const class ICode &IC,
+  void (*PostRegAlloc)(obs::LapClock &Clock, const class ICode &IC,
                        const Allocation &Alloc) = nullptr;
 };
 
@@ -212,15 +215,9 @@ enum class SpillHeuristic {
   LowestWeight,    ///< Ablation: evict the least-used (loop-depth hints).
 };
 
-/// Per-phase cost breakdown of one dynamic compilation, in TSC cycles —
-/// the raw material of the paper's Figure 7.
+/// What one dynamic compilation produced; its per-phase cycles (Figure 7)
+/// are laps of the caller's obs::LapClock.
 struct CompileStats {
-  std::uint64_t CyclesFlowGraph = 0;
-  std::uint64_t CyclesLiveness = 0;
-  std::uint64_t CyclesIntervals = 0;
-  std::uint64_t CyclesRegAlloc = 0;
-  std::uint64_t CyclesPeephole = 0;
-  std::uint64_t CyclesEmit = 0;
   unsigned NumIRInstrs = 0;
   unsigned NumMachineInstrs = 0;
   unsigned NumBasicBlocks = 0;
@@ -512,11 +509,12 @@ public:
   // --- Compilation -----------------------------------------------------------------------------
   /// Runs the full ICODE pipeline into \p V (which must be freshly
   /// constructed): flow graph, liveness, intervals, register allocation,
-  /// peephole, emission. Returns the entry point (V.finish()). With page
-  /// guards it returns null and leaves \p V unfinished, positioned where
-  /// the guards branch to: the caller emits the fallback there, whose
-  /// epilogues jump to the guarded body's, and calls V.finish().
-  void *compileTo(vcode::VCode &V, RegAllocKind Kind,
+  /// peephole, emission, each ending a lap of the caller's \p Clock.
+  /// Returns the entry point (V.finish()). With page guards it returns null
+  /// and leaves \p V unfinished, positioned where the guards branch to: the
+  /// caller emits the fallback there, whose epilogues jump to the guarded
+  /// body's, and calls V.finish().
+  void *compileTo(vcode::VCode &V, obs::LapClock &Clock, RegAllocKind Kind,
                   CompileStats *Stats = nullptr,
                   SpillHeuristic Spill = SpillHeuristic::LongestInterval,
                   const CompileAudit *Audit = nullptr);

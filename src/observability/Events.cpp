@@ -25,7 +25,7 @@ namespace {
 
 constexpr const char *EventNames[] = {
     // Spans.
-    "compile", "spec-fingerprint", "cache-probe", "cache-insert", "cgf-walk",
+    "compile", "setup", "spec-fingerprint", "cache-probe", "cache-insert", "cgf-walk",
     "flow-graph", "liveness", "live-intervals", "linear-scan", "graph-color",
     "peephole", "emit", "finalize", "verify", "admit-decode", "admit-cfg",
     "admit-fixpoint", "icache-flush", "code-install", "code-free",

@@ -8,8 +8,8 @@
 /// \file
 /// The one store for runtime events: a fixed-size lock-free ring of
 ///   * spans, one per pipeline phase the paper costs out (Figures 6/7) plus
-///     the cache, code heap and tier layers around them, written by obs::Phase
-///     while tracing is on (TICKC_TRACE=<path> or traceStart()) and
+///     the cache, code heap and tier layers around them, written by a
+///     compile's LapClock and by obs::Phase while tracing is on (TICKC_TRACE=<path> or traceStart()) and
 ///     exported by traceStop() as Chrome trace-event JSON (Perfetto);
 ///   * instants (compile begin/end, tier swap, cache evict, verify failure,
 ///     region retire), always on, so the fatal-signal handler (opt-in via
@@ -21,16 +21,17 @@
 /// when the sequence matches its ticket, so half-written or wrapped records
 /// are skipped, never torn. Recording takes no locks and allocates nothing.
 ///
-/// obs::Phase is the one phase instrument. With tracing off, a Phase
-/// without an accumulator is one relaxed load and a branch; one that
-/// charges an accumulator reads the fenced TSC once at each end. With
-/// tracing on, those same two stamps are the span.
+/// A compile's phases are laps of one LapClock: one fenced stamp per phase
+/// boundary, so the phases tile the compile, and while tracing each lap is
+/// its span. Everything else is an obs::Phase, a span only: with tracing
+/// off, one relaxed load and a branch.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TICKC_OBSERVABILITY_EVENTS_H
 #define TICKC_OBSERVABILITY_EVENTS_H
 
+#include "observability/Names.h"
 #include "support/Timing.h"
 
 #include <atomic>
@@ -46,6 +47,7 @@ namespace obs {
 enum class EventKind : std::uint8_t {
   // Spans.
   CompileTotal,    ///< The timed part of one compileFn() call.
+  Setup,           ///< Backend and walker construction.
   SpecFingerprint, ///< buildSpecKey(): canonical serialization + hash.
   CacheProbe,      ///< CodeCache::lookup (hit or miss).
   CacheInsert,     ///< CodeCache::insert (includes LRU eviction).
@@ -206,44 +208,125 @@ bool traceStop();
 /// was given.
 bool traceStopTo(const char *Path);
 
-/// The one phase instrument. A Phase that charges an accumulator reads the
-/// fenced TSC at construction and destruction and adds the difference to
-/// it; while tracing, the same two stamps are appended as a span of its
-/// kind. A Phase without an accumulator reads the clock only while
-/// tracing. Spans on one thread strictly nest (stack-scoped instances do),
-/// which is how the exporter rebuilds begin/end pairs.
+/// A span-only instrument for the layers around a compile: while tracing,
+/// a Phase stamps the fenced TSC at construction and destruction and
+/// appends the pair as a span of its kind; otherwise it reads no clock.
+/// Spans on one thread strictly nest (stack-scoped instances do), which is
+/// how the exporter rebuilds begin/end pairs.
 class Phase {
 public:
   explicit Phase(EventKind K) : Kind(K), Traced(traceEnabled()) {
     if (Traced)
       Begin = readCycleCounterBegin();
   }
-  Phase(EventKind K, std::uint64_t &Acc)
-      : Acc(&Acc), Kind(K), Traced(traceEnabled()) {
-    Begin = readCycleCounterBegin();
-  }
   ~Phase() {
-    if (!Acc && !Traced)
+    if (!Traced)
       return;
     // The span claims its slot before the closing stamp, so the append is
     // charged to the phase it records rather than falling between phases.
     EventRing &Ring = EventRing::global();
-    std::uint64_t Ticket = Traced ? Ring.claim(Kind, Begin) : 0;
-    std::uint64_t End = readCycleCounterEnd();
-    if (Acc)
-      *Acc += End - Begin;
-    if (Traced)
-      Ring.publishSpan(Ticket, End);
+    std::uint64_t Ticket = Ring.claim(Kind, Begin);
+    Ring.publishSpan(Ticket, readCycleCounterEnd());
   }
 
   Phase(const Phase &) = delete;
   Phase &operator=(const Phase &) = delete;
 
 private:
-  std::uint64_t *Acc = nullptr;
   std::uint64_t Begin = 0;
   EventKind Kind;
   bool Traced;
+};
+
+/// The phases of one compile (paper Figures 6/7), in pipeline order. All
+/// but Verify make up the compile's total; Verify is the checker time
+/// TICKC_VERIFY adds, a lap of its own outside the total.
+enum class CompilePhase : std::uint8_t {
+  Setup, CgfWalk, FlowGraph, Liveness, LiveIntervals, RegAlloc, Peephole,
+  Emit, Finalize, Verify,
+};
+inline constexpr unsigned NumTotalPhases =
+    static_cast<unsigned>(CompilePhase::Verify);
+inline constexpr unsigned NumCompilePhases = NumTotalPhases + 1;
+
+/// Each compile phase's span kind, cycle counter and report label.
+struct CompilePhaseInfo {
+  EventKind Span;
+  const char *Metric; ///< Verify's is charged by verify::recordOutcome.
+  const char *Label;
+};
+inline constexpr CompilePhaseInfo CompilePhases[NumCompilePhases] = {
+    {EventKind::Setup, names::PhaseSetup, "setup"},
+    {EventKind::CGFWalk, names::PhaseCgfWalk, "cgf walk"},
+    {EventKind::FlowGraph, names::PhaseFlowGraph, "flow graph"},
+    {EventKind::Liveness, names::PhaseLiveness, "liveness"},
+    {EventKind::LiveIntervals, names::PhaseLiveIntervals, "live intervals"},
+    {EventKind::LinearScan, names::PhaseRegAlloc, "regalloc"},
+    {EventKind::Peephole, names::PhasePeephole, "peephole"},
+    {EventKind::Emit, names::PhaseEmit, "emit"},
+    {EventKind::Finalize, names::PhaseFinalize, "finalize"},
+    {EventKind::Verify, names::VerifyCycles, "verify"},
+};
+
+/// Cycles per compile phase, indexed by CompilePhase.
+struct PhaseCycles {
+  std::uint64_t Cycles[NumCompilePhases] = {};
+
+  std::uint64_t &operator[](CompilePhase P) {
+    return Cycles[static_cast<unsigned>(P)];
+  }
+  std::uint64_t operator[](CompilePhase P) const {
+    return Cycles[static_cast<unsigned>(P)];
+  }
+  /// The compile's total: every lap but Verify's.
+  std::uint64_t total() const {
+    std::uint64_t Sum = 0;
+    for (unsigned I = 0; I < NumTotalPhases; ++I)
+      Sum += Cycles[I];
+    return Sum;
+  }
+};
+
+/// The one clock of a compile. It stamps the fenced TSC when it starts and
+/// at each lap; lap(P) charges the cycles since the previous stamp to P, so
+/// the laps tile the time since the start with nothing left over. While
+/// tracing, each lap is also a span of its phase's kind.
+class LapClock {
+public:
+  explicit LapClock(PhaseCycles &Into)
+      : Into(Into), Traced(traceEnabled()), Start(readCycleCounterEnd()),
+        Last(Start) {}
+
+  /// Ends the current lap, charges it to \p P and returns its cycles; \p
+  /// Span overrides the phase's span kind (linear-scan or graph-color).
+  std::uint64_t lap(CompilePhase P, EventKind Span) {
+    // The span claims its slot before the stamp, so the append is charged
+    // to the lap it records.
+    EventRing &Ring = EventRing::global();
+    std::uint64_t Ticket = Traced ? Ring.claim(Span, Last) : 0;
+    std::uint64_t Now = readCycleCounterEnd();
+    if (Traced)
+      Ring.publishSpan(Ticket, Now);
+    std::uint64_t Cycles = Now - Last;
+    Into[P] += Cycles;
+    Last = Now;
+    return Cycles;
+  }
+  std::uint64_t lap(CompilePhase P) {
+    return lap(P, CompilePhases[static_cast<unsigned>(P)].Span);
+  }
+
+  /// While tracing, appends a span of kind \p K over every lap so far.
+  void spanAll(EventKind K) const {
+    if (Traced)
+      EventRing::global().publishSpan(EventRing::global().claim(K, Start),
+                                      Last);
+  }
+
+private:
+  PhaseCycles &Into;
+  bool Traced;
+  std::uint64_t Start, Last;
 };
 
 } // namespace obs

@@ -16,23 +16,6 @@ using namespace tcc::obs;
 
 namespace {
 
-struct PhaseRow {
-  const char *Label;
-  const char *Metric;
-};
-
-constexpr PhaseRow Phases[] = {
-    {"setup", names::PhaseSetup},
-    {"cgf walk", names::PhaseCgfWalk},
-    {"flow graph", names::PhaseFlowGraph},
-    {"liveness", names::PhaseLiveness},
-    {"live intervals", names::PhaseLiveIntervals},
-    {"regalloc", names::PhaseRegAlloc},
-    {"peephole", names::PhasePeephole},
-    {"emit", names::PhaseEmit},
-    {"finalize", names::PhaseFinalize},
-};
-
 void appendf(std::string &Out, const char *Fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
@@ -68,17 +51,9 @@ void renderHistogram(std::string &Out, const HistogramSnapshot &H) {
 
 std::uint64_t tcc::obs::phaseCycleSum(const MetricsSnapshot &S) {
   std::uint64_t Sum = 0;
-  for (const PhaseRow &P : Phases)
-    Sum += S.counter(P.Metric);
+  for (unsigned I = 0; I < NumTotalPhases; ++I)
+    Sum += S.counter(CompilePhases[I].Metric);
   return Sum;
-}
-
-bool tcc::obs::phaseCoverageOk(const MetricsSnapshot &S) {
-  std::uint64_t Total = S.counter(names::CompileCyclesTotal);
-  if (!Total)
-    return true;
-  return static_cast<double>(phaseCycleSum(S)) >=
-         0.95 * static_cast<double>(Total);
 }
 
 std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
@@ -88,16 +63,16 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
 
   std::uint64_t Total = S.counter(names::CompileCyclesTotal);
   std::uint64_t PhaseSum = phaseCycleSum(S);
-  std::uint64_t Denom = std::max(Total, PhaseSum);
 
   Out += "compile phases (cycles, all compiles)\n";
-  for (const PhaseRow &P : Phases) {
-    std::uint64_t C = S.counter(P.Metric);
+  for (unsigned I = 0; I < NumTotalPhases; ++I) {
+    std::uint64_t C = S.counter(CompilePhases[I].Metric);
     if (C == 0)
       continue;
-    double Frac = Denom ? static_cast<double>(C) / static_cast<double>(Denom)
-                        : 0.0;
-    appendf(Out, "  %-16s %12llu  %5.1f%%  ", P.Label,
+    double Frac = PhaseSum ? static_cast<double>(C) /
+                                 static_cast<double>(PhaseSum)
+                           : 0.0;
+    appendf(Out, "  %-16s %12llu  %5.1f%%  ", CompilePhases[I].Label,
             static_cast<unsigned long long>(C), Frac * 100.0);
     appendBar(Out, Frac);
     Out += '\n';
@@ -108,14 +83,6 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
           Total ? 100.0 * static_cast<double>(PhaseSum) /
                       static_cast<double>(Total)
                 : 0.0);
-  if (!phaseCoverageOk(S))
-    appendf(Out,
-            "  WARNING: phases cover only %.1f%% of compile.cycles.total "
-            "(< 95%%) — a timed region lost its obs::Phase; the percentages "
-            "above are understated\n",
-            Total ? 100.0 * static_cast<double>(PhaseSum) /
-                        static_cast<double>(Total)
-                  : 0.0);
 
   std::uint64_t NV = S.counter(names::CompileCountVCode);
   std::uint64_t NI = S.counter(names::CompileCountICode);

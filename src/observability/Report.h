@@ -35,15 +35,9 @@ std::string renderReport(const MetricsSnapshot &S);
 std::string renderReport();
 
 /// Sum of the per-phase cycle counters in \p S — the stacked total the
-/// breakdown is built from; compare against names::CompileCyclesTotal.
+/// breakdown is built from. The phases tile every compile, so it equals
+/// names::CompileCyclesTotal.
 std::uint64_t phaseCycleSum(const MetricsSnapshot &S);
-
-/// Drift guard for the phase accounting: true when the per-phase cycle sum
-/// covers at least 95% of names::CompileCyclesTotal (or nothing was
-/// compiled). A false return means a timed region lost its obs::Phase —
-/// renderReport() prints a WARNING instead of silently showing stale
-/// percentages, and tests assert this stays true.
-bool phaseCoverageOk(const MetricsSnapshot &S);
 
 } // namespace obs
 } // namespace tcc

@@ -598,7 +598,7 @@ core::CompiledFn SnapshotCache::tryLoad(const cache::SpecKey &K,
   L.Code = std::move(Code);
   L.MachineInstrs = rd32(R + OffMachineInstrs);
   L.Prof = std::move(Prof);
-  L.SymbolName = Opts.SymbolName ? Opts.SymbolName : Opts.ProfileName;
+  L.Name = Opts.Name;
   L.Backend = Opts.Backend;
   core::CompiledFn F = core::adoptLoadedCode(std::move(L));
 

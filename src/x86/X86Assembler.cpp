@@ -2,8 +2,12 @@
 
 #include "x86/X86Assembler.h"
 
+#include "support/Error.h"
+
 using namespace tcc;
 using namespace tcc::x86;
+
+void Assembler::overflow() { reportFatalError("code buffer overflow"); }
 
 void Assembler::modrmMem(std::uint8_t Reg, GPR Base, std::int32_t Disp) {
   ++NumInstrs;

@@ -31,9 +31,11 @@
 namespace tcc {
 namespace x86 {
 
-/// Encodes x86-64 instructions directly into a byte buffer. Bounds are
-/// asserted, not checked, in keeping with the one-pass low-overhead design;
-/// callers size regions generously and verify with capacityLeft() in tests.
+/// Encodes x86-64 instructions directly into a byte buffer. Every write is
+/// checked against the capacity, in every build: one compare and a branch
+/// to a cold path that stops the process with a "code buffer overflow"
+/// fatal error rather than write past the buffer. Callers size regions
+/// generously and verify with capacityLeft() in tests.
 class Assembler {
 public:
   Assembler(std::uint8_t *Buf, std::size_t Capacity)
@@ -76,16 +78,19 @@ public:
 
   // --- Raw emission -------------------------------------------------------
   void byte(std::uint8_t B) {
-    assert(Pos < Capacity && "code buffer overflow");
+    if (Pos >= Capacity) [[unlikely]]
+      overflow();
     Buf[Pos++] = B;
   }
   void word32(std::uint32_t W) {
-    assert(Pos + 4 <= Capacity && "code buffer overflow");
+    if (Capacity - Pos < 4) [[unlikely]]
+      overflow();
     std::memcpy(Buf + Pos, &W, 4);
     Pos += 4;
   }
   void word64(std::uint64_t W) {
-    assert(Pos + 8 <= Capacity && "code buffer overflow");
+    if (Capacity - Pos < 8) [[unlikely]]
+      overflow();
     std::memcpy(Buf + Pos, &W, 8);
     Pos += 8;
   }
@@ -253,6 +258,9 @@ public:
   void movqRX(GPR Dst, XMM Src); ///< Raw bit move XMM -> GPR.
 
 private:
+  /// The one exit of a write that does not fit: a fatal error.
+  [[noreturn, gnu::cold, gnu::noinline]] static void overflow();
+
   /// Record an armed 64-bit immediate at buffer offset \p ImmOff. No-op
   /// unless a kind is armed and a table is attached.
   void captureReloc64(std::size_t ImmOff, std::uint64_t V) {

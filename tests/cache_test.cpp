@@ -152,7 +152,7 @@ TEST(SpecKey, RtEvalOverPureConstantsIsCacheable) {
 
 // --- Hit/miss identity ------------------------------------------------------
 
-TEST(CompileService, CapturedBuffersKeepDistinctSymbolNames) {
+TEST(CompileService, CapturedBuffersKeepDistinctSymbols) {
   // The runtime symbol is named after the identity hash, which covers the
   // captured addresses: perf frames of two specializations over different
   // buffers must not share a name although their key bytes are equal.

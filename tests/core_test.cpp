@@ -560,10 +560,35 @@ TEST(CoreStats, StatsPopulated) {
   O.Backend = BackendKind::ICode;
   CompiledFn F = compileFn(C, C.ret(Expr(A) + C.intConst(1)), EvalType::Int, O);
   EXPECT_GT(F.stats().CyclesTotal, 0u);
-  EXPECT_GT(F.stats().CyclesWalk, 0u);
+  EXPECT_GT(F.stats().Cycles[obs::CompilePhase::CgfWalk], 0u);
   EXPECT_GT(F.stats().MachineInstrs, 0u);
   EXPECT_GT(F.stats().CodeBytes, 0u);
-  EXPECT_GT(F.stats().ICode.CyclesRegAlloc, 0u);
+  EXPECT_GT(F.stats().Cycles[obs::CompilePhase::RegAlloc], 0u);
+}
+
+/// `acc = 0; for (i = 0; i < $Trips; i++) acc = acc * x + i; return acc;`
+/// instantiated with an unroll limit of \p Trips, so it unrolls completely.
+void compileUnrolled(int Trips) {
+  Context C;
+  VSpec X = C.paramInt(0);
+  VSpec I = C.localInt(), Acc = C.localInt();
+  Stmt Fn = C.block({
+      C.assign(Acc, C.intConst(0)),
+      C.forStmt(I, C.intConst(0), CmpKind::LtS, C.rcInt(Trips), C.intConst(1),
+                C.assign(Acc, Expr(Acc) * Expr(X) + Expr(I))),
+      C.ret(Acc),
+  });
+  CompileOptions O;
+  O.UnrollLimit = static_cast<unsigned>(Trips);
+  (void)compileFn(C, Fn, EvalType::Int, O);
+}
+
+TEST(CoreDeathTest, UnrollPastTheCodeBufferIsFatal) {
+  // 2^18 unrolled copies of the body emit well over
+  // CompileContext::CodeBufferBytes (1 MiB). The assembler stops the
+  // process rather than write past the buffer, in every build.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(compileUnrolled(1 << 18), "code buffer overflow");
 }
 
 TEST(CoreOptions, RandomizedPlacementWorks) {

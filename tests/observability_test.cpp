@@ -20,6 +20,7 @@
 #include "core/Compile.h"
 #include "core/Context.h"
 #include "support/Timing.h"
+#include "verify/Verify.h"
 
 #include <gtest/gtest.h>
 
@@ -31,6 +32,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 using namespace tcc;
@@ -420,8 +422,9 @@ TEST(Trace, DisabledRecordsNothing) {
 }
 
 TEST(Trace, SpanDurationsEqualPhaseStats) {
-  // One clock pair per phase: the span a traced compile leaves in the ring
-  // and the stat the compile reports are the same measurement.
+  // One lap per phase: the spans a traced compile leaves in the ring and
+  // the stats the compile reports are the same measurement, and the compile
+  // span is exactly the laps it is tiled by.
   obs::EventRing &Ring = obs::EventRing::global();
   std::uint64_t From = Ring.eventCount();
   obs::traceStart(nullptr);
@@ -439,21 +442,37 @@ TEST(Trace, SpanDurationsEqualPhaseStats) {
   for (const obs::EventRing::Record &R : Ring.snapshot(From))
     if (obs::isSpan(R.Kind))
       Spans[R.Kind].push_back(R.A - R.Tsc);
-  const DynStats &S = F.stats();
-  const std::pair<obs::EventKind, std::uint64_t> Expected[] = {
-      {obs::EventKind::CGFWalk, S.CyclesWalk},
-      {obs::EventKind::Peephole, S.ICode.CyclesPeephole},
-      {obs::EventKind::FlowGraph, S.ICode.CyclesFlowGraph},
-      {obs::EventKind::Liveness, S.ICode.CyclesLiveness},
-      {obs::EventKind::LiveIntervals, S.ICode.CyclesIntervals},
-      {obs::EventKind::LinearScan, S.ICode.CyclesRegAlloc},
-      {obs::EventKind::Emit, S.ICode.CyclesEmit},
+  auto SpanSum = [&](obs::EventKind Kind) {
+    std::uint64_t Sum = 0;
+    for (std::uint64_t Cycles : Spans[Kind])
+      Sum += Cycles;
+    return Sum;
   };
-  for (const auto &[Kind, Cycles] : Expected) {
-    ASSERT_EQ(Spans[Kind].size(), 1u) << obs::eventName(Kind);
-    EXPECT_GT(Cycles, 0u) << obs::eventName(Kind);
-    EXPECT_EQ(Spans[Kind][0], Cycles) << obs::eventName(Kind);
+  using obs::CompilePhase;
+  const DynStats &S = F.stats();
+  // Setup is two laps (walker, then the VCODE encoder the pipeline emits
+  // through); every other phase one.
+  const std::tuple<CompilePhase, obs::EventKind, std::size_t> Expected[] = {
+      {CompilePhase::Setup, obs::EventKind::Setup, 2},
+      {CompilePhase::CgfWalk, obs::EventKind::CGFWalk, 1},
+      {CompilePhase::Peephole, obs::EventKind::Peephole, 1},
+      {CompilePhase::FlowGraph, obs::EventKind::FlowGraph, 1},
+      {CompilePhase::Liveness, obs::EventKind::Liveness, 1},
+      {CompilePhase::LiveIntervals, obs::EventKind::LiveIntervals, 1},
+      {CompilePhase::RegAlloc, obs::EventKind::LinearScan, 1},
+      {CompilePhase::Emit, obs::EventKind::Emit, 1},
+      {CompilePhase::Finalize, obs::EventKind::Finalize, 1},
+  };
+  for (const auto &[P, Kind, Laps] : Expected) {
+    ASSERT_EQ(Spans[Kind].size(), Laps) << obs::eventName(Kind);
+    EXPECT_GT(S.Cycles[P], 0u) << obs::eventName(Kind);
+    EXPECT_EQ(SpanSum(Kind), S.Cycles[P]) << obs::eventName(Kind);
   }
+  // Verification (TICKC_VERIFY) adds verify laps, outside the total.
+  EXPECT_EQ(SpanSum(obs::EventKind::Verify), S.Cycles[CompilePhase::Verify]);
+  ASSERT_EQ(Spans[obs::EventKind::CompileTotal].size(), 1u);
+  EXPECT_EQ(Spans[obs::EventKind::CompileTotal][0],
+            S.CyclesTotal + S.Cycles[CompilePhase::Verify]);
 }
 
 //===----------------------------------------------------------------------===//
@@ -532,14 +551,55 @@ TEST(PipelineMetrics, PhaseSumTracksCompileTotal) {
   }
   obs::MetricsSnapshot S = obs::MetricsRegistry::global().snapshot();
   std::uint64_t Total = S.counter(obs::names::CompileCyclesTotal);
-  std::uint64_t Phases = obs::phaseCycleSum(S);
   ASSERT_GT(Total, 0u);
-  // The per-phase scopes live inside the total scope, so their sum can
-  // never meaningfully exceed it, and together the instrumented phases
-  // must account for the bulk of it (the tickc-report invariant).
-  EXPECT_LE(Phases, Total + Total / 10);
-  EXPECT_GE(Phases, Total - Total / 2)
-      << "phases cover only " << (100.0 * Phases / Total) << "% of total";
+  // The phases tile every compile, so the registry's phase counters add
+  // up to the compile total exactly (the tickc-report invariant).
+  EXPECT_EQ(obs::phaseCycleSum(S), Total);
+}
+
+TEST(PipelineMetrics, LapsTileEachCompileWithAndWithoutVerify) {
+  // Per compile: the laps outside verify sum to CyclesTotal, with
+  // verification on or off, on both back ends and with a page-guarded
+  // ICODE function's fallback walk; the verify laps are what
+  // verify.cycles counts.
+  using obs::CompilePhase;
+  for (bool Verify : {false, true}) {
+    for (BackendKind BK : {BackendKind::VCode, BackendKind::ICode}) {
+      obs::MetricsSnapshot Before = obs::MetricsRegistry::global().snapshot();
+      // `(p[0] == 7 && p[4] > 3) || p[1] == 9`: ICODE speculates the loads
+      // behind a page guard and walks the fallback after the body.
+      Context C;
+      VSpec P = C.paramPtr(0);
+      auto Field = [&](unsigned Off) {
+        return C.loadMem(MemType::I32,
+                         C.binary(BinOp::Add, Expr(P), C.longConst(Off)));
+      };
+      Expr E = (Field(0) == C.intConst(7) && Field(16) > C.intConst(3)) ||
+               Field(4) == C.intConst(9);
+      CompileOptions O;
+      O.Backend = BK;
+      O.Verify = Verify;
+      CompiledFn F = compileFn(C, C.ret(E), EvalType::Int, O);
+      ASSERT_TRUE(F.valid());
+      std::int32_t Rec[5] = {7, 0, 0, 0, 4};
+      EXPECT_EQ(F.as<int(const std::int32_t *)>()(Rec), 1);
+      const DynStats &S = F.stats();
+      std::uint64_t Laps = 0;
+      for (unsigned I = 0; I < obs::NumTotalPhases; ++I)
+        Laps += S.Cycles.Cycles[I];
+      EXPECT_EQ(Laps, S.CyclesTotal) << "verify " << Verify;
+      EXPECT_GT(S.Cycles[CompilePhase::Setup], 0u);
+      EXPECT_GT(S.Cycles[CompilePhase::CgfWalk], 0u);
+      EXPECT_GT(S.Cycles[CompilePhase::Finalize], 0u);
+      EXPECT_EQ(S.Cycles[CompilePhase::Emit] > 0, BK == BackendKind::ICode);
+      const bool Verified = verify::enabled(Verify);
+      EXPECT_EQ(S.Cycles[CompilePhase::Verify] > 0, Verified);
+      obs::MetricsSnapshot After = obs::MetricsRegistry::global().snapshot();
+      EXPECT_EQ(After.counter(obs::names::VerifyCycles) -
+                    Before.counter(obs::names::VerifyCycles),
+                S.Cycles[CompilePhase::Verify]);
+    }
+  }
 }
 
 TEST(PipelineMetrics, CacheCountersMirrorIntoRegistry) {
@@ -602,7 +662,7 @@ TEST_P(ProfileBothBackends, CountsInvocationsUnderEightThreads) {
   CompileOptions O;
   O.Backend = GetParam();
   O.Profile = true;
-  O.ProfileName = "stress-fn";
+  O.Name = "stress-fn";
   CompiledFn F = compileFn(C, C.ret(E), EvalType::Int, O);
   ASSERT_TRUE(F.valid());
   ASSERT_NE(F.profile(), nullptr);
@@ -674,7 +734,7 @@ TEST(Profiling, ReportListsLiveProfiledFunctionsFromTheirSymbols) {
     CompileOptions O;
     O.Backend = BackendKind::ICode;
     O.Profile = true;
-    O.ProfileName = Label;
+    O.Name = Label;
     CompiledFn F = compileFn(C, C.ret(C.read(X) + C.intConst(5)),
                              EvalType::Int, O);
     ASSERT_NE(F.profile(), nullptr);

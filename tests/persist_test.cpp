@@ -300,7 +300,7 @@ TEST(Snapshot, ProfiledLoadPatchesFreshCounter) {
   TempDir Dir;
   CompileOptions Opts;
   Opts.Profile = true;
-  Opts.ProfileName = "persist.prof";
+  Opts.Name = "persist.prof";
   {
     CompileService S1(snapConfig(Dir));
     FnHandle H = compileCell(S1, &Cell, Opts);
@@ -340,7 +340,7 @@ TEST(Snapshot, VersionedIcodeFunctionRoundTripsThroughAdmission) {
   CompileOptions Opts;
   Opts.Backend = BackendKind::ICode;
   Opts.Profile = true;
-  Opts.ProfileName = "persist.versioned";
+  Opts.Name = "persist.versioned";
   // A record straddling a page boundary takes the twin; one inside a page
   // takes the guarded body. Both pages are readable.
   const std::size_t Page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));

@@ -69,7 +69,7 @@ CompiledFn compilePredicate(BackendKind B, bool Profile = false) {
   CompileOptions O;
   O.Backend = B;
   O.Profile = Profile;
-  O.ProfileName = Profile ? "predicate.prof" : nullptr;
+  O.Name = Profile ? "predicate.prof" : nullptr;
   return compileFn(C, C.ret(E), EvalType::Int, O);
 }
 

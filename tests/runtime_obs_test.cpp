@@ -57,7 +57,7 @@ CompiledFn compileHotLoop(Context &C, const char *Name,
   CompileOptions O;
   O.Backend = BK;
   O.Profile = true;
-  O.ProfileName = Name;
+  O.Name = Name;
   return compileFn(C,
                    C.block({
                        C.assign(Acc, C.intConst(0)),
@@ -418,22 +418,11 @@ TEST(Metrics, SnapshotJsonShape) {
   EXPECT_NE(J.find("\"buckets\""), std::string::npos);
 }
 
-// --- Phase coverage drift guard ---------------------------------------------
+// --- Phase coverage ----------------------------------------------------------
 
 TEST(Report, PhaseCoverageHoldsAfterRealCompiles) {
-  // Serial compiles on a clean registry: every timed region runs under its
-  // obs::Phase, so the drift guard must hold (concurrent suites can land
-  // sampler ticks between scopes and legitimately dip below the bar). The
-  // bodies are deliberately large — the guard exists to catch a lost
-  // obs::Phase, not the fixed rdtsc epsilon of the scopes themselves,
-  // which only shows above 5% on near-empty compiles. One warm-up compile
-  // first: cold-start page faults land between scopes and skew the ratio.
-  {
-    Context C;
-    CompileOptions O;
-    O.Backend = BackendKind::ICode;
-    (void)compileFn(C, C.ret(C.read(C.paramInt(0))), EvalType::Int, O);
-  }
+  // The phases tile every compile, so after real compiles the report's
+  // phase sum equals the compile total and it prints full coverage.
   MetricsRegistry::global().resetAll();
   for (unsigned Rep = 0; Rep < 10; ++Rep) {
     Context C;
@@ -448,23 +437,9 @@ TEST(Report, PhaseCoverageHoldsAfterRealCompiles) {
   }
   MetricsSnapshot S = MetricsRegistry::global().snapshot();
   ASSERT_GT(S.counter(names::CompileCyclesTotal), 0u);
-  EXPECT_TRUE(phaseCoverageOk(S));
-  EXPECT_GE(phaseCycleSum(S) * 100, S.counter(names::CompileCyclesTotal) * 95);
+  EXPECT_EQ(phaseCycleSum(S), S.counter(names::CompileCyclesTotal));
   std::string Rep = renderReport(S);
-  EXPECT_EQ(Rep.find("WARNING: phases cover only"), std::string::npos) << Rep;
-}
-
-TEST(Report, PhaseCoverageDriftTriggersWarning) {
-  // A snapshot claiming compiles happened but carrying no phase counters
-  // models a timed region that lost its obs::Phase.
-  MetricsSnapshot S;
-  S.Counters.push_back({std::string(names::CompileCyclesTotal), 1000000});
-  EXPECT_FALSE(phaseCoverageOk(S));
-  std::string Rep = renderReport(S);
-  EXPECT_NE(Rep.find("WARNING: phases cover only"), std::string::npos);
-
-  MetricsSnapshot Empty; // Nothing compiled -> nothing to drift.
-  EXPECT_TRUE(phaseCoverageOk(Empty));
+  EXPECT_NE(Rep.find("phases cover 100.0%"), std::string::npos) << Rep;
 }
 
 // --- Concurrency: symbol churn under tier promotion + eviction --------------

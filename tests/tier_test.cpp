@@ -327,7 +327,7 @@ TEST(Tier, ShutdownWithPendingRequestsFailsThemCleanly) {
 
 // --- Swap instant ------------------------------------------------------------
 
-TEST(Tier, SwapInstantCarriesTheBaselineSymbolName) {
+TEST(Tier, SwapInstantCarriesTheBaselineSymbol) {
   // The tier.swapped instant names the function by the baseline's runtime
   // symbol (the service names it from the spec key), resolved on the worker
   // that swaps.

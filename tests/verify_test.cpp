@@ -431,7 +431,7 @@ TEST(VerifyAcceptClean, ProfiledCompilePassesAndRuns) {
   Opts.Backend = BackendKind::ICode;
   Opts.Verify = true;
   Opts.Profile = true;
-  Opts.ProfileName = "verify-clean";
+  Opts.Name = "verify-clean";
   CompiledFn F = compileLoopFn(Opts);
   ASSERT_TRUE(F.valid());
   EXPECT_EQ(F.as<int(int)>()(4), 16 + 9 + 4 + 1);
@@ -743,7 +743,7 @@ TEST(VerifyMutation, CorruptedBytesAreRejected) {
   CompileOptions ProfOpts;
   ProfOpts.Backend = BackendKind::ICode;
   ProfOpts.Profile = true;
-  ProfOpts.ProfileName = "verify-mutation";
+  ProfOpts.Name = "verify-mutation";
   CompiledFn ProfFn = compileLoopFn(ProfOpts); // Outlives its counter uses.
   Bodies.push_back(AdmitProgram::of(ProfFn, nullptr));
 
@@ -1365,7 +1365,7 @@ TEST(VerifyAdmission, HostileRecordsRejected) {
     CompileOptions ProfOpts;
     ProfOpts.Backend = BackendKind::ICode;
     ProfOpts.Profile = true;
-    ProfOpts.ProfileName = "admit-prof";
+    ProfOpts.Name = "admit-prof";
     CompiledFn ProfFn = compileLoopFn(ProfOpts); // Outlives its counter uses.
     AdmitProgram PP = AdmitProgram::of(ProfFn, nullptr);
     runAdmitCase(T, PP, "profile",
@@ -1497,7 +1497,7 @@ CompiledFn compileVersionedFn(support::RelocTable *RT, bool Profile) {
   O.Backend = BackendKind::ICode;
   O.Relocs = RT;
   O.Profile = Profile;
-  O.ProfileName = Profile ? "verify.versioned" : nullptr;
+  O.Name = Profile ? "verify.versioned" : nullptr;
   return compileFn(C,
                    C.block({C.ifStmt(Expr(X) > C.intConst(0), C.ret(E)),
                             C.ret(C.intConst(2))}),

@@ -100,6 +100,38 @@ TEST(X86Golden, Branches) {
   EXPECT_EQ(A.read32(Disp), 1u) << "branch over one nop";
 }
 
+TEST(X86AssemblerDeathTest, WritePastCapacityIsFatalInEveryBuild) {
+  // The bound is a check, not an assert: Release builds define NDEBUG and
+  // must still stop before writing past the buffer.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::uint8_t Buf[16] = {};
+  {
+    Assembler A(Buf, 10);
+    A.movRI64(RAX, 0x1122334455667788ull); // Exactly fills the buffer.
+    EXPECT_EQ(A.capacityLeft(), 0u);
+  }
+  EXPECT_DEATH(
+      {
+        Assembler A(Buf, 2);
+        A.byte(1);
+        A.byte(2);
+        A.byte(3);
+      },
+      "code buffer overflow");
+  EXPECT_DEATH(
+      {
+        Assembler A(Buf, 7);
+        A.word64(0);
+      },
+      "code buffer overflow");
+  EXPECT_DEATH(
+      {
+        Assembler A(Buf, 9);
+        A.movRI64(RAX, 0x1122334455667788ull);
+      },
+      "code buffer overflow");
+}
+
 TEST(X86Golden, InstructionCounter) {
   std::uint8_t Buf[64];
   Assembler A(Buf, sizeof(Buf));

@@ -100,7 +100,7 @@ int main(int argc, char **argv) {
   // sampler runs at 997 Hz just for this phase.
   CompileOptions ProfOpts;
   ProfOpts.Profile = true;
-  ProfOpts.ProfileName = "pow13";
+  ProfOpts.Name = "pow13";
   CompiledFn Prof = Power.specialize(ProfOpts);
   obs::Sampler &S = obs::Sampler::global();
   bool OwnSampler = !S.running() && S.start(997);
