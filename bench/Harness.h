@@ -51,6 +51,14 @@ struct CompileCost {
   double SpecNs = 0;
   unsigned MachineInstrs = 0;
   core::DynStats Stats; ///< From the last instantiation.
+  /// Each phase's cycles averaged over the same instantiations as
+  /// InstantiateNs, so the non-verify phases sum to InstantiateNs (in
+  /// cycles) exactly.
+  double PhaseCycles[obs::NumCompilePhases] = {};
+
+  double phaseCycles(obs::CompilePhase P) const {
+    return PhaseCycles[static_cast<unsigned>(P)];
+  }
 
   double cyclesPerInstr() const {
     if (!MachineInstrs)
@@ -71,6 +79,9 @@ inline CompileCost measureCompile(
     core::CompiledFn F = Specialize(Opts);
     TotalNs += static_cast<double>(readMonotonicNanos() - T0);
     InstNs += static_cast<double>(F.stats().CyclesTotal) / cyclesPerNano();
+    for (unsigned P = 0; P < obs::NumCompilePhases; ++P)
+      Cost.PhaseCycles[P] +=
+          static_cast<double>(F.stats().Cycles.Cycles[P]) / Reps;
     if (R + 1 == Reps)
       Last = std::move(F);
   }

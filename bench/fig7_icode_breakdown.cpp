@@ -9,6 +9,9 @@
 // factor of two (dp)."
 //
 // For each benchmark: left column = linear scan, right = graph coloring.
+// The linear-scan row is a stacked breakdown: closure (specification
+// time) plus every compile phase, each averaged over the same
+// instantiations, so its columns sum to "LS tot".
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +19,7 @@
 #include "observability/Report.h"
 
 #include <cstdio>
+#include <initializer_list>
 
 using namespace tcc;
 using namespace tcc::bench;
@@ -27,9 +31,9 @@ int main() {
   std::printf("(columns per allocator: LS = linear scan, GC = graph "
               "coloring)\n");
   printRule();
-  std::printf("%-8s %7s | %8s %8s %8s %8s %8s | %9s %9s\n", "bench",
-              "instrs", "closure", "IRbuild", "flow/live", "regalloc",
-              "emit", "LS tot", "GC tot");
+  std::printf("%-8s %7s | %7s %7s %7s %9s %8s %7s %8s | %8s %8s\n",
+              "bench", "instrs", "closure", "setup", "IRbuild", "flow/live",
+              "regalloc", "emit", "finalize", "LS tot", "GC tot");
   printRule();
   AppSet Set;
   for (const AppCase &App : Set.cases()) {
@@ -45,24 +49,26 @@ int main() {
       return Ns * CPN / Instrs;
     };
     using obs::CompilePhase;
-    const obs::PhaseCycles &S = LS.Stats.Cycles;
+    auto Phase = [&](std::initializer_list<CompilePhase> Ps) {
+      double Sum = 0;
+      for (CompilePhase P : Ps)
+        Sum += LS.phaseCycles(P);
+      return Sum / LS.MachineInstrs;
+    };
     double Closure = PerInstr(LS.SpecNs, LS.MachineInstrs);
-    double IRBuild =
-        static_cast<double>(S[CompilePhase::CgfWalk]) / LS.MachineInstrs;
-    double FlowLive = static_cast<double>(S[CompilePhase::FlowGraph] +
-                                          S[CompilePhase::Liveness] +
-                                          S[CompilePhase::LiveIntervals]) /
-                      LS.MachineInstrs;
-    double RegAlloc = static_cast<double>(S[CompilePhase::RegAlloc]) /
-                      LS.MachineInstrs;
-    double Emit = static_cast<double>(S[CompilePhase::Emit] +
-                                      S[CompilePhase::Peephole]) /
-                  LS.MachineInstrs;
+    double Setup = Phase({CompilePhase::Setup});
+    double IRBuild = Phase({CompilePhase::CgfWalk});
+    double FlowLive = Phase({CompilePhase::FlowGraph, CompilePhase::Liveness,
+                             CompilePhase::LiveIntervals});
+    double RegAlloc = Phase({CompilePhase::RegAlloc});
+    double Emit = Phase({CompilePhase::Emit, CompilePhase::Peephole});
+    double Finalize = Phase({CompilePhase::Finalize});
     double LsTotal = PerInstr(LS.TotalNs, LS.MachineInstrs);
     double GcTotal = PerInstr(GC.TotalNs, GC.MachineInstrs);
-    std::printf("%-8s %7u | %8.0f %8.0f %8.0f %8.0f %8.0f | %9.0f %9.0f\n",
-                App.Name.c_str(), LS.MachineInstrs, Closure, IRBuild,
-                FlowLive, RegAlloc, Emit, LsTotal, GcTotal);
+    std::printf("%-8s %7u | %7.0f %7.0f %7.0f %9.0f %8.0f %7.0f %8.0f | "
+                "%8.0f %8.0f\n",
+                App.Name.c_str(), LS.MachineInstrs, Closure, Setup, IRBuild,
+                FlowLive, RegAlloc, Emit, Finalize, LsTotal, GcTotal);
   }
   printRule();
   std::printf("regalloc-only comparison (cycles/instr):\n");
@@ -77,11 +83,9 @@ int main() {
     GO.RegAlloc = icode::RegAllocKind::GraphColor;
     CompileCost GC = measureCompile(App.Specialize, GO);
     double LsRa =
-        static_cast<double>(LS.Stats.Cycles[obs::CompilePhase::RegAlloc]) /
-        LS.MachineInstrs;
+        LS.phaseCycles(obs::CompilePhase::RegAlloc) / LS.MachineInstrs;
     double GcRa =
-        static_cast<double>(GC.Stats.Cycles[obs::CompilePhase::RegAlloc]) /
-        GC.MachineInstrs;
+        GC.phaseCycles(obs::CompilePhase::RegAlloc) / GC.MachineInstrs;
     std::printf("%-8s %14.0f %14.0f %10.2f\n", App.Name.c_str(), LsRa, GcRa,
                 GcRa / (LsRa > 0 ? LsRa : 1));
   }

@@ -8,6 +8,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <new>
 
 using namespace tcc;
 using namespace tcc::cache;
@@ -33,7 +35,172 @@ struct CacheMetrics {
   }
 };
 
+constexpr std::size_t InitialSlots = 16;
+
 } // namespace
+
+/// The front of the one block an entry lives in:
+///
+///   Entry | NumRefs ExtRefs | KeyLen key bytes | pad | control block
+///   (use counts, then the CompiledFn)
+///
+/// The block is the FnHandle's own allocation (allocate_shared through
+/// BlockAlloc, which reserves the front), so a hit reads the header, the
+/// key and the handle's counts from consecutive lines, and the block lives
+/// until the last handle — the table's or a caller's — drops.
+struct CodeCache::Entry {
+  /// The table's reference to the function.
+  FnHandle Fn;
+  std::uint64_t Hash = 0;
+  std::size_t CodeBytes = 0;
+  std::uint32_t KeyLen = 0;
+  std::uint32_t NumRefs = 0;
+  /// CLOCK's second-chance bit: set by a hit, cleared by the passing hand.
+  bool Referenced = false;
+
+  ExtRef *refs() { return reinterpret_cast<ExtRef *>(this + 1); }
+  const ExtRef *refs() const {
+    return reinterpret_cast<const ExtRef *>(this + 1);
+  }
+  std::uint8_t *key() { return reinterpret_cast<std::uint8_t *>(refs() + NumRefs); }
+  const std::uint8_t *key() const {
+    return reinterpret_cast<const std::uint8_t *>(refs() + NumRefs);
+  }
+
+  /// Allocates \p Front bytes in front of each control block it hands out
+  /// and reports the block's start through \p Start.
+  template <typename T> struct BlockAlloc {
+    using value_type = T;
+    std::size_t Front;
+    char **Start;
+    BlockAlloc(std::size_t Front, char **Start) : Front(Front), Start(Start) {}
+    template <typename U>
+    BlockAlloc(const BlockAlloc<U> &O) : Front(O.Front), Start(O.Start) {}
+    T *allocate(std::size_t N) {
+      char *P = static_cast<char *>(::operator new(Front + N * sizeof(T)));
+      *Start = P;
+      return reinterpret_cast<T *>(P + Front);
+    }
+    void deallocate(T *P, std::size_t) {
+      ::operator delete(reinterpret_cast<char *>(P) - Front);
+    }
+    template <typename U> bool operator==(const BlockAlloc<U> &O) const {
+      return Front == O.Front;
+    }
+  };
+
+  static Entry *make(const SpecKey &K, core::CompiledFn &&Fn,
+                     std::size_t CodeBytes) {
+    std::size_t NumRefs = K.Refs.size(), KeyLen = K.Bytes.size();
+    std::size_t Front = (sizeof(Entry) + NumRefs * sizeof(ExtRef) + KeyLen +
+                         alignof(std::max_align_t) - 1) &
+                        ~(alignof(std::max_align_t) - 1);
+    char *Start = nullptr;
+    FnHandle H = std::allocate_shared<core::CompiledFn>(
+        BlockAlloc<core::CompiledFn>(Front, &Start), std::move(Fn));
+    auto *E = new (Start) Entry;
+    E->Fn = std::move(H);
+    E->Hash = K.Hash;
+    E->CodeBytes = CodeBytes;
+    E->KeyLen = static_cast<std::uint32_t>(KeyLen);
+    E->NumRefs = static_cast<std::uint32_t>(NumRefs);
+    for (std::size_t I = 0; I < NumRefs; ++I)
+      new (E->refs() + I) ExtRef(K.Refs[I]);
+    std::memcpy(E->key(), K.Bytes.data(), KeyLen);
+    return E;
+  }
+
+  /// Drops the table's reference; the block goes with the last handle.
+  static void destroy(Entry *E) {
+    FnHandle Last = std::move(E->Fn);
+    E->~Entry();
+  }
+
+  /// Starts the misses a hit on this entry takes: the header, the key and
+  /// (for keys like servebench's) the handle's counts.
+  void prefetch() const {
+    const char *P = reinterpret_cast<const char *>(this);
+    for (unsigned Off = 0; Off < 256; Off += 64)
+      __builtin_prefetch(P + Off, 1);
+  }
+
+  bool matches(const SpecKey &K) const {
+    if (KeyLen != K.Bytes.size() || NumRefs != K.Refs.size() ||
+        std::memcmp(key(), K.Bytes.data(), KeyLen) != 0)
+      return false;
+    for (std::uint32_t I = 0; I < NumRefs; ++I)
+      if (!(refs()[I] == K.Refs[I]))
+        return false;
+    return true;
+  }
+};
+
+CodeCache::Shard::Shard()
+    : Slots(new Slot[InitialSlots]), Mask(InitialSlots - 1) {}
+
+CodeCache::Shard::~Shard() {
+  support::MutexLock G(M);
+  dropAll();
+}
+
+std::size_t CodeCache::Shard::probe(const SpecKey &K) const {
+  for (std::size_t I = K.Hash & Mask;; I = (I + 1) & Mask) {
+    const Slot &S = Slots[I];
+    if (!S.E)
+      return I;
+    if (S.Hash != K.Hash)
+      continue;
+    S.E->prefetch();
+    if (S.E->matches(K))
+      return I;
+  }
+}
+
+void CodeCache::Shard::place(std::size_t I, Entry *E) {
+  Slots[I] = {E->Hash, E};
+  if (++Count * 2 <= Mask + 1)
+    return;
+  // Past half full: double and re-place every entry at its new home.
+  std::size_t OldSize = Mask + 1;
+  std::unique_ptr<Slot[]> Old = std::move(Slots);
+  Slots.reset(new Slot[2 * OldSize]);
+  Mask = 2 * OldSize - 1;
+  for (std::size_t J = 0; J < OldSize; ++J) {
+    if (!Old[J].E)
+      continue;
+    std::size_t At = Old[J].Hash & Mask;
+    while (Slots[At].E)
+      At = (At + 1) & Mask;
+    Slots[At] = Old[J];
+  }
+  Hand = 0;
+}
+
+void CodeCache::Shard::erase(std::size_t I) {
+  // Backward shift: an entry further along the cluster moves into the hole
+  // unless its home lies cyclically inside (hole, entry], where moving it
+  // would put it before its own home.
+  for (std::size_t J = (I + 1) & Mask; Slots[J].E; J = (J + 1) & Mask) {
+    std::size_t Home = Slots[J].Hash & Mask;
+    if (((J - Home) & Mask) >= ((J - I) & Mask)) {
+      Slots[I] = Slots[J];
+      I = J;
+    }
+  }
+  Slots[I] = Slot();
+  --Count;
+}
+
+void CodeCache::Shard::dropAll() {
+  for (std::size_t I = 0; I <= Mask; ++I) {
+    if (Slots[I].E)
+      Entry::destroy(Slots[I].E);
+    Slots[I] = Slot();
+  }
+  Count = 0;
+  Hand = 0;
+  Bytes = 0;
+}
 
 CodeCache::CodeCache(unsigned NumShards, std::size_t MaxBytes) {
   if (NumShards == 0)
@@ -50,71 +217,87 @@ CodeCache::CodeCache(unsigned NumShards, std::size_t MaxBytes) {
 FnHandle CodeCache::lookup(const SpecKey &K) {
   obs::Phase Span(obs::EventKind::CacheProbe);
   Shard &S = shardFor(K);
-  support::MutexLock G(S.M);
-  auto It = S.Map.find(K);
-  if (It == S.Map.end()) {
+  FnHandle H;
+  {
+    support::MutexLock G(S.M);
+    if (Entry *E = S.Slots[S.probe(K)].E) {
+      // Store only when the bit is clear, so a hot entry's line stays
+      // clean between sweeps.
+      if (!E->Referenced)
+        E->Referenced = true;
+      H = E->Fn;
+    }
+  }
+  if (!H) {
     Misses.inc();
     CacheMetrics::get().Misses.inc();
     return nullptr;
   }
-  // Touch: splice to the front of the LRU list (iterators stay valid).
-  S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
   Hits.inc();
   CacheMetrics::get().Hits.inc();
-  return It->second->Fn;
+  return H;
 }
 
 FnHandle CodeCache::insert(const SpecKey &K, core::CompiledFn &&Fn) {
   obs::Phase Span(obs::EventKind::CacheInsert);
   CacheMetrics &GM = CacheMetrics::get();
-  Entry E;
-  E.Key = K;
-  E.Bytes = Fn.stats().CodeBytes ? Fn.stats().CodeBytes : 1;
-  E.Fn = std::make_shared<core::CompiledFn>(std::move(Fn));
+  std::size_t CodeBytes = Fn.stats().CodeBytes ? Fn.stats().CodeBytes : 1;
+  // Built before the lock; a loser of the insert race is destroyed after
+  // it (its destructor frees the duplicate's heap block).
+  std::unique_ptr<Entry, void (*)(Entry *)> New(
+      Entry::make(K, std::move(Fn), CodeBytes), Entry::destroy);
 
   Shard &S = shardFor(K);
   support::MutexLock G(S.M);
-  auto It = S.Map.find(K);
-  if (It != S.Map.end()) {
+  std::size_t At = S.probe(K);
+  if (Entry *Old = S.Slots[At].E) {
     // Lost an insert race: the first compile wins so every caller shares
-    // one entry; our duplicate dies (freeing its heap block).
-    S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
-    return It->second->Fn;
+    // one entry; our duplicate dies.
+    Old->Referenced = true;
+    return Old->Fn;
   }
-  S.Bytes += E.Bytes;
-  GM.BytesInserted.inc(E.Bytes);
-  S.Lru.push_front(std::move(E));
-  S.Map.emplace(K, S.Lru.begin());
+  Entry *E = New.release();
+  S.place(At, E);
+  S.Bytes += CodeBytes;
+  GM.BytesInserted.inc(CodeBytes);
   Insertions.inc();
   GM.Insertions.inc();
   // Provenance split: the process-wide cache.snapshot.* counters live in
   // the persist layer (which knows about probes and rejects too); the
   // per-instance count here lets tests pin loads to one cache.
-  if (S.Lru.front().Fn->fromSnapshot())
+  if (E->Fn->fromSnapshot())
     SnapshotLoads.inc();
-  // Evict from the cold end, but never the entry just inserted.
-  while (S.Bytes > ShardBudget && S.Lru.size() > 1) {
-    Entry &Victim = S.Lru.back();
-    S.Bytes -= Victim.Bytes;
-    GM.BytesEvicted.inc(Victim.Bytes);
+  // The CLOCK sweep. Every entry but the new one is a candidate, and one
+  // lap of the hand clears every bit, so the loop ends within two laps.
+  while (S.Bytes > ShardBudget && S.Count > 1) {
+    Entry *Victim = S.Slots[S.Hand].E;
+    if (!Victim || Victim == E || Victim->Referenced) {
+      if (Victim)
+        Victim->Referenced = false;
+      S.Hand = (S.Hand + 1) & S.Mask;
+      continue;
+    }
+    S.Bytes -= Victim->CodeBytes;
+    GM.BytesEvicted.inc(Victim->CodeBytes);
     obs::recordEvent(
         obs::EventKind::CacheEvict,
-        Victim.Fn ? reinterpret_cast<std::uintptr_t>(Victim.Fn->entry()) : 0,
-        Victim.Bytes);
-    S.Map.erase(Victim.Key);
-    S.Lru.pop_back();
+        Victim->Fn ? reinterpret_cast<std::uintptr_t>(Victim->Fn->entry())
+                   : 0,
+        Victim->CodeBytes);
+    // The hand stays: erase shifts the next entry of the cluster into this
+    // slot, and that entry has not been examined yet.
+    S.erase(S.Hand);
+    Entry::destroy(Victim);
     Evictions.inc();
     GM.Evictions.inc();
   }
-  return S.Lru.front().Fn;
+  return E->Fn;
 }
 
 void CodeCache::clear() {
   for (auto &SP : Shards) {
     support::MutexLock G(SP->M);
-    SP->Map.clear();
-    SP->Lru.clear();
-    SP->Bytes = 0;
+    SP->dropAll();
   }
 }
 
@@ -128,7 +311,7 @@ CacheStats CodeCache::stats() const {
   for (const auto &SP : Shards) {
     support::MutexLock G(SP->M);
     St.CodeBytes += SP->Bytes;
-    St.Entries += SP->Lru.size();
+    St.Entries += SP->Count;
   }
   return St;
 }

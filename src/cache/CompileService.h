@@ -62,7 +62,7 @@ namespace cache {
 /// Knobs for one service instance.
 struct ServiceConfig {
   unsigned Shards = 8;
-  /// Bound on emitted code bytes held by the cache (LRU beyond it).
+  /// Bound on emitted code bytes held by the cache (CLOCK-evicted past it).
   std::size_t MaxCodeBytes = 32u << 20;
   /// When non-empty, the service opens (creating on demand) the persistent
   /// snapshot file in this directory: in-memory cache misses probe it

@@ -8,122 +8,167 @@
 
 #include <bit>
 #include <cstring>
+#include <new>
 
 using namespace tcc;
 using namespace tcc::cache;
 using namespace tcc::core;
 
+std::uint8_t *KeyBytes::grow(std::size_t Used, std::size_t MinCap) {
+  std::size_t NewCap = Cap;
+  while (NewCap < MinCap)
+    NewCap *= 2;
+  auto *P = static_cast<std::uint8_t *>(::operator new(NewCap));
+  std::memcpy(P, buffer(), Used);
+  ::operator delete(Heap);
+  Heap = P;
+  Cap = static_cast<std::uint32_t>(NewCap);
+  return P;
+}
+
+void KeyBytes::copyFrom(const KeyBytes &O) {
+  if (O.Len > InlineBytes) {
+    Heap = static_cast<std::uint8_t *>(::operator new(O.Len));
+    Cap = O.Len;
+  }
+  std::memcpy(buffer(), O.data(), O.Len);
+  Len = O.Len;
+}
+
 namespace {
 
-/// Serializes a specification tree into canonical bytes. Derived node facts
-/// (RegNeed, Flags) are skipped: they are functions of the serialized
-/// structure. Null children get an explicit marker so sibling boundaries
-/// stay unambiguous.
+std::uint64_t zigzag(std::int64_t V) {
+  return (static_cast<std::uint64_t>(V) << 1) ^
+         static_cast<std::uint64_t>(V >> 63);
+}
+
+/// Serializes a specification tree in the compact encoding SpecKey.h
+/// describes. Key construction sits on the cache-hit path, so the writer is
+/// tuned like one: a raw cursor into the key's inline buffer, one capacity
+/// check per node covering all of that node's fixed fields, then unchecked
+/// stores. Host byte order is fine — snapshot files carry the build/ISA
+/// fingerprint, so keys only ever meet keys from the same build.
 class KeyWriter {
 public:
-  KeyWriter(std::vector<std::uint8_t> &Out, std::vector<ExtRef> &Refs)
-      : Out(Out), Refs(Refs) {
-    Out.resize(1024);
-    Cur = Out.data();
-    End = Cur + Out.size();
-  }
+  KeyWriter(KeyBytes &Out, std::vector<ExtRef> &Refs)
+      : Out(Out), Refs(Refs), Base(Out.buffer()), Cur(Base),
+        End(Base + Out.capacity()) {}
 
   bool Cacheable = true;
 
-  /// Trims the buffer to the bytes actually written. Must be called before
+  /// Records the bytes written as the key's length. Must be called before
   /// the caller reads Out.
-  void finish() { Out.resize(static_cast<std::size_t>(Cur - Out.data())); }
+  void finish() { Out.setSize(static_cast<std::size_t>(Cur - Base)); }
 
-  // Key construction sits on the cache-hit path, so the serializer is tuned
-  // like one: a raw cursor over a pre-grown buffer, one capacity check per
-  // node covering all of that node's fixed-width fields, then unchecked
-  // stores. Host byte order is fine — snapshot files carry the build/ISA
-  // fingerprint, so keys only ever meet keys from the same build.
+  /// Room for \p N more bytes.
   void ensure(std::size_t N) {
     if (static_cast<std::size_t>(End - Cur) < N)
       grow(N);
   }
-  void raw(const void *P, std::size_t N) {
-    std::memcpy(Cur, P, N);
-    Cur += N;
-  }
   void u8(std::uint8_t V) { *Cur++ = V; }
-  void u32(std::uint32_t V) { raw(&V, sizeof V); }
-  void u64(std::uint64_t V) { raw(&V, sizeof V); }
+  void varint(std::uint64_t V) {
+    while (V >= 0x80) {
+      *Cur++ = static_cast<std::uint8_t>(V | 0x80);
+      V >>= 7;
+    }
+    *Cur++ = static_cast<std::uint8_t>(V);
+  }
+
+  /// Widest node head: two header bytes and a 10-byte varint (a ConstLong),
+  /// or two header bytes and two 5-byte varints (a Call).
+  static constexpr std::size_t MaxNodeHead = 12;
 
   void expr(const ExprNode *N) {
-    if (!N) {
-      ensure(1);
-      u8(0);
-      return;
-    }
-    // Header (8) plus the widest leaf payload (8).
-    ensure(16);
-    std::uint8_t Hdr[8];
-    Hdr[0] = 1;
-    Hdr[1] = static_cast<std::uint8_t>(N->Kind);
-    Hdr[2] = static_cast<std::uint8_t>(N->Type);
-    Hdr[3] = N->OpByte;
-    std::uint32_t Local = static_cast<std::uint32_t>(N->LocalId);
-    std::memcpy(Hdr + 4, &Local, 4);
-    raw(Hdr, 8);
+    ensure(MaxNodeHead);
+    unsigned Mask = (N->A ? 1u : 0u) | (N->B ? 2u : 0u) | (N->C ? 4u : 0u);
+    u8(static_cast<std::uint8_t>(static_cast<unsigned>(N->Kind) | Mask << 4));
+    u8(static_cast<std::uint8_t>(N->Type));
     switch (N->Kind) {
     case ExprKind::ConstInt:
     case ExprKind::ConstLong:
-      u64(static_cast<std::uint64_t>(N->IntVal));
+      varint(zigzag(N->IntVal));
       break;
-    case ExprKind::ConstDouble:
-      u64(std::bit_cast<std::uint64_t>(N->FpVal));
+    case ExprKind::ConstDouble: {
+      std::uint64_t Bits = std::bit_cast<std::uint64_t>(N->FpVal);
+      std::memcpy(Cur, &Bits, 8);
+      Cur += 8;
+      break;
+    }
+    case ExprKind::Local:
+      varint(static_cast<std::uint32_t>(N->LocalId));
       break;
     case ExprKind::FreeVar:
-    case ExprKind::Call: {
+      u8(N->OpByte);
+      [[fallthrough]];
+    case ExprKind::Call:
       // Captured addresses are part of the code the walk emits, but the
       // bytes stay address-independent: they carry the first-occurrence
       // ordinal, the addresses land in Refs.
-      u32(refOrdinal(static_cast<std::uint8_t>(N->Kind),
-                     static_cast<std::uint64_t>(
-                         reinterpret_cast<std::uintptr_t>(N->PtrVal))));
+      varint(refOrdinal(static_cast<std::uint8_t>(N->Kind),
+                        static_cast<std::uint64_t>(
+                            reinterpret_cast<std::uintptr_t>(N->PtrVal))));
+      if (N->Kind == ExprKind::Call)
+        varint(N->ArgC);
       break;
-    }
+    case ExprKind::Binary:
+    case ExprKind::Cmp:
+    case ExprKind::Unary:
+    case ExprKind::Load:
+      u8(N->OpByte);
+      break;
     case ExprKind::RtEval:
       // The rc interpreter may read memory under $: the immediate it embeds
       // depends on the pointee at instantiation time, not on the tree.
       if (N->A && (N->A->Flags & EF_HasMemOp))
         Cacheable = false;
       break;
-    default:
+    case ExprKind::Cond:
       break;
     }
-    expr(N->A);
-    expr(N->B);
-    expr(N->C);
-    ensure(4);
-    u32(N->ArgC);
+    if (N->A)
+      expr(N->A);
+    if (N->B)
+      expr(N->B);
+    if (N->C)
+      expr(N->C);
     for (std::uint32_t I = 0; I < N->ArgC; ++I)
       expr(N->ArgV[I]);
   }
 
   void stmt(const StmtNode *S) {
-    if (!S) {
-      ensure(1);
-      u8(0);
-      return;
+    ensure(MaxNodeHead);
+    u8(static_cast<std::uint8_t>(S->Kind));
+    u8(static_cast<std::uint8_t>((S->E ? 1u : 0u) | (S->E2 ? 2u : 0u) |
+                                 (S->E3 ? 4u : 0u) | (S->S1 ? 8u : 0u) |
+                                 (S->S2 ? 16u : 0u)));
+    switch (S->Kind) {
+    case StmtKind::Store:
+      u8(S->OpByte);
+      break;
+    case StmtKind::For:
+      u8(S->OpByte);
+      [[fallthrough]];
+    case StmtKind::AssignLocal:
+    case StmtKind::LabelDef:
+    case StmtKind::Goto:
+      varint(static_cast<std::uint32_t>(S->LocalId));
+      break;
+    case StmtKind::Block:
+      varint(S->BodyC);
+      break;
+    default:
+      break;
     }
-    ensure(7);
-    std::uint8_t Hdr[7];
-    Hdr[0] = 1;
-    Hdr[1] = static_cast<std::uint8_t>(S->Kind);
-    Hdr[2] = S->OpByte;
-    std::uint32_t Local = static_cast<std::uint32_t>(S->LocalId);
-    std::memcpy(Hdr + 3, &Local, 4);
-    raw(Hdr, 7);
-    expr(S->E);
-    expr(S->E2);
-    expr(S->E3);
-    stmt(S->S1);
-    stmt(S->S2);
-    ensure(4);
-    u32(S->BodyC);
+    if (S->E)
+      expr(S->E);
+    if (S->E2)
+      expr(S->E2);
+    if (S->E3)
+      expr(S->E3);
+    if (S->S1)
+      stmt(S->S1);
+    if (S->S2)
+      stmt(S->S2);
     for (std::uint32_t I = 0; I < S->BodyC; ++I)
       stmt(S->BodyV[I]);
   }
@@ -140,20 +185,15 @@ private:
   }
 
   void grow(std::size_t N) {
-    std::size_t Len = static_cast<std::size_t>(Cur - Out.data());
-    std::size_t Cap = Out.size();
-    do
-      Cap *= 2;
-    while (Cap - Len < N);
-    Out.resize(Cap);
-    Cur = Out.data() + Len;
-    End = Out.data() + Out.size();
+    std::size_t Len = static_cast<std::size_t>(Cur - Base);
+    Base = Out.grow(Len, Len + N);
+    Cur = Base + Len;
+    End = Base + Out.capacity();
   }
 
-  std::vector<std::uint8_t> &Out;
+  KeyBytes &Out;
   std::vector<ExtRef> &Refs;
-  std::uint8_t *Cur = nullptr;
-  std::uint8_t *End = nullptr;
+  std::uint8_t *Base, *Cur, *End;
 };
 
 } // namespace
@@ -165,18 +205,17 @@ SpecKey cache::buildSpecKey(const Context &Ctx, Stmt Body, EvalType RetType,
   KeyWriter W(K.Bytes, K.Refs);
   // Everything in CompileOptions that changes generated code.
   //
-  // Fixed-width options prefix: one capacity check covers it all.
-  W.ensure(32);
   // Backend is the FIRST key byte and covers BackendKind exhaustively:
   // VCode=0 and ICode=1 serialize to distinct bytes, and key equality is
   // full byte-string equality, so the back ends can never share a cache
   // slot. A record keyed under a retired back end's byte (2, copy-and-patch)
   // is never probed. Pinned by SpecKey.BackendsOccupyDistinctSlots.
+  W.ensure(KeyWriter::MaxNodeHead);
   W.u8(static_cast<std::uint8_t>(Opts.Backend));
   W.u8(static_cast<std::uint8_t>(Opts.RegAlloc));
   W.u8(static_cast<std::uint8_t>(Opts.Spill));
   W.u8(static_cast<std::uint8_t>(Opts.Placement));
-  W.u32(Opts.UnrollLimit);
+  W.varint(Opts.UnrollLimit);
   // Profiled code carries an extra prologue instruction, so it can never
   // share an entry with unprofiled code. Name is a label, not a semantic
   // input: same-key profiled compiles share the first entry's counter (and
@@ -191,14 +230,17 @@ SpecKey cache::buildSpecKey(const Context &Ctx, Stmt Body, EvalType RetType,
 
   // The vspec table: LocalIds in the tree index into it.
   const std::vector<LocalInfo> &Locals = Ctx.locals();
-  W.ensure(4 + 5 * Locals.size());
-  W.u32(static_cast<std::uint32_t>(Locals.size()));
+  W.ensure(10 + 6 * Locals.size());
+  W.varint(Locals.size());
   for (const LocalInfo &L : Locals) {
     W.u8(static_cast<std::uint8_t>(L.Type));
-    W.u32(static_cast<std::uint32_t>(L.ArgIndex));
+    W.varint(zigzag(L.ArgIndex));
   }
 
-  W.stmt(Body.node());
+  W.ensure(1);
+  W.u8(Body.valid() ? 1 : 0);
+  if (Body.valid())
+    W.stmt(Body.node());
   W.finish();
   K.Cacheable = W.Cacheable;
   // The bytes hash is the one snapshot records store (support/Hash.h, the

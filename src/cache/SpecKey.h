@@ -24,6 +24,36 @@
 /// what memory holds *when the walk runs*, which no tree fingerprint can
 /// capture — such specs are marked not Cacheable and always compile.
 ///
+/// Byte encoding (snapshot format 4). Kinds, types, ops and masks are one
+/// byte each; counts, ids, Refs ordinals and integer constants are LEB128
+/// varints, and "zz" marks a zigzag-mapped signed one.
+///
+///   key     := options locals root
+///   options := Backend RegAlloc Spill Placement UnrollLimit Profile Verify
+///              RetType                     (one byte each but UnrollLimit)
+///   locals  := count (Type zz(ArgIndex))*
+///   root    := 0 | 1 stmt
+///   expr    := Kind|mask<<4  Type  payload  A? B? C?  args
+///   stmt    := Kind  mask  payload  E? E2? E3? S1? S2?  body
+///
+/// An expr's mask has bit 0/1/2 set when A/B/C is present (stmt: bits 0..4
+/// for E, E2, E3, S1, S2), so a missing child costs nothing. The payload
+/// carries only the fields the node's kind uses, as the Context factories
+/// set them:
+///
+///   ConstInt, ConstLong  zz(IntVal)          Local      LocalId
+///   ConstDouble          8 raw FpVal bytes   FreeVar    Op ordinal
+///   Binary, Cmp, Unary, Load  Op             Call       ordinal ArgC
+///   Store  Op      AssignLocal, LabelDef, Goto  LocalId
+///   For    Op LocalId        Block  BodyC
+///
+/// and `args`/`body` are the ArgC arguments / BodyC statements that follow
+/// a Call / Block. Every field is self-delimiting and the kind says which
+/// follow, so bytes and Refs decode to exactly one tree: equal keys mean
+/// equal trees. Derived facts (RegNeed, Flags, CallFpArgs) are left out: they are
+/// functions of what is written. servebench's five-comparison query
+/// encodes in about 120 bytes, inside SpecKey's inline buffer.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TICKC_CACHE_SPECKEY_H
@@ -33,6 +63,8 @@
 #include "core/Context.h"
 
 #include <cstdint>
+#include <cstring>
+#include <new>
 #include <vector>
 
 namespace tcc {
@@ -49,12 +81,85 @@ struct ExtRef {
   }
 };
 
+/// A key's canonical bytes: inline up to InlineBytes, on the heap past
+/// that. Building a key that fits mallocs nothing and clears nothing.
+class KeyBytes {
+public:
+  static constexpr std::size_t InlineBytes = 192;
+  using value_type = std::uint8_t;
+  using const_iterator = const std::uint8_t *;
+  using iterator = const_iterator;
+
+  // User-provided, so even a value-initialized key leaves Inline uncleared.
+  KeyBytes() {}
+  KeyBytes(const KeyBytes &O) { copyFrom(O); }
+  KeyBytes(KeyBytes &&O) noexcept { take(O); }
+  KeyBytes &operator=(const KeyBytes &O) {
+    if (this != &O) {
+      release();
+      copyFrom(O);
+    }
+    return *this;
+  }
+  KeyBytes &operator=(KeyBytes &&O) noexcept {
+    if (this != &O) {
+      release();
+      take(O);
+    }
+    return *this;
+  }
+  ~KeyBytes() { ::operator delete(Heap); }
+
+  const std::uint8_t *data() const { return Heap ? Heap : Inline; }
+  std::size_t size() const { return Len; }
+  bool empty() const { return Len == 0; }
+  const_iterator begin() const { return data(); }
+  const_iterator end() const { return data() + Len; }
+  std::uint8_t operator[](std::size_t I) const { return data()[I]; }
+  bool operator==(const KeyBytes &O) const {
+    return Len == O.Len && std::memcmp(data(), O.data(), Len) == 0;
+  }
+
+  // The serializer's interface (SpecKey.cpp): the writable buffer, growth
+  // that keeps its first \p Used bytes, and the final length.
+  std::uint8_t *buffer() { return Heap ? Heap : Inline; }
+  std::size_t capacity() const { return Cap; }
+  std::uint8_t *grow(std::size_t Used, std::size_t MinCap);
+  void setSize(std::size_t N) { Len = static_cast<std::uint32_t>(N); }
+
+private:
+  void release() {
+    ::operator delete(Heap);
+    Heap = nullptr;
+    Len = 0;
+    Cap = InlineBytes;
+  }
+  void copyFrom(const KeyBytes &O);
+  void take(KeyBytes &O) {
+    if (O.Heap) {
+      Heap = O.Heap;
+      Cap = O.Cap;
+      O.Heap = nullptr;
+      O.Cap = InlineBytes;
+    } else {
+      std::memcpy(Inline, O.Inline, O.Len);
+    }
+    Len = O.Len;
+    O.Len = 0;
+  }
+
+  std::uint8_t *Heap = nullptr;
+  std::uint32_t Len = 0;
+  std::uint32_t Cap = InlineBytes;
+  std::uint8_t Inline[InlineBytes];
+};
+
 /// The one spec identity: the memoization key, the tier-slot key and the
 /// snapshot record key. Bytes plus Refs is complete — the address-bearing
 /// form is Bytes with each ordinal replaced by its Refs entry.
 struct SpecKey {
   /// Canonical bytes, address-independent (captures appear as ordinals).
-  std::vector<std::uint8_t> Bytes;
+  KeyBytes Bytes;
   /// The captured addresses, indexed by the ordinals in Bytes. A loader
   /// re-points a record's imm64 slots through them (stored ordinal i →
   /// this process's address at i).

@@ -16,9 +16,26 @@ Context::Context() { Locals.reserve(16); }
 ExprNode *Context::newExpr(ExprKind K, EvalType T) {
   auto *N = static_cast<ExprNode *>(
       NodeArena.allocate(sizeof(ExprNode), alignof(ExprNode)));
-  *N = ExprNode{};
+  // Field by field, not `*N = ExprNode{}`: GCC lowers that aggregate clear
+  // to a `rep stosq` whose startup costs more than the node's dozen stores,
+  // and node construction is specification time (Figure 6's closure
+  // column). Every field is written; core_test's poisoned-arena test pins
+  // each default.
   N->Kind = K;
   N->Type = T;
+  N->OpByte = 0;
+  N->RegNeed = 1;
+  N->Flags = 0;
+  N->LocalId = -1;
+  N->A = nullptr;
+  N->B = nullptr;
+  N->C = nullptr;
+  N->IntVal = 0;
+  N->FpVal = 0;
+  N->PtrVal = nullptr;
+  N->ArgV = nullptr;
+  N->ArgC = 0;
+  N->CallFpArgs = 0;
   N->Ctx = this;
   return N;
 }
@@ -26,8 +43,17 @@ ExprNode *Context::newExpr(ExprKind K, EvalType T) {
 StmtNode *Context::newStmt(StmtKind K) {
   auto *N = static_cast<StmtNode *>(
       NodeArena.allocate(sizeof(StmtNode), alignof(StmtNode)));
-  *N = StmtNode{};
+  // Field by field, as in newExpr.
   N->Kind = K;
+  N->OpByte = 0;
+  N->LocalId = -1;
+  N->E = nullptr;
+  N->E2 = nullptr;
+  N->E3 = nullptr;
+  N->S1 = nullptr;
+  N->S2 = nullptr;
+  N->BodyV = nullptr;
+  N->BodyC = 0;
   N->Ctx = this;
   return N;
 }

@@ -50,7 +50,7 @@ enum class EventKind : std::uint8_t {
   Setup,           ///< Backend and walker construction.
   SpecFingerprint, ///< buildSpecKey(): canonical serialization + hash.
   CacheProbe,      ///< CodeCache::lookup (hit or miss).
-  CacheInsert,     ///< CodeCache::insert (includes LRU eviction).
+  CacheInsert,     ///< CodeCache::insert (includes CLOCK eviction).
   CGFWalk,         ///< The code-generating-function walk (§4.4).
   FlowGraph,       ///< ICODE flow-graph construction.
   Liveness,        ///< Iterative live-variable solution.

@@ -50,6 +50,12 @@ namespace {
 //   ref       := u32 Kind  u64 Addr                               (12 bytes)
 //   reloc     := u32 Offset u32 Kind u32 RefOrdinal               (12 bytes)
 //
+// The build fingerprint folds in support::SnapshotFormatVersion, so a file
+// written under another format resets on open instead of being misread.
+// Format 4: a record's key section holds SpecKey's compact encoding
+// (cache/SpecKey.h — child-presence masks, per-kind payloads, varint and
+// zigzag integers).
+//
 // A reloc's RefOrdinal indexes the record's ref table — and, equivalently,
 // the loader's freshly built SpecKey::Refs, which lists the *current*
 // process's addresses in the same canonical first-occurrence order. Profile
@@ -353,8 +359,8 @@ bool SnapshotCache::openFile(const std::string &FilePath,
       //
       // Live set in append order; under a size budget, evict oldest-first:
       // keep the longest newest suffix that fits (newer records reflect the
-      // most recent working set — the same recency bet the in-memory LRU
-      // makes).
+      // most recent working set — the same recency bet the in-memory
+      // cache's CLOCK makes).
       std::vector<std::size_t> Keep;
       Keep.reserve(LastByKey.size());
       for (const auto &KV : LastByKey)

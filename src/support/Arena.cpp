@@ -37,20 +37,10 @@ void Arena::addSlab(std::size_t MinBytes) {
   ++TotalSystemAllocs;
 }
 
-void *Arena::allocate(std::size_t Bytes, std::size_t Align) {
+void *Arena::allocateInNewSlab(std::size_t Bytes, std::size_t Align) {
   assert(Align != 0 && (Align & (Align - 1)) == 0 && "align must be power of 2");
-  auto P = reinterpret_cast<std::uintptr_t>(Cur);
-  std::uintptr_t Aligned = (P + Align - 1) & ~(std::uintptr_t(Align) - 1);
-  char *Result = reinterpret_cast<char *>(Aligned);
-  if (Result + Bytes > End) {
-    addSlab(Bytes + Align);
-    return allocate(Bytes, Align);
-  }
-  Cur = Result + Bytes;
-  BytesAllocated += Bytes;
-  if (BytesAllocated > HighWater)
-    HighWater = BytesAllocated;
-  return Result;
+  addSlab(Bytes + Align);
+  return allocate(Bytes, Align);
 }
 
 void Arena::reset() {

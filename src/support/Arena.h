@@ -44,7 +44,20 @@ public:
 
   /// Allocates \p Bytes with the given \p Align. Never returns null; aborts
   /// on out-of-memory.
-  void *allocate(std::size_t Bytes, std::size_t Align = alignof(max_align_t));
+  void *allocate(std::size_t Bytes, std::size_t Align = alignof(max_align_t)) {
+    // The pointer increment is inline (specification time allocates one
+    // node per factory call); a new slab is out of line.
+    auto P = reinterpret_cast<std::uintptr_t>(Cur);
+    std::uintptr_t Aligned = (P + Align - 1) & ~(std::uintptr_t(Align) - 1);
+    char *Result = reinterpret_cast<char *>(Aligned);
+    if (Result + Bytes > End)
+      return allocateInNewSlab(Bytes, Align);
+    Cur = Result + Bytes;
+    BytesAllocated += Bytes;
+    if (BytesAllocated > HighWater)
+      HighWater = BytesAllocated;
+    return Result;
+  }
 
   /// Constructs a T in the arena.
   template <typename T, typename... ArgTs> T *create(ArgTs &&...Args) {
@@ -96,6 +109,7 @@ private:
   };
 
   void addSlab(std::size_t MinBytes);
+  void *allocateInNewSlab(std::size_t Bytes, std::size_t Align);
 
   Slab *Head = nullptr;
   char *Cur = nullptr;

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <csignal>
 #include <cstdint>
 #include <cstring>
@@ -564,6 +565,284 @@ TEST(CoreStats, StatsPopulated) {
   EXPECT_GT(F.stats().MachineInstrs, 0u);
   EXPECT_GT(F.stats().CodeBytes, 0u);
   EXPECT_GT(F.stats().Cycles[obs::CompilePhase::RegAlloc], 0u);
+}
+
+// --- Node initialization ------------------------------------------------------
+
+/// Fills the start of \p C's arena with 0xAB and rewinds it, so the next
+/// nodes land on poison: a field the factories forget to set reads 0xAB..
+/// instead of the zero a fresh slab would hide it behind. Returns the
+/// poisoned range. Nodes built before the call are invalidated.
+std::pair<const char *, const char *> poisonArena(Context &C) {
+  constexpr std::size_t Bytes = 4096;
+  auto *P = static_cast<char *>(C.arena().allocate(Bytes, 16));
+  std::memset(P, 0xAB, Bytes);
+  C.arena().reset();
+  return {P, P + Bytes};
+}
+
+/// Every field of \p N against \p Want (Ctx aside: that is \p C).
+void expectNode(const Context &C, const ExprNode *N, const ExprNode &Want,
+                std::pair<const char *, const char *> Poisoned) {
+  SCOPED_TRACE("ExprKind " + std::to_string(static_cast<int>(Want.Kind)));
+  auto *At = reinterpret_cast<const char *>(N);
+  ASSERT_TRUE(At >= Poisoned.first && At + sizeof(ExprNode) <= Poisoned.second)
+      << "node outside the poisoned range";
+  EXPECT_EQ(N->Kind, Want.Kind);
+  EXPECT_EQ(N->Type, Want.Type);
+  EXPECT_EQ(N->OpByte, Want.OpByte);
+  EXPECT_EQ(N->RegNeed, Want.RegNeed);
+  EXPECT_EQ(N->Flags, Want.Flags);
+  EXPECT_EQ(N->LocalId, Want.LocalId);
+  EXPECT_EQ(N->A, Want.A);
+  EXPECT_EQ(N->B, Want.B);
+  EXPECT_EQ(N->C, Want.C);
+  EXPECT_EQ(N->IntVal, Want.IntVal);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(N->FpVal),
+            std::bit_cast<std::uint64_t>(Want.FpVal));
+  EXPECT_EQ(N->PtrVal, Want.PtrVal);
+  EXPECT_EQ(N->ArgC, Want.ArgC);
+  if (Want.ArgC == 0) {
+    EXPECT_EQ(N->ArgV, nullptr);
+  }
+  for (std::uint32_t I = 0; I < Want.ArgC; ++I)
+    EXPECT_EQ(N->ArgV[I], Want.ArgV[I]);
+  EXPECT_EQ(N->CallFpArgs, Want.CallFpArgs);
+  EXPECT_EQ(N->Ctx, &C);
+}
+
+void expectNode(const Context &C, const StmtNode *N, const StmtNode &Want,
+                std::pair<const char *, const char *> Poisoned) {
+  SCOPED_TRACE("StmtKind " + std::to_string(static_cast<int>(Want.Kind)));
+  auto *At = reinterpret_cast<const char *>(N);
+  ASSERT_TRUE(At >= Poisoned.first && At + sizeof(StmtNode) <= Poisoned.second)
+      << "node outside the poisoned range";
+  EXPECT_EQ(N->Kind, Want.Kind);
+  EXPECT_EQ(N->OpByte, Want.OpByte);
+  EXPECT_EQ(N->LocalId, Want.LocalId);
+  EXPECT_EQ(N->E, Want.E);
+  EXPECT_EQ(N->E2, Want.E2);
+  EXPECT_EQ(N->E3, Want.E3);
+  EXPECT_EQ(N->S1, Want.S1);
+  EXPECT_EQ(N->S2, Want.S2);
+  EXPECT_EQ(N->BodyC, Want.BodyC);
+  if (Want.BodyC == 0) {
+    EXPECT_EQ(N->BodyV, nullptr);
+  }
+  for (std::uint32_t I = 0; I < Want.BodyC; ++I)
+    EXPECT_EQ(N->BodyV[I], Want.BodyV[I]);
+  EXPECT_EQ(N->Ctx, &C);
+}
+
+/// The documented defaults (core/Nodes.h) of a node of kind \p K and type
+/// \p T; each check below adds what its factory sets.
+ExprNode exprDefaults(ExprKind K, EvalType T) {
+  ExprNode N;
+  N.Kind = K;
+  N.Type = T;
+  return N;
+}
+
+StmtNode stmtDefaults(StmtKind K) {
+  StmtNode N;
+  N.Kind = K;
+  return N;
+}
+
+int nodeCallee(int X, double D) { return X + static_cast<int>(D); }
+
+TEST(NodeInit, EveryExprKindSetsEveryField) {
+  Context C;
+  VSpec X = C.paramInt(0);
+  VSpec P = C.paramPtr(1);
+  static int Cell = 3;
+  auto Poisoned = poisonArena(C);
+
+  Expr I7 = C.intConst(7);
+  ExprNode W = exprDefaults(ExprKind::ConstInt, EvalType::Int);
+  W.IntVal = 7;
+  expectNode(C, I7.node(), W, Poisoned);
+
+  Expr L = C.longConst(-5);
+  W = exprDefaults(ExprKind::ConstLong, EvalType::Long);
+  W.IntVal = -5;
+  expectNode(C, L.node(), W, Poisoned);
+
+  Expr Ptr = C.rcPtr(&Cell);
+  W = exprDefaults(ExprKind::ConstLong, EvalType::Ptr);
+  W.IntVal = static_cast<std::int64_t>(reinterpret_cast<std::uintptr_t>(&Cell));
+  expectNode(C, Ptr.node(), W, Poisoned);
+
+  Expr D = C.doubleConst(2.5);
+  W = exprDefaults(ExprKind::ConstDouble, EvalType::Double);
+  W.FpVal = 2.5;
+  expectNode(C, D.node(), W, Poisoned);
+
+  Expr Fv = C.fvInt(&Cell);
+  W = exprDefaults(ExprKind::FreeVar, EvalType::Int);
+  W.OpByte = static_cast<std::uint8_t>(MemType::I32);
+  W.PtrVal = &Cell;
+  W.Flags = EF_HasMemOp;
+  expectNode(C, Fv.node(), W, Poisoned);
+
+  Expr Rd = C.read(X);
+  W = exprDefaults(ExprKind::Local, EvalType::Int);
+  W.LocalId = X.id();
+  W.Flags = EF_HasLocal;
+  expectNode(C, Rd.node(), W, Poisoned);
+
+  Expr Sum = C.binary(BinOp::Add, Rd, I7);
+  W = exprDefaults(ExprKind::Binary, EvalType::Int);
+  W.OpByte = static_cast<std::uint8_t>(BinOp::Add);
+  W.A = Rd.node();
+  W.B = I7.node();
+  W.RegNeed = 2;
+  W.Flags = EF_HasLocal;
+  expectNode(C, Sum.node(), W, Poisoned);
+
+  Expr Lt = C.cmp(CmpKind::LtS, Rd, I7);
+  W = exprDefaults(ExprKind::Cmp, EvalType::Int);
+  W.OpByte = static_cast<std::uint8_t>(CmpKind::LtS);
+  W.A = Rd.node();
+  W.B = I7.node();
+  W.RegNeed = 2;
+  W.Flags = EF_HasLocal;
+  expectNode(C, Lt.node(), W, Poisoned);
+
+  Expr Neg = C.neg(Sum);
+  W = exprDefaults(ExprKind::Unary, EvalType::Int);
+  W.OpByte = static_cast<std::uint8_t>(UnOp::Neg);
+  W.A = Sum.node();
+  W.RegNeed = 2;
+  W.Flags = EF_HasLocal;
+  expectNode(C, Neg.node(), W, Poisoned);
+
+  Expr Rp = C.read(P);
+  Expr Ld = C.loadMem(MemType::I16, Rp);
+  W = exprDefaults(ExprKind::Load, EvalType::Int);
+  W.OpByte = static_cast<std::uint8_t>(MemType::I16);
+  W.A = Rp.node();
+  W.Flags = EF_HasLocal | EF_HasMemOp;
+  expectNode(C, Ld.node(), W, Poisoned);
+
+  Expr Call = C.callC(reinterpret_cast<const void *>(&nodeCallee),
+                      EvalType::Int, {I7, D});
+  ExprNode *Args[] = {I7.node(), D.node()};
+  W = exprDefaults(ExprKind::Call, EvalType::Int);
+  W.PtrVal = reinterpret_cast<const void *>(&nodeCallee);
+  W.ArgV = Args;
+  W.ArgC = 2;
+  W.CallFpArgs = 1;
+  W.RegNeed = 4;
+  W.Flags = EF_HasCall;
+  expectNode(C, Call.node(), W, Poisoned);
+
+  Expr Ind = C.callIndirect(Rp, EvalType::Int, {Rd});
+  ExprNode *IndArgs[] = {Rd.node()};
+  W = exprDefaults(ExprKind::Call, EvalType::Int);
+  W.A = Rp.node();
+  W.ArgV = IndArgs;
+  W.ArgC = 1;
+  W.RegNeed = 4;
+  W.Flags = EF_HasCall | EF_HasLocal;
+  expectNode(C, Ind.node(), W, Poisoned);
+
+  Expr Rt = C.rtEval(Fv);
+  W = exprDefaults(ExprKind::RtEval, EvalType::Int);
+  W.A = Fv.node();
+  expectNode(C, Rt.node(), W, Poisoned);
+
+  Expr Sel = C.cond(Lt, Sum, I7);
+  W = exprDefaults(ExprKind::Cond, EvalType::Int);
+  W.A = Lt.node();
+  W.B = Sum.node();
+  W.C = I7.node();
+  W.RegNeed = 2;
+  W.Flags = EF_HasLocal;
+  expectNode(C, Sel.node(), W, Poisoned);
+}
+
+TEST(NodeInit, EveryStmtKindSetsEveryField) {
+  Context C;
+  VSpec X = C.paramInt(0);
+  VSpec P = C.paramPtr(1);
+  VSpec I = C.localInt();
+  DynLabel Lbl = C.newLabel();
+  auto Poisoned = poisonArena(C);
+  Expr One = C.intConst(1);
+  Expr Rx = C.read(X);
+  Expr Rp = C.read(P);
+
+  Stmt Es = C.exprStmt(One);
+  StmtNode W = stmtDefaults(StmtKind::ExprStmt);
+  W.E = One.node();
+  expectNode(C, Es.node(), W, Poisoned);
+
+  Stmt As = C.assign(I, One);
+  W = stmtDefaults(StmtKind::AssignLocal);
+  W.LocalId = I.id();
+  W.E = One.node();
+  expectNode(C, As.node(), W, Poisoned);
+
+  Stmt St = C.storeMem(MemType::I32, Rp, Rx);
+  W = stmtDefaults(StmtKind::Store);
+  W.OpByte = static_cast<std::uint8_t>(MemType::I32);
+  W.E = Rp.node();
+  W.E2 = Rx.node();
+  expectNode(C, St.node(), W, Poisoned);
+
+  Stmt If1 = C.ifStmt(Rx, Es);
+  W = stmtDefaults(StmtKind::If);
+  W.E = Rx.node();
+  W.S1 = Es.node();
+  expectNode(C, If1.node(), W, Poisoned);
+
+  Stmt If2 = C.ifStmt(Rx, Es, As);
+  W.S2 = As.node();
+  expectNode(C, If2.node(), W, Poisoned);
+
+  Stmt Wh = C.whileStmt(Rx, Es);
+  W = stmtDefaults(StmtKind::While);
+  W.E = Rx.node();
+  W.S1 = Es.node();
+  expectNode(C, Wh.node(), W, Poisoned);
+
+  Stmt Fr = C.forStmt(I, One, CmpKind::LeS, Rx, One, Es);
+  W = stmtDefaults(StmtKind::For);
+  W.LocalId = I.id();
+  W.OpByte = static_cast<std::uint8_t>(CmpKind::LeS);
+  W.E = One.node();
+  W.E2 = Rx.node();
+  W.E3 = One.node();
+  W.S1 = Es.node();
+  expectNode(C, Fr.node(), W, Poisoned);
+
+  Stmt Rt = C.ret(Rx);
+  W = stmtDefaults(StmtKind::Return);
+  W.E = Rx.node();
+  expectNode(C, Rt.node(), W, Poisoned);
+
+  expectNode(C, C.retVoid().node(), stmtDefaults(StmtKind::Return), Poisoned);
+  expectNode(C, C.breakStmt().node(), stmtDefaults(StmtKind::Break), Poisoned);
+  expectNode(C, C.continueStmt().node(), stmtDefaults(StmtKind::Continue),
+             Poisoned);
+
+  Stmt Def = C.labelHere(Lbl);
+  W = stmtDefaults(StmtKind::LabelDef);
+  W.LocalId = Lbl.Id;
+  expectNode(C, Def.node(), W, Poisoned);
+
+  Stmt Go = C.gotoLabel(Lbl);
+  W = stmtDefaults(StmtKind::Goto);
+  W.LocalId = Lbl.Id;
+  expectNode(C, Go.node(), W, Poisoned);
+
+  Stmt Blk = C.block({Es, Go});
+  StmtNode *Body[] = {Es.node(), Go.node()};
+  W = stmtDefaults(StmtKind::Block);
+  W.BodyV = Body;
+  W.BodyC = 2;
+  expectNode(C, Blk.node(), W, Poisoned);
 }
 
 /// `acc = 0; for (i = 0; i < $Trips; i++) acc = acc * x + i; return acc;`

@@ -214,8 +214,8 @@ TEST(SpecKey, GoldenBytesHashPinsTheRecordKeyFormat) {
   EXPECT_EQ(K.Refs[0].Addr, reinterpret_cast<std::uint64_t>(&goldenCallee));
   EXPECT_EQ(K.Refs[1].Addr, reinterpret_cast<std::uint64_t>(&CellA));
   EXPECT_EQ(K.Refs[2].Addr, reinterpret_cast<std::uint64_t>(&CellB));
-  EXPECT_EQ(K.Bytes.size(), 165u);
-  EXPECT_EQ(K.BytesHash, 0x9a2c74ae80f69267ull);
+  EXPECT_EQ(K.Bytes.size(), 44u);
+  EXPECT_EQ(K.BytesHash, 0xc64f1fc09498a0b0ull);
 }
 
 // --- Save / load round trips ------------------------------------------------

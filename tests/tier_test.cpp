@@ -330,7 +330,11 @@ TEST(Tier, ShutdownWithPendingRequestsFailsThemCleanly) {
 TEST(Tier, SwapInstantCarriesTheBaselineSymbol) {
   // The tier.swapped instant names the function by the baseline's runtime
   // symbol (the service names it from the spec key), resolved on the worker
-  // that swaps.
+  // that swaps. Only instants stamped after this test starts count: an
+  // earlier test's slot may have run its baseline and promoted code from
+  // these very blocks (the code heap reuses freed blocks), and its instant
+  // is still in the ring.
+  std::uint64_t Start = readCycleCounterBegin();
   CompileService S;
   TierManager TM(config(1));
   TieredFnHandle TF =
@@ -349,7 +353,7 @@ TEST(Tier, SwapInstantCarriesTheBaselineSymbol) {
 
   bool Found = false;
   for (const obs::EventRing::Record &R : obs::EventRing::global().snapshot())
-    if (R.Kind == obs::EventKind::TierSwapped &&
+    if (R.Kind == obs::EventKind::TierSwapped && R.Tsc >= Start &&
         R.A == reinterpret_cast<std::uintptr_t>(BaselineEntry) &&
         R.B == reinterpret_cast<std::uintptr_t>(PromotedEntry)) {
       Found = true;
