@@ -21,7 +21,7 @@ namespace {
 /// Per-instance counts stay on the cache itself (tests assert on them).
 struct CacheMetrics {
   obs::Counter &Hits, &Misses, &Evictions, &Insertions;
-  obs::Counter &BytesInserted, &BytesEvicted;
+  obs::Counter &BytesInserted, &BytesEvicted, &SingleflightWaits;
   static CacheMetrics &get() {
     namespace N = obs::names;
     auto &R = obs::MetricsRegistry::global();
@@ -30,7 +30,8 @@ struct CacheMetrics {
                           R.counter(N::CacheEvictions),
                           R.counter(N::CacheInsertions),
                           R.counter(N::CacheBytesInserted),
-                          R.counter(N::CacheBytesEvicted)};
+                          R.counter(N::CacheBytesEvicted),
+                          R.counter(N::CacheSingleflightWait)};
     return M;
   }
 };
@@ -47,16 +48,21 @@ constexpr std::size_t InitialSlots = 16;
 /// The block is the FnHandle's own allocation (allocate_shared through
 /// BlockAlloc, which reserves the front), so a hit reads the header, the
 /// key and the handle's counts from consecutive lines, and the block lives
-/// until the last handle — the table's or a caller's — drops.
+/// until the last handle — the table's or a caller's — drops. acquire()
+/// allocates it around an empty CompiledFn, pending; publish() moves the
+/// function in, so a miss allocates the entry once.
 struct CodeCache::Entry {
   /// The table's reference to the function.
-  FnHandle Fn;
+  std::shared_ptr<core::CompiledFn> Fn;
   std::uint64_t Hash = 0;
   std::size_t CodeBytes = 0;
   std::uint32_t KeyLen = 0;
   std::uint32_t NumRefs = 0;
   /// CLOCK's second-chance bit: set by a hit, cleared by the passing hand.
   bool Referenced = false;
+  /// Claimed by an acquire() and not yet published: reads as absent, and
+  /// no sweep or clear() may drop it.
+  bool Pending = true;
 
   ExtRef *refs() { return reinterpret_cast<ExtRef *>(this + 1); }
   const ExtRef *refs() const {
@@ -89,19 +95,18 @@ struct CodeCache::Entry {
     }
   };
 
-  static Entry *make(const SpecKey &K, core::CompiledFn &&Fn,
-                     std::size_t CodeBytes) {
+  /// A pending entry for \p K.
+  static Entry *make(const SpecKey &K) {
     std::size_t NumRefs = K.Refs.size(), KeyLen = K.Bytes.size();
     std::size_t Front = (sizeof(Entry) + NumRefs * sizeof(ExtRef) + KeyLen +
                          alignof(std::max_align_t) - 1) &
                         ~(alignof(std::max_align_t) - 1);
     char *Start = nullptr;
-    FnHandle H = std::allocate_shared<core::CompiledFn>(
-        BlockAlloc<core::CompiledFn>(Front, &Start), std::move(Fn));
+    auto H = std::allocate_shared<core::CompiledFn>(
+        BlockAlloc<core::CompiledFn>(Front, &Start));
     auto *E = new (Start) Entry;
     E->Fn = std::move(H);
     E->Hash = K.Hash;
-    E->CodeBytes = CodeBytes;
     E->KeyLen = static_cast<std::uint32_t>(KeyLen);
     E->NumRefs = static_cast<std::uint32_t>(NumRefs);
     for (std::size_t I = 0; I < NumRefs; ++I)
@@ -112,8 +117,16 @@ struct CodeCache::Entry {
 
   /// Drops the table's reference; the block goes with the last handle.
   static void destroy(Entry *E) {
-    FnHandle Last = std::move(E->Fn);
+    std::shared_ptr<core::CompiledFn> Last = std::move(E->Fn);
     E->~Entry();
+  }
+
+  /// A hit's handle. The referenced bit is stored only when clear, so a
+  /// hot entry's line stays clean between sweeps.
+  FnHandle hit() {
+    if (!Referenced)
+      Referenced = true;
+    return Fn;
   }
 
   /// Starts the misses a hit on this entry takes: the header, the key and
@@ -140,7 +153,9 @@ CodeCache::Shard::Shard()
 
 CodeCache::Shard::~Shard() {
   support::MutexLock G(M);
-  dropAll();
+  for (std::size_t I = 0; I <= Mask; ++I)
+    if (Slots[I].E)
+      Entry::destroy(Slots[I].E);
 }
 
 std::size_t CodeCache::Shard::probe(const SpecKey &K) const {
@@ -158,22 +173,32 @@ std::size_t CodeCache::Shard::probe(const SpecKey &K) const {
 
 void CodeCache::Shard::place(std::size_t I, Entry *E) {
   Slots[I] = {E->Hash, E};
-  if (++Count * 2 <= Mask + 1)
-    return;
-  // Past half full: double and re-place every entry at its new home.
+  // Past half full: double the table.
+  if (++Count * 2 > Mask + 1)
+    rebuild(2 * (Mask + 1), false);
+}
+
+void CodeCache::Shard::rebuild(std::size_t Size, bool DropPublished) {
   std::size_t OldSize = Mask + 1;
   std::unique_ptr<Slot[]> Old = std::move(Slots);
-  Slots.reset(new Slot[2 * OldSize]);
-  Mask = 2 * OldSize - 1;
+  Slots.reset(new Slot[Size]);
+  Mask = Size - 1;
+  Count = 0;
+  Hand = 0;
   for (std::size_t J = 0; J < OldSize; ++J) {
-    if (!Old[J].E)
+    Entry *E = Old[J].E;
+    if (!E)
       continue;
+    if (DropPublished && !E->Pending) {
+      Entry::destroy(E);
+      continue;
+    }
     std::size_t At = Old[J].Hash & Mask;
     while (Slots[At].E)
       At = (At + 1) & Mask;
     Slots[At] = Old[J];
+    ++Count;
   }
-  Hand = 0;
 }
 
 void CodeCache::Shard::erase(std::size_t I) {
@@ -191,17 +216,6 @@ void CodeCache::Shard::erase(std::size_t I) {
   --Count;
 }
 
-void CodeCache::Shard::dropAll() {
-  for (std::size_t I = 0; I <= Mask; ++I) {
-    if (Slots[I].E)
-      Entry::destroy(Slots[I].E);
-    Slots[I] = Slot();
-  }
-  Count = 0;
-  Hand = 0;
-  Bytes = 0;
-}
-
 CodeCache::CodeCache(unsigned NumShards, std::size_t MaxBytes) {
   if (NumShards == 0)
     NumShards = 1;
@@ -216,48 +230,65 @@ CodeCache::CodeCache(unsigned NumShards, std::size_t MaxBytes) {
 
 FnHandle CodeCache::lookup(const SpecKey &K) {
   obs::Phase Span(obs::EventKind::CacheProbe);
-  Shard &S = shardFor(K);
+  Shard &S = shardFor(K.Hash);
   FnHandle H;
   {
     support::MutexLock G(S.M);
-    if (Entry *E = S.Slots[S.probe(K)].E) {
-      // Store only when the bit is clear, so a hot entry's line stays
-      // clean between sweeps.
-      if (!E->Referenced)
-        E->Referenced = true;
-      H = E->Fn;
-    }
+    Entry *E = S.Slots[S.probe(K)].E;
+    if (E && !E->Pending)
+      H = E->hit();
   }
-  if (!H) {
-    Misses.inc();
-    CacheMetrics::get().Misses.inc();
-    return nullptr;
+  // A null return counts nothing: the caller's fallback, acquire(),
+  // counts the miss if it ends up compiling.
+  if (H) {
+    Hits.inc();
+    CacheMetrics::get().Hits.inc();
   }
-  Hits.inc();
-  CacheMetrics::get().Hits.inc();
   return H;
 }
 
-FnHandle CodeCache::insert(const SpecKey &K, core::CompiledFn &&Fn) {
+FnHandle CodeCache::acquire(const SpecKey &K, Claim &C) {
+  obs::Phase Span(obs::EventKind::CacheProbe);
+  Shard &S = shardFor(K.Hash);
+  FnHandle H;
+  {
+    support::MutexLock G(S.M);
+    for (bool Waited = false;; Waited = true) {
+      std::size_t At = S.probe(K);
+      Entry *E = S.Slots[At].E;
+      if (!E) {
+        C.E = Entry::make(K);
+        S.place(At, C.E);
+        ++S.Claims;
+        break;
+      }
+      if (!E->Pending) {
+        H = E->hit();
+        break;
+      }
+      if (!Waited)
+        CacheMetrics::get().SingleflightWaits.inc();
+      S.Published.wait(S.M);
+    }
+  }
+  (H ? Hits : Misses).inc();
+  (H ? CacheMetrics::get().Hits : CacheMetrics::get().Misses).inc();
+  return H;
+}
+
+FnHandle CodeCache::publish(const Claim &C, core::CompiledFn &&Fn) {
   obs::Phase Span(obs::EventKind::CacheInsert);
   CacheMetrics &GM = CacheMetrics::get();
+  Entry *E = C.E;
   std::size_t CodeBytes = Fn.stats().CodeBytes ? Fn.stats().CodeBytes : 1;
-  // Built before the lock; a loser of the insert race is destroyed after
-  // it (its destructor frees the duplicate's heap block).
-  std::unique_ptr<Entry, void (*)(Entry *)> New(
-      Entry::make(K, std::move(Fn), CodeBytes), Entry::destroy);
-
-  Shard &S = shardFor(K);
+  Shard &S = shardFor(E->Hash);
   support::MutexLock G(S.M);
-  std::size_t At = S.probe(K);
-  if (Entry *Old = S.Slots[At].E) {
-    // Lost an insert race: the first compile wins so every caller shares
-    // one entry; our duplicate dies.
-    Old->Referenced = true;
-    return Old->Fn;
-  }
-  Entry *E = New.release();
-  S.place(At, E);
+  *E->Fn = std::move(Fn);
+  E->CodeBytes = CodeBytes;
+  E->Pending = false;
+  --S.Claims;
+  // The key's waiters re-probe once this lock drops.
+  S.Published.notify_all();
   S.Bytes += CodeBytes;
   GM.BytesInserted.inc(CodeBytes);
   Insertions.inc();
@@ -267,11 +298,12 @@ FnHandle CodeCache::insert(const SpecKey &K, core::CompiledFn &&Fn) {
   // per-instance count here lets tests pin loads to one cache.
   if (E->Fn->fromSnapshot())
     SnapshotLoads.inc();
-  // The CLOCK sweep. Every entry but the new one is a candidate, and one
-  // lap of the hand clears every bit, so the loop ends within two laps.
-  while (S.Bytes > ShardBudget && S.Count > 1) {
+  // The CLOCK sweep. Every published entry but the new one is a candidate,
+  // and one lap of the hand clears every bit, so the loop ends within two
+  // laps.
+  while (S.Bytes > ShardBudget && S.Count - S.Claims > 1) {
     Entry *Victim = S.Slots[S.Hand].E;
-    if (!Victim || Victim == E || Victim->Referenced) {
+    if (!Victim || Victim == E || Victim->Pending || Victim->Referenced) {
       if (Victim)
         Victim->Referenced = false;
       S.Hand = (S.Hand + 1) & S.Mask;
@@ -279,11 +311,9 @@ FnHandle CodeCache::insert(const SpecKey &K, core::CompiledFn &&Fn) {
     }
     S.Bytes -= Victim->CodeBytes;
     GM.BytesEvicted.inc(Victim->CodeBytes);
-    obs::recordEvent(
-        obs::EventKind::CacheEvict,
-        Victim->Fn ? reinterpret_cast<std::uintptr_t>(Victim->Fn->entry())
-                   : 0,
-        Victim->CodeBytes);
+    obs::recordEvent(obs::EventKind::CacheEvict,
+                     reinterpret_cast<std::uintptr_t>(Victim->Fn->entry()),
+                     Victim->CodeBytes);
     // The hand stays: erase shifts the next entry of the cluster into this
     // slot, and that entry has not been examined yet.
     S.erase(S.Hand);
@@ -297,7 +327,8 @@ FnHandle CodeCache::insert(const SpecKey &K, core::CompiledFn &&Fn) {
 void CodeCache::clear() {
   for (auto &SP : Shards) {
     support::MutexLock G(SP->M);
-    SP->dropAll();
+    SP->rebuild(SP->Mask + 1, true);
+    SP->Bytes = 0;
   }
 }
 
@@ -311,7 +342,7 @@ CacheStats CodeCache::stats() const {
   for (const auto &SP : Shards) {
     support::MutexLock G(SP->M);
     St.CodeBytes += SP->Bytes;
-    St.Entries += SP->Count;
+    St.Entries += SP->Count - SP->Claims;
   }
   return St;
 }

@@ -21,14 +21,23 @@
 /// the slot, then the entry's key in place: a probe touches the shard, one
 /// slot line and the entry's first lines.
 ///
+/// Single flight: the shard table is also where concurrent misses on one
+/// key meet. acquire() on an absent key places a *pending* entry and hands
+/// its caller the claim; every other acquire() of that key sleeps on the
+/// shard's condition variable until the claimant publish()es the function
+/// into the same entry. lookup() and the stats treat a pending entry as
+/// absent, eviction passes it over and clear() leaves it in place. A hit
+/// is counted when lookup() or acquire() returns a function, a miss only
+/// when acquire() hands out a claim: one per compile or snapshot load.
+///
 /// Eviction: each shard is bounded by MaxBytes/NumShards of *emitted code
-/// bytes*; inserting past the bound runs the shard's CLOCK hand over the
+/// bytes*; publishing past the bound runs the shard's CLOCK hand over the
 /// slots. A hit sets its entry's referenced bit (a store only when the bit
 /// is clear); the hand clears a set bit and passes on (the second chance),
-/// and evicts the first entry it finds clear — never the one just inserted.
-/// Entries hold shared_ptrs, so an evicted function stays alive (and its
-/// heap block unfreed) until the last caller drops its handle — eviction
-/// can never free code that is still executing.
+/// and evicts the first entry it finds clear — never the one just
+/// published, never a pending one. Entries hold shared_ptrs, so an evicted
+/// function stays alive (and its heap block unfreed) until the last caller
+/// drops its handle — eviction can never free code that is still executing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +49,7 @@
 #include "observability/Metrics.h"
 #include "support/ThreadSafety.h"
 
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -57,8 +67,8 @@ using FnHandle = std::shared_ptr<const core::CompiledFn>;
 /// process-wide cumulative mirrors in obs::MetricsRegistry under the
 /// cache.* names (observability/Names.h).
 struct CacheStats {
-  std::uint64_t Hits = 0;
-  std::uint64_t Misses = 0;      ///< Lookups that found nothing.
+  std::uint64_t Hits = 0;        ///< Functions lookup() or acquire() returned.
+  std::uint64_t Misses = 0;      ///< Claims acquire() handed out.
   std::uint64_t Evictions = 0;   ///< Entries pushed out by the byte bound.
   std::uint64_t Insertions = 0;
   /// Insertions whose function was revived from a persistent snapshot
@@ -67,11 +77,21 @@ struct CacheStats {
   /// in-memory hits in the report.
   std::uint64_t SnapshotLoads = 0;
   std::size_t CodeBytes = 0;     ///< Emitted bytes currently resident.
-  std::size_t Entries = 0;
+  std::size_t Entries = 0;       ///< Published entries (claims excluded).
 };
 
 class CodeCache {
+  /// One cached function and its key, in one allocation (CodeCache.cpp).
+  struct Entry;
+
 public:
+  /// The right to produce one absent key's function, held by exactly one
+  /// caller at a time (see acquire()).
+  class Claim {
+    friend class CodeCache;
+    Entry *E = nullptr;
+  };
+
   /// \p NumShards is rounded up to a power of two. \p MaxBytes bounds the
   /// emitted code bytes cached across all shards.
   explicit CodeCache(unsigned NumShards = 8,
@@ -81,24 +101,28 @@ public:
   CodeCache &operator=(const CodeCache &) = delete;
 
   /// Returns the cached function for \p K and marks it referenced, or
-  /// nullptr.
+  /// nullptr (a key still being compiled reads as absent). Never waits.
   FnHandle lookup(const SpecKey &K);
 
-  /// Inserts \p Fn under \p K, evicting unreferenced entries if the
-  /// shard's byte budget overflows. If another thread inserted the same key
-  /// first, that entry wins and is returned — callers lose only a
-  /// duplicated compile, never coherence.
-  FnHandle insert(const SpecKey &K, core::CompiledFn &&Fn);
+  /// Returns the cached function for \p K and marks it referenced. While
+  /// another caller holds K's claim, sleeps until it publishes and probes
+  /// again. When K is absent, places a pending entry, stores the claim in
+  /// \p C and returns nullptr: the caller must then publish(C, ...), and
+  /// every concurrent acquire() of K waits for that one function.
+  FnHandle acquire(const SpecKey &K, Claim &C);
 
-  /// Drops every entry (live handles keep their functions alive).
+  /// Fills the claimed entry with \p Fn, evicting unreferenced entries if
+  /// the shard's byte budget overflows, and wakes the key's waiters.
+  FnHandle publish(const Claim &C, core::CompiledFn &&Fn);
+
+  /// Drops every published entry (live handles keep their functions
+  /// alive); pending entries stay for their claimants.
   void clear();
 
   CacheStats stats() const;
   unsigned numShards() const { return static_cast<unsigned>(Shards.size()); }
 
 private:
-  /// One cached function and its key, in one allocation (CodeCache.cpp).
-  struct Entry;
   /// An empty slot has a null E.
   struct Slot {
     std::uint64_t Hash = 0;
@@ -115,23 +139,29 @@ private:
     /// Empties slot \p I and shifts the rest of its cluster back, so every
     /// probe still ends at the first empty slot.
     void erase(std::size_t I) TICKC_REQUIRES(M);
-    /// Destroys every entry and empties the table.
-    void dropAll() TICKC_REQUIRES(M);
+    /// Re-places the entries into a fresh table of \p Size slots,
+    /// destroying the published ones when \p DropPublished.
+    void rebuild(std::size_t Size, bool DropPublished) TICKC_REQUIRES(M);
 
     support::Mutex M;
+    /// Signalled by every publish; acquire() of a pending key sleeps on it.
+    std::condition_variable_any Published;
     /// Power-of-two table, at most half full.
     std::unique_ptr<Slot[]> Slots TICKC_GUARDED_BY(M);
     std::size_t Mask TICKC_GUARDED_BY(M) = 0;
+    /// Occupied slots, pending entries included.
     std::size_t Count TICKC_GUARDED_BY(M) = 0;
+    /// Pending entries: claims not yet published.
+    std::size_t Claims TICKC_GUARDED_BY(M) = 0;
     /// The CLOCK hand: the next slot the eviction sweep examines.
     std::size_t Hand TICKC_GUARDED_BY(M) = 0;
     std::size_t Bytes TICKC_GUARDED_BY(M) = 0;
   };
 
-  Shard &shardFor(const SpecKey &K) {
+  Shard &shardFor(std::uint64_t Hash) {
     // The low hash bits pick the slot inside the shard; use high bits for
     // shard selection so the two are independent.
-    return *Shards[(K.Hash >> 48) & (Shards.size() - 1)];
+    return *Shards[(Hash >> 48) & (Shards.size() - 1)];
   }
 
   std::vector<std::unique_ptr<Shard>> Shards;

@@ -2,9 +2,6 @@
 
 #include "cache/CompileService.h"
 
-#include "observability/Events.h"
-#include "observability/Metrics.h"
-#include "observability/Names.h"
 #include "persist/Snapshot.h"
 #include "support/Env.h"
 #include "support/Reloc.h"
@@ -74,72 +71,28 @@ FnHandle CompileService::getOrCompileKeyed(Context &Ctx, Stmt Body,
     return std::make_shared<CompiledFn>(compileFn(Ctx, Body, RetType, Opts));
   }
 
-  if (FnHandle H = Cache.lookup(K))
+  // Single flight: the first caller to miss K holds its claim and
+  // produces the function; concurrent callers for K sleep in acquire()
+  // until it is published, instead of burning a duplicate compile each.
+  CodeCache::Claim Claim;
+  if (FnHandle H = Cache.acquire(K, Claim))
     return H;
-
-  // Single-flight: the first thread to miss a key becomes its leader and
-  // compiles; concurrent missers block on the leader's result instead of
-  // burning a full duplicate compile each.
-  std::shared_ptr<InFlightCompile> Fl;
-  bool Leader = false;
-  {
-    support::MutexLock G(InFlightM);
-    auto It = InFlight.find(K);
-    if (It != InFlight.end()) {
-      Fl = It->second;
-    } else {
-      Fl = std::make_shared<InFlightCompile>();
-      InFlight.emplace(K, Fl);
-      Leader = true;
-    }
-  }
-
-  if (!Leader) {
-    static obs::Counter &Waits =
-        obs::MetricsRegistry::global().counter(obs::names::CacheSingleflightWait);
-    Waits.inc();
-    support::MutexLock L(Fl->M);
-    while (!Fl->Done)
-      Fl->CV.wait(Fl->M);
-    return Fl->Result;
-  }
-
-  // The leader may have won the in-flight slot just after a previous
-  // leader published its result and retired; re-probe before compiling.
-  FnHandle H = Cache.lookup(K);
-  if (!H) {
-    nameSymbol(Opts, K, SymBuf);
-    if (!Snap) {
-      H = Cache.insert(K, compileFn(Ctx, Body, RetType, Opts));
-    } else if (core::CompiledFn L = Snap->tryLoad(K, Opts); L.valid()) {
-      // Warm-start path: the on-disk snapshot is probed before paying for
-      // a compile. The request's own key is the record key: its bytes are
-      // address-independent and its Refs re-point the record's captured
-      // addresses.
-      H = Cache.insert(K, std::move(L));
-    } else {
-      // Teach the snapshot the compile it could not serve.
-      support::RelocTable Relocs;
-      CompileOptions SaveOpts = Opts;
-      SaveOpts.Relocs = &Relocs;
-      core::CompiledFn F = compileFn(Ctx, Body, RetType, SaveOpts);
-      Snap->trySave(K, F, Relocs);
-      H = Cache.insert(K, std::move(F));
-    }
-  }
-  {
-    // Retire the flight before publishing: the cache already holds the
-    // entry, so late arrivals that miss the flight re-probe and hit.
-    support::MutexLock G(InFlightM);
-    InFlight.erase(K);
-  }
-  {
-    support::MutexLock L(Fl->M);
-    Fl->Done = true;
-    Fl->Result = H;
-  }
-  Fl->CV.notify_all();
-  return H;
+  nameSymbol(Opts, K, SymBuf);
+  if (!Snap)
+    return Cache.publish(Claim, compileFn(Ctx, Body, RetType, Opts));
+  // Warm-start path: the on-disk snapshot is probed before paying for a
+  // compile. The request's own key is the record key: its bytes are
+  // address-independent and its Refs re-point the record's captured
+  // addresses.
+  if (core::CompiledFn L = Snap->tryLoad(K, Opts); L.valid())
+    return Cache.publish(Claim, std::move(L));
+  // Teach the snapshot the compile it could not serve.
+  support::RelocTable Relocs;
+  CompileOptions SaveOpts = Opts;
+  SaveOpts.Relocs = &Relocs;
+  core::CompiledFn F = compileFn(Ctx, Body, RetType, SaveOpts);
+  Snap->trySave(K, F, Relocs);
+  return Cache.publish(Claim, std::move(F));
 }
 
 FnHandle CompileService::lookup(const SpecKey &K) {

@@ -14,8 +14,9 @@
 /// that same key to probe the file, without walking the tree again; a
 /// cold compile installs its code into the process-wide CodeHeap without a
 /// syscall once the heap is warm. Concurrent misses on one key are
-/// single-flighted: one thread compiles, the rest block on it and share the
-/// result.
+/// single-flighted in the cache shard itself: the first holds the key's
+/// claim and compiles, the rest sleep on its pending entry and share the
+/// published result.
 ///
 ///   cache::CompileService &S = cache::CompileService::instance();
 ///   cache::FnHandle F = S.getOrCompile(Ctx, Body, EvalType::Int);
@@ -33,11 +34,8 @@
 #include "cache/CodeCache.h"
 #include "cache/SpecKey.h"
 #include "core/Compile.h"
-#include "support/ThreadSafety.h"
 
-#include <condition_variable>
 #include <functional>
-#include <unordered_map>
 
 namespace tcc {
 
@@ -101,9 +99,9 @@ public:
 
   /// Returns the cached function for this (spec, run-time constants,
   /// options) identity, compiling at most once per identity. Concurrent
-  /// misses on one key block on a single in-flight compile
-  /// (cache.singleflight_wait counts the waiters). Uncacheable specs
-  /// (rtEval over memory) always compile.
+  /// misses on one key wait on the one caller that holds its claim
+  /// (CodeCache::acquire; cache.singleflight_wait counts the waiters).
+  /// Uncacheable specs (rtEval over memory) always compile.
   FnHandle getOrCompile(core::Context &Ctx, core::Stmt Body,
                         core::EvalType RetType,
                         core::CompileOptions Opts = core::CompileOptions());
@@ -123,7 +121,8 @@ public:
   /// built earlier (see QueryApp::cacheKey / PowerApp::cacheKey). A server
   /// that fingerprints each plan once can serve repeat instantiations from
   /// here without rebuilding or re-walking the spec; on a null return, fall
-  /// back to getOrCompile(). Returns null for uncacheable keys.
+  /// back to getOrCompile(), whose claim counts the one miss. Returns null
+  /// for uncacheable keys.
   FnHandle lookup(const SpecKey &K);
 
   /// Tiered instantiation: compiles \p Build's spec with the profiled VCODE
@@ -156,15 +155,6 @@ public:
   static CompileService &instance();
 
 private:
-  /// One in-flight compile that duplicate-key racers block on. CV is _any
-  /// so it can sleep on the annotated Mutex directly.
-  struct InFlightCompile {
-    support::Mutex M;
-    std::condition_variable_any CV;
-    bool Done TICKC_GUARDED_BY(M) = false;
-    FnHandle Result TICKC_GUARDED_BY(M);
-  };
-
   ServiceConfig Config;
   /// Open snapshot file, or null when persistence is off. Holds only file
   /// state (fd, mapping, record index) — no code regions — so its position
@@ -173,9 +163,6 @@ private:
   /// A handle the caller keeps may outlive the service: its code lives in
   /// the process-wide CodeHeap, not in anything the service owns.
   CodeCache Cache;
-  support::Mutex InFlightM;
-  std::unordered_map<SpecKey, std::shared_ptr<InFlightCompile>, SpecKeyHash>
-      InFlight TICKC_GUARDED_BY(InFlightM);
 };
 
 } // namespace cache

@@ -49,8 +49,8 @@ enum class EventKind : std::uint8_t {
   CompileTotal,    ///< The timed part of one compileFn() call.
   Setup,           ///< Backend and walker construction.
   SpecFingerprint, ///< buildSpecKey(): canonical serialization + hash.
-  CacheProbe,      ///< CodeCache::lookup (hit or miss).
-  CacheInsert,     ///< CodeCache::insert (includes CLOCK eviction).
+  CacheProbe,      ///< CodeCache::lookup or acquire (hit or miss).
+  CacheInsert,     ///< CodeCache::publish (includes CLOCK eviction).
   CGFWalk,         ///< The code-generating-function walk (§4.4).
   FlowGraph,       ///< ICODE flow-graph construction.
   Liveness,        ///< Iterative live-variable solution.

@@ -18,7 +18,6 @@
 #include <cstring>
 #include <ctime>
 #include <string>
-#include <unordered_map>
 
 #include <fcntl.h>
 #include <sys/file.h>
@@ -38,36 +37,36 @@ namespace {
 //
 //   file      := fileHeader record*
 //   fileHeader:= "TKSNAP02" u64 buildFingerprint                  (16 bytes)
-//   record    := recordHeader key refs relocs code
-//   recordHeader (48 bytes):
+//   record    := recordHeader key relocs code
+//   recordHeader (44 bytes):
 //     u32 Magic ("TKSR")   u32 TotalLen (whole record)
 //     u64 KeyHash          u64 Checksum (hashBytes over everything
 //                                        from KeyLen to the record end —
 //                                        the section lengths, instr count,
 //                                        and save timestamp are covered)
-//     u32 KeyLen  u32 CodeLen  u32 NumRelocs  u32 NumRefs
+//     u32 KeyLen  u32 CodeLen  u32 NumRelocs
 //     u32 MachineInstrs    u32 SavedAt (unix seconds; TTL expiry)
-//   ref       := u32 Kind  u64 Addr                               (12 bytes)
 //   reloc     := u32 Offset u32 Kind u32 RefOrdinal               (12 bytes)
 //
 // The build fingerprint folds in support::SnapshotFormatVersion, so a file
 // written under another format resets on open instead of being misread.
 // Format 4: a record's key section holds SpecKey's compact encoding
 // (cache/SpecKey.h — child-presence masks, per-kind payloads, varint and
-// zigzag integers).
+// zigzag integers). Format 5: no ref section, so no writer's addresses on
+// disk.
 //
-// A reloc's RefOrdinal indexes the record's ref table — and, equivalently,
-// the loader's freshly built SpecKey::Refs, which lists the *current*
-// process's addresses in the same canonical first-occurrence order. Profile
-// relocs carry the sentinel ordinal: their target (the counter) is created
-// at load time, not captured in the key.
+// A reloc's RefOrdinal indexes the loader's freshly built SpecKey::Refs,
+// which lists the *current* process's addresses in the canonical
+// first-occurrence order the key bytes' ordinals name; equal key bytes
+// imply an equal ref count. Profile relocs carry the sentinel ordinal:
+// their target (the counter) is created at load time, not captured in the
+// key.
 // ---------------------------------------------------------------------------
 
 constexpr char FileMagic[8] = {'T', 'K', 'S', 'N', 'A', 'P', '0', '2'};
 constexpr std::size_t FileHeaderLen = 16;
 constexpr std::uint32_t RecordMagic = 0x52534B54u; // "TKSR"
-constexpr std::size_t RecordHeaderLen = 48;
-constexpr std::size_t RefLen = 12;
+constexpr std::size_t RecordHeaderLen = 44;
 constexpr std::size_t RelocLen = 12;
 constexpr std::uint32_t ProfileOrdinal = 0xffffffffu;
 
@@ -80,13 +79,12 @@ enum : std::size_t {
   OffKeyLen = 24,
   OffCodeLen = 28,
   OffNumRelocs = 32,
-  OffNumRefs = 36,
-  OffMachineInstrs = 40,
-  OffSavedAt = 44,
+  OffMachineInstrs = 36,
+  OffSavedAt = 40,
 };
 
 /// First checksum-covered byte. The hash runs from the section-length words
-/// to the record end, so a flipped bit in KeyLen/CodeLen/NumRelocs/NumRefs/
+/// to the record end, so a flipped bit in KeyLen/CodeLen/NumRelocs/
 /// MachineInstrs/SavedAt — not just the payload — is a checksum miss. The
 /// fields before it are self-checking: Magic and TotalLen structurally, the
 /// checksum by definition, KeyHash by the byte-exact key compare at probe.
@@ -131,10 +129,9 @@ std::size_t validateRecord(const std::uint8_t *P, std::size_t Avail) {
   std::size_t KeyLen = rd32(P + OffKeyLen);
   std::size_t CodeLen = rd32(P + OffCodeLen);
   std::size_t NumRelocs = rd32(P + OffNumRelocs);
-  std::size_t NumRefs = rd32(P + OffNumRefs);
   // Overflow-safe: every section length is a u32, the sum fits u64.
   std::uint64_t Want = static_cast<std::uint64_t>(RecordHeaderLen) + KeyLen +
-                       NumRefs * RefLen + NumRelocs * RelocLen + CodeLen;
+                       NumRelocs * RelocLen + CodeLen;
   if (Want != Total)
     return 0;
   if (support::hashBytes(P + ChecksumFrom, Total - ChecksumFrom) !=
@@ -147,18 +144,15 @@ std::size_t validateRecord(const std::uint8_t *P, std::size_t Avail) {
 const std::uint8_t *recKey(const std::uint8_t *P) {
   return P + RecordHeaderLen;
 }
-const std::uint8_t *recRefs(const std::uint8_t *P) {
-  return recKey(P) + rd32(P + OffKeyLen);
-}
 const std::uint8_t *recRelocs(const std::uint8_t *P) {
-  return recRefs(P) + rd32(P + OffNumRefs) * RefLen;
+  return recKey(P) + rd32(P + OffKeyLen);
 }
 const std::uint8_t *recCode(const std::uint8_t *P) {
   return recRelocs(P) + rd32(P + OffNumRelocs) * RelocLen;
 }
 
 /// Process-wide cumulative mirrors in the metrics registry (the counters
-/// tickc-report renders). Per-instance mirrors live in SnapshotStats.
+/// tickc-report renders). Per-instance counts live on the SnapshotCache.
 struct SnapMetrics {
   obs::Counter &Hits, &Misses, &Rejects, &Saves, &Unportable, &Compactions,
       &Evictions, &Expired;
@@ -178,6 +172,19 @@ struct SnapMetrics {
     return M;
   }
 };
+
+/// Counts \p N on an instance counter and on its registry mirror.
+void count(obs::Counter &Mine, obs::Counter &Mirror, std::uint64_t N = 1) {
+  Mine.inc(N);
+  Mirror.inc(N);
+}
+
+/// True when the validated records \p A and \p B hold equal key bytes.
+bool sameKey(const std::uint8_t *A, const std::uint8_t *B) {
+  std::size_t Len = rd32(A + OffKeyLen);
+  return rd32(B + OffKeyLen) == Len &&
+         std::memcmp(recKey(A), recKey(B), Len) == 0;
+}
 
 /// Opens + exclusively flocks \p Path, re-checking that the locked fd still
 /// names the path (a concurrent opener's compaction may rename a fresh file
@@ -277,11 +284,7 @@ bool SnapshotCache::openFile(const std::string &FilePath,
       }
       if (std::memcmp(Header, FileMagic, 8) != 0 ||
           rd64(Header + 8) != support::buildFingerprint()) {
-        SnapMetrics::get().Rejects.inc();
-        {
-          support::MutexLock G(StatsM);
-          ++Stats.Rejects;
-        }
+        count(Rejects, SnapMetrics::get().Rejects);
         NeedFreshHeader = true;
       }
     }
@@ -318,37 +321,25 @@ bool SnapshotCache::openFile(const std::string &FilePath,
 
     // WAL recovery scan: walk record to record; the first invalid byte
     // ends the valid prefix (a crash mid-append tore the tail) and the
-    // file is truncated back to it.
-    std::vector<const std::uint8_t *> Records;
-    std::size_t End = FileHeaderLen;
+    // file is truncated back to it. Each valid record is indexed as it is
+    // scanned, and the dead bytes counted on the way: a TTL-expired record
+    // is dead outright (never indexed, never kept by a compaction), and a
+    // record repeating an indexed key (two processes compiled one spec)
+    // replaces it, so the last record per key is the live one — the one
+    // probes find and compaction keeps. Open runs before the instance is
+    // shared; the index mutex is taken (uncontended) for the analysis.
+    support::MutexLock G(M);
+    Index.clear();
+    std::size_t End = FileHeaderLen, DeadBytes = 0;
     while (M8 && End < FileLen) {
       std::size_t Len = validateRecord(M8 + End, FileLen - End);
       if (!Len)
         break;
-      Records.push_back(M8 + End);
+      DeadBytes += expired(M8 + End) ? Len : indexRecord(M8 + End);
       End += Len;
     }
     if (End < FileLen)
       ::ftruncate(Fd, static_cast<off_t>(End));
-
-    // Dead-byte accounting: concurrent processes may have appended the same
-    // key more than once (benign duplicates). The *last* record per key is
-    // live — matching the probe order below is not required for soundness
-    // (duplicates are byte-equal in practice), only for the accounting.
-    // TTL-expired records are dead outright: never indexed, never kept by a
-    // compaction, and their bytes push the dead count toward the rewrite.
-    std::unordered_map<std::string, std::size_t> LastByKey;
-    for (std::size_t I = 0; I < Records.size(); ++I) {
-      const std::uint8_t *R = Records[I];
-      if (expired(R))
-        continue;
-      LastByKey[std::string(reinterpret_cast<const char *>(recKey(R)),
-                            rd32(R + OffKeyLen))] = I;
-    }
-    std::size_t LiveBytes = 0;
-    for (const auto &KV : LastByKey)
-      LiveBytes += rd32(Records[KV.second] + OffTotalLen);
-    std::size_t DeadBytes = (End - FileHeaderLen) - LiveBytes;
 
     if (!Compacted && ((CompactThreshold && DeadBytes >= CompactThreshold) ||
                        (Budget && End > Budget))) {
@@ -361,23 +352,23 @@ bool SnapshotCache::openFile(const std::string &FilePath,
       // keep the longest newest suffix that fits (newer records reflect the
       // most recent working set — the same recency bet the in-memory
       // cache's CLOCK makes).
-      std::vector<std::size_t> Keep;
-      Keep.reserve(LastByKey.size());
-      for (const auto &KV : LastByKey)
+      std::vector<const std::uint8_t *> Keep;
+      Keep.reserve(Index.size());
+      for (const auto &KV : Index)
         Keep.push_back(KV.second);
-      std::sort(Keep.begin(), Keep.end());
+      std::sort(Keep.begin(), Keep.end()); // File order.
       if (Budget) {
         std::size_t Used = FileHeaderLen;
         std::size_t FirstKept = Keep.size();
         for (std::size_t I = Keep.size(); I-- > 0;) {
-          std::size_t Len = rd32(Records[Keep[I]] + OffTotalLen);
+          std::size_t Len = rd32(Keep[I] + OffTotalLen);
           if (Used + Len > Budget)
             break;
           Used += Len;
           FirstKept = I;
         }
         if (FirstKept > 0) {
-          countEviction(FirstKept);
+          count(Evictions, SnapMetrics::get().Evictions, FirstKept);
           Keep.erase(Keep.begin(),
                      Keep.begin() + static_cast<std::ptrdiff_t>(FirstKept));
         }
@@ -386,21 +377,16 @@ bool SnapshotCache::openFile(const std::string &FilePath,
       int TFd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                        0644);
       bool Ok = TFd >= 0 && writeAll(TFd, Header, FileHeaderLen);
-      for (std::size_t I : Keep) {
+      for (const std::uint8_t *R : Keep) {
         if (!Ok)
           break;
-        const std::uint8_t *R = Records[I];
         Ok = writeAll(TFd, R, rd32(R + OffTotalLen));
       }
       Ok = Ok && ::fsync(TFd) == 0 && ::rename(Tmp.c_str(), Path.c_str()) == 0;
       if (TFd >= 0)
         ::close(TFd);
       if (Ok) {
-        SnapMetrics::get().Compactions.inc();
-        {
-          support::MutexLock G(StatsM);
-          ++Stats.Compactions;
-        }
+        count(Compactions, SnapMetrics::get().Compactions);
         if (M8)
           ::munmap(const_cast<std::uint8_t *>(M8), FileLen);
         ::close(Fd); // Releases the old inode's lock.
@@ -410,43 +396,40 @@ bool SnapshotCache::openFile(const std::string &FilePath,
       ::unlink(Tmp.c_str()); // Failed compaction: keep the valid old file.
     }
 
-    // Index the valid prefix and keep the mapping + (unlocked) fd. Open
-    // runs before the instance is shared, but indexRecord requires the
-    // index mutex, so take it (uncontended) for the analysis's sake.
+    // Keep the mapping the index points into and the (unlocked) fd.
     Map = M8;
     MapLen = M8 ? FileLen : 0;
-    {
-      support::MutexLock G(M);
-      for (const std::uint8_t *R : Records)
-        if (!expired(R))
-          indexRecord(R);
-    }
     ::flock(Fd, LOCK_UN);
     return true;
   }
 }
 
-void SnapshotCache::indexRecord(const std::uint8_t *Rec) {
-  Index.emplace(rd64(Rec + OffKeyHash), RecordRef{Rec});
+std::size_t SnapshotCache::indexRecord(const std::uint8_t *Rec) {
+  std::uint64_t Hash = rd64(Rec + OffKeyHash);
+  auto Range = Index.equal_range(Hash);
+  for (auto It = Range.first; It != Range.second; ++It)
+    if (sameKey(It->second, Rec)) {
+      std::size_t Replaced = rd32(It->second + OffTotalLen);
+      It->second = Rec;
+      return Replaced;
+    }
+  Index.emplace(Hash, Rec);
+  return 0;
 }
 
 const std::uint8_t *SnapshotCache::findRecord(const cache::SpecKey &K) const {
   support::MutexLock G(M);
   auto Range = Index.equal_range(K.BytesHash);
   for (auto It = Range.first; It != Range.second; ++It) {
-    const std::uint8_t *R = It->second.Rec;
+    const std::uint8_t *R = It->second;
     if (rd32(R + OffKeyLen) != K.Bytes.size() ||
-        rd32(R + OffNumRefs) != K.Refs.size())
-      continue;
-    if (std::memcmp(recKey(R), K.Bytes.data(), K.Bytes.size()) != 0)
+        std::memcmp(recKey(R), K.Bytes.data(), K.Bytes.size()) != 0)
       continue;
     // A record that was fresh at open can age out during a long-lived
     // process: re-checked per probe, counted, treated as absent (so a
     // fresh compile re-saves it with a new timestamp).
     if (expired(R)) {
-      SnapMetrics::get().Expired.inc();
-      support::MutexLock SG(StatsM);
-      ++Stats.Expired;
+      count(Expired, SnapMetrics::get().Expired);
       continue;
     }
     return R;
@@ -470,7 +453,7 @@ bool SnapshotCache::appendRecord(std::vector<std::uint8_t> &&Bytes) {
     if (::fstat(Fd, &St) == 0 &&
         static_cast<std::size_t>(St.st_size) + Bytes.size() > Budget) {
       ::flock(Fd, LOCK_UN);
-      countEviction();
+      count(Evictions, SnapMetrics::get().Evictions);
       return false;
     }
   }
@@ -486,12 +469,6 @@ bool SnapshotCache::appendRecord(std::vector<std::uint8_t> &&Bytes) {
   return true;
 }
 
-void SnapshotCache::countEviction(std::uint64_t N) {
-  SnapMetrics::get().Evictions.inc(N);
-  support::MutexLock G(StatsM);
-  Stats.Evictions += N;
-}
-
 core::CompiledFn SnapshotCache::tryLoad(const cache::SpecKey &K,
                                         const core::CompileOptions &Opts) {
   SnapMetrics &GM = SnapMetrics::get();
@@ -500,16 +477,12 @@ core::CompiledFn SnapshotCache::tryLoad(const cache::SpecKey &K,
   std::uint64_t T0 = readCycleCounterBegin();
   const std::uint8_t *R = findRecord(K);
   if (!R) {
-    GM.Misses.inc();
-    support::MutexLock G(StatsM);
-    ++Stats.Misses;
+    count(Misses, GM.Misses);
     return {};
   }
 
   auto Reject = [&]() -> core::CompiledFn {
-    GM.Rejects.inc();
-    support::MutexLock G(StatsM);
-    ++Stats.Rejects;
+    count(Rejects, GM.Rejects);
     return {};
   };
 
@@ -608,12 +581,8 @@ core::CompiledFn SnapshotCache::tryLoad(const cache::SpecKey &K,
   L.Backend = Opts.Backend;
   core::CompiledFn F = core::adoptLoadedCode(std::move(L));
 
-  GM.Hits.inc();
+  count(Hits, GM.Hits);
   GM.Load.record(readCycleCounterEnd() - T0);
-  {
-    support::MutexLock G(StatsM);
-    ++Stats.Hits;
-  }
   return F;
 }
 
@@ -624,16 +593,11 @@ void SnapshotCache::trySave(const cache::SpecKey &K,
   if (!K.Cacheable || !F.valid() || !F.stats().CodeBytes)
     return;
 
-  auto Unportable = [&] {
-    GM.Unportable.inc();
-    support::MutexLock G(StatsM);
-    ++Stats.Unportable;
-  };
   if (Relocs.Unportable) {
     // Some captured pointer escaped the movabs imm64 form (constant
     // folding); the reloc table cannot account for every embedded address,
     // so the record would be unsound in another process.
-    Unportable();
+    count(Unportable, GM.Unportable);
     return;
   }
 
@@ -651,7 +615,7 @@ void SnapshotCache::trySave(const cache::SpecKey &K,
   for (const support::RelocEntry &E : Relocs.Entries) {
     WireReloc W{E.Offset, static_cast<std::uint32_t>(E.Kind), ProfileOrdinal};
     if (E.Offset + 8 > CodeLen) {
-      Unportable();
+      count(Unportable, GM.Unportable);
       return;
     }
     if (E.Kind != support::RelocKind::Profile) {
@@ -672,7 +636,7 @@ void SnapshotCache::trySave(const cache::SpecKey &K,
             break;
           }
       if (Found == ProfileOrdinal) {
-        Unportable();
+        count(Unportable, GM.Unportable);
         return;
       }
       W.Ordinal = Found;
@@ -692,8 +656,8 @@ void SnapshotCache::trySave(const cache::SpecKey &K,
   const std::uint8_t *Code = static_cast<const std::uint8_t *>(F.entry());
 
   std::vector<std::uint8_t> Rec;
-  Rec.reserve(RecordHeaderLen + K.Bytes.size() + K.Refs.size() * RefLen +
-              Wire.size() * RelocLen + CodeLen);
+  Rec.reserve(RecordHeaderLen + K.Bytes.size() + Wire.size() * RelocLen +
+              CodeLen);
   push32(Rec, RecordMagic);
   push32(Rec, 0); // TotalLen, fixed up below.
   push64(Rec, K.BytesHash);
@@ -701,14 +665,9 @@ void SnapshotCache::trySave(const cache::SpecKey &K,
   push32(Rec, static_cast<std::uint32_t>(K.Bytes.size()));
   push32(Rec, static_cast<std::uint32_t>(CodeLen));
   push32(Rec, static_cast<std::uint32_t>(Wire.size()));
-  push32(Rec, static_cast<std::uint32_t>(K.Refs.size()));
   push32(Rec, static_cast<std::uint32_t>(F.stats().MachineInstrs));
   push32(Rec, static_cast<std::uint32_t>(::time(nullptr))); // SavedAt.
   Rec.insert(Rec.end(), K.Bytes.begin(), K.Bytes.end());
-  for (const cache::ExtRef &Ref : K.Refs) {
-    push32(Rec, Ref.Kind);
-    push64(Rec, Ref.Addr);
-  }
   for (const WireReloc &W : Wire) {
     push32(Rec, W.Offset);
     push32(Rec, W.Kind);
@@ -722,18 +681,21 @@ void SnapshotCache::trySave(const cache::SpecKey &K,
       support::hashBytes(Rec.data() + ChecksumFrom, Rec.size() - ChecksumFrom);
   std::memcpy(Rec.data() + OffChecksum, &Sum, 8);
 
-  if (!appendRecord(std::move(Rec)))
-    return;
-  GM.Saves.inc();
-  {
-    support::MutexLock G(StatsM);
-    ++Stats.Saves;
-  }
+  if (appendRecord(std::move(Rec)))
+    count(Saves, GM.Saves);
 }
 
 SnapshotStats SnapshotCache::stats() const {
-  support::MutexLock G(StatsM);
-  return Stats;
+  SnapshotStats S;
+  S.Hits = Hits.value();
+  S.Misses = Misses.value();
+  S.Rejects = Rejects.value();
+  S.Saves = Saves.value();
+  S.Unportable = Unportable.value();
+  S.Compactions = Compactions.value();
+  S.Evictions = Evictions.value();
+  S.Expired = Expired.value();
+  return S;
 }
 
 std::size_t SnapshotCache::recordCount() const {

@@ -8,19 +8,19 @@
 /// \file
 /// Warm-start snapshots: an on-disk log of finalized compiles keyed by the
 /// SpecKey (cache/SpecKey.h) — its address-independent bytes, indexed by
-/// their bytes-only hash, with its Refs as the address table — so a fresh
-/// process can reach steady-state cache-hit latency without recompiling
-/// anything.
+/// their bytes-only hash; the loader's own Refs re-point the captured
+/// addresses — so a fresh process can reach steady-state cache-hit latency
+/// without recompiling anything.
 ///
 /// Format. One file per snapshot directory (TICKC_SNAPSHOT_DIR):
 ///
 ///   file header   "TKSNAP02" magic + the build/ISA fingerprint
 ///                 (support/Fingerprint.h) of the writing build
 ///   record*       { magic, total length, key hash, payload checksum,
-///                   key/code/reloc/ref section lengths, machine-instr
+///                   key/code/reloc section lengths, machine-instr
 ///                   count, save timestamp } followed by the canonical key
-///                   bytes, the external-reference table, the relocation
-///                   side table (imm64 offsets as ref ordinals), and the
+///                   bytes, the relocation side table (imm64 offsets as
+///                   ordinals into the loader's SpecKey::Refs), and the
 ///                   raw code. The checksum covers everything from the
 ///                   section lengths to the record end.
 ///
@@ -29,9 +29,10 @@
 /// bytes. A crash mid-append leaves a torn tail; the next open scans to the
 /// last checksum-valid record boundary and truncates the rest. Duplicate
 /// records for one key (two processes compiling the same spec) are benign:
-/// probes take the first valid match, and when dead bytes exceed
-/// TICKC_SNAPSHOT_COMPACT the opener rewrites the live set to a temp file
-/// and renames it into place.
+/// the open-time index keeps the last record per key and counts the ones
+/// it replaced as dead bytes, and when dead bytes exceed
+/// TICKC_SNAPSHOT_COMPACT the opener rewrites what the index holds to a
+/// temp file and renames it into place.
 ///
 /// Load safety. A record is executed only after (1) the file fingerprint
 /// matched this build, (2) its checksum and section bounds verified, (3)
@@ -55,6 +56,7 @@
 
 #include "cache/SpecKey.h"
 #include "core/Compile.h"
+#include "observability/Metrics.h"
 #include "support/Reloc.h"
 #include "support/ThreadSafety.h"
 
@@ -67,8 +69,9 @@
 namespace tcc {
 namespace persist {
 
-/// Per-instance probe/save accounting (process-wide cumulative mirrors live
-/// in obs::MetricsRegistry under the cache.snapshot.* names).
+/// Per-instance probe/save accounting, read from the instance's counters
+/// (process-wide cumulative mirrors live in obs::MetricsRegistry under the
+/// cache.snapshot.* names).
 struct SnapshotStats {
   std::uint64_t Hits = 0;        ///< Probes that produced a loaded function.
   std::uint64_t Misses = 0;      ///< Probes with no matching record.
@@ -128,24 +131,18 @@ public:
 
   SnapshotStats stats() const;
   const std::string &path() const { return Path; }
-  /// Checksum-valid records visible to probes (open-time + own appends).
+  /// Indexed records (open-time + own appends), one per key.
   std::size_t recordCount() const;
 
 private:
   SnapshotCache() = default;
 
-  /// A validated record, by pointer into the open-time mapping or into an
-  /// owned append buffer.
-  struct RecordRef {
-    const std::uint8_t *Rec = nullptr;
-  };
-
   bool openFile(const std::string &FilePath, std::size_t CompactThreshold);
   /// True when TTL expiry is on and \p Rec's save timestamp has aged out.
   bool expired(const std::uint8_t *Rec) const;
-  /// Counts one budget eviction in both the registry and Stats.
-  void countEviction(std::uint64_t N = 1);
-  void indexRecord(const std::uint8_t *Rec) TICKC_REQUIRES(M);
+  /// Indexes the validated record \p Rec in place of an indexed record with
+  /// equal key bytes; returns the replaced record's length, else 0.
+  std::size_t indexRecord(const std::uint8_t *Rec) TICKC_REQUIRES(M);
   const std::uint8_t *findRecord(const cache::SpecKey &K) const;
   /// False when the append was refused (lock failure or budget).
   bool appendRecord(std::vector<std::uint8_t> &&Bytes);
@@ -158,16 +155,17 @@ private:
   std::size_t MapLen = 0;
 
   mutable support::Mutex M;
-  std::unordered_multimap<std::uint64_t, RecordRef>
+  /// Key hash -> validated record, in the open-time mapping or in Owned.
+  std::unordered_multimap<std::uint64_t, const std::uint8_t *>
       Index TICKC_GUARDED_BY(M);
   /// Heap copies of records this process appended (stable addresses; the
   /// mmap only covers the file as it was at open).
   std::vector<std::unique_ptr<std::uint8_t[]>> Owned TICKC_GUARDED_BY(M);
 
-  mutable support::Mutex StatsM;
-  /// Mutable: findRecord (const, called from the also-const probe path)
-  /// counts TTL expiries it skips.
-  mutable SnapshotStats Stats TICKC_GUARDED_BY(StatsM);
+  /// One per SnapshotStats field. Mutable: findRecord (const, called from
+  /// the also-const probe path) counts TTL expiries it skips.
+  mutable obs::Counter Hits, Misses, Rejects, Saves, Unportable, Compactions,
+      Evictions, Expired;
 };
 
 } // namespace persist

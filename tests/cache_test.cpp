@@ -49,6 +49,14 @@ SpecKey keyOf(int Mul, int Add,
   return buildSpecKey(C, Body, EvalType::Int, Opts);
 }
 
+/// Caches \p F under the absent key \p K the way CompileService does:
+/// claim the key, then publish the function into the claimed entry.
+FnHandle insertFn(CodeCache &Cache, const SpecKey &K, CompiledFn &&F) {
+  CodeCache::Claim C;
+  EXPECT_EQ(Cache.acquire(K, C), nullptr);
+  return Cache.publish(C, std::move(F));
+}
+
 // --- SpecKey ---------------------------------------------------------------
 
 TEST(SpecKey, EqualAcrossIndependentlyBuiltContexts) {
@@ -778,12 +786,12 @@ TEST(CodeCache, ClockSparesTheEntryHitBetweenInserts) {
     std::size_t Budget = F3.stats().CodeBytes + F5.stats().CodeBytes +
                          F7.stats().CodeBytes - 1;
     CodeCache Cache(1, Budget);
-    ASSERT_NE(Cache.insert(K3, std::move(F3)), nullptr);
-    ASSERT_NE(Cache.insert(K5, std::move(F5)), nullptr);
+    ASSERT_NE(insertFn(Cache, K3, std::move(F3)), nullptr);
+    ASSERT_NE(insertFn(Cache, K5, std::move(F5)), nullptr);
     const SpecKey &Hit = HitFirst ? K3 : K5;
     const SpecKey &Cold = HitFirst ? K5 : K3;
     ASSERT_NE(Cache.lookup(Hit), nullptr);
-    FnHandle H7 = Cache.insert(K7, std::move(F7));
+    FnHandle H7 = insertFn(Cache, K7, std::move(F7));
     EXPECT_EQ(H7->as<int(int)>()(2), 128);
     CacheStats St = Cache.stats();
     EXPECT_EQ(St.Evictions, 1u);
@@ -808,7 +816,7 @@ TEST(CodeCache, TableKeepsEveryEntryFindableThroughGrowthAndEviction) {
     VSpec X = C.paramInt(0);
     CompiledFn F = compileFn(
         C, C.ret(Expr(X) * C.rcInt(I) + C.rcInt(1)), EvalType::Int);
-    EXPECT_EQ(Cache.insert(Keys.back(), std::move(F))->as<int(int)>()(2),
+    EXPECT_EQ(insertFn(Cache, Keys.back(), std::move(F))->as<int(int)>()(2),
               2 * I + 1);
     if (I % 3 == 0)
       (void)Cache.lookup(Keys[static_cast<std::size_t>(I) / 2]);
@@ -823,6 +831,43 @@ TEST(CodeCache, TableKeepsEveryEntryFindableThroughGrowthAndEviction) {
     }
   EXPECT_EQ(Found, St.Entries);
   EXPECT_EQ(St.Entries + St.Evictions, Keys.size());
+}
+
+TEST(CodeCache, PendingEntryReadsAbsentAndOutlivesSweepsAndClear) {
+  // One shard and a one-byte budget: every publish past the first sweeps.
+  // A claimed key is absent to lookup(), the hand passes over it however
+  // often it sweeps, clear() leaves it, and publishing it makes it hit.
+  CompileOptions Opts;
+  apps::PowerApp P3(3), P5(5), P7(7);
+  SpecKey K3 = P3.cacheKey(Opts), K5 = P5.cacheKey(Opts),
+          K7 = P7.cacheKey(Opts);
+  CodeCache Cache(1, 1);
+  CodeCache::Claim C3;
+  ASSERT_EQ(Cache.acquire(K3, C3), nullptr);
+  EXPECT_EQ(Cache.lookup(K3), nullptr);
+
+  (void)insertFn(Cache, K5, P5.specialize(Opts));
+  (void)insertFn(Cache, K7, P7.specialize(Opts)); // Evicts K5.
+  CacheStats St = Cache.stats();
+  EXPECT_EQ(St.Evictions, 1u);
+  EXPECT_EQ(St.Entries, 1u); // K7; the claim is not an entry yet.
+  EXPECT_EQ(Cache.lookup(K3), nullptr);
+  Cache.clear();
+  EXPECT_EQ(Cache.lookup(K7), nullptr);
+  EXPECT_EQ(Cache.lookup(K3), nullptr);
+
+  FnHandle H3 = Cache.publish(C3, P3.specialize(Opts));
+  EXPECT_EQ(H3->as<int(int)>()(2), 8);
+  EXPECT_EQ(Cache.lookup(K3).get(), H3.get());
+  CodeCache::Claim Again;
+  EXPECT_EQ(Cache.acquire(K3, Again).get(), H3.get());
+
+  // One miss per claim; hits only where a function came back.
+  St = Cache.stats();
+  EXPECT_EQ(St.Misses, 3u);
+  EXPECT_EQ(St.Hits, 2u);
+  EXPECT_EQ(St.Insertions, 3u);
+  EXPECT_EQ(St.Entries, 1u);
 }
 
 TEST(CompileService, EvictedEntriesSurviveWhileHandleHeld) {
@@ -871,8 +916,8 @@ TEST(CompileService, ConcurrentGetOrCompileStress) {
   EXPECT_EQ(Failures.load(), 0u);
 
   CacheStats St = S.cache().stats();
-  // 4 distinct specs; racing threads may double-compile but the cache keeps
-  // one entry per key.
+  // 4 distinct specs, one entry per key: a racing thread waits on the
+  // key's claim instead of compiling it again.
   EXPECT_EQ(St.Entries, 4u);
   EXPECT_GE(St.Hits, NumThreads * Iters - 4u * NumThreads);
 }

@@ -611,21 +611,33 @@ TEST(PipelineMetrics, CacheCountersMirrorIntoRegistry) {
   ASSERT_TRUE(A && B);
   EXPECT_EQ(A.get(), B.get());
 
-  // Per-instance stats stay exact on the instance...
+  // One cold request and one repeat: one miss, one hit, one insertion, on
+  // the instance and in the cumulative registry mirrors alike.
+  auto Delta = [&](const char *Name) {
+    return obs::MetricsRegistry::global().snapshot().counter(Name) -
+           Before.counter(Name);
+  };
   cache::CacheStats Inst = Service.cache().stats();
+  EXPECT_EQ(Inst.Misses, 1u);
+  EXPECT_EQ(Inst.Hits, 1u);
   EXPECT_EQ(Inst.Insertions, 1u);
-  EXPECT_GE(Inst.Hits, 1u);
+  EXPECT_EQ(Delta(obs::names::CacheMisses), 1u);
+  EXPECT_EQ(Delta(obs::names::CacheHits), 1u);
+  EXPECT_EQ(Delta(obs::names::CacheInsertions), 1u);
+  EXPECT_GT(Delta(obs::names::CacheBytesInserted), 0u);
 
-  // ...and the cumulative registry mirrors move by at least as much.
-  obs::MetricsSnapshot After = obs::MetricsRegistry::global().snapshot();
-  EXPECT_GE(After.counter(obs::names::CacheInsertions),
-            Before.counter(obs::names::CacheInsertions) + 1);
-  EXPECT_GE(After.counter(obs::names::CacheHits),
-            Before.counter(obs::names::CacheHits) + 1);
-  EXPECT_GE(After.counter(obs::names::CacheMisses),
-            Before.counter(obs::names::CacheMisses) + 1);
-  EXPECT_GT(After.counter(obs::names::CacheBytesInserted),
-            Before.counter(obs::names::CacheBytesInserted));
+  // The serving front door: a lookup that misses, then the keyed compile.
+  // The compile's claim is the one miss; the lookup counts nothing.
+  Context C;
+  VSpec X = C.paramInt(0);
+  Stmt Body = C.ret(Expr(X) * C.rcInt(7) + C.rcInt(1));
+  cache::SpecKey K = cache::buildSpecKey(C, Body, EvalType::Int, {});
+  EXPECT_EQ(Service.lookup(K), nullptr);
+  ASSERT_NE(Service.getOrCompileKeyed(C, Body, EvalType::Int, {}, K),
+            nullptr);
+  EXPECT_EQ(Service.cache().stats().Misses, 2u);
+  EXPECT_EQ(Delta(obs::names::CacheMisses), 2u);
+  EXPECT_EQ(Delta(obs::names::CacheHits), 1u);
 }
 
 TEST(PipelineMetrics, ReportRendersNonTrivially) {

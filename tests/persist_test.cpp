@@ -683,9 +683,9 @@ void rewriteRecords(const std::string &File,
   std::vector<std::uint8_t> Buf = readFileBytes(File);
   ASSERT_GT(Buf.size(), 16u);
   std::size_t Off = 16; // File header: magic + build fingerprint.
-  while (Off + 48 <= Buf.size()) {
+  while (Off + 44 <= Buf.size()) { // A record header is 44 bytes.
     std::uint32_t Total = rd32At(Buf.data() + Off + 4);
-    if (Total < 48 || Off + Total > Buf.size())
+    if (Total < 44 || Off + Total > Buf.size())
       break;
     Edit(Buf.data() + Off);
     std::uint64_t Sum =
@@ -700,7 +700,7 @@ void rewriteRecords(const std::string &File,
 /// need a record that is valid but old).
 void backdateRecords(const std::string &File, std::uint32_t SavedAt) {
   rewriteRecords(File, [SavedAt](std::uint8_t *Rec) {
-    std::memcpy(Rec + 44, &SavedAt, 4); // SavedAt
+    std::memcpy(Rec + 40, &SavedAt, 4); // SavedAt
   });
 }
 
@@ -708,7 +708,7 @@ void backdateRecords(const std::string &File, std::uint32_t SavedAt) {
 
 TEST(Snapshot, EveryByteFlipRejectsOrRecompilesNeverAdopts) {
   // The deterministic corruption sweep: for every single byte of the
-  // snapshot file — header, record header, key, refs, relocs, code — a
+  // snapshot file — header, record header, key, relocs, code — a
   // flipped copy must end in reject-and-recompile or a checksum/probe miss.
   // Never a crash, never adoption of altered bytes. The layered defense
   // (fingerprint, structural bounds, checksum over everything after the
@@ -753,9 +753,8 @@ TEST(Snapshot, OutOfRangeRelocKindRejected) {
   }
   rewriteRecords(Dir.file(), [](std::uint8_t *Rec) {
     ASSERT_GE(rd32At(Rec + 32), 1u); // NumRelocs: the free var's address.
-    // Header, key bytes, then 12-byte refs; the reloc's Kind follows its
-    // Offset.
-    std::uint8_t *Reloc = Rec + 48 + rd32At(Rec + 24) + 12 * rd32At(Rec + 36);
+    // Header, then key bytes; the reloc's Kind follows its Offset.
+    std::uint8_t *Reloc = Rec + 44 + rd32At(Rec + 24);
     const std::uint32_t Forged = 0x102;
     std::memcpy(Reloc + 4, &Forged, 4);
   });
@@ -784,9 +783,8 @@ TEST(Snapshot, RejectedRecordLeavesOnlyTrapsInItsBlock) {
   std::uint32_t CodeLen = 0;
   rewriteRecords(Dir.file(), [&](std::uint8_t *Rec) {
     CodeLen = rd32At(Rec + 28);
-    // Header, key, refs, relocs, then the code.
-    std::uint8_t *Code = Rec + 48 + rd32At(Rec + 24) + 12 * rd32At(Rec + 36) +
-                         12 * rd32At(Rec + 32);
+    // Header, key, relocs, then the code.
+    std::uint8_t *Code = Rec + 44 + rd32At(Rec + 24) + 12 * rd32At(Rec + 32);
     Code[0] = 0x0F; // syscall: outside every emitter's vocabulary.
     Code[1] = 0x05;
   });
